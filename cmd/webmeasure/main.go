@@ -58,7 +58,7 @@ func main() {
 		stats         = flag.Bool("stats", false, "print run metrics to stderr")
 		stream        = flag.Bool("stream", false, "stream CSV rows as sites complete (constant memory) instead of building the full result")
 		window        = flag.Int("window", 0, "streaming reorder window in sites (0 = 4×workers; with -stream)")
-		traceOut      = flag.String("trace", "", "write a Chrome trace-event JSON of the study to this file (implies -stream; open in Perfetto)")
+		traceOut      = flag.String("trace", "", "write a Chrome trace-event JSON of the study to this file (implies -stream unless -warm; open in Perfetto)")
 		traceDetail   = flag.String("trace-detail", "phases", "trace granularity: sites, loads, fetches, or phases (with -trace)")
 		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile    = flag.String("memprofile", "", "write a post-run heap profile to this file")
@@ -76,7 +76,7 @@ func main() {
 			os.Exit(2)
 		}
 		tracer = trace.New(detail)
-		*stream = true // spans are recorded by the streaming engine
+		*stream = true // the in-memory wrapper takes no tracer
 	}
 
 	u := toplist.NewUniverse(toplist.Config{Seed: *seed, Size: maxInt(4000, *sites*3)})
@@ -111,7 +111,7 @@ func main() {
 	})
 	fatal(err)
 	if *warm {
-		res, runErr := st.RunWarm(list, core.WarmConfig{RevisitDelay: *revisit})
+		res, runErr := st.RunWarm(list, core.WarmConfig{RevisitDelay: *revisit, Trace: tracer})
 		if res != nil {
 			if *stats || res.FailedSites() > 0 {
 				fmt.Fprintf(os.Stderr, "webmeasure: %d/%d sites measured, %d failed\n",
@@ -120,6 +120,7 @@ func main() {
 			}
 			fatal(core.WriteWarmCSV(os.Stdout, res))
 		}
+		writeTrace(tracer, *traceOut, *stats)
 		finishProfiles(stopCPU, *memProfile)
 		fatal(runErr)
 		return
@@ -142,14 +143,7 @@ func main() {
 				printMemReport(os.Stderr)
 			}
 		}
-		if tracer != nil {
-			// Written even on a failed run: a partial trace is still a
-			// timeline of what did happen.
-			fatal(writeTrace(tracer, *traceOut))
-			if *stats {
-				tracer.Summary(os.Stderr)
-			}
-		}
+		writeTrace(tracer, *traceOut, *stats)
 		finishProfiles(stopCPU, *memProfile)
 		fatal(runErr)
 		return
@@ -170,17 +164,24 @@ func main() {
 	fatal(runErr)
 }
 
-// writeTrace dumps the tracer's spans as a Chrome trace-event file.
-func writeTrace(tr *trace.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// writeTrace dumps the tracer's spans, if tracing is on, as a Chrome
+// trace-event file, plus a per-category summary on stderr with -stats.
+// It runs even after a failed study: a partial trace is still a timeline
+// of what did happen.
+func writeTrace(tr *trace.Tracer, path string, summary bool) {
+	if tr == nil {
+		return
 	}
+	f, err := os.Create(path)
+	fatal(err)
 	if err := tr.WriteChromeJSON(f); err != nil {
 		_ = f.Close()
-		return err
+		fatal(err)
 	}
-	return f.Close()
+	fatal(f.Close())
+	if summary {
+		tr.Summary(os.Stderr)
+	}
 }
 
 // finishProfiles flushes the -cpuprofile/-memprofile outputs; explicit

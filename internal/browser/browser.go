@@ -399,7 +399,7 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 	if !rootOK {
 		log.Entries = state.compactEntries()
 		phase := state.entries[0].Aborted
-		b.recordTrace(state, fetchID, attempt, 0, phase)
+		b.recordTrace(state, fetchID, attempt, revisit, 0, phase)
 		return log, &LoadError{URL: m.URL, Phase: phase, Attempt: attempt, Err: sentinelForPhase(phase)}
 	}
 	discovery := rootDone + b.cfg.ParseDelay
@@ -479,7 +479,7 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 
 	log.Entries = state.compactEntries()
 	log.Page.Timings = state.pageTimings(rootDone)
-	b.recordTrace(state, fetchID, attempt, log.Page.Timings.OnLoad, "")
+	b.recordTrace(state, fetchID, attempt, revisit, log.Page.Timings.OnLoad, "")
 	return log, nil
 }
 

@@ -23,7 +23,9 @@ func (b *Browser) SetTrace(rec *trace.Recorder) { b.cfg.Trace = rec }
 // attempted exchange (detail ≥ fetches), and HAR phase sub-spans
 // (detail ≥ phases). onLoad is the page's load event for successful
 // attempts and 0 for aborted ones, where the last entry end stands in.
-func (b *Browser) recordTrace(s *loadState, fetchID, attempt int, onLoad time.Duration, errPhase string) {
+// A warm revisit's span IDs carry the revisit offset (trace.AttemptKey),
+// so they never collide with the page's cold load.
+func (b *Browser) recordTrace(s *loadState, fetchID, attempt int, revisit, onLoad time.Duration, errPhase string) {
 	rec := b.cfg.Trace
 	if rec == nil || rec.Detail() < trace.DetailLoads {
 		return
@@ -31,6 +33,7 @@ func (b *Browser) recordTrace(s *loadState, fetchID, attempt int, onLoad time.Du
 	site := strconv.Itoa(rec.Site())
 	f := strconv.Itoa(fetchID)
 	a := strconv.Itoa(attempt)
+	ak := trace.AttemptKey(attempt, revisit)
 	base := rec.Base()
 
 	dur := onLoad
@@ -44,7 +47,7 @@ func (b *Browser) recordTrace(s *loadState, fetchID, attempt int, onLoad time.Du
 			dur = end
 		}
 	}
-	loadID := trace.DeriveID("load", site, s.m.URL, f, a)
+	loadID := trace.DeriveID("load", site, s.m.URL, f, ak)
 	attrs := []trace.Attr{
 		{Key: "url", Val: s.m.URL},
 		{Key: "fetch", Val: f},
@@ -70,7 +73,7 @@ func (b *Browser) recordTrace(s *loadState, fetchID, attempt int, onLoad time.Du
 		}
 		e := &s.entries[i]
 		x := strconv.Itoa(i)
-		xid := trace.DeriveID("x", site, s.m.URL, f, a, x)
+		xid := trace.DeriveID("x", site, s.m.URL, f, ak, x)
 		off := e.StartedAt.Sub(s.navStart)
 		rec.Record(trace.Span{
 			ID: xid, Parent: loadID,
@@ -80,7 +83,7 @@ func (b *Browser) recordTrace(s *loadState, fetchID, attempt int, onLoad time.Du
 		if rec.Detail() < trace.DetailPhases {
 			continue
 		}
-		recordPhases(rec, xid, site, s.m.URL, f, a, x, base.Add(off), e.Timings)
+		recordPhases(rec, xid, site, s.m.URL, f, ak, x, base.Add(off), e.Timings)
 	}
 }
 

@@ -1,0 +1,261 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"strconv"
+	"sync"
+	"time"
+
+	"repro/internal/hispar"
+	"repro/internal/trace"
+	"repro/internal/vclock"
+	"repro/internal/webgen"
+)
+
+// This file is the study engine every study kind shares. Workers run a
+// per-site step (cold: measureSiteResilient, warm: measureSiteWarm) on
+// isolated site contexts; finished sites flow through a bounded reorder
+// window to a single fold goroutine that retires them in site-rank
+// order — stamping each site's span, then handing the result to the
+// caller's retire step (RunStream's aggregating fold, RunWarm's
+// collector) — and drops them. Peak retained site results are bounded
+// by the window regardless of list size.
+//
+// Determinism: because retirement runs in site-rank order, every
+// accumulated float, sink byte and merged span sees the same order at
+// any worker count — the invariant TestArtifactsInvariantAcrossParallelism
+// and TestStreamTraceInvariantAcrossWorkers enforce.
+
+// siteDone carries one measured site from a worker to the fold.
+type siteDone[R any] struct {
+	i   int
+	res R
+	out Outcome
+	// rec holds the site's spans (nil when tracing is off); the fold
+	// stamps the site span into it and merges it in rank order.
+	rec *trace.Recorder
+}
+
+// siteRun is what the engine hands back to the wrapper that called it.
+type siteRun struct {
+	outcomes []Outcome
+	failed   int
+	// maxInFlight is the peak number of completed-but-unretired sites
+	// the reorder window held.
+	maxInFlight int
+}
+
+// runSites measures every site of the list with measure and retires the
+// results through retire, exactly once per site — failed ones included —
+// from a single goroutine in site-index order. At most window sites
+// (default 4×Workers, never below Workers+1) are dispatched but not yet
+// retired. Every site is always attempted; the failure budget decides
+// only whether the aggregate error rides along with the run. A nil run
+// means the study could not start at all.
+func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
+	measure func(i int, set hispar.URLSet, rec *trace.Recorder) (R, Outcome),
+	retire func(i int, r *R, out *Outcome)) (*siteRun, error) {
+	workers := st.cfg.Workers
+	if window <= 0 {
+		window = 4 * workers
+	}
+	if window < workers+1 {
+		window = workers + 1
+	}
+	n := len(list.Sets)
+	// Validate the browser configuration before fanning out.
+	if _, err := st.newBrowser(st.cfg.Seed); err != nil {
+		return nil, err
+	}
+	run := &siteRun{outcomes: make([]Outcome, n)}
+
+	jobs := make(chan int)
+	// Window tokens bound dispatched-but-unretired sites: acquired before
+	// a site is handed to a worker, released when the fold retires it.
+	// The fold never acquires, so the loop cannot deadlock. completed is
+	// sized to the same bound, so a worker's send never waits on the fold.
+	completed := make(chan siteDone[R], window)
+	tokens := make(chan struct{}, window)
+
+	var workerWG sync.WaitGroup
+	// Operational telemetry only: worker utilization is real elapsed
+	// time by definition, so it goes through vclock.Wall — the sanctioned
+	// wall-clock accessor — and never touches measurement results.
+	wallStart := vclock.Wall()
+	for w := 0; w < workers; w++ {
+		workerWG.Add(1)
+		go func(w int) {
+			defer workerWG.Done()
+			var busy time.Duration
+			sites := 0
+			for i := range jobs {
+				t0 := vclock.Wall()
+				// Chrome trace rows are per-site (tid = site index + 1; fold
+				// spans own tid 0), never per-worker: worker identity must
+				// not leak into the byte-stable trace.
+				rec := tr.Recorder(int64(i)+1, list.Sets[i].Rank)
+				r, out := measure(i, list.Sets[i], rec)
+				busy += vclock.WallSince(t0)
+				sites++
+				completed <- siteDone[R]{i: i, res: r, out: out, rec: rec}
+			}
+			if wall := vclock.WallSince(wallStart); wall > 0 {
+				st.stats.SetGauge(fmt.Sprintf("worker.%d.utilization", w), busy.Seconds()/wall.Seconds())
+			}
+			st.stats.Inc(fmt.Sprintf("worker.%d.sites", w), int64(sites))
+		}(w)
+	}
+
+	// The fold: a single goroutine retiring sites in rank order through
+	// a reorder buffer keyed by site index.
+	var siteErrs []error
+	var foldWG sync.WaitGroup
+	foldWG.Add(1)
+	go func() {
+		defer foldWG.Done()
+		spans := siteSpans{st: st, tr: tr}
+		pending := make(map[int]siteDone[R], window)
+		next := 0
+		for d := range completed {
+			pending[d.i] = d
+			if len(pending) > run.maxInFlight {
+				run.maxInFlight = len(pending)
+			}
+			for {
+				cur, ok := pending[next]
+				if !ok {
+					break
+				}
+				delete(pending, next)
+				out := &run.outcomes[next]
+				*out = cur.out
+				st.stats.Observe("site.attempts", float64(out.Attempts))
+				spans.record(next, out, cur.rec)
+				if !out.OK {
+					siteErrs = append(siteErrs, out.Err)
+				}
+				retire(next, &cur.res, out)
+				next++
+				<-tokens
+			}
+		}
+	}()
+
+	for i := 0; i < n; i++ {
+		tokens <- struct{}{}
+		jobs <- i
+	}
+	close(jobs)
+	workerWG.Wait()
+	close(completed)
+	foldWG.Wait()
+	// Keep the analysis clock at the end of the study window.
+	st.clock.AdvanceTo(st.epoch.Add(time.Duration(n) * st.cfg.SitePacing))
+
+	run.failed = len(siteErrs)
+	st.stats.Inc("sites.total", int64(n))
+	st.stats.Inc("sites.ok", int64(n-run.failed))
+	st.stats.Inc("sites.failed", int64(run.failed))
+	if n > 0 {
+		st.stats.SetGauge("failure.budget.used", float64(run.failed)/float64(n))
+	}
+	st.stats.SetGauge("stream.window", float64(window))
+	st.stats.SetGauge("stream.inflight.max", float64(run.maxInFlight))
+
+	if st.cfg.FailureBudget >= 0 {
+		if allowed := int(st.cfg.FailureBudget * float64(n)); run.failed > allowed {
+			return run, fmt.Errorf("core: %d/%d sites failed, exceeding the failure budget of %d: %w",
+				run.failed, n, allowed, errors.Join(siteErrs...))
+		}
+	}
+	return run, nil
+}
+
+// siteSpans stamps each retiring site's root span into its recorder and
+// merges the recorder into the run tracer. The reorder-window wait
+// attribute is virtual and order-derived — how far this site's virtual
+// completion trails the latest one already retired — so it is identical
+// at any worker count, unlike a wall-clock wait.
+type siteSpans struct {
+	st       *Study
+	tr       *trace.Tracer
+	maxDoneV time.Duration
+}
+
+func (s *siteSpans) record(i int, out *Outcome, rec *trace.Recorder) {
+	if s.tr == nil {
+		return
+	}
+	start := s.st.epoch.Add(time.Duration(i) * s.st.cfg.SitePacing)
+	doneV := time.Duration(i)*s.st.cfg.SitePacing + out.Elapsed
+	wait := s.maxDoneV - doneV
+	if wait < 0 {
+		wait = 0
+	}
+	if doneV > s.maxDoneV {
+		s.maxDoneV = doneV
+	}
+	attrs := []trace.Attr{
+		{Key: "rank", Val: strconv.Itoa(out.Rank)},
+		{Key: "domain", Val: out.Domain},
+		{Key: "attempts", Val: strconv.Itoa(out.Attempts)},
+		{Key: "retries", Val: strconv.Itoa(out.Retries)},
+		{Key: "window.wait_us", Val: strconv.FormatInt(wait.Microseconds(), 10)},
+	}
+	if out.OK {
+		attrs = append(attrs, trace.Attr{Key: "ok", Val: "true"})
+		if out.FailedPages > 0 {
+			attrs = append(attrs, trace.Attr{Key: "failed_pages", Val: strconv.Itoa(out.FailedPages)})
+		}
+	} else {
+		attrs = append(attrs, trace.Attr{Key: "ok", Val: "false"},
+			trace.Attr{Key: "class", Val: string(out.Class)})
+	}
+	rec.Record(trace.Span{
+		ID:   trace.SiteSpanID(out.Rank),
+		Name: "site " + out.Domain, Cat: "site",
+		Start: start, Dur: out.Elapsed, Attrs: attrs,
+	})
+	s.tr.Merge(rec)
+}
+
+// errNotInSnapshot marks a study asking for a site or page the web
+// snapshot does not contain; Classify maps it to ClassConfig.
+var errNotInSnapshot = errors.New("not in web snapshot")
+
+// measureSite is the site-open prologue both per-site steps share: it
+// builds site i's isolated context, parents the browser's load spans
+// under the site span the fold will record, looks the site up in the web
+// snapshot, and then runs pages — the step's own page loop — on it. An
+// error from pages fails the site with its class; Elapsed is the
+// virtual time the page loop consumed, failures included.
+func measureSite[R any](st *Study, i int, set hispar.URLSet, rec *trace.Recorder,
+	pages func(sc *siteCtx, site *webgen.Site, out *Outcome) (R, error)) (R, Outcome) {
+	out := Outcome{Domain: set.Domain, Rank: set.Rank}
+	fail := func(err error, class ErrorClass) (R, Outcome) {
+		var zero R
+		out.Class = class
+		out.Err = fmt.Errorf("core: site %s: %w", set.Domain, err)
+		return zero, out
+	}
+	sc, err := st.newSiteCtx(i)
+	if err != nil {
+		return fail(err, ClassConfig)
+	}
+	sc.rec = rec
+	rec.SetParent(trace.SiteSpanID(set.Rank))
+	sc.b.SetTrace(rec)
+	site, ok := st.web.SiteByDomain(set.Domain)
+	if !ok {
+		return fail(fmt.Errorf("site %w", errNotInSnapshot), ClassConfig)
+	}
+	start := sc.clock.Now()
+	res, err := pages(sc, site, &out)
+	out.Elapsed = sc.clock.Since(start)
+	if err != nil {
+		return fail(err, Classify(err))
+	}
+	out.OK = true
+	return res, out
+}

@@ -34,6 +34,8 @@ func Classify(err error) ErrorClass {
 	switch {
 	case err == nil:
 		return ClassNone
+	case errors.Is(err, errNotInSnapshot):
+		return ClassConfig
 	case errors.Is(err, browser.ErrDNS):
 		return ClassDNS
 	case errors.Is(err, browser.ErrTimeout):
@@ -80,4 +82,15 @@ type Outcome struct {
 	// Elapsed is the virtual time the site consumed: page loads plus
 	// retry backoff on the site's virtual clock.
 	Elapsed time.Duration
+}
+
+// failedSites counts the outcomes that yielded no measurement.
+func failedSites(outs []Outcome) int {
+	n := 0
+	for i := range outs {
+		if !outs[i].OK {
+			n++
+		}
+	}
+	return n
 }

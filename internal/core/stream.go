@@ -7,34 +7,28 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/hispar"
 	"repro/internal/runstats"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
-// This file is the streaming study engine: HAR → metrics → aggregates
-// with constant memory. Workers measure sites exactly as Study.Run
-// always has; completed SiteResults flow through a bounded reorder
-// window to a single fold goroutine that retires them in site-rank
-// order — through the configured sinks (streaming CSV, collectors) and
-// into rank-sharded accumulators of mergeable quantile sketches — and
-// then drops them. Peak retained SiteResults are bounded by the window
-// regardless of list size, which is what lets papereval-style studies
-// scale from H1K toward H100K without holding the result set.
+// This file is the cold study's fold over the shared engine (engine.go):
+// HAR → metrics → aggregates with constant memory. The engine retires
+// SiteResults in site-rank order; the fold passes each through the
+// configured sinks (streaming CSV, collectors) and into rank-sharded
+// accumulators of mergeable quantile sketches, and then drops it, which
+// is what lets papereval-style studies scale from H1K toward H100K
+// without holding the result set.
 //
 // Determinism: because the fold runs in site-rank order, every
 // accumulated float (ratio log-sums, sketch Sums) sees the same
 // addition order at any worker count, so streamed aggregates and CSV
-// bytes are bit-identical across parallelism — the same invariant
-// TestArtifactsInvariantAcrossParallelism enforces for the in-memory
-// path. Shards close in rank order and merge into the study-wide
-// aggregate immediately, so at most one shard accumulator is live at a
-// time.
+// bytes are bit-identical across parallelism. Shards close in rank
+// order and merge into the study-wide aggregate immediately, so at most
+// one shard accumulator is live at a time.
 
 // Metric enumerates the per-page quantities the streaming aggregator
 // tracks as full distributions. Units match the experiment tables:
@@ -337,15 +331,9 @@ type StreamConfig struct {
 	Trace *trace.Tracer
 }
 
-func (c StreamConfig) withDefaults(workers int) StreamConfig {
+func (c StreamConfig) withDefaults() StreamConfig {
 	if c.ShardSize <= 0 {
 		c.ShardSize = 256
-	}
-	if c.Window <= 0 {
-		c.Window = 4 * workers
-	}
-	if c.Window < workers+1 {
-		c.Window = workers + 1
 	}
 	if c.TopK <= 0 {
 		c.TopK = 30
@@ -377,25 +365,7 @@ type StreamResult struct {
 }
 
 // FailedSites returns how many input sites yielded no measurement.
-func (r *StreamResult) FailedSites() int {
-	n := 0
-	for i := range r.Outcomes {
-		if !r.Outcomes[i].OK {
-			n++
-		}
-	}
-	return n
-}
-
-// siteDone carries one measured site from a worker to the fold.
-type siteDone struct {
-	i   int
-	res SiteResult
-	out Outcome
-	// rec holds the site's spans (nil when tracing is off); the fold
-	// stamps the site span into it and merges it in rank order.
-	rec *trace.Recorder
-}
+func (r *StreamResult) FailedSites() int { return failedSites(r.Outcomes) }
 
 // streamFold owns all single-goroutine fold state: sinks, the live
 // shard, tail counters, and error accumulation. None of it is locked —
@@ -415,39 +385,32 @@ type streamFold struct {
 
 	// rec collects the fold's own spans (shards, study) on tid 0; it is
 	// merged after every site recorder so merge order stays rank-derived.
-	// maxDoneV tracks the latest virtual completion among retired sites:
-	// the difference to the next site's own completion is the virtual
-	// reorder-window wait stamped on each site span.
-	rec      *trace.Recorder
-	maxDoneV time.Duration
+	rec *trace.Recorder
 
-	sinkErr  error
-	siteErrs []error
+	sinkErr error
 }
 
-// retire processes site d in rank order: shard boundary, outcome
-// bookkeeping, sinks, accumulators, tail counters.
-func (f *streamFold) retire(d *siteDone) {
-	if d.i > 0 && d.i%f.cfg.ShardSize == 0 {
-		f.closeShard(d.i)
+// retire processes site i in rank order: shard boundary, sinks,
+// accumulators, tail counters.
+//
+//detlint:hotpath -- the cold retire step; the engine calls it through a func value
+func (f *streamFold) retire(i int, res *SiteResult, out *Outcome) {
+	if i > 0 && i%f.cfg.ShardSize == 0 {
+		f.closeShard(i)
 	}
-	f.res.Outcomes[d.i] = d.out
-	f.st.stats.Observe("site.attempts", float64(d.out.Attempts))
-	f.recordSiteSpan(d)
 	if f.sinkErr == nil {
 		for _, s := range f.cfg.Sinks {
-			if err := s.ConsumeSite(&d.res, &f.res.Outcomes[d.i]); err != nil {
+			if err := s.ConsumeSite(res, out); err != nil {
 				f.sinkErr = fmt.Errorf("core: stream sink: %w", err)
 				break
 			}
 		}
 	}
-	if !d.out.OK {
+	if !out.OK {
 		f.shardFailed++
-		f.siteErrs = append(f.siteErrs, d.out.Err)
 		return
 	}
-	signs := f.shard.AccumulateSite(&d.res)
+	signs := f.shard.AccumulateSite(res)
 	f.okCount++
 	if f.okCount <= f.cfg.TopK {
 		f.res.Top.accumulate(signs)
@@ -458,48 +421,6 @@ func (f *streamFold) retire(d *siteDone) {
 		f.bottomRing[f.bottomNext] = signs
 		f.bottomNext = (f.bottomNext + 1) % f.cfg.BottomK
 	}
-}
-
-// recordSiteSpan stamps site i's root span into its recorder and merges
-// the recorder into the run tracer. The reorder-window wait attribute
-// is virtual and order-derived — how far this site's virtual completion
-// trails the latest one already retired — so it is identical at any
-// worker count, unlike a wall-clock wait.
-func (f *streamFold) recordSiteSpan(d *siteDone) {
-	if f.cfg.Trace == nil {
-		return
-	}
-	start := f.st.epoch.Add(time.Duration(d.i) * f.st.cfg.SitePacing)
-	doneV := time.Duration(d.i)*f.st.cfg.SitePacing + d.out.Elapsed
-	wait := f.maxDoneV - doneV
-	if wait < 0 {
-		wait = 0
-	}
-	if doneV > f.maxDoneV {
-		f.maxDoneV = doneV
-	}
-	attrs := []trace.Attr{
-		{Key: "rank", Val: strconv.Itoa(d.out.Rank)},
-		{Key: "domain", Val: d.out.Domain},
-		{Key: "attempts", Val: strconv.Itoa(d.out.Attempts)},
-		{Key: "retries", Val: strconv.Itoa(d.out.Retries)},
-		{Key: "window.wait_us", Val: strconv.FormatInt(wait.Microseconds(), 10)},
-	}
-	if d.out.OK {
-		attrs = append(attrs, trace.Attr{Key: "ok", Val: "true"})
-		if d.out.FailedPages > 0 {
-			attrs = append(attrs, trace.Attr{Key: "failed_pages", Val: strconv.Itoa(d.out.FailedPages)})
-		}
-	} else {
-		attrs = append(attrs, trace.Attr{Key: "ok", Val: "false"},
-			trace.Attr{Key: "class", Val: string(d.out.Class)})
-	}
-	d.rec.Record(trace.Span{
-		ID:   trace.SiteSpanID(d.out.Rank),
-		Name: "site " + d.out.Domain, Cat: "site",
-		Start: start, Dur: d.out.Elapsed, Attrs: attrs,
-	})
-	f.cfg.Trace.Merge(d.rec)
 }
 
 // closeShard summarizes the live shard over [shardLo, hi), merges it
@@ -540,7 +461,7 @@ func (f *streamFold) closeShard(hi int) {
 
 // finish closes the last shard, flushes sinks, and folds the bottom
 // ring (the last ≤BottomK surviving sites, oldest slot first).
-func (f *streamFold) finish(n int) {
+func (f *streamFold) finish(n, failed int) {
 	f.closeShard(n)
 	for _, s := range f.cfg.Sinks {
 		if err := s.Flush(); err != nil && f.sinkErr == nil {
@@ -558,7 +479,7 @@ func (f *streamFold) finish(n int) {
 			Dur:   time.Duration(n) * f.st.cfg.SitePacing,
 			Attrs: []trace.Attr{
 				{Key: "sites", Val: strconv.Itoa(n)},
-				{Key: "failed", Val: strconv.Itoa(len(f.siteErrs))},
+				{Key: "failed", Val: strconv.Itoa(failed)},
 				{Key: "shards", Val: strconv.Itoa(len(f.res.Shards))},
 				{Key: "shard_size", Val: strconv.Itoa(f.cfg.ShardSize)},
 			},
@@ -579,113 +500,17 @@ func (f *streamFold) finish(n int) {
 //
 //detlint:hotpath -- the streaming study engine; H1M-scale runs live here
 func (st *Study) RunStream(list *hispar.List, cfg StreamConfig) (*StreamResult, error) {
-	cfg = cfg.withDefaults(st.cfg.Workers)
-	n := len(list.Sets)
-	// Validate the browser configuration before fanning out.
-	if _, err := st.newBrowser(st.cfg.Seed); err != nil {
-		return nil, err
-	}
-
-	res := &StreamResult{
-		List:     list,
-		Outcomes: make([]Outcome, n),
-		Agg:      NewAggregates(),
-	}
+	cfg = cfg.withDefaults()
+	res := &StreamResult{List: list, Agg: NewAggregates()}
 	fold := &streamFold{st: st, cfg: cfg, res: res, shard: NewAggregates(),
 		rec: cfg.Trace.Recorder(0, 0)}
-
-	jobs := make(chan int)
-	completed := make(chan siteDone, cfg.Window)
-	// window tokens bound dispatched-but-unfolded sites: acquired before
-	// a site is handed to a worker, released when the fold retires it.
-	// The fold never acquires, so the loop cannot deadlock.
-	window := make(chan struct{}, cfg.Window)
-
-	var workerWG sync.WaitGroup
-	// Operational telemetry only: worker utilization is real elapsed
-	// time by definition, so it goes through vclock.Wall — the sanctioned
-	// wall-clock accessor — and never touches measurement results.
-	wallStart := vclock.Wall()
-	for w := 0; w < st.cfg.Workers; w++ {
-		workerWG.Add(1)
-		go func(w int) {
-			defer workerWG.Done()
-			var busy time.Duration
-			sites := 0
-			for i := range jobs {
-				t0 := vclock.Wall()
-				// Chrome trace rows are per-site (tid = site index + 1; the
-				// fold's study/shard spans own tid 0), never per-worker:
-				// worker identity must not leak into the byte-stable trace.
-				rec := cfg.Trace.Recorder(int64(i)+1, list.Sets[i].Rank)
-				r, out := st.measureSiteResilient(i, list.Sets[i], rec)
-				busy += vclock.WallSince(t0)
-				sites++
-				completed <- siteDone{i: i, res: r, out: out, rec: rec}
-			}
-			if wall := vclock.WallSince(wallStart); wall > 0 {
-				st.stats.SetGauge(fmt.Sprintf("worker.%d.utilization", w), busy.Seconds()/wall.Seconds())
-			}
-			st.stats.Inc(fmt.Sprintf("worker.%d.sites", w), int64(sites))
-		}(w)
+	run, err := runSites(st, list, cfg.Window, cfg.Trace, st.measureSiteResilient, fold.retire)
+	if run == nil {
+		return nil, err
 	}
-
-	// The fold: a single goroutine retiring sites in rank order through
-	// a reorder buffer keyed by site index.
-	var foldWG sync.WaitGroup
-	foldWG.Add(1)
-	go func() {
-		defer foldWG.Done()
-		pending := make(map[int]siteDone, cfg.Window)
-		next := 0
-		for d := range completed {
-			pending[d.i] = d
-			if len(pending) > res.MaxInFlight {
-				res.MaxInFlight = len(pending)
-			}
-			for {
-				cur, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				fold.retire(&cur)
-				next++
-				<-window
-			}
-		}
-	}()
-
-	for i := 0; i < n; i++ {
-		window <- struct{}{}
-		jobs <- i
-	}
-	close(jobs)
-	workerWG.Wait()
-	close(completed)
-	foldWG.Wait()
-	fold.finish(n)
-	// Keep the analysis clock at the end of the study window.
-	st.clock.AdvanceTo(st.epoch.Add(time.Duration(n) * st.cfg.SitePacing))
-
-	st.stats.Inc("sites.total", int64(n))
-	st.stats.Inc("sites.ok", int64(n-len(fold.siteErrs)))
-	st.stats.Inc("sites.failed", int64(len(fold.siteErrs)))
-	if n > 0 {
-		st.stats.SetGauge("failure.budget.used", float64(len(fold.siteErrs))/float64(n))
-	}
-	st.stats.SetGauge("stream.window", float64(cfg.Window))
-	st.stats.SetGauge("stream.inflight.max", float64(res.MaxInFlight))
+	res.Outcomes, res.MaxInFlight = run.outcomes, run.maxInFlight
+	fold.finish(len(list.Sets), run.failed)
 	res.Stats = st.stats.Snapshot()
-
-	var err error
-	if st.cfg.FailureBudget >= 0 {
-		allowed := int(st.cfg.FailureBudget * float64(n))
-		if len(fold.siteErrs) > allowed {
-			err = fmt.Errorf("core: %d/%d sites failed, exceeding the failure budget of %d: %w",
-				len(fold.siteErrs), n, allowed, errors.Join(fold.siteErrs...))
-		}
-	}
 	if fold.sinkErr != nil {
 		err = errors.Join(err, fold.sinkErr)
 	}

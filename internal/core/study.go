@@ -105,12 +105,19 @@ type SiteResult struct {
 
 // InternalMedian applies f to every internal page and returns the median.
 func (s *SiteResult) InternalMedian(f func(*PageMeasurement) float64) float64 {
-	if len(s.Internal) == 0 {
+	return medianOf(s.Internal, f)
+}
+
+// medianOf applies f to every element of xs and returns the median, or
+// 0 for none — the one implementation behind the cold and warm
+// InternalMedian methods.
+func medianOf[T any](xs []T, f func(*T) float64) float64 {
+	if len(xs) == 0 {
 		return 0
 	}
-	vals := make([]float64, len(s.Internal))
-	for i := range s.Internal {
-		vals[i] = f(&s.Internal[i])
+	vals := make([]float64, len(xs))
+	for i := range xs {
+		vals[i] = f(&xs[i])
 	}
 	return stats.SortedInPlace(vals).Median()
 }
@@ -183,15 +190,7 @@ type StudyResult struct {
 }
 
 // FailedSites returns how many input sites yielded no measurement.
-func (r *StudyResult) FailedSites() int {
-	n := 0
-	for i := range r.Outcomes {
-		if !r.Outcomes[i].OK {
-			n++
-		}
-	}
-	return n
-}
+func (r *StudyResult) FailedSites() int { return failedSites(r.Outcomes) }
 
 // Study runs page loads and measurement for every URL set in the list.
 type Study struct {
@@ -250,8 +249,8 @@ func NewStudy(web *webgen.Web, cfg StudyConfig) (*Study, error) {
 // Analyzers exposes the study's analysis stack (useful for tests).
 func (st *Study) Analyzers() Analyzers { return st.az }
 
-// newBrowser builds a browser sharing the study's resolver — the
-// fault-free path MeasureSite uses directly.
+// newBrowser builds a browser sharing the study's resolver; the engine
+// builds one up front to validate the configuration.
 func (st *Study) newBrowser(seed int64) (*browser.Browser, error) {
 	return st.newBrowserWith(seed, st.resolver)
 }
@@ -300,21 +299,17 @@ func (st *Study) newSiteCtx(i int) (*siteCtx, error) {
 	return &siteCtx{clock: clock, b: b}, nil
 }
 
-// loadWithRetry attempts one page load up to MaxAttempts times, backing
-// off in virtual time with doubling waits capped at RetryBackoffCap.
-// Each attempt redraws the injected faults (the attempt number feeds the
+// loadRevisitWithRetry attempts one page load up to MaxAttempts times,
+// backing off in virtual time with doubling waits capped at
+// RetryBackoffCap, and counts every attempt and retry into out. Each
+// attempt redraws the injected faults (the attempt number feeds the
 // fault RNG seed), so transient failures clear the way they would in a
-// real re-crawl. It returns the attempts consumed alongside the result.
-func (st *Study) loadWithRetry(sc *siteCtx, m *webgen.PageModel, fetchID int) (*har.Log, int, error) {
-	return st.loadRevisitWithRetry(sc, m, fetchID, 0)
-}
-
-// loadRevisitWithRetry is loadWithRetry with a revisit offset: revisit 0
-// is the cold load, anything else a warm repeat view against whatever
-// cache the browser currently holds.
-func (st *Study) loadRevisitWithRetry(sc *siteCtx, m *webgen.PageModel, fetchID int, revisit time.Duration) (*har.Log, int, error) {
+// real re-crawl. revisit 0 is the cold load, anything else a warm repeat
+// view against whatever cache the browser currently holds.
+func (st *Study) loadRevisitWithRetry(sc *siteCtx, out *Outcome, m *webgen.PageModel, fetchID int, revisit time.Duration) (*har.Log, error) {
 	backoff := st.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
+		out.Attempts++
 		// Anchor the attempt's spans at the site clock's virtual now, so
 		// loads and their retries tile the site's timeline in order.
 		sc.rec.SetBase(sc.clock.Now())
@@ -323,17 +318,17 @@ func (st *Study) loadRevisitWithRetry(sc *siteCtx, m *webgen.PageModel, fetchID 
 			sc.clock.Advance(log.Page.Timings.OnLoad)
 			st.stats.Inc("loads.ok", 1)
 			st.stats.Observe("load.onload.ms", float64(log.Page.Timings.OnLoad.Milliseconds()))
-			return log, attempt + 1, nil
+			return log, nil
 		}
 		class := Classify(err)
 		st.stats.Inc("loads.err."+string(class), 1)
 		if !class.Retryable() || attempt+1 >= st.cfg.MaxAttempts {
-			return nil, attempt + 1, err
+			return nil, err
 		}
 		if rec := sc.rec; rec != nil && rec.Detail() >= trace.DetailLoads {
 			rec.Record(trace.Span{
 				ID: trace.DeriveID("backoff", strconv.Itoa(rec.Site()), m.URL,
-					strconv.Itoa(fetchID), strconv.Itoa(attempt)),
+					strconv.Itoa(fetchID), trace.AttemptKey(attempt, revisit)),
 				Parent: rec.Parent(),
 				Name:   "backoff " + m.URL, Cat: "retry",
 				Start: sc.clock.Now(), Dur: backoff,
@@ -344,6 +339,7 @@ func (st *Study) loadRevisitWithRetry(sc *siteCtx, m *webgen.PageModel, fetchID 
 			})
 		}
 		sc.clock.Advance(backoff)
+		out.Retries++
 		st.stats.Inc("retries.total", 1)
 		st.stats.Observe("retry.backoff.ms", float64(backoff.Milliseconds()))
 		backoff *= 2
@@ -357,105 +353,44 @@ func (st *Study) loadRevisitWithRetry(sc *siteCtx, m *webgen.PageModel, fetchID 
 // graceful degradation: the landing page must survive (its loss fails
 // the site), while internal pages that exhaust their retries are dropped
 // from the result and counted in the outcome.
-func (st *Study) measureSiteResilient(i int, set hispar.URLSet, rec *trace.Recorder) (res SiteResult, out Outcome) {
-	out = Outcome{Domain: set.Domain, Rank: set.Rank}
-	fail := func(err error, class ErrorClass) (SiteResult, Outcome) {
-		out.Class = class
-		out.Err = fmt.Errorf("core: site %s: %w", set.Domain, err)
-		return SiteResult{}, out
-	}
-	sc, err := st.newSiteCtx(i)
-	if err != nil {
-		return fail(err, ClassConfig)
-	}
-	// Span plumbing: the browser parents its load spans under the site
-	// span the fold will record when this site retires.
-	sc.rec = rec
-	rec.SetParent(trace.SiteSpanID(set.Rank))
-	sc.b.SetTrace(rec)
-	start := sc.clock.Now()
-	// Named returns so the deferred stamp reaches every exit path,
-	// including the failure ones.
-	defer func() { out.Elapsed = sc.clock.Since(start) }()
+//
+//detlint:hotpath -- the cold per-site step; the engine calls it through a func value
+func (st *Study) measureSiteResilient(i int, set hispar.URLSet, rec *trace.Recorder) (SiteResult, Outcome) {
+	return measureSite(st, i, set, rec, func(sc *siteCtx, site *webgen.Site, out *Outcome) (SiteResult, error) {
+		res := SiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category)}
 
-	site, ok := st.web.SiteByDomain(set.Domain)
-	if !ok {
-		return fail(fmt.Errorf("site not in web snapshot"), ClassConfig)
-	}
-	res = SiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category)}
+		// Landing page: repeated cold-cache fetches, median timings.
+		model := site.Landing().Build()
+		var fetches []PageMeasurement
+		for f := 0; f < st.cfg.LandingFetches; f++ {
+			log, err := st.loadRevisitWithRetry(sc, out, model, f, 0)
+			if err != nil {
+				return res, err
+			}
+			fetches = append(fetches, MeasurePage(log, model, st.az))
+		}
+		res.Landing = medianizeTimings(fetches)
 
-	// Landing page: repeated cold-cache fetches, median timings.
-	model := site.Landing().Build()
-	var fetches []PageMeasurement
-	for f := 0; f < st.cfg.LandingFetches; f++ {
-		log, attempts, err := st.loadWithRetry(sc, model, f)
-		out.Attempts += attempts
-		out.Retries += attempts - 1
-		if err != nil {
-			return fail(err, Classify(err))
+		// Internal pages: one fetch each. A page that exhausts its retries
+		// is dropped — the paper's harness kept sites whose internal URLs
+		// partially failed rather than discarding the whole site.
+		for _, u := range set.Internal {
+			page, ok := st.web.PageByURL(u)
+			if !ok {
+				return res, fmt.Errorf("URL %s %w", u, errNotInSnapshot)
+			}
+			im := page.Build()
+			log, err := st.loadRevisitWithRetry(sc, out, im, 0, 0)
+			if err != nil {
+				out.FailedPages++
+				st.stats.Inc("pages.dropped", 1)
+				continue
+			}
+			res.Internal = append(res.Internal, MeasurePage(log, im, st.az))
 		}
-		fetches = append(fetches, MeasurePage(log, model, st.az))
-	}
-	res.Landing = medianizeTimings(fetches)
-
-	// Internal pages: one fetch each. A page that exhausts its retries
-	// is dropped — the paper's harness kept sites whose internal URLs
-	// partially failed rather than discarding the whole site.
-	for _, u := range set.Internal {
-		page, ok := st.web.PageByURL(u)
-		if !ok {
-			return fail(fmt.Errorf("URL %s not in web snapshot", u), ClassConfig)
-		}
-		im := page.Build()
-		log, attempts, err := st.loadWithRetry(sc, im, 0)
-		out.Attempts += attempts
-		out.Retries += attempts - 1
-		if err != nil {
-			out.FailedPages++
-			st.stats.Inc("pages.dropped", 1)
-			continue
-		}
-		res.Internal = append(res.Internal, MeasurePage(log, im, st.az))
-	}
-	st.stats.Inc("pages.measured", int64(1+len(res.Internal)))
-	out.OK = true
-	return res, out
-}
-
-// MeasureSite fetches and measures one URL set.
-func (st *Study) MeasureSite(b *browser.Browser, set hispar.URLSet) (SiteResult, error) {
-	site, ok := st.web.SiteByDomain(set.Domain)
-	if !ok {
-		return SiteResult{}, fmt.Errorf("core: site %s not in web snapshot", set.Domain)
-	}
-	res := SiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category)}
-
-	// Landing page: repeated cold-cache fetches, median timings.
-	model := site.Landing().Build()
-	var fetches []PageMeasurement
-	for f := 0; f < st.cfg.LandingFetches; f++ {
-		log, err := b.Load(model, f)
-		if err != nil {
-			return SiteResult{}, err
-		}
-		fetches = append(fetches, MeasurePage(log, model, st.az))
-	}
-	res.Landing = medianizeTimings(fetches)
-
-	// Internal pages: one fetch each.
-	for _, u := range set.Internal {
-		page, ok := st.web.PageByURL(u)
-		if !ok {
-			return SiteResult{}, fmt.Errorf("core: URL %s not in web snapshot", u)
-		}
-		im := page.Build()
-		log, err := b.Load(im, 0)
-		if err != nil {
-			return SiteResult{}, err
-		}
-		res.Internal = append(res.Internal, MeasurePage(log, im, st.az))
-	}
-	return res, nil
+		st.stats.Inc("pages.measured", int64(1+len(res.Internal)))
+		return res, nil
+	})
 }
 
 // medianizeTimings collapses repeated fetches of the same page into one

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/browser"
 	"repro/internal/hispar"
+	"repro/internal/runstats"
 	"repro/internal/search"
 	"repro/internal/simnet"
 	"repro/internal/toplist"
@@ -62,6 +64,30 @@ type outcomeKey struct {
 	Elapsed     time.Duration
 }
 
+// checkLoadAccounting requires the per-site outcomes to account for
+// exactly the loads the run's counters saw: ΣRetries == retries.total
+// and ΣAttempts == loads.ok + Σloads.err.*. Both engines' step functions
+// must hold it, faults or not.
+func checkLoadAccounting(t *testing.T, outs []Outcome, snap runstats.Snapshot) {
+	t.Helper()
+	var attempts, retries, loads int64
+	for _, o := range outs {
+		attempts += int64(o.Attempts)
+		retries += int64(o.Retries)
+	}
+	for k, v := range snap.Counters {
+		if k == "loads.ok" || strings.HasPrefix(k, "loads.err.") {
+			loads += v
+		}
+	}
+	if got := snap.Counters["retries.total"]; retries != got {
+		t.Errorf("outcomes sum to %d retries, retries.total = %d", retries, got)
+	}
+	if attempts != loads {
+		t.Errorf("outcomes sum to %d attempts, load counters to %d", attempts, loads)
+	}
+}
+
 func keysOf(outs []Outcome) []outcomeKey {
 	ks := make([]outcomeKey, len(outs))
 	for i, o := range outs {
@@ -105,6 +131,7 @@ func TestStudyRetriesUntilSuccess(t *testing.T) {
 	if res.Stats.Counters["loads.ok"] == 0 || res.Stats.Counters["sites.total"] != int64(len(list.Sets)) {
 		t.Errorf("load accounting off: %+v", res.Stats.Counters)
 	}
+	checkLoadAccounting(t, res.Outcomes, res.Stats)
 }
 
 // TestFailureBudgetExhaustion pins the resolver failure rate to 1 so
@@ -153,6 +180,29 @@ func TestFailureBudgetExhaustion(t *testing.T) {
 	if res2.FailedSites() != len(list.Sets) {
 		t.Errorf("failed sites = %d, want %d", res2.FailedSites(), len(list.Sets))
 	}
+
+	// The warm study runs on the same engine and budget: the landing
+	// pair's cold leg dies after MaxAttempts tries on every site.
+	warm, werr := runWarmStudy(t, func(c *StudyConfig) {
+		c.DNSFailProb = 1
+		c.MaxAttempts = 2
+	})
+	if werr == nil || !errors.Is(werr, browser.ErrDNS) {
+		t.Errorf("warm: aggregate error must join the per-site DNS failures: %v", werr)
+	}
+	if warm == nil {
+		t.Fatal("warm: partial result must survive a budget breach")
+	}
+	if len(warm.Sites) != 0 || warm.FailedSites() != len(list.Sets) {
+		t.Errorf("warm: want all %d sites failed, got %d ok / %d failed",
+			len(list.Sets), len(warm.Sites), warm.FailedSites())
+	}
+	for _, o := range warm.Outcomes {
+		if o.Class != ClassDNS || o.Attempts != 2 || o.Retries != 1 {
+			t.Errorf("warm %s: class=%q attempts=%d retries=%d, want dns/2/1", o.Domain, o.Class, o.Attempts, o.Retries)
+		}
+	}
+	checkLoadAccounting(t, warm.Outcomes, warm.Stats)
 }
 
 // TestFaultedStudyDeterministic runs the same faulted study twice and

@@ -121,3 +121,62 @@ func catCounts(byCat map[string][]trace.Span) map[string]int {
 	}
 	return out
 }
+
+// warmTrace runs the warm study over the fault web with tracing on and
+// returns the tracer plus its Chrome export.
+func warmTrace(t *testing.T, workers int) (*trace.Tracer, []byte) {
+	t.Helper()
+	web, list := faultWeb(t)
+	st, err := NewStudy(web, StudyConfig{
+		Seed: 7, LandingFetches: 2, Workers: workers, FailureBudget: -1,
+		Faults: simnet.FaultConfig{Rates: simnet.FaultRates{Timeout: 0.05}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(trace.DetailPhases)
+	if _, err := st.RunWarm(list, WarmConfig{Trace: tr}); err != nil {
+		t.Fatalf("warm study: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return tr, buf.Bytes()
+}
+
+// TestWarmTraceInvariantAcrossWorkers extends the tracer's contract to
+// the warm study: byte-identical at any worker count, every span ID
+// unique even though each page loads twice (cold and warm legs), and
+// every load span parented under a site span.
+func TestWarmTraceInvariantAcrossWorkers(t *testing.T) {
+	tr, serial := warmTrace(t, 1)
+	_, parallel := warmTrace(t, 8)
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("warm trace differs across worker counts (%d vs %d bytes)", len(serial), len(parallel))
+	}
+	spans := tr.Spans()
+	ids := make(map[trace.SpanID]string, len(spans))
+	siteIDs := map[trace.SpanID]bool{}
+	for _, s := range spans {
+		if prev, dup := ids[s.ID]; dup {
+			t.Fatalf("span ID %016x shared by %q and %q", uint64(s.ID), prev, s.Name)
+		}
+		ids[s.ID] = s.Name
+		if s.Cat == "site" {
+			siteIDs[s.ID] = true
+		}
+	}
+	loads := 0
+	for _, s := range spans {
+		if s.Cat == "load" {
+			loads++
+			if !siteIDs[s.Parent] {
+				t.Fatalf("load span %q not parented under a site span", s.Name)
+			}
+		}
+	}
+	if len(siteIDs) == 0 || loads == 0 {
+		t.Fatalf("warm trace has %d site and %d load spans", len(siteIDs), loads)
+	}
+}

@@ -10,15 +10,13 @@ package core
 // pages.
 
 import (
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/browser"
 	"repro/internal/hispar"
 	"repro/internal/runstats"
+	"repro/internal/trace"
 	"repro/internal/webgen"
 )
 
@@ -29,6 +27,10 @@ type WarmConfig struct {
 	// responses go stale and must revalidate, short enough that typical
 	// static assets are still fresh.
 	RevisitDelay time.Duration
+	// Trace, when non-nil, receives the run's site spans and — at higher
+	// detail levels — the load/exchange/phase spans of both legs of every
+	// pair, merged in rank order exactly as for RunStream.
+	Trace *trace.Tracer
 }
 
 func (c WarmConfig) withDefaults() WarmConfig {
@@ -82,19 +84,7 @@ type WarmSiteResult struct {
 // InternalMedian applies f to every internal pair and returns the
 // median.
 func (s *WarmSiteResult) InternalMedian(f func(*PagePair) float64) float64 {
-	if len(s.Internal) == 0 {
-		return 0
-	}
-	vals := make([]float64, len(s.Internal))
-	for i := range s.Internal {
-		vals[i] = f(&s.Internal[i])
-	}
-	sort.Float64s(vals)
-	n := len(vals)
-	if n%2 == 1 {
-		return vals[n/2]
-	}
-	return (vals[n/2-1] + vals[n/2]) / 2
+	return medianOf(s.Internal, f)
 }
 
 // WarmStudyResult is a full cold→warm study over a list.
@@ -107,35 +97,28 @@ type WarmStudyResult struct {
 }
 
 // FailedSites returns how many input sites yielded no measurement.
-func (r *WarmStudyResult) FailedSites() int {
-	n := 0
-	for i := range r.Outcomes {
-		if !r.Outcomes[i].OK {
-			n++
-		}
-	}
-	return n
-}
+func (r *WarmStudyResult) FailedSites() int { return failedSites(r.Outcomes) }
 
 // loadPair performs one page's cold load into a fresh cache, advances
 // the site clock by the revisit delay, and performs the warm load
 // against the primed cache. Both loads retry per the study's fault
-// policy; a warm attempt that dies mid-load leaves the cache with
-// whatever the completed fetches stored or freshened — never a
-// corrupted entry — so the retry revalidates from intact state.
-func (st *Study) loadPair(sc *siteCtx, m *webgen.PageModel, fetchID int, delay time.Duration) (PagePair, int, error) {
+// policy and count their attempts and retries into out; a warm attempt
+// that dies mid-load leaves the cache with whatever the completed
+// fetches stored or freshened — never a corrupted entry — so the retry
+// revalidates from intact state.
+func (st *Study) loadPair(sc *siteCtx, out *Outcome, m *webgen.PageModel, delay time.Duration) (PagePair, error) {
 	cache := browser.NewCache()
 	sc.b.SetCache(cache)
 	defer sc.b.SetCache(nil)
 
-	coldLog, a1, err := st.loadRevisitWithRetry(sc, m, fetchID, 0)
+	coldLog, err := st.loadRevisitWithRetry(sc, out, m, 0, 0)
 	if err != nil {
-		return PagePair{}, a1, err
+		return PagePair{}, err
 	}
 	sc.clock.Advance(delay)
-	warmLog, a2, err := st.loadRevisitWithRetry(sc, m, fetchID, delay)
+	warmLog, err := st.loadRevisitWithRetry(sc, out, m, 0, delay)
 	if err != nil {
-		return PagePair{}, a1 + a2, err
+		return PagePair{}, err
 	}
 	st.stats.Inc("warm.pairs", 1)
 	st.stats.Inc("warm.cache.hits", int64(cache.Hits()))
@@ -143,119 +126,65 @@ func (st *Study) loadPair(sc *siteCtx, m *webgen.PageModel, fetchID int, delay t
 	return PagePair{
 		Cold: MeasurePage(coldLog, m, st.az),
 		Warm: MeasurePage(warmLog, m, st.az),
-	}, a1 + a2, nil
+	}, nil
 }
 
 // measureSiteWarm measures one site's cold/warm pairs with the same
 // degradation policy as measureSiteResilient: the landing pair must
 // survive, internal pages that exhaust retries are dropped.
-func (st *Study) measureSiteWarm(i int, set hispar.URLSet, delay time.Duration) (res WarmSiteResult, out Outcome) {
-	out = Outcome{Domain: set.Domain, Rank: set.Rank}
-	fail := func(err error, class ErrorClass) (WarmSiteResult, Outcome) {
-		out.Class = class
-		out.Err = fmt.Errorf("core: site %s: %w", set.Domain, err)
-		return WarmSiteResult{}, out
-	}
-	sc, err := st.newSiteCtx(i)
-	if err != nil {
-		return fail(err, ClassConfig)
-	}
-	start := sc.clock.Now()
-	defer func() { out.Elapsed = sc.clock.Since(start) }()
+//
+//detlint:hotpath -- the warm per-site step; the engine calls it through a func value
+func (st *Study) measureSiteWarm(i int, set hispar.URLSet, rec *trace.Recorder, delay time.Duration) (WarmSiteResult, Outcome) {
+	return measureSite(st, i, set, rec, func(sc *siteCtx, site *webgen.Site, out *Outcome) (WarmSiteResult, error) {
+		res := WarmSiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category)}
 
-	site, ok := st.web.SiteByDomain(set.Domain)
-	if !ok {
-		return fail(fmt.Errorf("site not in web snapshot"), ClassConfig)
-	}
-	res = WarmSiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category)}
-
-	// Landing page: one cold/warm pair (the repeat-view study needs the
-	// pair, not the cold study's fetch medianization).
-	model := site.Landing().Build()
-	pair, attempts, err := st.loadPair(sc, model, 0, delay)
-	out.Attempts += attempts
-	if attempts > 2 {
-		out.Retries += attempts - 2
-	}
-	if err != nil {
-		return fail(err, Classify(err))
-	}
-	res.Landing = pair
-
-	for _, u := range set.Internal {
-		page, ok := st.web.PageByURL(u)
-		if !ok {
-			return fail(fmt.Errorf("URL %s not in web snapshot", u), ClassConfig)
-		}
-		im := page.Build()
-		pair, attempts, err := st.loadPair(sc, im, 0, delay)
-		out.Attempts += attempts
-		if attempts > 2 {
-			out.Retries += attempts - 2
-		}
+		// Landing page: one cold/warm pair (the repeat-view study needs the
+		// pair, not the cold study's fetch medianization).
+		model := site.Landing().Build()
+		pair, err := st.loadPair(sc, out, model, delay)
 		if err != nil {
-			out.FailedPages++
-			st.stats.Inc("pages.dropped", 1)
-			continue
+			return res, err
 		}
-		res.Internal = append(res.Internal, pair)
-	}
-	st.stats.Inc("pages.measured", int64(1+len(res.Internal)))
-	out.OK = true
-	return res, out
+		res.Landing = pair
+
+		for _, u := range set.Internal {
+			page, ok := st.web.PageByURL(u)
+			if !ok {
+				return res, fmt.Errorf("URL %s %w", u, errNotInSnapshot)
+			}
+			im := page.Build()
+			pair, err := st.loadPair(sc, out, im, delay)
+			if err != nil {
+				out.FailedPages++
+				st.stats.Inc("pages.dropped", 1)
+				continue
+			}
+			res.Internal = append(res.Internal, pair)
+		}
+		st.stats.Inc("pages.measured", int64(1+len(res.Internal)))
+		return res, nil
+	})
 }
 
-// RunWarm measures every site's cold→warm pairs, in parallel, with the
-// same isolation and degradation guarantees as Run: per-site clocks,
-// resolvers, browsers, and caches, so results are identical at any
-// worker count; failed sites are recorded in Outcomes and the failure
-// budget decides whether an aggregate error rides along.
+// RunWarm measures every site's cold→warm pairs on the shared study
+// engine, with the same isolation, window, tracing and degradation
+// guarantees as RunStream: results are identical at any worker count,
+// failed sites are recorded in Outcomes, and the failure budget decides
+// whether an aggregate error rides along.
 func (st *Study) RunWarm(list *hispar.List, wcfg WarmConfig) (*WarmStudyResult, error) {
 	wcfg = wcfg.withDefaults()
-	n := len(list.Sets)
-	results := make([]WarmSiteResult, n)
-	outcomes := make([]Outcome, n)
-	if _, err := st.newBrowser(st.cfg.Seed); err != nil {
+	res := &WarmStudyResult{List: list, RevisitDelay: wcfg.RevisitDelay}
+	measure := func(i int, set hispar.URLSet, rec *trace.Recorder) (WarmSiteResult, Outcome) {
+		return st.measureSiteWarm(i, set, rec, wcfg.RevisitDelay)
+	}
+	run, err := runSites(st, list, 0, wcfg.Trace, measure, func(_ int, r *WarmSiteResult, out *Outcome) {
+		if out.OK {
+			res.Sites = append(res.Sites, *r)
+		}
+	})
+	if run == nil {
 		return nil, err
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < st.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i], outcomes[i] = st.measureSiteWarm(i, list.Sets[i], wcfg.RevisitDelay)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	st.clock.AdvanceTo(st.epoch.Add(time.Duration(n) * st.cfg.SitePacing))
-
-	res := &WarmStudyResult{List: list, RevisitDelay: wcfg.RevisitDelay, Outcomes: outcomes}
-	var siteErrs []error
-	for i := range outcomes {
-		if outcomes[i].OK {
-			res.Sites = append(res.Sites, results[i])
-		} else {
-			siteErrs = append(siteErrs, outcomes[i].Err)
-		}
-	}
-	st.stats.Inc("sites.total", int64(n))
-	st.stats.Inc("sites.ok", int64(n-len(siteErrs)))
-	st.stats.Inc("sites.failed", int64(len(siteErrs)))
-	res.Stats = st.stats.Snapshot()
-
-	if st.cfg.FailureBudget >= 0 {
-		allowed := int(st.cfg.FailureBudget * float64(n))
-		if len(siteErrs) > allowed {
-			return res, fmt.Errorf("core: %d/%d sites failed, exceeding the failure budget of %d: %w",
-				len(siteErrs), n, allowed, errors.Join(siteErrs...))
-		}
-	}
-	return res, nil
+	res.Outcomes, res.Stats = run.outcomes, st.stats.Snapshot()
+	return res, err
 }

@@ -228,6 +228,16 @@ func (c *Context) List() (*hispar.List, hispar.BuildStats, error) {
 	return c.listLocked()
 }
 
+// newStudyLocked builds a study over the week-0 web with the context's
+// seed, landing fetches and workers; callers hold c.mu.
+func (c *Context) newStudyLocked() (*core.Study, error) {
+	return core.NewStudy(c.webLocked(), core.StudyConfig{
+		Seed:           c.Cfg.Seed,
+		LandingFetches: c.Cfg.LandingFetches,
+		Workers:        c.Cfg.Workers,
+	})
+}
+
 // Study returns the full H1K study result, running it on first use.
 func (c *Context) Study() (*core.StudyResult, error) {
 	c.mu.Lock()
@@ -240,11 +250,7 @@ func (c *Context) Study() (*core.StudyResult, error) {
 		c.studyErr = err
 		return nil, err
 	}
-	st, err := core.NewStudy(c.webLocked(), core.StudyConfig{
-		Seed:           c.Cfg.Seed,
-		LandingFetches: c.Cfg.LandingFetches,
-		Workers:        c.Cfg.Workers,
-	})
+	st, err := c.newStudyLocked()
 	if err != nil {
 		c.studyErr = err
 		return nil, err
@@ -267,11 +273,7 @@ func (c *Context) StreamStudy() (*core.StreamResult, error) {
 		c.streamErr = err
 		return nil, err
 	}
-	st, err := core.NewStudy(c.webLocked(), core.StudyConfig{
-		Seed:           c.Cfg.Seed,
-		LandingFetches: c.Cfg.LandingFetches,
-		Workers:        c.Cfg.Workers,
-	})
+	st, err := c.newStudyLocked()
 	if err != nil {
 		c.streamErr = err
 		return nil, err
@@ -297,11 +299,7 @@ func (c *Context) WarmStudy() (*core.WarmStudyResult, error) {
 		c.warmErr = err
 		return nil, err
 	}
-	st, err := core.NewStudy(c.webLocked(), core.StudyConfig{
-		Seed:           c.Cfg.Seed,
-		LandingFetches: c.Cfg.LandingFetches,
-		Workers:        c.Cfg.Workers,
-	})
+	st, err := c.newStudyLocked()
 	if err != nil {
 		c.warmErr = err
 		return nil, err

@@ -17,6 +17,7 @@ package trace
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -45,6 +46,18 @@ var idSep = []byte{0x1f}
 // Hispar rank. core creates the span; browser parents under it.
 func SiteSpanID(rank int) SpanID {
 	return DeriveID("site", fmt.Sprintf("%d", rank))
+}
+
+// AttemptKey is the attempt coordinate of a load's span IDs: the bare
+// attempt number for a cold load, and the attempt number plus the
+// revisit offset for a warm repeat view, so that the cold and warm legs
+// of one page never share an ID while cold IDs stay what they were.
+func AttemptKey(attempt int, revisit time.Duration) string {
+	a := strconv.Itoa(attempt)
+	if revisit == 0 {
+		return a
+	}
+	return a + "@" + revisit.String()
 }
 
 // Attr is one key/value annotation on a span. Values are strings so the
