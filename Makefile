@@ -4,19 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke bench-baseline bench-gate serve-smoke trace-smoke lint lint-baseline alloc-report leak-report ci fmt-check clean
-
-# Accepted pre-existing lint findings; see `detlint -baseline`. The file
-# is committed (currently the allocation-churn backlog recorded when the
-# hot-path checks were adopted) so adopting a new check never requires
-# fixing the whole tree in one PR.
-BASELINE := detlint-baseline.json
-
-# Ratchet cap on the committed baseline: `make lint` fails if the
-# baseline ever records more suppressed findings than this. Burn findings
-# down, re-record with lint-baseline, then LOWER this number — never
-# raise it to absorb new debt.
-BASELINE_CAP := 294
+.PHONY: build test test-race bench bench-smoke bench-baseline bench-gate serve-smoke trace-smoke lint leak-report ci fmt-check clean
 
 build:
 	$(GO) build ./...
@@ -107,24 +95,12 @@ trace-smoke:
 # Determinism lint: cmd/detlint type-checks every package in the module
 # and enforces the invariants the seeded pipeline depends on (no wall
 # clock, no global RNG, no order-dependent map emission, no untracked
-# source→sink taint, ...). Findings recorded in $(BASELINE) are
-# suppressed; anything new fails. detlint.sarif feeds GitHub code
-# scanning and detlint.json is the CI artifact.
+# source→sink taint, ...). Any finding fails: fix it, or justify it with
+# a //detlint:allow directive. detlint.sarif feeds GitHub code scanning
+# and detlint.json is the CI artifact.
 lint:
-	$(GO) run ./cmd/detlint -format sarif -baseline $(BASELINE) -max-baseline $(BASELINE_CAP) -o detlint.sarif
-	$(GO) run ./cmd/detlint -format json -baseline $(BASELINE) -max-baseline $(BASELINE_CAP) -o detlint.json
-
-# Re-record the accepted findings (after triaging that every new finding
-# is a justified keep — prefer fixing, or //detlint:allow with a reason).
-lint-baseline:
-	$(GO) run ./cmd/detlint -baseline $(BASELINE) -write-baseline
-
-# Ranked hot-path allocation report: every allocation site reachable
-# from a //detlint:hotpath entry point, worst function first. The JSON
-# is the CI artifact; the text rendering is for humans.
-alloc-report:
-	$(GO) run ./cmd/detlint -hotpaths -format json -o detlint-hotpaths.json
-	$(GO) run ./cmd/detlint -hotpaths
+	$(GO) run ./cmd/detlint -format sarif -o detlint.sarif
+	$(GO) run ./cmd/detlint -format json -o detlint.json
 
 # Resource-lifecycle report: every tracked acquisition (files, sockets,
 # response bodies, cancel funcs, tickers, profile stops) with how each

@@ -2,42 +2,27 @@
 // lint suite (internal/lint) over every package in the module.
 //
 //	detlint [-dir .] [-checks walltime,taint] [-format text|json|sarif]
-//	        [-baseline file] [-write-baseline] [-o file] [-list]
-//	        [-hotpaths]
+//	        [-o file] [-list] [-leaks]
 //
 // Exit codes follow the CI contract:
 //
-//	0 — the tree is clean (after baseline filtering, if any)
-//	1 — new findings were reported
+//	0 — the tree is clean
+//	1 — findings were reported
 //	2 — the module failed to load (parse or type error, bad flags)
 //
 // Diagnostics print as "file:line:col: [check] message" with paths
 // relative to the module root. -format json emits a machine-readable
-// document recording the checks that ran (-json is a legacy alias);
-// -format sarif emits SARIF 2.1.0 for GitHub code scanning.
+// document recording the checks that ran; -format sarif emits SARIF
+// 2.1.0 for GitHub code scanning. A finding is either fixed or carries
+// a justified //detlint:allow directive; there is no baseline of
+// accepted findings.
 //
-// -baseline file filters findings through a recorded baseline: entries
-// in the file are suppressed, anything new fails. -write-baseline
-// records the current findings into the baseline file and exits 0 —
-// the adopt-incrementally workflow for new checks. When the baseline
-// file already exists, re-recording also prints the entries whose
-// occurrence count dropped to zero so suppression rot is visible.
-//
-// -hotpaths switches to report mode: instead of running checks, emit
-// the ranked hot-path allocation report (allocation sites in functions
-// reachable from //detlint:hotpath entry points, with rendered call
-// chains). The report honors -format text|json|sarif and -o, and always
-// exits 0 — it is an inventory, not a gate.
-//
-// -leaks is the analogous report mode for the resource-lifecycle
-// analysis: every tracked acquisition (files, connections, response
-// bodies, cancel funcs, tickers, trace recorders) with its resolved
-// fate — released, deferred, transferred, or leaked — hot functions
-// first. Also -format aware, also always exit 0.
-//
-// -max-baseline N is the ratchet: after loading -baseline, fail (exit 1)
-// when the accepted-finding total exceeds N, so the churn backlog can
-// only shrink. N < 0 (the default) disables the gate.
+// -leaks switches to report mode for the resource-lifecycle analysis:
+// instead of running checks, emit every tracked acquisition (files,
+// connections, response bodies, cancel funcs, tickers, trace recorders)
+// with its resolved fate — released, deferred, transferred, or leaked —
+// hot functions first. The report honors -format text|json|sarif and
+// -o, and always exits 0 — it is an inventory, not a gate.
 package main
 
 import (
@@ -60,15 +45,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", ".", "module root (directory containing go.mod)")
 	checksFlag := fs.String("checks", "", "comma-separated checks to run (default: all)")
-	format := fs.String("format", "", "output format: text, json, or sarif (default: text)")
-	jsonOut := fs.Bool("json", false, "legacy alias for -format json")
-	baselineFile := fs.String("baseline", "", "baseline file: suppress findings recorded in it")
-	writeBaseline := fs.Bool("write-baseline", false, "record current findings into -baseline and exit 0")
+	format := fs.String("format", "text", "output format: text, json, or sarif")
 	outFile := fs.String("o", "", "write output to file instead of stdout")
 	list := fs.Bool("list", false, "list available checks and exit")
-	hotpaths := fs.Bool("hotpaths", false, "emit the hot-path allocation report instead of running checks")
 	leaks := fs.Bool("leaks", false, "emit the resource-lifecycle report instead of running checks")
-	maxBaseline := fs.Int("max-baseline", -1, "fail when the baseline's accepted-finding total exceeds N (ratchet; <0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -81,19 +61,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	switch *format {
-	case "":
-		if *jsonOut {
-			*format = "json"
-		} else {
-			*format = "text"
-		}
 	case "text", "json", "sarif":
 	default:
 		fmt.Fprintf(stderr, "detlint: unknown format %q (text, json, sarif)\n", *format)
-		return 2
-	}
-	if *writeBaseline && *baselineFile == "" {
-		fmt.Fprintln(stderr, "detlint: -write-baseline requires -baseline <file>")
 		return 2
 	}
 
@@ -128,18 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out = f
 	}
 
-	if *hotpaths {
-		rep := lint.HotpathReport(pkgs)
-		rep.Relativize(*dir)
-		if err := renderHotpaths(out, *format, rep); err != nil {
-			fmt.Fprintf(stderr, "detlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "detlint: hot-path report: %d entry point(s), %d hot function(s), %d allocation site(s)\n",
-			len(rep.Entries), len(rep.Functions), rep.TotalSites)
-		return 0
-	}
-
 	if *leaks {
 		rep := lint.LifecycleReport(pkgs)
 		rep.Relativize(*dir)
@@ -155,46 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	diags := lint.Run(pkgs, checks)
 	lint.Relativize(diags, *dir)
 
-	if *writeBaseline {
-		cur := lint.NewBaseline(diags)
-		// Surface suppression rot: entries of the previous recording whose
-		// fingerprint no longer occurs at all.
-		if prev, err := lint.ReadBaseline(*baselineFile); err == nil {
-			for _, e := range prev.Prune(cur) {
-				fmt.Fprintf(stderr, "detlint: pruned stale baseline entry: [%s] %s: %s (count %d)\n",
-					e.Check, e.File, e.Message, e.Count)
-			}
-		}
-		f, err := os.Create(*baselineFile)
-		if err != nil {
-			fmt.Fprintf(stderr, "detlint: %v\n", err)
-			return 2
-		}
-		defer f.Close()
-		if err := cur.Write(f); err != nil {
-			fmt.Fprintf(stderr, "detlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "detlint: wrote baseline %s (%d findings)\n", *baselineFile, len(diags))
-		return 0
-	}
-
-	var suppressed []lint.Diagnostic
-	if *baselineFile != "" {
-		base, err := lint.ReadBaseline(*baselineFile)
-		if err != nil {
-			fmt.Fprintf(stderr, "detlint: %v\n", err)
-			return 2
-		}
-		if *maxBaseline >= 0 && base.Total() > *maxBaseline {
-			fmt.Fprintf(stderr, "detlint: baseline %s accepts %d findings, over the ratchet cap of %d — burn findings down instead of re-recording a larger baseline\n",
-				*baselineFile, base.Total(), *maxBaseline)
-			return 1
-		}
-		diags, suppressed = base.Filter(diags)
-	}
-
-	if err := render(out, *format, checks, pkgs, diags, suppressed); err != nil {
+	if err := render(out, *format, checks, pkgs, diags); err != nil {
 		fmt.Fprintf(stderr, "detlint: %v\n", err)
 		return 2
 	}
@@ -206,8 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, d)
 		}
 	}
-	fmt.Fprintf(stderr, "detlint: %d packages, %d findings, %d suppressed by baseline\n",
-		len(pkgs), len(diags), len(suppressed))
+	fmt.Fprintf(stderr, "detlint: %d packages, %d findings\n", len(pkgs), len(diags))
 
 	if len(diags) > 0 {
 		return 1
@@ -219,20 +137,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 // actually ran: a -checks subset that comes back clean must be
 // distinguishable from a full clean run when the artifact is read later.
 type jsonDoc struct {
-	Packages   int               `json:"packages"`
-	Checks     []string          `json:"checks"`
-	Findings   []lint.Diagnostic `json:"findings"`
-	Suppressed int               `json:"suppressed"`
+	Packages int               `json:"packages"`
+	Checks   []string          `json:"checks"`
+	Findings []lint.Diagnostic `json:"findings"`
 }
 
-func render(out io.Writer, format string, checks []*lint.Check, pkgs []*lint.Package, diags, suppressed []lint.Diagnostic) error {
+func render(out io.Writer, format string, checks []*lint.Check, pkgs []*lint.Package, diags []lint.Diagnostic) error {
 	switch format {
 	case "json":
 		doc := jsonDoc{
-			Packages:   len(pkgs),
-			Checks:     make([]string, len(checks)),
-			Findings:   diags,
-			Suppressed: len(suppressed),
+			Packages: len(pkgs),
+			Checks:   make([]string, len(checks)),
+			Findings: diags,
 		}
 		for i, c := range checks {
 			doc.Checks[i] = c.Name
@@ -250,26 +166,6 @@ func render(out io.Writer, format string, checks []*lint.Check, pkgs []*lint.Pac
 			fmt.Fprintln(out, d)
 		}
 		return nil
-	}
-}
-
-// hotallocRule is the synthetic rule the SARIF rendering of the
-// hot-path report carries its sites under.
-var hotallocRule = &lint.Check{
-	Name: "hotalloc",
-	Doc:  "allocation site in a function reachable from a //detlint:hotpath entry point",
-}
-
-func renderHotpaths(out io.Writer, format string, rep *lint.HotReport) error {
-	switch format {
-	case "json":
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	case "sarif":
-		return lint.WriteSARIF(out, []*lint.Check{hotallocRule}, rep.Diagnostics())
-	default:
-		return rep.WriteText(out)
 	}
 }
 

@@ -2,17 +2,21 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 )
 
 // fixtureMod is a self-contained module (testdata is invisible to the
-// outer build) whose one hot function trips walltime, allocloop, and
-// retain.
+// outer build): package app trips walltime only, package fetch plants
+// one defect per lifecycle check.
 const fixtureMod = "testdata/mod"
+
+// lifeChecks are the five lifecycle checks; lifeTags their diagnostic
+// tags.
+const lifeChecks = "closeleak,bodyclose,cancelleak,tickleak,deferhot"
+
+var lifeTags = []string{"[closeleak]", "[bodyclose]", "[cancelleak]", "[tickleak]", "[deferhot]"}
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
@@ -21,8 +25,9 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// TestChecksSubset runs named subsets over the fixture module: the
-// selected check's findings appear, everything else stays silent.
+// TestChecksSubset proves -checks isolation on the fixture module:
+// walltime and the lifecycle checks each report only their own
+// findings, and a subset the fixture does not trip comes back clean.
 func TestChecksSubset(t *testing.T) {
 	code, out, _ := runCLI(t, "-dir", fixtureMod, "-checks", "walltime")
 	if code != 1 {
@@ -31,20 +36,23 @@ func TestChecksSubset(t *testing.T) {
 	if !strings.Contains(out, "[walltime]") {
 		t.Errorf("output missing walltime finding:\n%s", out)
 	}
-	if strings.Contains(out, "[allocloop]") || strings.Contains(out, "[retain]") {
-		t.Errorf("subset run leaked other checks' findings:\n%s", out)
+	for _, tag := range lifeTags {
+		if strings.Contains(out, tag) {
+			t.Errorf("walltime subset leaked %s findings:\n%s", tag, out)
+		}
 	}
 
-	// A subset the fixture does not trip comes back clean.
-	code, out, _ = runCLI(t, "-dir", fixtureMod, "-checks", "gorleak,mutexcopy")
+	code, out, _ = runCLI(t, "-dir", fixtureMod, "-checks", lifeChecks)
+	if code != 1 {
+		t.Fatalf("lifecycle subset exit = %d, want 1\n%s", code, out)
+	}
+	if strings.Contains(out, "[walltime]") {
+		t.Errorf("lifecycle subset leaked walltime findings:\n%s", out)
+	}
+
+	code, out, _ = runCLI(t, "-dir", fixtureMod, "-checks", "gorleak,lockheld")
 	if code != 0 {
 		t.Errorf("clean subset exit = %d, want 0\n%s", code, out)
-	}
-
-	// allocflow checks fire through the subset flag too.
-	code, out, _ = runCLI(t, "-dir", fixtureMod, "-checks", "allocloop,retain")
-	if code != 1 || !strings.Contains(out, "[allocloop]") || !strings.Contains(out, "[retain]") {
-		t.Errorf("allocflow subset exit = %d, want 1 with both checks firing:\n%s", code, out)
 	}
 }
 
@@ -59,47 +67,22 @@ func TestUnknownCheck(t *testing.T) {
 	}
 }
 
-// TestHotpathsReport exercises -hotpaths: exit 0 even though the module
-// has findings, report names the entry point and sites, and the JSON
-// rendering is byte-identical across runs.
-func TestHotpathsReport(t *testing.T) {
-	code, text, _ := runCLI(t, "-dir", fixtureMod, "-hotpaths")
-	if code != 0 {
-		t.Fatalf("-hotpaths exit = %d, want 0\n%s", code, text)
-	}
-	for _, want := range []string{"entry: app.Hot", "[composite]", "retained", "in-loop"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("text report missing %q:\n%s", want, text)
-		}
-	}
-
-	_, first, _ := runCLI(t, "-dir", fixtureMod, "-hotpaths", "-format", "json")
-	_, again, _ := runCLI(t, "-dir", fixtureMod, "-hotpaths", "-format", "json")
-	if first != again {
-		t.Errorf("-hotpaths json diverged across runs:\n--- first ---\n%s--- again ---\n%s", first, again)
-	}
-	if !strings.Contains(first, `"entries"`) || !strings.Contains(first, `"fingerprint"`) {
-		t.Errorf("json report missing expected fields:\n%s", first)
-	}
-}
-
 // TestLifecycleChecks runs the five lifecycle checks over the fixture
 // module: each finds its planted defect, the subset stays isolated from
 // the other analyzers, and the rendering is byte-identical across runs
 // and GOMAXPROCS values.
 func TestLifecycleChecks(t *testing.T) {
-	const lifeChecks = "closeleak,bodyclose,cancelleak,tickleak,deferhot"
 	code, out, _ := runCLI(t, "-dir", fixtureMod, "-checks", lifeChecks)
 	if code != 1 {
 		t.Fatalf("lifecycle subset exit = %d, want 1\n%s", code, out)
 	}
-	for _, tag := range []string{"[closeleak]", "[bodyclose]", "[cancelleak]", "[tickleak]", "[deferhot]"} {
+	for _, tag := range lifeTags {
 		if !strings.Contains(out, tag) {
 			t.Errorf("output missing %s finding:\n%s", tag, out)
 		}
 	}
-	if strings.Contains(out, "[walltime]") || strings.Contains(out, "[allocloop]") {
-		t.Errorf("lifecycle subset leaked other checks' findings:\n%s", out)
+	if strings.Contains(out, "[walltime]") {
+		t.Errorf("lifecycle subset leaked walltime findings:\n%s", out)
 	}
 
 	// One check alone reports only its own defect.
@@ -149,66 +132,5 @@ func TestLeaksReport(t *testing.T) {
 	}
 	if !strings.Contains(first, `"fingerprint"`) || !strings.Contains(first, `"outcome"`) {
 		t.Errorf("json report missing expected fields:\n%s", first)
-	}
-}
-
-// TestMaxBaselineRatchet pins the ratchet contract: a baseline over the
-// cap fails the run outright, at or under the cap it filters as usual.
-func TestMaxBaselineRatchet(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "baseline.json")
-	code, _, errOut := runCLI(t, "-dir", fixtureMod, "-baseline", base, "-write-baseline")
-	if code != 0 {
-		t.Fatalf("-write-baseline exit = %d\n%s", code, errOut)
-	}
-
-	code, _, errOut = runCLI(t, "-dir", fixtureMod, "-baseline", base, "-max-baseline", "0")
-	if code != 1 {
-		t.Fatalf("over-cap exit = %d, want 1\n%s", code, errOut)
-	}
-	if !strings.Contains(errOut, "over the ratchet cap") {
-		t.Errorf("stderr missing ratchet message:\n%s", errOut)
-	}
-
-	code, _, errOut = runCLI(t, "-dir", fixtureMod, "-baseline", base, "-max-baseline", "100000")
-	if code != 0 {
-		t.Errorf("under-cap exit = %d, want 0\n%s", code, errOut)
-	}
-}
-
-// TestWriteBaselinePrune re-records a baseline after "fixing" findings
-// (by narrowing -checks) and expects the dropped fingerprints printed.
-func TestWriteBaselinePrune(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "baseline.json")
-
-	code, _, errOut := runCLI(t, "-dir", fixtureMod, "-baseline", base, "-write-baseline")
-	if code != 0 {
-		t.Fatalf("initial -write-baseline exit = %d\n%s", code, errOut)
-	}
-	if strings.Contains(errOut, "pruned stale baseline entry") {
-		t.Errorf("first recording has nothing to prune:\n%s", errOut)
-	}
-	if _, err := os.Stat(base); err != nil {
-		t.Fatalf("baseline not written: %v", err)
-	}
-
-	// Re-record with only walltime running: the allocloop/retain entries
-	// drop to zero and must be reported as pruned.
-	code, _, errOut = runCLI(t, "-dir", fixtureMod, "-baseline", base, "-write-baseline", "-checks", "walltime")
-	if code != 0 {
-		t.Fatalf("re-record exit = %d\n%s", code, errOut)
-	}
-	for _, check := range []string{"[allocloop]", "[retain]"} {
-		if !strings.Contains(errOut, "pruned stale baseline entry: "+check) {
-			t.Errorf("prune report missing %s entry:\n%s", check, errOut)
-		}
-	}
-	if strings.Contains(errOut, "pruned stale baseline entry: [walltime]") {
-		t.Errorf("walltime still fires and must not be pruned:\n%s", errOut)
-	}
-
-	// The re-recorded (walltime-only) baseline suppresses a walltime run.
-	code, _, errOut = runCLI(t, "-dir", fixtureMod, "-baseline", base, "-checks", "walltime")
-	if code != 0 {
-		t.Errorf("baseline-filtered walltime run exit = %d, want 0\n%s", code, errOut)
 	}
 }

@@ -1,6 +1,7 @@
-// Package app is the detlint CLI test fixture: a tiny module whose one
-// hot function trips walltime, allocloop, and retain at once, so CLI
-// tests can select subsets and diff baselines.
+// Package app is the walltime half of the detlint CLI test fixture: its
+// one function stamps items with the wall clock and trips walltime and
+// nothing else, so CLI tests can prove a -checks subset reports only its
+// own findings against the lifecycle defects planted in package fetch.
 package app
 
 import "time"
@@ -11,7 +12,7 @@ type Item struct {
 	ID int
 }
 
-// Hot accumulates items with a wall-clock stamp per iteration.
+// Hot stamps each item with the wall clock.
 //
 //detlint:hotpath -- fixture entry
 func Hot(n int) []*Item {

@@ -11,7 +11,9 @@ import (
 
 // This file builds a module-wide call graph on top of the per-package
 // loads, giving the interprocedural checks (taint, gorleak, lockheld) a
-// shared substrate. Resolution is deliberately simple and deterministic:
+// shared substrate, plus the hot-path reachability from
+// //detlint:hotpath entry points that deferhot and the lifecycle checks
+// read. Resolution is deliberately simple and deterministic:
 //
 //   - Static calls — package functions and concrete methods — resolve to
 //     exactly one callee.
@@ -81,7 +83,7 @@ type Graph struct {
 
 	taint  *taintState // computed on first use by the taint check
 	blocky *blockState // computed on first use by gorleak/lockheld
-	allocs *allocState // computed on first use by the allocflow checks
+	hot    *hotState   // computed on first use by deferhot and the lifecycle checks
 	life   *lifeState  // computed on first use by the lifecycle checks
 }
 
@@ -411,6 +413,102 @@ func chain(n *FuncNode, dist map[*FuncNode]int, next map[*FuncNode]CallSite) []s
 		}
 		n = cs.Callee
 	}
+}
+
+// hotpathDirective marks a function as a hot entry point when it appears
+// in the function's doc comment.
+const hotpathDirective = "detlint:hotpath"
+
+// hotState is forward reachability from the //detlint:hotpath entry
+// points (browser.Load, core.Study.RunStream, the hisparserve handlers):
+// every function reachable from an entry gets its shortest call distance
+// and a deterministic predecessor toward the nearest entry, from which
+// hotChain renders the path.
+type hotState struct {
+	dist map[*FuncNode]int       // shortest distance from any entry; entries are 0
+	prev map[*FuncNode]*FuncNode // deterministic predecessor toward the entry
+}
+
+// hotState computes (once) hot-path reachability for the whole module.
+// Predecessors are ranked by (distance, caller ID) and every sweep
+// iterates g.sorted, so the result is a pure function of the graph.
+func (g *Graph) hotState() *hotState {
+	if g.hot != nil {
+		return g.hot
+	}
+	st := &hotState{
+		dist: make(map[*FuncNode]int),
+		prev: make(map[*FuncNode]*FuncNode),
+	}
+	for _, n := range g.sorted {
+		if isHotEntry(n) {
+			st.dist[n] = 0
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, n := range g.sorted {
+			d, hot := st.dist[n]
+			if !hot {
+				continue
+			}
+			for _, cs := range n.Calls {
+				callee, nd := cs.Callee, d+1
+				cur, ok := st.dist[callee]
+				if ok && cur == 0 {
+					continue // never displace an entry
+				}
+				if !ok || nd < cur || (nd == cur && n.ID < st.prev[callee].ID) {
+					st.dist[callee] = nd
+					st.prev[callee] = n
+					changed = true
+				}
+			}
+		}
+	}
+	g.hot = st
+	return st
+}
+
+// isHot reports whether n is reachable from a hot entry point.
+func (st *hotState) isHot(n *FuncNode) bool {
+	_, ok := st.dist[n]
+	return ok
+}
+
+// isHotEntry reports whether the function's doc comment carries the
+// //detlint:hotpath directive.
+func isHotEntry(n *FuncNode) bool {
+	if n.Decl.Doc == nil {
+		return false
+	}
+	for _, c := range n.Decl.Doc.List {
+		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+		if strings.HasPrefix(text, hotpathDirective) {
+			return true
+		}
+	}
+	return false
+}
+
+// hotChain renders the call path from the nearest entry point down to n,
+// as "entry → a → n". Long chains elide the middle.
+func (st *hotState) hotChain(n *FuncNode) string {
+	var names []string
+	for cur := n; cur != nil; cur = st.prev[cur] {
+		names = append(names, cur.Name())
+		if st.dist[cur] == 0 {
+			break
+		}
+	}
+	// Reverse into entry-first order.
+	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
+		names[i], names[j] = names[j], names[i]
+	}
+	if len(names) > 6 {
+		names = append(append(names[:3:3], "…"), names[len(names)-2:]...)
+	}
+	return strings.Join(names, " → ")
 }
 
 // shortPos renders a position as "file.go:12" using only the base file

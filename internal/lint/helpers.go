@@ -44,6 +44,28 @@ func methodCall(info *types.Info, call *ast.CallExpr) (recv types.Type, name str
 	return t, sel.Sel.Name, true
 }
 
+// builtinName returns the name of the builtin a call expression invokes,
+// or "".
+func builtinName(info *types.Info, fun ast.Expr) string {
+	id, ok := ast.Unparen(fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if b, ok := info.Uses[id].(*types.Builtin); ok {
+		return b.Name()
+	}
+	return ""
+}
+
+// exprDesc renders a source expression compactly for diagnostics.
+func exprDesc(e ast.Expr) string {
+	s := types.ExprString(e)
+	if len(s) > 40 {
+		s = s[:37] + "..."
+	}
+	return s
+}
+
 // isSubPath reports whether the import path equals prefix or sits below
 // it ("repro/internal/core" is below "repro/internal").
 func isSubPath(path, prefix string) bool {

@@ -8,7 +8,8 @@ import (
 // closeleak, bodyclose, cancelleak, and tickleak report resources the
 // must-release dataflow proves can reach function exit unreleased;
 // deferhot flags defers inside loops on //detlint:hotpath-reachable
-// functions, ranked like the allocflow hot report.
+// functions. Both read hot-path reachability from the call graph
+// (hotState in callgraph.go).
 
 // CloseleakCheck reports files, connections, listeners, and trace
 // recorders that may escape their function unreleased.
@@ -64,7 +65,7 @@ var DeferhotCheck = &Check{
 func runLifecycle(check string) func(*Pass) {
 	return func(p *Pass) {
 		life := p.Graph.lifeState()
-		hot := p.Graph.allocState()
+		hot := p.Graph.hotState()
 		for _, n := range p.Graph.Nodes() {
 			if n.Pkg != p.Pkg {
 				continue
@@ -89,7 +90,7 @@ func runLifecycle(check string) func(*Pass) {
 				default:
 					continue
 				}
-				if _, isHot := hot.hotDist[n]; isHot {
+				if hot.isHot(n) {
 					msg += "; hot path: " + hot.hotChain(n)
 				}
 				p.Reportf(r.pos, "%s", msg)
@@ -102,12 +103,9 @@ func runLifecycle(check string) func(*Pass) {
 // loop of their own (innermost) function body — a defer in a closure
 // that is itself the loop body runs per iteration and is fine.
 func runDeferhot(p *Pass) {
-	st := p.Graph.allocState()
+	st := p.Graph.hotState()
 	for _, n := range p.Graph.Nodes() {
-		if n.Pkg != p.Pkg {
-			continue
-		}
-		if _, isHot := st.hotDist[n]; !isHot {
+		if n.Pkg != p.Pkg || !st.isHot(n) {
 			continue
 		}
 		chain := st.hotChain(n)

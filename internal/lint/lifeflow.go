@@ -1039,7 +1039,7 @@ type LeakSite struct {
 func LifecycleReport(pkgs []*Package) *LeakReport {
 	g := BuildGraph(pkgs)
 	life := g.lifeState()
-	hot := g.allocState()
+	hot := g.hotState()
 	rep := &LeakReport{Functions: []LeakFunc{}}
 	for _, n := range g.Nodes() {
 		resources := life.resources[n]
@@ -1047,7 +1047,7 @@ func LifecycleReport(pkgs []*Package) *LeakReport {
 			continue
 		}
 		pos := n.Pkg.Fset.Position(n.Decl.Pos())
-		_, isHot := hot.hotDist[n]
+		isHot := hot.isHot(n)
 		lf := LeakFunc{Func: n.Name(), File: pos.Filename, Hot: isHot}
 		if isHot {
 			lf.Chain = hot.hotChain(n)

@@ -15,17 +15,18 @@ func Entry(paths []string) error {
 		defer f.Close() // want `defer inside a loop on a hot path runs at function return, not per iteration; hoist it or release explicitly; hot path: deferhot\.Entry`
 		use(f)
 	}
+	nested(len(paths))
 	return nil
 }
 
 // nested piles defers up quadratically; both loop levels report the
-// same site once.
+// same site once. Entry calls it, but an entry point is its own chain.
 //
 //detlint:hotpath -- fixture entry
 func nested(n int) {
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			defer release(i, j) // want `defer inside a loop on a hot path`
+			defer release(i, j) // want `defer inside a loop on a hot path.*; hot path: deferhot\.nested$`
 		}
 	}
 }
