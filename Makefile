@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke bench-baseline bench-gate serve-smoke trace-smoke lint leak-report ci fmt-check clean
+.PHONY: build test test-race bench bench-smoke bench-baseline bench-gate serve-smoke trace-smoke har-smoke lint leak-report ci fmt-check clean
 
 build:
 	$(GO) build ./...
@@ -92,6 +92,23 @@ trace-smoke:
 		-trace trace_warm_wN.json -trace-detail phases > /dev/null
 	$(GO) run ./cmd/tracecheck trace_warm_w1.json trace_warm_wN.json
 
+# HAR round-trip smoke: write one HAR file per page of a 10-site study
+# with webmeasure, analyze the directory with haranalyze, and fail
+# unless it prints one CSV row per file and reports both landing and
+# internal pages — the HAR-only analysis path, end to end through the
+# real CLIs.
+har-smoke:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/webmeasure -sites 10 -persite 5 -fetches 1 -har "$$dir/hars"; \
+	$(GO) run ./cmd/haranalyze -dir "$$dir/hars" > "$$dir/pages.csv"; \
+	files=$$(ls "$$dir"/hars/*.har.json | wc -l); \
+	rows=$$(awk 'NR > 1' "$$dir/pages.csv" | wc -l); \
+	landing=$$(awk -F, 'NR > 1 && $$2 == "landing"' "$$dir/pages.csv" | wc -l); \
+	internal=$$(awk -F, 'NR > 1 && $$2 == "internal"' "$$dir/pages.csv" | wc -l); \
+	echo "har-smoke: $$files HAR files, $$rows rows ($$landing landing, $$internal internal)"; \
+	if [ "$$rows" -ne "$$files" ] || [ "$$landing" -eq 0 ] || [ "$$internal" -eq 0 ]; then \
+		echo "har-smoke: FAIL"; exit 1; fi
+
 # Determinism lint: cmd/detlint type-checks every package in the module
 # and enforces the invariants the seeded pipeline depends on (no wall
 # clock, no global RNG, no order-dependent map emission, no untracked
@@ -124,6 +141,7 @@ ci: fmt-check
 	$(MAKE) test-race
 	$(MAKE) serve-smoke
 	$(MAKE) trace-smoke
+	$(MAKE) har-smoke
 
 clean:
 	$(GO) clean ./...

@@ -104,14 +104,14 @@ type Browser struct {
 }
 
 // loadScratch holds the per-Browser buffers the load path reuses across
-// loads — the allocflow report showed the per-load teardown of these
-// (five maps, six per-object slices, two ~5 KB RNG states inside the
-// simnet model, the task heap) dominating hot-path churn. Browser is
-// documented not safe for concurrent use, so one scratch set per
-// Browser is safe. Everything here is reset at the top of loadAttempt;
-// nothing in it escapes a load — the HAR entries slice, which the
-// returned log aliases, is deliberately NOT part of the scratch and is
-// allocated fresh every load.
+// loads: rebuilding them per load (five maps, six per-object slices, two
+// ~5 KB RNG states inside the simnet model, the task heap) dominated the
+// load path's allocation churn. Browser is documented not safe for
+// concurrent use, so one scratch set per Browser is safe. Everything
+// here is reset at the top of loadAttempt; nothing in it escapes a load
+// — the HAR entries slice, which the returned log aliases, is
+// deliberately NOT part of the scratch and is allocated fresh every
+// load.
 type loadScratch struct {
 	net       *simnet.Model
 	pools     map[string]*pool
@@ -273,10 +273,15 @@ func (b *Browser) Load(m *webgen.PageModel, fetchID int) (*har.Log, error) {
 	return b.loadAttempt(m, fetchID, 0, 0)
 }
 
-// LoadAttempt is Load with an explicit retry attempt number. Attempt 0 is
-// byte-identical to Load; higher attempts reseed the per-load network
-// conditions (jitter and fault draws), so a retry of a transiently failed
-// load can succeed — the study runner's retry loop depends on this.
+// LoadRevisit is Load with an explicit retry attempt number and revisit
+// delay. Higher attempts reseed the per-load network conditions (jitter
+// and fault draws), so a retry of a transiently failed load can succeed
+// — the study runner's retry loop depends on this. For a warm
+// (repeat-view) load, navigation starts revisit after the fetchID's base
+// slot, so responses stored by the matching cold load have aged exactly
+// revisit (minus their in-load completion offsets) when the cache checks
+// freshness. With revisit 0 — or with no cache installed — attempt 0 is
+// byte-identical to Load.
 //
 // On failure the returned error is a *LoadError wrapping ErrTimeout,
 // ErrDNS, or ErrTruncated, and the returned log is non-nil: it holds the
@@ -284,19 +289,7 @@ func (b *Browser) Load(m *webgen.PageModel, fetchID int) (*har.Log, error) {
 // entry records the phase reached), for forensics. Its page timings are
 // zero and it must not be measured as a successful load.
 //
-//detlint:hotpath -- retrying entry to the per-site load loop
-func (b *Browser) LoadAttempt(m *webgen.PageModel, fetchID, attempt int) (*har.Log, error) {
-	return b.loadAttempt(m, fetchID, attempt, 0)
-}
-
-// LoadRevisit is LoadAttempt for a warm (repeat-view) load: navigation
-// starts revisit after the fetchID's base slot, so responses stored by
-// the matching cold load have aged exactly revisit (minus their
-// in-load completion offsets) when the cache checks freshness. With
-// revisit 0 — or with no cache installed — it is byte-identical to
-// LoadAttempt.
-//
-//detlint:hotpath -- warm-load entry to the per-site load loop
+//detlint:hotpath -- retrying and warm-load entry to the per-site load loop
 func (b *Browser) LoadRevisit(m *webgen.PageModel, fetchID, attempt int, revisit time.Duration) (*har.Log, error) {
 	return b.loadAttempt(m, fetchID, attempt, revisit)
 }

@@ -52,9 +52,6 @@ func (c *Cache) Hits() int { return c.hits }
 // 304.
 func (c *Cache) Revalidations() int { return c.revalidations }
 
-// Has reports whether a response is stored for url (any freshness).
-func (c *Cache) Has(url string) bool { return c.entries[url] != nil }
-
 type cacheState int
 
 const (

@@ -261,7 +261,7 @@ func TestFaultedLoadDeterministic(t *testing.T) {
 	m := web.Sites[3].Landing().Build()
 	load := func(attempt int) *har.Log {
 		b := faultyBrowser(t, web, faults, 0)
-		log, err := b.LoadAttempt(m, 2, attempt)
+		log, err := b.LoadRevisit(m, 2, attempt, 0)
 		if err != nil {
 			var le *LoadError
 			if !errors.As(err, &le) {

@@ -18,10 +18,11 @@ import (
 	"repro/internal/httpsem"
 	"repro/internal/mimecat"
 	"repro/internal/psl"
+	"repro/internal/urlx"
 	"repro/internal/webgen"
 )
 
-// Analyzers bundles the detection machinery MeasurePage needs.
+// Analyzers bundles the detection machinery the HAR pass needs.
 type Analyzers struct {
 	PSL     *psl.List
 	Adblock *adblock.Engine
@@ -153,41 +154,54 @@ func requestTypeOf(mime string) adblock.RequestType {
 }
 
 // MeasurePage computes a PageMeasurement from a page-load HAR and its
-// model. The model supplies only what the paper got from the DOM (hints,
-// ad slots, header-bidding markers) and site metadata; every network
-// metric comes from the HAR, mirroring the paper's pipeline.
+// model. Every network metric comes from the HAR, through the same pass
+// as MeasureHAR; the model supplies only what the paper got from the DOM
+// (resource hints, ad slots) and site metadata, mirroring the paper's
+// pipeline.
 func MeasurePage(log *har.Log, model *webgen.PageModel, az Analyzers) PageMeasurement {
+	m := measureLog(log, az)
 	page := model.Page
 	site := page.Site
+	m.Domain = site.Domain
+	m.Rank = site.Rank
+	m.Category = string(site.Category)
+	m.IsLanding = page.IsLanding()
+	m.Scheme = page.Scheme()
+	m.Hints = len(model.Hints)
+	m.AdSlots = model.AdSlots // from the DOM, as in the paper
+	return m
+}
+
+// MeasureHAR computes a PageMeasurement from a HAR log alone — no page
+// model, no generator ground truth. This is the analysis path for
+// externally produced archives (the output of `webmeasure -har`, or any
+// HAR 1.2 capture): exactly what the paper's released analysis scripts
+// consume. Every HAR-derived field, header bidding included, matches
+// MeasurePage; the page type and scheme come from the URL, and the
+// DOM-only and site fields (Domain, Rank, Category, Hints, AdSlots) stay
+// zero.
+func MeasureHAR(log *har.Log, az Analyzers) PageMeasurement {
+	m := measureLog(log, az)
+	m.IsLanding = urlx.IsLandingPage(log.Page.URL)
+	m.Scheme = schemeOf(log.Page.URL)
+	return m
+}
+
+// measureLog is the one HAR→metrics pass: it fills every PageMeasurement
+// field a HAR decides and leaves the DOM and site fields to its callers.
+func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 	m := PageMeasurement{
 		URL:          log.Page.URL,
-		Domain:       site.Domain,
-		Rank:         site.Rank,
-		Category:     string(site.Category),
-		IsLanding:    page.IsLanding(),
-		Scheme:       page.Scheme(),
 		Bytes:        log.TotalBytes(),
 		Objects:      log.ObjectCount(),
 		PLT:          log.Page.Timings.FirstPaint,
 		SpeedIndex:   log.Page.Timings.SpeedIndex,
 		OnLoad:       log.Page.Timings.OnLoad,
 		ContentBytes: make(map[mimecat.Category]int64),
-		Hints:        len(model.Hints),
-		AdSlots:      model.AdSlots, // from the DOM, as in the paper
 	}
 	// Header bidding is detected from the wire (wrapper script + bid
 	// burst), not taken from generator ground truth.
 	m.HasHB = hb.Detect(log).Active
-	// Insecure redirects are visible in the HAR: a 301 whose Location
-	// target is plain HTTP.
-	for i := range log.Entries {
-		e := &log.Entries[i]
-		if e.Response.Status/100 == 3 &&
-			strings.HasPrefix(e.Response.HeaderValue("Location"), "http://") {
-			m.InsecureRedirect = true
-			break
-		}
-	}
 	// Dependency structure is derived from HAR initiator records, the
 	// paper's §5.4 method; the HAR's _depth extension is only a
 	// cross-check (see tests).
@@ -205,6 +219,13 @@ func MeasurePage(log *har.Log, model *webgen.PageModel, az Analyzers) PageMeasur
 		e := &log.Entries[i]
 		host := hostOf(e.Request.URL)
 		domains[host] = true
+
+		// Insecure redirects are visible in the HAR: a 301 whose
+		// Location target is plain HTTP.
+		if !m.InsecureRedirect && e.Response.Status/100 == 3 &&
+			strings.HasPrefix(e.Response.HeaderValue("Location"), "http://") {
+			m.InsecureRedirect = true
+		}
 
 		// Content mix.
 		m.ContentBytes[mimecat.Of(e.Response.MIMEType)] += e.Response.BodySize
@@ -305,4 +326,11 @@ func hostOf(raw string) string {
 		s = s[:i]
 	}
 	return strings.ToLower(s)
+}
+
+func schemeOf(u string) string {
+	if i := strings.Index(u, "://"); i > 0 {
+		return u[:i]
+	}
+	return ""
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/adblock"
+	"repro/internal/browser"
 	"repro/internal/cdndetect"
 	"repro/internal/har"
 	"repro/internal/mimecat"
@@ -85,6 +87,78 @@ func handHAR(m *webgen.PageModel) *har.Log {
 		mk("http://img."+m.Page.Site.Domain+"/mixed.png", "image/png", "public, max-age=86400", "nginx", "", 20_000, true, 1, root),
 	}
 	return log
+}
+
+// simLoad is one simulated page load together with the model it loaded.
+type simLoad struct {
+	name  string
+	model *webgen.PageModel
+	log   *har.Log
+}
+
+// simulatedLoads loads pages of a small seeded study web through the
+// study's own browsers: the first sites' landing and internal pages cold
+// into a fresh cache and then warm against it (cache hits and 304
+// revalidations), plus the first header-bidding landing page and the
+// first insecure-redirect page further down the list. It also returns
+// the study, whose analyzers the loads are to be measured with.
+func simulatedLoads(tb testing.TB) ([]simLoad, *Study) {
+	tb.Helper()
+	const delay = 30 * time.Minute
+	u := toplist.NewUniverse(toplist.Config{Seed: 11, Size: 2000})
+	entries := u.Top(300)
+	seeds := make([]webgen.SiteSeed, len(entries))
+	for i, e := range entries {
+		seeds[i] = webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank}
+	}
+	web := webgen.Generate(webgen.Config{Seed: 11, Sites: seeds})
+	st, err := NewStudy(web, StudyConfig{Seed: 11})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var loads []simLoad
+	// pair loads page cold and then warm, as loadPair does.
+	pair := func(i int, page *webgen.Page) {
+		sc, err := st.newSiteCtx(i)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sc.b.SetCache(browser.NewCache())
+		m := page.Build()
+		cold, err := sc.b.LoadRevisit(m, 0, 0, 0)
+		if err != nil {
+			tb.Fatalf("cold load of %s: %v", m.URL, err)
+		}
+		sc.clock.Advance(delay)
+		warm, err := sc.b.LoadRevisit(m, 0, 0, delay)
+		if err != nil {
+			tb.Fatalf("warm load of %s: %v", m.URL, err)
+		}
+		loads = append(loads, simLoad{"cold " + m.URL, m, cold}, simLoad{"warm " + m.URL, m, warm})
+	}
+	for i := 0; i < 3; i++ {
+		site := web.Sites[i]
+		for k := 0; k <= 2; k++ {
+			pair(i, site.PageAt(k))
+		}
+	}
+	hb, redirect := false, false
+	for i, site := range web.Sites {
+		if !hb && site.Profile.HBLanding {
+			pair(i, site.Landing())
+			hb = true
+		}
+		for k := 1; !redirect && site.Profile.InsecureRedirectProb > 0 && k <= site.PoolSize(); k++ {
+			if _, ok := site.PageAt(k).RedirectsToInsecure(); ok {
+				pair(i, site.PageAt(k))
+				redirect = true
+			}
+		}
+	}
+	if !hb || !redirect {
+		tb.Fatalf("seeded web lacks a page kind: header bidding %v, insecure redirect %v", hb, redirect)
+	}
+	return loads, st
 }
 
 func TestMeasurePageExact(t *testing.T) {
@@ -193,4 +267,38 @@ func TestSiteResultHelpers(t *testing.T) {
 	if got := s.MixedInternal(); got != 1 {
 		t.Errorf("MixedInternal = %d", got)
 	}
+}
+
+// FuzzMeasureHAR feeds arbitrary bytes through the HAR decoder and the
+// HAR-only analysis: external archives are a trust boundary, and every
+// analyzer in the pass (header bidding, redirects, cacheability, CDN,
+// third parties, trackers, dependency depth) must survive them. Whatever
+// decodes must measure without panicking, with one object, one wait time
+// and one cache-or-network classification per entry.
+func FuzzMeasureHAR(f *testing.F) {
+	loads, st := simulatedLoads(f)
+	for _, l := range loads[:2] { // the first page, cold and warm
+		var buf bytes.Buffer
+		if err := l.log.WriteJSON(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	az := st.Analyzers()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		log, err := har.ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		m := MeasureHAR(log, az)
+		if m.Objects != log.ObjectCount() {
+			t.Errorf("Objects = %d, log has %d", m.Objects, log.ObjectCount())
+		}
+		if m.CacheHits+m.NetworkRequests != len(log.Entries) {
+			t.Errorf("CacheHits %d + NetworkRequests %d != %d entries", m.CacheHits, m.NetworkRequests, len(log.Entries))
+		}
+		if len(m.WaitTimes) != len(log.Entries) {
+			t.Errorf("%d wait times for %d entries", len(m.WaitTimes), len(log.Entries))
+		}
+	})
 }

@@ -320,10 +320,6 @@ type StreamConfig struct {
 	// — the reorder buffer, and therefore the peak number of retained
 	// SiteResults (default 4×Workers).
 	Window int
-	// TopK and BottomK size the exact tail counters (defaults 30 and
-	// 100: the paper's Ht30 and Hb100 cuts). They count surviving sites
-	// from the head and tail of the rank order.
-	TopK, BottomK int
 	// Trace, when non-nil, receives the run's span stream (study, shard,
 	// site, and — at higher detail levels — load/exchange/phase spans).
 	// The fold merges per-site recorders in rank order, so the exported
@@ -331,15 +327,17 @@ type StreamConfig struct {
 	Trace *trace.Tracer
 }
 
+// topK and bottomK size the exact tail counters: the paper's Ht30 and
+// Hb100 cuts, counted in surviving sites from the head and tail of the
+// rank order.
+const (
+	topK    = 30
+	bottomK = 100
+)
+
 func (c StreamConfig) withDefaults() StreamConfig {
 	if c.ShardSize <= 0 {
 		c.ShardSize = 256
-	}
-	if c.TopK <= 0 {
-		c.TopK = 30
-	}
-	if c.BottomK <= 0 {
-		c.BottomK = 100
 	}
 	return c
 }
@@ -352,8 +350,8 @@ type StreamResult struct {
 	Outcomes []Outcome
 	// Agg holds the study-wide aggregates, merged from rank shards.
 	Agg *Aggregates
-	// Top and Bottom are exact delta-sign counters over the first TopK
-	// and last BottomK surviving sites.
+	// Top and Bottom are exact delta-sign counters over the first topK
+	// and last bottomK surviving sites.
 	Top, Bottom TailCounters
 	// Shards summarizes each closed rank shard in order.
 	Shards []ShardSummary
@@ -412,14 +410,14 @@ func (f *streamFold) retire(i int, res *SiteResult, out *Outcome) {
 	}
 	signs := f.shard.AccumulateSite(res)
 	f.okCount++
-	if f.okCount <= f.cfg.TopK {
+	if f.okCount <= topK {
 		f.res.Top.accumulate(signs)
 	}
-	if len(f.bottomRing) < f.cfg.BottomK {
+	if len(f.bottomRing) < bottomK {
 		f.bottomRing = append(f.bottomRing, signs)
 	} else {
 		f.bottomRing[f.bottomNext] = signs
-		f.bottomNext = (f.bottomNext + 1) % f.cfg.BottomK
+		f.bottomNext = (f.bottomNext + 1) % bottomK
 	}
 }
 
@@ -460,7 +458,7 @@ func (f *streamFold) closeShard(hi int) {
 }
 
 // finish closes the last shard, flushes sinks, and folds the bottom
-// ring (the last ≤BottomK surviving sites, oldest slot first).
+// ring (the last ≤bottomK surviving sites, oldest slot first).
 func (f *streamFold) finish(n, failed int) {
 	f.closeShard(n)
 	for _, s := range f.cfg.Sinks {

@@ -132,7 +132,7 @@ func TestStreamAggregatesMatchInMemory(t *testing.T) {
 		}
 	}
 
-	// The tail counters cover every survivor here (12 sites < TopK=30).
+	// The tail counters cover every survivor here (12 sites < topK=30).
 	if sres.Top.N != len(sites) || sres.Bottom.N != len(sites) {
 		t.Errorf("tail N = %d/%d, want %d (list smaller than both tails)",
 			sres.Top.N, sres.Bottom.N, len(sites))

@@ -204,9 +204,6 @@ type Study struct {
 	stats    *runstats.Set
 }
 
-// Stats exposes the study's run metrics (live; Snapshot to read).
-func (st *Study) Stats() *runstats.Set { return st.stats }
-
 // NewStudy prepares a study over one web snapshot. It wires the full
 // analysis stack: a warmed ISP resolver over the web's DNS authority, a
 // CDN detector fed by that resolver, the public-suffix list, and an

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -71,13 +72,34 @@ func TestMeasureHARLandingDetection(t *testing.T) {
 		t.Error("internal URL classified as landing")
 	}
 	// The HAR-only path must agree with the model-aware path on every
-	// network-derived metric.
-	full := MeasurePage(handHAR(model), model, fixtureAnalyzers())
-	haro := MeasureHAR(handHAR(model), fixtureAnalyzers())
-	if full.Bytes != haro.Bytes || full.NonCacheable != haro.NonCacheable ||
-		full.CDNBytes != haro.CDNBytes || full.UniqueDomains != haro.UniqueDomains ||
-		full.Handshakes != haro.Handshakes || full.TrackerRequests != haro.TrackerRequests ||
-		full.MixedContent != haro.MixedContent {
-		t.Errorf("HAR-only analysis diverges from model-aware analysis:\nfull %+v\nhar  %+v", full, haro)
+	// field a HAR decides: only the DOM and site fields differ, and the
+	// scheme of an insecure-redirect page, which the model takes from the
+	// redirect target.
+	loads, st := simulatedLoads(t)
+	loads = append(loads, simLoad{"handcrafted", model, handHAR(model)})
+	var hb, redirect, hits, revalidations int
+	az := st.Analyzers()
+	for _, l := range loads {
+		full := MeasurePage(l.log, l.model, az)
+		haro := MeasureHAR(l.log, az)
+		full.Domain, full.Rank, full.Category, full.Hints, full.AdSlots = "", 0, "", 0, 0
+		if _, ok := l.model.Page.RedirectsToInsecure(); ok {
+			haro.Scheme = full.Scheme
+		}
+		if !reflect.DeepEqual(full, haro) {
+			t.Errorf("%s: HAR-only analysis diverges from model-aware analysis:\nfull %+v\nhar  %+v", l.name, full, haro)
+		}
+		if full.HasHB {
+			hb++
+		}
+		if full.InsecureRedirect {
+			redirect++
+		}
+		hits += full.CacheHits
+		revalidations += full.Revalidations
+	}
+	if hb == 0 || redirect == 0 || hits == 0 || revalidations == 0 {
+		t.Errorf("loads miss a case: %d header-bidding, %d insecure-redirect, %d cache hits, %d revalidations",
+			hb, redirect, hits, revalidations)
 	}
 }

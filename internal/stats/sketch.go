@@ -169,14 +169,6 @@ func (s *Sketch) Insert(v float64) {
 	s.coarsenIfNeeded()
 }
 
-// InsertN adds the same value n times (used when folding pre-counted
-// shards).
-func (s *Sketch) InsertN(v float64, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		s.Insert(v)
-	}
-}
-
 // Merge folds other into s. Bucket counts are integer sums, so merging
 // is commutative and associative up to Sum's float rounding; the
 // streaming engine merges shards in rank order to pin even that down.

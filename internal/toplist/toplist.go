@@ -76,7 +76,6 @@ type Universe struct {
 	cfg     Config
 	rng     *rand.Rand
 	domains []domain
-	day     int
 }
 
 type domain struct {
@@ -114,9 +113,6 @@ func NewUniverse(cfg Config) *Universe {
 	return u
 }
 
-// Day returns the current simulation day.
-func (u *Universe) Day() int { return u.day }
-
 // Size returns the number of domains in the universe.
 func (u *Universe) Size() int { return len(u.domains) }
 
@@ -139,7 +135,6 @@ func (u *Universe) Step(days int) {
 				dom.anchor += u.rng.NormFloat64() * dom.anchorVol
 			}
 		}
-		u.day++
 	}
 }
 

@@ -26,12 +26,6 @@ const (
 	CatWorld         Category = "World"
 )
 
-// Categories lists all site categories in a stable order.
-func Categories() []Category {
-	return []Category{CatNews, CatShopping, CatSocial, CatTech, CatReference,
-		CatEntertainment, CatBusiness, CatSports, CatWorld}
-}
-
 // categoryFor draws a category for a site given its rank. The World
 // category concentrates in the rank-400..600 band, which produces the
 // paper's rank-localized PLT trend reversal (Fig 9a) mechanically: World
