@@ -74,23 +74,25 @@ bench-gate:
 serve-smoke:
 	$(GO) run ./cmd/hisparserve smoke -seed 42 -loadseed 1 -n 12000 -clients 8
 
-# Trace determinism smoke: stream the same 120-site study once serial
-# and once parallel, both with full-detail tracing, then require
-# tracecheck to accept both Chrome trace files and find them
-# byte-identical — the tracer's worker-invariance contract, end to end
-# through the real CLI. The warm arm holds the cold→warm revisit study
-# to the same contract.
+# Trace determinism smoke: run the same 120-site study once serial and
+# once parallel, both with full-detail tracing, then require tracecheck
+# to accept both Chrome trace files and find them byte-identical, and
+# cmp to find the two measurement CSVs byte-identical — the engine's
+# worker-invariance contract, end to end through the real CLI. The warm
+# arm holds the cold→warm revisit study to the same contract.
 trace-smoke:
 	$(GO) run ./cmd/webmeasure -sites 120 -persite 5 -fetches 3 -workers 1 \
-		-trace trace_w1.json -trace-detail phases > /dev/null
+		-trace trace_w1.json -trace-detail phases > trace_w1.csv
 	$(GO) run ./cmd/webmeasure -sites 120 -persite 5 -fetches 3 \
-		-trace trace_wN.json -trace-detail phases > /dev/null
+		-trace trace_wN.json -trace-detail phases > trace_wN.csv
 	$(GO) run ./cmd/tracecheck trace_w1.json trace_wN.json
+	cmp trace_w1.csv trace_wN.csv
 	$(GO) run ./cmd/webmeasure -sites 120 -persite 5 -warm -workers 1 \
-		-trace trace_warm_w1.json -trace-detail phases > /dev/null
+		-trace trace_warm_w1.json -trace-detail phases > trace_warm_w1.csv
 	$(GO) run ./cmd/webmeasure -sites 120 -persite 5 -warm \
-		-trace trace_warm_wN.json -trace-detail phases > /dev/null
+		-trace trace_warm_wN.json -trace-detail phases > trace_warm_wN.csv
 	$(GO) run ./cmd/tracecheck trace_warm_w1.json trace_warm_wN.json
+	cmp trace_warm_w1.csv trace_warm_wN.csv
 
 # HAR round-trip smoke: write one HAR file per page of a 10-site study
 # with webmeasure, analyze the directory with haranalyze, and fail

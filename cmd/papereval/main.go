@@ -37,7 +37,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
 		plot       = flag.Bool("plot", false, "render each report's series as ASCII charts")
 		stream     = flag.Bool("stream", false, "run fig2 experiments through the constant-memory streaming engine")
-		window     = flag.Int("window", 0, "streaming reorder window in sites (0 = 4×workers; with -stream)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON of the streamed study to this file (implies -stream)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a post-run heap profile to this file")
@@ -73,7 +72,6 @@ func main() {
 		CrawlPages:        *crawlN,
 		RevisitDelay:      *revisit,
 		Stream:            *stream,
-		StreamWindow:      *window,
 		Trace:             tracer,
 	})
 

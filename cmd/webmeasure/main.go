@@ -1,7 +1,9 @@
 // Command webmeasure fetches the pages of a Hispar list with the
 // simulated browser — cold cache, landing pages fetched repeatedly,
 // internal pages once, exactly the paper's §3.1 methodology — and writes
-// per-page measurements as CSV (or full HAR logs with -har).
+// per-page measurements as CSV (or full HAR logs with -har). CSV rows are
+// written as sites complete, in rank order, so memory stays bounded by
+// the engine's reorder window rather than by the list size.
 //
 // Usage:
 //
@@ -12,6 +14,8 @@
 // retries transient failures with exponential backoff in virtual time,
 // drops what stays dead, and reports run metrics with -stats. A partial
 // CSV is still written when the failure budget (-budget) is exceeded.
+// -trace writes the run's spans (cold or -warm) as Chrome trace-event
+// JSON; it does not change the CSV.
 package main
 
 import (
@@ -56,9 +60,7 @@ func main() {
 		retries       = flag.Int("retries", 0, "max load attempts per page (0 = default 3)")
 		budget        = flag.Float64("budget", 0, "failure budget as a fraction of sites (0 = default 0.25, negative = unlimited)")
 		stats         = flag.Bool("stats", false, "print run metrics to stderr")
-		stream        = flag.Bool("stream", false, "stream CSV rows as sites complete (constant memory) instead of building the full result")
-		window        = flag.Int("window", 0, "streaming reorder window in sites (0 = 4×workers; with -stream)")
-		traceOut      = flag.String("trace", "", "write a Chrome trace-event JSON of the study to this file (implies -stream unless -warm; open in Perfetto)")
+		traceOut      = flag.String("trace", "", "write a Chrome trace-event JSON of the study to this file (open in Perfetto)")
 		traceDetail   = flag.String("trace-detail", "phases", "trace granularity: sites, loads, fetches, or phases (with -trace)")
 		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile    = flag.String("memprofile", "", "write a post-run heap profile to this file")
@@ -76,7 +78,6 @@ func main() {
 			os.Exit(2)
 		}
 		tracer = trace.New(detail)
-		*stream = true // the in-memory wrapper takes no tracer
 	}
 
 	u := toplist.NewUniverse(toplist.Config{Seed: *seed, Size: maxInt(4000, *sites*3)})
@@ -112,54 +113,33 @@ func main() {
 	fatal(err)
 	if *warm {
 		res, runErr := st.RunWarm(list, core.WarmConfig{RevisitDelay: *revisit, Trace: tracer})
-		if res != nil {
-			if *stats || res.FailedSites() > 0 {
-				fmt.Fprintf(os.Stderr, "webmeasure: %d/%d sites measured, %d failed\n",
-					len(res.Sites), len(res.Outcomes), res.FailedSites())
-				res.Stats.Render(os.Stderr)
-			}
-			fatal(core.WriteWarmCSV(os.Stdout, res))
-		}
-		writeTrace(tracer, *traceOut, *stats)
-		finishProfiles(stopCPU, *memProfile)
-		fatal(runErr)
-		return
-	}
-	if *stream {
-		// Constant-memory path: rows hit stdout as sites retire, and only
-		// sketch aggregates and outcomes survive the run.
-		sink, err := core.NewCSVSink(os.Stdout)
-		fatal(err)
-		sres, runErr := st.RunStream(list, core.StreamConfig{
-			Sinks:  []core.SiteSink{sink},
-			Window: *window,
-			Trace:  tracer,
-		})
-		if sres != nil && (*stats || sres.FailedSites() > 0) {
-			fmt.Fprintf(os.Stderr, "webmeasure: %d/%d sites measured, %d failed (streamed: peak %d in flight, %d shards)\n",
-				sres.Agg.Sites, len(sres.Outcomes), sres.FailedSites(), sres.MaxInFlight, len(sres.Shards))
-			if *stats {
-				sres.Stats.Render(os.Stderr)
-				printMemReport(os.Stderr)
-			}
-		}
-		writeTrace(tracer, *traceOut, *stats)
-		finishProfiles(stopCPU, *memProfile)
-		fatal(runErr)
-		return
-	}
-	res, runErr := st.Run(list)
-	if res != nil {
 		if *stats || res.FailedSites() > 0 {
 			fmt.Fprintf(os.Stderr, "webmeasure: %d/%d sites measured, %d failed\n",
 				len(res.Sites), len(res.Outcomes), res.FailedSites())
 			res.Stats.Render(os.Stderr)
 		}
-		// The public dataset format (see internal/core WriteMeasurementsCSV).
-		// Written even when the failure budget was breached: partial
-		// results are the point of the fault-tolerant runner.
-		fatal(core.WriteMeasurementsCSV(os.Stdout, res))
+		fatal(core.WriteWarmCSV(os.Stdout, res))
+		writeTrace(tracer, *traceOut, *stats)
+		finishProfiles(stopCPU, *memProfile)
+		fatal(runErr)
+		return
 	}
+	// Rows hit stdout as sites retire, and only sketch aggregates and
+	// outcomes survive the run. The CSV is written even when the failure
+	// budget was breached: partial results are the point of the
+	// fault-tolerant runner.
+	sink, err := core.NewCSVSink(os.Stdout)
+	fatal(err)
+	sres, runErr := st.RunStream(list, core.StreamConfig{Sinks: []core.SiteSink{sink}, Trace: tracer})
+	if *stats || sres.FailedSites() > 0 {
+		fmt.Fprintf(os.Stderr, "webmeasure: %d/%d sites measured, %d failed (streamed: peak %d in flight, %d shards)\n",
+			sres.Agg.Sites, len(sres.Outcomes), sres.FailedSites(), sres.MaxInFlight, len(sres.Shards))
+		if *stats {
+			sres.Stats.Render(os.Stderr)
+			printMemReport(os.Stderr)
+		}
+	}
+	writeTrace(tracer, *traceOut, *stats)
 	finishProfiles(stopCPU, *memProfile)
 	fatal(runErr)
 }

@@ -54,16 +54,6 @@ func Providers() []Provider {
 	return ps
 }
 
-// ProviderByName returns the provider with the given name.
-func ProviderByName(name string) (Provider, bool) {
-	for _, p := range Providers() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Provider{}, false
-}
-
 // WarmthFunc maps an object's global request popularity (0..1] to the
 // steady-state probability that a nearby edge already caches it.
 type WarmthFunc func(popularity float64) float64

@@ -29,16 +29,6 @@ func TestProvidersWellFormed(t *testing.T) {
 	}
 }
 
-func TestProviderByName(t *testing.T) {
-	p, ok := ProviderByName("fastcache")
-	if !ok || p.HostSuffix != ".fastcache.net" {
-		t.Errorf("ProviderByName = %+v, %v", p, ok)
-	}
-	if _, ok := ProviderByName("nope"); ok {
-		t.Error("unknown provider should not resolve")
-	}
-}
-
 func TestPopularityWarmthShape(t *testing.T) {
 	w := PopularityWarmth(2, 0.97)
 	if w(0) != 0 {

@@ -42,11 +42,6 @@ func New(resolver *dnssim.Resolver) *Detector {
 	return &Detector{sigs: sigs, resolver: resolver}
 }
 
-// NewWithSignatures builds a detector over a custom signature table.
-func NewWithSignatures(sigs []Signature, resolver *dnssim.Resolver) *Detector {
-	return &Detector{sigs: sigs, resolver: resolver}
-}
-
 // Result is one attribution.
 type Result struct {
 	Provider string

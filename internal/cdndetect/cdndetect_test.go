@@ -85,10 +85,3 @@ func TestCacheStatus(t *testing.T) {
 		t.Errorf("absent = %d", got)
 	}
 }
-
-func TestCustomSignatures(t *testing.T) {
-	d := NewWithSignatures([]Signature{{Provider: "acme", HostSuffix: ".acme-cdn.example"}}, nil)
-	if _, ok := d.Attribute(entry("https://img.acme-cdn.example/a.png")); !ok {
-		t.Error("custom signature not matched")
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/hispar"
+	"repro/internal/runstats"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/webgen"
@@ -44,6 +45,9 @@ type siteRun struct {
 	// maxInFlight is the peak number of completed-but-unretired sites
 	// the reorder window held.
 	maxInFlight int
+	// stats holds this run's metrics only: every run starts a fresh set,
+	// so a second run on the same Study never reports cumulative counts.
+	stats *runstats.Set
 }
 
 // runSites measures every site of the list with measure and retires the
@@ -51,10 +55,10 @@ type siteRun struct {
 // from a single goroutine in site-index order. At most window sites
 // (default 4×Workers, never below Workers+1) are dispatched but not yet
 // retired. Every site is always attempted; the failure budget decides
-// only whether the aggregate error rides along with the run. A nil run
-// means the study could not start at all.
+// only whether the aggregate error rides along with the run, which is
+// never nil. measure records its metrics into the run's stats set.
 func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
-	measure func(i int, set hispar.URLSet, rec *trace.Recorder) (R, Outcome),
+	measure func(i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (R, Outcome),
 	retire func(i int, r *R, out *Outcome)) (*siteRun, error) {
 	workers := st.cfg.Workers
 	if window <= 0 {
@@ -64,11 +68,8 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 		window = workers + 1
 	}
 	n := len(list.Sets)
-	// Validate the browser configuration before fanning out.
-	if _, err := st.newBrowser(st.cfg.Seed); err != nil {
-		return nil, err
-	}
-	run := &siteRun{outcomes: make([]Outcome, n)}
+	rs := runstats.NewSet()
+	run := &siteRun{outcomes: make([]Outcome, n), stats: rs}
 
 	jobs := make(chan int)
 	// Window tokens bound dispatched-but-unretired sites: acquired before
@@ -95,15 +96,15 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 				// spans own tid 0), never per-worker: worker identity must
 				// not leak into the byte-stable trace.
 				rec := tr.Recorder(int64(i)+1, list.Sets[i].Rank)
-				r, out := measure(i, list.Sets[i], rec)
+				r, out := measure(i, list.Sets[i], rec, rs)
 				busy += vclock.WallSince(t0)
 				sites++
 				completed <- siteDone[R]{i: i, res: r, out: out, rec: rec}
 			}
 			if wall := vclock.WallSince(wallStart); wall > 0 {
-				st.stats.SetGauge(fmt.Sprintf("worker.%d.utilization", w), busy.Seconds()/wall.Seconds())
+				rs.SetGauge(fmt.Sprintf("worker.%d.utilization", w), busy.Seconds()/wall.Seconds())
 			}
-			st.stats.Inc(fmt.Sprintf("worker.%d.sites", w), int64(sites))
+			rs.Inc(fmt.Sprintf("worker.%d.sites", w), int64(sites))
 		}(w)
 	}
 
@@ -130,7 +131,7 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 				delete(pending, next)
 				out := &run.outcomes[next]
 				*out = cur.out
-				st.stats.Observe("site.attempts", float64(out.Attempts))
+				rs.Observe("site.attempts", float64(out.Attempts))
 				spans.record(next, out, cur.rec)
 				if !out.OK {
 					siteErrs = append(siteErrs, out.Err)
@@ -154,14 +155,14 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 	st.clock.AdvanceTo(st.epoch.Add(time.Duration(n) * st.cfg.SitePacing))
 
 	run.failed = len(siteErrs)
-	st.stats.Inc("sites.total", int64(n))
-	st.stats.Inc("sites.ok", int64(n-run.failed))
-	st.stats.Inc("sites.failed", int64(run.failed))
+	rs.Inc("sites.total", int64(n))
+	rs.Inc("sites.ok", int64(n-run.failed))
+	rs.Inc("sites.failed", int64(run.failed))
 	if n > 0 {
-		st.stats.SetGauge("failure.budget.used", float64(run.failed)/float64(n))
+		rs.SetGauge("failure.budget.used", float64(run.failed)/float64(n))
 	}
-	st.stats.SetGauge("stream.window", float64(window))
-	st.stats.SetGauge("stream.inflight.max", float64(run.maxInFlight))
+	rs.SetGauge("stream.window", float64(window))
+	rs.SetGauge("stream.inflight.max", float64(run.maxInFlight))
 
 	if st.cfg.FailureBudget >= 0 {
 		if allowed := int(st.cfg.FailureBudget * float64(n)); run.failed > allowed {
@@ -227,10 +228,11 @@ var errNotInSnapshot = errors.New("not in web snapshot")
 // measureSite is the site-open prologue both per-site steps share: it
 // builds site i's isolated context, parents the browser's load spans
 // under the site span the fold will record, looks the site up in the web
-// snapshot, and then runs pages — the step's own page loop — on it. An
-// error from pages fails the site with its class; Elapsed is the
-// virtual time the page loop consumed, failures included.
-func measureSite[R any](st *Study, i int, set hispar.URLSet, rec *trace.Recorder,
+// snapshot, and then runs pages — the step's own page loop — on it,
+// recording the site's metrics into the run's set rs. An error from
+// pages fails the site with its class; Elapsed is the virtual time the
+// page loop consumed, failures included.
+func measureSite[R any](st *Study, i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set,
 	pages func(sc *siteCtx, site *webgen.Site, out *Outcome) (R, error)) (R, Outcome) {
 	out := Outcome{Domain: set.Domain, Rank: set.Rank}
 	fail := func(err error, class ErrorClass) (R, Outcome) {
@@ -243,7 +245,7 @@ func measureSite[R any](st *Study, i int, set hispar.URLSet, rec *trace.Recorder
 	if err != nil {
 		return fail(err, ClassConfig)
 	}
-	sc.rec = rec
+	sc.rec, sc.stats = rec, rs
 	rec.SetParent(trace.SiteSpanID(set.Rank))
 	sc.b.SetTrace(rec)
 	site, ok := st.web.SiteByDomain(set.Domain)

@@ -313,18 +313,19 @@ type SiteSink interface {
 type StreamConfig struct {
 	// Sinks receive every site in rank order (e.g. NewCSVSink).
 	Sinks []SiteSink
-	// ShardSize is the number of consecutive sites per accumulator
-	// shard (default 256).
-	ShardSize int
-	// Window bounds how many sites may be dispatched but not yet folded
-	// — the reorder buffer, and therefore the peak number of retained
-	// SiteResults (default 4×Workers).
-	Window int
 	// Trace, when non-nil, receives the run's span stream (study, shard,
 	// site, and — at higher detail levels — load/exchange/phase spans).
 	// The fold merges per-site recorders in rank order, so the exported
 	// trace is byte-identical at any worker count.
 	Trace *trace.Tracer
+
+	// window bounds how many sites may be dispatched but not yet folded
+	// — the reorder buffer, and therefore the peak number of retained
+	// SiteResults; 0 means the engine's default, 4×Workers. shardSize is
+	// the number of consecutive sites per accumulator shard (0 = 256).
+	// Only this package's tests set them.
+	window    int
+	shardSize int
 }
 
 // topK and bottomK size the exact tail counters: the paper's Ht30 and
@@ -336,8 +337,8 @@ const (
 )
 
 func (c StreamConfig) withDefaults() StreamConfig {
-	if c.ShardSize <= 0 {
-		c.ShardSize = 256
+	if c.shardSize <= 0 {
+		c.shardSize = 256
 	}
 	return c
 }
@@ -358,7 +359,7 @@ type StreamResult struct {
 	Stats  runstats.Snapshot
 	// MaxInFlight is the peak number of completed-but-unfolded sites the
 	// reorder window held — the engine's memory high-water mark in site
-	// results (always ≤ the configured Window).
+	// results (never more than the window, 4×Workers by default).
 	MaxInFlight int
 }
 
@@ -393,7 +394,7 @@ type streamFold struct {
 //
 //detlint:hotpath -- the cold retire step; the engine calls it through a func value
 func (f *streamFold) retire(i int, res *SiteResult, out *Outcome) {
-	if i > 0 && i%f.cfg.ShardSize == 0 {
+	if i > 0 && i%f.cfg.shardSize == 0 {
 		f.closeShard(i)
 	}
 	if f.sinkErr == nil {
@@ -479,7 +480,7 @@ func (f *streamFold) finish(n, failed int) {
 				{Key: "sites", Val: strconv.Itoa(n)},
 				{Key: "failed", Val: strconv.Itoa(failed)},
 				{Key: "shards", Val: strconv.Itoa(len(f.res.Shards))},
-				{Key: "shard_size", Val: strconv.Itoa(f.cfg.ShardSize)},
+				{Key: "shard_size", Val: strconv.Itoa(f.cfg.shardSize)},
 			},
 		})
 		// Fold spans merge last: every site recorder has already merged
@@ -491,10 +492,11 @@ func (f *streamFold) finish(n, failed int) {
 // RunStream measures every site in the list with the same fault-tolerant,
 // scheduling-invariant semantics as Run, but streams results out instead
 // of accumulating them: sinks and shard accumulators consume each site in
-// rank order and the engine retains at most Window site results at any
-// moment. The failure budget works exactly as in Run: every site is
-// attempted, and the budget only decides whether an aggregate error is
-// reported alongside the (complete) result.
+// rank order and the engine retains at most a window of site results
+// (4×Workers) at any moment. The failure budget works exactly as in Run:
+// every site is attempted, and the budget only decides whether an
+// aggregate error is reported alongside the (complete) result, which is
+// never nil.
 //
 //detlint:hotpath -- the streaming study engine; H1M-scale runs live here
 func (st *Study) RunStream(list *hispar.List, cfg StreamConfig) (*StreamResult, error) {
@@ -502,13 +504,10 @@ func (st *Study) RunStream(list *hispar.List, cfg StreamConfig) (*StreamResult, 
 	res := &StreamResult{List: list, Agg: NewAggregates()}
 	fold := &streamFold{st: st, cfg: cfg, res: res, shard: NewAggregates(),
 		rec: cfg.Trace.Recorder(0, 0)}
-	run, err := runSites(st, list, cfg.Window, cfg.Trace, st.measureSiteResilient, fold.retire)
-	if run == nil {
-		return nil, err
-	}
+	run, err := runSites(st, list, cfg.window, cfg.Trace, st.measureSiteResilient, fold.retire)
 	res.Outcomes, res.MaxInFlight = run.outcomes, run.maxInFlight
 	fold.finish(len(list.Sets), run.failed)
-	res.Stats = st.stats.Snapshot()
+	res.Stats = run.stats.Snapshot()
 	if fold.sinkErr != nil {
 		err = errors.Join(err, fold.sinkErr)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -187,7 +188,7 @@ func TestStreamInvariantAcrossWorkersAndWindows(t *testing.T) {
 		}
 		sres, err := streamStudy(t, web, list,
 			func(c *StudyConfig) { faults(c); c.Workers = workers },
-			StreamConfig{Sinks: []SiteSink{sink}, Window: window, ShardSize: shardSize})
+			StreamConfig{Sinks: []SiteSink{sink}, window: window, shardSize: shardSize})
 		if err != nil {
 			t.Fatalf("workers=%d window=%d: %v", workers, window, err)
 		}
@@ -232,20 +233,49 @@ func TestStreamInvariantAcrossWorkersAndWindows(t *testing.T) {
 }
 
 // TestStreamWindowBoundsInFlight pins the memory contract: however many
-// workers race, the engine never retains more than Window site results.
+// workers race, the engine never retains more than its window of site
+// results — an explicit one, or the 4×Workers default every CLI run uses.
 func TestStreamWindowBoundsInFlight(t *testing.T) {
 	web, list := faultWeb(t)
-	sres, err := streamStudy(t, web, list,
-		func(c *StudyConfig) { c.Workers = 6 },
-		StreamConfig{Window: 7})
+	for _, tc := range []struct{ window, bound int }{{7, 7}, {0, 4 * 6}} {
+		sres, err := streamStudy(t, web, list,
+			func(c *StudyConfig) { c.Workers = 6 },
+			StreamConfig{window: tc.window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sres.MaxInFlight > tc.bound {
+			t.Errorf("window %d: MaxInFlight %d exceeds %d", tc.window, sres.MaxInFlight, tc.bound)
+		}
+		if sres.MaxInFlight == 0 {
+			t.Errorf("window %d: MaxInFlight 0: reorder buffer never held a site?", tc.window)
+		}
+		if got := sres.Stats.Gauges["stream.window"]; got != float64(tc.bound) {
+			t.Errorf("window %d: stream.window gauge %v, want %d", tc.window, got, tc.bound)
+		}
+	}
+}
+
+// TestStreamStatsArePerRun runs one Study twice: each run's metrics must
+// describe that run alone, not accumulate across runs.
+func TestStreamStatsArePerRun(t *testing.T) {
+	web, list := faultWeb(t)
+	st, err := NewStudy(web, StudyConfig{Seed: 7, LandingFetches: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sres.MaxInFlight > 7 {
-		t.Errorf("MaxInFlight %d exceeds window 7", sres.MaxInFlight)
+	var runs [2]*StreamResult
+	for i := range runs {
+		if runs[i], err = st.RunStream(list, StreamConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := runs[i].Stats.Counters["sites.total"]; got != int64(len(runs[i].Outcomes)) {
+			t.Errorf("run %d: sites.total %d, want %d", i, got, len(runs[i].Outcomes))
+		}
 	}
-	if sres.MaxInFlight == 0 {
-		t.Error("MaxInFlight 0: reorder buffer never held a site?")
+	if !reflect.DeepEqual(runs[0].Stats.Counters, runs[1].Stats.Counters) {
+		t.Errorf("second run's counters differ from the first's:\n%v\n%v",
+			runs[0].Stats.Counters, runs[1].Stats.Counters)
 	}
 }
 
@@ -254,7 +284,7 @@ func TestStreamWindowBoundsInFlight(t *testing.T) {
 // add up.
 func TestStreamShardSummaries(t *testing.T) {
 	web, list := faultWeb(t)
-	sres, err := streamStudy(t, web, list, nil, StreamConfig{ShardSize: 5})
+	sres, err := streamStudy(t, web, list, nil, StreamConfig{shardSize: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,14 +194,11 @@ func (r *StudyResult) FailedSites() int { return failedSites(r.Outcomes) }
 
 // Study runs page loads and measurement for every URL set in the list.
 type Study struct {
-	cfg      StudyConfig
-	web      *webgen.Web
-	resolver *dnssim.Resolver
-	az       Analyzers
-	cdnSeed  int64
-	clock    *vclock.Clock
-	epoch    time.Time
-	stats    *runstats.Set
+	cfg   StudyConfig
+	web   *webgen.Web
+	az    Analyzers
+	clock *vclock.Clock
+	epoch time.Time
 }
 
 // NewStudy prepares a study over one web snapshot. It wires the full
@@ -228,43 +225,20 @@ func NewStudy(web *webgen.Web, cfg StudyConfig) (*Study, error) {
 		return nil, fmt.Errorf("core: empty adblock engine")
 	}
 	return &Study{
-		cfg:      cfg,
-		web:      web,
-		resolver: resolver,
+		cfg: cfg,
+		web: web,
 		az: Analyzers{
 			PSL:     psl.Default(),
 			Adblock: engine,
 			CDN:     cdndetect.New(resolver),
 		},
-		cdnSeed: cfg.Seed ^ 0x0cd17,
-		clock:   clock,
-		epoch:   epoch,
-		stats:   runstats.NewSet(),
+		clock: clock,
+		epoch: epoch,
 	}, nil
 }
 
 // Analyzers exposes the study's analysis stack (useful for tests).
 func (st *Study) Analyzers() Analyzers { return st.az }
-
-// newBrowser builds a browser sharing the study's resolver; the engine
-// builds one up front to validate the configuration.
-func (st *Study) newBrowser(seed int64) (*browser.Browser, error) {
-	return st.newBrowserWith(seed, st.resolver)
-}
-
-func (st *Study) newBrowserWith(seed int64, resolver *dnssim.Resolver) (*browser.Browser, error) {
-	warmth := cdn.PopularityWarmth(st.cfg.CDNWarmthRate, st.cfg.CDNWarmthCeiling)
-	var ctr int64
-	return browser.New(browser.Config{
-		Seed:     seed,
-		Resolver: resolver,
-		Net:      simnet.Config{Faults: st.cfg.Faults},
-		CDNFactory: func() *cdn.Network {
-			n := atomic.AddInt64(&ctr, 1)
-			return cdn.NewNetwork(1<<14, warmth, seed+n*104729)
-		},
-	})
-}
 
 // siteCtx is one site's isolated measurement context: its own virtual
 // clock pinned to the site's slot in the study window, its own resolver,
@@ -276,6 +250,8 @@ type siteCtx struct {
 	// rec, when non-nil, collects this site's spans (see internal/trace);
 	// the streaming fold merges it in rank order after the site retires.
 	rec *trace.Recorder
+	// stats is the run's metric set, shared by every site of the run.
+	stats *runstats.Set
 }
 
 // newSiteCtx builds the context for site i.
@@ -289,7 +265,18 @@ func (st *Study) newSiteCtx(i int) (*siteCtx, error) {
 		WarmQueryRate: 0.8,
 		FailProb:      st.cfg.DNSFailProb,
 	}, st.web.Authority(), clock.Now)
-	b, err := st.newBrowserWith(st.cfg.Seed+int64(i)*6151, resolver)
+	seed := st.cfg.Seed + int64(i)*6151
+	warmth := cdn.PopularityWarmth(st.cfg.CDNWarmthRate, st.cfg.CDNWarmthCeiling)
+	var ctr int64
+	b, err := browser.New(browser.Config{
+		Seed:     seed,
+		Resolver: resolver,
+		Net:      simnet.Config{Faults: st.cfg.Faults},
+		CDNFactory: func() *cdn.Network {
+			n := atomic.AddInt64(&ctr, 1)
+			return cdn.NewNetwork(1<<14, warmth, seed+n*104729)
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -313,12 +300,12 @@ func (st *Study) loadRevisitWithRetry(sc *siteCtx, out *Outcome, m *webgen.PageM
 		log, err := sc.b.LoadRevisit(m, fetchID, attempt, revisit) //detlint:allow taint -- the chain bottoms out in dnssim's vclock.Wall telemetry read; every span field is stamped from sc.clock virtual time, and TestStreamTraceInvariantAcrossWorkers pins the byte-identity
 		if err == nil {
 			sc.clock.Advance(log.Page.Timings.OnLoad)
-			st.stats.Inc("loads.ok", 1)
-			st.stats.Observe("load.onload.ms", float64(log.Page.Timings.OnLoad.Milliseconds()))
+			sc.stats.Inc("loads.ok", 1)
+			sc.stats.Observe("load.onload.ms", float64(log.Page.Timings.OnLoad.Milliseconds()))
 			return log, nil
 		}
 		class := Classify(err)
-		st.stats.Inc("loads.err."+string(class), 1)
+		sc.stats.Inc("loads.err."+string(class), 1)
 		if !class.Retryable() || attempt+1 >= st.cfg.MaxAttempts {
 			return nil, err
 		}
@@ -337,8 +324,8 @@ func (st *Study) loadRevisitWithRetry(sc *siteCtx, out *Outcome, m *webgen.PageM
 		}
 		sc.clock.Advance(backoff)
 		out.Retries++
-		st.stats.Inc("retries.total", 1)
-		st.stats.Observe("retry.backoff.ms", float64(backoff.Milliseconds()))
+		sc.stats.Inc("retries.total", 1)
+		sc.stats.Observe("retry.backoff.ms", float64(backoff.Milliseconds()))
 		backoff *= 2
 		if backoff > st.cfg.RetryBackoffCap {
 			backoff = st.cfg.RetryBackoffCap
@@ -352,8 +339,8 @@ func (st *Study) loadRevisitWithRetry(sc *siteCtx, out *Outcome, m *webgen.PageM
 // from the result and counted in the outcome.
 //
 //detlint:hotpath -- the cold per-site step; the engine calls it through a func value
-func (st *Study) measureSiteResilient(i int, set hispar.URLSet, rec *trace.Recorder) (SiteResult, Outcome) {
-	return measureSite(st, i, set, rec, func(sc *siteCtx, site *webgen.Site, out *Outcome) (SiteResult, error) {
+func (st *Study) measureSiteResilient(i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (SiteResult, Outcome) {
+	return measureSite(st, i, set, rec, rs, func(sc *siteCtx, site *webgen.Site, out *Outcome) (SiteResult, error) {
 		res := SiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category)}
 
 		// Landing page: repeated cold-cache fetches, median timings.
@@ -380,12 +367,12 @@ func (st *Study) measureSiteResilient(i int, set hispar.URLSet, rec *trace.Recor
 			log, err := st.loadRevisitWithRetry(sc, out, im, 0, 0)
 			if err != nil {
 				out.FailedPages++
-				st.stats.Inc("pages.dropped", 1)
+				sc.stats.Inc("pages.dropped", 1)
 				continue
 			}
 			res.Internal = append(res.Internal, MeasurePage(log, im, st.az))
 		}
-		st.stats.Inc("pages.measured", int64(1+len(res.Internal)))
+		sc.stats.Inc("pages.measured", int64(1+len(res.Internal)))
 		return res, nil
 	})
 }
@@ -418,7 +405,7 @@ func medianizeTimings(fetches []PageMeasurement) PageMeasurement {
 // excluded from Sites instead of killing the run. Every site is always
 // attempted — the failure budget decides only whether Run reports an
 // aggregate error (errors.Join of the per-site failures) alongside the
-// partial result. Measurements are a pure function of the list and the
+// partial result, which is never nil. Measurements are a pure function of the list and the
 // config: the worker count and scheduling order never change them.
 //
 // Run is a thin layer over RunStream with a collecting sink: the
@@ -427,9 +414,6 @@ func medianizeTimings(fetches []PageMeasurement) PageMeasurement {
 func (st *Study) Run(list *hispar.List) (*StudyResult, error) {
 	col := &collectSink{}
 	sres, err := st.RunStream(list, StreamConfig{Sinks: []SiteSink{col}})
-	if sres == nil {
-		return nil, err
-	}
 	return &StudyResult{
 		List:     list,
 		Sites:    col.sites,

@@ -120,9 +120,9 @@ func (st *Study) loadPair(sc *siteCtx, out *Outcome, m *webgen.PageModel, delay 
 	if err != nil {
 		return PagePair{}, err
 	}
-	st.stats.Inc("warm.pairs", 1)
-	st.stats.Inc("warm.cache.hits", int64(cache.Hits()))
-	st.stats.Inc("warm.cache.revalidations", int64(cache.Revalidations()))
+	sc.stats.Inc("warm.pairs", 1)
+	sc.stats.Inc("warm.cache.hits", int64(cache.Hits()))
+	sc.stats.Inc("warm.cache.revalidations", int64(cache.Revalidations()))
 	return PagePair{
 		Cold: MeasurePage(coldLog, m, st.az),
 		Warm: MeasurePage(warmLog, m, st.az),
@@ -134,8 +134,8 @@ func (st *Study) loadPair(sc *siteCtx, out *Outcome, m *webgen.PageModel, delay 
 // survive, internal pages that exhaust retries are dropped.
 //
 //detlint:hotpath -- the warm per-site step; the engine calls it through a func value
-func (st *Study) measureSiteWarm(i int, set hispar.URLSet, rec *trace.Recorder, delay time.Duration) (WarmSiteResult, Outcome) {
-	return measureSite(st, i, set, rec, func(sc *siteCtx, site *webgen.Site, out *Outcome) (WarmSiteResult, error) {
+func (st *Study) measureSiteWarm(i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set, delay time.Duration) (WarmSiteResult, Outcome) {
+	return measureSite(st, i, set, rec, rs, func(sc *siteCtx, site *webgen.Site, out *Outcome) (WarmSiteResult, error) {
 		res := WarmSiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category)}
 
 		// Landing page: one cold/warm pair (the repeat-view study needs the
@@ -156,12 +156,12 @@ func (st *Study) measureSiteWarm(i int, set hispar.URLSet, rec *trace.Recorder, 
 			pair, err := st.loadPair(sc, out, im, delay)
 			if err != nil {
 				out.FailedPages++
-				st.stats.Inc("pages.dropped", 1)
+				sc.stats.Inc("pages.dropped", 1)
 				continue
 			}
 			res.Internal = append(res.Internal, pair)
 		}
-		st.stats.Inc("pages.measured", int64(1+len(res.Internal)))
+		sc.stats.Inc("pages.measured", int64(1+len(res.Internal)))
 		return res, nil
 	})
 }
@@ -170,21 +170,19 @@ func (st *Study) measureSiteWarm(i int, set hispar.URLSet, rec *trace.Recorder, 
 // engine, with the same isolation, window, tracing and degradation
 // guarantees as RunStream: results are identical at any worker count,
 // failed sites are recorded in Outcomes, and the failure budget decides
-// whether an aggregate error rides along.
+// whether an aggregate error rides along with the result, which is never
+// nil.
 func (st *Study) RunWarm(list *hispar.List, wcfg WarmConfig) (*WarmStudyResult, error) {
 	wcfg = wcfg.withDefaults()
 	res := &WarmStudyResult{List: list, RevisitDelay: wcfg.RevisitDelay}
-	measure := func(i int, set hispar.URLSet, rec *trace.Recorder) (WarmSiteResult, Outcome) {
-		return st.measureSiteWarm(i, set, rec, wcfg.RevisitDelay)
+	measure := func(i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (WarmSiteResult, Outcome) {
+		return st.measureSiteWarm(i, set, rec, rs, wcfg.RevisitDelay)
 	}
 	run, err := runSites(st, list, 0, wcfg.Trace, measure, func(_ int, r *WarmSiteResult, out *Outcome) {
 		if out.OK {
 			res.Sites = append(res.Sites, *r)
 		}
 	})
-	if run == nil {
-		return nil, err
-	}
-	res.Outcomes, res.Stats = run.outcomes, st.stats.Snapshot()
+	res.Outcomes, res.Stats = run.outcomes, run.stats.Snapshot()
 	return res, err
 }

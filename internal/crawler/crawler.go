@@ -114,15 +114,6 @@ func pageKey(p *webgen.Page) string {
 	return p.Site.Domain + "|" + p.Path()
 }
 
-// UniqueURLs returns the discovered pages' URLs.
-func (r *Result) UniqueURLs() []string {
-	out := make([]string, len(r.Pages))
-	for i, p := range r.Pages {
-		out[i] = p.URL()
-	}
-	return out
-}
-
 // InternalPages returns the discovered pages minus the start page.
 func (r *Result) InternalPages() []*webgen.Page {
 	var out []*webgen.Page

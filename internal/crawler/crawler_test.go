@@ -47,9 +47,6 @@ func TestCrawlDiscoversUniquePages(t *testing.T) {
 	if len(res.InternalPages()) != 399 {
 		t.Errorf("internal pages = %d", len(res.InternalPages()))
 	}
-	if len(res.UniqueURLs()) != 400 {
-		t.Errorf("unique URLs = %d", len(res.UniqueURLs()))
-	}
 }
 
 func TestPolitenessBudget(t *testing.T) {

@@ -104,16 +104,6 @@ func FromHAR(log *har.Log) (*Graph, error) {
 	return g, nil
 }
 
-// Root returns the root node index.
-func (g *Graph) Root() int {
-	for i := range g.Nodes {
-		if g.Nodes[i].Parent == -1 && g.Nodes[i].Initiator == "" {
-			return i
-		}
-	}
-	return 0
-}
-
 // DepthCounts returns the number of objects at each depth, with depths
 // beyond max collapsed into the final bucket.
 func (g *Graph) DepthCounts(max int) []int {
@@ -139,17 +129,6 @@ func (g *Graph) MaxDepth() int {
 	return m
 }
 
-// AtDepth returns the node indexes at the given depth.
-func (g *Graph) AtDepth(d int) []int {
-	var out []int
-	for i := range g.Nodes {
-		if g.Nodes[i].Depth == d {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // CriticalPath returns the dependency chain ending at the last-finishing
 // object, walking initiator edges back to the root, plus that object's
 // completion time. Delivery optimizations in the Polaris/Vroom family
@@ -173,20 +152,4 @@ func (g *Graph) CriticalPath() ([]int, time.Duration) {
 		path[i], path[j] = path[j], path[i]
 	}
 	return path, end
-}
-
-// Fanout returns the mean number of children of nodes that have any —
-// a coarse graph-complexity measure.
-func (g *Graph) Fanout() float64 {
-	n, sum := 0, 0
-	for i := range g.Nodes {
-		if len(g.Nodes[i].Children) > 0 {
-			n++
-			sum += len(g.Nodes[i].Children)
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
 }

@@ -55,15 +55,6 @@ func TestFromHARDepths(t *testing.T) {
 	if g.MaxDepth() != 3 {
 		t.Errorf("MaxDepth = %d", g.MaxDepth())
 	}
-	if got := len(g.AtDepth(2)); got != 2 {
-		t.Errorf("AtDepth(2) = %d nodes", got)
-	}
-	if g.Root() != 0 {
-		t.Errorf("Root = %d", g.Root())
-	}
-	if g.Fanout() <= 0 {
-		t.Error("Fanout should be positive")
-	}
 }
 
 func TestCriticalPath(t *testing.T) {

@@ -254,17 +254,6 @@ func (r *Resolver) Flush() {
 	}
 }
 
-// CacheSize returns the number of live entries across shards.
-func (r *Resolver) CacheSize() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, m := range r.cache {
-		n += len(m)
-	}
-	return n
-}
-
 // HitRateProbe issues two consecutive queries for each host and labels the
 // first query a cache hit when its latency is within threshold of the
 // second's — the paper's measurement method (§5.3). It returns the

@@ -116,17 +116,28 @@ func TestNXDomain(t *testing.T) {
 
 func TestFlushAndSize(t *testing.T) {
 	r := newTestResolver(ResolverConfig{Name: "t", Seed: 4}, nil)
-	for _, h := range []string{"a.x", "b.x", "c.x"} {
-		if _, err := r.Resolve(h, 0); err != nil {
+	hosts := []string{"a.x", "b.x", "c.x"}
+	cacheHit := func(h string) bool {
+		t.Helper()
+		res, err := r.Resolve(h, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return res.CacheHit
 	}
-	if r.CacheSize() != 3 {
-		t.Errorf("cache size = %d", r.CacheSize())
+	for _, h := range hosts {
+		cacheHit(h)
+	}
+	for _, h := range hosts {
+		if !cacheHit(h) {
+			t.Errorf("%s: repeat lookup missed the cache", h)
+		}
 	}
 	r.Flush()
-	if r.CacheSize() != 0 {
-		t.Errorf("cache size after flush = %d", r.CacheSize())
+	for _, h := range hosts {
+		if cacheHit(h) {
+			t.Errorf("%s: lookup after Flush hit the cache", h)
+		}
 	}
 }
 

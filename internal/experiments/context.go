@@ -45,10 +45,6 @@ type Config struct {
 	// counter- and geomean-backed rows are identical, quantile-backed
 	// rows within the sketch's relative error (see DESIGN.md).
 	Stream bool
-	// StreamWindow and StreamShardSize tune the streaming engine when
-	// Stream is set (0 = core defaults).
-	StreamWindow    int
-	StreamShardSize int
 	// Trace collects deterministic spans from the streaming study when
 	// Stream is set (nil = tracing off).
 	Trace *trace.Tracer
@@ -278,11 +274,7 @@ func (c *Context) StreamStudy() (*core.StreamResult, error) {
 		c.streamErr = err
 		return nil, err
 	}
-	c.stream, c.streamErr = st.RunStream(list, core.StreamConfig{ //detlint:allow lockheld -- single-flight by design: concurrent callers must wait for the one streaming run
-		Window:    c.Cfg.StreamWindow,
-		ShardSize: c.Cfg.StreamShardSize,
-		Trace:     c.Cfg.Trace,
-	})
+	c.stream, c.streamErr = st.RunStream(list, core.StreamConfig{Trace: c.Cfg.Trace}) //detlint:allow lockheld -- single-flight by design: concurrent callers must wait for the one streaming run
 	return c.stream, c.streamErr
 }
 

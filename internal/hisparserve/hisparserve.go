@@ -330,7 +330,7 @@ func (s *Server) getStudy(w, sites int) (*core.StudyResult, error) {
 			return nil, err
 		}
 		res, err := study.Run(snap.list.Top(sites))
-		if err != nil && (res == nil || len(res.Sites) == 0) {
+		if err != nil && len(res.Sites) == 0 {
 			return nil, err
 		}
 		return res, nil

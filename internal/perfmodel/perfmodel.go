@@ -21,15 +21,6 @@ import (
 // NumFeatures is the length of a feature vector.
 const NumFeatures = 12
 
-// FeatureNames labels the feature vector entries.
-func FeatureNames() []string {
-	return []string{
-		"log_bytes", "log_objects", "unique_domains", "handshakes",
-		"noncacheable_frac", "cdn_byte_frac", "js_frac", "image_frac",
-		"depth2plus_frac", "hints", "third_parties", "is_https",
-	}
-}
-
 // Features extracts the model inputs from a page measurement. All
 // entries are scale-stable (logs and fractions), so one normalization
 // fits both page types.
@@ -187,13 +178,6 @@ func (mo *Model) PredictMS(m *core.PageMeasurement) float64 {
 		ms = 0
 	}
 	return ms
-}
-
-// Weights exposes the learned standardized weights (bias last).
-func (mo *Model) Weights() []float64 {
-	out := make([]float64, len(mo.weights))
-	copy(out, mo.weights)
-	return out
 }
 
 // Eval holds error statistics of a model over a test set.

@@ -118,17 +118,6 @@ func (s *Set) SetGauge(name string, v float64) {
 	s.mu.Unlock()
 }
 
-// SetGaugeL records the current value of the labeled gauge series.
-func (s *Set) SetGaugeL(name string, v float64, labels ...Label) {
-	key, id := seriesKey(name, labels)
-	s.mu.Lock()
-	if _, ok := s.meta[key]; !ok && len(labels) > 0 {
-		s.meta[key] = id
-	}
-	s.gauges[key] = v
-	s.mu.Unlock()
-}
-
 // Observe adds one sample to the named histogram. Non-finite samples are
 // dropped; negative ones clamp to zero (durations and counts are the
 // only things observed here).
@@ -320,13 +309,6 @@ func (s *Set) CounterL(name string, labels ...Label) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.counters[key]
-}
-
-// Gauge returns the named gauge's current value (0 if absent).
-func (s *Set) Gauge(name string) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gauges[name]
 }
 
 // Render writes the snapshot as an aligned, name-sorted report — the

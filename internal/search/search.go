@@ -5,19 +5,13 @@
 // click on. The engine meters API usage ($5 per 1000 queries, 10 results
 // per query, as for the Google Custom Search API) so the paper's
 // list-cost analysis (§7) can be reproduced.
-//
-// A term-query index over page titles is also provided, fed by the
-// crawler, so the substrate behaves like a search engine and not a mere
-// lookup table.
 package search
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
-	"repro/internal/crawler"
 	"repro/internal/webgen"
 )
 
@@ -59,15 +53,6 @@ type Engine struct {
 
 	mu      sync.Mutex
 	queries int
-
-	indexMu sync.RWMutex
-	index   map[string][]indexEntry // term -> postings
-}
-
-type indexEntry struct {
-	url    string
-	title  string
-	weight float64
 }
 
 // New creates an engine over web.
@@ -148,84 +133,4 @@ func noiseFrom(domain string) uint32 {
 		h *= 16777619
 	}
 	return h
-}
-
-// IndexSite crawls a site (politely, via the crawler substrate) and adds
-// its pages to the term index. maxPages bounds the crawl.
-func (e *Engine) IndexSite(domain string, maxPages int) (int, error) {
-	s, ok := e.web.SiteByDomain(strings.ToLower(strings.TrimPrefix(domain, "www.")))
-	if !ok {
-		return 0, fmt.Errorf("search: unknown site %s", domain)
-	}
-	res, err := crawler.Crawl(e.web, s.Landing(), crawler.Config{MaxPages: maxPages})
-	if err != nil {
-		return 0, err
-	}
-	e.indexMu.Lock()
-	defer e.indexMu.Unlock()
-	if e.index == nil {
-		e.index = make(map[string][]indexEntry)
-	}
-	for _, p := range res.Pages {
-		title := p.Title()
-		entry := indexEntry{url: p.URL(), title: title, weight: p.VisitWeight()}
-		for _, term := range tokenize(title) {
-			e.index[term] = append(e.index[term], entry)
-		}
-	}
-	return len(res.Pages), nil
-}
-
-// Query serves a term query over the crawled index, ranked by visit
-// weight. Each call consumes one metered query.
-func (e *Engine) Query(terms string, maxResults int) []Result {
-	e.charge(1)
-	if maxResults <= 0 {
-		maxResults = e.cfg.ResultsPerQuery
-	}
-	e.indexMu.RLock()
-	defer e.indexMu.RUnlock()
-	scores := make(map[string]float64)
-	titles := make(map[string]string)
-	for _, term := range tokenize(terms) {
-		for _, p := range e.index[term] {
-			scores[p.url] += p.weight
-			titles[p.url] = p.title
-		}
-	}
-	type scored struct {
-		url   string
-		score float64
-	}
-	all := make([]scored, 0, len(scores))
-	for u, s := range scores {
-		all = append(all, scored{u, s})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
-		}
-		return all[i].url < all[j].url
-	})
-	if len(all) > maxResults {
-		all = all[:maxResults]
-	}
-	out := make([]Result, len(all))
-	for i, s := range all {
-		out[i] = Result{URL: s.url, Title: titles[s.url], Rank: i + 1}
-	}
-	return out
-}
-
-func tokenize(s string) []string {
-	fields := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !(r >= 'a' && r <= 'z') && !(r >= '0' && r <= '9')
-	})
-	var out []string
-	for _, f := range fields {
-		if len(f) >= 2 {
-			out = append(out, f)
-		}
-	}
-	return out
 }

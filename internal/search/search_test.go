@@ -91,30 +91,3 @@ func TestEnglishFiltering(t *testing.T) {
 	}
 	t.Skip("no FewEnglish site at this seed")
 }
-
-func TestTermQueryOverIndex(t *testing.T) {
-	e, web := testEngine(t)
-	domain := web.Sites[0].Domain
-	n, err := e.IndexSite(domain, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 10 {
-		t.Fatalf("indexed only %d pages", n)
-	}
-	// Query for a term from some indexed page's title.
-	title := web.Sites[0].PageAt(1).Title()
-	term := strings.Fields(title)[0]
-	res := e.Query(term, 10)
-	if len(res) == 0 {
-		t.Fatalf("no results for term %q", term)
-	}
-	for i := 1; i < len(res); i++ {
-		if res[i].Rank != res[i-1].Rank+1 {
-			t.Error("ranks not sequential")
-		}
-	}
-	if got := e.Query("zzzzunmatchable", 10); len(got) != 0 {
-		t.Errorf("nonsense term returned %d results", len(got))
-	}
-}

@@ -124,15 +124,6 @@ func Quantiles(xs []float64, qs ...float64) []float64 {
 	return NewSorted(xs).Quantiles(qs...)
 }
 
-// MedianInt returns the median of integer samples as a float64.
-func MedianInt(xs []int) float64 {
-	f := make([]float64, len(xs))
-	for i, x := range xs {
-		f[i] = float64(x)
-	}
-	return Median(f)
-}
-
 // FractionBelow returns the fraction of samples strictly less than t.
 func FractionBelow(xs []float64, t float64) float64 {
 	if len(xs) == 0 {
@@ -324,15 +315,6 @@ func BinnedMedians(ranks []int, values []float64, binSize int) []Bin {
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// SumInt returns the sum of integer samples.
-func SumInt(xs []int) int {
-	s := 0
 	for _, x := range xs {
 		s += x
 	}

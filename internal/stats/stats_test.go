@@ -236,10 +236,4 @@ func TestSums(t *testing.T) {
 	if Sum([]float64{1.5, 2.5}) != 4 {
 		t.Error("Sum wrong")
 	}
-	if SumInt([]int{1, 2, 3}) != 6 {
-		t.Error("SumInt wrong")
-	}
-	if MedianInt([]int{1, 3, 5}) != 3 {
-		t.Error("MedianInt wrong")
-	}
 }

@@ -182,30 +182,6 @@ func Churn(prev, next []Entry) float64 {
 	return float64(gone) / float64(len(prev))
 }
 
-// Overlap returns the Jaccard overlap of the two lists' domain sets.
-func Overlap(a, b []Entry) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	seen := make(map[string]bool, len(a))
-	for _, e := range a {
-		seen[e.Domain] = true
-	}
-	inter := 0
-	union := len(seen)
-	for _, e := range b {
-		if seen[e.Domain] {
-			inter++
-		} else {
-			union++
-		}
-	}
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
 // Word pools for synthetic domain names. Kept deliberately generic; no
 // resemblance to real registered domains is intended.
 var (

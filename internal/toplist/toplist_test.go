@@ -82,12 +82,10 @@ func TestChurnAndOverlapEdgeCases(t *testing.T) {
 	if got := Churn(a, nil); got != 1 {
 		t.Errorf("total churn = %v", got)
 	}
-	if got := Overlap(a, a); got != 1 {
-		t.Errorf("self overlap = %v", got)
-	}
+	// Partial overlap: one of a's two domains survives into b.
 	b := []Entry{{1, "a"}, {2, "c"}}
-	if got := Overlap(a, b); got != 1.0/3.0 {
-		t.Errorf("overlap = %v, want 1/3", got)
+	if got := Churn(a, b); got != 0.5 {
+		t.Errorf("partial churn = %v, want 1/2", got)
 	}
 }
 

@@ -68,15 +68,6 @@ func IsLandingPage(raw string) bool {
 	return (u.Path == "/" || u.Path == "") && u.RawQuery == ""
 }
 
-// IsHTTPS reports whether raw uses the https scheme.
-func IsHTTPS(raw string) bool {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return false
-	}
-	return strings.EqualFold(u.Scheme, "https")
-}
-
 // WithScheme returns raw with its scheme replaced.
 func WithScheme(raw, scheme string) string {
 	u, err := url.Parse(raw)

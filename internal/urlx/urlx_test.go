@@ -42,9 +42,6 @@ func TestHostAndScheme(t *testing.T) {
 	if Host("https://WWW.Example.com:8443/x") != "www.example.com" {
 		t.Error("Host wrong")
 	}
-	if !IsHTTPS("https://x.com/") || IsHTTPS("http://x.com/") {
-		t.Error("IsHTTPS wrong")
-	}
 	if WithScheme("https://x.com/a", "http") != "http://x.com/a" {
 		t.Error("WithScheme wrong")
 	}

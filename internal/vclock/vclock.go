@@ -1,15 +1,12 @@
-// Package vclock provides a deterministic virtual clock and an event
-// timeline used by the network simulator and the page-load engine.
+// Package vclock provides the deterministic virtual clock used by the
+// network simulator and the page-load engine.
 //
-// All simulated components share a single Clock. Time only advances when a
-// component explicitly sleeps or when the Timeline runs queued events, so
-// experiments are perfectly reproducible and run orders of magnitude faster
-// than wall time.
+// Virtual time only advances when a component explicitly advances its
+// Clock, so experiments are perfectly reproducible and run orders of
+// magnitude faster than wall time.
 package vclock
 
 import (
-	"container/heap"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -73,129 +70,3 @@ func Wall() time.Time { return time.Now() }
 // previous Wall() reading. Like Wall, it exists so operational code
 // never touches the time package directly.
 func WallSince(t time.Time) time.Duration { return time.Since(t) }
-
-// event is a scheduled callback on a Timeline.
-type event struct {
-	at  time.Time
-	seq uint64 // tie-breaker: FIFO among events at the same instant
-	fn  func(now time.Time)
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at.Equal(q[j].at) {
-		return q[i].seq < q[j].seq
-	}
-	return q[i].at.Before(q[j].at)
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Timeline is a discrete-event scheduler driving a Clock. Events scheduled
-// with At or After run in timestamp order when Run is called. Event
-// callbacks may schedule further events.
-//
-// Timeline is safe for concurrent scheduling, but Run must be called from a
-// single goroutine at a time.
-type Timeline struct {
-	mu    sync.Mutex
-	clock *Clock
-	queue eventQueue
-	seq   uint64
-}
-
-// NewTimeline returns a Timeline driving clock. If clock is nil a fresh
-// epoch-based clock is created.
-func NewTimeline(clock *Clock) *Timeline {
-	if clock == nil {
-		clock = New(time.Unix(0, 0).UTC())
-	}
-	return &Timeline{clock: clock}
-}
-
-// Clock returns the clock driven by the timeline.
-func (t *Timeline) Clock() *Clock { return t.clock }
-
-// Now returns the current virtual time.
-func (t *Timeline) Now() time.Time { return t.clock.Now() }
-
-// At schedules fn to run at virtual time at. Events scheduled in the past
-// run at the current time (the clock never rewinds).
-func (t *Timeline) At(at time.Time, fn func(now time.Time)) {
-	if fn == nil {
-		return
-	}
-	t.mu.Lock()
-	t.seq++
-	heap.Push(&t.queue, &event{at: at, seq: t.seq, fn: fn})
-	t.mu.Unlock()
-}
-
-// After schedules fn to run d after the current virtual time.
-func (t *Timeline) After(d time.Duration, fn func(now time.Time)) {
-	t.At(t.clock.Now().Add(d), fn)
-}
-
-// Pending returns the number of events waiting to run.
-func (t *Timeline) Pending() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.queue)
-}
-
-// step runs the earliest event, advancing the clock to its timestamp.
-// It reports whether an event ran.
-func (t *Timeline) step() bool {
-	t.mu.Lock()
-	if len(t.queue) == 0 {
-		t.mu.Unlock()
-		return false
-	}
-	e := heap.Pop(&t.queue).(*event)
-	t.mu.Unlock()
-	t.clock.AdvanceTo(e.at)
-	e.fn(t.clock.Now())
-	return true
-}
-
-// Run executes events until the queue drains and returns the number of
-// events executed. maxEvents <= 0 means no limit. Run panics if maxEvents
-// is exceeded, which indicates a runaway simulation.
-func (t *Timeline) Run(maxEvents int) int {
-	n := 0
-	for t.step() {
-		n++
-		if maxEvents > 0 && n > maxEvents {
-			panic(fmt.Sprintf("vclock: timeline exceeded %d events", maxEvents))
-		}
-	}
-	return n
-}
-
-// RunUntil executes events with timestamps at or before deadline and
-// returns the number executed. Events beyond the deadline stay queued.
-func (t *Timeline) RunUntil(deadline time.Time) int {
-	n := 0
-	for {
-		t.mu.Lock()
-		if len(t.queue) == 0 || t.queue[0].at.After(deadline) {
-			t.mu.Unlock()
-			return n
-		}
-		e := heap.Pop(&t.queue).(*event)
-		t.mu.Unlock()
-		t.clock.AdvanceTo(e.at)
-		e.fn(t.clock.Now())
-		n++
-	}
-}

@@ -26,79 +26,3 @@ func TestClockBasics(t *testing.T) {
 		t.Error("AdvanceTo future time should move")
 	}
 }
-
-func TestTimelineOrdering(t *testing.T) {
-	tl := NewTimeline(nil)
-	var order []int
-	tl.After(3*time.Second, func(time.Time) { order = append(order, 3) })
-	tl.After(1*time.Second, func(time.Time) { order = append(order, 1) })
-	tl.After(2*time.Second, func(time.Time) { order = append(order, 2) })
-	// Same-instant events run FIFO.
-	tl.After(2*time.Second, func(time.Time) { order = append(order, 20) })
-	n := tl.Run(0)
-	if n != 4 {
-		t.Fatalf("ran %d events", n)
-	}
-	want := []int{1, 2, 20, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestTimelineCascade(t *testing.T) {
-	tl := NewTimeline(nil)
-	depth := 0
-	var schedule func(now time.Time)
-	schedule = func(now time.Time) {
-		depth++
-		if depth < 5 {
-			tl.After(time.Second, schedule)
-		}
-	}
-	tl.After(time.Second, schedule)
-	tl.Run(0)
-	if depth != 5 {
-		t.Errorf("cascade depth = %d, want 5", depth)
-	}
-	if got := tl.Clock().Since(time.Unix(0, 0).UTC()); got != 5*time.Second {
-		t.Errorf("clock advanced %v, want 5s", got)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	tl := NewTimeline(nil)
-	ran := 0
-	for i := 1; i <= 5; i++ {
-		tl.After(time.Duration(i)*time.Second, func(time.Time) { ran++ })
-	}
-	deadline := tl.Now().Add(3 * time.Second)
-	if n := tl.RunUntil(deadline); n != 3 || ran != 3 {
-		t.Errorf("RunUntil ran %d/%d", n, ran)
-	}
-	if tl.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", tl.Pending())
-	}
-}
-
-func TestRunawayGuard(t *testing.T) {
-	tl := NewTimeline(nil)
-	var loop func(time.Time)
-	loop = func(time.Time) { tl.After(time.Millisecond, loop) }
-	tl.After(time.Millisecond, loop)
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on runaway timeline")
-		}
-	}()
-	tl.Run(100)
-}
-
-func TestNilFnIgnored(t *testing.T) {
-	tl := NewTimeline(nil)
-	tl.After(time.Second, nil)
-	if tl.Pending() != 0 {
-		t.Error("nil event should not be scheduled")
-	}
-}
