@@ -41,7 +41,8 @@ type rule struct {
 	domainRoot string // ||domain^ anchor, "" if none
 	startAnch  bool   // |http://... anchor
 	endAnch    bool
-	pattern    string // remaining pattern (after anchors), may contain * and ^
+	pattern    string   // remaining pattern (after anchors), may contain * and ^
+	chunks     []string // pattern split at its * wildcards
 	opts       *options
 }
 
@@ -137,6 +138,7 @@ func parseRule(line string) (*rule, bool) {
 	if r.domainRoot == "" && strings.Trim(r.pattern, "*") == "" {
 		return nil, false // would match everything
 	}
+	r.chunks = strings.Split(r.pattern, "*")
 	return r, true
 }
 
@@ -247,9 +249,9 @@ func (r *rule) matches(req Request, host string) bool {
 			return false
 		}
 		tail := req.URL[idx+len(host):]
-		return patternMatch(tail, r.pattern, true, r.endAnch)
+		return patternMatch(tail, r.chunks, true, r.endAnch)
 	}
-	return patternMatch(req.URL, r.pattern, r.startAnch, r.endAnch)
+	return patternMatch(req.URL, r.chunks, r.startAnch, r.endAnch)
 }
 
 func (o *options) allow(req Request, host string) bool {
@@ -304,10 +306,9 @@ func lastLabels(host string, n int) string {
 	return host[idx+1:]
 }
 
-// patternMatch matches an Easylist pattern (with * wildcards and ^
-// separators) against text.
-func patternMatch(text, pattern string, anchoredStart, anchoredEnd bool) bool {
-	chunks := strings.Split(pattern, "*")
+// patternMatch matches an Easylist pattern, given as the chunks between
+// its * wildcards (each may hold ^ separators), against text.
+func patternMatch(text string, chunks []string, anchoredStart, anchoredEnd bool) bool {
 	pos := 0
 	for ci, chunk := range chunks {
 		if chunk == "" {

@@ -28,21 +28,23 @@ type Provider struct {
 	XCache       bool   // emits X-Cache: HIT/MISS headers
 }
 
-// Providers returns the simulated CDN roster (~40 providers, echoing the
-// "more than 40 different CDNs" the paper identified in H1K fetches).
-func Providers() []Provider {
-	names := []string{
-		"fastcache", "cloudmesh", "edgenova", "swiftlayer", "hypercast",
-		"meshfront", "rapidedge", "cachegrid", "flowcdn", "stackpoint",
-		"bluedelivery", "netsprint", "omnicache", "pulseedge", "quickserve",
-		"turbofront", "velocitynet", "warpcache", "zephyrcdn", "apexedge",
-		"brightmesh", "coreflux", "deltacast", "evercache", "fluxpoint",
-		"gigaedge", "horizoncdn", "instantwire", "jetstreamcdn", "kineticnet",
-		"lumencast", "megafront", "nimbusedge", "orbitcache", "primecast",
-		"quantumcdn", "rocketlayer", "streamvault", "titanedge", "ultramesh",
-	}
-	ps := make([]Provider, len(names))
-	for i, n := range names {
+// rosterNames names the simulated CDN roster: ~40 providers, echoing the
+// "more than 40 different CDNs" the paper identified in H1K fetches.
+var rosterNames = [...]string{
+	"fastcache", "cloudmesh", "edgenova", "swiftlayer", "hypercast",
+	"meshfront", "rapidedge", "cachegrid", "flowcdn", "stackpoint",
+	"bluedelivery", "netsprint", "omnicache", "pulseedge", "quickserve",
+	"turbofront", "velocitynet", "warpcache", "zephyrcdn", "apexedge",
+	"brightmesh", "coreflux", "deltacast", "evercache", "fluxpoint",
+	"gigaedge", "horizoncdn", "instantwire", "jetstreamcdn", "kineticnet",
+	"lumencast", "megafront", "nimbusedge", "orbitcache", "primecast",
+	"quantumcdn", "rocketlayer", "streamvault", "titanedge", "ultramesh",
+}
+
+// roster is the provider list, built once for the whole program.
+var roster = func() []Provider {
+	ps := make([]Provider, len(rosterNames))
+	for i, n := range rosterNames {
 		ps[i] = Provider{
 			Name:         n,
 			HostSuffix:   "." + n + ".net",
@@ -52,6 +54,22 @@ func Providers() []Provider {
 		}
 	}
 	return ps
+}()
+
+// rosterIndex maps a provider name to its roster position, which also
+// fixes the seed of that provider's edge in every Network.
+var rosterIndex = func() map[string]int {
+	m := make(map[string]int, len(rosterNames))
+	for i, n := range rosterNames {
+		m[n] = i
+	}
+	return m
+}()
+
+// Providers returns the simulated CDN roster. The slice is a fresh copy
+// the caller may keep or modify.
+func Providers() []Provider {
+	return append([]Provider(nil), roster...)
 }
 
 // WarmthFunc maps an object's global request popularity (0..1] to the
@@ -227,32 +245,46 @@ func (e *Edge) XCacheHeader(r ServeResult) string {
 }
 
 // Network is a set of edges, one per provider, sharing a warmth model.
-// Safe for concurrent use after construction.
+// An edge is built on the first Edge call for its provider, with the seed
+// its roster position gives it, so a page load seeds only the edges it
+// touches. Safe for concurrent use.
 type Network struct {
-	edges map[string]*Edge
+	capacity int
+	warmth   WarmthFunc
+	seed     int64
+
+	mu    sync.Mutex
+	edges [len(rosterNames)]*Edge
 }
 
-// NewNetwork builds edges for all providers.
+// NewNetwork returns a network over all providers; no edge exists yet.
 func NewNetwork(capacityPerEdge int, warmth WarmthFunc, seed int64) *Network {
-	n := &Network{edges: make(map[string]*Edge)}
-	for i, p := range Providers() {
-		n.edges[p.Name] = NewEdge(p, capacityPerEdge, warmth, seed+int64(i)*7919)
-	}
-	return n
+	return &Network{capacity: capacityPerEdge, warmth: warmth, seed: seed}
 }
 
-// Edge returns the edge for the named provider.
+// Edge returns the edge for the named provider, building it on first use.
 func (n *Network) Edge(provider string) (*Edge, error) {
-	e, ok := n.edges[provider]
+	i, ok := rosterIndex[provider]
 	if !ok {
 		return nil, fmt.Errorf("cdn: unknown provider %q", provider)
 	}
-	return e, nil
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.edges[i] == nil {
+		n.edges[i] = NewEdge(roster[i], n.capacity, n.warmth, n.seed+int64(i)*7919)
+	}
+	return n.edges[i], nil
 }
 
-// Stats aggregates hits and misses across all edges.
+// Stats aggregates hits and misses across the edges built so far; an
+// untouched provider has served nothing.
 func (n *Network) Stats() (hits, misses int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	for _, e := range n.edges {
+		if e == nil {
+			continue
+		}
 		h, m := e.Stats()
 		hits += h
 		misses += m

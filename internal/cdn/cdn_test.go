@@ -2,6 +2,7 @@ package cdn
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -112,5 +113,84 @@ func TestNetworkStats(t *testing.T) {
 	}
 	if _, err := n.Edge("unknown"); err == nil {
 		t.Error("unknown edge should error")
+	}
+}
+
+// TestLazyEdgeMatchesEagerEdge: an edge built on first use draws exactly
+// the stream an edge built up front with the roster seed would draw.
+func TestLazyEdgeMatchesEagerEdge(t *testing.T) {
+	const seed, capacity = 42, 8
+	warm := PopularityWarmth(2.2, 0.97)
+	n := NewNetwork(capacity, warm, seed)
+	for i, p := range Providers() {
+		lazy, err := n.Edge(p.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager := NewEdge(p, capacity, warm, seed+int64(i)*7919)
+		for k := 0; k < 40; k++ {
+			key := fmt.Sprintf("obj%d", k%13) // repeats exercise the LRU
+			pop := float64(k%7) / 7
+			if got, want := lazy.Serve(key, pop), eager.Serve(key, pop); got != want {
+				t.Fatalf("%s request %d: lazy %+v, eager %+v", p.Name, k, got, want)
+			}
+		}
+	}
+}
+
+func TestUntouchedEdgesAddNothing(t *testing.T) {
+	n := NewNetwork(16, PopularityWarmth(50, 0.97), 3)
+	if h, m := n.Stats(); h != 0 || m != 0 {
+		t.Fatalf("fresh network stats = %d/%d, want 0/0", h, m)
+	}
+	e, _ := n.Edge("quantumcdn")
+	for k := 0; k < 10; k++ {
+		e.Serve(fmt.Sprint(k%4), 0.5)
+	}
+	eh, em := e.Stats()
+	if h, m := n.Stats(); h != eh || m != em || h+m != 10 {
+		t.Errorf("network stats = %d/%d, the one touched edge has %d/%d", h, m, eh, em)
+	}
+}
+
+// TestConcurrentEdgeBuildsOnce: concurrent first touches of a provider
+// all get the same edge (run under -race).
+func TestConcurrentEdgeBuildsOnce(t *testing.T) {
+	n := NewNetwork(16, nil, 5)
+	ps := Providers()
+	got := make([][]*Edge, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range ps {
+				p := ps[(k+g*5)%len(ps)]
+				e, err := n.Edge(p.Name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				e.Serve("x", 0)
+				got[g] = append(got[g], e)
+			}
+			n.Stats()
+		}(g)
+	}
+	wg.Wait()
+	byName := map[string]*Edge{}
+	for _, es := range got {
+		for _, e := range es {
+			if prev, ok := byName[e.Provider.Name]; ok && prev != e {
+				t.Fatalf("provider %s built twice", e.Provider.Name)
+			}
+			byName[e.Provider.Name] = e
+		}
+	}
+	if len(byName) != len(ps) {
+		t.Errorf("edges for %d providers, want %d", len(byName), len(ps))
+	}
+	if h, m := n.Stats(); h+m != len(got)*len(ps) {
+		t.Errorf("stats = %d/%d, want %d requests", h, m, len(got)*len(ps))
 	}
 }

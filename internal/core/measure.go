@@ -211,6 +211,10 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 		m.DepthCounts = log.DepthCounts(5)
 	}
 	pageHost := hostOf(log.Page.URL)
+	pageSite := ""
+	if az.PSL != nil {
+		pageSite = az.PSL.ETLDPlusOne(pageHost)
+	}
 	pageHTTPS := strings.HasPrefix(log.Page.URL, "https://")
 	domains := make(map[string]bool)
 	thirdParties := make(map[string]bool)
@@ -288,9 +292,11 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 			m.MixedContent = true
 		}
 
-		// Third parties by eTLD+1 (§6.2).
-		if az.PSL != nil && az.PSL.IsThirdParty(pageHost, host) {
-			if tp := az.PSL.ETLDPlusOne(host); tp != "" {
+		// Third parties by eTLD+1 (§6.2): a host is first-party only
+		// when it shares the page's non-empty eTLD+1 (psl.IsThirdParty,
+		// with the page side computed once).
+		if az.PSL != nil {
+			if tp := az.PSL.ETLDPlusOne(host); tp != "" && (pageSite == "" || tp != pageSite) {
 				thirdParties[tp] = true
 			}
 		}

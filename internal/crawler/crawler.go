@@ -76,7 +76,7 @@ func Crawl(web *webgen.Web, start *webgen.Page, cfg Config) (*Result, error) {
 		res.Elapsed += cfg.PolitenessGap
 
 		model := p.Build()
-		for _, link := range model.Links {
+		for _, link := range model.Links() {
 			norm, ok := urlx.Normalize(link)
 			if !ok {
 				continue

@@ -109,10 +109,11 @@ func (m Monkey) Select(web *webgen.Web, site *webgen.Site, n int) ([]*webgen.Pag
 		cur := site.Landing()
 		for c := 0; c < clicks; c++ {
 			model := cur.Build()
-			if len(model.Links) == 0 {
+			links := model.Links()
+			if len(links) == 0 {
 				break
 			}
-			link := model.Links[rng.Intn(len(model.Links))]
+			link := links[rng.Intn(len(links))]
 			next, ok := web.PageByURL(link)
 			if !ok || next.Site != site {
 				continue

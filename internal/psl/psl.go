@@ -87,22 +87,22 @@ func (l *List) PublicSuffix(host string) string {
 	if host == "" {
 		return ""
 	}
-	labels := strings.Split(host, ".")
-	// Try longest match first.
-	for i := 0; i < len(labels); i++ {
-		candidate := strings.Join(labels[i:], ".")
+	// Try longest match first: each candidate is host from one label
+	// boundary on, so every result is a substring of host.
+	for candidate := host; ; {
 		if l.exact[candidate] {
 			return candidate
 		}
-		// A wildcard rule "*.x" matches "y.x".
-		if i+1 < len(labels) {
-			parent := strings.Join(labels[i+1:], ".")
-			if l.wildcard[parent] {
-				return candidate
-			}
+		i := strings.IndexByte(candidate, '.')
+		if i < 0 {
+			return candidate // the last label
 		}
+		// A wildcard rule "*.x" matches "y.x".
+		if l.wildcard[candidate[i+1:]] {
+			return candidate
+		}
+		candidate = candidate[i+1:]
 	}
-	return labels[len(labels)-1]
 }
 
 // ETLDPlusOne returns the registrable domain (eTLD+1) for host, or "" if
@@ -116,14 +116,13 @@ func (l *List) ETLDPlusOne(host string) string {
 	if host == suffix {
 		return ""
 	}
-	rest := strings.TrimSuffix(host, "."+suffix)
-	if rest == host { // suffix was not a proper suffix; defensive
-		return ""
+	// host must be rest + "." + suffix; the answer is the last label of
+	// rest with the suffix, which is again a substring of host.
+	cut := len(host) - len(suffix) - 1
+	if cut < 0 || host[cut] != '.' || host[cut+1:] != suffix {
+		return "" // suffix was not a proper suffix; defensive
 	}
-	if i := strings.LastIndexByte(rest, '.'); i >= 0 {
-		rest = rest[i+1:]
-	}
-	return rest + "." + suffix
+	return host[strings.LastIndexByte(host[:cut], '.')+1:]
 }
 
 // SameSite reports whether two hosts share a registrable domain. Hosts

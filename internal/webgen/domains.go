@@ -3,6 +3,7 @@ package webgen
 import (
 	"math/rand"
 	"strconv"
+	"strings"
 
 	"repro/internal/simnet"
 )
@@ -191,6 +192,38 @@ func pathFor(rng *rand.Rand, cat Category, idx int) string {
 	default:
 		return "/" + w1 + "/" + w2 + "-" + strconv.Itoa(idx)
 	}
+}
+
+// pageIndexOf inverts pathFor for a site of category cat: every internal
+// path embeds its page index, offset by 10000 on shopping and 100000 on
+// social sites. The index is only a candidate; the caller confirms it by
+// re-deriving that page's path.
+func pageIndexOf(cat Category, path string) (int, bool) {
+	var digits string
+	off := 0
+	switch cat {
+	case CatShopping:
+		rest, ok := strings.CutPrefix(path, "/product/")
+		if !ok {
+			return 0, false
+		}
+		digits, _, _ = strings.Cut(rest, "/")
+		off = 10000
+	case CatSocial:
+		i := strings.LastIndex(path, "/post/")
+		if i < 0 {
+			return 0, false
+		}
+		digits = path[i+len("/post/"):]
+		off = 100000
+	default:
+		digits = path[strings.LastIndexAny(path, "-_")+1:]
+	}
+	n, err := strconv.Atoi(digits)
+	if err != nil {
+		return 0, false
+	}
+	return n - off, true
 }
 
 // pad2 renders n like the %02d verb: zero-padded to two digits.

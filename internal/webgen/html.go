@@ -82,7 +82,7 @@ func (m *PageModel) RenderHTML() string {
 			fmt.Fprintf(&b, "<script>loadResource(\"%s\");</script>\n", o.URL)
 		}
 	}
-	for _, l := range m.Links {
+	for _, l := range m.Links() {
 		fmt.Fprintf(&b, "<p><a href=\"%s\">%s</a></p>\n", l, l)
 	}
 	b.WriteString("</body>\n</html>\n")

@@ -150,12 +150,25 @@ type PageModel struct {
 	URL     string
 	Objects []*Object // Objects[0] is the root (a redirect on §6.1 pages)
 	Hints   []Hint
-	Links   []string // outgoing page links (same site, plus a few external)
 	AdSlots int
 	HasHB   bool // header-bidding active on this page
 	// RedirectedFrom is the original HTTPS URL when the page's address
 	// 301s to plain-HTTP content on another domain (§6.1); "" otherwise.
 	RedirectedFrom string
+
+	links []int // outgoing same-site links as page indices (0 = landing)
+}
+
+// Links returns the URLs of the page's outgoing same-site links, in
+// markup order. They are formatted on each call: the page load never
+// reads them, only the markup and the crawlers that follow them.
+func (m *PageModel) Links() []string {
+	s := m.Page.Site
+	out := make([]string, len(m.links))
+	for i, idx := range m.links {
+		out[i] = s.PageAt(idx).URL()
+	}
+	return out
 }
 
 // DocIndex returns the index of the page's root document (after any
@@ -1034,16 +1047,16 @@ func (p *Page) buildLinks(rng *rand.Rand, m *PageModel, landing bool) {
 	} else {
 		linkCount = 8 + rng.Intn(22)
 	}
-	m.Links = make([]string, 0, linkCount+1)
+	m.links = make([]int, 0, linkCount+1)
 	for _, ix := range sampleDistinct(rng, pool, linkCount+1, 0.6) {
 		idx := 1 + ix
-		if idx == p.Index || len(m.Links) >= linkCount {
+		if idx == p.Index || len(m.links) >= linkCount {
 			continue
 		}
-		m.Links = append(m.Links, s.PageAt(idx).URL())
+		m.links = append(m.links, idx)
 	}
 	if !landing {
-		m.Links = append(m.Links, s.Landing().URL())
+		m.links = append(m.links, 0)
 	}
 }
 

@@ -126,7 +126,10 @@ func (w *Web) SiteByDomain(domain string) (*Site, bool) {
 }
 
 // PageByURL maps a normalized page URL back to its Page. Scheme
-// differences are ignored: the page identity is host+path.
+// differences are ignored: the page identity is host+path. Internal
+// paths are inverted, not looked up: the index a path embeds is accepted
+// only when that page of the current pool has exactly this path, so the
+// lookup keeps no per-site state and is safe for concurrent use.
 func (w *Web) PageByURL(raw string) (*Page, bool) {
 	host, path := splitURL(raw)
 	www := strings.TrimPrefix(host, "www.")
@@ -135,13 +138,17 @@ func (w *Web) PageByURL(raw string) (*Page, bool) {
 		return nil, false
 	}
 	if path == "/" || path == "" {
-		return s.Landing(), true
+		return s.landing, true
 	}
-	idx, ok := s.pathIndex()[path]
-	if !ok {
+	idx, ok := pageIndexOf(s.Category, path)
+	if !ok || idx < 1 || idx > s.PoolSize() {
 		return nil, false
 	}
-	return s.PageAt(idx), true
+	p := s.PageAt(idx)
+	if p.Path() != path {
+		return nil, false
+	}
+	return p, true
 }
 
 func splitURL(raw string) (host, path string) {
@@ -171,8 +178,7 @@ type Site struct {
 
 	web      *Web
 	seed     int64
-	landing  *Page
-	pathIdx  map[string]int
+	landing  *Page // built with the site: readers share it unlocked
 	poolSize int
 }
 
@@ -183,6 +189,7 @@ func newSite(w *Web, seed SiteSeed) *Site {
 		web:    w,
 		seed:   subSeed(w.Seed, "site", strings.ToLower(seed.Domain)),
 	}
+	s.landing = &Page{Site: s, Index: 0}
 	rng := rand.New(rand.NewSource(s.seed))
 	rank := seed.Rank
 	if rank <= 0 {
@@ -241,33 +248,15 @@ func (s *Site) PoolSize() int {
 }
 
 // Landing returns the site's landing page.
-func (s *Site) Landing() *Page {
-	if s.landing == nil {
-		s.landing = &Page{Site: s, Index: 0}
-	}
-	return s.landing
-}
+func (s *Site) Landing() *Page { return s.landing }
 
 // PageAt returns the internal page with 1-based index idx (idx 0 is the
 // landing page). Pages are cheap value-ish objects created on demand.
 func (s *Site) PageAt(idx int) *Page {
 	if idx == 0 {
-		return s.Landing()
+		return s.landing
 	}
 	return &Page{Site: s, Index: idx}
-}
-
-// pathIndex maps internal page paths to indices, built lazily over the
-// current pool.
-func (s *Site) pathIndex() map[string]int {
-	if s.pathIdx != nil {
-		return s.pathIdx
-	}
-	s.pathIdx = make(map[string]int, s.PoolSize())
-	for i := 1; i <= s.PoolSize(); i++ {
-		s.pathIdx[s.PageAt(i).Path()] = i
-	}
-	return s.pathIdx
 }
 
 // InternalPages returns the site's full internal page pool at the

@@ -142,8 +142,8 @@ func TestHTMLRoundTrip(t *testing.T) {
 			t.Errorf("depth-1 object %s (%v) absent from markup", o.URL, o.Role)
 		}
 	}
-	if len(doc.Links) != len(m.Links) {
-		t.Errorf("links: parsed %d, model %d", len(doc.Links), len(m.Links))
+	if len(doc.Links) != len(m.Links()) {
+		t.Errorf("links: parsed %d, model %d", len(doc.Links), len(m.Links()))
 	}
 }
 

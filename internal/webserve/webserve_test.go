@@ -64,8 +64,8 @@ func TestServeLandingPageOverRealHTTP(t *testing.T) {
 		t.Error("served page has no title")
 	}
 	m := site.Landing().Build()
-	if len(doc.Links) != len(m.Links) {
-		t.Errorf("links served %d, model %d", len(doc.Links), len(m.Links))
+	if len(doc.Links) != len(m.Links()) {
+		t.Errorf("links served %d, model %d", len(doc.Links), len(m.Links()))
 	}
 }
 
