@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke bench-baseline bench-gate serve-smoke trace-smoke har-smoke lint leak-report ci fmt-check clean
+.PHONY: build test test-race bench bench-smoke bench-baseline bench-gate serve-smoke trace-smoke har-smoke fuzz-smoke lint leak-report ci fmt-check clean
 
 build:
 	$(GO) build ./...
@@ -111,6 +111,16 @@ har-smoke:
 	if [ "$$rows" -ne "$$files" ] || [ "$$landing" -eq 0 ] || [ "$$internal" -eq 0 ]; then \
 		echo "har-smoke: FAIL"; exit 1; fi
 
+# Fuzz smoke: run every fuzz target for a bounded 10 s each. The go
+# tool fuzzes one target per package invocation. A crasher lands in that
+# package's testdata/fuzz directory; commit it together with its fix so
+# the plain test run replays it from then on.
+fuzz-smoke:
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMeasureHAR$$' -fuzztime 10s -fuzzminimizetime 5s
+	$(GO) test ./internal/adblock -run '^$$' -fuzz '^FuzzAdblockMatch$$' -fuzztime 10s
+	$(GO) test ./internal/psl -run '^$$' -fuzz '^FuzzETLDPlusOne$$' -fuzztime 10s
+	$(GO) test ./internal/detrand -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s
+
 # Determinism lint: cmd/detlint type-checks every package in the module
 # and enforces the invariants the seeded pipeline depends on (no wall
 # clock, no global RNG, no order-dependent map emission, no untracked
@@ -144,6 +154,7 @@ ci: fmt-check
 	$(MAKE) serve-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) har-smoke
+	$(MAKE) fuzz-smoke
 
 clean:
 	$(GO) clean ./...

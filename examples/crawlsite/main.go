@@ -9,12 +9,12 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"time"
 
 	"repro/internal/browser"
 	"repro/internal/cdn"
 	"repro/internal/crawler"
+	"repro/internal/detrand"
 	"repro/internal/dnssim"
 	"repro/internal/stats"
 	"repro/internal/webgen"
@@ -52,7 +52,7 @@ func main() {
 	}
 
 	internal := res.InternalPages()
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.New(seed)
 	rng.Shuffle(len(internal), func(i, j int) { internal[i], internal[j] = internal[j], internal[i] })
 	if len(internal) > 500 {
 		internal = internal[:500]

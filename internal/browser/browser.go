@@ -134,6 +134,10 @@ type loadScratch struct {
 	// alive so a recycled address cannot alias a stale cache.
 	keyModel  *webgen.PageModel
 	originKey []string
+
+	// originOrder lists originRTT's keys in the order the page first
+	// references them.
+	originOrder []string
 }
 
 // durSlice returns s re-zeroed to length n, growing only when needed.
@@ -373,14 +377,19 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 	}
 	// Pre-compute a representative RTT per origin so hints (preconnect)
 	// pay the true handshake cost of the origin they warm.
+	sc.originOrder = sc.originOrder[:0]
 	for i, o := range m.Objects {
 		key := state.originKey[i]
 		if _, ok := state.originRTT[key]; !ok {
 			state.originRTT[key] = state.rttFor(o)
+			sc.originOrder = append(sc.originOrder, key)
 		}
 	}
 	if b.cfg.Protocol.PreconnectAll {
-		for origin := range state.originRTT {
+		// Warm origins in the order the page first references them: the
+		// connection caps and the draw order depend on it, so map order
+		// would make the load nondeterministic.
+		for _, origin := range sc.originOrder {
 			state.preconnect(origin, 0)
 		}
 	}

@@ -1,6 +1,7 @@
 package browser
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -133,6 +134,28 @@ func TestPreconnectAllRemovesRootDNSFromCriticalPath(t *testing.T) {
 	}
 	if reused < len(log.Entries)/2 {
 		t.Errorf("only %d/%d requests reused pre-warmed connections", reused, len(log.Entries))
+	}
+}
+
+// TestPreconnectAllRepeatable loads the same pages in the same order on
+// two fresh PreconnectAll browsers and requires equal HARs.
+// Preconnects open connections under per-origin and total caps and
+// draw handshake times, so their order must not follow map order.
+func TestPreconnectAllRepeatable(t *testing.T) {
+	b1, web := protoBrowser(t, Protocol{PreconnectAll: true})
+	b2, _ := protoBrowser(t, Protocol{PreconnectAll: true})
+	for _, s := range web.Sites {
+		for _, page := range []*webgen.Page{s.Landing(), s.PageAt(1)} {
+			m := page.Build()
+			for fetch := 0; fetch < 2; fetch++ {
+				l1, err1 := b1.Load(m, fetch)
+				l2, err2 := b2.Load(m, fetch)
+				if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(l1, l2) {
+					t.Fatalf("%s fetch %d: two PreconnectAll loads differ (onLoad %v vs %v)",
+						m.URL, fetch, l1.Page.Timings.OnLoad, l2.Page.Timings.OnLoad)
+				}
+			}
+		}
 	}
 }
 

@@ -16,6 +16,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/detrand"
 )
 
 // Provider describes one CDN with the externally observable signatures
@@ -129,7 +131,7 @@ func NewEdge(p Provider, capacity int, warmth WarmthFunc, seed int64) *Edge {
 	}
 	return &Edge{
 		Provider: p,
-		rng:      rand.New(rand.NewSource(seed ^ int64(len(p.Name)))),
+		rng:      detrand.New(seed ^ int64(len(p.Name))),
 		warmth:   warmth,
 		cap:      capacity,
 		entries:  make(map[string]*entry),

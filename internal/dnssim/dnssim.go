@@ -21,6 +21,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/detrand"
 )
 
 // ErrInjected marks a transient injected resolver failure (the simulated
@@ -169,11 +171,11 @@ func NewResolver(cfg ResolverConfig, auth Authority, now func() time.Time) *Reso
 		cfg:   cfg,
 		auth:  auth,
 		now:   now,
-		rng:   rand.New(rand.NewSource(cfg.Seed ^ 0x5d15)),
+		rng:   detrand.New(cfg.Seed ^ 0x5d15),
 		cache: caches,
 	}
 	if cfg.FailProb > 0 {
-		r.frng = rand.New(rand.NewSource(cfg.Seed ^ 0xfa11))
+		r.frng = detrand.New(cfg.Seed ^ 0xfa11)
 	}
 	return r
 }

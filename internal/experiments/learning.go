@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/detrand"
 	"repro/internal/perfmodel"
 )
 
@@ -31,7 +31,7 @@ func RunLearning(ctx *Context) (*Report, error) {
 	}
 
 	// Split internal pages into train/test halves, deterministically.
-	rng := rand.New(rand.NewSource(ctx.Cfg.Seed + 1009))
+	rng := detrand.New(ctx.Cfg.Seed + 1009)
 	shuffled := append([]*core.PageMeasurement(nil), internal...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	half := len(shuffled) / 2

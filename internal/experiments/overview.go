@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/browser"
 	"repro/internal/cdn"
 	"repro/internal/core"
 	"repro/internal/crawler"
+	"repro/internal/detrand"
 	"repro/internal/dnssim"
 	"repro/internal/stats"
 )
@@ -165,7 +165,7 @@ func RunFig3bc(ctx *Context) (*Report, error) {
 			return nil, err
 		}
 		internal := cres.InternalPages()
-		rng := rand.New(rand.NewSource(ctx.Cfg.Seed + int64(i)))
+		rng := detrand.New(ctx.Cfg.Seed + int64(i))
 		rng.Shuffle(len(internal), func(a, b int) { internal[a], internal[b] = internal[b], internal[a] })
 		sample := internal
 		if len(sample) > ctx.Cfg.CrawlSample {

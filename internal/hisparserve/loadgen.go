@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/hispar"
 	"repro/internal/runstats"
 	"repro/internal/stats"
@@ -135,7 +136,7 @@ func RunLoad(baseURL string, cfg LoadConfig) (*LoadReport, *runstats.Set, error)
 		wg.Add(1)
 		go func(c, n int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*7919))
+			rng := detrand.New(cfg.Seed + int64(c)*7919)
 			zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(domains)-1))
 			etags := make(map[string]string) // the user's validator memory
 			// Per-user transport: connection reuse stays within one

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // globalRandFuncs are the math/rand top-level functions backed by the
 // shared, process-global source. Concurrent workers interleave draws on
@@ -23,8 +20,7 @@ var globalRandFuncs = map[string]bool{
 // GlobalrandCheck forbids the process-global math/rand source and
 // clock-seeded generators. Every random draw in the simulation must come
 // from a *rand.Rand threaded from the run's seed so that results are a
-// pure function of configuration. internal/webgen/rand.go is the
-// sanctioned seed-derivation site and is exempt.
+// pure function of configuration.
 var GlobalrandCheck = &Check{
 	Name: "globalrand",
 	Doc:  "forbid package-level math/rand functions and clock-seeded rand.New; thread a seeded *rand.Rand",
@@ -33,12 +29,6 @@ var GlobalrandCheck = &Check{
 
 func runGlobalrand(p *Pass) {
 	for _, f := range p.Pkg.Files {
-		pos := p.Fset().Position(f.Package)
-		exempt := p.Pkg.Path == "repro/internal/webgen" &&
-			strings.HasSuffix(pos.Filename, "/rand.go")
-		if exempt {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -54,8 +44,8 @@ func runGlobalrand(p *Pass) {
 				return true
 			}
 			if name == "New" && len(call.Args) == 1 {
-				// rand.New(rand.NewSource(expr)) is the sanctioned shape —
-				// unless the seed expression itself reads the clock.
+				// A seeded rand.New is allowed — unless the seed
+				// expression itself reads the clock.
 				if containsCallTo(p.Pkg.Info, call.Args[0], "time", "Now") {
 					p.Reportf(call.Pos(),
 						"rand.New seeded from the wall clock is nondeterministic; derive the seed from the run configuration")

@@ -6,6 +6,8 @@ package globalrand
 import (
 	"math/rand"
 	"time"
+
+	"repro/internal/detrand"
 )
 
 func bad() {
@@ -18,7 +20,8 @@ func bad() {
 func good(seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	sub := rand.New(rand.NewSource(seed ^ 0x51a7))
-	return rng.Float64() + sub.Float64()
+	lazy := detrand.New(seed)
+	return rng.Float64() + sub.Float64() + lazy.Float64()
 }
 
 func goodThreaded(src rand.Source) *rand.Rand {

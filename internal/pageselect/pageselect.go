@@ -10,10 +10,10 @@ package pageselect
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/crawler"
+	"repro/internal/detrand"
 	"repro/internal/search"
 	"repro/internal/stats"
 	"repro/internal/webgen"
@@ -75,7 +75,7 @@ func (c RandomCrawl) Select(web *webgen.Web, site *webgen.Site, n int) ([]*webge
 		return nil, err
 	}
 	pool := res.InternalPages()
-	rng := rand.New(rand.NewSource(c.Seed ^ int64(len(site.Domain))))
+	rng := detrand.New(c.Seed ^ int64(len(site.Domain)))
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	if n > len(pool) {
 		n = len(pool)
@@ -100,7 +100,7 @@ func (m Monkey) Select(web *webgen.Web, site *webgen.Site, n int) ([]*webgen.Pag
 	if clicks <= 0 {
 		clicks = 6
 	}
-	rng := rand.New(rand.NewSource(m.Seed ^ int64(len(site.Domain))*977))
+	rng := detrand.New(m.Seed ^ int64(len(site.Domain))*977)
 	seen := make(map[int]bool)
 	var out []*webgen.Page
 	// Repeated sessions until enough distinct pages are visited. Each

@@ -17,9 +17,8 @@ import (
 
 // Result is one search hit.
 type Result struct {
-	URL   string
-	Title string
-	Rank  int // 1-based position in the result list
+	URL  string
+	Rank int // 1-based position in the result list
 }
 
 // Config parameterizes the engine.
@@ -117,10 +116,9 @@ func (e *Engine) Site(domain string, maxResults int) ([]Result, error) {
 	e.charge(pages)
 
 	out := make([]Result, 0, want)
-	landing := s.Landing()
-	out = append(out, Result{URL: landing.URL(), Title: landing.Title(), Rank: 1})
+	out = append(out, Result{URL: s.Landing().URL(), Rank: 1})
 	for _, p := range s.TopIndexable(want - 1) {
-		out = append(out, Result{URL: p.URL(), Title: p.Title(), Rank: len(out) + 1})
+		out = append(out, Result{URL: p.URL(), Rank: len(out) + 1})
 	}
 	return out, nil
 }

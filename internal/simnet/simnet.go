@@ -11,6 +11,8 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"repro/internal/detrand"
 )
 
 // Loc is a coarse server location used by the RTT model.
@@ -115,8 +117,8 @@ func New(cfg Config) *Model {
 }
 
 // Reset reseeds the model in place for a new page load. Rand.Seed
-// reinitializes the generator state exactly as rand.NewSource does, so
-// a reset model's draw streams are byte-identical to a freshly
+// resets a detrand generator to the state detrand.New starts in, so a
+// reset model's draw streams are byte-identical to a freshly
 // constructed one's — which lets the browser keep one Model per Browser
 // instead of paying two ~5 KB generator allocations per load. The fault
 // generator is dropped when injection is off, preserving New's
@@ -125,7 +127,7 @@ func (m *Model) Reset(cfg Config) {
 	cfg = cfg.withDefaults()
 	m.cfg = cfg
 	if m.rng == nil {
-		m.rng = rand.New(rand.NewSource(cfg.Seed ^ 0x51a7))
+		m.rng = detrand.New(cfg.Seed ^ 0x51a7)
 	} else {
 		m.rng.Seed(cfg.Seed ^ 0x51a7)
 	}
@@ -133,7 +135,7 @@ func (m *Model) Reset(cfg Config) {
 	case !cfg.Faults.Enabled():
 		m.frng = nil
 	case m.frng == nil:
-		m.frng = rand.New(rand.NewSource(cfg.Seed ^ 0xfa17))
+		m.frng = detrand.New(cfg.Seed ^ 0xfa17)
 	default:
 		m.frng.Seed(cfg.Seed ^ 0xfa17)
 	}

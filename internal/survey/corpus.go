@@ -2,7 +2,8 @@ package survey
 
 import (
 	"fmt"
-	"math/rand"
+
+	"repro/internal/detrand"
 )
 
 // GenerateCorpus builds a synthetic 920-paper corpus whose ground truth
@@ -12,7 +13,7 @@ import (
 // citations) for the scanner to weed out. Running Tabulate over the
 // corpus reproduces Table 1.
 func GenerateCorpus(seed int64) []*Paper {
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.New(seed)
 	var corpus []*Paper
 	add := func(v Venue, text string, uses bool, rev Revision, internal bool) {
 		year := 2015 + rng.Intn(5)

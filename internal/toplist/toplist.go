@@ -15,6 +15,8 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+
+	"repro/internal/detrand"
 )
 
 // Entry is one row of a ranked top list.
@@ -95,7 +97,7 @@ func NewUniverse(cfg Config) *Universe {
 	cfg = cfg.withDefaults()
 	u := &Universe{
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     detrand.New(cfg.Seed),
 		domains: make([]domain, cfg.Size),
 	}
 	for i := range u.domains {

@@ -12,12 +12,15 @@ var allCategories = []Category{CatNews, CatShopping, CatSocial, CatTech,
 
 // categoryWeb returns a web at week 3 with one site per category, so
 // every pool holds base pages and three weeks of fresh ones.
-func categoryWeb() *Web {
+func categoryWeb() *Web { return categoryWebAt(3) }
+
+// categoryWebAt is categoryWeb at the given week.
+func categoryWebAt(week int) *Web {
 	seeds := make([]SiteSeed, len(allCategories))
 	for i, c := range allCategories {
 		seeds[i] = SiteSeed{Domain: "cat" + strconv.Itoa(i) + ".example.com", Rank: 10 + 97*i, Category: c}
 	}
-	return Generate(Config{Seed: 5, Week: 3, Sites: seeds})
+	return Generate(Config{Seed: 5, Week: week, Sites: seeds})
 }
 
 // pathMap is the per-site path → index map PageByURL used to keep: every

@@ -4,6 +4,8 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+
+	"repro/internal/detrand"
 )
 
 // subSeed derives a stable sub-seed from a base seed and string/int parts,
@@ -34,11 +36,6 @@ func subSeed(base int64, parts ...interface{}) int64 {
 		}
 	}
 	return int64(h.Sum64())
-}
-
-// rngFor returns a fresh deterministic RNG for the given key parts.
-func rngFor(base int64, parts ...interface{}) *rand.Rand {
-	return rand.New(rand.NewSource(subSeed(base, parts...)))
 }
 
 // FNV-1a 64-bit constants, inlined so the typed sub-seed fast paths
@@ -83,12 +80,12 @@ func subSeedKeyIdx(base int64, key string, idx int) int64 {
 
 // rngForKey is rngFor(base, key) on the typed fast path.
 func rngForKey(base int64, key string) *rand.Rand {
-	return rand.New(rand.NewSource(subSeedKey(base, key)))
+	return detrand.New(subSeedKey(base, key))
 }
 
 // rngForKeyIdx is rngFor(base, key, idx) on the typed fast path.
 func rngForKeyIdx(base int64, key string, idx int) *rand.Rand {
-	return rand.New(rand.NewSource(subSeedKeyIdx(base, key, idx)))
+	return detrand.New(subSeedKeyIdx(base, key, idx))
 }
 
 // logNormal draws a lognormal sample with the given median and sigma of
@@ -152,12 +149,6 @@ func ratioSample(rng *rand.Rand, pAbove, sigma float64) float64 {
 	return math.Exp(mu + rng.NormFloat64()*sigma)
 }
 
-// noise01 returns a deterministic pseudo-random float in [0,1) keyed by
-// the parts, without allocating an RNG. Used for per-week weight jitter.
-func noise01(base int64, parts ...interface{}) float64 {
-	return finalize01(uint64(subSeed(base, parts...)))
-}
-
 // noise01KeyIdx is noise01(base, key, idx) on the typed fast path.
 func noise01KeyIdx(base int64, key string, idx int) float64 {
 	return finalize01(uint64(subSeedKeyIdx(base, key, idx)))
@@ -171,12 +162,15 @@ func finalize01(s uint64) float64 {
 	return float64(s>>11) / float64(1<<53)
 }
 
-// normNoise returns a deterministic standard-normal-ish value keyed by
-// the parts (sum of 4 uniforms, Irwin-Hall approximation).
-func normNoise(base int64, parts ...interface{}) float64 {
+// normNoiseKeyIdxWeek returns a deterministic standard-normal-ish value
+// keyed by (key, idx, week): the sum of four uniforms (Irwin–Hall),
+// each hashed from a shifted base on the typed fast path.
+// TestSubSeedFastPaths pins it bit-identical to the variadic normNoise.
+func normNoiseKeyIdxWeek(base int64, key string, idx, week int) float64 {
 	u := 0.0
 	for i := 0; i < 4; i++ {
-		u += noise01(base+int64(i)*1_000_003, parts...)
+		h := fnv64aString(fnv64aU64(fnvOffset64, uint64(base+int64(i)*1_000_003)), key)
+		u += finalize01(fnv64aU64(fnv64aU64(h, uint64(idx)), uint64(week)))
 	}
 	// Irwin–Hall(4): mean 2, var 1/3 → standardize.
 	return (u - 2) / math.Sqrt(1.0/3.0)

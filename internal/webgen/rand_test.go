@@ -1,6 +1,37 @@
 package webgen
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/detrand"
+)
+
+// rngFor, noise01 and normNoise are the variadic originals of the typed
+// fast paths, kept here as their oracles.
+
+// rngFor returns a fresh deterministic RNG for the given key parts.
+func rngFor(base int64, parts ...interface{}) *rand.Rand {
+	return detrand.New(subSeed(base, parts...))
+}
+
+// noise01 returns a deterministic pseudo-random float in [0,1) keyed by
+// the parts, without allocating an RNG.
+func noise01(base int64, parts ...interface{}) float64 {
+	return finalize01(uint64(subSeed(base, parts...)))
+}
+
+// normNoise returns a deterministic standard-normal-ish value keyed by
+// the parts (sum of 4 uniforms, Irwin-Hall approximation).
+func normNoise(base int64, parts ...interface{}) float64 {
+	u := 0.0
+	for i := 0; i < 4; i++ {
+		u += noise01(base+int64(i)*1_000_003, parts...)
+	}
+	// Irwin–Hall(4): mean 2, var 1/3 → standardize.
+	return (u - 2) / math.Sqrt(1.0/3.0)
+}
 
 // TestSubSeedFastPaths pins the typed sub-seed fast paths bit-identical
 // to the variadic originals: every generated corpus depends on these
@@ -20,6 +51,11 @@ func TestSubSeedFastPaths(t *testing.T) {
 				}
 				if got, want := noise01KeyIdx(base, key, idx), noise01(base, key, idx); got != want {
 					t.Errorf("noise01KeyIdx(%d, %q, %d) = %v, want %v", base, key, idx, got, want)
+				}
+				for _, week := range []int{0, 1, 3, 52, -2} {
+					if got, want := normNoiseKeyIdxWeek(base, key, idx, week), normNoise(base, key, idx, week); got != want {
+						t.Errorf("normNoiseKeyIdxWeek(%d, %q, %d, %d) = %v, want %v", base, key, idx, week, got, want)
+					}
 				}
 			}
 		}

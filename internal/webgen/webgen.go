@@ -15,11 +15,11 @@ package webgen
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/dnssim"
 	"repro/internal/simnet"
 )
@@ -190,7 +190,7 @@ func newSite(w *Web, seed SiteSeed) *Site {
 		seed:   subSeed(w.Seed, "site", strings.ToLower(seed.Domain)),
 	}
 	s.landing = &Page{Site: s, Index: 0}
-	rng := rand.New(rand.NewSource(s.seed))
+	rng := detrand.New(s.seed)
 	rank := seed.Rank
 	if rank <= 0 {
 		rank = 100000
@@ -274,18 +274,44 @@ func (s *Site) InternalPages() []*Page {
 // snapshot week, most popular first — what a search engine surfaces for
 // a "site:" query.
 func (s *Site) TopInternal(n int) []*Page {
-	pages := s.InternalPages()
-	sort.Slice(pages, func(a, b int) bool {
-		wa, wb := pages[a].VisitWeight(), pages[b].VisitWeight()
-		if wa != wb {
-			return wa > wb
-		}
-		return pages[a].Index < pages[b].Index
-	})
-	if n < len(pages) {
-		pages = pages[:n]
+	order := s.byVisitWeight()
+	if n < len(order) {
+		order = order[:n]
+	}
+	pages := make([]*Page, len(order))
+	for i, idx := range order {
+		pages[i] = s.PageAt(idx)
 	}
 	return pages
+}
+
+// byVisitWeight returns the indices of the site's internal pages, most
+// visited first: by descending VisitWeight, ties by ascending index.
+// That order is total, so it is unique. Each weight is computed once,
+// not on every comparison.
+func (s *Site) byVisitWeight() []int {
+	type ranked struct {
+		w   float64
+		idx int
+	}
+	r := make([]ranked, s.PoolSize())
+	for i := range r {
+		r[i] = ranked{s.PageAt(i + 1).VisitWeight(), i + 1}
+	}
+	slices.SortFunc(r, func(a, b ranked) int {
+		if a.w != b.w {
+			if a.w > b.w {
+				return -1
+			}
+			return 1
+		}
+		return a.idx - b.idx
+	})
+	order := make([]int, len(r))
+	for i := range r {
+		order[i] = r[i].idx
+	}
+	return order
 }
 
 // TopIndexable returns the site's n most-visited internal pages that a
@@ -378,7 +404,7 @@ func (p *Page) URL() string {
 	return p.baseScheme() + "://" + p.Site.Host() + p.Path()
 }
 
-// Title returns a short page title used by search indexing.
+// Title returns a short page title, rendered into the page's HTML.
 func (p *Page) Title() string {
 	if p.IsLanding() {
 		return p.Site.Domain + " — home"
@@ -413,7 +439,7 @@ func (p *Page) VisitWeight() float64 {
 	case CatEntertainment:
 		sigma = 0.8
 	}
-	drift := math.Exp(normNoise(s.seed, "drift", p.Index, week) * sigma)
+	drift := math.Exp(normNoiseKeyIdxWeek(s.seed, "drift", p.Index, week) * sigma)
 	recency := 1.0
 	if f := s.freshPerWeek(); f > 3 {
 		age := float64(week - p.BornWeek())

@@ -1,6 +1,8 @@
 package webgen
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -217,6 +219,60 @@ func TestVisitWeightsDriftAcrossWeeks(t *testing.T) {
 	}
 	if !changed {
 		t.Error("visit weights identical across weeks; churn would be zero")
+	}
+}
+
+// sortedByWeightOracle is the comparator sort TopInternal and
+// PublisherSample used before byVisitWeight: VisitWeight recomputed on
+// every comparison, descending, ties by ascending index.
+func sortedByWeightOracle(s *Site) []*Page {
+	pages := s.InternalPages()
+	sort.Slice(pages, func(a, b int) bool {
+		wa, wb := pages[a].VisitWeight(), pages[b].VisitWeight()
+		if wa != wb {
+			return wa > wb
+		}
+		return pages[a].Index < pages[b].Index
+	})
+	return pages
+}
+
+// TestRankingMatchesComparatorSort holds TopInternal and PublisherSample
+// to the old comparator sort on every site of webs at weeks 0–3, where
+// fresh pages and weekly drift reshuffle the order.
+func TestRankingMatchesComparatorSort(t *testing.T) {
+	indices := func(pages []*Page) []int {
+		out := make([]int, len(pages))
+		for i, p := range pages {
+			out[i] = p.Index
+		}
+		return out
+	}
+	for week := 0; week <= 3; week++ {
+		for _, w := range []*Web{testWeb(t, week), categoryWebAt(week)} {
+			for _, s := range w.Sites {
+				pool := sortedByWeightOracle(s)
+				for _, n := range []int{0, 1, 10, 28, len(pool), len(pool) + 5} {
+					want := pool
+					if n < len(want) {
+						want = want[:n]
+					}
+					if got := indices(s.TopInternal(n)); !slices.Equal(got, indices(want)) {
+						t.Fatalf("week %d %s: TopInternal(%d) = %v, oracle %v", week, s.Domain, n, got, indices(want))
+					}
+					var picks []*Page
+					if m := min(n, len(pool)); m > 0 {
+						for i := 0; i < m; i++ {
+							picks = append(picks, pool[i*(len(pool)-1)/maxInt(1, m-1)])
+						}
+						picks = dedupePages(picks)
+					}
+					if got := indices(s.PublisherSample(n)); !slices.Equal(got, indices(picks)) {
+						t.Fatalf("week %d %s: PublisherSample(%d) = %v, oracle %v", week, s.Domain, n, got, indices(picks))
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,35 +1,24 @@
 package webgen
 
-import (
-	"encoding/json"
-	"sort"
-)
+import "encoding/json"
 
 // PublisherSample returns the site's self-curated representative internal
 // pages — the §7 "Involve publishers" proposal: each publisher exposes a
 // benchmark set spanning its content (implemented as a weight-stratified
 // sample of the page pool), to be published at a Well-Known URI.
 func (s *Site) PublisherSample(n int) []*Page {
-	pool := s.InternalPages()
-	if n <= 0 || len(pool) == 0 {
+	if n <= 0 || s.PoolSize() == 0 {
 		return nil
 	}
-	sort.Slice(pool, func(a, b int) bool {
-		wa, wb := pool[a].VisitWeight(), pool[b].VisitWeight()
-		if wa != wb {
-			return wa > wb
-		}
-		return pool[a].Index < pool[b].Index
-	})
-	if n > len(pool) {
-		n = len(pool)
+	order := s.byVisitWeight()
+	if n > len(order) {
+		n = len(order)
 	}
 	// Quantile-spaced picks over the popularity ordering: the benchmark
 	// covers head, torso, and tail content rather than only hits.
 	out := make([]*Page, 0, n)
 	for i := 0; i < n; i++ {
-		idx := i * (len(pool) - 1) / maxInt(1, n-1)
-		out = append(out, pool[idx])
+		out = append(out, s.PageAt(order[i*(len(order)-1)/maxInt(1, n-1)]))
 	}
 	return dedupePages(out)
 }

@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -132,5 +133,24 @@ func TestPageDeltaMath(t *testing.T) {
 	}
 	if (PageDelta{}).Improvement() != 0 {
 		t.Error("zero baseline should yield 0")
+	}
+}
+
+// TestScenariosRepeatable evaluates every scenario twice over one list
+// and requires identical per-page rows.
+func TestScenariosRepeatable(t *testing.T) {
+	ev, list := fixture(t)
+	for _, sc := range Scenarios() {
+		a, err := ev.Evaluate(list, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ev.Evaluate(list, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a.Pages, b.Pages) {
+			t.Errorf("%s: two evaluations of one list differ", sc.Name)
+		}
 	}
 }
