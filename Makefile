@@ -93,6 +93,9 @@ trace-smoke:
 		-trace trace_warm_wN.json -trace-detail phases > trace_warm_wN.csv
 	$(GO) run ./cmd/tracecheck trace_warm_w1.json trace_warm_wN.json
 	cmp trace_warm_w1.csv trace_warm_wN.csv
+	$(GO) run ./cmd/papereval -exp fig2a,fig8a -sites 120 -persite 5 -fetches 3 \
+		-trace trace_pe.json > trace_pe.txt
+	$(GO) run ./cmd/tracecheck trace_pe.json
 
 # HAR round-trip smoke: write one HAR file per page of a 10-site study
 # with webmeasure, analyze the directory with haranalyze, and fail

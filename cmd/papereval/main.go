@@ -36,8 +36,7 @@ func main() {
 		revisit    = flag.Duration("revisit", 30*time.Minute, "cold→warm revisit delay (warm experiment)")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
 		plot       = flag.Bool("plot", false, "render each report's series as ASCII charts")
-		stream     = flag.Bool("stream", false, "run fig2 experiments through the constant-memory streaming engine")
-		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON of the streamed study to this file (implies -stream)")
+		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON of the cold H1K study to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a post-run heap profile to this file")
 	)
@@ -58,7 +57,6 @@ func main() {
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		tracer = trace.New(trace.DetailPhases)
-		*stream = true // spans come from the streaming engine
 	}
 
 	ctx := experiments.NewContext(experiments.Config{
@@ -71,7 +69,6 @@ func main() {
 		H2KSites:          *h2k,
 		CrawlPages:        *crawlN,
 		RevisitDelay:      *revisit,
-		Stream:            *stream,
 		Trace:             tracer,
 	})
 
@@ -122,7 +119,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "papereval: trace: %v\n", err)
 			failed++
 		} else if tracer.Len() == 0 {
-			fmt.Fprintln(os.Stderr, "papereval: note: -trace wrote no spans (only streamed fig2 experiments record them)")
+			fmt.Fprintln(os.Stderr, "papereval: note: -trace wrote no spans (only experiments that read the cold H1K study record them)")
 		}
 	}
 	stopCPU()

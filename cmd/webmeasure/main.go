@@ -1,9 +1,10 @@
 // Command webmeasure fetches the pages of a Hispar list with the
 // simulated browser — cold cache, landing pages fetched repeatedly,
 // internal pages once, exactly the paper's §3.1 methodology — and writes
-// per-page measurements as CSV (or full HAR logs with -har). CSV rows are
-// written as sites complete, in rank order, so memory stays bounded by
-// the engine's reorder window rather than by the list size.
+// per-page measurements as CSV (or full HAR logs with -har). CSV rows —
+// cold measurements, or cold→warm pairs with -warm — are written as
+// sites complete, in rank order, so memory stays bounded by the
+// engine's reorder window rather than by the list size.
 //
 // Usage:
 //
@@ -35,6 +36,7 @@ import (
 	"repro/internal/dnssim"
 	"repro/internal/hispar"
 	"repro/internal/profiling"
+	"repro/internal/runstats"
 	"repro/internal/search"
 	"repro/internal/simnet"
 	"repro/internal/toplist"
@@ -111,31 +113,33 @@ func main() {
 		FailureBudget: *budget,
 	})
 	fatal(err)
-	if *warm {
-		res, runErr := st.RunWarm(list, core.WarmConfig{RevisitDelay: *revisit, Trace: tracer})
-		if *stats || res.FailedSites() > 0 {
-			fmt.Fprintf(os.Stderr, "webmeasure: %d/%d sites measured, %d failed\n",
-				len(res.Sites), len(res.Outcomes), res.FailedSites())
-			res.Stats.Render(os.Stderr)
-		}
-		fatal(core.WriteWarmCSV(os.Stdout, res))
-		writeTrace(tracer, *traceOut, *stats)
-		finishProfiles(stopCPU, *memProfile)
-		fatal(runErr)
-		return
-	}
-	// Rows hit stdout as sites retire, and only sketch aggregates and
-	// outcomes survive the run. The CSV is written even when the failure
-	// budget was breached: partial results are the point of the
+	// Rows hit stdout as sites retire, cold or -warm, and only outcomes
+	// and metrics survive the run. The CSV is written even when the
+	// failure budget was breached: partial results are the point of the
 	// fault-tolerant runner.
-	sink, err := core.NewCSVSink(os.Stdout)
-	fatal(err)
-	sres, runErr := st.RunStream(list, core.StreamConfig{Sinks: []core.SiteSink{sink}, Trace: tracer})
-	if *stats || sres.FailedSites() > 0 {
-		fmt.Fprintf(os.Stderr, "webmeasure: %d/%d sites measured, %d failed (streamed: peak %d in flight, %d shards)\n",
-			sres.Agg.Sites, len(sres.Outcomes), sres.FailedSites(), sres.MaxInFlight, len(sres.Shards))
+	var (
+		n, failed int
+		snap      runstats.Snapshot
+		runErr    error
+	)
+	if *warm {
+		sink, err := core.NewWarmCSVSink(os.Stdout)
+		fatal(err)
+		res, err := st.RunWarmStream(list, core.WarmConfig{
+			RevisitDelay: *revisit, Trace: tracer, Sinks: []core.Sink[core.WarmSiteResult]{sink},
+		})
+		n, failed, snap, runErr = len(res.Outcomes), res.FailedSites(), res.Stats, err
+	} else {
+		sink, err := core.NewCSVSink(os.Stdout)
+		fatal(err)
+		res, err := st.RunStream(list, core.StreamConfig{Sinks: []core.SiteSink{sink}, Trace: tracer})
+		n, failed, snap, runErr = len(res.Outcomes), res.FailedSites(), res.Stats, err
+	}
+	if *stats || failed > 0 {
+		fmt.Fprintf(os.Stderr, "webmeasure: %d/%d sites measured, %d failed (streamed: peak %d in flight)\n",
+			n-failed, n, failed, int(snap.Gauges["stream.inflight.max"]))
 		if *stats {
-			sres.Stats.Render(os.Stderr)
+			snap.Render(os.Stderr)
 			printMemReport(os.Stderr)
 		}
 	}

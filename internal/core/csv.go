@@ -62,17 +62,7 @@ func emitSiteRows(cw *csv.Writer, s *SiteResult) error {
 // WriteMeasurementsCSV writes the study's per-page measurements as the
 // public dataset.
 func WriteMeasurementsCSV(w io.Writer, res *StudyResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	for i := range res.Sites {
-		if err := emitSiteRows(cw, &res.Sites[i]); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, csvHeader, res.Sites, emitSiteRows)
 }
 
 // warmCSVHeader is the column layout of the cold→warm pair dataset.
@@ -84,42 +74,119 @@ var warmCSVHeader = []string{
 	"cold_onload_ms", "warm_onload_ms", "onload_speedup",
 }
 
-// WriteWarmCSV writes a cold→warm study's per-page pairs.
-func WriteWarmCSV(w io.Writer, res *WarmStudyResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(warmCSVHeader); err != nil {
+// emitPairRow writes one pair-dataset row for page pair p of site s.
+func emitPairRow(cw *csv.Writer, s *WarmSiteResult, p *PagePair, kind string) error {
+	return cw.Write([]string{
+		s.Domain, strconv.Itoa(s.Rank), s.Category, kind, p.Cold.URL,
+		strconv.FormatInt(p.Cold.Bytes, 10),
+		strconv.FormatInt(p.Cold.TransferBytes, 10),
+		strconv.FormatInt(p.Warm.TransferBytes, 10),
+		strconv.FormatFloat(p.ByteSavings(), 'f', 4, 64),
+		strconv.Itoa(p.Cold.NetworkRequests),
+		strconv.Itoa(p.Warm.NetworkRequests),
+		strconv.FormatFloat(p.RequestSavings(), 'f', 4, 64),
+		strconv.Itoa(p.Warm.CacheHits),
+		strconv.Itoa(p.Warm.Revalidations),
+		strconv.FormatInt(p.Cold.OnLoad.Milliseconds(), 10),
+		strconv.FormatInt(p.Warm.OnLoad.Milliseconds(), 10),
+		strconv.FormatFloat(p.OnLoadSpeedup(), 'f', 4, 64),
+	})
+}
+
+// emitWarmSiteRows writes one site's pair rows: the landing pair, then
+// each internal pair in measurement order.
+func emitWarmSiteRows(cw *csv.Writer, s *WarmSiteResult) error {
+	if err := emitPairRow(cw, s, &s.Landing, "landing"); err != nil {
 		return err
 	}
-	emit := func(s *WarmSiteResult, p *PagePair, kind string) error {
-		return cw.Write([]string{
-			s.Domain, strconv.Itoa(s.Rank), s.Category, kind, p.Cold.URL,
-			strconv.FormatInt(p.Cold.Bytes, 10),
-			strconv.FormatInt(p.Cold.TransferBytes, 10),
-			strconv.FormatInt(p.Warm.TransferBytes, 10),
-			strconv.FormatFloat(p.ByteSavings(), 'f', 4, 64),
-			strconv.Itoa(p.Cold.NetworkRequests),
-			strconv.Itoa(p.Warm.NetworkRequests),
-			strconv.FormatFloat(p.RequestSavings(), 'f', 4, 64),
-			strconv.Itoa(p.Warm.CacheHits),
-			strconv.Itoa(p.Warm.Revalidations),
-			strconv.FormatInt(p.Cold.OnLoad.Milliseconds(), 10),
-			strconv.FormatInt(p.Warm.OnLoad.Milliseconds(), 10),
-			strconv.FormatFloat(p.OnLoadSpeedup(), 'f', 4, 64),
-		})
-	}
-	for i := range res.Sites {
-		s := &res.Sites[i]
-		if err := emit(s, &s.Landing, "landing"); err != nil {
+	for j := range s.Internal {
+		if err := emitPairRow(cw, s, &s.Internal[j], "internal"); err != nil {
 			return err
 		}
-		for j := range s.Internal {
-			if err := emit(s, &s.Internal[j], "internal"); err != nil {
-				return err
-			}
+	}
+	return nil
+}
+
+// WriteWarmCSV writes a cold→warm study's per-page pairs.
+func WriteWarmCSV(w io.Writer, res *WarmStudyResult) error {
+	return writeCSV(w, warmCSVHeader, res.Sites, emitWarmSiteRows)
+}
+
+// writeCSV writes header and then every site's rows through emit.
+func writeCSV[R any](w io.Writer, header []string, sites []R, emit func(*csv.Writer, *R) error) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	for i := range sites {
+		if err := emit(cw, &sites[i]); err != nil {
+			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// csvSinkFlushEvery is how many sites a row sink buffers between flushes
+// of the underlying csv writer — batching writes without letting an
+// interrupted run hold back more than a window's worth of rows.
+const csvSinkFlushEvery = 64
+
+// rowSink streams a CSV dataset row by row as sites retire, producing
+// bytes identical to the in-memory writer over the same surviving sites
+// without ever holding more than one site.
+type rowSink[R any] struct {
+	cw    *csv.Writer
+	emit  func(*csv.Writer, *R) error
+	sites int
+}
+
+// CSVSink streams the per-page measurement dataset: WriteMeasurementsCSV's
+// bytes.
+type CSVSink = rowSink[SiteResult]
+
+// WarmCSVSink streams the cold→warm pair dataset: WriteWarmCSV's bytes.
+type WarmCSVSink = rowSink[WarmSiteResult]
+
+// NewCSVSink writes the measurement dataset header and returns the sink.
+func NewCSVSink(w io.Writer) (*CSVSink, error) { return newRowSink(w, csvHeader, emitSiteRows) }
+
+// NewWarmCSVSink writes the pair dataset header and returns the sink.
+func NewWarmCSVSink(w io.Writer) (*WarmCSVSink, error) {
+	return newRowSink(w, warmCSVHeader, emitWarmSiteRows)
+}
+
+func newRowSink[R any](w io.Writer, header []string, emit func(*csv.Writer, *R) error) (*rowSink[R], error) {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(header); err != nil {
+		return nil, err
+	}
+	return &rowSink[R]{cw: cw, emit: emit}, nil
+}
+
+// ConsumeSite emits the site's rows (landing first, then internals);
+// failed sites contribute nothing, as in the in-memory dataset.
+func (c *rowSink[R]) ConsumeSite(res *R, out *Outcome) error {
+	if !out.OK {
+		return nil
+	}
+	if err := c.emit(c.cw, res); err != nil {
+		return err
+	}
+	c.sites++
+	if c.sites%csvSinkFlushEvery == 0 {
+		c.cw.Flush()
+		if err := c.cw.Error(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Flush drains the writer.
+func (c *rowSink[R]) Flush() error {
+	c.cw.Flush()
+	return c.cw.Error()
 }
 
 // ReadMeasurementsCSV parses a dataset written by WriteMeasurementsCSV

@@ -17,7 +17,7 @@ import (
 // end-to-end witness behind detlint's static contract: if any code path
 // consults the wall clock, the global RNG, or map iteration order, some
 // byte below changes between two calls.
-func studyArtifacts(t *testing.T, workers, procs int) (csv, streamCSV, warmCSV, har []byte) {
+func studyArtifacts(t *testing.T, workers, procs int) (csv, streamCSV, warmCSV, warmStreamCSV, har []byte) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(old)
@@ -60,6 +60,21 @@ func studyArtifacts(t *testing.T, workers, procs int) (csv, streamCSV, warmCSV, 
 		t.Fatalf("write warm csv: %v", err)
 	}
 
+	// The same pairs through the streaming warm engine and WarmCSVSink.
+	var warmStreamBuf bytes.Buffer
+	warmSink, err := NewWarmCSVSink(&warmStreamBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stWarm, err := NewStudy(web, StudyConfig{Seed: 7, LandingFetches: 2, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stWarm.RunWarmStream(list, WarmConfig{RevisitDelay: 30 * time.Minute,
+		Sinks: []Sink[WarmSiteResult]{warmSink}}); err != nil {
+		t.Fatalf("streaming warm study: %v", err)
+	}
+
 	// HAR artifacts, the way cmd/webmeasure -har produces them.
 	resolver := dnssim.NewResolver(dnssim.ResolverConfig{
 		Name: "isp", Seed: 7, WarmQueryRate: 0.8,
@@ -91,18 +106,19 @@ func studyArtifacts(t *testing.T, workers, procs int) (csv, streamCSV, warmCSV, 
 			}
 		}
 	}
-	return csvBuf.Bytes(), streamBuf.Bytes(), warmBuf.Bytes(), harBuf.Bytes()
+	return csvBuf.Bytes(), streamBuf.Bytes(), warmBuf.Bytes(), warmStreamBuf.Bytes(), harBuf.Bytes()
 }
 
 // TestArtifactsInvariantAcrossParallelism is the determinism regression
 // test the lint contract points at: the same seeded study run with
 // different worker counts AND different GOMAXPROCS must publish
-// byte-identical CSV, warm CSV, and HAR artifacts. Any scheduling
-// dependence — a shared RNG, a wall-clock read in a measurement path, an
-// unsorted map emission — shows up here as a byte diff.
+// byte-identical CSV, warm CSV (in memory and streamed), and HAR
+// artifacts. Any scheduling dependence — a shared RNG, a wall-clock read
+// in a measurement path, an unsorted map emission — shows up here as a
+// byte diff.
 func TestArtifactsInvariantAcrossParallelism(t *testing.T) {
-	csv1, stream1, warm1, har1 := studyArtifacts(t, 1, 1)
-	csv8, stream8, warm8, har8 := studyArtifacts(t, 8, runtime.NumCPU())
+	csv1, stream1, warm1, warmStream1, har1 := studyArtifacts(t, 1, 1)
+	csv8, stream8, warm8, warmStream8, har8 := studyArtifacts(t, 8, runtime.NumCPU())
 
 	if !bytes.Equal(csv1, csv8) {
 		t.Errorf("measurement CSV differs between Workers=1/GOMAXPROCS=1 and Workers=8/GOMAXPROCS=%d (%d vs %d bytes)",
@@ -116,6 +132,10 @@ func TestArtifactsInvariantAcrossParallelism(t *testing.T) {
 	}
 	if !bytes.Equal(warm1, warm8) {
 		t.Errorf("warm CSV differs between parallelism settings (%d vs %d bytes)", len(warm1), len(warm8))
+	}
+	if !bytes.Equal(warmStream1, warm1) || !bytes.Equal(warmStream8, warm8) {
+		t.Errorf("streamed warm CSV differs from WriteWarmCSV over RunWarm (%d/%d vs %d/%d bytes)",
+			len(warmStream1), len(warmStream8), len(warm1), len(warm8))
 	}
 	if !bytes.Equal(har1, har8) {
 		t.Errorf("HAR stream differs between parallelism settings (%d vs %d bytes)", len(har1), len(har8))

@@ -19,14 +19,44 @@ import (
 // isolated site contexts; finished sites flow through a bounded reorder
 // window to a single fold goroutine that retires them in site-rank
 // order — stamping each site's span, then handing the result to the
-// caller's retire step (RunStream's aggregating fold, RunWarm's
-// collector) — and drops them. Peak retained site results are bounded
-// by the window regardless of list size.
+// run's sinks (RunStream's aggregating fold, CSV writers, collectors) —
+// and drops them. Peak retained site results are bounded by the window
+// regardless of list size.
 //
 // Determinism: because retirement runs in site-rank order, every
 // accumulated float, sink byte and merged span sees the same order at
 // any worker count — the invariant TestArtifactsInvariantAcrossParallelism
 // and TestStreamTraceInvariantAcrossWorkers enforce.
+
+// Sink consumes sites as the engine retires them. ConsumeSite is called
+// exactly once per input site — failed ones included (with a zero
+// result), so sinks can account for every input — always from a single
+// goroutine and always in site-index order, until the sink returns an
+// error: a failing sink is dropped while the run's other sinks keep
+// receiving sites. Flush is called once after the last site, on every
+// sink. The run's error joins every sink error.
+type Sink[R any] interface {
+	ConsumeSite(res *R, out *Outcome) error
+	Flush() error
+}
+
+// Collector is a sink that keeps every surviving site in rank order: how
+// Run and RunWarm rebuild their in-memory results on the streaming
+// engines, and how a caller gets the site list and a trace from one run.
+type Collector[R any] struct {
+	Sites []R
+}
+
+// ConsumeSite appends the site if it survived.
+func (c *Collector[R]) ConsumeSite(res *R, out *Outcome) error {
+	if out.OK {
+		c.Sites = append(c.Sites, *res)
+	}
+	return nil
+}
+
+// Flush does nothing: the sites are already collected.
+func (c *Collector[R]) Flush() error { return nil }
 
 // siteDone carries one measured site from a worker to the fold.
 type siteDone[R any] struct {
@@ -51,15 +81,14 @@ type siteRun struct {
 }
 
 // runSites measures every site of the list with measure and retires the
-// results through retire, exactly once per site — failed ones included —
-// from a single goroutine in site-index order. At most window sites
+// results through sinks under the Sink contract. At most window sites
 // (default 4×Workers, never below Workers+1) are dispatched but not yet
 // retired. Every site is always attempted; the failure budget decides
 // only whether the aggregate error rides along with the run, which is
 // never nil. measure records its metrics into the run's stats set.
 func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 	measure func(i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (R, Outcome),
-	retire func(i int, r *R, out *Outcome)) (*siteRun, error) {
+	sinks []Sink[R]) (*siteRun, error) {
 	workers := st.cfg.Workers
 	if window <= 0 {
 		window = 4 * workers
@@ -110,7 +139,9 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 
 	// The fold: a single goroutine retiring sites in rank order through
 	// a reorder buffer keyed by site index.
-	var siteErrs []error
+	var siteErrs, sinkErrs []error
+	// live holds the sinks still consuming; a failing sink's slot is nil.
+	live := append([]Sink[R](nil), sinks...)
 	var foldWG sync.WaitGroup
 	foldWG.Add(1)
 	go func() {
@@ -136,7 +167,15 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 				if !out.OK {
 					siteErrs = append(siteErrs, out.Err)
 				}
-				retire(next, &cur.res, out)
+				for k, s := range live {
+					if s == nil {
+						continue
+					}
+					if err := s.ConsumeSite(&cur.res, out); err != nil {
+						sinkErrs = append(sinkErrs, fmt.Errorf("core: sink: %w", err))
+						live[k] = nil
+					}
+				}
 				next++
 				<-tokens
 			}
@@ -151,6 +190,11 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 	workerWG.Wait()
 	close(completed)
 	foldWG.Wait()
+	for _, s := range sinks {
+		if err := s.Flush(); err != nil {
+			sinkErrs = append(sinkErrs, fmt.Errorf("core: sink flush: %w", err))
+		}
+	}
 	// Keep the analysis clock at the end of the study window.
 	st.clock.AdvanceTo(st.epoch.Add(time.Duration(n) * st.cfg.SitePacing))
 
@@ -164,13 +208,14 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 	rs.SetGauge("stream.window", float64(window))
 	rs.SetGauge("stream.inflight.max", float64(run.maxInFlight))
 
+	var budgetErr error
 	if st.cfg.FailureBudget >= 0 {
 		if allowed := int(st.cfg.FailureBudget * float64(n)); run.failed > allowed {
-			return run, fmt.Errorf("core: %d/%d sites failed, exceeding the failure budget of %d: %w",
+			budgetErr = fmt.Errorf("core: %d/%d sites failed, exceeding the failure budget of %d: %w",
 				run.failed, n, allowed, errors.Join(siteErrs...))
 		}
 	}
-	return run, nil
+	return run, errors.Join(append([]error{budgetErr}, sinkErrs...)...)
 }
 
 // siteSpans stamps each retiring site's root span into its recorder and

@@ -1,0 +1,90 @@
+package core
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"repro/internal/hispar"
+)
+
+var errSinkBoom = errors.New("sink boom")
+
+// countingSink counts the sites it consumes and its flushes, and fails
+// on the site at index failAt (-1: never).
+type countingSink[R any] struct {
+	failAt            int
+	consumed, flushes int
+}
+
+func (s *countingSink[R]) ConsumeSite(*R, *Outcome) error {
+	s.consumed++
+	if s.consumed-1 == s.failAt {
+		return errSinkBoom
+	}
+	return nil
+}
+
+func (s *countingSink[R]) Flush() error {
+	s.flushes++
+	return nil
+}
+
+// checkDroppedSink holds one run to the engine's sink-error rule: the
+// run's error wraps the sink's, every input site has an outcome, the
+// failing sink saw nothing after its failure, the healthy one saw every
+// site, and both were flushed exactly once.
+func checkDroppedSink[R any](t *testing.T, engine string, list *hispar.List,
+	bad, good *countingSink[R], outs []Outcome, err error) {
+	t.Helper()
+	if !errors.Is(err, errSinkBoom) {
+		t.Errorf("%s: run error %v does not wrap the sink's error", engine, err)
+	}
+	if len(outs) != len(list.Sets) {
+		t.Fatalf("%s: %d outcomes for %d sites", engine, len(outs), len(list.Sets))
+	}
+	for i := range outs {
+		if outs[i].Domain != list.Sets[i].Domain {
+			t.Errorf("%s: outcome %d is %q, want %q", engine, i, outs[i].Domain, list.Sets[i].Domain)
+		}
+	}
+	if bad.consumed != bad.failAt+1 {
+		t.Errorf("%s: failing sink consumed %d sites, want %d (none after its failure)",
+			engine, bad.consumed, bad.failAt+1)
+	}
+	if good.consumed != len(list.Sets) {
+		t.Errorf("%s: healthy sink consumed %d of %d sites", engine, good.consumed, len(list.Sets))
+	}
+	if bad.flushes != 1 || good.flushes != 1 {
+		t.Errorf("%s: flushes %d (failing) and %d (healthy), want 1 each", engine, bad.flushes, good.flushes)
+	}
+}
+
+// TestFailingSinkIsDropped pins the sink-error rule for both engines: a
+// sink that fails on site k is dropped, every other sink — the cold
+// fold included — keeps receiving sites, and all sink errors are joined
+// into the run's error.
+func TestFailingSinkIsDropped(t *testing.T) {
+	web, list := faultWeb(t)
+	const k = 3
+
+	bad, good := &countingSink[SiteResult]{failAt: k}, &countingSink[SiteResult]{failAt: -1}
+	sres, err := streamStudy(t, web, list, nil, StreamConfig{Sinks: []SiteSink{bad, good}})
+	checkDroppedSink(t, "RunStream", list, bad, good, sres.Outcomes, err)
+	clean, err := streamStudy(t, web, list, nil, StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sres.Agg, clean.Agg) || sres.Top != clean.Top || sres.Bottom != clean.Bottom ||
+		!reflect.DeepEqual(sres.Shards, clean.Shards) {
+		t.Error("RunStream: a failing sink changed the fold's aggregates")
+	}
+
+	st, err := NewStudy(web, StudyConfig{Seed: 7, LandingFetches: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wbad, wgood := &countingSink[WarmSiteResult]{failAt: k}, &countingSink[WarmSiteResult]{failAt: -1}
+	wres, err := st.RunWarmStream(list, WarmConfig{Sinks: []Sink[WarmSiteResult]{wbad, wgood}})
+	checkDroppedSink(t, "RunWarmStream", list, wbad, wgood, wres.Outcomes, err)
+}

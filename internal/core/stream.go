@@ -1,10 +1,7 @@
 package core
 
 import (
-	"encoding/csv"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"time"
@@ -17,11 +14,11 @@ import (
 
 // This file is the cold study's fold over the shared engine (engine.go):
 // HAR → metrics → aggregates with constant memory. The engine retires
-// SiteResults in site-rank order; the fold passes each through the
-// configured sinks (streaming CSV, collectors) and into rank-sharded
-// accumulators of mergeable quantile sketches, and then drops it, which
-// is what lets papereval-style studies scale from H1K toward H100K
-// without holding the result set.
+// SiteResults in site-rank order to the configured sinks (streaming CSV,
+// collectors) and to the fold, one more sink, which adds each to
+// rank-sharded accumulators of mergeable quantile sketches; the engine
+// then drops it, which is what lets papereval-style studies scale from
+// H1K toward H100K without holding the result set.
 //
 // Determinism: because the fold runs in site-rank order, every
 // accumulated float (ratio log-sums, sketch Sums) sees the same
@@ -299,15 +296,8 @@ type ShardSummary struct {
 	MedianDeltaBytes float64
 }
 
-// SiteSink consumes sites as the streaming fold retires them.
-// ConsumeSite is called exactly once per input site — failed ones
-// included (with a zero SiteResult), so sinks can account for every
-// input — always from a single goroutine and always in site-index
-// order. Flush is called once after the last site.
-type SiteSink interface {
-	ConsumeSite(res *SiteResult, out *Outcome) error
-	Flush() error
-}
+// SiteSink is the cold study's sink (see Sink).
+type SiteSink = Sink[SiteResult]
 
 // StreamConfig shapes one streaming run.
 type StreamConfig struct {
@@ -366,48 +356,47 @@ type StreamResult struct {
 // FailedSites returns how many input sites yielded no measurement.
 func (r *StreamResult) FailedSites() int { return failedSites(r.Outcomes) }
 
-// streamFold owns all single-goroutine fold state: sinks, the live
-// shard, tail counters, and error accumulation. None of it is locked —
-// only the fold goroutine (and, after it exits, the caller) touches it.
+// streamFold is the cold study's aggregating sink: it closes rank shards,
+// folds survivors into the live shard and the tail counters, and records
+// the shard and study spans. The engine drives it from its single fold
+// goroutine, so none of its state is locked.
 type streamFold struct {
-	st  *Study
-	cfg StreamConfig
-	res *StreamResult
+	st        *Study
+	shardSize int
+	res       *StreamResult
 
 	shard       *Aggregates
 	shardLo     int
 	shardFailed int
 
+	// n counts consumed sites, failed the ones that yielded nothing.
+	n, failed  int
 	okCount    int
 	bottomRing [][numMetrics]int8
 	bottomNext int
 
 	// rec collects the fold's own spans (shards, study) on tid 0; it is
-	// merged after every site recorder so merge order stays rank-derived.
+	// merged into tr after every site recorder so merge order stays
+	// rank-derived.
+	tr  *trace.Tracer
 	rec *trace.Recorder
 
-	sinkErr error
+	mergeErr error
 }
 
-// retire processes site i in rank order: shard boundary, sinks,
+// ConsumeSite folds the next site in rank order: shard boundary,
 // accumulators, tail counters.
 //
-//detlint:hotpath -- the cold retire step; the engine calls it through a func value
-func (f *streamFold) retire(i int, res *SiteResult, out *Outcome) {
-	if i > 0 && i%f.cfg.shardSize == 0 {
-		f.closeShard(i)
+//detlint:hotpath -- the cold fold step; the engine calls it through the Sink interface
+func (f *streamFold) ConsumeSite(res *SiteResult, out *Outcome) error {
+	if f.n > 0 && f.n%f.shardSize == 0 {
+		f.closeShard(f.n)
 	}
-	if f.sinkErr == nil {
-		for _, s := range f.cfg.Sinks {
-			if err := s.ConsumeSite(res, out); err != nil {
-				f.sinkErr = fmt.Errorf("core: stream sink: %w", err)
-				break
-			}
-		}
-	}
+	f.n++
 	if !out.OK {
 		f.shardFailed++
-		return
+		f.failed++
+		return nil
 	}
 	signs := f.shard.AccumulateSite(res)
 	f.okCount++
@@ -420,6 +409,7 @@ func (f *streamFold) retire(i int, res *SiteResult, out *Outcome) {
 		f.bottomRing[f.bottomNext] = signs
 		f.bottomNext = (f.bottomNext + 1) % bottomK
 	}
+	return nil
 }
 
 // closeShard summarizes the live shard over [shardLo, hi), merges it
@@ -436,8 +426,8 @@ func (f *streamFold) closeShard(hi int) {
 		MedianDeltaBytes: f.shard.Delta(MetricBytes).Median(),
 	})
 	// Rank order: shard s merges before any site of shard s+1 folds.
-	if err := f.res.Agg.Merge(f.shard); err != nil && f.sinkErr == nil {
-		f.sinkErr = err
+	if err := f.res.Agg.Merge(f.shard); err != nil && f.mergeErr == nil {
+		f.mergeErr = err
 	}
 	if f.rec != nil {
 		sum := &f.res.Shards[len(f.res.Shards)-1]
@@ -458,15 +448,10 @@ func (f *streamFold) closeShard(hi int) {
 	f.shardLo, f.shardFailed = hi, 0
 }
 
-// finish closes the last shard, flushes sinks, and folds the bottom
-// ring (the last ≤bottomK surviving sites, oldest slot first).
-func (f *streamFold) finish(n, failed int) {
-	f.closeShard(n)
-	for _, s := range f.cfg.Sinks {
-		if err := s.Flush(); err != nil && f.sinkErr == nil {
-			f.sinkErr = fmt.Errorf("core: stream sink flush: %w", err)
-		}
-	}
+// Flush closes the last shard, folds the bottom ring (the last ≤bottomK
+// surviving sites, oldest slot first) and records the study span.
+func (f *streamFold) Flush() error {
+	f.closeShard(f.n)
 	for i := 0; i < len(f.bottomRing); i++ {
 		f.res.Bottom.accumulate(f.bottomRing[(f.bottomNext+i)%len(f.bottomRing)])
 	}
@@ -475,18 +460,19 @@ func (f *streamFold) finish(n, failed int) {
 			ID:   trace.DeriveID("study"),
 			Name: "study", Cat: "study",
 			Start: f.st.epoch,
-			Dur:   time.Duration(n) * f.st.cfg.SitePacing,
+			Dur:   time.Duration(f.n) * f.st.cfg.SitePacing,
 			Attrs: []trace.Attr{
-				{Key: "sites", Val: strconv.Itoa(n)},
-				{Key: "failed", Val: strconv.Itoa(failed)},
+				{Key: "sites", Val: strconv.Itoa(f.n)},
+				{Key: "failed", Val: strconv.Itoa(f.failed)},
 				{Key: "shards", Val: strconv.Itoa(len(f.res.Shards))},
-				{Key: "shard_size", Val: strconv.Itoa(f.cfg.shardSize)},
+				{Key: "shard_size", Val: strconv.Itoa(f.shardSize)},
 			},
 		})
-		// Fold spans merge last: every site recorder has already merged
-		// by the time finish runs, so the stream stays rank-ordered.
-		f.cfg.Trace.Merge(f.rec)
+		// Fold spans merge last: the engine flushes after every site
+		// recorder has merged, so the stream stays rank-ordered.
+		f.tr.Merge(f.rec)
 	}
+	return f.mergeErr
 }
 
 // RunStream measures every site in the list with the same fault-tolerant,
@@ -502,76 +488,10 @@ func (f *streamFold) finish(n, failed int) {
 func (st *Study) RunStream(list *hispar.List, cfg StreamConfig) (*StreamResult, error) {
 	cfg = cfg.withDefaults()
 	res := &StreamResult{List: list, Agg: NewAggregates()}
-	fold := &streamFold{st: st, cfg: cfg, res: res, shard: NewAggregates(),
-		rec: cfg.Trace.Recorder(0, 0)}
-	run, err := runSites(st, list, cfg.window, cfg.Trace, st.measureSiteResilient, fold.retire)
-	res.Outcomes, res.MaxInFlight = run.outcomes, run.maxInFlight
-	fold.finish(len(list.Sets), run.failed)
-	res.Stats = run.stats.Snapshot()
-	if fold.sinkErr != nil {
-		err = errors.Join(err, fold.sinkErr)
-	}
+	fold := &streamFold{st: st, shardSize: cfg.shardSize, res: res, shard: NewAggregates(),
+		tr: cfg.Trace, rec: cfg.Trace.Recorder(0, 0)}
+	sinks := append(cfg.Sinks[:len(cfg.Sinks):len(cfg.Sinks)], fold)
+	run, err := runSites(st, list, cfg.window, cfg.Trace, st.measureSiteResilient, sinks)
+	res.Outcomes, res.MaxInFlight, res.Stats = run.outcomes, run.maxInFlight, run.stats.Snapshot()
 	return res, err
 }
-
-// csvSinkFlushEvery is how many sites a CSVSink buffers between flushes
-// of the underlying csv writer — batching writes without letting an
-// interrupted run hold back more than a window's worth of rows.
-const csvSinkFlushEvery = 64
-
-// CSVSink streams the per-page measurement dataset row by row as sites
-// retire, producing bytes identical to WriteMeasurementsCSV over the
-// same surviving sites — without ever holding more than one site.
-type CSVSink struct {
-	cw    *csv.Writer
-	sites int
-}
-
-// NewCSVSink writes the dataset header and returns the sink.
-func NewCSVSink(w io.Writer) (*CSVSink, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return nil, err
-	}
-	return &CSVSink{cw: cw}, nil
-}
-
-// ConsumeSite emits the site's rows (landing first, then internals);
-// failed sites contribute nothing, as in the in-memory dataset.
-func (c *CSVSink) ConsumeSite(res *SiteResult, out *Outcome) error {
-	if !out.OK {
-		return nil
-	}
-	if err := emitSiteRows(c.cw, res); err != nil {
-		return err
-	}
-	c.sites++
-	if c.sites%csvSinkFlushEvery == 0 {
-		c.cw.Flush()
-		if err := c.cw.Error(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flush drains the writer.
-func (c *CSVSink) Flush() error {
-	c.cw.Flush()
-	return c.cw.Error()
-}
-
-// collectSink rebuilds the in-memory survivors slice — how Run layers
-// on top of RunStream.
-type collectSink struct {
-	sites []SiteResult
-}
-
-func (c *collectSink) ConsumeSite(res *SiteResult, out *Outcome) error {
-	if out.OK {
-		c.sites = append(c.sites, *res)
-	}
-	return nil
-}
-
-func (c *collectSink) Flush() error { return nil }

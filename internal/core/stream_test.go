@@ -2,13 +2,16 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/hispar"
+	"repro/internal/search"
 	"repro/internal/stats"
+	"repro/internal/toplist"
 	"repro/internal/webgen"
 )
 
@@ -64,7 +67,8 @@ func TestStreamCSVMatchesInMemory(t *testing.T) {
 // TestStreamAggregatesMatchInMemory checks the aggregate half of the
 // contract against the in-memory result: counter- and geomean-backed
 // numbers must be bit-exact, sketch-backed quantiles within the
-// sketch's documented relative error.
+// sketch's documented relative error, and the sketch reads behind the
+// fig2 report rows within the tolerances those rows were held to.
 func TestStreamAggregatesMatchInMemory(t *testing.T) {
 	web, list := faultWeb(t)
 
@@ -133,6 +137,8 @@ func TestStreamAggregatesMatchInMemory(t *testing.T) {
 		}
 	}
 
+	checkFig2SketchRows(t)
+
 	// The tail counters cover every survivor here (12 sites < topK=30).
 	if sres.Top.N != len(sites) || sres.Bottom.N != len(sites) {
 		t.Errorf("tail N = %d/%d, want %d (list smaller than both tails)",
@@ -161,6 +167,70 @@ func TestStreamAggregatesMatchInMemory(t *testing.T) {
 	if got := sres.Agg.Internal(MetricBytes).Count(); got != uint64(internals) {
 		t.Errorf("internal sketch count %d, want %d", got, internals)
 	}
+}
+
+// checkFig2SketchRows holds the sketch reads behind Fig 2's quantile
+// rows — the ±2 MB byte-delta fractions, the median landing PLT and the
+// 33-point delta CDFs — to the exact per-site values, at the scale and
+// tolerances the fig2 reports were checked at (80 sites × 8 URLs; one
+// site is then a small step of any CDF). Survivors and aggregates come
+// from one streaming run.
+func checkFig2SketchRows(t *testing.T) {
+	t.Helper()
+	u := toplist.NewUniverse(toplist.Config{Seed: 11, Size: 4000})
+	entries := u.Top(80 * 7 / 5)
+	seeds := make([]webgen.SiteSeed, len(entries))
+	for i, e := range entries {
+		seeds[i] = webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank}
+	}
+	web := webgen.Generate(webgen.Config{Seed: 11, Sites: seeds})
+	list, _, err := hispar.Build(search.New(web, search.Config{EnglishOnly: true}), entries,
+		hispar.BuildConfig{Sites: 80, URLsPerSite: 8, MinResults: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := &Collector[SiteResult]{}
+	sres, err := streamStudy(t, web, list, func(c *StudyConfig) { c.Seed = 11 },
+		StreamConfig{Sinks: []SiteSink{col}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := col.Sites
+	within := func(what string, got, want, tol float64) {
+		if math.Abs(got-want) > tol {
+			t.Errorf("%s = %v, want %v ± %v", what, got, want, tol)
+		}
+	}
+
+	for _, m := range []Metric{MetricBytes, MetricObjects, MetricPLT} {
+		deltas := make([]float64, len(sites))
+		for i := range sites {
+			deltas[i] = sites[i].Delta(func(p *PageMeasurement) float64 { return metricOf(p, m) })
+		}
+		if m == MetricBytes {
+			for _, th := range []float64{-2e6, 2e6} {
+				want := stats.FractionBelow(deltas, th)
+				within(fmt.Sprintf("delta bytes FractionBelow(%g)", th),
+					sres.Agg.Delta(m).FractionBelow(th), want, stats.DefaultSketchAlpha*math.Abs(want)+0.05)
+			}
+		}
+		// Identical x grids (exact min/max), F(x) within bucket tolerance.
+		gotPts, wantPts := sres.Agg.Delta(m).Points(33), stats.NewECDF(deltas).Points(33)
+		if len(gotPts) != len(wantPts) {
+			t.Fatalf("%v: delta CDF has %d points, want %d", m, len(gotPts), len(wantPts))
+		}
+		for i := range wantPts {
+			within(fmt.Sprintf("%v delta CDF[%d] x", m, i), gotPts[i][0], wantPts[i][0], 1e-9*math.Abs(wantPts[i][0])+1e-12)
+			within(fmt.Sprintf("%v delta CDF[%d] F(x)", m, i), gotPts[i][1], wantPts[i][1], 0.06)
+		}
+	}
+
+	plts := make([]float64, len(sites))
+	for i := range sites {
+		plts[i] = sites[i].Landing.PLT.Seconds()
+	}
+	want := stats.Median(plts)
+	within("landing PLT median", sres.Agg.Landing(MetricPLT).Median(), want, stats.DefaultSketchAlpha*math.Abs(want)+0.15)
 }
 
 // TestStreamInvariantAcrossWorkersAndWindows reruns the streaming

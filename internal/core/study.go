@@ -412,11 +412,11 @@ func medianizeTimings(fetches []PageMeasurement) PageMeasurement {
 // streaming engine does the measuring, and the sink rebuilds the
 // in-memory survivors slice in rank order.
 func (st *Study) Run(list *hispar.List) (*StudyResult, error) {
-	col := &collectSink{}
+	col := &Collector[SiteResult]{}
 	sres, err := st.RunStream(list, StreamConfig{Sinks: []SiteSink{col}})
 	return &StudyResult{
 		List:     list,
-		Sites:    col.sites,
+		Sites:    col.Sites,
 		Outcomes: sres.Outcomes,
 		Stats:    sres.Stats,
 	}, err

@@ -31,6 +31,8 @@ type WarmConfig struct {
 	// detail levels — the load/exchange/phase spans of both legs of every
 	// pair, merged in rank order exactly as for RunStream.
 	Trace *trace.Tracer
+	// Sinks receive every site in rank order (e.g. NewWarmCSVSink).
+	Sinks []Sink[WarmSiteResult]
 }
 
 func (c WarmConfig) withDefaults() WarmConfig {
@@ -87,7 +89,8 @@ func (s *WarmSiteResult) InternalMedian(f func(*PagePair) float64) float64 {
 	return medianOf(s.Internal, f)
 }
 
-// WarmStudyResult is a full cold→warm study over a list.
+// WarmStudyResult is a full cold→warm study over a list. Sites holds the
+// survivors in list order; RunWarmStream leaves it empty.
 type WarmStudyResult struct {
 	List         *hispar.List
 	RevisitDelay time.Duration
@@ -166,23 +169,28 @@ func (st *Study) measureSiteWarm(i int, set hispar.URLSet, rec *trace.Recorder, 
 	})
 }
 
-// RunWarm measures every site's cold→warm pairs on the shared study
-// engine, with the same isolation, window, tracing and degradation
+// RunWarmStream measures every site's cold→warm pairs on the shared
+// study engine, with the same isolation, window, tracing and degradation
 // guarantees as RunStream: results are identical at any worker count,
-// failed sites are recorded in Outcomes, and the failure budget decides
-// whether an aggregate error rides along with the result, which is never
-// nil.
-func (st *Study) RunWarm(list *hispar.List, wcfg WarmConfig) (*WarmStudyResult, error) {
+// each site reaches the sinks in rank order and is then dropped, failed
+// sites are recorded in Outcomes, and the failure budget decides whether
+// an aggregate error rides along with the result, which is never nil.
+func (st *Study) RunWarmStream(list *hispar.List, wcfg WarmConfig) (*WarmStudyResult, error) {
 	wcfg = wcfg.withDefaults()
-	res := &WarmStudyResult{List: list, RevisitDelay: wcfg.RevisitDelay}
 	measure := func(i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (WarmSiteResult, Outcome) {
 		return st.measureSiteWarm(i, set, rec, rs, wcfg.RevisitDelay)
 	}
-	run, err := runSites(st, list, 0, wcfg.Trace, measure, func(_ int, r *WarmSiteResult, out *Outcome) {
-		if out.OK {
-			res.Sites = append(res.Sites, *r)
-		}
-	})
-	res.Outcomes, res.Stats = run.outcomes, run.stats.Snapshot()
+	run, err := runSites(st, list, 0, wcfg.Trace, measure, wcfg.Sinks)
+	return &WarmStudyResult{List: list, RevisitDelay: wcfg.RevisitDelay,
+		Outcomes: run.outcomes, Stats: run.stats.Snapshot()}, err
+}
+
+// RunWarm is RunWarmStream with a collecting sink: the result's Sites
+// holds every survivor in rank order.
+func (st *Study) RunWarm(list *hispar.List, wcfg WarmConfig) (*WarmStudyResult, error) {
+	col := &Collector[WarmSiteResult]{}
+	wcfg.Sinks = append(wcfg.Sinks[:len(wcfg.Sinks):len(wcfg.Sinks)], col)
+	res, err := st.RunWarmStream(list, wcfg)
+	res.Sites = col.Sites
 	return res, err
 }

@@ -40,13 +40,8 @@ type Config struct {
 	// RevisitDelay is the cold→warm gap of the repeat-view study
 	// (default 30m).
 	RevisitDelay time.Duration
-	// Stream routes the overview experiments (fig2a/b/c) through the
-	// constant-memory streaming engine instead of the in-memory study:
-	// counter- and geomean-backed rows are identical, quantile-backed
-	// rows within the sketch's relative error (see DESIGN.md).
-	Stream bool
-	// Trace collects deterministic spans from the streaming study when
-	// Stream is set (nil = tracing off).
+	// Trace collects deterministic spans from the cold H1K study every
+	// experiment reads (nil = tracing off).
 	Trace *trace.Tracer
 }
 
@@ -103,8 +98,6 @@ type Context struct {
 	buildStats hispar.BuildStats
 	study      *core.StudyResult
 	studyErr   error
-	stream     *core.StreamResult
-	streamErr  error
 	warm       *core.WarmStudyResult
 	warmErr    error
 }
@@ -234,7 +227,9 @@ func (c *Context) newStudyLocked() (*core.Study, error) {
 	})
 }
 
-// Study returns the full H1K study result, running it on first use.
+// Study returns the full H1K study result, running it on first use. It
+// is the one cold study of a context: a streaming run with a collecting
+// sink, traced into Cfg.Trace.
 func (c *Context) Study() (*core.StudyResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -251,31 +246,11 @@ func (c *Context) Study() (*core.StudyResult, error) {
 		c.studyErr = err
 		return nil, err
 	}
-	c.study, c.studyErr = st.Run(list) //detlint:allow lockheld -- single-flight by design: concurrent callers must wait for the one study run
+	col := &core.Collector[core.SiteResult]{}
+	sres, err := st.RunStream(list, core.StreamConfig{Sinks: []core.SiteSink{col}, Trace: c.Cfg.Trace}) //detlint:allow lockheld -- single-flight by design: concurrent callers must wait for the one study run
+	c.study = &core.StudyResult{List: list, Sites: col.Sites, Outcomes: sres.Outcomes, Stats: sres.Stats}
+	c.studyErr = err
 	return c.study, c.studyErr
-}
-
-// StreamStudy returns the H1K study's streaming aggregates, running the
-// constant-memory engine on first use. It never materializes the site
-// results: only sketches, counters, and shard summaries survive.
-func (c *Context) StreamStudy() (*core.StreamResult, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stream != nil || c.streamErr != nil {
-		return c.stream, c.streamErr
-	}
-	list, _, err := c.listLocked()
-	if err != nil {
-		c.streamErr = err
-		return nil, err
-	}
-	st, err := c.newStudyLocked()
-	if err != nil {
-		c.streamErr = err
-		return nil, err
-	}
-	c.stream, c.streamErr = st.RunStream(list, core.StreamConfig{Trace: c.Cfg.Trace}) //detlint:allow lockheld -- single-flight by design: concurrent callers must wait for the one streaming run
-	return c.stream, c.streamErr
 }
 
 // WarmStudy returns the cold→warm repeat-view study, running it on

@@ -16,9 +16,6 @@ import (
 // Paper: 65% of H1K (54% of Ht30) sites have landing pages larger than
 // the median of their internal pages; geometric-mean size ratio ≈ 1.34.
 func RunFig2a(ctx *Context) (*Report, error) {
-	if ctx.Cfg.Stream {
-		return runFig2aStream(ctx)
-	}
 	res, err := ctx.Study()
 	if err != nil {
 		return nil, err
@@ -44,9 +41,6 @@ func RunFig2a(ctx *Context) (*Report, error) {
 // landing page; geometric-mean object ratio ≈ 1.24; 5% of sites have
 // landing pages with fewer objects yet larger size.
 func RunFig2b(ctx *Context) (*Report, error) {
-	if ctx.Cfg.Stream {
-		return runFig2bStream(ctx)
-	}
 	res, err := ctx.Study()
 	if err != nil {
 		return nil, err
@@ -72,9 +66,6 @@ func RunFig2b(ctx *Context) (*Report, error) {
 // pages load faster for 56% of H1K, 77% of Ht30, and 59% of Hb100 —
 // despite being larger and having more objects.
 func RunFig2c(ctx *Context) (*Report, error) {
-	if ctx.Cfg.Stream {
-		return runFig2cStream(ctx)
-	}
 	res, err := ctx.Study()
 	if err != nil {
 		return nil, err
