@@ -10,6 +10,8 @@ package adblock
 
 import (
 	"strings"
+
+	"repro/internal/urlx"
 )
 
 // RequestType classifies a request for $type options.
@@ -190,7 +192,7 @@ func parseOptions(s string) (*options, bool) {
 // Match reports whether the request is blocked by the list and, if so,
 // by which rule. Exception (@@) rules override blocks.
 func (e *Engine) Match(req Request) (string, bool) {
-	host := hostOf(req.URL)
+	host := urlx.Host(req.URL)
 	var blockedBy *rule
 	tryRules := func(rules []*rule) {
 		for _, r := range rules {
@@ -389,18 +391,4 @@ func equalFoldByte(a, b byte) bool {
 		b += 'a' - 'A'
 	}
 	return a == b
-}
-
-func hostOf(raw string) string {
-	s := raw
-	if i := strings.Index(s, "://"); i >= 0 {
-		s = s[i+3:]
-	}
-	if i := strings.IndexAny(s, "/?"); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.IndexByte(s, ':'); i >= 0 {
-		s = s[:i]
-	}
-	return strings.ToLower(s)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/urlx"
 	"repro/internal/webgen"
 )
 
@@ -12,7 +13,7 @@ import (
 // Match, with each pattern split on every request. FuzzAdblockMatch holds
 // Match to it.
 func oracleMatch(e *Engine, req Request) (string, bool) {
-	host := hostOf(req.URL)
+	host := urlx.Host(req.URL)
 	var blockedBy *rule
 	tryRules := func(rules []*rule) {
 		for _, r := range rules {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/har"
 	"repro/internal/simnet"
 	"repro/internal/trace"
+	"repro/internal/urlx"
 	"repro/internal/webgen"
 )
 
@@ -581,7 +582,7 @@ func (s *loadState) resolve(host string, pop float64, at time.Duration) (ready t
 // prefetchDNS implements the dns-prefetch hint. Hint failures are
 // silent, as in real browsers.
 func (s *loadState) prefetchDNS(origin string, at time.Duration) {
-	host := hostOf(origin)
+	host := urlx.Host(origin)
 	if host == "" {
 		return
 	}
@@ -591,7 +592,7 @@ func (s *loadState) prefetchDNS(origin string, at time.Duration) {
 // preconnect implements the preconnect hint: resolve plus open a warm
 // connection.
 func (s *loadState) preconnect(origin string, at time.Duration) {
-	host := hostOf(origin)
+	host := urlx.Host(origin)
 	if host == "" {
 		return
 	}
@@ -620,36 +621,7 @@ func (s *loadState) preconnect(origin string, at time.Duration) {
 	s.nConns++
 }
 
-func hostOf(origin string) string {
-	h := origin
-	if i := index(h, "://"); i >= 0 {
-		h = h[i+3:]
-	}
-	if i := indexByte(h, '/'); i >= 0 {
-		h = h[:i]
-	}
-	return h
-}
-
 func hasTLS(origin string) bool { return len(origin) >= 6 && origin[:6] == "https:" }
-
-func index(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
-}
-
-func indexByte(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
-}
 
 // fetch simulates the full fetch of object idx, ready at readyAt, and
 // returns its completion time plus whether it completed. A false return

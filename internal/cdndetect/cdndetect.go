@@ -9,37 +9,42 @@ import (
 	"strings"
 
 	"repro/internal/cdn"
-	"repro/internal/dnssim"
 	"repro/internal/har"
+	"repro/internal/urlx"
 )
 
 // Signature is one provider's detection fingerprint.
 type Signature struct {
-	Provider     string
-	HostSuffix   string
-	CNAMESuffix  string
+	Provider    string
+	HostSuffix  string
+	CNAMESuffix string
+	// ServerHeader is the provider's Server header value, lowercased.
 	ServerHeader string
 }
 
-// Detector matches responses against a signature table.
+// Detector matches responses against a signature table. It holds no
+// mutable state, so one detector serves any number of workers.
 type Detector struct {
-	sigs     []Signature
-	resolver *dnssim.Resolver
+	sigs   []Signature
+	cnames func(host string) []string
 }
 
-// New builds a detector from the simulated provider roster. resolver, if
-// non-nil, enables CNAME-chain attribution for first-party hostnames.
-func New(resolver *dnssim.Resolver) *Detector {
+// New builds a detector from the simulated provider roster. cnames, if
+// non-nil, returns the CNAME chain of a lowercase hostname (for the
+// synthetic web, webgen.Web.CNAMEChain) and enables CNAME-chain
+// attribution for first-party hostnames; it must be safe for concurrent
+// use.
+func New(cnames func(host string) []string) *Detector {
 	var sigs []Signature
 	for _, p := range cdn.Providers() {
 		sigs = append(sigs, Signature{
 			Provider:     p.Name,
 			HostSuffix:   p.HostSuffix,
 			CNAMESuffix:  p.CNAMESuffix,
-			ServerHeader: p.ServerHeader,
+			ServerHeader: strings.ToLower(p.ServerHeader),
 		})
 	}
-	return &Detector{sigs: sigs, resolver: resolver}
+	return &Detector{sigs: sigs, cnames: cnames}
 }
 
 // Result is one attribution.
@@ -53,7 +58,7 @@ type Result struct {
 // Attribute inspects one HAR entry and returns the CDN provider that
 // served it, if any heuristic matches.
 func (d *Detector) Attribute(e *har.Entry) (Result, bool) {
-	host := hostOf(e.Request.URL)
+	host := urlx.Host(e.Request.URL)
 
 	// 1. Host pattern.
 	for _, s := range d.sigs {
@@ -64,7 +69,7 @@ func (d *Detector) Attribute(e *har.Entry) (Result, bool) {
 	// 2. Server header.
 	if sv := strings.ToLower(e.Response.HeaderValue("Server")); sv != "" {
 		for _, s := range d.sigs {
-			if s.ServerHeader != "" && sv == strings.ToLower(s.ServerHeader) {
+			if s.ServerHeader != "" && sv == s.ServerHeader {
 				return Result{Provider: s.Provider, Method: "server"}, true
 			}
 		}
@@ -78,13 +83,11 @@ func (d *Detector) Attribute(e *har.Entry) (Result, bool) {
 		}
 	}
 	// 4. CNAME chain.
-	if d.resolver != nil {
-		if res, err := d.resolver.Resolve(host, 0); err == nil {
-			for _, cname := range res.Record.Chain {
-				for _, s := range d.sigs {
-					if s.CNAMESuffix != "" && strings.HasSuffix(cname, s.CNAMESuffix) {
-						return Result{Provider: s.Provider, Method: "cname"}, true
-					}
+	if d.cnames != nil {
+		for _, cname := range d.cnames(host) {
+			for _, s := range d.sigs {
+				if s.CNAMESuffix != "" && strings.HasSuffix(cname, s.CNAMESuffix) {
+					return Result{Provider: s.Provider, Method: "cname"}, true
 				}
 			}
 		}
@@ -104,18 +107,4 @@ func CacheStatus(e *har.Entry) int {
 	default:
 		return 0
 	}
-}
-
-func hostOf(raw string) string {
-	s := raw
-	if i := strings.Index(s, "://"); i >= 0 {
-		s = s[i+3:]
-	}
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.IndexByte(s, ':'); i >= 0 {
-		s = s[:i]
-	}
-	return strings.ToLower(s)
 }

@@ -2,9 +2,7 @@ package cdndetect
 
 import (
 	"testing"
-	"time"
 
-	"repro/internal/dnssim"
 	"repro/internal/har"
 )
 
@@ -50,19 +48,12 @@ func TestViaHeaderAttribution(t *testing.T) {
 }
 
 func TestCNAMEAttribution(t *testing.T) {
-	auth := dnssim.AuthorityFunc(func(host string) (dnssim.Record, bool) {
+	d := New(func(host string) []string {
 		if host == "static.example.com" {
-			return dnssim.Record{
-				Host:  host,
-				Chain: []string{"static.example.com.swiftlayer-edge.net"},
-				Addr:  "198.51.100.7",
-				TTL:   time.Minute,
-			}, true
+			return []string{"static.example.com.swiftlayer-edge.net"}
 		}
-		return dnssim.Record{Host: host, Addr: "198.51.100.8", TTL: time.Hour}, true
+		return nil
 	})
-	resolver := dnssim.NewResolver(dnssim.ResolverConfig{Name: "t", Seed: 1}, auth, nil)
-	d := New(resolver)
 	res, ok := d.Attribute(entry("https://static.example.com/x.css",
 		har.Header{Name: "Server", Value: "nginx"}))
 	if !ok || res.Provider != "swiftlayer" || res.Method != "cname" {

@@ -195,9 +195,6 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 			sinkErrs = append(sinkErrs, fmt.Errorf("core: sink flush: %w", err))
 		}
 	}
-	// Keep the analysis clock at the end of the study window.
-	st.clock.AdvanceTo(st.epoch.Add(time.Duration(n) * st.cfg.SitePacing))
-
 	run.failed = len(siteErrs)
 	rs.Inc("sites.total", int64(n))
 	rs.Inc("sites.ok", int64(n-run.failed))

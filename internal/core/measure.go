@@ -210,7 +210,7 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 	} else {
 		m.DepthCounts = log.DepthCounts(5)
 	}
-	pageHost := hostOf(log.Page.URL)
+	pageHost := urlx.Host(log.Page.URL)
 	pageSite := ""
 	if az.PSL != nil {
 		pageSite = az.PSL.ETLDPlusOne(pageHost)
@@ -221,7 +221,7 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 
 	for i := range log.Entries {
 		e := &log.Entries[i]
-		host := hostOf(e.Request.URL)
+		host := urlx.Host(e.Request.URL)
 		domains[host] = true
 
 		// Insecure redirects are visible in the HAR: a 301 whose
@@ -318,20 +318,6 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 	}
 	sort.Strings(m.ThirdParties)
 	return m
-}
-
-func hostOf(raw string) string {
-	s := raw
-	if i := strings.Index(s, "://"); i >= 0 {
-		s = s[i+3:]
-	}
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.IndexByte(s, ':'); i >= 0 {
-		s = s[:i]
-	}
-	return strings.ToLower(s)
 }
 
 func schemeOf(u string) string {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/browser"
 	"repro/internal/cdndetect"
 	"repro/internal/har"
+	"repro/internal/hb"
 	"repro/internal/mimecat"
 	"repro/internal/psl"
 	"repro/internal/toplist"
@@ -301,4 +303,59 @@ func FuzzMeasureHAR(f *testing.F) {
 			t.Errorf("%d wait times for %d entries", len(m.WaitTimes), len(log.Entries))
 		}
 	})
+}
+
+// TestAnalyzersAgreeOnHosts feeds MeasureHAR URLs whose host ends at a
+// '?' or '#', or carries a port or userinfo. Every analyzer must key on
+// the same lowercase hostname: the page measurement, the adblock engine
+// and header-bidding detection.
+func TestAnalyzersAgreeOnHosts(t *testing.T) {
+	urls := []string{
+		"https://Tracker.example.com?x=1",
+		"https://ads.example.net#f",
+		"https://cdn.example.org:8443/a.js",
+		"https://user@ads.example.net/x",
+	}
+	hosts := []string{"tracker.example.com", "ads.example.net", "cdn.example.org", "ads.example.net"}
+	entry := func(u string) har.Entry {
+		return har.Entry{
+			Request:  har.Request{Method: "GET", URL: u},
+			Response: har.Response{Status: 200, MIMEType: "application/javascript"},
+		}
+	}
+	log := &har.Log{Page: har.Page{URL: "https://www.mysite.com/"}}
+	log.Entries = append(log.Entries, entry(log.Page.URL))
+	for _, u := range urls {
+		log.Entries = append(log.Entries, entry(u))
+	}
+	trackers, _ := adblock.Compile([]string{"||tracker.example.com^", "||ads.example.net^"})
+	m := MeasureHAR(log, Analyzers{PSL: psl.Default(), Adblock: trackers, CDN: cdndetect.New(nil)})
+	if m.UniqueDomains != 4 {
+		t.Errorf("UniqueDomains = %d, want 4", m.UniqueDomains)
+	}
+	if got, want := strings.Join(m.ThirdParties, ","), "example.com,example.net,example.org"; got != want {
+		t.Errorf("ThirdParties = %q, want %q", got, want)
+	}
+	if m.TrackerRequests != 3 {
+		t.Errorf("TrackerRequests = %d, want 3", m.TrackerRequests)
+	}
+
+	// adblock: a ||host^ rule per expected host blocks each URL by its
+	// own host's rule.
+	perHost, _ := adblock.Compile([]string{"||tracker.example.com^", "||ads.example.net^", "||cdn.example.org^"})
+	for i, u := range urls {
+		rule, ok := perHost.Match(adblock.Request{URL: u, Type: adblock.TypeScript, PageHost: "www.mysite.com"})
+		if want := "||" + hosts[i] + "^"; !ok || rule != want {
+			t.Errorf("adblock Match(%q) = %q, %v; want %q", u, rule, ok, want)
+		}
+	}
+
+	// hb: the same URLs as bid requests name the same exchange hosts.
+	bids := &har.Log{Page: log.Page}
+	for _, u := range urls {
+		bids.Entries = append(bids.Entries, entry(u+"&bid_request"))
+	}
+	if got, want := strings.Join(hb.Detect(bids).Exchanges, ","), "ads.example.net,cdn.example.org,tracker.example.com"; got != want {
+		t.Errorf("hb exchanges = %q, want %q", got, want)
+	}
 }

@@ -29,6 +29,16 @@ const (
 	ClassOther ErrorClass = "other"
 )
 
+// loadErrKeys holds the loads.err.<class> counter key of every class
+// Classify returns for an error, so a failed load builds no key.
+var loadErrKeys = map[ErrorClass]string{
+	ClassDNS:       "loads.err." + string(ClassDNS),
+	ClassTimeout:   "loads.err." + string(ClassTimeout),
+	ClassTruncated: "loads.err." + string(ClassTruncated),
+	ClassConfig:    "loads.err." + string(ClassConfig),
+	ClassOther:     "loads.err." + string(ClassOther),
+}
+
 // Classify maps a load error to its class via the browser's sentinels.
 func Classify(err error) ErrorClass {
 	switch {

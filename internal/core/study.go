@@ -197,29 +197,21 @@ type Study struct {
 	cfg   StudyConfig
 	web   *webgen.Web
 	az    Analyzers
-	clock *vclock.Clock
 	epoch time.Time
 }
 
 // NewStudy prepares a study over one web snapshot. It wires the full
-// analysis stack: a warmed ISP resolver over the web's DNS authority, a
-// CDN detector fed by that resolver, the public-suffix list, and an
-// adblock engine compiled from the synthetic Easylist.
+// analysis stack: a CDN detector that reads CNAME chains straight from
+// the web's DNS rules, the public-suffix list, and an adblock engine
+// compiled from the synthetic Easylist. None of it holds mutable state,
+// so measuring a page is a pure function of its HAR.
 func NewStudy(web *webgen.Web, cfg StudyConfig) (*Study, error) {
 	cfg = cfg.withDefaults()
 	// The measurement window spans days (the paper spreads its 30 fetches
-	// per site over 5 days). The shared clock and resolver back the
-	// analysis stack only; each site gets its own clock and resolver so
-	// measurements never depend on which worker ran which site first.
+	// per site over 5 days). Each site gets its own clock and resolver,
+	// pinned to its slot in the window, so measurements never depend on
+	// which worker ran which site first.
 	epoch := time.Date(2020, 3, 12, 0, 0, 0, 0, time.UTC)
-	clock := vclock.New(epoch)
-	resolver := dnssim.NewResolver(dnssim.ResolverConfig{
-		Name:          "isp",
-		Seed:          cfg.Seed,
-		ClientRTT:     3 * time.Millisecond,
-		UpstreamTime:  80 * time.Millisecond,
-		WarmQueryRate: 0.8,
-	}, web.Authority(), clock.Now)
 	engine, _ := adblock.Compile(webgen.EasylistFor(web.ThirdParties()))
 	if engine.Len() == 0 {
 		return nil, fmt.Errorf("core: empty adblock engine")
@@ -230,9 +222,8 @@ func NewStudy(web *webgen.Web, cfg StudyConfig) (*Study, error) {
 		az: Analyzers{
 			PSL:     psl.Default(),
 			Adblock: engine,
-			CDN:     cdndetect.New(resolver),
+			CDN:     cdndetect.New(web.CNAMEChain),
 		},
-		clock: clock,
 		epoch: epoch,
 	}, nil
 }
@@ -305,7 +296,7 @@ func (st *Study) loadRevisitWithRetry(sc *siteCtx, out *Outcome, m *webgen.PageM
 			return log, nil
 		}
 		class := Classify(err)
-		sc.stats.Inc("loads.err."+string(class), 1)
+		sc.stats.Inc(loadErrKeys[class], 1)
 		if !class.Retryable() || attempt+1 >= st.cfg.MaxAttempts {
 			return nil, err
 		}

@@ -62,7 +62,7 @@ func (c Config) withDefaults() Config {
 		c.CrawlSample = 500
 	}
 	if c.StabilityUniverse <= 0 {
-		c.StabilityUniverse = 400_000
+		c.StabilityUniverse = 130_000
 	}
 	if c.StabilityWeeks <= 0 {
 		c.StabilityWeeks = 10

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/har"
+	"repro/internal/urlx"
 )
 
 // Result describes header-bidding activity on one page.
@@ -60,7 +61,7 @@ func Detect(log *har.Log) Result {
 				if exchanges == nil {
 					exchanges = make(map[string]bool, 4)
 				}
-				exchanges[hostOf(url)] = true
+				exchanges[urlx.Host(url)] = true
 				if firstBid.IsZero() || e.StartedAt.Before(firstBid) {
 					firstBid = e.StartedAt
 				}
@@ -89,15 +90,4 @@ func pathOf(url string) string {
 		return url[:q]
 	}
 	return url
-}
-
-func hostOf(raw string) string {
-	s := raw
-	if i := strings.Index(s, "://"); i >= 0 {
-		s = s[i+3:]
-	}
-	if i := strings.IndexAny(s, "/?"); i >= 0 {
-		s = s[:i]
-	}
-	return s
 }

@@ -49,13 +49,37 @@ func Resolve(base, ref string) (string, bool) {
 	return Normalize(b.ResolveReference(r).String())
 }
 
-// Host returns the lowercase hostname (without port) of raw, or "".
+// Host returns the lowercase hostname of raw: the text after the scheme,
+// cut at the first '/', '?' or '#', with userinfo, port and IPv6
+// brackets removed and percent-escapes decoded. On every absolute
+// http(s) URL net/url accepts it agrees with url.Parse's Hostname
+// (FuzzHost); unlike url.Parse it allocates nothing when the host is
+// already lowercase ASCII. It is the tree's one host parser.
 func Host(raw string) string {
-	u, err := url.Parse(raw)
-	if err != nil {
-		return ""
+	s := raw
+	if i := strings.Index(s, "://"); i >= 0 {
+		s = s[i+3:]
 	}
-	return strings.ToLower(u.Hostname())
+	if i := strings.IndexAny(s, "/?#"); i >= 0 {
+		s = s[:i]
+	}
+	if i := strings.LastIndexByte(s, '@'); i >= 0 {
+		s = s[i+1:]
+	}
+	if strings.IndexByte(s, '%') >= 0 {
+		if u, err := url.PathUnescape(s); err == nil {
+			s = u
+		}
+	}
+	// A port follows the last colon unless that colon sits inside an
+	// IPv6 literal's brackets.
+	if i := strings.LastIndexByte(s, ':'); i >= 0 && strings.IndexByte(s[i:], ']') < 0 {
+		s = s[:i]
+	}
+	if len(s) >= 2 && s[0] == '[' && s[len(s)-1] == ']' {
+		s = s[1 : len(s)-1]
+	}
+	return strings.ToLower(s)
 }
 
 // IsLandingPage reports whether raw is a landing page: the root document

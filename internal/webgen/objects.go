@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/htmlx"
+	"repro/internal/urlx"
 )
 
 // Role is an object's function on the page; it determines MIME type,
@@ -358,7 +358,7 @@ func (p *Page) wrapInsecureRedirect(m *PageModel) {
 	m.RedirectedFrom = m.URL
 	doc := m.Objects[0]
 	doc.URL = target
-	doc.Host = hostOfURL(target)
+	doc.Host = urlx.Host(target)
 	doc.Scheme = "http"
 	for _, o := range m.Objects {
 		o.Depth++
@@ -383,17 +383,6 @@ func (p *Page) wrapInsecureRedirect(m *PageModel) {
 			m.Hints[i].ObjectIndex++
 		}
 	}
-}
-
-func hostOfURL(raw string) string {
-	s := raw
-	if i := strings.Index(s, "://"); i >= 0 {
-		s = s[i+3:]
-	}
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		s = s[:i]
-	}
-	return s
 }
 
 // assignURLs renders the final URL of every non-root object.

@@ -480,19 +480,12 @@ func (w *Web) Authority() dnssim.Authority {
 	return dnssim.AuthorityFunc(func(host string) (dnssim.Record, bool) {
 		host = strings.ToLower(host)
 		ttl := time.Hour
-		var chain []string
+		chain := w.CNAMEChain(host)
 		switch {
 		case strings.Contains(host, "-edge.net"), isCDNHost(host):
 			ttl = 30 * time.Second
-		case strings.HasPrefix(host, "static."):
-			// The static.<domain> subdomain is CNAMEd to the site's CDN
-			// when it has a contract; everything served from it rides the
-			// CDN (host-consistent delivery).
-			if s, ok := w.siteByDomain[trimFirstLabel(host)]; ok && s.Profile.CDNProvider != "" {
-				edge := "static." + s.Domain + "." + s.Profile.CDNProvider + "-edge.net"
-				chain = []string{edge}
-				ttl = 60 * time.Second
-			}
+		case chain != nil:
+			ttl = 60 * time.Second
 		}
 		return dnssim.Record{
 			Host:  host,
@@ -503,11 +496,21 @@ func (w *Web) Authority() dnssim.Authority {
 	})
 }
 
-func trimFirstLabel(host string) string {
-	if i := strings.IndexByte(host, '.'); i >= 0 {
-		return host[i+1:]
+// CNAMEChain returns the CNAME chain of a lowercase host. A site's
+// static.<domain> subdomain is CNAMEd to its CDN's edge when the site has
+// a CDN contract, so everything served from it rides the CDN
+// (host-consistent delivery); no other name has a chain. Authority and
+// the study's CDN attribution both read chains from here.
+func (w *Web) CNAMEChain(host string) []string {
+	domain, ok := strings.CutPrefix(host, "static.")
+	if !ok {
+		return nil
 	}
-	return host
+	s, ok := w.siteByDomain[domain]
+	if !ok || s.Profile.CDNProvider == "" {
+		return nil
+	}
+	return []string{host + "." + s.Profile.CDNProvider + "-edge.net"}
 }
 
 func isCDNHost(host string) bool {
