@@ -124,6 +124,7 @@ fuzz-smoke:
 	$(GO) test ./internal/psl -run '^$$' -fuzz '^FuzzETLDPlusOne$$' -fuzztime 10s
 	$(GO) test ./internal/detrand -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s
 	$(GO) test ./internal/urlx -run '^$$' -fuzz '^FuzzHost$$' -fuzztime 10s
+	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzFormatDate$$' -fuzztime 10s
 
 # Determinism lint: cmd/detlint type-checks every package in the module
 # and enforces the invariants the seeded pipeline depends on (no wall

@@ -309,7 +309,10 @@ func lastLabels(host string, n int) string {
 }
 
 // patternMatch matches an Easylist pattern, given as the chunks between
-// its * wildcards (each may hold ^ separators), against text.
+// its * wildcards (each may hold ^ separators), against text. An
+// unanchored chunk led by a literal byte is probed only at offsets that
+// hold that byte in either ASCII case; a ^-led chunk is probed at every
+// offset.
 func patternMatch(text string, chunks []string, anchoredStart, anchoredEnd bool) bool {
 	pos := 0
 	for ci, chunk := range chunks {
@@ -324,8 +327,25 @@ func patternMatch(text string, chunks []string, anchoredStart, anchoredEnd bool)
 			pos = n
 			continue
 		}
+		lead := chunk[0]
+		lo, up := toLower(lead), toUpper(lead)
+		nextLo, nextUp := -1, -1 // next offsets of lo and up; len(text) = none
 		found := -1
 		for i := pos; i <= len(text); i++ {
+			if lead != '^' {
+				if nextLo < i {
+					nextLo = indexByteFrom(text, i, lo)
+				}
+				if nextUp < i {
+					nextUp = nextLo
+					if up != lo {
+						nextUp = indexByteFrom(text, i, up)
+					}
+				}
+				if i = min(nextLo, nextUp); i == len(text) {
+					break // a literal never matches at the end of text
+				}
+			}
 			if n, ok := chunkMatchAt(text, i, chunk); ok {
 				found = n
 				break
@@ -372,6 +392,15 @@ func chunkMatchAt(text string, i int, chunk string) (int, bool) {
 	return i, true
 }
 
+// indexByteFrom returns the first offset at or after i that holds c, or
+// len(text) if there is none.
+func indexByteFrom(text string, i int, c byte) int {
+	if j := strings.IndexByte(text[i:], c); j >= 0 {
+		return i + j
+	}
+	return len(text)
+}
+
 func isSeparator(c byte) bool {
 	switch {
 	case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
@@ -384,11 +413,19 @@ func isSeparator(c byte) bool {
 }
 
 func equalFoldByte(a, b byte) bool {
-	if 'A' <= a && a <= 'Z' {
-		a += 'a' - 'A'
+	return toLower(a) == toLower(b)
+}
+
+func toLower(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		c += 'a' - 'A'
 	}
-	if 'A' <= b && b <= 'Z' {
-		b += 'a' - 'A'
+	return c
+}
+
+func toUpper(c byte) byte {
+	if 'a' <= c && c <= 'z' {
+		c -= 'a' - 'A'
 	}
-	return a == b
+	return c
 }

@@ -159,6 +159,13 @@ func FuzzAdblockMatch(f *testing.F) {
 	f.Add("@@||tracker.com^", "https://tracker.com/pixel?id=1", "www.news.com", uint8(1))
 	f.Add("|https://*.cdn.net^*/ads/*.js|$script,~third-party", "https://x.cdn.net/a/ads/b.js", "x.cdn.net", uint8(0))
 	f.Add("/banner/*/img^$domain=shop.com|~news.shop.com", "http://example.com/banner/a/b/img/", "shop.com", uint8(7))
+	// The scan jumps between offsets that hold a chunk's lead byte in
+	// either case: chunks led by an uppercase letter and by ^, a URL in
+	// mixed case, and a chunk that matches only at the last byte.
+	f.Add("Promo/*", "https://X.example.com/static/pROMO/Banner.PNG", "www.example.com", uint8(1))
+	f.Add("Track*^Beacon^", "https://cdn.example.net/v1/tRACK/x/BEACON/id7", "www.example.com", uint8(5))
+	f.Add("^pixel^*^", "https://T.example.net/a/pixel/b", "www.example.com", uint8(1))
+	f.Add("Q|", "https://a.example.com/path?x=1q", "www.example.com", uint8(7))
 	f.Fuzz(func(t *testing.T, extra, url, pageHost string, typ uint8) {
 		e, _ := Compile(append(rules[:len(rules):len(rules)], extra))
 		req := Request{URL: url, Type: requestTypes[int(typ)%len(requestTypes)], PageHost: pageHost}
@@ -168,4 +175,22 @@ func FuzzAdblockMatch(f *testing.F) {
 			t.Fatalf("Match(%+v) with %q = (%q, %v), oracle (%q, %v)", req, extra, gr, gb, wr, wb)
 		}
 	})
+}
+
+// BenchmarkMatchStudy runs one Match pass over the landing-page objects
+// of the generated web in studyList, against the study's list.
+func BenchmarkMatchStudy(b *testing.B) {
+	rules, urls := studyList()
+	e, _ := Compile(rules)
+	reqs := make([]Request, len(urls))
+	for i, u := range urls {
+		reqs[i] = Request{URL: u[0], Type: requestTypes[i%len(requestTypes)], PageHost: u[1]}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, req := range reqs {
+			e.Match(req)
+		}
+	}
 }

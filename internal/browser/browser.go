@@ -19,6 +19,7 @@ import (
 	"repro/internal/cdn"
 	"repro/internal/dnssim"
 	"repro/internal/har"
+	"repro/internal/httpsem"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 	"repro/internal/urlx"
@@ -871,7 +872,7 @@ func (s *loadState) fetch(idx int, readyAt time.Duration) (time.Duration, bool) 
 	headers := make([]har.Header, 3, 10)
 	headers[0] = har.Header{Name: "Content-Type", Value: o.MIME}
 	headers[1] = har.Header{Name: "Server", Value: server}
-	headers[2] = har.Header{Name: "Date", Value: s.navStart.Add(start + timings.Send + timings.Wait).UTC().Format(httpTimeFormat)}
+	headers[2] = har.Header{Name: "Date", Value: httpsem.FormatDate(s.navStart.Add(start + timings.Send + timings.Wait))}
 	if o.Role == webgen.RoleRedirect && idx+1 < len(s.m.Objects) {
 		status = 301
 		headers = append(headers, har.Header{Name: "Location", Value: s.m.Objects[idx+1].URL})
@@ -923,10 +924,6 @@ func (s *loadState) fetch(idx int, readyAt time.Duration) (time.Duration, bool) 
 	}
 	return doneAt, true
 }
-
-// httpTimeFormat is http.TimeFormat, inlined to keep net/http out of
-// the load engine.
-const httpTimeFormat = "Mon, 02 Jan 2006 15:04:05 GMT"
 
 // revalHeaderBytes approximates the on-wire size of a 304 exchange:
 // status line plus the handful of refreshed headers.

@@ -348,7 +348,7 @@ func (s *Server) buildPayload(body []byte, contentType string, week int) *payloa
 		body:        body,
 		contentType: contentType,
 		etag:        `"h` + hex.EncodeToString(sum[:8]) + `"`,
-		lastMod:     epoch.Add(time.Duration(week) * 7 * 24 * time.Hour).UTC().Format(http.TimeFormat),
+		lastMod:     httpsem.FormatDate(epoch.Add(time.Duration(week) * 7 * 24 * time.Hour)),
 	}
 	if len(body) >= s.cfg.GzipMin {
 		var buf bytes.Buffer

@@ -161,3 +161,42 @@ func parseHTTPDate(v string) (time.Time, bool) {
 	t, err := time.Parse(time.RFC1123, v)
 	return t, err == nil
 }
+
+// FormatDate renders t in UTC as an HTTP IMF-fixdate ("Mon, 02 Jan 2006
+// 15:04:05 GMT", the http.TimeFormat shape parseHTTPDate reads back).
+// It writes the fixed-width fields directly rather than interpreting a
+// layout: every simulated response carries a Date header and every
+// cacheable one a Last-Modified. A year outside 0–9999 has no
+// four-digit form and is rendered by time.Format.
+func FormatDate(t time.Time) string {
+	t = t.UTC()
+	year, month, day := t.Date()
+	if year < 0 || year > 9999 {
+		return t.Format("Mon, 02 Jan 2006 15:04:05 GMT")
+	}
+	hour, minute, sec := t.Clock()
+	const days, months = "SunMonTueWedThuFriSat", "JanFebMarAprMayJunJulAugSepOctNovDec"
+	var b [29]byte
+	wd, mo := 3*int(t.Weekday()), 3*(int(month)-1)
+	copy(b[0:3], days[wd:wd+3])
+	b[3], b[4] = ',', ' '
+	put2(b[5:7], day)
+	b[7] = ' '
+	copy(b[8:11], months[mo:mo+3])
+	b[11] = ' '
+	put2(b[12:14], year/100)
+	put2(b[14:16], year%100)
+	b[16] = ' '
+	put2(b[17:19], hour)
+	b[19] = ':'
+	put2(b[20:22], minute)
+	b[22] = ':'
+	put2(b[23:25], sec)
+	copy(b[25:], " GMT")
+	return string(b[:])
+}
+
+// put2 writes v in [0,99] as two decimal digits.
+func put2(b []byte, v int) {
+	b[0], b[1] = byte('0'+v/10), byte('0'+v%10)
+}

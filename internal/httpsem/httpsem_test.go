@@ -1,6 +1,7 @@
 package httpsem
 
 import (
+	"net/http"
 	"testing"
 	"time"
 )
@@ -63,4 +64,49 @@ func TestCacheable(t *testing.T) {
 			t.Errorf("%s: Cacheable = %v, want %v", c.name, got, c.want)
 		}
 	}
+}
+
+func TestFormatDate(t *testing.T) {
+	cases := []struct {
+		t    time.Time
+		want string
+	}{
+		{time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC), "Sun, 01 Mar 2020 00:00:00 GMT"},
+		{time.Date(1994, 11, 6, 8, 49, 37, 999, time.UTC), "Sun, 06 Nov 1994 08:49:37 GMT"},
+		{time.Date(2020, 3, 12, 1, 2, 3, 0, time.FixedZone("X", 5*3600)), "Wed, 11 Mar 2020 20:02:03 GMT"},
+		{time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), "Sat, 01 Jan 0000 00:00:00 GMT"},
+		{time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC), "Fri, 31 Dec 9999 23:59:59 GMT"},
+	}
+	for _, c := range cases {
+		if got := FormatDate(c.t); got != c.want {
+			t.Errorf("FormatDate(%v) = %q, want %q", c.t, got, c.want)
+		}
+		if back, ok := parseHTTPDate(FormatDate(c.t)); !ok || !back.Equal(c.t.Truncate(time.Second)) {
+			t.Errorf("parseHTTPDate(FormatDate(%v)) = %v, %v", c.t, back, ok)
+		}
+	}
+	// Outside 0–9999 the layout formatter takes over.
+	for _, tt := range []time.Time{time.Date(-1, 5, 5, 0, 0, 0, 0, time.UTC), time.Date(12345, 5, 5, 0, 0, 0, 0, time.UTC)} {
+		if got, want := FormatDate(tt), tt.Format(http.TimeFormat); got != want {
+			t.Errorf("FormatDate(%v) = %q, want %q", tt, got, want)
+		}
+	}
+}
+
+// FuzzFormatDate holds FormatDate to time.Format with http.TimeFormat
+// over instants in years 0–9999, viewed from arbitrary fixed zones.
+func FuzzFormatDate(f *testing.F) {
+	f.Add(int64(0), int64(0), int32(0))
+	f.Add(time.Date(2020, 3, 12, 0, 0, 0, 0, time.UTC).Unix(), int64(999_999_999), int32(-8*3600))
+	f.Add(int64(-1), int64(1), int32(14*3600))
+	first := time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
+	span := time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC).Unix() - first
+	f.Fuzz(func(t *testing.T, sec, nsec int64, offset int32) {
+		sec = first + (sec%span+span)%span
+		zone := time.FixedZone("Z", int(offset%(18*3600)))
+		tt := time.Unix(sec, (nsec%1e9+1e9)%1e9).In(zone)
+		if got, want := FormatDate(tt), tt.UTC().Format(http.TimeFormat); got != want {
+			t.Fatalf("FormatDate(%v) = %q, want %q", tt, got, want)
+		}
+	})
 }

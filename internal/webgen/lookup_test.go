@@ -1,6 +1,7 @@
 package webgen
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -143,4 +144,39 @@ func TestPageByURLConcurrentWithLanding(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestRosterConcurrentBuild builds every page of one site from 8
+// goroutines on a web nobody has built from yet, so they race for the
+// site's first roster draw. Run under -race. Every model must equal the
+// one a serial build on a fresh web returns.
+func TestRosterConcurrentBuild(t *testing.T) {
+	const workers = 8
+	site := 3 // smallsite4.net: the smallest pool
+	serial := testWeb(t, 0).Sites[site]
+	n := serial.PoolSize()
+	want := make([]PageModel, n+1)
+	for i := range want {
+		want[i] = *serial.PageAt(i).Build()
+		want[i].Page = nil
+	}
+	s := testWeb(t, 0).Sites[site]
+	got := make([]PageModel, n+1)
+	var wg sync.WaitGroup
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i <= n; i += workers {
+				got[i] = *s.PageAt(i).Build()
+				got[i].Page = nil
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("page %d: concurrent build differs from serial build", i)
+		}
+	}
 }

@@ -440,20 +440,20 @@ func (p *Page) assignHosts(rng *rand.Rand, m *PageModel, domTarget, cdnFrac floa
 	if tpBudget < 0 {
 		tpBudget = 0
 	}
-	roster := s.tpRoster()
+	roster, benign := s.tpRoster(), s.web.benign
 	var tpDomains []string
 	if landing {
 		// Landing pages use the head of the roster: the site's core,
 		// ubiquitous third parties.
 		for i := 0; i < tpBudget && i < len(roster); i++ {
-			tpDomains = append(tpDomains, roster[i])
+			tpDomains = append(tpDomains, benign[roster[i]])
 		}
 	} else {
 		// Internal pages mix core and long-tail roster entries; the tail
 		// accumulates into "third parties never seen on the landing
 		// page" (Fig 8b).
 		for _, idx := range sampleDistinct(rng, len(roster), tpBudget, 0.55) {
-			tpDomains = append(tpDomains, roster[idx])
+			tpDomains = append(tpDomains, benign[roster[idx]])
 		}
 	}
 
@@ -552,12 +552,7 @@ func shortLabel(domain string) string {
 // trackerPool returns the site's ad/analytics vendor roster.
 func (s *Site) trackerPool() []string {
 	rng := rngForKey(s.seed, "trackers")
-	trackers := make([]string, 0, len(s.web.thirdParties))
-	for _, tp := range s.web.thirdParties {
-		if tp.Tracker {
-			trackers = append(trackers, tp.Domain)
-		}
-	}
+	trackers := s.web.trackers
 	k := 3 + rng.Intn(8)
 	pool := make([]string, 0, k)
 	for _, idx := range sampleDistinct(rng, len(trackers), k, 1.0) {
@@ -566,47 +561,63 @@ func (s *Site) trackerPool() []string {
 	return pool
 }
 
-// tpRoster returns the site's benign third-party roster, head = core.
-func (s *Site) tpRoster() []string {
-	rng := rngForKey(s.seed, "tproster")
-	benign := make([]string, 0, len(s.web.thirdParties))
-	for _, tp := range s.web.thirdParties {
-		if !tp.Tracker {
-			benign = append(benign, tp.Domain)
+// tpRoster returns the site's benign third-party roster, head = core,
+// as indexes into Web.benign. It is drawn on the first call and shared
+// by every later Build of the site's pages.
+func (s *Site) tpRoster() []uint16 {
+	s.rosterOnce.Do(func() {
+		rng := rngForKey(s.seed, "tproster")
+		n := len(s.web.benign)
+		size := min(s.Profile.TPPoolSize, n)
+		s.roster = make([]uint16, 0, size)
+		for _, idx := range sampleDistinct(rng, n, size, 0.7) {
+			s.roster = append(s.roster, uint16(idx))
 		}
-	}
-	size := s.Profile.TPPoolSize
-	if size > len(benign) {
-		size = len(benign)
-	}
-	roster := make([]string, 0, size)
-	for _, idx := range sampleDistinct(rng, len(benign), size, 0.7) {
-		roster = append(roster, benign[idx])
-	}
-	return roster
+	})
+	return s.roster
 }
 
-// zipfIndex draws an index in [0,n) with P(i) ∝ 1/(i+1)^s, via inverse
-// CDF on the continuous approximation (with the s→1 limit handled).
-func zipfIndex(rng *rand.Rand, n int, s float64) int {
-	if n <= 1 {
+// zipf draws indexes in [0,n) with P(i) ∝ 1/(i+1)^s, via inverse CDF on
+// the continuous approximation (with the s→1 limit handled). newZipf
+// computes the draw's invariants once; each draw passes Pow, Exp and Log
+// the same operands as computing them per draw would.
+type zipf struct {
+	n      int
+	log    bool    // s≈1: CDF(x) = ln(x)/ln(n) on [1, n]
+	lnN    float64 // ln n, when log
+	tm1    float64 // n^(1-s) - 1, when !log
+	invExp float64 // 1/(1-s), when !log
+}
+
+func newZipf(n int, s float64) zipf {
+	z := zipf{n: n}
+	if math.Abs(s-1) < 1e-9 {
+		z.log = true
+		z.lnN = math.Log(float64(n))
+	} else {
+		z.tm1 = math.Pow(float64(n), 1-s) - 1
+		z.invExp = 1 / (1 - s)
+	}
+	return z
+}
+
+func (z zipf) draw(rng *rand.Rand) int {
+	if z.n <= 1 { // index 0, without a draw from rng
 		return 0
 	}
 	u := rng.Float64()
 	var x float64
-	if math.Abs(s-1) < 1e-9 {
-		// CDF(x) = ln(x)/ln(n) on [1, n].
-		x = math.Exp(u * math.Log(float64(n)))
+	if z.log {
+		x = math.Exp(u * z.lnN)
 	} else {
-		t := math.Pow(float64(n), 1-s)
-		x = math.Pow(u*(t-1)+1, 1/(1-s))
+		x = math.Pow(u*z.tm1+1, z.invExp)
 	}
 	idx := int(x) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= n {
-		idx = n - 1
+	if idx >= z.n {
+		idx = z.n - 1
 	}
 	return idx
 }
@@ -617,10 +628,11 @@ func sampleDistinct(rng *rand.Rand, n, k int, s float64) []int {
 	if k > n {
 		k = n
 	}
+	z := newZipf(n, s)
 	seen := make(map[int]bool, k)
 	out := make([]int, 0, k)
 	for attempts := 0; len(out) < k && attempts < 40*k+100; attempts++ {
-		idx := zipfIndex(rng, n, s)
+		idx := z.draw(rng)
 		if !seen[idx] {
 			seen[idx] = true
 			out = append(out, idx)

@@ -3,6 +3,7 @@ package webgen
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/detrand"
@@ -70,6 +71,76 @@ func TestSubSeedFastPaths(t *testing.T) {
 		c, d := rngForKeyIdx(base, "page-model", 3), rngFor(base, "page-model", 3)
 		if c.Int63() != d.Int63() {
 			t.Errorf("rngForKeyIdx(%d) draw diverged from rngFor", base)
+		}
+	}
+}
+
+// zipfIndex is the per-draw zipf sampler newZipf replaced: it recomputes
+// the draw's invariants on every call. sampleDistinctPerDraw is
+// sampleDistinct over it; both are kept as oracles.
+func zipfIndex(rng *rand.Rand, n int, s float64) int {
+	if n <= 1 {
+		return 0
+	}
+	u := rng.Float64()
+	var x float64
+	if math.Abs(s-1) < 1e-9 {
+		x = math.Exp(u * math.Log(float64(n)))
+	} else {
+		t := math.Pow(float64(n), 1-s)
+		x = math.Pow(u*(t-1)+1, 1/(1-s))
+	}
+	idx := int(x) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= n {
+		idx = n - 1
+	}
+	return idx
+}
+
+func sampleDistinctPerDraw(rng *rand.Rand, n, k int, s float64) []int {
+	if k > n {
+		k = n
+	}
+	seen := make(map[int]bool, k)
+	out := make([]int, 0, k)
+	for attempts := 0; len(out) < k && attempts < 40*k+100; attempts++ {
+		idx := zipfIndex(rng, n, s)
+		if !seen[idx] {
+			seen[idx] = true
+			out = append(out, idx)
+		}
+	}
+	for i := 0; len(out) < k && i < n; i++ {
+		if !seen[i] {
+			seen[i] = true
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestZipfMatchesPerDrawFormula holds sampleDistinct, which draws through
+// one newZipf per call, to the per-draw formula: the index sequence must
+// be identical for the study's exponents and for random ones.
+func TestZipfMatchesPerDrawFormula(t *testing.T) {
+	meta := detrand.New(20)
+	exps := []float64{0.55, 0.6, 0.7, 1.0, 1 + 1e-10}
+	for range 100 {
+		exps = append(exps, 0.05+meta.Float64()*2.5)
+	}
+	for _, s := range exps {
+		for range 5 {
+			n := 1 + meta.Intn(500)
+			k := meta.Intn(n + 3)
+			seed := meta.Int63()
+			got := sampleDistinct(detrand.New(seed), n, k, s)
+			want := sampleDistinctPerDraw(detrand.New(seed), n, k, s)
+			if !slices.Equal(got, want) {
+				t.Fatalf("sampleDistinct(seed %d, n %d, k %d, s %v) = %v, per-draw formula %v", seed, n, k, s, got, want)
+			}
 		}
 	}
 }

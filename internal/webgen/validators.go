@@ -10,11 +10,9 @@ package webgen
 import (
 	"strconv"
 	"time"
-)
 
-// httpTimeFormat is http.TimeFormat (RFC 1123 with the literal GMT zone
-// HTTP requires); duplicated here so webgen does not depend on net/http.
-const httpTimeFormat = "Mon, 02 Jan 2006 15:04:05 GMT"
+	"repro/internal/httpsem"
+)
 
 // validatorEpoch anchors Last-Modified times just before the simulated
 // measurement window (which starts 2020-03-12).
@@ -46,7 +44,7 @@ func assignValidators(m *PageModel) {
 		o.ETag = strconv.Quote(hex8(uint32(h)) + "-" + strconv.FormatInt(o.Size, 16))
 		// Last modified up to ~90 days before the study window.
 		age := time.Duration(1+h%(90*24*3600)) * time.Second
-		o.LastModified = validatorEpoch.Add(-age).UTC().Format(httpTimeFormat)
+		o.LastModified = httpsem.FormatDate(validatorEpoch.Add(-age))
 		if o.ViaCDN != "" && o.MaxAgeSecs > 0 {
 			// The edge copy has already aged: popular assets sit at
 			// edges for a while before our fetch observes them.

@@ -17,6 +17,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/detrand"
@@ -50,7 +51,8 @@ type Config struct {
 	// (default 120).
 	DefaultPoolSize int
 	// TrackerDomains and BenignDomains size the global third-party
-	// directory (defaults 80 and 320).
+	// directory (defaults 80 and 320). Site rosters index the benign
+	// domains as uint16, so BenignDomains is at most 65,536.
 	TrackerDomains, BenignDomains int
 }
 
@@ -76,6 +78,8 @@ type Web struct {
 	cfg          Config
 	siteByDomain map[string]*Site
 	thirdParties []ThirdParty
+	trackers     []string         // tracker domains, in directory order
+	benign       []string         // benign domains, in directory order
 	tpByKind     map[string][]int // indexes into thirdParties
 	tpIndex      map[string]int   // domain -> directory position (popularity order)
 }
@@ -83,6 +87,9 @@ type Web struct {
 // Generate builds the web snapshot for cfg.
 func Generate(cfg Config) *Web {
 	cfg = cfg.withDefaults()
+	if cfg.BenignDomains > math.MaxUint16+1 {
+		panic("webgen: BenignDomains exceeds 65,536")
+	}
 	w := &Web{
 		Seed:         cfg.Seed,
 		Week:         cfg.Week,
@@ -95,6 +102,11 @@ func Generate(cfg Config) *Web {
 	for i, tp := range w.thirdParties {
 		w.tpByKind[tp.Kind] = append(w.tpByKind[tp.Kind], i)
 		w.tpIndex[tp.Domain] = i
+		if tp.Tracker {
+			w.trackers = append(w.trackers, tp.Domain)
+		} else {
+			w.benign = append(w.benign, tp.Domain)
+		}
 	}
 	for _, seed := range cfg.Sites {
 		s := newSite(w, seed)
@@ -106,18 +118,6 @@ func Generate(cfg Config) *Web {
 
 // ThirdParties returns the global third-party directory.
 func (w *Web) ThirdParties() []ThirdParty { return w.thirdParties }
-
-// TrackerDomains returns the tracker third-party domains (the ground
-// truth the synthetic Easylist covers).
-func (w *Web) TrackerDomains() []string {
-	var out []string
-	for _, tp := range w.thirdParties {
-		if tp.Tracker {
-			out = append(out, tp.Domain)
-		}
-	}
-	return out
-}
 
 // SiteByDomain returns the site registered for domain.
 func (w *Web) SiteByDomain(domain string) (*Site, bool) {
@@ -180,6 +180,9 @@ type Site struct {
 	seed     int64
 	landing  *Page // built with the site: readers share it unlocked
 	poolSize int
+
+	rosterOnce sync.Once
+	roster     []uint16 // benign third parties, as indexes into web.benign
 }
 
 func newSite(w *Web, seed SiteSeed) *Site {
@@ -513,9 +516,18 @@ func (w *Web) CNAMEChain(host string) []string {
 	return []string{host + "." + s.Profile.CDNProvider + "-edge.net"}
 }
 
+// cdnHostSuffixes holds ".<provider>.net" for every CDN provider.
+var cdnHostSuffixes = func() []string {
+	out := make([]string, len(cdnProviderNames))
+	for i, p := range cdnProviderNames {
+		out[i] = "." + p + ".net"
+	}
+	return out
+}()
+
 func isCDNHost(host string) bool {
-	for _, p := range cdnProviderNames {
-		if strings.HasSuffix(host, "."+p+".net") {
+	for _, suffix := range cdnHostSuffixes {
+		if strings.HasSuffix(host, suffix) {
 			return true
 		}
 	}

@@ -37,7 +37,7 @@ func TestGenerateBasics(t *testing.T) {
 	if w.Sites[4].PoolSize() != 800+w.Sites[4].freshPerWeek()*0 {
 		t.Errorf("pool size override = %d", w.Sites[4].PoolSize())
 	}
-	if len(w.TrackerDomains()) == 0 {
+	if len(w.trackers) == 0 {
 		t.Error("no tracker domains")
 	}
 }
