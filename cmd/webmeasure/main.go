@@ -21,6 +21,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,44 +46,62 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams passed in.
+// It returns the exit status: 2 for a bad flag, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("webmeasure", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed    = flag.Int64("seed", 42, "RNG seed")
-		sites   = flag.Int("sites", 100, "sites to measure")
-		perSite = flag.Int("persite", 20, "URLs per site")
-		fetches = flag.Int("fetches", 10, "fetches per landing page")
-		workers = flag.Int("workers", 0, "parallel site workers (0 = GOMAXPROCS)")
-		harDir  = flag.String("har", "", "write HAR JSON files into this directory instead of CSV")
-		warm    = flag.Bool("warm", false, "run the cold→warm revisit study (pairs CSV) instead of the cold study")
-		revisit = flag.Duration("revisit", 30*time.Minute, "cold→warm revisit delay (with -warm)")
+		seed    = fs.Int64("seed", 42, "RNG seed")
+		sites   = fs.Int("sites", 100, "sites to measure")
+		perSite = fs.Int("persite", 20, "URLs per site, landing page included (at least 1)")
+		fetches = fs.Int("fetches", 10, "fetches per landing page")
+		workers = fs.Int("workers", 0, "parallel site workers (0 = GOMAXPROCS)")
+		harDir  = fs.String("har", "", "write HAR JSON files into this directory instead of CSV")
+		warm    = fs.Bool("warm", false, "run the cold→warm revisit study (pairs CSV) instead of the cold study")
+		revisit = fs.Duration("revisit", 30*time.Minute, "cold→warm revisit delay (with -warm)")
 
-		faultTimeout  = flag.Float64("fault-timeout", 0, "per-request timeout probability")
-		faultTruncate = flag.Float64("fault-truncate", 0, "per-request truncation probability")
-		faultLoss     = flag.Float64("fault-loss", 0, "per-request retransmit probability")
-		dnsFail       = flag.Float64("fault-dns", 0, "transient resolver failure probability")
-		retries       = flag.Int("retries", 0, "max load attempts per page (0 = default 3)")
-		budget        = flag.Float64("budget", 0, "failure budget as a fraction of sites (0 = default 0.25, negative = unlimited)")
-		stats         = flag.Bool("stats", false, "print run metrics to stderr")
-		traceOut      = flag.String("trace", "", "write a Chrome trace-event JSON of the study to this file (open in Perfetto)")
-		traceDetail   = flag.String("trace-detail", "phases", "trace granularity: sites, loads, fetches, or phases (with -trace)")
-		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile    = flag.String("memprofile", "", "write a post-run heap profile to this file")
+		faultTimeout  = fs.Float64("fault-timeout", 0, "per-request timeout probability")
+		faultTruncate = fs.Float64("fault-truncate", 0, "per-request truncation probability")
+		faultLoss     = fs.Float64("fault-loss", 0, "per-request retransmit probability")
+		dnsFail       = fs.Float64("fault-dns", 0, "transient resolver failure probability")
+		retries       = fs.Int("retries", 0, "max load attempts per page (0 = default 3)")
+		budget        = fs.Float64("budget", 0, "failure budget as a fraction of sites (0 = default 0.25, negative = unlimited)")
+		stats         = fs.Bool("stats", false, "print run metrics to stderr")
+		traceOut      = fs.String("trace", "", "write a Chrome trace-event JSON of the study to this file (open in Perfetto)")
+		traceDetail   = fs.String("trace-detail", "phases", "trace granularity: sites, loads, fetches, or phases (with -trace)")
+		cpuProfile    = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile    = fs.String("memprofile", "", "write a post-run heap profile to this file")
 	)
-	flag.Parse()
-
-	stopCPU, err := profiling.StartCPU(*cpuProfile)
-	fatal(err)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *perSite < 1 {
+		fmt.Fprintf(stderr, "webmeasure: -persite must be at least 1, got %d\n", *perSite)
+		return 2
+	}
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		detail, err := trace.ParseDetail(*traceDetail)
 		if err != nil {
-			profiling.StopAll() // flag error exits past the explicit stop
-			fmt.Fprintf(os.Stderr, "webmeasure: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "webmeasure: %v\n", err)
+			return 2
 		}
 		tracer = trace.New(detail)
 	}
 
-	u := toplist.NewUniverse(toplist.Config{Seed: *seed, Size: maxInt(4000, *sites*3)})
+	stopCPU, err := profiling.StartCPU(*cpuProfile)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	defer stopCPU() // a failed run still leaves a readable profile
+	u := toplist.NewUniverse(toplist.Config{Seed: *seed, Size: max(4000, *sites*3)})
 	bootstrap := u.Top(*sites * 7 / 5)
 	seeds := make([]webgen.SiteSeed, len(bootstrap))
 	for i, e := range bootstrap {
@@ -90,15 +109,23 @@ func main() {
 	}
 	web := webgen.Generate(webgen.Config{Seed: *seed, Sites: seeds})
 	eng := search.New(web, search.Config{EnglishOnly: true})
+	// H1K drops sites with fewer than 5 search results (§3.1). A
+	// smaller URL set asks for fewer, so no site could reach 5.
 	list, _, err := hispar.Build(eng, bootstrap, hispar.BuildConfig{
-		Sites: *sites, URLsPerSite: *perSite, MinResults: 5,
+		Sites: *sites, URLsPerSite: *perSite, MinResults: min(5, *perSite),
 	})
-	fatal(err)
+	if err != nil {
+		return fail(stderr, err)
+	}
 
 	if *harDir != "" {
-		writeHARs(web, list, *seed, *harDir)
-		finishProfiles(stopCPU, *memProfile)
-		return
+		if err := writeHARs(web, list, *seed, *harDir, stderr); err != nil {
+			return fail(stderr, err)
+		}
+		if err := finishProfiles(stopCPU, *memProfile); err != nil {
+			return fail(stderr, err)
+		}
+		return 0
 	}
 
 	st, err := core.NewStudy(web, core.StudyConfig{
@@ -112,7 +139,9 @@ func main() {
 		MaxAttempts:   *retries,
 		FailureBudget: *budget,
 	})
-	fatal(err)
+	if err != nil {
+		return fail(stderr, err)
+	}
 	// Rows hit stdout as sites retire, cold or -warm, and only outcomes
 	// and metrics survive the run. The CSV is written even when the
 	// failure budget was breached: partial results are the point of the
@@ -123,56 +152,72 @@ func main() {
 		runErr    error
 	)
 	if *warm {
-		sink, err := core.NewWarmCSVSink(os.Stdout)
-		fatal(err)
+		sink, err := core.NewWarmCSVSink(stdout)
+		if err != nil {
+			return fail(stderr, err)
+		}
 		res, err := st.RunWarmStream(list, core.WarmConfig{
 			RevisitDelay: *revisit, Trace: tracer, Sinks: []core.Sink[core.WarmSiteResult]{sink},
 		})
 		n, failed, snap, runErr = len(res.Outcomes), res.FailedSites(), res.Stats, err
 	} else {
-		sink, err := core.NewCSVSink(os.Stdout)
-		fatal(err)
+		sink, err := core.NewCSVSink(stdout)
+		if err != nil {
+			return fail(stderr, err)
+		}
 		res, err := st.RunStream(list, core.StreamConfig{Sinks: []core.SiteSink{sink}, Trace: tracer})
 		n, failed, snap, runErr = len(res.Outcomes), res.FailedSites(), res.Stats, err
 	}
 	if *stats || failed > 0 {
-		fmt.Fprintf(os.Stderr, "webmeasure: %d/%d sites measured, %d failed (streamed: peak %d in flight)\n",
+		fmt.Fprintf(stderr, "webmeasure: %d/%d sites measured, %d failed (streamed: peak %d in flight)\n",
 			n-failed, n, failed, int(snap.Gauges["stream.inflight.max"]))
 		if *stats {
-			snap.Render(os.Stderr)
-			printMemReport(os.Stderr)
+			snap.Render(stderr)
+			printMemReport(stderr)
 		}
 	}
-	writeTrace(tracer, *traceOut, *stats)
-	finishProfiles(stopCPU, *memProfile)
-	fatal(runErr)
+	if err := writeTrace(tracer, *traceOut, *stats, stderr); err != nil {
+		return fail(stderr, err)
+	}
+	if err := finishProfiles(stopCPU, *memProfile); err != nil {
+		return fail(stderr, err)
+	}
+	if runErr != nil {
+		return fail(stderr, runErr)
+	}
+	return 0
 }
 
 // writeTrace dumps the tracer's spans, if tracing is on, as a Chrome
 // trace-event file, plus a per-category summary on stderr with -stats.
 // It runs even after a failed study: a partial trace is still a timeline
 // of what did happen.
-func writeTrace(tr *trace.Tracer, path string, summary bool) {
+func writeTrace(tr *trace.Tracer, path string, summary bool, stderr io.Writer) error {
 	if tr == nil {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
-	fatal(err)
-	if err := tr.WriteChromeJSON(f); err != nil {
-		_ = f.Close()
-		fatal(err)
+	if err != nil {
+		return err
 	}
-	fatal(f.Close())
+	err = tr.WriteChromeJSON(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
 	if summary {
-		tr.Summary(os.Stderr)
+		tr.Summary(stderr)
 	}
+	return nil
 }
 
-// finishProfiles flushes the -cpuprofile/-memprofile outputs; explicit
-// rather than deferred because fatal exits skip defers.
-func finishProfiles(stopCPU func(), memPath string) {
+// finishProfiles flushes the -cpuprofile/-memprofile outputs: the CPU
+// profile stops before the heap snapshot's forced GC.
+func finishProfiles(stopCPU func(), memPath string) error {
 	stopCPU()
-	fatal(profiling.WriteHeap(memPath))
+	return profiling.WriteHeap(memPath)
 }
 
 // printMemReport writes post-run memory numbers: live and cumulative
@@ -195,8 +240,10 @@ func printMemReport(w io.Writer) {
 }
 
 // writeHARs fetches each page once and dumps full HAR documents.
-func writeHARs(web *webgen.Web, list *hispar.List, seed int64, dir string) {
-	fatal(os.MkdirAll(dir, 0o755))
+func writeHARs(web *webgen.Web, list *hispar.List, seed int64, dir string, stderr io.Writer) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
 	resolver := dnssim.NewResolver(dnssim.ResolverConfig{
 		Name: "isp", Seed: seed, WarmQueryRate: 0.8,
 	}, web.Authority(), nil)
@@ -208,7 +255,9 @@ func writeHARs(web *webgen.Web, list *hispar.List, seed int64, dir string) {
 			return cdn.NewNetwork(1<<14, warm, seed)
 		},
 	})
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	n := 0
 	start := time.Now() //detlint:allow walltime,taint -- operator progress banner on stderr; the HAR bytes carry only virtual-clock timings
 	for _, set := range list.Sets {
@@ -220,19 +269,30 @@ func writeHARs(web *webgen.Web, list *hispar.List, seed int64, dir string) {
 			}
 			model := page.Build()
 			log, err := b.Load(model, 0)
-			fatal(err)
-			name := sanitize(u) + ".har.json"
-			f, err := os.Create(filepath.Join(dir, name))
-			fatal(err)
+			if err != nil {
+				return err
+			}
+			f, err := os.Create(filepath.Join(dir, sanitize(u)+".har.json"))
+			if err != nil {
+				return err
+			}
 			bw := bufio.NewWriterSize(f, 1<<16)
-			fatal(log.WriteJSON(bw))
-			fatal(bw.Flush())
-			fatal(f.Close())
+			err = log.WriteJSON(bw)
+			if err == nil {
+				err = bw.Flush()
+			}
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return err
+			}
 			n++
 		}
 	}
 	//detlint:allow walltime -- operator progress banner, not a measurement
-	fmt.Fprintf(os.Stderr, "wrote %d HAR files to %s in %v\n", n, dir, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "wrote %d HAR files to %s in %v\n", n, dir, time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 func sanitize(u string) string {
@@ -244,19 +304,8 @@ func sanitize(u string) string {
 	return s
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func fatal(err error) {
-	if err != nil {
-		// os.Exit skips defers: flush any profile still running so a
-		// failed run leaves a readable file instead of a truncated one.
-		profiling.StopAll()
-		fmt.Fprintf(os.Stderr, "webmeasure: %v\n", err)
-		os.Exit(1)
-	}
+// fail reports err and returns exit status 1.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "webmeasure: %v\n", err)
+	return 1
 }

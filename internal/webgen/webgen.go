@@ -324,12 +324,11 @@ func (s *Site) TopIndexable(n int) []*Page {
 	candidates := s.TopInternal(n + n/2 + 8)
 	out := make([]*Page, 0, n)
 	for _, p := range candidates {
-		if p.Disallowed() {
-			continue
-		}
-		out = append(out, p)
-		if len(out) == n {
+		if len(out) >= n {
 			break
+		}
+		if !p.Disallowed() {
+			out = append(out, p)
 		}
 	}
 	return out
