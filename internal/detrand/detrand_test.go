@@ -78,7 +78,7 @@ func compare(t *testing.T, seed int64, n int, sels []byte, reseedAt int, reseed 
 // (which also reduce to zero), and the int64 extremes. 2,000 mixed
 // draws take more than 1,214 source steps, so the register wraps twice;
 // each seed is also reseeded mid-stream, before and after the lazy
-// phase ends.
+// phase ends and around draw 274, where the register is built.
 func TestSourceMatchesMathRand(t *testing.T) {
 	const m = int64(int32max)
 	seeds := []int64{
@@ -91,7 +91,7 @@ func TestSourceMatchesMathRand(t *testing.T) {
 		compare(t, seed, 2000, nil, -1, 0)
 		// Plain Int63 steps, to cover every lazy draw one by one.
 		compare(t, seed, 1300, []byte{0}, -1, 0)
-		for _, at := range []int{0, 3, 333, 334, 700} {
+		for _, at := range []int{0, 3, 272, 273, 274, 275, 333, 334, 700} {
 			compare(t, seed, 1500, nil, at, seed^0x5eed)
 			compare(t, seed, 1500, nil, at, 0)
 		}
@@ -101,14 +101,33 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestSourceSeedsWithoutDrawing checks that building a generator does
-// no seeding work: the words are built by draws, not by New.
+// TestSourceSeedsWithoutDrawing checks that a generator holds no
+// register until it needs one: none through draw 273, one from draw
+// 274 on. It then reseeds the source that has a register and holds the
+// next 1,500 draws, which reuse it, to math/rand's stream.
 func TestSourceSeedsWithoutDrawing(t *testing.T) {
 	s := &source{}
 	s.Seed(42)
-	for i, w := range s.vec {
-		if w != 0 {
-			t.Fatalf("vec[%d] = %d before any draw", i, w)
+	want := rand.NewSource(42).(rand.Source64)
+	for k := 1; k <= 400; k++ {
+		if g, w := s.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("draw %d = %#x, math/rand gives %#x", k, g, w)
+		}
+		if has := s.vec != nil; has != (k > rngTap) {
+			t.Fatalf("after draw %d: register allocated = %v", k, has)
+		}
+	}
+	vec := s.vec
+	for _, seed := range []int64{42, -7, 0} {
+		s.Seed(seed)
+		want.Seed(seed)
+		for k := 1; k <= 1500; k++ {
+			if g, w := s.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("reseed %d: draw %d = %#x, math/rand gives %#x", seed, k, g, w)
+			}
+		}
+		if s.vec != vec {
+			t.Fatalf("reseed %d: register reallocated", seed)
 		}
 	}
 }
@@ -120,6 +139,11 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 	f.Add(int64(42), uint16(1300), []byte{0}, uint16(400), int64(-1))
 	f.Add(int64(math.MinInt64), uint16(700), []byte{5, 4, 3}, uint16(334), int64(int32max))
 	f.Add(int64(-int32max), uint16(2000), []byte{}, uint16(1), int64(89482311))
+	f.Add(int64(7), uint16(600), []byte{0}, uint16(272), int64(8))
+	f.Add(int64(7), uint16(600), []byte{1}, uint16(273), int64(8))
+	f.Add(int64(-3), uint16(600), []byte{0}, uint16(274), int64(-3))
+	f.Add(int64(1<<40), uint16(900), []byte{0, 4}, uint16(275), int64(0))
+	f.Add(int64(99), uint16(2000), []byte{0}, uint16(500), int64(99))
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, sels []byte, reseedAt uint16, reseed int64) {
 		compare(t, seed, int(n%2500), sels, int(reseedAt), reseed)
 	})
