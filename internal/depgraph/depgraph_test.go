@@ -1,6 +1,9 @@
 package depgraph
 
 import (
+	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,64 +40,182 @@ func syntheticLog() *har.Log {
 	}
 }
 
-func TestFromHARDepths(t *testing.T) {
-	g, err := FromHAR(syntheticLog())
+func TestDepths(t *testing.T) {
+	log := syntheticLog()
+	d, err := depths(log)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantDepths := []int{0, 1, 1, 2, 2, 3, 1} // orphan attaches to root
 	for i, want := range wantDepths {
-		if g.Nodes[i].Depth != want {
-			t.Errorf("node %d (%s): depth %d, want %d", i, g.Nodes[i].URL, g.Nodes[i].Depth, want)
+		if d[i] != want {
+			t.Errorf("entry %d (%s): depth %d, want %d", i, log.Entries[i].Request.URL, d[i], want)
 		}
 	}
-	dc := g.DepthCounts(5)
-	if dc[0] != 1 || dc[1] != 3 || dc[2] != 2 || dc[3] != 1 {
-		t.Errorf("DepthCounts = %v", dc)
-	}
-	if g.MaxDepth() != 3 {
-		t.Errorf("MaxDepth = %d", g.MaxDepth())
-	}
-}
-
-func TestCriticalPath(t *testing.T) {
-	g, err := FromHAR(syntheticLog())
+	dc, err := DepthCounts(log, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, end := g.CriticalPath()
-	// Last finishing object is deep.js (ends at 300ms); chain is
-	// root -> app.js -> data.json -> deep.js.
-	if end != 300*time.Millisecond {
-		t.Errorf("critical end = %v", end)
+	if want := []int{1, 3, 2, 1, 0, 0}; !slices.Equal(dc, want) {
+		t.Errorf("DepthCounts(5) = %v, want %v", dc, want)
 	}
-	want := []string{"https://a/", "https://a/app.js", "https://a/data.json", "https://a/deep.js"}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v", path)
-	}
-	for i, n := range path {
-		if g.Nodes[n].URL != want[i] {
-			t.Errorf("path[%d] = %s, want %s", i, g.Nodes[n].URL, want[i])
-		}
+	if dc, _ := DepthCounts(log, 2); !slices.Equal(dc, []int{1, 3, 3}) {
+		t.Errorf("DepthCounts(2) = %v, want [1 3 3]", dc)
 	}
 }
 
 func TestErrors(t *testing.T) {
-	if _, err := FromHAR(&har.Log{}); err == nil {
+	if _, err := DepthCounts(&har.Log{}, 5); err == nil {
 		t.Error("want error for empty log")
 	}
 	l := syntheticLog()
 	for i := range l.Entries {
 		l.Entries[i].Initiator = "https://someone/else"
 	}
-	if _, err := FromHAR(l); err == nil {
+	if _, err := DepthCounts(l, 5); err == nil {
 		t.Error("want error when no root exists")
 	}
 }
 
-// TestAgreesWithSimulatedLoads cross-validates the initiator-based graph
-// against the generator's ground-truth depths carried in the HAR _depth
-// extension.
+// oracleDepths is the breadth-first search depgraph ran before it kept
+// only depths: build the URL-keyed graph with child lists, then BFS
+// from the root for shortest-path depths. Entries the search never
+// reaches (on or below a parent cycle) are at depth 1.
+func oracleDepths(log *har.Log) ([]int, error) {
+	n := len(log.Entries)
+	if n == 0 {
+		return nil, errors.New("empty")
+	}
+	byURL := make(map[string]int, n)
+	for i := range log.Entries {
+		if _, dup := byURL[log.Entries[i].Request.URL]; !dup {
+			byURL[log.Entries[i].Request.URL] = i
+		}
+	}
+	root := -1
+	for i := range log.Entries {
+		if log.Entries[i].Initiator == "" {
+			root = i
+			break
+		}
+	}
+	if root < 0 {
+		return nil, errors.New("no root")
+	}
+	children := make([][]int, n)
+	for i := range log.Entries {
+		if i == root {
+			continue
+		}
+		p, ok := byURL[log.Entries[i].Initiator]
+		if !ok || p == i {
+			p = root
+		}
+		children[p] = append(children[p], i)
+	}
+	depth := make([]int, n)
+	for i := range depth {
+		depth[i] = -1
+	}
+	depth[root] = 0
+	queue := []int{root}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		for _, c := range children[p] {
+			if depth[c] == -1 {
+				depth[c] = depth[p] + 1
+				queue = append(queue, c)
+			}
+		}
+	}
+	for i := range depth {
+		if depth[i] == -1 {
+			depth[i] = 1
+		}
+	}
+	return depth, nil
+}
+
+// fuzzLog decodes data into a log, two bytes per entry: the first picks
+// the entry's URL from a small set (so URLs repeat, and one is empty),
+// the second its initiator: empty (a root candidate), one of those
+// URLs, or a URL outside the log.
+func fuzzLog(data []byte) *har.Log {
+	urls := []string{"https://a/", "https://a/1.js", "https://b/2.css", "https://c/3.png", "https://a/4", ""}
+	log := &har.Log{}
+	for i := 0; i+1 < len(data); i += 2 {
+		e := har.Entry{Request: har.Request{URL: urls[int(data[i])%len(urls)]}}
+		switch c := int(data[i+1]) % (len(urls) + 2); {
+		case c == 0:
+		case c <= len(urls):
+			e.Initiator = urls[c-1]
+		default:
+			e.Initiator = "https://outside/x.js"
+		}
+		log.Entries = append(log.Entries, e)
+	}
+	return log
+}
+
+// checkAgainstOracle holds depths and DepthCounts to the BFS oracle.
+func checkAgainstOracle(t *testing.T, log *har.Log, maxDepth int) {
+	t.Helper()
+	want, werr := oracleDepths(log)
+	got, err := depths(log)
+	if (err != nil) != (werr != nil) {
+		t.Fatalf("error %v, oracle error %v", err, werr)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("depths %v, oracle %v", got, want)
+	}
+	counts, err := DepthCounts(log, maxDepth)
+	if werr != nil {
+		if err == nil {
+			t.Fatalf("DepthCounts = %v, want an error", counts)
+		}
+		return
+	}
+	wantCounts := make([]int, maxDepth+1)
+	for _, d := range want {
+		wantCounts[min(d, maxDepth)]++
+	}
+	if !slices.Equal(counts, wantCounts) {
+		t.Fatalf("DepthCounts(%d) = %v, oracle %v", maxDepth, counts, wantCounts)
+	}
+}
+
+// TestDepthsMatchOracle holds the parent-chain walk to the BFS oracle
+// over random entry lists.
+func TestDepthsMatchOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 3000; i++ {
+		data := make([]byte, 2*r.Intn(40))
+		r.Read(data)
+		checkAgainstOracle(t, fuzzLog(data), r.Intn(7))
+	}
+}
+
+// FuzzDepthCounts holds DepthCounts and the per-entry depths to the BFS
+// oracle over arbitrary entry lists.
+func FuzzDepthCounts(f *testing.F) {
+	f.Add([]byte{}, uint8(5))                             // empty log
+	f.Add([]byte{0, 1, 1, 2, 1, 3}, uint8(5))             // no root
+	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3}, uint8(5))       // a chain
+	f.Add([]byte{0, 0, 1, 1, 1, 3, 2, 2}, uint8(5))       // a duplicate URL
+	f.Add([]byte{0, 0, 1, 7, 2, 7}, uint8(5))             // unknown initiators
+	f.Add([]byte{0, 0, 1, 2, 2, 3}, uint8(5))             // self-initiators
+	f.Add([]byte{0, 0, 1, 3, 2, 2, 3, 3}, uint8(5))       // a parent cycle, with a child
+	f.Add([]byte{5, 0, 1, 0, 2, 6}, uint8(5))             // an empty URL
+	f.Add([]byte{1, 1, 2, 0, 0, 2, 3, 1, 4, 4}, uint8(1)) // root not first, max 1
+	f.Fuzz(func(t *testing.T, data []byte, maxDepth uint8) {
+		checkAgainstOracle(t, fuzzLog(data), int(maxDepth%8))
+	})
+}
+
+// TestAgreesWithSimulatedLoads cross-validates each entry's
+// initiator-based depth against the generator's ground-truth depth
+// carried in the HAR _depth extension.
 func TestAgreesWithSimulatedLoads(t *testing.T) {
 	u := toplist.NewUniverse(toplist.Config{Seed: 81, Size: 400})
 	entries := u.Top(8)
@@ -121,14 +242,14 @@ func TestAgreesWithSimulatedLoads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := FromHAR(log)
+			d, err := depths(log)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range g.Nodes {
-				if g.Nodes[i].Depth != log.Entries[i].Depth {
-					t.Fatalf("%s: node %d initiator-depth %d != ground truth %d",
-						m.URL, i, g.Nodes[i].Depth, log.Entries[i].Depth)
+			for i := range d {
+				if d[i] != log.Entries[i].Depth {
+					t.Fatalf("%s: entry %d initiator-depth %d != ground truth %d",
+						m.URL, i, d[i], log.Entries[i].Depth)
 				}
 			}
 		}
