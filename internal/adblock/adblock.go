@@ -31,7 +31,10 @@ const (
 
 // Request is the matching context for one URL.
 type Request struct {
-	URL      string
+	URL string
+	// Host is urlx.Host(URL), for a caller that has parsed it already;
+	// Match parses URL when Host is empty.
+	Host     string
 	Type     RequestType
 	PageHost string // host of the page issuing the request
 }
@@ -192,7 +195,10 @@ func parseOptions(s string) (*options, bool) {
 // Match reports whether the request is blocked by the list and, if so,
 // by which rule. Exception (@@) rules override blocks.
 func (e *Engine) Match(req Request) (string, bool) {
-	host := urlx.Host(req.URL)
+	host := req.Host
+	if host == "" {
+		host = urlx.Host(req.URL)
+	}
 	var blockedBy *rule
 	tryRules := func(rules []*rule) {
 		for _, r := range rules {

@@ -174,6 +174,11 @@ func FuzzAdblockMatch(f *testing.F) {
 		if gr != wr || gb != wb {
 			t.Fatalf("Match(%+v) with %q = (%q, %v), oracle (%q, %v)", req, extra, gr, gb, wr, wb)
 		}
+		// A caller that parsed the host already gets the same answer.
+		req.Host = urlx.Host(url)
+		if hr, hb := e.Match(req); hr != gr || hb != gb {
+			t.Fatalf("Match(%+v) with %q = (%q, %v), without Host (%q, %v)", req, extra, hr, hb, gr, gb)
+		}
 	})
 }
 

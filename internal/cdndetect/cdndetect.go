@@ -58,8 +58,12 @@ type Result struct {
 // Attribute inspects one HAR entry and returns the CDN provider that
 // served it, if any heuristic matches.
 func (d *Detector) Attribute(e *har.Entry) (Result, bool) {
-	host := urlx.Host(e.Request.URL)
+	return d.AttributeHost(urlx.Host(e.Request.URL), e)
+}
 
+// AttributeHost is Attribute for a caller that has already parsed the
+// entry's host: host must be urlx.Host(e.Request.URL).
+func (d *Detector) AttributeHost(host string, e *har.Entry) (Result, bool) {
 	// 1. Host pattern.
 	for _, s := range d.sigs {
 		if s.HostSuffix != "" && strings.HasSuffix(host, s.HostSuffix) {

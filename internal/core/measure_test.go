@@ -350,6 +350,31 @@ func TestAnalyzersAgreeOnHosts(t *testing.T) {
 		}
 	}
 
+	// The measure pass hands adblock and cdndetect the host it parsed;
+	// each must decide as it does when it parses the URL itself.
+	cnames := cdndetect.New(func(host string) []string {
+		if host == "cdn.example.org" {
+			return []string{"cdn.example.org.swiftlayer-edge.net"}
+		}
+		return nil
+	})
+	for i, u := range urls {
+		req := adblock.Request{URL: u, Type: adblock.TypeScript, PageHost: "www.mysite.com"}
+		wantRule, wantOK := perHost.Match(req)
+		req.Host = hosts[i]
+		if rule, ok := perHost.Match(req); rule != wantRule || ok != wantOK {
+			t.Errorf("adblock Match(%q) with Host = %q, %v; without %q, %v", u, rule, ok, wantRule, wantOK)
+		}
+		e := entry(u)
+		want, wantOK := cnames.Attribute(&e)
+		if got, ok := cnames.AttributeHost(hosts[i], &e); got != want || ok != wantOK {
+			t.Errorf("cdndetect AttributeHost(%q) = %+v, %v; Attribute %+v, %v", hosts[i], got, ok, want, wantOK)
+		}
+		if wantOK != (hosts[i] == "cdn.example.org") {
+			t.Errorf("cdndetect Attribute(%q) = %+v, %v", u, want, wantOK)
+		}
+	}
+
 	// hb: the same URLs as bid requests name the same exchange hosts.
 	bids := &har.Log{Page: log.Page}
 	for _, u := range urls {
