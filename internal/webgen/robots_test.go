@@ -55,6 +55,11 @@ func TestDisallowedStableAndExcluded(t *testing.T) {
 			t.Errorf("TopIndexable returned a disallowed page: %s", p.URL())
 		}
 	}
+	for _, n := range []int{0, 1, 3} {
+		if got := len(site.TopIndexable(n)); got != n {
+			t.Errorf("TopIndexable(%d) returned %d pages", n, got)
+		}
+	}
 }
 
 func TestInsecureRedirectModel(t *testing.T) {
