@@ -125,6 +125,7 @@ fuzz-smoke:
 	$(GO) test ./internal/detrand -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s
 	$(GO) test ./internal/urlx -run '^$$' -fuzz '^FuzzHost$$' -fuzztime 10s
 	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzFormatDate$$' -fuzztime 10s
+	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzParseCacheControl$$' -fuzztime 10s
 	$(GO) test ./internal/depgraph -run '^$$' -fuzz '^FuzzDepthCounts$$' -fuzztime 10s
 
 # Determinism lint: cmd/detlint type-checks every package in the module

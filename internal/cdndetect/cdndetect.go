@@ -9,8 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/cdn"
-	"repro/internal/har"
-	"repro/internal/urlx"
 )
 
 // Signature is one provider's detection fingerprint.
@@ -25,8 +23,13 @@ type Signature struct {
 // Detector matches responses against a signature table. It holds no
 // mutable state, so one detector serves any number of workers.
 type Detector struct {
-	sigs   []Signature
-	cnames func(host string) []string
+	sigs []Signature
+	// hostSuffix, cnameSuffix and server index sigs by HostSuffix,
+	// CNAMESuffix and ServerHeader: each maps a value to the position of
+	// the first signature carrying it, so a lookup picks the signature a
+	// scan of sigs in order would. Every roster suffix begins with '.'.
+	hostSuffix, cnameSuffix, server map[string]int
+	cnames                          func(host string) []string
 }
 
 // New builds a detector from the simulated provider roster. cnames, if
@@ -44,7 +47,45 @@ func New(cnames func(host string) []string) *Detector {
 			ServerHeader: strings.ToLower(p.ServerHeader),
 		})
 	}
-	return &Detector{sigs: sigs, cnames: cnames}
+	d := &Detector{
+		sigs:        sigs,
+		hostSuffix:  make(map[string]int),
+		cnameSuffix: make(map[string]int),
+		server:      make(map[string]int),
+		cnames:      cnames,
+	}
+	for i := len(sigs) - 1; i >= 0; i-- { // the first signature wins
+		s := &sigs[i]
+		if s.HostSuffix != "" {
+			d.hostSuffix[s.HostSuffix] = i
+		}
+		if s.CNAMESuffix != "" {
+			d.cnameSuffix[s.CNAMESuffix] = i
+		}
+		if s.ServerHeader != "" {
+			d.server[s.ServerHeader] = i
+		}
+	}
+	return d
+}
+
+// firstSuffix returns the position of the first signature whose suffix
+// in idx ends name, or -1. The suffixes begin with '.', so only name's
+// dot-led tails can match: one lookup per label instead of a scan of
+// every signature.
+func firstSuffix(idx map[string]int, name string) int {
+	best := -1
+	for i := strings.IndexByte(name, '.'); i >= 0; {
+		if k, ok := idx[name[i:]]; ok && (best < 0 || k < best) {
+			best = k
+		}
+		j := strings.IndexByte(name[i+1:], '.')
+		if j < 0 {
+			break
+		}
+		i += 1 + j
+	}
+	return best
 }
 
 // Result is one attribution.
@@ -55,31 +96,24 @@ type Result struct {
 	Method string
 }
 
-// Attribute inspects one HAR entry and returns the CDN provider that
-// served it, if any heuristic matches.
-func (d *Detector) Attribute(e *har.Entry) (Result, bool) {
-	return d.AttributeHost(urlx.Host(e.Request.URL), e)
-}
-
-// AttributeHost is Attribute for a caller that has already parsed the
-// entry's host: host must be urlx.Host(e.Request.URL).
-func (d *Detector) AttributeHost(host string, e *har.Entry) (Result, bool) {
+// Attribute returns the CDN provider that served a response, if any
+// heuristic matches. host is the request URL's lowercase hostname
+// (urlx.Host); server and via are the response's Server and Via header
+// values, "" when absent. The caller reads the headers: the study's
+// measure pass finds every header it needs in one scan of the entry.
+func (d *Detector) Attribute(host, server, via string) (Result, bool) {
 	// 1. Host pattern.
-	for _, s := range d.sigs {
-		if s.HostSuffix != "" && strings.HasSuffix(host, s.HostSuffix) {
-			return Result{Provider: s.Provider, Method: "host"}, true
-		}
+	if k := firstSuffix(d.hostSuffix, host); k >= 0 {
+		return Result{Provider: d.sigs[k].Provider, Method: "host"}, true
 	}
 	// 2. Server header.
-	if sv := strings.ToLower(e.Response.HeaderValue("Server")); sv != "" {
-		for _, s := range d.sigs {
-			if s.ServerHeader != "" && sv == s.ServerHeader {
-				return Result{Provider: s.Provider, Method: "server"}, true
-			}
+	if sv := strings.ToLower(server); sv != "" {
+		if k, ok := d.server[sv]; ok {
+			return Result{Provider: d.sigs[k].Provider, Method: "server"}, true
 		}
 	}
 	// 3. Via header.
-	if via := strings.ToLower(e.Response.HeaderValue("Via")); via != "" {
+	if via = strings.ToLower(via); via != "" {
 		for _, s := range d.sigs {
 			if strings.Contains(via, s.Provider) {
 				return Result{Provider: s.Provider, Method: "via"}, true
@@ -89,21 +123,19 @@ func (d *Detector) AttributeHost(host string, e *har.Entry) (Result, bool) {
 	// 4. CNAME chain.
 	if d.cnames != nil {
 		for _, cname := range d.cnames(host) {
-			for _, s := range d.sigs {
-				if s.CNAMESuffix != "" && strings.HasSuffix(cname, s.CNAMESuffix) {
-					return Result{Provider: s.Provider, Method: "cname"}, true
-				}
+			if k := firstSuffix(d.cnameSuffix, cname); k >= 0 {
+				return Result{Provider: d.sigs[k].Provider, Method: "cname"}, true
 			}
 		}
 	}
 	return Result{}, false
 }
 
-// CacheStatus classifies the entry's CDN cache outcome from the X-Cache
-// header (the mechanism at least two major CDNs expose, per the paper):
-// +1 hit, 0 unknown, -1 miss.
-func CacheStatus(e *har.Entry) int {
-	switch strings.ToUpper(e.Response.HeaderValue("X-Cache")) {
+// CacheStatus classifies a response's CDN cache outcome from its X-Cache
+// header value (the mechanism at least two major CDNs expose, per the
+// paper): +1 hit, 0 unknown, -1 miss.
+func CacheStatus(xCache string) int {
+	switch strings.ToUpper(xCache) {
 	case "HIT", "TCP_HIT", "HIT FROM CLOUDFRONT":
 		return 1
 	case "MISS", "TCP_MISS", "MISS FROM CLOUDFRONT":

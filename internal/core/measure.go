@@ -130,15 +130,17 @@ func (p *PageMeasurement) CacheableByteFraction() float64 {
 	return float64(p.CacheableBytes) / float64(p.Bytes)
 }
 
-// requestTypeOf maps a response MIME to the adblock request type.
-func requestTypeOf(mime string) adblock.RequestType {
-	switch mimecat.Of(mime) {
+// requestTypeOf maps a response's MIME category to the adblock request
+// type. mime is the raw MIME type; only an HTML/CSS response reads it, to
+// tell a stylesheet from a document by its normalised essence.
+func requestTypeOf(c mimecat.Category, mime string) adblock.RequestType {
+	switch c {
 	case mimecat.CatJS:
 		return adblock.TypeScript
 	case mimecat.CatImage:
 		return adblock.TypeImage
 	case mimecat.CatHTMLCSS:
-		if strings.Contains(mime, "css") {
+		if mimecat.Essence(mime) == "text/css" {
 			return adblock.TypeStylesheet
 		}
 		return adblock.TypeSubdocument
@@ -151,6 +153,172 @@ func requestTypeOf(mime string) adblock.RequestType {
 	default:
 		return adblock.TypeOther
 	}
+}
+
+// entryHeaders holds the response header values the measure pass reads,
+// found in one scan of an entry's header list. Each field reads what
+// har.Response.HeaderValue returns for its name: the value of the first
+// header whose name matches ASCII-case-insensitively, or "" when none
+// does.
+type entryHeaders struct {
+	location, cacheControl, pragma, expires, date, server, via, xCache string
+}
+
+// scanHeaders reads the eight headers of entryHeaders from hs in one
+// pass. Names are told apart by length first, so most headers cost one
+// comparison.
+func scanHeaders(hs []har.Header) entryHeaders {
+	var h entryHeaders
+	var seen uint8
+	for i := range hs {
+		name := hs[i].Name
+		var dst *string
+		var bit uint8
+		switch len(name) {
+		case 3:
+			if lowerEq(name, "via") {
+				dst, bit = &h.via, 1<<0
+			}
+		case 4:
+			if lowerEq(name, "date") {
+				dst, bit = &h.date, 1<<1
+			}
+		case 6:
+			if lowerEq(name, "server") {
+				dst, bit = &h.server, 1<<2
+			} else if lowerEq(name, "pragma") {
+				dst, bit = &h.pragma, 1<<3
+			}
+		case 7:
+			if lowerEq(name, "x-cache") {
+				dst, bit = &h.xCache, 1<<4
+			} else if lowerEq(name, "expires") {
+				dst, bit = &h.expires, 1<<5
+			}
+		case 8:
+			if lowerEq(name, "location") {
+				dst, bit = &h.location, 1<<6
+			}
+		case 13:
+			if lowerEq(name, "cache-control") {
+				dst, bit = &h.cacheControl, 1<<7
+			}
+		}
+		if dst != nil && seen&bit == 0 {
+			seen |= bit
+			*dst = hs[i].Value
+		}
+	}
+	return h
+}
+
+// lowerEq reports whether s equals the lowercase ASCII name lower when
+// s's ASCII letters are lowercased, the header-name match HeaderValue
+// makes. The lengths are equal.
+func lowerEq(s, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// entryView is everything the measure pass reads from one HAR entry,
+// each field derived once: the analyzers take these fields instead of
+// re-parsing the entry.
+type entryView struct {
+	host     string           // urlx.Host of the request URL
+	cat      mimecat.Category // the one mimecat.Of of the response MIME
+	reqType  adblock.RequestType
+	urlLower string // the request URL lowercased, for hb
+	hdr      entryHeaders
+}
+
+func viewOf(e *har.Entry) entryView {
+	cat := mimecat.Of(e.Response.MIMEType)
+	return entryView{
+		host:     urlx.Host(e.Request.URL),
+		cat:      cat,
+		reqType:  requestTypeOf(cat, e.Response.MIMEType),
+		urlLower: strings.ToLower(e.Request.URL),
+		hdr:      scanHeaders(e.Response.Headers),
+	}
+}
+
+// pageTimings is one fetch's timing sample: the seven fields
+// medianizeTimings takes the median of across a landing page's fetches.
+type pageTimings struct {
+	PLT, SpeedIndex, OnLoad, HandshakeTime time.Duration
+	Handshakes, CDNHits, CDNMisses         int
+}
+
+// newPageTimings starts a sample from the page-level timing marks.
+func newPageTimings(log *har.Log) pageTimings {
+	return pageTimings{
+		PLT:        log.Page.Timings.FirstPaint,
+		SpeedIndex: log.Page.Timings.SpeedIndex,
+		OnLoad:     log.Page.Timings.OnLoad,
+	}
+}
+
+// addEntry folds one entry's handshake and CDN cache evidence into t
+// and reports whether a CDN served the entry over the network. It is the
+// only code that fills those fields, for the full measure pass and the
+// timings-only pass alike. host and hdr are the entry's parsed host and
+// headers.
+func (t *pageTimings) addEntry(e *har.Entry, host string, hdr *entryHeaders, cdn *cdndetect.Detector) (viaCDN bool) {
+	if e.Timings.NewConnection() {
+		t.Handshakes++
+		t.HandshakeTime += e.Timings.Handshake()
+	}
+	// CDN attribution and cache status — network responses only:
+	// cache-served entries replay stored X-Cache headers that say
+	// nothing about this load.
+	if cdn == nil || e.FromCache != "" || e.Revalidated {
+		return false
+	}
+	if _, ok := cdn.Attribute(host, hdr.server, hdr.via); !ok {
+		return false
+	}
+	switch cdndetect.CacheStatus(hdr.xCache) {
+	case 1:
+		t.CDNHits++
+	case -1:
+		t.CDNMisses++
+	}
+	return true
+}
+
+// measureTimings is the timings-only pass over a landing re-fetch: the
+// sample MeasurePage's measurement of the same log carries, without the
+// rest of the measurement.
+func measureTimings(log *har.Log, cdn *cdndetect.Detector) pageTimings {
+	t := newPageTimings(log)
+	for i := range log.Entries {
+		e := &log.Entries[i]
+		hdr := scanHeaders(e.Response.Headers)
+		t.addEntry(e, urlx.Host(e.Request.URL), &hdr, cdn)
+	}
+	return t
+}
+
+// timings returns the measurement's timing sample.
+func (p *PageMeasurement) timings() pageTimings {
+	return pageTimings{
+		PLT: p.PLT, SpeedIndex: p.SpeedIndex, OnLoad: p.OnLoad, HandshakeTime: p.HandshakeTime,
+		Handshakes: p.Handshakes, CDNHits: p.CDNHits, CDNMisses: p.CDNMisses,
+	}
+}
+
+// setTimings writes a timing sample into the measurement.
+func (p *PageMeasurement) setTimings(t pageTimings) {
+	p.PLT, p.SpeedIndex, p.OnLoad, p.HandshakeTime = t.PLT, t.SpeedIndex, t.OnLoad, t.HandshakeTime
+	p.Handshakes, p.CDNHits, p.CDNMisses = t.Handshakes, t.CDNHits, t.CDNMisses
 }
 
 // MeasurePage computes a PageMeasurement from a page-load HAR and its
@@ -189,19 +357,20 @@ func MeasureHAR(log *har.Log, az Analyzers) PageMeasurement {
 
 // measureLog is the one HAR→metrics pass: it fills every PageMeasurement
 // field a HAR decides and leaves the DOM and site fields to its callers.
+// Each entry is read once into an entryView, and every analyzer takes
+// its input from the view.
 func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 	m := PageMeasurement{
 		URL:          log.Page.URL,
 		Bytes:        log.TotalBytes(),
 		Objects:      log.ObjectCount(),
-		PLT:          log.Page.Timings.FirstPaint,
-		SpeedIndex:   log.Page.Timings.SpeedIndex,
-		OnLoad:       log.Page.Timings.OnLoad,
-		ContentBytes: make(map[mimecat.Category]int64),
+		ContentBytes: make(map[mimecat.Category]int64, 8),
+		WaitTimes:    make([]time.Duration, 0, len(log.Entries)),
 	}
+	t := newPageTimings(log)
 	// Header bidding is detected from the wire (wrapper script + bid
 	// burst), not taken from generator ground truth.
-	m.HasHB = hb.Detect(log).Active
+	var bids hb.Detector
 	// Dependency structure is derived from HAR initiator records, the
 	// paper's §5.4 method; the HAR's _depth extension is only a
 	// cross-check (see tests).
@@ -221,18 +390,30 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 
 	for i := range log.Entries {
 		e := &log.Entries[i]
-		host := urlx.Host(e.Request.URL)
-		domains[host] = true
+		v := viewOf(e)
+		if !domains[v.host] {
+			domains[v.host] = true
+			// Third parties by eTLD+1 (§6.2), once per host: a host is
+			// first-party only when it shares the page's non-empty
+			// eTLD+1 (psl.IsThirdParty, with the page side computed
+			// once).
+			if az.PSL != nil {
+				if tp := az.PSL.ETLDPlusOne(v.host); tp != "" && (pageSite == "" || tp != pageSite) {
+					thirdParties[tp] = true
+				}
+			}
+		}
+		bids.Observe(v.urlLower, e)
 
 		// Insecure redirects are visible in the HAR: a 301 whose
 		// Location target is plain HTTP.
 		if !m.InsecureRedirect && e.Response.Status/100 == 3 &&
-			strings.HasPrefix(e.Response.HeaderValue("Location"), "http://") {
+			strings.HasPrefix(v.hdr.location, "http://") {
 			m.InsecureRedirect = true
 		}
 
 		// Content mix.
-		m.ContentBytes[mimecat.Of(e.Response.MIMEType)] += e.Response.BodySize
+		m.ContentBytes[v.cat] += e.Response.BodySize
 
 		// Warm-load accounting.
 		m.TransferBytes += e.Transferred()
@@ -254,35 +435,20 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 		} else if httpsem.Cacheable(httpsem.Response{
 			Method:       e.Request.Method,
 			Status:       e.Response.Status,
-			CacheControl: e.Response.HeaderValue("Cache-Control"),
-			Pragma:       e.Response.HeaderValue("Pragma"),
-			Expires:      e.Response.HeaderValue("Expires"),
-			Date:         e.Response.HeaderValue("Date"),
+			CacheControl: v.hdr.cacheControl,
+			Pragma:       v.hdr.pragma,
+			Expires:      v.hdr.expires,
+			Date:         v.hdr.date,
 		}) {
 			m.CacheableBytes += e.Response.BodySize
 		} else {
 			m.NonCacheable++
 		}
 
-		// CDN attribution and cache status — network responses only:
-		// cache-served entries replay stored X-Cache headers that say
-		// nothing about this load.
-		if az.CDN != nil && e.FromCache == "" && !e.Revalidated {
-			if _, ok := az.CDN.AttributeHost(host, e); ok {
-				m.CDNBytes += e.Response.BodySize
-				switch cdndetect.CacheStatus(e) {
-				case 1:
-					m.CDNHits++
-				case -1:
-					m.CDNMisses++
-				}
-			}
-		}
-
-		// Handshakes and wait.
-		if e.Timings.NewConnection() {
-			m.Handshakes++
-			m.HandshakeTime += e.Timings.Handshake()
+		// Handshakes and CDN delivery, through the helper the
+		// timings-only pass shares.
+		if t.addEntry(e, v.host, &v.hdr, az.CDN) {
+			m.CDNBytes += e.Response.BodySize
 		}
 		m.WaitTimes = append(m.WaitTimes, e.Timings.Wait)
 
@@ -292,27 +458,20 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 			m.MixedContent = true
 		}
 
-		// Third parties by eTLD+1 (§6.2): a host is first-party only
-		// when it shares the page's non-empty eTLD+1 (psl.IsThirdParty,
-		// with the page side computed once).
-		if az.PSL != nil {
-			if tp := az.PSL.ETLDPlusOne(host); tp != "" && (pageSite == "" || tp != pageSite) {
-				thirdParties[tp] = true
-			}
-		}
-
 		// Trackers (§6.3).
 		if az.Adblock != nil {
 			if _, blocked := az.Adblock.Match(adblock.Request{
 				URL:      e.Request.URL,
-				Host:     host,
-				Type:     requestTypeOf(e.Response.MIMEType),
+				Host:     v.host,
+				Type:     v.reqType,
 				PageHost: pageHost,
 			}); blocked {
 				m.TrackerRequests++
 			}
 		}
 	}
+	m.setTimings(t)
+	m.HasHB = bids.Result().Active
 	m.UniqueDomains = len(domains)
 	for tp := range thirdParties {
 		m.ThirdParties = append(m.ThirdParties, tp)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -9,10 +10,12 @@ import (
 	"repro/internal/adblock"
 	"repro/internal/browser"
 	"repro/internal/cdndetect"
+	"repro/internal/detrand"
 	"repro/internal/har"
 	"repro/internal/hb"
 	"repro/internal/mimecat"
 	"repro/internal/psl"
+	"repro/internal/simnet"
 	"repro/internal/toplist"
 	"repro/internal/webgen"
 )
@@ -28,8 +31,8 @@ func fixtureAnalyzers() Analyzers {
 	}
 }
 
-func fixtureModel(t *testing.T) *webgen.PageModel {
-	t.Helper()
+func fixtureModel(tb testing.TB) *webgen.PageModel {
+	tb.Helper()
 	u := toplist.NewUniverse(toplist.Config{Seed: 99, Size: 300})
 	entries := u.Top(1)
 	web := webgen.Generate(webgen.Config{Seed: 99, Sites: []webgen.SiteSeed{
@@ -286,6 +289,21 @@ func FuzzMeasureHAR(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// Duplicate headers: the first of each name wins, whatever its case
+	// or value, and an empty first value hides a later one.
+	dup := handHAR(fixtureModel(f))
+	e := &dup.Entries[2]
+	e.Response.Headers = append([]har.Header{
+		{Name: "x-cache", Value: ""},
+		{Name: "CACHE-CONTROL", Value: "no-store"},
+		{Name: "Via", Value: "1.1 EdgeNova"},
+		{Name: "via", Value: "1.1 cloudmesh"},
+	}, e.Response.Headers...)
+	var buf bytes.Buffer
+	if err := dup.WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	az := st.Analyzers()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		log, err := har.ReadJSON(bytes.NewReader(data))
@@ -350,14 +368,8 @@ func TestAnalyzersAgreeOnHosts(t *testing.T) {
 		}
 	}
 
-	// The measure pass hands adblock and cdndetect the host it parsed;
-	// each must decide as it does when it parses the URL itself.
-	cnames := cdndetect.New(func(host string) []string {
-		if host == "cdn.example.org" {
-			return []string{"cdn.example.org.swiftlayer-edge.net"}
-		}
-		return nil
-	})
+	// The measure pass hands adblock the host it parsed; adblock must
+	// decide as it does when it parses the URL itself.
 	for i, u := range urls {
 		req := adblock.Request{URL: u, Type: adblock.TypeScript, PageHost: "www.mysite.com"}
 		wantRule, wantOK := perHost.Match(req)
@@ -365,14 +377,22 @@ func TestAnalyzersAgreeOnHosts(t *testing.T) {
 		if rule, ok := perHost.Match(req); rule != wantRule || ok != wantOK {
 			t.Errorf("adblock Match(%q) with Host = %q, %v; without %q, %v", u, rule, ok, wantRule, wantOK)
 		}
-		e := entry(u)
-		want, wantOK := cnames.Attribute(&e)
-		if got, ok := cnames.AttributeHost(hosts[i], &e); got != want || ok != wantOK {
-			t.Errorf("cdndetect AttributeHost(%q) = %+v, %v; Attribute %+v, %v", hosts[i], got, ok, want, wantOK)
+	}
+
+	// cdndetect takes only the parsed host: a CNAME chain keyed on the
+	// bare hostname must attribute exactly the cdn.example.org entry,
+	// whose URL carries a port.
+	cnames := cdndetect.New(func(host string) []string {
+		if host == "cdn.example.org" {
+			return []string{"cdn.example.org.swiftlayer-edge.net"}
 		}
-		if wantOK != (hosts[i] == "cdn.example.org") {
-			t.Errorf("cdndetect Attribute(%q) = %+v, %v", u, want, wantOK)
-		}
+		return nil
+	})
+	for i := range log.Entries {
+		log.Entries[i].Response.BodySize = int64(1) << i
+	}
+	if got := MeasureHAR(log, Analyzers{CDN: cnames}).CDNBytes; got != 1<<3 {
+		t.Errorf("CDNBytes = %b, want only entry 3 (%b)", got, 1<<3)
 	}
 
 	// hb: the same URLs as bid requests name the same exchange hosts.
@@ -382,5 +402,176 @@ func TestAnalyzersAgreeOnHosts(t *testing.T) {
 	}
 	if got, want := strings.Join(hb.Detect(bids).Exchanges, ","), "ads.example.net,cdn.example.org,tracker.example.com"; got != want {
 		t.Errorf("hb exchanges = %q, want %q", got, want)
+	}
+}
+
+// TestRequestTypeOfNormalisesMIME checks the adblock request type of
+// mixed-case and parameterised MIME types: a stylesheet is a stylesheet
+// whatever the case of its Content-Type.
+func TestRequestTypeOfNormalisesMIME(t *testing.T) {
+	cases := []struct {
+		mime string
+		want adblock.RequestType
+	}{
+		{"text/css", adblock.TypeStylesheet},
+		{"Text/CSS; charset=utf-8", adblock.TypeStylesheet},
+		{" TEXT/CSS ", adblock.TypeStylesheet},
+		{"text/css;charset=UTF-8", adblock.TypeStylesheet},
+		{"text/html", adblock.TypeSubdocument},
+		{"Text/HTML; charset=css", adblock.TypeSubdocument},
+		{"application/XHTML+xml", adblock.TypeSubdocument},
+		{"Application/JavaScript; charset=utf-8", adblock.TypeScript},
+		{"IMAGE/PNG", adblock.TypeImage},
+		{"Application/LD+JSON", adblock.TypeXHR},
+		{"Video/MP4", adblock.TypeMedia},
+		{"audio/mpeg; codecs=mp3", adblock.TypeMedia},
+		{"Font/WOFF2", adblock.TypeFont},
+		{"text/plain", adblock.TypeOther},
+		{"", adblock.TypeOther},
+	}
+	for _, c := range cases {
+		if got := requestTypeOf(mimecat.Of(c.mime), c.mime); got != c.want {
+			t.Errorf("requestTypeOf(%q) = %v, want %v", c.mime, got, c.want)
+		}
+	}
+	// The view carries the same type: a $stylesheet rule blocks an
+	// uppercase-typed stylesheet.
+	rules, _ := adblock.Compile([]string{"/theme.$stylesheet"})
+	log := &har.Log{Page: har.Page{URL: "https://www.mysite.com/"}}
+	log.Entries = []har.Entry{{
+		Request:  har.Request{Method: "GET", URL: "https://static.other.com/theme.css"},
+		Response: har.Response{Status: 200, MIMEType: "Text/CSS; charset=utf-8"},
+	}}
+	if got := MeasureHAR(log, Analyzers{Adblock: rules}).TrackerRequests; got != 1 {
+		t.Errorf("TrackerRequests = %d, want the stylesheet blocked", got)
+	}
+}
+
+// TestScanHeadersMatchesHeaderValue holds the one-scan header view to
+// har.Response.HeaderValue over random header lists: duplicate names,
+// mixed case, empty values, absent headers and non-ASCII near misses.
+func TestScanHeadersMatchesHeaderValue(t *testing.T) {
+	names := []string{"Location", "Cache-Control", "Pragma", "Expires", "Date", "Server", "Via", "X-Cache"}
+	decoys := []string{"Content-Type", "ETag", "Age", "X-Cache-Status", "Vía", "ſerver", "Dat", "Locations", "", "X_Cache"}
+	get := func(h *entryHeaders, name string) string {
+		return map[string]string{
+			"Location": h.location, "Cache-Control": h.cacheControl, "Pragma": h.pragma,
+			"Expires": h.expires, "Date": h.date, "Server": h.server, "Via": h.via, "X-Cache": h.xCache,
+		}[name]
+	}
+	rng := detrand.New(3)
+	// mixCase flips the case of random ASCII letters.
+	mixCase := func(s string) string {
+		b := []byte(s)
+		for i, c := range b {
+			if ('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z') && rng.Intn(2) == 0 {
+				b[i] = c ^ 0x20
+			}
+		}
+		return string(b)
+	}
+	for iter := 0; iter < 2000; iter++ {
+		var resp har.Response
+		for n := rng.Intn(12); n > 0; n-- {
+			var name string
+			if rng.Intn(4) == 0 {
+				name = decoys[rng.Intn(len(decoys))]
+			} else {
+				name = names[rng.Intn(len(names))]
+			}
+			name = mixCase(name)
+			value := ""
+			if rng.Intn(5) != 0 {
+				value = "v" + strconv.Itoa(rng.Intn(1000))
+			}
+			resp.Headers = append(resp.Headers, har.Header{Name: name, Value: value})
+		}
+		h := scanHeaders(resp.Headers)
+		for _, name := range names {
+			if got, want := get(&h, name), resp.HeaderValue(name); got != want {
+				t.Fatalf("headers %+v: view %s = %q, HeaderValue = %q", resp.Headers, name, got, want)
+			}
+		}
+	}
+}
+
+// TestLandingTimingsMatchMeasurePage holds the timings-only pass of the
+// landing re-fetches to the full pass: for cold, faulted and
+// warm-revisit loads over several seeds, measureTimings must equal the
+// seven timing fields MeasurePage fills from the same log.
+func TestLandingTimingsMatchMeasurePage(t *testing.T) {
+	const delay = 30 * time.Minute
+	var cold, faulted, warm, cached, cdnHits int
+	for seed := int64(1); seed <= 4; seed++ {
+		u := toplist.NewUniverse(toplist.Config{Seed: seed, Size: 400})
+		entries := u.Top(6)
+		seeds := make([]webgen.SiteSeed, len(entries))
+		for i, e := range entries {
+			seeds[i] = webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank}
+		}
+		web := webgen.Generate(webgen.Config{Seed: seed, Sites: seeds})
+		for _, faults := range []bool{false, true} {
+			cfg := StudyConfig{Seed: seed}
+			if faults {
+				cfg.Faults = simnet.FaultConfig{Rates: simnet.FaultRates{Timeout: 0.02, Truncate: 0.02, Loss: 0.2}}
+				cfg.DNSFailProb = 0.05
+			}
+			st, err := NewStudy(web, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			az := st.Analyzers()
+			check := func(kind string, m *webgen.PageModel, log *har.Log) {
+				full := MeasurePage(log, m, az)
+				want := full.timings()
+				if got := measureTimings(log, az.CDN); got != want {
+					t.Errorf("seed %d %s %s: timings pass %+v, MeasurePage %+v", seed, kind, m.URL, got, want)
+				}
+				if want.CDNHits > 0 {
+					cdnHits++
+				}
+			}
+			for i, site := range web.Sites {
+				sc, err := st.newSiteCtx(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc.b.SetCache(browser.NewCache())
+				for k, page := range []*webgen.Page{site.Landing(), site.PageAt(1)} {
+					m := page.Build()
+					// Re-fetches of the landing page, as the study makes
+					// them; a faulted load that fails is skipped.
+					for f := 0; f < 3; f++ {
+						log, err := sc.b.LoadRevisit(m, f, 0, 0)
+						if err != nil {
+							continue
+						}
+						if faults {
+							faulted++
+						} else {
+							cold++
+						}
+						check("cold", m, log)
+						if k > 0 {
+							break
+						}
+					}
+					sc.clock.Advance(delay)
+					if log, err := sc.b.LoadRevisit(m, 0, 0, delay); err == nil {
+						warm++
+						check("warm", m, log)
+						for _, e := range log.Entries {
+							if e.FromCache != "" || e.Revalidated {
+								cached++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if cold == 0 || faulted == 0 || warm == 0 || cached == 0 || cdnHits == 0 {
+		t.Errorf("loads miss a case: %d cold, %d faulted, %d warm (%d cache-served entries), %d with CDN hits",
+			cold, faulted, warm, cached, cdnHits)
 	}
 }

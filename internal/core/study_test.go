@@ -7,9 +7,8 @@ import (
 )
 
 func TestMedianizeTimings(t *testing.T) {
-	mk := func(plt, si, onload, hsTime int, hs, hits int) PageMeasurement {
-		return PageMeasurement{
-			Bytes: 1000, Objects: 10,
+	mk := func(plt, si, onload, hsTime int, hs, hits int) pageTimings {
+		return pageTimings{
 			PLT:           time.Duration(plt) * time.Millisecond,
 			SpeedIndex:    time.Duration(si) * time.Millisecond,
 			OnLoad:        time.Duration(onload) * time.Millisecond,
@@ -18,12 +17,14 @@ func TestMedianizeTimings(t *testing.T) {
 			CDNHits:       hits,
 		}
 	}
-	fetches := []PageMeasurement{
+	samples := []pageTimings{
 		mk(900, 1100, 2000, 500, 40, 10),
 		mk(700, 900, 1800, 450, 38, 12),
 		mk(1100, 1500, 2400, 600, 44, 8),
 	}
-	agg := medianizeTimings(fetches)
+	first := PageMeasurement{Bytes: 1000, Objects: 10}
+	first.setTimings(samples[0])
+	agg := medianizeTimings(first, samples)
 	if agg.PLT != 900*time.Millisecond {
 		t.Errorf("PLT median = %v", agg.PLT)
 	}
@@ -44,7 +45,7 @@ func TestMedianizeTimings(t *testing.T) {
 		t.Error("structural fields lost")
 	}
 	// Even count: mean of middle two.
-	even := medianizeTimings(fetches[:2])
+	even := medianizeTimings(first, samples[:2])
 	if even.PLT != 800*time.Millisecond {
 		t.Errorf("even-count PLT = %v", even.PLT)
 	}

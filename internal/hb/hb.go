@@ -40,44 +40,62 @@ var bidMarkers = []string{"track?bid=", "/openrtb2/", "/hbid?", "bid_request"}
 
 // Detect inspects a page-load HAR for header-bidding activity.
 func Detect(log *har.Log) Result {
-	var r Result
-	var firstBid, lastBid time.Time
-	// Allocated on the first bid only; most pages never run an auction.
-	var exchanges map[string]bool
+	var d Detector
 	for i := range log.Entries {
 		e := &log.Entries[i]
-		url := strings.ToLower(e.Request.URL)
-		if r.Wrapper == "" {
-			for _, m := range wrapperMarkers {
-				if strings.Contains(url, m) && strings.HasSuffix(pathOf(url), ".js") {
-					r.Wrapper = e.Request.URL
-					break
-				}
-			}
-		}
-		for _, m := range bidMarkers {
-			if strings.Contains(url, m) {
-				r.BidRequests++
-				if exchanges == nil {
-					exchanges = make(map[string]bool, 4)
-				}
-				exchanges[urlx.Host(url)] = true
-				if firstBid.IsZero() || e.StartedAt.Before(firstBid) {
-					firstBid = e.StartedAt
-				}
-				if e.StartedAt.After(lastBid) {
-					lastBid = e.StartedAt
-				}
+		d.Observe(strings.ToLower(e.Request.URL), e)
+	}
+	return d.Result()
+}
+
+// Detector accumulates header-bidding evidence one request at a time, so
+// a caller already walking a page's entries need not walk them again. The
+// zero value is ready to use.
+type Detector struct {
+	r                 Result
+	firstBid, lastBid time.Time
+	// Allocated on the first bid only; most pages never run an auction.
+	exchanges map[string]bool
+}
+
+// Observe adds one entry; lowerURL must be strings.ToLower of its
+// request URL.
+func (d *Detector) Observe(lowerURL string, e *har.Entry) {
+	if d.r.Wrapper == "" {
+		for _, m := range wrapperMarkers {
+			if strings.Contains(lowerURL, m) && strings.HasSuffix(pathOf(lowerURL), ".js") {
+				d.r.Wrapper = e.Request.URL
 				break
 			}
 		}
 	}
-	for h := range exchanges {
+	for _, m := range bidMarkers {
+		if strings.Contains(lowerURL, m) {
+			d.r.BidRequests++
+			if d.exchanges == nil {
+				d.exchanges = make(map[string]bool, 4)
+			}
+			d.exchanges[urlx.Host(lowerURL)] = true
+			if d.firstBid.IsZero() || e.StartedAt.Before(d.firstBid) {
+				d.firstBid = e.StartedAt
+			}
+			if e.StartedAt.After(d.lastBid) {
+				d.lastBid = e.StartedAt
+			}
+			break
+		}
+	}
+}
+
+// Result returns the verdict over the entries observed so far.
+func (d *Detector) Result() Result {
+	r := d.r
+	for h := range d.exchanges {
 		r.Exchanges = append(r.Exchanges, h)
 	}
 	sort.Strings(r.Exchanges)
-	if !firstBid.IsZero() {
-		r.AuctionSpread = lastBid.Sub(firstBid)
+	if !d.firstBid.IsZero() {
+		r.AuctionSpread = d.lastBid.Sub(d.firstBid)
 	}
 	// Active HB needs auction traffic plus the machinery that started it.
 	r.Active = r.BidRequests >= 2 && r.Wrapper != ""

@@ -33,11 +33,17 @@ type Directives struct {
 	StaleWhileReval time.Duration
 }
 
-// ParseCacheControl parses a Cache-Control header value.
+// ParseCacheControl parses a Cache-Control header value. It walks the
+// comma-separated directives in place: the browser's freshness check and
+// the study's cacheability count both call it once per response. The
+// value is lowercased once up front; a ',' never sits inside a UTF-8
+// sequence, so that equals lowercasing each directive.
 func ParseCacheControl(v string) Directives {
 	var d Directives
-	for _, part := range strings.Split(v, ",") {
-		part = strings.TrimSpace(strings.ToLower(part))
+	for rest := strings.ToLower(v); rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, ",")
+		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}

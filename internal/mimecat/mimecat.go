@@ -52,13 +52,21 @@ func All() []Category {
 	return out
 }
 
-// Of maps a MIME type (optionally with parameters, e.g.
-// "text/html; charset=utf-8") to its category.
-func Of(mime string) Category {
+// Essence returns a MIME type's lowercase type/subtype, with parameters
+// and surrounding space removed ("Text/CSS; charset=utf-8" → "text/css"):
+// the form Of classifies.
+func Essence(mime string) string {
 	mime = strings.ToLower(strings.TrimSpace(mime))
 	if i := strings.IndexByte(mime, ';'); i >= 0 {
 		mime = strings.TrimSpace(mime[:i])
 	}
+	return mime
+}
+
+// Of maps a MIME type (optionally with parameters, e.g.
+// "text/html; charset=utf-8") to its category.
+func Of(mime string) Category {
+	mime = Essence(mime)
 	switch {
 	case mime == "":
 		return CatUnknown
