@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke bench-baseline bench-gate serve-smoke trace-smoke har-smoke fuzz-smoke lint leak-report ci fmt-check clean
+.PHONY: build test test-race bench bench-smoke bench-baseline bench-gate serve-smoke trace-smoke har-smoke fuzz-smoke examples-smoke lint leak-report ci fmt-check clean
 
 build:
 	$(GO) build ./...
@@ -128,6 +128,12 @@ fuzz-smoke:
 	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzParseCacheControl$$' -fuzztime 10s
 	$(GO) test ./internal/depgraph -run '^$$' -fuzz '^FuzzDepthCounts$$' -fuzztime 10s
 
+# Examples smoke: run the two example programs end to end. Each must
+# exit 0; their output is a printout, not checked further.
+examples-smoke:
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/comparepages > /dev/null
+
 # Determinism lint: cmd/detlint type-checks every package in the module
 # and enforces the invariants the seeded pipeline depends on (no wall
 # clock, no global RNG, no order-dependent map emission, no untracked
@@ -162,6 +168,7 @@ ci: fmt-check
 	$(MAKE) trace-smoke
 	$(MAKE) har-smoke
 	$(MAKE) fuzz-smoke
+	$(MAKE) examples-smoke
 
 clean:
 	$(GO) clean ./...

@@ -32,13 +32,6 @@ type Config struct {
 	Client *http.Client
 	// MaxObjects bounds a page load (default 500).
 	MaxObjects int
-	// MaxDepth bounds dependency recursion (default 6).
-	MaxDepth int
-	// Parallelism bounds concurrent fetches (default 6).
-	Parallelism int
-	// UserAgent is sent with every request; like the paper's crawler it
-	// should identify the project (§3 ethics).
-	UserAgent string
 	// ForceScheme rewrites every discovered URL's scheme before
 	// fetching. The loopback test web speaks plain HTTP while generated
 	// markup mixes schemes; set "http" there. "" leaves URLs alone.
@@ -52,17 +45,18 @@ func (c Config) withDefaults() Config {
 	if c.MaxObjects <= 0 {
 		c.MaxObjects = 500
 	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 6
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 6
-	}
-	if c.UserAgent == "" {
-		c.UserAgent = "hispar-repro/1.0 (+https://example.org/hispar-repro)"
-	}
 	return c
 }
+
+const (
+	// maxDepth bounds dependency recursion.
+	maxDepth = 6
+	// parallelism bounds concurrent fetches.
+	parallelism = 6
+	// userAgent is sent with every request; like the paper's crawler it
+	// identifies the project (§3 ethics).
+	userAgent = "hispar-repro/1.0 (+https://example.org/hispar-repro)"
+)
 
 // Browser loads pages over real HTTP.
 type Browser struct {
@@ -101,7 +95,7 @@ func (b *Browser) Load(pageURL string) (*har.Log, error) {
 	queue := []task{{url: norm}}
 	results := make(map[string]*fetchResult)
 
-	sem := make(chan struct{}, b.cfg.Parallelism)
+	sem := make(chan struct{}, parallelism)
 	scheduled := 0
 	for len(queue) > 0 && scheduled < b.cfg.MaxObjects {
 		batch := queue
@@ -128,7 +122,7 @@ func (b *Browser) Load(pageURL string) (*har.Log, error) {
 		// Expand the frontier from this wave's bodies.
 		for _, t := range batch {
 			fr := results[t.url]
-			if fr == nil || fr.err != nil || t.depth >= b.cfg.MaxDepth {
+			if fr == nil || fr.err != nil || t.depth >= maxDepth {
 				continue
 			}
 			for _, ref := range fr.refs {
@@ -158,9 +152,7 @@ func (b *Browser) Load(pageURL string) (*har.Log, error) {
 	if root.entry.Response.Status >= 400 {
 		return nil, fmt.Errorf("httpbrowser: root returned %d", root.entry.Response.Status)
 	}
-	// Entries in BFS order: root first, then by depth then URL stability
-	// is unnecessary — keep insertion order via re-walk.
-	appendEntries(log, results, norm, seen)
+	appendEntries(log, results, norm)
 	// Navigation timing: approximate first paint as the root document's
 	// completion (wall-clock loads have no render model) and onLoad as
 	// the last entry's end.
@@ -181,7 +173,7 @@ func (b *Browser) Load(pageURL string) (*har.Log, error) {
 
 // appendEntries walks results depth-first from the root so initiators
 // precede their children (what depgraph expects of a HAR).
-func appendEntries(log *har.Log, results map[string]*fetchResult, rootURL string, seen map[string]bool) {
+func appendEntries(log *har.Log, results map[string]*fetchResult, rootURL string) {
 	children := make(map[string][]string)
 	var order []string
 	for u, fr := range results {
@@ -197,12 +189,7 @@ func appendEntries(log *har.Log, results map[string]*fetchResult, rootURL string
 	walk = func(u string) {
 		order = append(order, u)
 		kids := children[u]
-		// Stable order: sort by URL.
-		for i := 1; i < len(kids); i++ {
-			for j := i; j > 0 && kids[j] < kids[j-1]; j-- {
-				kids[j], kids[j-1] = kids[j-1], kids[j]
-			}
-		}
+		sort.Strings(kids) // stable order: results is a map
 		for _, k := range kids {
 			walk(k)
 		}
@@ -223,7 +210,7 @@ func (b *Browser) fetch(url, initiator string, depth int, nav time.Time) *fetchR
 		fr.err = err
 		return fr
 	}
-	req.Header.Set("User-Agent", b.cfg.UserAgent)
+	req.Header.Set("User-Agent", userAgent)
 	start := time.Now()
 	resp, err := b.cfg.Client.Do(req)
 	if err != nil {

@@ -20,24 +20,36 @@ import (
 	"repro/internal/webgen"
 )
 
+// maxBodyFill caps the generated filler of one object body.
+const maxBodyFill = 64 << 10
+
 // Server serves one web snapshot.
 type Server struct {
 	web *webgen.Web
-	// MaxBodyFill caps generated filler per object body (default 64 KiB).
-	MaxBodyFill int
 	// Wrap, when set before Start, wraps the virtual-hosting handler —
 	// the attachment point for middleware (request logging, test gates).
 	Wrap func(http.Handler) http.Handler
 
-	mu     sync.Mutex
-	models map[string]*webgen.PageModel // page URL (host+path) -> model
-	httpd  *http.Server
-	ln     net.Listener
+	mu      sync.Mutex
+	models  map[string]*webgen.PageModel // page URL (host+path) -> model
+	objects map[string]objectRef         // object host+request URI -> owner
+	httpd   *http.Server
+	ln      net.Listener
+}
+
+// objectRef locates one object inside the page model that owns it.
+type objectRef struct {
+	m   *webgen.PageModel
+	idx int
 }
 
 // New creates a server over web.
 func New(web *webgen.Web) *Server {
-	return &Server{web: web, MaxBodyFill: 64 << 10, models: make(map[string]*webgen.PageModel)}
+	return &Server{
+		web:     web,
+		models:  make(map[string]*webgen.PageModel),
+		objects: make(map[string]objectRef),
+	}
 }
 
 // Start begins listening on addr ("127.0.0.1:0" for an ephemeral port)
@@ -91,11 +103,11 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// model returns (building if needed) the page model that owns the given
-// URL — either as its root document or as one of its objects. Object
-// URLs embed no page pointer, so the server keeps an index of every
-// object URL it has served a document for; fetching a page's document
-// registers its objects.
+// pageModel returns (building if needed) the page model whose root
+// document is served at host+path, and indexes its objects so their URLs
+// resolve to this page. A third-party URL can appear in several pages
+// with different children; the most recently served document owns it,
+// which makes a sequence of page loads deterministic.
 func (s *Server) pageModel(host, path string) (*webgen.PageModel, bool) {
 	page, ok := s.web.PageByURL("http://" + host + path)
 	if !ok {
@@ -104,29 +116,34 @@ func (s *Server) pageModel(host, path string) (*webgen.PageModel, bool) {
 	key := strings.TrimPrefix(host, "www.") + "|" + path
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m, ok := s.models[key]; ok {
-		return m, true
+	m, ok := s.models[key]
+	if !ok {
+		m = page.Build()
+		s.models[key] = m
 	}
-	m := page.Build()
-	s.models[key] = m
+	// Walk backwards so that within one page the first object with a
+	// given URL owns it.
+	for i := len(m.Objects) - 1; i > 0; i-- {
+		s.objects[objectKey(m.Objects[i].URL)] = objectRef{m, i}
+	}
 	return m, true
 }
 
-// findObject looks up an object URL in any already-served page model.
-func (s *Server) findObject(host, uri string) (*webgen.PageModel, int, bool) {
+// objectKey strips the scheme from an object URL, leaving the host and
+// request URI that a request for it carries.
+func objectKey(rawURL string) string {
+	if _, rest, ok := strings.Cut(rawURL, "://"); ok {
+		return rest
+	}
+	return rawURL
+}
+
+// findObject looks up an object URL among the served documents' objects.
+func (s *Server) findObject(host, uri string) (objectRef, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, m := range s.models {
-		for i, o := range m.Objects {
-			if i == 0 {
-				continue
-			}
-			if o.Host == host && strings.HasSuffix(o.URL, uri) {
-				return m, i, true
-			}
-		}
-	}
-	return nil, 0, false
+	ref, ok := s.objects[host+uri]
+	return ref, ok
 }
 
 // ServeHTTP implements http.Handler with virtual hosting.
@@ -175,7 +192,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Sub-resources of previously served documents.
-	if m, idx, ok := s.findObject(host, uri); ok {
+	if ref, ok := s.findObject(host, uri); ok {
+		m, idx := ref.m, ref.idx
 		o := m.Objects[idx]
 		w.Header().Set("Content-Type", o.MIME)
 		if cc := o.CacheControl(idx); cc != "" {
@@ -202,7 +220,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		body := m.RenderBody(idx, s.MaxBodyFill)
+		body := m.RenderBody(idx, maxBodyFill)
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		_, _ = w.Write([]byte(body))
 		return

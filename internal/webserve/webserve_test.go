@@ -219,6 +219,51 @@ func TestVirtualHostingSeparatesSites(t *testing.T) {
 	}
 }
 
+// TestSharedObjectServedFromLatestPage pins which page owns an object
+// URL that several pages reference with different children: the most
+// recently served document. The body, and the tree a browser recovers
+// from it, must not depend on map iteration order.
+func TestSharedObjectServedFromLatestPage(t *testing.T) {
+	_, web, client := startServer(t)
+	var a, b objectRef
+	owners := make(map[string]objectRef)
+search:
+	for _, site := range web.Sites {
+		for i := 0; i <= 3; i++ {
+			m := site.PageAt(i).Build()
+			for idx, o := range m.Objects {
+				if idx == 0 {
+					continue
+				}
+				first, ok := owners[o.URL]
+				if !ok {
+					owners[o.URL] = objectRef{m, idx}
+					continue
+				}
+				if first.m.RenderBody(first.idx, maxBodyFill) != m.RenderBody(idx, maxBodyFill) {
+					a, b = first, objectRef{m, idx}
+					break search
+				}
+			}
+		}
+	}
+	if a.m == nil {
+		t.Fatal("no object URL shared by two pages with different bodies")
+	}
+	objURL := a.m.Objects[a.idx].URL
+	for i := 0; i < 20; i++ {
+		for _, order := range [][2]objectRef{{a, b}, {b, a}} {
+			get(t, client, order[0].m.URL)
+			get(t, client, order[1].m.URL)
+			_, body := get(t, client, objURL)
+			if want := order[1].m.RenderBody(order[1].idx, maxBodyFill); body != want {
+				t.Fatalf("repeat %d: %s after %s then %s: body is not the latest page's",
+					i, objURL, order[0].m.URL, order[1].m.URL)
+			}
+		}
+	}
+}
+
 // TestGracefulShutdownDrainsInFlight pins the Shutdown contract: a
 // request already inside a handler runs to completion while the closed
 // listener refuses new connections, and Shutdown only returns once the

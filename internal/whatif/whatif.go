@@ -80,16 +80,6 @@ func Scenarios() []Scenario {
 	}
 }
 
-// ScenarioByName returns the named scenario.
-func ScenarioByName(name string) (Scenario, bool) {
-	for _, s := range Scenarios() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Scenario{}, false
-}
-
 // Config parameterizes an evaluation.
 type Config struct {
 	Seed int64

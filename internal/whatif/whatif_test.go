@@ -30,27 +30,37 @@ func fixture(t *testing.T) (*Evaluator, *hispar.List) {
 	return New(web, Config{Seed: 71, Fetches: 2}), list
 }
 
+// scenario returns the registered scenario with the given name.
+func scenario(t *testing.T, name string) Scenario {
+	t.Helper()
+	for _, s := range Scenarios() {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("no scenario named %q", name)
+	return Scenario{}
+}
+
 func TestScenarioRegistry(t *testing.T) {
 	if len(Scenarios()) < 6 {
 		t.Fatalf("scenarios = %d", len(Scenarios()))
 	}
+	names := make(map[string]bool)
 	for _, s := range Scenarios() {
 		if s.Name == "" || s.Description == "" {
 			t.Errorf("incomplete scenario %+v", s)
 		}
-		got, ok := ScenarioByName(s.Name)
-		if !ok || got.Name != s.Name {
-			t.Errorf("lookup failed for %s", s.Name)
+		if names[s.Name] {
+			t.Errorf("scenario name %q registered twice", s.Name)
 		}
-	}
-	if _, ok := ScenarioByName("nope"); ok {
-		t.Error("bogus scenario resolved")
+		names[s.Name] = true
 	}
 }
 
 func TestQUICSpeedsUpEveryPage(t *testing.T) {
 	ev, list := fixture(t)
-	sc, _ := ScenarioByName("quic")
+	sc := scenario(t, "quic")
 	res, err := ev.Evaluate(list, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +87,7 @@ func TestQUICSpeedsUpEveryPage(t *testing.T) {
 
 func TestPerfectCDNFavorsLanding(t *testing.T) {
 	ev, list := fixture(t)
-	sc, _ := ScenarioByName("perfect-cdn")
+	sc := scenario(t, "perfect-cdn")
 	res, err := ev.Evaluate(list, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +105,7 @@ func TestPerfectCDNFavorsLanding(t *testing.T) {
 
 func TestNoCDNHurtsLandingMore(t *testing.T) {
 	ev, list := fixture(t)
-	sc, _ := ScenarioByName("no-cdn")
+	sc := scenario(t, "no-cdn")
 	res, err := ev.Evaluate(list, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +119,7 @@ func TestNoCDNHurtsLandingMore(t *testing.T) {
 
 func TestServerPushImprovesOnLoad(t *testing.T) {
 	ev, list := fixture(t)
-	sc, _ := ScenarioByName("push")
+	sc := scenario(t, "push")
 	res, err := ev.Evaluate(list, sc)
 	if err != nil {
 		t.Fatal(err)
