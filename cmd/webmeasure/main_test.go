@@ -2,24 +2,24 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/csv"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/golden"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden.json from this build's output")
+var update = flag.Bool("update", false, "rewrite this command's digests in testdata/golden.json from this build's output")
 
+// goldenPath holds the digests of every pinned command output, this
+// command's and papereval's.
 const goldenPath = "testdata/golden.json"
 
 // goldenRuns are the study outputs pinned by testdata/golden.json: the
@@ -27,125 +27,78 @@ const goldenPath = "testdata/golden.json"
 // seed 42 and the `make trace-smoke` shape (120 sites × 5 URLs × 3
 // fetches). Together they cover the whole pipeline: webgen, the
 // browser over simnet/dnssim/cdn, the HAR→metrics pass, both study
-// engines, retries and the CSV sinks.
-var goldenRuns = map[string][]string{
-	"cold.csv":    {"-seed", "42", "-sites", "120", "-persite", "5", "-fetches", "3"},
-	"warm.csv":    {"-seed", "42", "-sites", "120", "-persite", "5", "-fetches", "3", "-warm"},
-	"faulted.csv": {"-seed", "42", "-sites", "120", "-persite", "5", "-fetches", "3", "-fault-timeout", "0.2", "-fault-dns", "0.1"},
+// engines, retries and the CSV sinks. The cold and warm runs also pin
+// their -trace-detail phases trace JSON (-trace does not change the
+// CSV).
+var goldenRuns = []struct {
+	csv, trace string // artifact names; trace is "" when the run writes none
+	args       []string
+}{
+	{"cold.csv", "cold.trace.json", []string{"-seed", "42", "-sites", "120", "-persite", "5", "-fetches", "3"}},
+	{"warm.csv", "warm.trace.json", []string{"-seed", "42", "-sites", "120", "-persite", "5", "-fetches", "3", "-warm"}},
+	{"faulted.csv", "", []string{"-seed", "42", "-sites", "120", "-persite", "5", "-fetches", "3", "-fault-timeout", "0.2", "-fault-dns", "0.1"}},
 }
 
 var (
 	goldenOnce sync.Once
 	goldenOut  map[string][]byte
-	goldenErr  string
+	goldenErr  error
 )
 
 // goldenOutputs runs each golden invocation once per test binary and
-// returns its stdout by artifact name.
+// returns its outputs by artifact name.
 func goldenOutputs(t *testing.T) map[string][]byte {
 	t.Helper()
-	goldenOnce.Do(func() {
-		goldenOut = make(map[string][]byte, len(goldenRuns))
-		for name, args := range goldenRuns {
-			var stdout, stderr bytes.Buffer
-			if code := run(args, &stdout, &stderr); code != 0 {
-				goldenErr = fmt.Sprintf("%s: exit %d: %s", name, code, stderr.String())
-				return
-			}
-			goldenOut[name] = stdout.Bytes()
-		}
-	})
-	if goldenErr != "" {
+	goldenOnce.Do(func() { goldenOut, goldenErr = runGolden() })
+	if goldenErr != nil {
 		t.Fatal(goldenErr)
 	}
 	return goldenOut
 }
 
-func digest(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// goldenMismatches returns, in name order, the artifacts whose digest
-// differs from want, plus any artifact missing from either side.
-func goldenMismatches(want map[string]string, got map[string][]byte) []string {
-	var bad []string
-	for name, out := range got {
-		if want[name] != digest(out) {
-			bad = append(bad, name)
+func runGolden() (map[string][]byte, error) {
+	dir, err := os.MkdirTemp("", "webmeasure-golden")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	out := make(map[string][]byte)
+	for _, r := range goldenRuns {
+		args := r.args
+		if r.trace != "" {
+			args = append(args[:len(args):len(args)], "-trace", filepath.Join(dir, r.trace), "-trace-detail", "phases")
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			return nil, fmt.Errorf("%s: exit %d: %s", r.csv, code, stderr.String())
+		}
+		out[r.csv] = stdout.Bytes()
+		if r.trace != "" {
+			if out[r.trace], err = os.ReadFile(filepath.Join(dir, r.trace)); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for name := range want {
-		if _, ok := got[name]; !ok {
-			bad = append(bad, name)
-		}
-	}
-	sort.Strings(bad)
-	return bad
+	return out, nil
 }
 
-// TestGoldenCSVs holds the study CSVs byte-identical to the digests in
-// testdata/golden.json. A change that moves any of them is a behaviour
-// change: rerun with -update and name the artifact and the cause in
-// CHANGES.md. The CSVs carry float results, whose last bits can differ
-// across architectures (fused multiply-add), so the digests are pinned
-// on amd64, as bench/digests.json is.
+// TestGoldenCSVs holds the study CSVs and traces byte-identical to the
+// digests in testdata/golden.json. A change that moves any of them is
+// a behaviour change: rerun with -update and name the artifact and the
+// cause in CHANGES.md. The CSVs carry float results, whose last bits
+// can differ across architectures (fused multiply-add), so the digests
+// are pinned on amd64, as bench/digests.json is.
 func TestGoldenCSVs(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	got := goldenOutputs(t)
-	if *update {
-		want := make(map[string]string, len(got))
-		for name, out := range got {
-			want[name] = digest(out)
-		}
-		b, err := json.MarshalIndent(want, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	b, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range goldenMismatches(want, got) {
-		t.Errorf("%s: sha256 %s, golden %s (%d bytes; rerun with -update if the change is intended)",
-			name, digest(got[name]), want[name], len(got[name]))
-	}
+	golden.Check(t, goldenPath, goldenOutputs(t), *update)
 }
 
 // TestGoldenDetectsOneByteChange plants a one-byte change in each golden
 // artifact and checks that the comparison flags that artifact alone.
 func TestGoldenDetectsOneByteChange(t *testing.T) {
-	got := goldenOutputs(t)
-	want := make(map[string]string, len(got))
-	for name, out := range got {
-		want[name] = digest(out)
-	}
-	for name, out := range got {
-		planted := make(map[string][]byte, len(got))
-		for k, v := range got {
-			planted[k] = v
-		}
-		b := bytes.Clone(out)
-		b[len(b)/2] ^= 1
-		planted[name] = b
-		if bad := goldenMismatches(want, planted); len(bad) != 1 || bad[0] != name {
-			t.Errorf("one-byte change to %s: mismatches %v", name, bad)
-		}
-	}
+	golden.DetectsOneByteChange(t, goldenOutputs(t))
 }
 
 // TestSmallURLSets runs a study whose URL sets are smaller than H1K's
