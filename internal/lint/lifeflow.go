@@ -294,23 +294,6 @@ func newLifeAnalysis(n *FuncNode, g *Graph, st *lifeState) *lifeAnalysis {
 	return la
 }
 
-// enclosingFunc returns the innermost function-body boundary containing
-// pos: a literal's body, or the declaration's.
-func (la *lifeAnalysis) enclosingFunc(pos token.Pos) ast.Node {
-	var best *ast.FuncLit
-	for _, lit := range la.lits {
-		if pos >= lit.Body.Pos() && pos <= lit.Body.End() {
-			if best == nil || lit.Pos() > best.Pos() {
-				best = lit
-			}
-		}
-	}
-	if best != nil {
-		return best
-	}
-	return la.n.Decl
-}
-
 // summarize computes the operand-release mask for the closer-summary
 // fixpoint: bit 0 set when the receiver is released/consumed somewhere
 // in the body, bit i for parameter i-1. Any disposal counts — a callee

@@ -21,27 +21,20 @@ type Result struct {
 	Rank int // 1-based position in the result list
 }
 
+const (
+	// resultsPerQuery is the page size of the API.
+	resultsPerQuery = 10
+	// pricePerThousand is the API price in USD per 1000 queries, the
+	// Google rate the paper quotes.
+	pricePerThousand = 5
+)
+
 // Config parameterizes the engine.
 type Config struct {
-	// ResultsPerQuery is the page size of the API (default 10).
-	ResultsPerQuery int
-	// PricePerThousand is the API price in USD per 1000 queries
-	// (default 5, the Google rate the paper quotes).
-	PricePerThousand float64
 	// EnglishOnly restricts results to English pages; sites the
 	// generator marks FewEnglish then return fewer than ten results and
 	// get dropped by the list builder, as in the paper.
 	EnglishOnly bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.ResultsPerQuery <= 0 {
-		c.ResultsPerQuery = 10
-	}
-	if c.PricePerThousand <= 0 {
-		c.PricePerThousand = 5
-	}
-	return c
 }
 
 // Engine serves queries over one weekly web snapshot. Safe for
@@ -56,7 +49,7 @@ type Engine struct {
 
 // New creates an engine over web.
 func New(web *webgen.Web, cfg Config) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), web: web}
+	return &Engine{cfg: cfg, web: web}
 }
 
 // Queries returns the number of API queries consumed so far.
@@ -70,7 +63,7 @@ func (e *Engine) Queries() int {
 func (e *Engine) CostUSD() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return float64(e.queries) / 1000 * e.cfg.PricePerThousand
+	return float64(e.queries) / 1000 * pricePerThousand
 }
 
 func (e *Engine) charge(n int) {
@@ -81,7 +74,7 @@ func (e *Engine) charge(n int) {
 
 // Site serves the "site:domain" query, returning up to maxResults page
 // URLs (the landing page first, then internal pages by descending visit
-// popularity). Every page of ResultsPerQuery results consumes one
+// popularity). Every page of resultsPerQuery results consumes one
 // metered query — including the final, possibly short, page.
 func (e *Engine) Site(domain string, maxResults int) ([]Result, error) {
 	s, ok := e.web.SiteByDomain(strings.ToLower(strings.TrimPrefix(domain, "www.")))
@@ -90,7 +83,7 @@ func (e *Engine) Site(domain string, maxResults int) ([]Result, error) {
 		return nil, fmt.Errorf("search: no results for site:%s", domain)
 	}
 	if maxResults <= 0 {
-		maxResults = e.cfg.ResultsPerQuery
+		maxResults = resultsPerQuery
 	}
 
 	available := s.PoolSize() + 1
@@ -104,11 +97,11 @@ func (e *Engine) Site(domain string, maxResults int) ([]Result, error) {
 	}
 
 	// Query accounting. Real site: queries frequently yield fewer than
-	// ResultsPerQuery *unique* URLs per page (duplicates, omitted
+	// resultsPerQuery *unique* URLs per page (duplicates, omitted
 	// results) — the reason the paper's realized cost (~$70 per 100K
 	// URLs) exceeds the naive floor (~$50, §7). Model a per-site
 	// effective yield of 60–100% of the page size.
-	yield := float64(e.cfg.ResultsPerQuery) * (0.6 + 0.4*float64(noiseFrom(domain)%1000)/1000)
+	yield := resultsPerQuery * (0.6 + 0.4*float64(noiseFrom(domain)%1000)/1000)
 	pages := int(float64(want)/yield + 0.999)
 	if pages < 1 {
 		pages = 1

@@ -142,13 +142,6 @@ func invPhi(p float64) float64 {
 	}
 }
 
-// ratioSample draws a lognormal ratio whose P(ratio > 1) equals pAbove
-// and whose log-sd is sigma. The geometric mean is exp(sigma·Φ⁻¹(pAbove)).
-func ratioSample(rng *rand.Rand, pAbove, sigma float64) float64 {
-	mu := sigma * invPhi(pAbove)
-	return math.Exp(mu + rng.NormFloat64()*sigma)
-}
-
 // noise01KeyIdx is noise01(base, key, idx) on the typed fast path.
 func noise01KeyIdx(base int64, key string, idx int) float64 {
 	return finalize01(uint64(subSeedKeyIdx(base, key, idx)))
