@@ -31,18 +31,21 @@ func RunSelection(ctx *Context) (*Report, error) {
 		perSite = 5
 	}
 
+	// Each site's pool is summarized once and scores every strategy.
+	var pools []*pageselect.Pool
+	for _, set := range list.Sets[:k] {
+		if site, ok := web.SiteByDomain(set.Domain); ok {
+			pools = append(pools, pageselect.NewPool(site))
+		}
+	}
 	var scores []pageselect.Score
 	for _, strat := range pageselect.All(engine, ctx.Cfg.Seed) {
-		for i := 0; i < k; i++ {
-			site, ok := web.SiteByDomain(list.Sets[i].Domain)
-			if !ok {
-				continue
-			}
-			sample, err := strat.Select(web, site, perSite)
+		for _, pool := range pools {
+			sample, err := strat.Select(web, pool.Site, perSite)
 			if err != nil || len(sample) == 0 {
 				continue
 			}
-			scores = append(scores, pageselect.Evaluate(strat.Name(), site, sample))
+			scores = append(scores, pool.Score(strat.Name(), sample))
 		}
 	}
 	if len(scores) == 0 {

@@ -54,12 +54,13 @@ func TestSearchIsPopularityBiased(t *testing.T) {
 	web, engine := fixture(t)
 	var scores []Score
 	for _, site := range web.Sites[:6] {
+		pool := NewPool(site)
 		for _, strat := range All(engine, 91) {
 			sample, err := strat.Select(web, site, 8)
 			if err != nil || len(sample) == 0 {
 				continue
 			}
-			scores = append(scores, Evaluate(strat.Name(), site, sample))
+			scores = append(scores, pool.Score(strat.Name(), sample))
 		}
 	}
 	sums := Summarize(scores)
