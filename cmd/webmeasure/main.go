@@ -196,15 +196,7 @@ func writeTrace(tr *trace.Tracer, path string, summary bool, stderr io.Writer) e
 	if tr == nil {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = tr.WriteChromeJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := tr.WriteChromeFile(path); err != nil {
 		return err
 	}
 	if summary {

@@ -83,7 +83,7 @@ func RunStability(ctx *Context) (*Report, error) {
 		for i, e := range boot {
 			seeds[i] = webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank}
 		}
-		web := webgen.Generate(webgen.Config{Seed: cfg.Seed, Week: week, Sites: seeds, DefaultPoolSize: 120})
+		web := webgen.Generate(webgen.Config{Seed: cfg.Seed, Week: week, Sites: seeds})
 		eng := search.New(web, search.Config{EnglishOnly: true})
 		list, _, err := hispar.Build(eng, boot, hispar.BuildConfig{
 			Sites:       h2kSites,

@@ -1,8 +1,6 @@
 // Package profiling is the thin shared layer behind the -cpuprofile and
 // -memprofile flags of the command front-ends. It exists so every
-// command stops a CPU profile and snapshots the heap the same way, and
-// so profile files are flushed even when a run ends in os.Exit paths
-// that skip defers (callers invoke the returned stop explicitly).
+// command stops a CPU profile and snapshots the heap the same way.
 package profiling
 
 import (
@@ -13,62 +11,10 @@ import (
 	"sync"
 )
 
-// Every profile started through this package is tracked until its stop
-// function runs, so a fatal path that cannot reach the caller's stop
-// can still flush everything with StopAll before os.Exit. Stops are
-// idempotent: calling one after StopAll (or twice) is a no-op.
-var (
-	activeMu sync.Mutex
-	active   []*activeProfile
-)
-
-type activeProfile struct{ stop func() }
-
-// registerStop tracks raw and returns the idempotent public stop.
-func registerStop(raw func()) func() {
-	p := &activeProfile{stop: raw}
-	activeMu.Lock()
-	active = append(active, p)
-	activeMu.Unlock()
-	return func() { releaseProfile(p) }
-}
-
-// releaseProfile runs p's stop if it is still outstanding.
-func releaseProfile(p *activeProfile) {
-	activeMu.Lock()
-	var fn func()
-	for i, q := range active {
-		if q == p {
-			fn = q.stop
-			active = append(active[:i], active[i+1:]...)
-			break
-		}
-	}
-	activeMu.Unlock()
-	if fn != nil {
-		fn()
-	}
-}
-
-// StopAll stops every profile still running, in start order. Command
-// front-ends call it from their fatal helpers so a run that dies between
-// StartCPU and its explicit stop still writes a valid profile.
-func StopAll() {
-	activeMu.Lock()
-	fns := make([]func(), len(active))
-	for i, p := range active {
-		fns[i] = p.stop
-	}
-	active = nil
-	activeMu.Unlock()
-	for _, fn := range fns {
-		fn()
-	}
-}
-
 // StartCPU begins a CPU profile into path and returns the function that
-// stops it and closes the file. With path == "" it is a no-op and the
-// returned stop is safe to call.
+// stops it and closes the file; calling stop again is a no-op, so a
+// command can both defer it and call it before its heap snapshot. With
+// path == "" StartCPU is a no-op and the returned stop is safe to call.
 func StartCPU(path string) (stop func(), err error) {
 	if path == "" {
 		return func() {}, nil
@@ -81,7 +27,7 @@ func StartCPU(path string) (stop func(), err error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("profiling: %w", err)
 	}
-	return registerStop(func() {
+	return sync.OnceFunc(func() {
 		pprof.StopCPUProfile()
 		_ = f.Close()
 	}), nil

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"time"
@@ -45,6 +46,20 @@ func WriteChromeJSON(w io.Writer, spans []Span) error {
 // WriteChromeJSON exports the tracer's merged spans.
 func (t *Tracer) WriteChromeJSON(w io.Writer) error {
 	return WriteChromeJSON(w, t.Spans())
+}
+
+// WriteChromeFile exports the tracer's merged spans to a new file at
+// path.
+func (t *Tracer) WriteChromeFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = t.WriteChromeJSON(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func earliestStart(spans []Span) time.Time {
