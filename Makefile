@@ -4,10 +4,16 @@
 
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke bench-baseline bench-gate serve-smoke trace-smoke har-smoke fuzz-smoke examples-smoke lint leak-report ci fmt-check clean
+.PHONY: build bench-build test test-race bench bench-smoke bench-baseline bench-gate serve-smoke trace-smoke har-smoke fuzz-smoke examples-smoke lint leak-report ci fmt-check clean
 
 build:
 	$(GO) build ./...
+
+# bench/ is its own module, so go build ./... never compiles it. Vetting
+# it type-checks the repo benchmark against this tree's packages: a
+# change to an API it calls fails here, not at benchmark time.
+bench-build:
+	$(GO) -C bench vet ./...
 
 # Tier-1: the full functional suite.
 test: build
@@ -157,10 +163,11 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The full local gate, mirroring CI: formatting, vet, lint, tier-1,
-# tier-2.
+# The full local gate, mirroring CI: formatting, vet, the bench module's
+# build, lint, tier-1, tier-2.
 ci: fmt-check
 	$(GO) vet ./...
+	$(MAKE) bench-build
 	$(MAKE) lint
 	$(MAKE) test
 	$(MAKE) test-race

@@ -2,10 +2,8 @@ package core
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
-	"time"
 )
 
 // csvHeader is the column layout of the released measurement dataset
@@ -187,94 +185,4 @@ func (c *rowSink[R]) ConsumeSite(res *R, out *Outcome) error {
 func (c *rowSink[R]) Flush() error {
 	c.cw.Flush()
 	return c.cw.Error()
-}
-
-// ReadMeasurementsCSV parses a dataset written by WriteMeasurementsCSV
-// back into site results (the per-object wait samples and content-mix
-// maps are not part of the public dataset and stay empty).
-func ReadMeasurementsCSV(r io.Reader) (*StudyResult, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("core: dataset header: %w", err)
-	}
-	if len(header) != len(csvHeader) || header[0] != "domain" {
-		return nil, fmt.Errorf("core: unexpected dataset header %v", header)
-	}
-	res := &StudyResult{}
-	byDomain := make(map[string]int)
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		p, rank, kind, err := parseRow(rec)
-		if err != nil {
-			return nil, err
-		}
-		idx, ok := byDomain[rec[0]]
-		if !ok {
-			byDomain[rec[0]] = len(res.Sites)
-			res.Sites = append(res.Sites, SiteResult{Domain: rec[0], Rank: rank, Category: rec[2]})
-			idx = len(res.Sites) - 1
-		}
-		if kind == "landing" {
-			res.Sites[idx].Landing = p
-		} else {
-			res.Sites[idx].Internal = append(res.Sites[idx].Internal, p)
-		}
-	}
-	return res, nil
-}
-
-func parseRow(rec []string) (PageMeasurement, int, string, error) {
-	var p PageMeasurement
-	atoi := func(s string) int { v, _ := strconv.Atoi(s); return v }
-	ai64 := func(s string) int64 { v, _ := strconv.ParseInt(s, 10, 64); return v }
-	ab := func(s string) bool { v, _ := strconv.ParseBool(s); return v }
-	rank, err := strconv.Atoi(rec[1])
-	if err != nil {
-		return p, 0, "", fmt.Errorf("core: bad rank %q", rec[1])
-	}
-	p = PageMeasurement{
-		Domain:           rec[0],
-		Rank:             rank,
-		Category:         rec[2],
-		IsLanding:        rec[3] == "landing",
-		URL:              rec[4],
-		Scheme:           rec[5],
-		Bytes:            ai64(rec[6]),
-		Objects:          atoi(rec[7]),
-		PLT:              time.Duration(ai64(rec[8])) * time.Millisecond,
-		SpeedIndex:       time.Duration(ai64(rec[9])) * time.Millisecond,
-		OnLoad:           time.Duration(ai64(rec[10])) * time.Millisecond,
-		NonCacheable:     atoi(rec[11]),
-		CacheableBytes:   ai64(rec[12]),
-		CDNBytes:         ai64(rec[13]),
-		CDNHits:          atoi(rec[14]),
-		CDNMisses:        atoi(rec[15]),
-		UniqueDomains:    atoi(rec[16]),
-		Hints:            atoi(rec[17]),
-		Handshakes:       atoi(rec[18]),
-		HandshakeTime:    time.Duration(ai64(rec[19])) * time.Millisecond,
-		TrackerRequests:  atoi(rec[20]),
-		AdSlots:          atoi(rec[21]),
-		HasHB:            ab(rec[22]),
-		MixedContent:     ab(rec[23]),
-		InsecureRedirect: ab(rec[24]),
-	}
-	// third_parties and depth2plus are denormalized aggregates; rebuild
-	// what downstream code reads.
-	for i := 0; i < atoi(rec[25]); i++ {
-		p.ThirdParties = append(p.ThirdParties, fmt.Sprintf("tp%d.unknown", i))
-	}
-	deep := atoi(rec[26])
-	p.DepthCounts = []int{1, p.Objects - 1 - deep, deep, 0, 0, 0}
-	if p.DepthCounts[1] < 0 {
-		p.DepthCounts[1] = 0
-	}
-	return p, rank, rec[3], nil
 }

@@ -19,9 +19,8 @@ import (
 // isolated site contexts; finished sites flow through a bounded reorder
 // window to a single fold goroutine that retires them in site-rank
 // order — stamping each site's span, then handing the result to the
-// run's sinks (RunStream's aggregating fold, CSV writers, collectors) —
-// and drops them. Peak retained site results are bounded by the window
-// regardless of list size.
+// run's sinks (CSV writers, collectors) — and drops them. Peak retained
+// site results are bounded by the window regardless of list size.
 //
 // Determinism: because retirement runs in site-rank order, every
 // accumulated float, sink byte and merged span sees the same order at
@@ -121,9 +120,9 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 			sites := 0
 			for i := range jobs {
 				t0 := vclock.Wall()
-				// Chrome trace rows are per-site (tid = site index + 1; fold
-				// spans own tid 0), never per-worker: worker identity must
-				// not leak into the byte-stable trace.
+				// Chrome trace rows are per-site (tid = site index + 1),
+				// never per-worker: worker identity must not leak into the
+				// byte-stable trace.
 				rec := tr.Recorder(int64(i)+1, list.Sets[i].Rank)
 				r, out := measure(i, list.Sets[i], rec, rs)
 				busy += vclock.WallSince(t0)
@@ -140,6 +139,10 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 	// The fold: a single goroutine retiring sites in rank order through
 	// a reorder buffer keyed by site index.
 	var siteErrs, sinkErrs []error
+	// retries and dropped sum the retired outcomes' Retries and
+	// FailedPages: the outcomes are the record, the counters derive
+	// from them.
+	var retries, dropped int64
 	// live holds the sinks still consuming; a failing sink's slot is nil.
 	live := append([]Sink[R](nil), sinks...)
 	var foldWG sync.WaitGroup
@@ -163,6 +166,8 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 				out := &run.outcomes[next]
 				*out = cur.out
 				rs.Observe("site.attempts", float64(out.Attempts))
+				retries += int64(out.Retries)
+				dropped += int64(out.FailedPages)
 				spans.record(next, out, cur.rec)
 				if !out.OK {
 					siteErrs = append(siteErrs, out.Err)
@@ -194,6 +199,13 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 		if err := s.Flush(); err != nil {
 			sinkErrs = append(sinkErrs, fmt.Errorf("core: sink flush: %w", err))
 		}
+	}
+	// Zero counts stay unset, so a fault-free run reports neither.
+	if retries > 0 {
+		rs.Inc("retries.total", retries)
+	}
+	if dropped > 0 {
+		rs.Inc("pages.dropped", dropped)
 	}
 	run.failed = len(siteErrs)
 	rs.Inc("sites.total", int64(n))

@@ -395,7 +395,7 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 			domains[v.host] = true
 			// Third parties by eTLD+1 (§6.2), once per host: a host is
 			// first-party only when it shares the page's non-empty
-			// eTLD+1 (psl.IsThirdParty, with the page side computed
+			// eTLD+1 (psl.SameSite, with the page side computed
 			// once).
 			if az.PSL != nil {
 				if tp := az.PSL.ETLDPlusOne(v.host); tp != "" && (pageSite == "" || tp != pageSite) {

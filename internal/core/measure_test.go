@@ -43,7 +43,7 @@ func fixtureModel(tb testing.TB) *webgen.PageModel {
 
 func handHAR(m *webgen.PageModel) *har.Log {
 	nav := time.Date(2020, 3, 12, 9, 0, 0, 0, time.UTC)
-	pageHost := m.RootHost()
+	pageHost := m.Objects[0].Host
 	log := &har.Log{Page: har.Page{
 		URL:             m.URL,
 		NavigationStart: nav,

@@ -64,11 +64,21 @@ func TestStreamCSVMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestStreamAggregatesMatchInMemory checks the aggregate half of the
-// contract against the in-memory result: counter- and geomean-backed
-// numbers must be bit-exact, sketch-backed quantiles within the
-// sketch's documented relative error, and the sketch reads behind the
-// fig2 report rows within the tolerances those rows were held to.
+// foldSites folds sites into a fresh Aggregates in rank order.
+func foldSites(sites []SiteResult) *Aggregates {
+	agg := NewAggregates()
+	for i := range sites {
+		agg.AccumulateSite(&sites[i])
+	}
+	return agg
+}
+
+// TestStreamAggregatesMatchInMemory holds Aggregates, folded over a
+// study's surviving sites, to the per-site values it summarizes:
+// counter- and geomean-backed numbers must be bit-exact, sketch-backed
+// quantiles within the sketch's documented relative error, and the
+// sketch reads behind the fig2 report rows within the tolerances those
+// rows were held to.
 func TestStreamAggregatesMatchInMemory(t *testing.T) {
 	web, list := faultWeb(t)
 
@@ -76,17 +86,13 @@ func TestStreamAggregatesMatchInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := streamStudy(t, web, list, nil, StreamConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	sites := res.Sites
 	if len(sites) == 0 {
 		t.Fatal("no surviving sites")
 	}
-	if sres.Agg.Sites != len(sites) {
-		t.Fatalf("aggregated %d sites, in-memory kept %d", sres.Agg.Sites, len(sites))
+	agg := foldSites(sites)
+	if agg.Sites != len(sites) {
+		t.Fatalf("aggregated %d sites, in-memory kept %d", agg.Sites, len(sites))
 	}
 
 	accessors := map[Metric]func(*PageMeasurement) float64{
@@ -111,13 +117,13 @@ func TestStreamAggregatesMatchInMemory(t *testing.T) {
 		}
 
 		// Exact rows: sign fractions and the geometric mean.
-		if got, want := sres.Agg.FracDeltaPositive(m), float64(pos)/float64(len(sites)); got != want {
+		if got, want := agg.FracDeltaPositive(m), float64(pos)/float64(len(sites)); got != want {
 			t.Errorf("%v: FracDeltaPositive = %v, want exactly %v", m, got, want)
 		}
-		if got, want := sres.Agg.FracDeltaNegative(m), float64(neg)/float64(len(sites)); got != want {
+		if got, want := agg.FracDeltaNegative(m), float64(neg)/float64(len(sites)); got != want {
 			t.Errorf("%v: FracDeltaNegative = %v, want exactly %v", m, got, want)
 		}
-		if got, want := sres.Agg.GeomeanRatio(m), stats.GeometricMean(ratios); got != want {
+		if got, want := agg.GeomeanRatio(m), stats.GeometricMean(ratios); got != want {
 			t.Errorf("%v: GeomeanRatio = %v, want exactly %v (rank-order fold must match)", m, got, want)
 		}
 
@@ -128,9 +134,9 @@ func TestStreamAggregatesMatchInMemory(t *testing.T) {
 		sortedD := append([]float64(nil), deltas...)
 		sort.Float64s(sortedD)
 		for _, q := range []float64{0.25, 0.5, 0.75} {
-			got := sres.Agg.Delta(m).Quantile(q)
+			got := agg.Delta(m).Quantile(q)
 			want := sortedD[int(math.Round(q*float64(len(sortedD)-1)))]
-			tol := 2*sres.Agg.Delta(m).Alpha()*math.Abs(want) + 1e-9
+			tol := 2*agg.Delta(m).Alpha()*math.Abs(want) + 1e-9
 			if math.Abs(got-want) > tol {
 				t.Errorf("%v: delta q%.2f = %v, want %v ± %v", m, q, got, want, tol)
 			}
@@ -139,32 +145,15 @@ func TestStreamAggregatesMatchInMemory(t *testing.T) {
 
 	checkFig2SketchRows(t)
 
-	// The tail counters cover every survivor here (12 sites < topK=30).
-	if sres.Top.N != len(sites) || sres.Bottom.N != len(sites) {
-		t.Errorf("tail N = %d/%d, want %d (list smaller than both tails)",
-			sres.Top.N, sres.Bottom.N, len(sites))
-	}
-	fBytes := accessors[MetricBytes]
-	posBytes := 0
-	for i := range sites {
-		if sites[i].Delta(fBytes) > 0 {
-			posBytes++
-		}
-	}
-	if sres.Top.Pos[MetricBytes] != posBytes || sres.Bottom.Pos[MetricBytes] != posBytes {
-		t.Errorf("tail Pos[bytes] = %d/%d, want %d",
-			sres.Top.Pos[MetricBytes], sres.Bottom.Pos[MetricBytes], posBytes)
-	}
-
 	// Distribution sizes: one landing per survivor, every internal page.
 	internals := 0
 	for i := range sites {
 		internals += len(sites[i].Internal)
 	}
-	if got := sres.Agg.Landing(MetricBytes).Count(); got != uint64(len(sites)) {
+	if got := agg.Landing(MetricBytes).Count(); got != uint64(len(sites)) {
 		t.Errorf("landing sketch count %d, want %d", got, len(sites))
 	}
-	if got := sres.Agg.Internal(MetricBytes).Count(); got != uint64(internals) {
+	if got := agg.Internal(MetricBytes).Count(); got != uint64(internals) {
 		t.Errorf("internal sketch count %d, want %d", got, internals)
 	}
 }
@@ -173,8 +162,8 @@ func TestStreamAggregatesMatchInMemory(t *testing.T) {
 // rows — the ±2 MB byte-delta fractions, the median landing PLT and the
 // 33-point delta CDFs — to the exact per-site values, at the scale and
 // tolerances the fig2 reports were checked at (80 sites × 8 URLs; one
-// site is then a small step of any CDF). Survivors and aggregates come
-// from one streaming run.
+// site is then a small step of any CDF). The aggregates fold the
+// survivors of one study.
 func checkFig2SketchRows(t *testing.T) {
 	t.Helper()
 	u := toplist.NewUniverse(toplist.Config{Seed: 11, Size: 4000})
@@ -189,13 +178,12 @@ func checkFig2SketchRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := &Collector[SiteResult]{}
-	sres, err := streamStudy(t, web, list, func(c *StudyConfig) { c.Seed = 11 },
-		StreamConfig{Sinks: []SiteSink{col}})
+	res, err := runStudy(t, web, list, func(c *StudyConfig) { c.Seed = 11 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := col.Sites
+	sites := res.Sites
+	agg := foldSites(sites)
 	within := func(what string, got, want, tol float64) {
 		if math.Abs(got-want) > tol {
 			t.Errorf("%s = %v, want %v ± %v", what, got, want, tol)
@@ -211,11 +199,11 @@ func checkFig2SketchRows(t *testing.T) {
 			for _, th := range []float64{-2e6, 2e6} {
 				want := stats.FractionBelow(deltas, th)
 				within(fmt.Sprintf("delta bytes FractionBelow(%g)", th),
-					sres.Agg.Delta(m).FractionBelow(th), want, stats.DefaultSketchAlpha*math.Abs(want)+0.05)
+					agg.Delta(m).FractionBelow(th), want, stats.DefaultSketchAlpha*math.Abs(want)+0.05)
 			}
 		}
 		// Identical x grids (exact min/max), F(x) within bucket tolerance.
-		gotPts, wantPts := sres.Agg.Delta(m).Points(33), stats.NewECDF(deltas).Points(33)
+		gotPts, wantPts := agg.Delta(m).Points(33), stats.NewECDF(deltas).Points(33)
 		if len(gotPts) != len(wantPts) {
 			t.Fatalf("%v: delta CDF has %d points, want %d", m, len(gotPts), len(wantPts))
 		}
@@ -230,15 +218,14 @@ func checkFig2SketchRows(t *testing.T) {
 		plts[i] = sites[i].Landing.PLT.Seconds()
 	}
 	want := stats.Median(plts)
-	within("landing PLT median", sres.Agg.Landing(MetricPLT).Median(), want, stats.DefaultSketchAlpha*math.Abs(want)+0.15)
+	within("landing PLT median", agg.Landing(MetricPLT).Median(), want, stats.DefaultSketchAlpha*math.Abs(want)+0.15)
 }
 
 // TestStreamInvariantAcrossWorkersAndWindows reruns the streaming
 // engine at different worker counts and window sizes — with faults
 // injected so the failed-site path is exercised — and demands identical
-// artifacts: same CSV bytes, same outcomes, bit-identical sketch reads
-// and geomeans. This is the streaming extension of the determinism
-// contract.
+// artifacts: same CSV bytes and same outcomes. This is the streaming
+// extension of the determinism contract.
 func TestStreamInvariantAcrossWorkersAndWindows(t *testing.T) {
 	web, list := faultWeb(t)
 	faults := func(c *StudyConfig) {
@@ -250,7 +237,7 @@ func TestStreamInvariantAcrossWorkersAndWindows(t *testing.T) {
 		csv  []byte
 		sres *StreamResult
 	}
-	do := func(workers, window, shardSize int) run {
+	do := func(workers, window int) run {
 		var buf bytes.Buffer
 		sink, err := NewCSVSink(&buf)
 		if err != nil {
@@ -258,18 +245,16 @@ func TestStreamInvariantAcrossWorkersAndWindows(t *testing.T) {
 		}
 		sres, err := streamStudy(t, web, list,
 			func(c *StudyConfig) { faults(c); c.Workers = workers },
-			StreamConfig{Sinks: []SiteSink{sink}, window: window, shardSize: shardSize})
+			StreamConfig{Sinks: []SiteSink{sink}, window: window})
 		if err != nil {
 			t.Fatalf("workers=%d window=%d: %v", workers, window, err)
 		}
 		return run{csv: buf.Bytes(), sres: sres}
 	}
 
-	base := do(1, 2, 4)
-	for _, alt := range []struct{ workers, window, shard int }{
-		{8, 3, 4}, {4, 16, 4},
-	} {
-		got := do(alt.workers, alt.window, alt.shard)
+	base := do(1, 2)
+	for _, alt := range []struct{ workers, window int }{{8, 3}, {4, 16}} {
+		got := do(alt.workers, alt.window)
 		if !bytes.Equal(base.csv, got.csv) {
 			t.Errorf("workers=%d window=%d: CSV differs from serial run (%d vs %d bytes)",
 				alt.workers, alt.window, len(got.csv), len(base.csv))
@@ -279,20 +264,6 @@ func TestStreamInvariantAcrossWorkersAndWindows(t *testing.T) {
 			if b.OK != g.OK || b.Attempts != g.Attempts || b.Domain != g.Domain {
 				t.Errorf("workers=%d: outcome %d differs: %+v vs %+v", alt.workers, i, b, g)
 			}
-		}
-		for m := Metric(0); m < numMetrics; m++ {
-			for _, q := range []float64{0, 0.25, 0.5, 0.9, 1} {
-				if b, g := base.sres.Agg.Delta(m).Quantile(q), got.sres.Agg.Delta(m).Quantile(q); b != g {
-					t.Errorf("workers=%d: delta(%v) q%.2f differs: %v vs %v", alt.workers, m, q, b, g)
-				}
-			}
-			if b, g := base.sres.Agg.GeomeanRatio(m), got.sres.Agg.GeomeanRatio(m); b != g {
-				t.Errorf("workers=%d: geomean(%v) differs bitwise: %v vs %v", alt.workers, m, b, g)
-			}
-		}
-		if base.sres.Agg.FewerObjectsButLarger != got.sres.Agg.FewerObjectsButLarger ||
-			base.sres.Top != got.sres.Top || base.sres.Bottom != got.sres.Bottom {
-			t.Errorf("workers=%d: exact counters differ", alt.workers)
 		}
 		// The reorder window must actually bound retention.
 		if got.sres.MaxInFlight > alt.window && alt.window >= alt.workers+1 {
@@ -346,92 +317,6 @@ func TestStreamStatsArePerRun(t *testing.T) {
 	if !reflect.DeepEqual(runs[0].Stats.Counters, runs[1].Stats.Counters) {
 		t.Errorf("second run's counters differ from the first's:\n%v\n%v",
 			runs[0].Stats.Counters, runs[1].Stats.Counters)
-	}
-}
-
-// TestStreamShardSummaries checks the rank-block bookkeeping: contiguous
-// half-open ranges covering the list, with survivor/failure counts that
-// add up.
-func TestStreamShardSummaries(t *testing.T) {
-	web, list := faultWeb(t)
-	sres, err := streamStudy(t, web, list, nil, StreamConfig{shardSize: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(list.Sets)
-	if len(sres.Shards) != (n+4)/5 {
-		t.Fatalf("%d shards for %d sites at size 5", len(sres.Shards), n)
-	}
-	covered, ok, failed := 0, 0, 0
-	for i, sh := range sres.Shards {
-		if sh.Lo != covered {
-			t.Errorf("shard %d starts at %d, want %d", i, sh.Lo, covered)
-		}
-		if sh.Hi <= sh.Lo {
-			t.Errorf("shard %d empty range [%d,%d)", i, sh.Lo, sh.Hi)
-		}
-		if sh.Sites+sh.Failed != sh.Hi-sh.Lo {
-			t.Errorf("shard %d: %d ok + %d failed != %d sites", i, sh.Sites, sh.Failed, sh.Hi-sh.Lo)
-		}
-		covered = sh.Hi
-		ok += sh.Sites
-		failed += sh.Failed
-	}
-	if covered != n {
-		t.Errorf("shards cover [0,%d), want [0,%d)", covered, n)
-	}
-	if ok != sres.Agg.Sites || ok+failed != n {
-		t.Errorf("shard totals %d ok/%d failed vs aggregate %d of %d", ok, failed, sres.Agg.Sites, n)
-	}
-}
-
-// TestAggregatesMergeOrderInvariance: counters and sketch reads of a
-// merged aggregate must not depend on how sites were partitioned into
-// shards (geomeans are bit-stable only for rank-order folds, so they
-// get a tolerance here).
-func TestAggregatesMergeOrderInvariance(t *testing.T) {
-	web, list := faultWeb(t)
-	res, err := runStudy(t, web, list, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := res.Sites
-	if len(sites) < 4 {
-		t.Fatalf("need a few sites, got %d", len(sites))
-	}
-
-	whole := NewAggregates()
-	for i := range sites {
-		whole.AccumulateSite(&sites[i])
-	}
-
-	// Partition round-robin into 3 shards, merge in a scrambled order.
-	shards := []*Aggregates{NewAggregates(), NewAggregates(), NewAggregates()}
-	for i := range sites {
-		shards[i%3].AccumulateSite(&sites[i])
-	}
-	merged := NewAggregates()
-	for _, i := range []int{2, 0, 1} {
-		if err := merged.Merge(shards[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if whole.Sites != merged.Sites ||
-		whole.FewerObjectsButLarger != merged.FewerObjectsButLarger ||
-		whole.InsecureInternalSites != merged.InsecureInternalSites {
-		t.Error("counters differ between whole and merged aggregates")
-	}
-	for m := Metric(0); m < numMetrics; m++ {
-		for _, q := range []float64{0, 0.5, 1} {
-			if a, b := whole.Delta(m).Quantile(q), merged.Delta(m).Quantile(q); a != b {
-				t.Errorf("delta(%v) q%.1f: %v vs %v", m, q, a, b)
-			}
-		}
-		a, b := whole.GeomeanRatio(m), merged.GeomeanRatio(m)
-		if math.Abs(a-b) > 1e-9*math.Abs(a) {
-			t.Errorf("geomean(%v) diverged: %v vs %v", m, a, b)
-		}
 	}
 }
 

@@ -315,7 +315,6 @@ func (st *Study) loadRevisitWithRetry(sc *siteCtx, out *Outcome, m *webgen.PageM
 		}
 		sc.clock.Advance(backoff)
 		out.Retries++
-		sc.stats.Inc("retries.total", 1)
 		sc.stats.Observe("retry.backoff.ms", float64(backoff.Milliseconds()))
 		backoff *= 2
 		if backoff > st.cfg.RetryBackoffCap {
@@ -366,7 +365,6 @@ func (st *Study) measureSiteResilient(i int, set hispar.URLSet, rec *trace.Recor
 			log, err := st.loadRevisitWithRetry(sc, out, im, 0, 0)
 			if err != nil {
 				out.FailedPages++
-				sc.stats.Inc("pages.dropped", 1)
 				continue
 			}
 			res.Internal = append(res.Internal, MeasurePage(log, im, st.az))

@@ -159,7 +159,6 @@ func (st *Study) measureSiteWarm(i int, set hispar.URLSet, rec *trace.Recorder, 
 			pair, err := st.loadPair(sc, out, im, delay)
 			if err != nil {
 				out.FailedPages++
-				sc.stats.Inc("pages.dropped", 1)
 				continue
 			}
 			res.Internal = append(res.Internal, pair)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,40 +10,34 @@ import (
 	"repro/internal/stats"
 )
 
-// The streaming parity test holds the fig2 reports, computed from the
-// context's collected per-site results, to the constant-size aggregates
-// a streaming run over the same list folds: exact rows bit-identical,
-// sketch rows within the sketch's tolerance.
+// The parity test holds the fig2 reports, computed from the context's
+// collected per-site results, to the constant-size aggregates the same
+// sites fold into: exact rows bit-identical, sketch rows within the
+// sketch's tolerance.
 
 var (
 	parityOnce sync.Once
 	parityCtx  *Context
-	parityAgg  *core.StreamResult
+	parityAgg  *core.Aggregates
 	parityErr  error
 )
 
-func parityContext(t *testing.T) (*Context, *core.StreamResult) {
+func parityContext(t *testing.T) (*Context, *core.Aggregates) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("streaming parity test skipped in -short mode")
 	}
 	parityOnce.Do(func() {
 		parityCtx = NewContext(Config{Seed: 11, Sites: 80, PerSite: 8, LandingFetches: 2})
-		list, _, err := parityCtx.List()
+		res, err := parityCtx.Study()
 		if err != nil {
 			parityErr = err
 			return
 		}
-		st, err := core.NewStudy(parityCtx.Web(), core.StudyConfig{
-			Seed:           parityCtx.Cfg.Seed,
-			LandingFetches: parityCtx.Cfg.LandingFetches,
-			Workers:        parityCtx.Cfg.Workers,
-		})
-		if err != nil {
-			parityErr = err
-			return
+		parityAgg = core.NewAggregates()
+		for i := range res.Sites {
+			parityAgg.AccumulateSite(&res.Sites[i])
 		}
-		parityAgg, parityErr = st.RunStream(list, core.StreamConfig{})
 	})
 	if parityErr != nil {
 		t.Fatal(parityErr)
@@ -50,15 +45,13 @@ func parityContext(t *testing.T) (*Context, *core.StreamResult) {
 	return parityCtx, parityAgg
 }
 
-// streamedFig2 builds the fig2 report rows and series from a streaming
-// run's aggregates, under the same metric names as RunFig2a/b/c.
-func streamedFig2(id string, sres *core.StreamResult) *Report {
-	agg := sres.Agg
+// streamedFig2 builds the H1K fig2 report rows and series from the
+// aggregates, under the same metric names as RunFig2a/b/c.
+func streamedFig2(id string, agg *core.Aggregates) *Report {
 	r := &Report{ID: id}
 	switch id {
 	case "fig2a":
 		r.addRow("frac sites landing larger (H1K)", "", agg.FracDeltaPositive(core.MetricBytes), "%.2f")
-		r.addRow("frac sites landing larger (Ht30)", "", sres.Top.FracPositive(core.MetricBytes), "%.2f")
 		r.addRow("geomean size ratio L/I", "", agg.GeomeanRatio(core.MetricBytes), "%.2f")
 		r.addRow("frac internal >=2MB larger", "", agg.Delta(core.MetricBytes).FractionBelow(-2e6), "%.2f")
 		r.addRow("frac internal >=2MB smaller", "", 1-agg.Delta(core.MetricBytes).FractionBelow(2e6), "%.2f")
@@ -69,8 +62,6 @@ func streamedFig2(id string, sres *core.StreamResult) *Report {
 		r.addSeries("H1K L.size-I.size (MB)", pts)
 	case "fig2b":
 		r.addRow("frac sites landing more objects (H1K)", "", agg.FracDeltaPositive(core.MetricObjects), "%.2f")
-		r.addRow("frac sites landing more objects (Ht30)", "", sres.Top.FracPositive(core.MetricObjects), "%.2f")
-		r.addRow("frac sites landing more objects (Hb100)", "", sres.Bottom.FracPositive(core.MetricObjects), "%.2f")
 		r.addRow("geomean object ratio L/I", "", agg.GeomeanRatio(core.MetricObjects), "%.2f")
 		fewer := 0.0
 		if agg.Sites > 0 {
@@ -80,8 +71,6 @@ func streamedFig2(id string, sres *core.StreamResult) *Report {
 		r.addSeries("H1K L.#obj-I.#obj", agg.Delta(core.MetricObjects).Points(33))
 	case "fig2c":
 		r.addRow("frac sites landing faster (H1K)", "", agg.FracDeltaNegative(core.MetricPLT), "%.2f")
-		r.addRow("frac sites landing faster (Ht30)", "", sres.Top.FracNegative(core.MetricPLT), "%.2f")
-		r.addRow("frac sites landing faster (Hb100)", "", sres.Bottom.FracNegative(core.MetricPLT), "%.2f")
 		r.addRow("median L.PLT (s)", "", agg.Landing(core.MetricPLT).Median(), "%.2f")
 		r.addSeries("H1K L.PLT-I.PLT (s)", agg.Delta(core.MetricPLT).Points(33))
 	}
@@ -89,24 +78,19 @@ func streamedFig2(id string, sres *core.StreamResult) *Report {
 }
 
 // exactRows are report rows backed by integer counters or rank-ordered
-// log-sums in the streaming engine — they must match bit for bit.
+// log-sums in the aggregates — they must match bit for bit.
 var exactRows = map[string][]string{
 	"fig2a": {
 		"frac sites landing larger (H1K)",
-		"frac sites landing larger (Ht30)",
 		"geomean size ratio L/I",
 	},
 	"fig2b": {
 		"frac sites landing more objects (H1K)",
-		"frac sites landing more objects (Ht30)",
-		"frac sites landing more objects (Hb100)",
 		"geomean object ratio L/I",
 		"frac fewer objects but larger",
 	},
 	"fig2c": {
 		"frac sites landing faster (H1K)",
-		"frac sites landing faster (Ht30)",
-		"frac sites landing faster (Hb100)",
 	},
 }
 
@@ -125,7 +109,7 @@ var sketchRows = map[string]map[string]float64{
 }
 
 func TestStreamReportsMatchInMemory(t *testing.T) {
-	mem, sres := parityContext(t)
+	mem, agg := parityContext(t)
 	for _, id := range []string{"fig2a", "fig2b", "fig2c"} {
 		exp, ok := ByID(id)
 		if !ok {
@@ -135,9 +119,13 @@ func TestStreamReportsMatchInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s in-memory: %v", id, err)
 		}
-		strRep := streamedFig2(id, sres)
-		if len(memRep.Rows) != len(strRep.Rows) {
-			t.Fatalf("%s: row count %d vs %d", id, len(strRep.Rows), len(memRep.Rows))
+		strRep := streamedFig2(id, agg)
+		// Every streamed row is compared below, exactly or within a
+		// sketch tolerance.
+		for _, row := range strRep.Rows {
+			if _, sketch := sketchRows[id][row.Metric]; !sketch && !slices.Contains(exactRows[id], row.Metric) {
+				t.Errorf("%s: streamed row %q is neither exact nor a sketch row", id, row.Metric)
+			}
 		}
 
 		for _, metric := range exactRows[id] {

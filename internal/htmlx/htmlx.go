@@ -162,9 +162,6 @@ func Parse(htmlSrc string) *Document {
 	return d
 }
 
-// HintCount returns the number of resource hints in the document.
-func (d *Document) HintCount() int { return len(d.Hints) }
-
 // tag is one parsed start tag with its attributes.
 type tag struct {
 	name        string

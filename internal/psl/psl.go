@@ -131,9 +131,3 @@ func (l *List) SameSite(a, b string) bool {
 	ea, eb := l.ETLDPlusOne(a), l.ETLDPlusOne(b)
 	return ea != "" && ea == eb
 }
-
-// IsThirdParty reports whether resourceHost is third-party with respect to
-// pageHost: it is third-party when the two hosts do not share an eTLD+1.
-func (l *List) IsThirdParty(pageHost, resourceHost string) bool {
-	return !l.SameSite(pageHost, resourceHost)
-}

@@ -55,8 +55,8 @@ func TestThirdParty(t *testing.T) {
 		{"site.com", "site.org", true},
 	}
 	for _, c := range cases {
-		if got := l.IsThirdParty(c.page, c.res); got != c.third {
-			t.Errorf("IsThirdParty(%q, %q) = %v, want %v", c.page, c.res, got, c.third)
+		if got := !l.SameSite(c.page, c.res); got != c.third {
+			t.Errorf("!SameSite(%q, %q) = %v, want %v", c.page, c.res, got, c.third)
 		}
 	}
 }

@@ -7,23 +7,22 @@ import (
 )
 
 // Sketch is a mergeable quantile sketch: a log-bucketed histogram in the
-// style of DDSketch, tuned for the streaming study engine. Every value v
+// style of DDSketch, behind core.Aggregates' constant-size fold. Every value v
 // with |v| >= sketchZeroEps lands in the bucket whose index is
 // ceil(log_gamma |v|) (gamma = (1+alpha)/(1-alpha)), so any quantile it
 // reports is within a relative error of alpha of a true sample value.
 // Values smaller than sketchZeroEps in magnitude share an exact zero
 // bucket, and negative values mirror the positive bucket line.
 //
-// Properties the engine depends on:
+// Properties its callers depend on:
 //
 //   - Insertion-order invariance: the sketch state is a pure function of
 //     the multiset of inserted values (bucket counts are integer sums),
-//     so shard accumulators filled by racing workers merge to the same
-//     sketch no matter how sites were scheduled. The only caveat is Sum:
-//     float addition is not associative, so Sum-derived outputs are
-//     bit-stable only when values are folded in a fixed order (the
-//     streaming engine folds in site-rank order for exactly this
-//     reason).
+//     so sketches filled in any order or partition merge to the same
+//     sketch. The only caveat is Sum: float addition is not associative,
+//     so Sum-derived outputs are bit-stable only when values are folded
+//     in a fixed order (core.Aggregates folds in site-rank order for
+//     exactly this reason).
 //   - Bounded size: the bucket count grows with the dynamic range of the
 //     data, not the sample count — ceil(log_gamma(max/min)) buckets per
 //     sign, about 1,160 for values spanning 12 decades at alpha = 1%.
@@ -170,8 +169,8 @@ func (s *Sketch) Insert(v float64) {
 }
 
 // Merge folds other into s. Bucket counts are integer sums, so merging
-// is commutative and associative up to Sum's float rounding; the
-// streaming engine merges shards in rank order to pin even that down.
+// is commutative and associative up to Sum's float rounding; merge in a
+// fixed order to pin even that down.
 // The receiver and argument may use different accuracies: the merged
 // sketch coarsens to the coarser of the two first.
 func (s *Sketch) Merge(other *Sketch) error {

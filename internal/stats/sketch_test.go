@@ -54,10 +54,9 @@ func TestSketchQuantileAccuracy(t *testing.T) {
 	}
 }
 
-// TestSketchOrderInvariance is the property the sharded study engine
-// rests on: the same multiset of values must produce an identical
-// sketch no matter the insertion order or how it was partitioned into
-// shards before merging.
+// TestSketchOrderInvariance: the same multiset of values must produce
+// an identical sketch no matter the insertion order or how it was
+// partitioned into shards before merging.
 func TestSketchOrderInvariance(t *testing.T) {
 	xs := sketchSample(5000, 2)
 

@@ -69,7 +69,7 @@ type Attr struct {
 
 // Span is one completed interval on a timeline. Start is virtual time;
 // Dur is its virtual duration. TID selects the Chrome trace row (core
-// uses site-index+1, fold metadata uses 0).
+// uses site-index+1).
 type Span struct {
 	ID     SpanID
 	Parent SpanID
@@ -86,7 +86,7 @@ type Span struct {
 type Detail int
 
 const (
-	// DetailSites records study, shard, and per-site spans only.
+	// DetailSites records per-site spans only.
 	DetailSites Detail = iota
 	// DetailLoads adds one span per page-load attempt and retry backoff.
 	DetailLoads

@@ -41,18 +41,6 @@ func (c *Clock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// AdvanceTo moves the clock forward to t if t is later than the current
-// virtual time, and reports whether the clock moved.
-func (c *Clock) AdvanceTo(t time.Time) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.After(c.now) {
-		c.now = t
-		return true
-	}
-	return false
-}
-
 // Since returns the virtual time elapsed since t.
 func (c *Clock) Since(t time.Time) time.Duration {
 	return c.Now().Sub(t)

@@ -182,9 +182,6 @@ func (m *PageModel) DocIndex() int {
 	return 0
 }
 
-// RootHost returns the host serving the root document.
-func (m *PageModel) RootHost() string { return m.Objects[0].Host }
-
 // ObjectByURL returns the object with the given URL.
 func (m *PageModel) ObjectByURL(u string) (*Object, bool) {
 	for _, o := range m.Objects {

@@ -120,8 +120,8 @@ func TestHTMLRoundTrip(t *testing.T) {
 	m := w.Sites[0].Landing().Build()
 	doc := htmlx.Parse(m.RenderHTML())
 
-	if doc.HintCount() != len(m.Hints) {
-		t.Errorf("hints: parsed %d, model %d", doc.HintCount(), len(m.Hints))
+	if len(doc.Hints) != len(m.Hints) {
+		t.Errorf("hints: parsed %d, model %d", len(doc.Hints), len(m.Hints))
 	}
 	if doc.AdSlots != m.AdSlots {
 		t.Errorf("ad slots: parsed %d, model %d", doc.AdSlots, m.AdSlots)
