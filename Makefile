@@ -46,7 +46,7 @@ BENCH_COUNT ?= 3
 # count all move it — so the gate is generous there. allocs/op is
 # deterministic for identical code on any machine, so it is held tight:
 # an allocation regression is a code change, not noise. Custom metrics
-# (retained-B/op from the StreamStudy benchmark) are deterministic
+# (retained-B/op from the InMemoryStudy benchmarks) are deterministic
 # counts too, but byte totals move with runtime internals like map
 # bucket growth, so they get a middle-ground tolerance.
 BENCH_TOL ?= 0.25

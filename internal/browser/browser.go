@@ -99,10 +99,10 @@ type Browser struct {
 // ~5 KB RNG states inside the simnet model, the task heap) dominated the
 // load path's allocation churn. Browser is documented not safe for
 // concurrent use, so one scratch set per Browser is safe. Everything
-// here is reset at the top of loadAttempt; nothing in it escapes a load
-// — the HAR entries slice, which the returned log aliases, is
-// deliberately NOT part of the scratch and is allocated fresh every
-// load.
+// here is reset at the top of loadAttempt and nothing in it escapes a
+// load, except the HAR storage: the returned log owns its entry array
+// and header slab until the caller hands it back with Release, and only
+// then do lent and free let a later load reuse them.
 type loadScratch struct {
 	net       *simnet.Model
 	pools     map[string]*pool
@@ -116,6 +116,7 @@ type loadScratch struct {
 	attempted []bool
 	failed    []bool
 	tasks     taskHeap
+	events    byAt
 	state     loadState
 
 	// originKey caches "scheme://host" per object for the current page
@@ -129,6 +130,97 @@ type loadScratch struct {
 	// originOrder lists originRTT's keys in the order the page first
 	// references them.
 	originOrder []string
+
+	// lent records the storage of the most recent maxLent unreleased
+	// logs, so Release can recognise them; free holds released storage
+	// for the next loads. A load takes at most one store from free and
+	// lends one, and Release moves one back, so together they never hold
+	// more than maxLent stores.
+	lent []logStore
+	free []logStore
+}
+
+// maxLent is how many unreleased logs Release still recognises, the
+// most recent ones: two, so a caller can hold a cold/warm pair and
+// release both. An older log's storage is left to the garbage collector.
+const maxLent = 2
+
+// maxRespHeaders bounds the headers one entry carries: 3 base +
+// Location + Cache-Control + two validators + three CDN headers. A
+// header slab holds maxRespHeaders slots per object.
+const maxRespHeaders = 10
+
+// logStore is the storage behind one returned log: its entry array and
+// the slab its entries' own headers were cut from (nil when the load
+// had no slab and allocated each header list separately).
+type logStore struct {
+	log     *har.Log
+	entries []har.Entry
+	slab    []har.Header
+}
+
+// storage returns zeroed entries for an n-object load and the header
+// slab to cut its header lists from. With nothing released it keeps the
+// exact sizing of a log nobody will hand back: a fresh n-entry array and
+// no slab. Released storage is reused, and grown with headroom when a
+// bigger page needs more.
+func (sc *loadScratch) storage(n int) ([]har.Entry, []har.Header) {
+	k := len(sc.free) - 1
+	if k < 0 {
+		return make([]har.Entry, n), nil
+	}
+	st := sc.free[k]
+	sc.free[k] = logStore{}
+	sc.free = sc.free[:k]
+	entries := st.entries
+	if cap(entries) < n {
+		entries = make([]har.Entry, n, n+n/4)
+	} else {
+		entries = entries[:n]
+		clear(entries)
+	}
+	slab := st.slab
+	if need := n * maxRespHeaders; cap(slab) < need {
+		slab = make([]har.Header, need+need/4)
+	}
+	return entries, slab[:cap(slab)]
+}
+
+// lend records log, built on slab, as released-able, forgetting the
+// oldest recorded log once maxLent are outstanding.
+func (sc *loadScratch) lend(log *har.Log, slab []har.Header) {
+	if len(sc.lent) == maxLent {
+		copy(sc.lent, sc.lent[1:])
+		sc.lent[maxLent-1] = logStore{}
+		sc.lent = sc.lent[:maxLent-1]
+	}
+	sc.lent = append(sc.lent, logStore{log: log, entries: log.Entries, slab: slab})
+}
+
+// Release hands back a log this browser returned, so a later load can
+// reuse its entry array and header storage. The caller must not touch
+// the log, its entries or their headers afterwards; Release empties
+// log.Entries so a stray read finds nothing. Releasing is optional: a
+// log that is never released stays valid for good. Release of nil, of a
+// log another browser returned, of a log already released or of one
+// older than the browser's maxLent most recent unreleased logs is a
+// no-op.
+func (b *Browser) Release(log *har.Log) {
+	sc := &b.scratch
+	for i, st := range sc.lent {
+		if log == nil || st.log != log {
+			continue
+		}
+		last := len(sc.lent) - 1
+		copy(sc.lent[i:], sc.lent[i+1:])
+		sc.lent[last] = logStore{}
+		sc.lent = sc.lent[:last]
+		log.Entries = nil
+		st.log = nil
+		st.entries = st.entries[:cap(st.entries)]
+		sc.free = append(sc.free, st)
+		return
+	}
 }
 
 // durSlice returns s re-zeroed to length n, growing only when needed.
@@ -200,6 +292,28 @@ type pool struct {
 	conns []*conn
 }
 
+// open adds a connection that is free at freeAt. Past the slice's end
+// the pool keeps the conns of earlier loads and closed connections,
+// each distinct from the live ones, and open reuses one of them before
+// allocating.
+func (p *pool) open(freeAt time.Duration) *conn {
+	n := len(p.conns)
+	if n < cap(p.conns) {
+		if c := p.conns[:n+1][n]; c != nil {
+			c.freeAt = freeAt
+			p.conns = p.conns[:n+1]
+			return c
+		}
+	}
+	c := &conn{freeAt: freeAt}
+	p.conns = append(p.conns, c)
+	return c
+}
+
+// maxPools bounds how many per-origin pools a browser keeps across
+// loads for reuse; past it the next load starts from an empty map.
+const maxPools = 512
+
 // fetchTask is an object ready (or about to be ready) to fetch.
 type fetchTask struct {
 	idx     int
@@ -262,6 +376,10 @@ func (h *taskHeap) pop() fetchTask {
 // differentiates repeated fetches of the same page (the paper loads each
 // landing page ten times and uses medians); it seeds the per-load jitter.
 //
+// The returned log stays valid until it is passed to Release, which lets
+// the browser reuse its storage for a later load; a log that is never
+// released stays valid for good.
+//
 //detlint:hotpath -- the per-site load loop; every study iteration funnels through here
 func (b *Browser) Load(m *webgen.PageModel, fetchID int) (*har.Log, error) {
 	return b.loadAttempt(m, fetchID, 0, 0)
@@ -282,6 +400,9 @@ func (b *Browser) Load(m *webgen.PageModel, fetchID int) (*har.Log, error) {
 // entries recorded up to and including the fatal fetch (the aborted root
 // entry records the phase reached), for forensics. Its page timings are
 // zero and it must not be measured as a successful load.
+//
+// Like Load's, the returned log (failed or not) stays valid until it is
+// passed to Release; releasing it is optional.
 //
 //detlint:hotpath -- retrying and warm-load entry to the per-site load loop
 func (b *Browser) LoadRevisit(m *webgen.PageModel, fetchID, attempt int, revisit time.Duration) (*har.Log, error) {
@@ -315,7 +436,7 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 
 	navStart := time.Date(2020, 3, 12, 9, 0, 0, 0, time.UTC).Add(time.Duration(fetchID)*time.Hour + revisit)
 	log := &har.Log{Page: har.Page{
-		ID:              fmt.Sprintf("%s#%d", m.URL, fetchID),
+		ID:              m.URL + "#" + strconv.Itoa(fetchID),
 		URL:             m.URL,
 		NavigationStart: navStart,
 	}}
@@ -327,13 +448,21 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 		sc.origins = make(map[string]bool, 8)
 		sc.originRTT = make(map[string]time.Duration, 8)
 	} else {
-		clear(sc.pools)
+		// Pools outlive the load so their conn objects are reused. An
+		// emptied pool behaves exactly like a missing one.
+		if len(sc.pools) > maxPools {
+			clear(sc.pools)
+		}
+		for _, p := range sc.pools {
+			p.conns = p.conns[:0]
+		}
 		clear(sc.dnsDone)
 		clear(sc.dnsCost)
 		clear(sc.origins)
 		clear(sc.originRTT)
 	}
 	n := len(m.Objects)
+	entries, slab := sc.storage(n)
 	sc.done = durSlice(sc.done, n)
 	sc.starts = durSlice(sc.starts, n)
 	sc.fetched = boolSlice(sc.fetched, n)
@@ -351,7 +480,8 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 		dnsCost:   sc.dnsCost,
 		origins:   sc.origins,
 		originRTT: sc.originRTT,
-		entries:   make([]har.Entry, n), // escapes: the returned log aliases it
+		entries:   entries,
+		slab:      slab,
 		done:      sc.done,
 		starts:    sc.starts,
 		fetched:   sc.fetched,
@@ -388,6 +518,7 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 	rootDone, rootOK := state.fetch(0, 0)
 	if !rootOK {
 		log.Entries = state.compactEntries()
+		sc.lend(log, slab)
 		phase := state.entries[0].Aborted
 		b.recordTrace(state, fetchID, attempt, revisit, 0, phase)
 		return log, &LoadError{URL: m.URL, Phase: phase, Attempt: attempt, Err: sentinelForPhase(phase)}
@@ -468,6 +599,7 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 	}
 
 	log.Entries = state.compactEntries()
+	sc.lend(log, slab)
 	log.Page.Timings = state.pageTimings(rootDone)
 	b.recordTrace(state, fetchID, attempt, revisit, log.Page.Timings.OnLoad, "")
 	return log, nil
@@ -485,6 +617,8 @@ type loadState struct {
 	origins   map[string]bool
 	originRTT map[string]time.Duration
 	entries   []har.Entry
+	slab      []har.Header // recycled header storage; nil = allocate per entry
+	slabUsed  int
 	done      []time.Duration
 	starts    []time.Duration
 	fetched   []bool
@@ -497,6 +631,34 @@ type loadState struct {
 	navStart  time.Time
 	nConns    int
 	cache     *Cache // nil = cold load
+
+	// dateSec and dateVal memoize the Date header of the last whole
+	// second formatted in this load.
+	dateSec int64
+	dateVal string
+}
+
+// headers returns a header list of length n and capacity limit: a
+// window of the load's slab when it has room, else a fresh slice. The
+// window's capacity is capped with a full slice expression, so an
+// append past limit reallocates instead of overwriting the next entry's
+// headers.
+func (s *loadState) headers(n, limit int) []har.Header {
+	if k := s.slabUsed; k+limit <= len(s.slab) {
+		s.slabUsed = k + limit
+		return s.slab[k : k+n : k+limit]
+	}
+	return make([]har.Header, n, limit)
+}
+
+// date returns the Date header value for t, formatting each whole
+// second once per load: HTTP dates have one-second resolution, and most
+// of a page's responses share a handful of seconds.
+func (s *loadState) date(t time.Time) string {
+	if sec := t.Unix(); sec != s.dateSec || s.dateVal == "" {
+		s.dateSec, s.dateVal = sec, httpsem.FormatDate(t)
+	}
+	return s.dateVal
 }
 
 // rttFor returns the connection RTT for an object's serving host.
@@ -604,7 +766,7 @@ func (s *loadState) preconnect(origin string, at time.Duration) {
 	if hasTLS(origin) {
 		hs += s.net.TLSTime(rtt, s.tls13)
 	}
-	p.conns = append(p.conns, &conn{freeAt: ready + hs})
+	p.open(ready + hs)
 	s.nConns++
 }
 
@@ -683,8 +845,7 @@ func (s *loadState) fetch(idx int, readyAt time.Duration) (time.Duration, bool) 
 		// per-connection bandwidth model).
 		if len(p.conns) == 0 {
 			connectCost, tlsCost := handshake()
-			chosen = &conn{freeAt: dnsReady + connectCost + tlsCost}
-			p.conns = append(p.conns, chosen)
+			chosen = p.open(dnsReady + connectCost + tlsCost)
 			s.nConns++
 			timings.Connect = connectCost
 			if tlsCost > 0 {
@@ -718,8 +879,7 @@ func (s *loadState) fetch(idx int, readyAt time.Duration) (time.Duration, bool) 
 			connectCost, tlsCost := handshake()
 			newStart := dnsReady + connectCost + tlsCost
 			if newStart < reuseStart {
-				chosen = &conn{}
-				p.conns = append(p.conns, chosen)
+				chosen = p.open(0)
 				s.nConns++
 				timings.Connect = connectCost
 				if tlsCost > 0 {
@@ -788,7 +948,7 @@ func (s *loadState) fetch(idx int, readyAt time.Duration) (time.Duration, bool) 
 		// HAR is byte-identical to the pre-preallocation output.
 		var reqHeaders []har.Header
 		if reval.fresh.ETag != "" || reval.fresh.LastModified != "" {
-			reqHeaders = make([]har.Header, 0, 2)
+			reqHeaders = s.headers(0, 2)
 		}
 		if reval.fresh.ETag != "" {
 			reqHeaders = append(reqHeaders, har.Header{Name: "If-None-Match", Value: reval.fresh.ETag})
@@ -819,7 +979,7 @@ func (s *loadState) fetch(idx int, readyAt time.Duration) (time.Duration, bool) 
 		return doneAt, true
 	}
 
-	think, backhaul, xcache, server, edgeHit := s.serverSide(o)
+	think, backhaul, xcache, server, via, edgeHit := s.serverSide(o)
 	timings.Wait = s.net.WaitTime(rtt, think, backhaul)
 	if extra := s.net.RetransmitDelay(origin, rtt); extra > 0 {
 		// Packet loss: one retransmission timeout folded into the wait.
@@ -852,13 +1012,11 @@ func (s *loadState) fetch(idx int, readyAt time.Duration) (time.Duration, bool) 
 	if o.Role == webgen.RoleBeacon && idx%3 == 0 {
 		status = 204
 	}
-	// Worst case is 10 headers (3 base + Location + Cache-Control + two
-	// validators + three CDN headers): one allocation instead of append
-	// regrowth. The slice escapes into the entry, so no reuse.
-	headers := make([]har.Header, 3, 10)
+	// Room for the worst case up front, so appends never regrow.
+	headers := s.headers(3, maxRespHeaders)
 	headers[0] = har.Header{Name: "Content-Type", Value: o.MIME}
 	headers[1] = har.Header{Name: "Server", Value: server}
-	headers[2] = har.Header{Name: "Date", Value: httpsem.FormatDate(s.navStart.Add(start + timings.Send + timings.Wait))}
+	headers[2] = har.Header{Name: "Date", Value: s.date(s.navStart.Add(start + timings.Send + timings.Wait))}
 	if o.Role == webgen.RoleRedirect && idx+1 < len(s.m.Objects) {
 		status = 301
 		headers = append(headers, har.Header{Name: "Location", Value: s.m.Objects[idx+1].URL})
@@ -878,7 +1036,7 @@ func (s *loadState) fetch(idx int, readyAt time.Duration) (time.Duration, bool) 
 	}
 	if xcache != "" {
 		headers = append(headers, har.Header{Name: "X-Cache", Value: xcache})
-		headers = append(headers, har.Header{Name: "Via", Value: "1.1 " + o.ViaCDN})
+		headers = append(headers, har.Header{Name: "Via", Value: via})
 		if edgeHit && o.EdgeAgeSecs > 0 {
 			// The edge copy has already aged; downstream caches must
 			// count that against its freshness lifetime.
@@ -973,7 +1131,8 @@ func (s *loadState) abort(idx int, readyAt, doneAt time.Duration, timings har.Ti
 	var headers []har.Header
 	mime := ""
 	if status != 0 {
-		headers = []har.Header{{Name: "Content-Type", Value: o.MIME}}
+		headers = s.headers(1, 1)
+		headers[0] = har.Header{Name: "Content-Type", Value: o.MIME}
 		mime = o.MIME
 	}
 	s.entries[idx] = har.Entry{
@@ -1007,7 +1166,12 @@ func (s *loadState) closeConn(origin string, c *conn) {
 	}
 	for i, pc := range p.conns {
 		if pc == c {
-			p.conns = append(p.conns[:i], p.conns[i+1:]...)
+			// Shift the rest down and park c past the end, where open
+			// can reuse it: every slot keeps a distinct conn.
+			last := len(p.conns) - 1
+			copy(p.conns[i:], p.conns[i+1:])
+			p.conns[last] = c
+			p.conns = p.conns[:last]
 			s.nConns--
 			return
 		}
@@ -1056,9 +1220,10 @@ func maxDur(a, b time.Duration) time.Duration {
 }
 
 // serverSide computes the server's contribution: processing time, any
-// backhaul on a CDN miss, identification headers, and whether a CDN
-// edge answered from its cache (edgeHit drives the Age header).
-func (s *loadState) serverSide(o *webgen.Object) (think, backhaul time.Duration, xcache, server string, edgeHit bool) {
+// backhaul on a CDN miss, identification headers (via accompanies a
+// non-empty xcache), and whether a CDN edge answered from its cache
+// (edgeHit drives the Age header).
+func (s *loadState) serverSide(o *webgen.Object) (think, backhaul time.Duration, xcache, server, via string, edgeHit bool) {
 	if o.ViaCDN != "" {
 		edge, err := s.edges.Edge(o.ViaCDN)
 		if err == nil {
@@ -1076,7 +1241,7 @@ func (s *loadState) serverSide(o *webgen.Object) (think, backhaul time.Duration,
 			}
 			xcache = edge.XCacheHeader(res)
 			server = edge.Provider.ServerHeader
-			return think, backhaul, xcache, server, res.Hit
+			return think, backhaul, xcache, server, edge.Provider.ViaHeader, res.Hit
 		}
 	}
 	server = "nginx"
@@ -1099,8 +1264,24 @@ func (s *loadState) serverSide(o *webgen.Object) (think, backhaul time.Duration,
 		// memory.
 		think = time.Duration(float64(s.net.StaticThink()) * popFactor(o.Popularity))
 	}
-	return think, 0, "", server, false
+	return think, 0, "", server, "", false
 }
+
+// visEvent is one visual object's completion, weighted by its share of
+// the page's visual content.
+type visEvent struct {
+	at time.Duration
+	w  float64
+}
+
+// byAt orders visual events by completion time. sort.Sort runs the same
+// pdqsort as sort.Slice, so ties land in the same order, but through a
+// pointer it needs no closure or reflection-based swapper.
+type byAt []visEvent
+
+func (e *byAt) Len() int           { return len(*e) }
+func (e *byAt) Less(i, j int) bool { return (*e)[i].at < (*e)[j].at }
+func (e *byAt) Swap(i, j int)      { (*e)[i], (*e)[j] = (*e)[j], (*e)[i] }
 
 // pageTimings derives Navigation Timing marks and the Speed Index.
 func (s *loadState) pageTimings(rootDone time.Duration) har.PageTimings {
@@ -1126,11 +1307,7 @@ func (s *loadState) pageTimings(rootDone time.Duration) har.PageTimings {
 	// before first paint; each visual object contributes its weight when
 	// it finishes (or at first paint if it finished earlier).
 	totalW := 0.0
-	type vis struct {
-		at time.Duration
-		w  float64
-	}
-	var events []vis
+	events := s.b.scratch.events[:0]
 	for i, o := range m.Objects {
 		if o.VisualWeight <= 0 {
 			continue
@@ -1145,11 +1322,12 @@ func (s *loadState) pageTimings(rootDone time.Duration) har.PageTimings {
 		if at < fp {
 			at = fp
 		}
-		events = append(events, vis{at: at, w: o.VisualWeight})
+		events = append(events, visEvent{at: at, w: o.VisualWeight})
 	}
+	s.b.scratch.events = events
 	si := fp
 	if totalW > 0 {
-		sort.Slice(events, func(i, j int) bool { return events[i].at < events[j].at })
+		sort.Sort(&s.b.scratch.events)
 		completed := 0.0
 		prev := fp
 		for _, e := range events {

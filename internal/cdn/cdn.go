@@ -27,6 +27,7 @@ type Provider struct {
 	HostSuffix   string // objects served from hosts ending in this suffix
 	CNAMESuffix  string // first-party hosts CNAME to names with this suffix
 	ServerHeader string // value of the Server response header
+	ViaHeader    string // value of the Via response header ("1.1 " + Name)
 	XCache       bool   // emits X-Cache: HIT/MISS headers
 }
 
@@ -52,6 +53,7 @@ var roster = func() []Provider {
 			HostSuffix:   "." + n + ".net",
 			CNAMESuffix:  "." + n + "-edge.net",
 			ServerHeader: n,
+			ViaHeader:    "1.1 " + n,
 			XCache:       i%5 != 4, // most, but not all, expose X-Cache
 		}
 	}

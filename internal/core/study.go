@@ -198,6 +198,9 @@ type Study struct {
 	web   *webgen.Web
 	az    Analyzers
 	epoch time.Time
+	// keepLogs skips every browser.Release, so tests can hold the
+	// recycled-storage path to the fresh-storage one.
+	keepLogs bool
 }
 
 // NewStudy prepares a study over one web snapshot. It wires the full
@@ -280,7 +283,9 @@ func (st *Study) newSiteCtx(i int) (*siteCtx, error) {
 // attempt redraws the injected faults (the attempt number feeds the
 // fault RNG seed), so transient failures clear the way they would in a
 // real re-crawl. revisit 0 is the cold load, anything else a warm repeat
-// view against whatever cache the browser currently holds.
+// view against whatever cache the browser currently holds. The log of a
+// failed attempt is released at once; the caller releases the returned
+// log when it has measured it.
 func (st *Study) loadRevisitWithRetry(sc *siteCtx, out *Outcome, m *webgen.PageModel, fetchID int, revisit time.Duration) (*har.Log, error) {
 	backoff := st.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
@@ -295,6 +300,7 @@ func (st *Study) loadRevisitWithRetry(sc *siteCtx, out *Outcome, m *webgen.PageM
 			sc.stats.Observe("load.onload.ms", float64(log.Page.Timings.OnLoad.Milliseconds()))
 			return log, nil
 		}
+		st.release(sc, log)
 		class := Classify(err)
 		sc.stats.Inc(loadErrKeys[class], 1)
 		if !class.Retryable() || attempt+1 >= st.cfg.MaxAttempts {
@@ -320,6 +326,14 @@ func (st *Study) loadRevisitWithRetry(sc *siteCtx, out *Outcome, m *webgen.PageM
 		if backoff > st.cfg.RetryBackoffCap {
 			backoff = st.cfg.RetryBackoffCap
 		}
+	}
+}
+
+// release hands a log the study has finished reading back to the site's
+// browser, which reuses its storage for the next load.
+func (st *Study) release(sc *siteCtx, log *har.Log) {
+	if !st.keepLogs {
+		sc.b.Release(log)
 	}
 }
 
@@ -350,6 +364,7 @@ func (st *Study) measureSiteResilient(i int, set hispar.URLSet, rec *trace.Recor
 			} else {
 				samples = append(samples, measureTimings(log, st.az.CDN))
 			}
+			st.release(sc, log)
 		}
 		res.Landing = medianizeTimings(first, samples)
 
@@ -368,6 +383,7 @@ func (st *Study) measureSiteResilient(i int, set hispar.URLSet, rec *trace.Recor
 				continue
 			}
 			res.Internal = append(res.Internal, MeasurePage(log, im, st.az))
+			st.release(sc, log)
 		}
 		sc.stats.Inc("pages.measured", int64(1+len(res.Internal)))
 		return res, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -274,5 +275,75 @@ func TestWorkerCountInvariance(t *testing.T) {
 				t.Fatal("outcomes differ between Workers=1 and Workers=8")
 			}
 		})
+	}
+}
+
+// TestReleasedLogsKeepCSV runs the same fault-injected study with every
+// measured log handed back to its browser and with none, and requires
+// identical cold and warm CSV bytes. Faults make loads retry, abort
+// sub-resources and drop undiscovered children, so both the browser's
+// recycled storage and the faulted loads' compacted copies are in play.
+func TestReleasedLogsKeepCSV(t *testing.T) {
+	web, list := faultWeb(t)
+	cfg := StudyConfig{
+		Seed: 7, LandingFetches: 3, Workers: 2, FailureBudget: -1,
+		Faults:      simnet.FaultConfig{Rates: simnet.FaultRates{Timeout: 0.02, Truncate: 0.02, Loss: 0.05}},
+		DNSFailProb: 0.03,
+	}
+	run := func(keepLogs bool) (cold, warm []byte, sites []SiteResult, outs []Outcome) {
+		st, err := NewStudy(web, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.keepLogs = keepLogs
+		var cb, wb bytes.Buffer
+		csv, err := NewCSVSink(&cb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := &Collector[SiteResult]{}
+		res, err := st.RunStream(list, StreamConfig{Sinks: []SiteSink{csv, col}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wcsv, err := NewWarmCSVSink(&wb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.RunWarmStream(list, WarmConfig{Sinks: []Sink[WarmSiteResult]{wcsv}}); err != nil {
+			t.Fatal(err)
+		}
+		return cb.Bytes(), wb.Bytes(), col.Sites, res.Outcomes
+	}
+	cold, warm, sites, outs := run(false)
+	keptCold, keptWarm, _, _ := run(true)
+	if !bytes.Equal(cold, keptCold) {
+		t.Error("cold CSV differs between released and kept logs")
+	}
+	if !bytes.Equal(warm, keptWarm) {
+		t.Error("warm CSV differs between released and kept logs")
+	}
+
+	// The faults must have reached both storage paths: failed attempts
+	// (whose logs are released before the retry) and successful loads
+	// that lost sub-resources (whose logs are compacted copies).
+	retries := 0
+	for _, o := range outs {
+		retries += o.Retries
+	}
+	short := 0
+	for _, s := range sites {
+		for _, p := range s.Internal {
+			page, ok := web.PageByURL(p.URL)
+			if !ok {
+				t.Fatalf("measured page %s not in the web", p.URL)
+			}
+			if p.Objects < len(page.Build().Objects) {
+				short++
+			}
+		}
+	}
+	if retries == 0 || short == 0 {
+		t.Fatalf("faults too rare to exercise both paths: %d retries, %d pages missing objects", retries, short)
 	}
 }

@@ -108,7 +108,8 @@ func (r *WarmStudyResult) FailedSites() int { return failedSites(r.Outcomes) }
 // policy and count their attempts and retries into out; a warm attempt
 // that dies mid-load leaves the cache with whatever the completed
 // fetches stored or freshened — never a corrupted entry — so the retry
-// revalidates from intact state.
+// revalidates from intact state. Both logs go back to the browser once
+// the pair is measured.
 func (st *Study) loadPair(sc *siteCtx, out *Outcome, m *webgen.PageModel, delay time.Duration) (PagePair, error) {
 	cache := browser.NewCache()
 	sc.b.SetCache(cache)
@@ -118,11 +119,13 @@ func (st *Study) loadPair(sc *siteCtx, out *Outcome, m *webgen.PageModel, delay 
 	if err != nil {
 		return PagePair{}, err
 	}
+	defer st.release(sc, coldLog)
 	sc.clock.Advance(delay)
 	warmLog, err := st.loadRevisitWithRetry(sc, out, m, 0, delay)
 	if err != nil {
 		return PagePair{}, err
 	}
+	defer st.release(sc, warmLog)
 	sc.stats.Inc("warm.pairs", 1)
 	sc.stats.Inc("warm.cache.hits", int64(cache.Hits()))
 	sc.stats.Inc("warm.cache.revalidations", int64(cache.Revalidations()))

@@ -688,12 +688,13 @@ func (p *Page) assignDepths(rng *rand.Rand, m *PageModel, mix DepthMix) {
 		order[i] = i + 1
 	}
 	sort.SliceStable(order, func(a, b int) bool { return m.Objects[order[a]].Depth < m.Objects[order[b]].Depth })
+	var buf []int // one candidate buffer for every object and depth
 	for _, i := range order {
 		o := m.Objects[i]
 		for o.Depth > 1 {
 			parents := containersAt[o.Depth-1]
 			// CSS children can only be images and fonts.
-			var ok []int
+			ok := buf[:0]
 			for _, pi := range parents {
 				pr := m.Objects[pi].Role
 				if pr == RoleCSS && o.Role != RoleImage && o.Role != RoleFont {
@@ -701,6 +702,7 @@ func (p *Page) assignDepths(rng *rand.Rand, m *PageModel, mix DepthMix) {
 				}
 				ok = append(ok, pi)
 			}
+			buf = ok
 			if len(ok) > 0 {
 				o.Parent = ok[rng.Intn(len(ok))]
 				break

@@ -83,6 +83,24 @@ func (o *Object) CacheControl(idx int) string {
 	if !o.Cacheable {
 		return [...]string{"no-store", "no-cache", "private, max-age=0"}[idx%3]
 	}
+	switch o.MaxAgeSecs {
+	// The lifetimes maxAgeFor assigns, spelled out: this runs on every
+	// fetch of every cacheable object.
+	case 60:
+		return "public, max-age=60"
+	case 300:
+		return "public, max-age=300"
+	case 600:
+		return "public, max-age=600"
+	case 3600:
+		return "public, max-age=3600"
+	case 86400:
+		return "public, max-age=86400"
+	case 604800:
+		return "public, max-age=604800"
+	case 31536000:
+		return "public, max-age=31536000, immutable"
+	}
 	switch {
 	case o.MaxAgeSecs <= 0:
 		return ""

@@ -3,6 +3,7 @@ package webgen
 import (
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -380,4 +381,32 @@ func TestLandingHeavierOnAverage(t *testing.T) {
 func DomainNameForTest(i int) string {
 	letters := "abcdefghijklmnopqrstuvwxyz"
 	return "site-" + string(letters[i%26]) + string(letters[(i/26)%26]) + ".com"
+}
+
+// TestCacheControlMatchesFormula holds the spelled-out Cache-Control
+// strings to the formula they replace, for every lifetime maxAgeFor can
+// assign and for lifetimes it cannot, which take the fallback.
+func TestCacheControlMatchesFormula(t *testing.T) {
+	oracle := func(maxAge int) string {
+		switch {
+		case maxAge <= 0:
+			return ""
+		case maxAge >= 31536000:
+			return "public, max-age=" + strconv.Itoa(maxAge) + ", immutable"
+		default:
+			return "public, max-age=" + strconv.Itoa(maxAge)
+		}
+	}
+	ages := []int{-1, 1, 59, 120, 31535999, 31536001}
+	for r := Role(0); r <= RoleRedirect; r++ {
+		for h := uint64(0); h < 64; h++ {
+			ages = append(ages, maxAgeFor(r, h))
+		}
+	}
+	for _, age := range ages {
+		o := &Object{Cacheable: true, MaxAgeSecs: age}
+		if got, want := o.CacheControl(0), oracle(age); got != want {
+			t.Errorf("max-age %d: CacheControl = %q, want %q", age, got, want)
+		}
+	}
 }
