@@ -12,141 +12,185 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/hispar"
-	"repro/internal/search"
-	"repro/internal/toplist"
-	"repro/internal/webgen"
+	"repro/internal/world"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams passed in.
+// It returns the exit status: 2 for a bad subcommand or flag, 1 for a
+// failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		return usage(stderr)
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "build":
-		cmdBuild(os.Args[2:])
+		return cmdBuild(args[1:], stdout, stderr)
 	case "weekly":
-		cmdWeekly(os.Args[2:])
+		return cmdWeekly(args[1:], stdout, stderr)
 	case "churn":
-		cmdChurn(os.Args[2:])
+		return cmdChurn(args[1:], stdout, stderr)
 	default:
-		usage()
+		return usage(stderr)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: hisparctl {build|weekly|churn} [flags]")
-	os.Exit(2)
+func usage(stderr io.Writer) int {
+	fmt.Fprintln(stderr, "usage: hisparctl {build|weekly|churn} [flags]")
+	return 2
 }
 
-func buildList(seed int64, week, sites, perSite, minResults, universe int) (*hispar.List, hispar.BuildStats) {
-	u := toplist.NewUniverse(toplist.Config{Seed: seed, Size: universe})
-	u.Step(week * 7)
-	bootstrap := u.Top(sites * 7 / 5)
-	seeds := make([]webgen.SiteSeed, len(bootstrap))
-	for i, e := range bootstrap {
-		seeds[i] = webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank}
+// bound is one integer flag and the least value it accepts.
+type bound struct {
+	name string
+	val  *int
+	min  int
+}
+
+// parse parses a subcommand's flags and checks them: no positional
+// arguments, every bound met. It returns the exit status for a
+// rejected command line, or -1 to go on.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer, bounds ...bound) int {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	web := webgen.Generate(webgen.Config{Seed: seed, Week: week, Sites: seeds})
-	eng := search.New(web, search.Config{EnglishOnly: true})
-	list, stats, err := hispar.Build(eng, bootstrap, hispar.BuildConfig{
-		Sites:       sites,
-		URLsPerSite: perSite,
-		MinResults:  minResults,
-		Week:        week,
-	})
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "hisparctl %s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		return 2
+	}
+	for _, b := range bounds {
+		if *b.val < b.min {
+			fmt.Fprintf(stderr, "hisparctl %s: -%s must be at least %d, got %d\n", fs.Name(), b.name, b.min, *b.val)
+			return 2
+		}
+	}
+	return -1
+}
+
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "hisparctl: %v\n", err)
+	return 1
+}
+
+// worldFlags registers the flags that name a world, with a subcommand's
+// list shape as defaults, and the bounds they must meet.
+func worldFlags(fs *flag.FlagSet, sites, perSite, minResults int) (*world.Config, []bound) {
+	cfg := &world.Config{}
+	fs.Int64Var(&cfg.Seed, "seed", 42, "RNG seed")
+	fs.IntVar(&cfg.Sites, "sites", sites, "sites per list")
+	fs.IntVar(&cfg.URLsPerSite, "persite", perSite, "URLs per site (incl. landing page)")
+	fs.IntVar(&cfg.MinResults, "minresults", minResults, "drop sites with fewer search results")
+	fs.IntVar(&cfg.Universe, "universe", 20000, "top-list universe size (0 = max(4000, 3×sites))")
+	return cfg, []bound{{"sites", &cfg.Sites, 1}, {"persite", &cfg.URLsPerSite, 1},
+		{"minresults", &cfg.MinResults, 1}, {"universe", &cfg.Universe, 0}}
+}
+
+func cmdBuild(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("build", flag.ContinueOnError)
+	cfg, bounds := worldFlags(fs, 2000, 50, 10)
+	fs.IntVar(&cfg.Week, "week", 0, "snapshot week")
+	out := fs.String("out", "", "output CSV path (default stdout)")
+	if code := parse(fs, args, stderr, append(bounds, bound{"week", &cfg.Week, 0})...); code >= 0 {
+		return code
+	}
+	w, err := world.Build(*cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hisparctl: %v\n", err)
-		os.Exit(1)
+		return fail(stderr, err)
 	}
-	return list, stats
-}
-
-func cmdBuild(args []string) {
-	fs := flag.NewFlagSet("build", flag.ExitOnError)
-	var (
-		seed       = fs.Int64("seed", 42, "RNG seed")
-		week       = fs.Int("week", 0, "snapshot week")
-		sites      = fs.Int("sites", 2000, "number of web sites")
-		perSite    = fs.Int("persite", 50, "URLs per site (incl. landing page)")
-		minResults = fs.Int("minresults", 10, "drop sites with fewer search results")
-		universe   = fs.Int("universe", 20000, "top-list universe size")
-		out        = fs.String("out", "", "output CSV path (default stdout)")
-	)
-	_ = fs.Parse(args)
-	list, stats := buildList(*seed, *week, *sites, *perSite, *minResults, *universe)
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hisparctl: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+	if *out == "" {
+		err = w.List.WriteCSV(stdout)
+	} else {
+		err = writeFile(*out, w.List)
 	}
-	if err := list.WriteCSV(w); err != nil {
-		fmt.Fprintf(os.Stderr, "hisparctl: %v\n", err)
-		os.Exit(1)
+	if err != nil {
+		return fail(stderr, err)
 	}
-	fmt.Fprintf(os.Stderr, "built %s: %d sites, %d pages; %d sites examined, %d dropped; %d queries ($%.2f)\n",
+	list, stats := w.List, w.Stats
+	fmt.Fprintf(stderr, "built %s: %d sites, %d pages; %d sites examined, %d dropped; %d queries ($%.2f)\n",
 		list.Name, len(list.Sets), list.Pages(), stats.SitesExamined, stats.SitesDropped, stats.Queries, stats.CostUSD)
+	return 0
 }
 
-func cmdWeekly(args []string) {
-	fs := flag.NewFlagSet("weekly", flag.ExitOnError)
-	var (
-		seed       = fs.Int64("seed", 42, "RNG seed")
-		weeks      = fs.Int("weeks", 10, "number of weekly snapshots")
-		sites      = fs.Int("sites", 500, "sites per list")
-		perSite    = fs.Int("persite", 20, "URLs per site")
-		minResults = fs.Int("minresults", 5, "drop threshold")
-		universe   = fs.Int("universe", 20000, "top-list universe size")
-	)
-	_ = fs.Parse(args)
-	var prev *hispar.List
-	for w := 0; w < *weeks; w++ {
-		list, _ := buildList(*seed, w, *sites, *perSite, *minResults, *universe)
-		if prev != nil {
-			fmt.Printf("week %d: site churn %.3f, internal-URL churn %.3f\n",
-				w, hispar.SiteChurn(prev, list), hispar.InternalChurn(prev, list))
-		}
-		prev = list
+func cmdWeekly(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("weekly", flag.ContinueOnError)
+	cfg, bounds := worldFlags(fs, 500, 20, 5)
+	weeks := fs.Int("weeks", 10, "number of weekly snapshots")
+	if code := parse(fs, args, stderr, append(bounds, bound{"weeks", weeks, 1})...); code >= 0 {
+		return code
 	}
+	var prev *hispar.List
+	for cfg.Week = 0; cfg.Week < *weeks; cfg.Week++ {
+		w, err := world.Build(*cfg)
+		if err != nil {
+			return fail(stderr, err)
+		}
+		if prev != nil {
+			fmt.Fprintf(stdout, "week %d: site churn %.3f, internal-URL churn %.3f\n",
+				cfg.Week, hispar.SiteChurn(prev, w.List), hispar.InternalChurn(prev, w.List))
+		}
+		prev = w.List
+	}
+	return 0
 }
 
-func cmdChurn(args []string) {
-	fs := flag.NewFlagSet("churn", flag.ExitOnError)
+func cmdChurn(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("churn", flag.ContinueOnError)
 	var (
 		a = fs.String("a", "", "first list CSV")
 		b = fs.String("b", "", "second list CSV")
 	)
-	_ = fs.Parse(args)
-	if *a == "" || *b == "" {
-		fmt.Fprintln(os.Stderr, "hisparctl churn: -a and -b are required")
-		os.Exit(2)
+	if code := parse(fs, args, stderr); code >= 0 {
+		return code
 	}
-	la := readList(*a)
-	lb := readList(*b)
-	fmt.Printf("site churn: %.3f\n", hispar.SiteChurn(la, lb))
-	fmt.Printf("internal-URL churn: %.3f\n", hispar.InternalChurn(la, lb))
+	if *a == "" || *b == "" {
+		fmt.Fprintln(stderr, "hisparctl churn: -a and -b are required")
+		return 2
+	}
+	la, err := readList(*a)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	lb, err := readList(*b)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	fmt.Fprintf(stdout, "site churn: %.3f\n", hispar.SiteChurn(la, lb))
+	fmt.Fprintf(stdout, "internal-URL churn: %.3f\n", hispar.InternalChurn(la, lb))
+	return 0
 }
 
-func readList(path string) *hispar.List {
+// writeFile writes list as CSV to a new file at path.
+func writeFile(path string, list *hispar.List) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := list.WriteCSV(f); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return err
+	}
+	return f.Close()
+}
+
+func readList(path string) (*hispar.List, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hisparctl: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
 	defer f.Close()
-	l, err := hispar.ReadCSV(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hisparctl: %v\n", err)
-		os.Exit(1)
-	}
-	return l
+	return hispar.ReadCSV(f)
 }

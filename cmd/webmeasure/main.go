@@ -38,11 +38,10 @@ import (
 	"repro/internal/hispar"
 	"repro/internal/profiling"
 	"repro/internal/runstats"
-	"repro/internal/search"
 	"repro/internal/simnet"
-	"repro/internal/toplist"
 	"repro/internal/trace"
 	"repro/internal/webgen"
+	"repro/internal/world"
 )
 
 func main() {
@@ -82,6 +81,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *sites < 1 {
+		fmt.Fprintf(stderr, "webmeasure: -sites must be at least 1, got %d\n", *sites)
+		return 2
+	}
 	if *perSite < 1 {
 		fmt.Fprintf(stderr, "webmeasure: -persite must be at least 1, got %d\n", *perSite)
 		return 2
@@ -101,22 +104,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	defer stopCPU() // a failed run still leaves a readable profile
-	u := toplist.NewUniverse(toplist.Config{Seed: *seed, Size: max(4000, *sites*3)})
-	bootstrap := u.Top(*sites * 7 / 5)
-	seeds := make([]webgen.SiteSeed, len(bootstrap))
-	for i, e := range bootstrap {
-		seeds[i] = webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank}
-	}
-	web := webgen.Generate(webgen.Config{Seed: *seed, Sites: seeds})
-	eng := search.New(web, search.Config{EnglishOnly: true})
 	// H1K drops sites with fewer than 5 search results (§3.1). A
 	// smaller URL set asks for fewer, so no site could reach 5.
-	list, _, err := hispar.Build(eng, bootstrap, hispar.BuildConfig{
-		Sites: *sites, URLsPerSite: *perSite, MinResults: min(5, *perSite),
+	w, err := world.Build(world.Config{
+		Seed: *seed, Sites: *sites, URLsPerSite: *perSite, MinResults: min(5, *perSite),
 	})
 	if err != nil {
 		return fail(stderr, err)
 	}
+	web, list := w.Web, w.List
 
 	if *harDir != "" {
 		if err := writeHARs(web, list, *seed, *harDir, stderr); err != nil {

@@ -18,8 +18,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnssim"
 	"repro/internal/mimecat"
-	"repro/internal/toplist"
 	"repro/internal/webgen"
+	"repro/internal/world"
 )
 
 func main() {
@@ -29,13 +29,14 @@ func main() {
 	)
 	flag.Parse()
 
-	universe := toplist.NewUniverse(toplist.Config{Seed: *seed, Size: 2000})
-	bootstrap := universe.Top(50)
-	seeds := make([]webgen.SiteSeed, len(bootstrap))
-	for i, e := range bootstrap {
-		seeds[i] = webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank}
+	// A 36-site world bootstraps the top 50 sites into its web.
+	w, err := world.Build(world.Config{
+		Seed: *seed, Universe: 2000, Sites: 36, URLsPerSite: 10, MinResults: 5,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	web := webgen.Generate(webgen.Config{Seed: *seed, Sites: seeds})
+	web := w.Web
 
 	site := web.Sites[2]
 	if *domain != "" {

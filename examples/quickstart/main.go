@@ -10,40 +10,28 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/hispar"
-	"repro/internal/search"
 	"repro/internal/stats"
-	"repro/internal/toplist"
-	"repro/internal/webgen"
+	"repro/internal/world"
 )
 
 func main() {
 	const seed = 2020
 
-	// 1. An Alexa-style top list to bootstrap from.
-	universe := toplist.NewUniverse(toplist.Config{Seed: seed, Size: 2000})
-	bootstrap := universe.Top(80)
-
-	// 2. The web those sites live on.
-	seeds := make([]webgen.SiteSeed, len(bootstrap))
-	for i, e := range bootstrap {
-		seeds[i] = webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank}
-	}
-	web := webgen.Generate(webgen.Config{Seed: seed, Sites: seeds})
-
-	// 3. Discover internal pages through the search engine and build the
-	// two-level list: one landing page + up to 9 internal pages per site.
-	engine := search.New(web, search.Config{EnglishOnly: true})
-	list, buildStats, err := hispar.Build(engine, bootstrap, hispar.BuildConfig{
-		Sites: 50, URLsPerSite: 10, MinResults: 5, Name: "Hquick",
+	// 1. The world at this seed, week 0: an Alexa-style top list to
+	// bootstrap from, the web those sites live on, and the two-level list
+	// discovered through the search engine — one landing page + up to 9
+	// internal pages per site.
+	w, err := world.Build(world.Config{
+		Seed: seed, Universe: 2000, Sites: 50, URLsPerSite: 10, MinResults: 5, Name: "Hquick",
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	list, web := w.List, w.Web
 	fmt.Printf("built %s: %d sites, %d pages (%d queries, $%.2f)\n\n",
-		list.Name, len(list.Sets), list.Pages(), buildStats.Queries, buildStats.CostUSD)
+		list.Name, len(list.Sets), list.Pages(), w.Stats.Queries, w.Stats.CostUSD)
 
-	// 4. Measure every page: landing pages 5x cold-cache, internal once.
+	// 2. Measure every page: landing pages 5x cold-cache, internal once.
 	study, err := core.NewStudy(web, core.StudyConfig{Seed: seed, LandingFetches: 5})
 	if err != nil {
 		log.Fatal(err)
@@ -53,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 5. The Jekyll-and-Hyde comparison.
+	// 3. The Jekyll-and-Hyde comparison.
 	var sizeDeltas, objDeltas, pltDeltas []float64
 	landingFaster := 0
 	for i := range res.Sites {

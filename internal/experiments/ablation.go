@@ -38,7 +38,7 @@ func RunAblation(ctx *Context) (*Report, error) {
 	sub.Sets = append(sub.Sets, list.Top(k).Sets...)
 	sub.Sets = append(sub.Sets, list.Bottom(k).Sets...)
 
-	ev := whatif.New(ctx.Web(), whatif.Config{Seed: ctx.Cfg.Seed, Fetches: 3})
+	ev := whatif.New(ctx.World().Web, whatif.Config{Seed: ctx.Cfg.Seed, Fetches: 3})
 	results, err := ev.EvaluateAll(sub)
 	if err != nil {
 		return nil, err

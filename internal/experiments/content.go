@@ -128,7 +128,7 @@ func RunFig5(ctx *Context) (*Report, error) {
 // resolver, ~20% at the fragmented public resolver — low because of
 // short request-routing TTLs and public-resolver cache fragmentation.
 func RunDNSHitRate(ctx *Context) (*Report, error) {
-	u := ctx.Universe()
+	u := ctx.World().Universe
 	entries := u.Top(ctx.Cfg.DNSProbeTop)
 	hosts := make([]string, len(entries))
 	for i, e := range entries {

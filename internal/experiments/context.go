@@ -7,10 +7,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hispar"
-	"repro/internal/search"
-	"repro/internal/toplist"
 	"repro/internal/trace"
 	"repro/internal/webgen"
+	"repro/internal/world"
 )
 
 // Config scales the experiment harness. The defaults reproduce the
@@ -82,24 +81,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Context lazily builds and caches the shared corpus: the top-list
-// universe, the week-0 web snapshot, the Hispar list, and the full H1K
-// study. Experiments pull what they need; expensive pieces are built
-// once.
+// Context lazily builds and caches the shared corpus: the week-0 world
+// (top-list universe, web, search engine and the H1K-style list) and
+// the full H1K study. Experiments pull what they need; expensive pieces
+// are built once.
 type Context struct {
 	Cfg Config
 
-	mu         sync.Mutex
-	universe   *toplist.Universe
-	bootstrap  []toplist.Entry
-	web        *webgen.Web
-	engine     *search.Engine
-	list       *hispar.List
-	buildStats hispar.BuildStats
-	study      *core.StudyResult
-	studyErr   error
-	warm       *core.WarmStudyResult
-	warmErr    error
+	mu       sync.Mutex
+	world    *world.World
+	listErr  error
+	study    *core.StudyResult
+	studyErr error
+	warm     *core.WarmStudyResult
+	warmErr  error
 }
 
 // NewContext creates a context with the given scale.
@@ -131,87 +126,47 @@ func CrawlDomains() []string {
 	return out
 }
 
-// Universe returns the bootstrap top-list universe (small: just enough
-// to bootstrap the lists; the stability experiment builds its own).
-func (c *Context) Universe() *toplist.Universe {
+// worldLocked builds the week-0 world once: the H1K-style list over a
+// web that also holds the five exhaustive-crawl sites. A list that
+// could not be filled leaves the rest of the world usable and its error
+// in listErr. Callers hold c.mu.
+func (c *Context) worldLocked() *world.World {
+	if c.world == nil {
+		// Cfg's defaults keep every field in range, so a world is
+		// always built.
+		c.world, c.listErr = world.Build(world.Config{
+			Seed:        c.Cfg.Seed,
+			Sites:       c.Cfg.Sites,
+			URLsPerSite: c.Cfg.PerSite,
+			MinResults:  5,
+			Name:        fmt.Sprintf("H%d", c.Cfg.Sites),
+			Extra:       crawlSiteSeeds(c.Cfg.CrawlPages * 6 / 5),
+		})
+	}
+	return c.world
+}
+
+// World returns the week-0 world: the top-list universe (the stability
+// experiment builds its own), the web with the five crawl sites, the
+// search engine and the H1K-style list. When the list could not be
+// filled, List reports why.
+func (c *Context) World() *world.World {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.universeLocked()
+	return c.worldLocked()
 }
 
-func (c *Context) universeLocked() *toplist.Universe {
-	if c.universe == nil {
-		size := c.Cfg.Sites * 3
-		if size < 4000 {
-			size = 4000
-		}
-		c.universe = toplist.NewUniverse(toplist.Config{Seed: c.Cfg.Seed, Size: size})
+// listLocked returns the H1K-style list; callers hold c.mu.
+func (c *Context) listLocked() (*hispar.List, error) {
+	w := c.worldLocked()
+	if c.listErr != nil {
+		return nil, c.listErr
 	}
-	return c.universe
+	return w.List, nil
 }
 
-// Web returns the week-0 web snapshot: the bootstrap top of the universe
-// plus the five exhaustive-crawl sites.
-func (c *Context) Web() *webgen.Web {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.webLocked()
-}
-
-func (c *Context) webLocked() *webgen.Web {
-	if c.web != nil {
-		return c.web
-	}
-	u := c.universeLocked()
-	// Walk ~40% past the target so FewEnglish drops do not exhaust the
-	// bootstrap.
-	c.bootstrap = u.Top(c.Cfg.Sites * 7 / 5)
-	seeds := make([]webgen.SiteSeed, 0, len(c.bootstrap)+5)
-	for _, e := range c.bootstrap {
-		seeds = append(seeds, webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank})
-	}
-	crawlPool := c.Cfg.CrawlPages * 6 / 5
-	seeds = append(seeds, crawlSiteSeeds(crawlPool)...)
-	c.web = webgen.Generate(webgen.Config{Seed: c.Cfg.Seed, Week: 0, Sites: seeds})
-	return c.web
-}
-
-// SearchEngine returns the metered search engine over the week-0 web.
-func (c *Context) SearchEngine() *search.Engine {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.searchLocked()
-}
-
-func (c *Context) searchLocked() *search.Engine {
-	if c.engine == nil {
-		c.engine = search.New(c.webLocked(), search.Config{EnglishOnly: true})
-	}
-	return c.engine
-}
-
-// listLocked builds the H1K-style list once; callers hold c.mu.
-func (c *Context) listLocked() (*hispar.List, hispar.BuildStats, error) {
-	if c.list != nil {
-		return c.list, c.buildStats, nil
-	}
-	c.webLocked() // ensures bootstrap is populated
-	list, stats, err := hispar.Build(c.searchLocked(), c.bootstrap, hispar.BuildConfig{
-		Sites:       c.Cfg.Sites,
-		URLsPerSite: c.Cfg.PerSite,
-		MinResults:  5,
-		Name:        fmt.Sprintf("H%d", c.Cfg.Sites),
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	c.list, c.buildStats = list, stats
-	return c.list, c.buildStats, nil
-}
-
-// List returns the H1K-style Hispar list (built once) and its build
-// stats.
-func (c *Context) List() (*hispar.List, hispar.BuildStats, error) {
+// List returns the H1K-style Hispar list, built once.
+func (c *Context) List() (*hispar.List, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.listLocked()
@@ -220,7 +175,7 @@ func (c *Context) List() (*hispar.List, hispar.BuildStats, error) {
 // newStudyLocked builds a study over the week-0 web with the context's
 // seed, landing fetches and workers; callers hold c.mu.
 func (c *Context) newStudyLocked() (*core.Study, error) {
-	return core.NewStudy(c.webLocked(), core.StudyConfig{
+	return core.NewStudy(c.worldLocked().Web, core.StudyConfig{
 		Seed:           c.Cfg.Seed,
 		LandingFetches: c.Cfg.LandingFetches,
 		Workers:        c.Cfg.Workers,
@@ -236,7 +191,7 @@ func (c *Context) Study() (*core.StudyResult, error) {
 	if c.study != nil || c.studyErr != nil {
 		return c.study, c.studyErr
 	}
-	list, _, err := c.listLocked()
+	list, err := c.listLocked()
 	if err != nil {
 		c.studyErr = err
 		return nil, err
@@ -261,7 +216,7 @@ func (c *Context) WarmStudy() (*core.WarmStudyResult, error) {
 	if c.warm != nil || c.warmErr != nil {
 		return c.warm, c.warmErr
 	}
-	list, _, err := c.listLocked()
+	list, err := c.listLocked()
 	if err != nil {
 		c.warmErr = err
 		return nil, err

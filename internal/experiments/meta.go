@@ -9,6 +9,7 @@ import (
 	"repro/internal/survey"
 	"repro/internal/toplist"
 	"repro/internal/webgen"
+	"repro/internal/world"
 )
 
 // RunTable1 reproduces the survey (§2, Table 1 / Fig 1) two ways: it
@@ -122,15 +123,11 @@ func RunStability(ctx *Context) (*Report, error) {
 // 50-URL study would cost under $20.
 func RunCost(ctx *Context) (*Report, error) {
 	cfg := ctx.Cfg
-	u := ctx.Universe()
-	boot := u.Top(cfg.H2KSites * 7 / 5)
-	seeds := make([]webgen.SiteSeed, len(boot))
-	for i, e := range boot {
-		seeds[i] = webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank}
-	}
-	web := webgen.Generate(webgen.Config{Seed: cfg.Seed + 5, Sites: seeds})
-	eng := search.New(web, search.Config{EnglishOnly: true})
-	list, st, err := hispar.Build(eng, boot, hispar.BuildConfig{
+	// The H2K list is built over its own web, seeded apart from the
+	// study's, from the same top list.
+	w, err := world.Build(world.Config{
+		Seed:        cfg.Seed,
+		WebSeed:     cfg.Seed + 5,
 		Sites:       cfg.H2KSites,
 		URLsPerSite: cfg.H2KPerSite,
 		MinResults:  10,
@@ -139,6 +136,7 @@ func RunCost(ctx *Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	list, st := w.List, w.Stats
 	scale := 100_000 / float64(list.Pages())
 
 	r := &Report{ID: "cost", Title: "List-building cost (§7)"}
@@ -154,8 +152,8 @@ func RunCost(ctx *Context) (*Report, error) {
 	if cfg.H2KSites < 1250 {
 		small = cfg.H2KSites * 2 / 5
 	}
-	eng2 := search.New(web, search.Config{EnglishOnly: true})
-	_, st2, err := hispar.Build(eng2, boot, hispar.BuildConfig{
+	eng2 := search.New(w.Web, search.Config{EnglishOnly: true})
+	_, st2, err := hispar.Build(eng2, w.Bootstrap, hispar.BuildConfig{
 		Sites: small, URLsPerSite: 50, MinResults: 10, Name: "H500",
 	})
 	if err != nil {

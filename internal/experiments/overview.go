@@ -125,7 +125,7 @@ func RunFig3a(ctx *Context) (*Report, error) {
 // from landing pages and from one another; a random subset of 19 pages
 // would not change the medians much.
 func RunFig3bc(ctx *Context) (*Report, error) {
-	web := ctx.Web()
+	web := ctx.World().Web
 	r := &Report{ID: "fig3bc", Title: "Limited exhaustive crawl (Figs 3b/3c)"}
 	st, err := core.NewStudy(web, core.StudyConfig{Seed: ctx.Cfg.Seed, LandingFetches: ctx.Cfg.LandingFetches})
 	if err != nil {

@@ -14,9 +14,9 @@ import (
 // user attention the sample covers (the popularity bias the paper
 // *wants*, since measurements should reflect what users actually visit).
 func RunSelection(ctx *Context) (*Report, error) {
-	web := ctx.Web()
-	engine := ctx.SearchEngine()
-	list, _, err := ctx.List()
+	w := ctx.World()
+	web, engine := w.Web, w.Search
+	list, err := ctx.List()
 	if err != nil {
 		return nil, err
 	}

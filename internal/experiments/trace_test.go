@@ -25,7 +25,7 @@ func TestStreamStudyRecordsTrace(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
-	list, _, err := ctx.List()
+	list, err := ctx.List()
 	if err != nil {
 		t.Fatal(err)
 	}

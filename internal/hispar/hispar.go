@@ -86,7 +86,8 @@ type BuildConfig struct {
 	// (20 for H1K, 50 for H2K).
 	URLsPerSite int
 	// MinResults drops a site when the search yields fewer results
-	// (5 for H1K, 10 for H2K, per §3/§3.1).
+	// (5 for H1K, 10 for H2K, per §3/§3.1); a site with none is always
+	// dropped. Sites, URLsPerSite and MinResults have no defaults.
 	MinResults int
 	// Name labels the list ("H1K", "H2K", ...).
 	Name string
@@ -94,24 +95,15 @@ type BuildConfig struct {
 	Week int
 }
 
-func (c BuildConfig) withDefaults() BuildConfig {
-	if c.Sites <= 0 {
-		c.Sites = 2000
+// name is Name, or H<n> (H<n>K from 1000 sites up) for the list size.
+func (c BuildConfig) name() string {
+	switch {
+	case c.Name != "":
+		return c.Name
+	case c.Sites >= 1000:
+		return fmt.Sprintf("H%dK", (c.Sites+500)/1000)
 	}
-	if c.URLsPerSite <= 0 {
-		c.URLsPerSite = 50
-	}
-	if c.MinResults <= 0 {
-		c.MinResults = 10
-	}
-	if c.Name == "" {
-		if c.Sites >= 1000 {
-			c.Name = fmt.Sprintf("H%dK", (c.Sites+500)/1000)
-		} else {
-			c.Name = fmt.Sprintf("H%d", c.Sites)
-		}
-	}
-	return c
+	return fmt.Sprintf("H%d", c.Sites)
 }
 
 // BuildStats reports what a build consumed.
@@ -126,17 +118,16 @@ type BuildStats struct {
 // most popular site down, fetch each site's URL set from the search
 // engine, and stop once cfg.Sites sets are collected.
 func Build(engine *search.Engine, bootstrap []toplist.Entry, cfg BuildConfig) (*List, BuildStats, error) {
-	cfg = cfg.withDefaults()
 	var stats BuildStats
 	startQueries := engine.Queries()
-	list := &List{Name: cfg.Name, Week: cfg.Week}
+	list := &List{Name: cfg.name(), Week: cfg.Week}
 	for _, entry := range bootstrap {
 		if len(list.Sets) >= cfg.Sites {
 			break
 		}
 		stats.SitesExamined++
 		results, err := engine.Site(entry.Domain, cfg.URLsPerSite)
-		if err != nil || len(results) < cfg.MinResults {
+		if err != nil || len(results) == 0 || len(results) < cfg.MinResults {
 			stats.SitesDropped++
 			continue
 		}

@@ -41,11 +41,10 @@ import (
 	"repro/internal/hispar"
 	"repro/internal/httpsem"
 	"repro/internal/runstats"
-	"repro/internal/search"
-	"repro/internal/toplist"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/webgen"
+	"repro/internal/world"
 )
 
 // epoch pins every Last-Modified the server emits; week w artifacts are
@@ -59,7 +58,7 @@ type Config struct {
 	// Weeks is how many weekly snapshots are served (weeks 0..Weeks-1).
 	Weeks int
 	// Sites, URLsPerSite, MinResults, Universe parameterize each
-	// snapshot build exactly as hisparctl build does.
+	// week's world (internal/world), the one hisparctl build writes.
 	Sites, URLsPerSite, MinResults, Universe int
 	// StudySites caps how many top sites a dataset build measures.
 	StudySites int
@@ -129,7 +128,6 @@ func (c Config) withDefaults() Config {
 // (the web is retained so dataset builds measure the same synthetic
 // internet the list was crawled from).
 type snapshot struct {
-	week int
 	list *hispar.List
 	web  *webgen.Web
 }
@@ -285,31 +283,23 @@ func (s *Server) getSnapshot(w int) (*snapshot, error) {
 	return snap, err
 }
 
-// buildSnapshot regenerates week w from first principles, exactly as
-// cmd/hisparctl build does: step the universe to the snapshot day,
-// generate the web, and discover URL sets through the search engine.
+// buildSnapshot regenerates week w from first principles: the world at
+// the server's seed and week w, built as cmd/hisparctl build builds it.
 func buildSnapshot(cfg Config, week int) (*snapshot, error) {
-	u := toplist.NewUniverse(toplist.Config{Seed: cfg.Seed, Size: cfg.Universe})
-	u.Step(week * 7)
-	bootstrap := u.Top(cfg.Sites * 2)
-	seeds := make([]webgen.SiteSeed, len(bootstrap))
-	for i, e := range bootstrap {
-		seeds[i] = webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank}
-	}
-	web := webgen.Generate(webgen.Config{Seed: cfg.Seed, Week: week, Sites: seeds})
-	eng := search.New(web, search.Config{EnglishOnly: true})
-	list, _, err := hispar.Build(eng, bootstrap, hispar.BuildConfig{
+	w, err := world.Build(world.Config{
+		Seed:        cfg.Seed,
+		Week:        week,
 		Sites:       cfg.Sites,
 		URLsPerSite: cfg.URLsPerSite,
 		MinResults:  cfg.MinResults,
-		Week:        week,
+		Universe:    cfg.Universe,
 	})
-	if err != nil && (list == nil || len(list.Sets) == 0) {
+	if err != nil && (w == nil || len(w.List.Sets) == 0) {
 		return nil, fmt.Errorf("hisparserve: week %d: %w", week, err)
 	}
 	// A partially filled list (bootstrap exhausted) is still a valid,
 	// deterministic snapshot; serve what was discovered.
-	return &snapshot{week: week, list: list, web: web}, nil
+	return &snapshot{list: w.List, web: w.Web}, nil
 }
 
 // getStudy builds (once) and returns the measurement study for week w

@@ -312,7 +312,7 @@ func (s *Set) CounterL(name string, labels ...Label) int64 {
 }
 
 // Render writes the snapshot as an aligned, name-sorted report — the
-// shape cmd/webmeasure and cmd/diag print after a run.
+// shape cmd/webmeasure prints after a run.
 func (snap Snapshot) Render(w io.Writer) {
 	names := func(n int) []string { return make([]string, 0, n) }
 

@@ -131,20 +131,19 @@ type Paper struct {
 	UsesInternal    bool
 }
 
-// MatchResult is the pipeline outcome for one paper.
-type MatchResult struct {
-	Paper        *Paper
-	MatchedTerms []string
+// matchResult is the pipeline outcome for one paper.
+type matchResult struct {
+	Paper *Paper
 	// FalsePositive marks papers whose matches are all consumer-device
 	// mentions ("Alexa Echo") or related-work citations.
 	FalsePositive bool
 }
 
-// ScanCorpus runs the programmatic term search over a corpus and returns
+// scanCorpus runs the programmatic term search over a corpus and returns
 // the papers with at least one top-list term match, flagging the
 // false-positive classes the paper weeded out by manual inspection.
-func ScanCorpus(corpus []*Paper) []MatchResult {
-	var out []MatchResult
+func scanCorpus(corpus []*Paper) []matchResult {
+	var out []matchResult
 	for _, p := range corpus {
 		text := strings.ToLower(p.Text)
 		var matched []string
@@ -156,11 +155,7 @@ func ScanCorpus(corpus []*Paper) []MatchResult {
 		if len(matched) == 0 {
 			continue
 		}
-		out = append(out, MatchResult{
-			Paper:         p,
-			MatchedTerms:  matched,
-			FalsePositive: isFalsePositive(text, matched),
-		})
+		out = append(out, matchResult{Paper: p, FalsePositive: isFalsePositive(text, matched)})
 	}
 	return out
 }
@@ -205,11 +200,11 @@ func contextWindow(text string, pos, radius int) string {
 	return text[lo:hi]
 }
 
-// Review scores a scanned paper on the ordinal revision scale using the
+// review scores a scanned paper on the ordinal revision scale using the
 // rubric of §2, driven by textual markers the corpus generator plants
 // (trace-based study, mixed data sources, page-performance focus,
 // landing-page-only evaluation, internal-page inclusion).
-func Review(r MatchResult) (Revision, bool) {
+func review(r matchResult) (Revision, bool) {
 	if r.FalsePositive {
 		return NoRevision, false
 	}
@@ -244,13 +239,13 @@ func Tabulate(corpus []*Paper) []VenueCounts {
 			vc.Publications++
 		}
 	}
-	for _, r := range ScanCorpus(corpus) {
+	for _, r := range scanCorpus(corpus) {
 		vc, ok := byVenue[r.Paper.Venue]
 		if !ok || r.FalsePositive {
 			continue
 		}
 		vc.UsingTopList++
-		rev, _ := Review(r)
+		rev, _ := review(r)
 		switch rev {
 		case MajorRevision:
 			vc.Major++

@@ -62,7 +62,7 @@ func TestScanFlagsFalsePositives(t *testing.T) {
 		{Venue: IMC, Text: "We crawl the Alexa top 500 web sites and measure page-load time."},
 		{Venue: IMC, Text: "Nothing relevant here."},
 	}
-	res := ScanCorpus(corpus)
+	res := scanCorpus(corpus)
 	if len(res) != 3 {
 		t.Fatalf("matches = %d, want 3", len(res))
 	}
@@ -86,20 +86,20 @@ func TestReviewRubric(t *testing.T) {
 		{"We use Majestic for a general system evaluation.", MinorRevision, false},
 	}
 	for _, c := range cases {
-		rev, internal := Review(MatchResult{Paper: &Paper{Text: c.text}})
+		rev, internal := review(matchResult{Paper: &Paper{Text: c.text}})
 		if rev != c.want || internal != c.internal {
-			t.Errorf("Review(%.40q) = %v,%v want %v,%v", c.text, rev, internal, c.want, c.internal)
+			t.Errorf("review(%.40q) = %v,%v want %v,%v", c.text, rev, internal, c.want, c.internal)
 		}
 	}
 	// False positives review as no-revision/no-internal.
-	if rev, ok := Review(MatchResult{FalsePositive: true, Paper: &Paper{Text: "page-load time"}}); rev != NoRevision || ok {
+	if rev, ok := review(matchResult{FalsePositive: true, Paper: &Paper{Text: "page-load time"}}); rev != NoRevision || ok {
 		t.Error("false positive should not be scored")
 	}
 }
 
 func TestGroundTruthAgreement(t *testing.T) {
 	corpus := GenerateCorpus(7)
-	for _, r := range ScanCorpus(corpus) {
+	for _, r := range scanCorpus(corpus) {
 		if r.FalsePositive {
 			if r.Paper.TrueUsesTopList {
 				t.Errorf("pipeline FP on a true top-list paper: %.60q", r.Paper.Text)
@@ -110,7 +110,7 @@ func TestGroundTruthAgreement(t *testing.T) {
 			t.Errorf("pipeline matched a non-top-list paper: %.60q", r.Paper.Text)
 			continue
 		}
-		rev, internal := Review(r)
+		rev, internal := review(r)
 		if rev != r.Paper.TrueRevision {
 			t.Errorf("review %v != truth %v for %.60q", rev, r.Paper.TrueRevision, r.Paper.Text)
 		}

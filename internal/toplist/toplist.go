@@ -102,9 +102,6 @@ func NewUniverse(cfg Config) *Universe {
 	return u
 }
 
-// Size returns the number of domains in the universe.
-func (u *Universe) Size() int { return len(u.domains) }
-
 // Step advances the universe by days days of popularity drift.
 func (u *Universe) Step(days int) {
 	theta := reversion // a variable, so 1-theta is a float64 subtraction

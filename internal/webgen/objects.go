@@ -182,16 +182,6 @@ func (m *PageModel) DocIndex() int {
 	return 0
 }
 
-// ObjectByURL returns the object with the given URL.
-func (m *PageModel) ObjectByURL(u string) (*Object, bool) {
-	for _, o := range m.Objects {
-		if o.URL == u {
-			return o, true
-		}
-	}
-	return nil, false
-}
-
 // Role mixes: fraction of non-tracker, non-root objects per role.
 // Landing pages are gallery-like (many images); internal pages are
 // application-like (more API/JSON and telemetry fetches) — the count
