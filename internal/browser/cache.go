@@ -82,16 +82,17 @@ func (c *Cache) store(url, method string, resp *har.Response, at time.Time) {
 	if resp.Status != 200 {
 		return
 	}
+	h := har.ScanHeaders(resp.Headers)
 	f := httpsem.ComputeFreshness(httpsem.Response{
 		Method:       method,
 		Status:       resp.Status,
-		CacheControl: resp.HeaderValue("Cache-Control"),
-		Pragma:       resp.HeaderValue("Pragma"),
-		Expires:      resp.HeaderValue("Expires"),
-		Date:         resp.HeaderValue("Date"),
-		Age:          resp.HeaderValue("Age"),
-		ETag:         resp.HeaderValue("ETag"),
-		LastModified: resp.HeaderValue("Last-Modified"),
+		CacheControl: h.CacheControl,
+		Pragma:       h.Pragma,
+		Expires:      h.Expires,
+		Date:         h.Date,
+		Age:          h.Age,
+		ETag:         h.ETag,
+		LastModified: h.LastModified,
 	})
 	if !f.Storable {
 		return

@@ -2,9 +2,15 @@ package browser
 
 import (
 	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/detrand"
+	"repro/internal/har"
+	"repro/internal/httpsem"
 	"repro/internal/simnet"
 )
 
@@ -208,5 +214,75 @@ func TestFaultedRevalidationDoesNotPoisonCache(t *testing.T) {
 	}
 	if revals == 0 {
 		t.Fatal("stale entries did not revalidate after the faulted attempt")
+	}
+}
+
+// TestStoreFreshnessMatchesHeaderValue holds the cache's one-pass header
+// read to the nine HeaderValue lookups it replaces: over random
+// responses with duplicate, case-varied and malformed headers, store
+// keeps a response exactly when the policy over the HeaderValue-built
+// freshness does, and the kept Freshness is equal.
+func TestStoreFreshnessMatchesHeaderValue(t *testing.T) {
+	at := time.Date(2020, 3, 12, 9, 0, 0, 0, time.UTC)
+	values := map[string][]string{
+		"Cache-Control": {"", "public, max-age=3600", "no-store", "no-cache", "private, max-age=0", "max-age=60, immutable"},
+		"Pragma":        {"", "no-cache"},
+		"Expires":       {"", "0", httpsem.FormatDate(at.Add(time.Hour)), httpsem.FormatDate(at.Add(-time.Hour))},
+		"Date":          {"", httpsem.FormatDate(at), "Thu, 12 Mar 2020 09:00:00 PST", "garbage"},
+		"Age":           {"", "0", "120", " 30 ", "x"},
+		"ETag":          {"", `"0a1b2c3d-1f4"`},
+		"Last-Modified": {"", httpsem.FormatDate(at.Add(-48 * time.Hour)), httpsem.FormatDate(at.Add(time.Hour))},
+		"Content-Type":  {"text/css"},
+		"Server":        {"nginx"},
+	}
+	names := make([]string, 0, len(values))
+	for n := range values {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	rng := detrand.New(5)
+	stored := 0
+	for iter := 0; iter < 3000; iter++ {
+		resp := har.Response{Status: []int{200, 200, 200, 204, 301}[rng.Intn(5)]}
+		for n := rng.Intn(12); n > 0; n-- {
+			name := names[rng.Intn(len(names))]
+			vs := values[name]
+			if rng.Intn(3) == 0 {
+				name = strings.ToLower(name)
+			}
+			resp.Headers = append(resp.Headers, har.Header{Name: name, Value: vs[rng.Intn(len(vs))]})
+		}
+		method := []string{"GET", "get", "POST"}[rng.Intn(3)]
+		want := httpsem.ComputeFreshness(httpsem.Response{
+			Method:       method,
+			Status:       resp.Status,
+			CacheControl: resp.HeaderValue("Cache-Control"),
+			Pragma:       resp.HeaderValue("Pragma"),
+			Expires:      resp.HeaderValue("Expires"),
+			Date:         resp.HeaderValue("Date"),
+			Age:          resp.HeaderValue("Age"),
+			ETag:         resp.HeaderValue("ETag"),
+			LastModified: resp.HeaderValue("Last-Modified"),
+		})
+		keep := resp.Status == 200 && want.Storable &&
+			!(want.AlwaysRevalidate && !want.HasValidator()) &&
+			!(want.Lifetime <= want.InitialAge && !want.HasValidator())
+		c := NewCache()
+		url := "https://a.example/" + strconv.Itoa(iter)
+		c.store(url, method, &resp, at)
+		e := c.entries[url]
+		if (e != nil) != keep {
+			t.Fatalf("headers %+v: stored = %v, want %v", resp.Headers, e != nil, keep)
+		}
+		if e == nil {
+			continue
+		}
+		stored++
+		if e.fresh != want {
+			t.Fatalf("headers %+v: stored freshness %+v, HeaderValue freshness %+v", resp.Headers, e.fresh, want)
+		}
+	}
+	if stored < 300 {
+		t.Fatalf("only %d of 3000 random responses were stored", stored)
 	}
 }

@@ -155,79 +155,6 @@ func requestTypeOf(c mimecat.Category, mime string) adblock.RequestType {
 	}
 }
 
-// entryHeaders holds the response header values the measure pass reads,
-// found in one scan of an entry's header list. Each field reads what
-// har.Response.HeaderValue returns for its name: the value of the first
-// header whose name matches ASCII-case-insensitively, or "" when none
-// does.
-type entryHeaders struct {
-	location, cacheControl, pragma, expires, date, server, via, xCache string
-}
-
-// scanHeaders reads the eight headers of entryHeaders from hs in one
-// pass. Names are told apart by length first, so most headers cost one
-// comparison.
-func scanHeaders(hs []har.Header) entryHeaders {
-	var h entryHeaders
-	var seen uint8
-	for i := range hs {
-		name := hs[i].Name
-		var dst *string
-		var bit uint8
-		switch len(name) {
-		case 3:
-			if lowerEq(name, "via") {
-				dst, bit = &h.via, 1<<0
-			}
-		case 4:
-			if lowerEq(name, "date") {
-				dst, bit = &h.date, 1<<1
-			}
-		case 6:
-			if lowerEq(name, "server") {
-				dst, bit = &h.server, 1<<2
-			} else if lowerEq(name, "pragma") {
-				dst, bit = &h.pragma, 1<<3
-			}
-		case 7:
-			if lowerEq(name, "x-cache") {
-				dst, bit = &h.xCache, 1<<4
-			} else if lowerEq(name, "expires") {
-				dst, bit = &h.expires, 1<<5
-			}
-		case 8:
-			if lowerEq(name, "location") {
-				dst, bit = &h.location, 1<<6
-			}
-		case 13:
-			if lowerEq(name, "cache-control") {
-				dst, bit = &h.cacheControl, 1<<7
-			}
-		}
-		if dst != nil && seen&bit == 0 {
-			seen |= bit
-			*dst = hs[i].Value
-		}
-	}
-	return h
-}
-
-// lowerEq reports whether s equals the lowercase ASCII name lower when
-// s's ASCII letters are lowercased, the header-name match HeaderValue
-// makes. The lengths are equal.
-func lowerEq(s, lower string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != lower[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // entryView is everything the measure pass reads from one HAR entry,
 // each field derived once: the analyzers take these fields instead of
 // re-parsing the entry.
@@ -235,8 +162,8 @@ type entryView struct {
 	host     string           // urlx.Host of the request URL
 	cat      mimecat.Category // the one mimecat.Of of the response MIME
 	reqType  adblock.RequestType
-	urlLower string // the request URL lowercased, for hb
-	hdr      entryHeaders
+	urlLower string           // the request URL lowercased, for hb
+	hdr      har.KnownHeaders // one har.ScanHeaders of the response headers
 }
 
 func viewOf(e *har.Entry) entryView {
@@ -246,7 +173,7 @@ func viewOf(e *har.Entry) entryView {
 		cat:      cat,
 		reqType:  requestTypeOf(cat, e.Response.MIMEType),
 		urlLower: strings.ToLower(e.Request.URL),
-		hdr:      scanHeaders(e.Response.Headers),
+		hdr:      har.ScanHeaders(e.Response.Headers),
 	}
 }
 
@@ -271,7 +198,7 @@ func newPageTimings(log *har.Log) pageTimings {
 // only code that fills those fields, for the full measure pass and the
 // timings-only pass alike. host and hdr are the entry's parsed host and
 // headers.
-func (t *pageTimings) addEntry(e *har.Entry, host string, hdr *entryHeaders, cdn *cdndetect.Detector) (viaCDN bool) {
+func (t *pageTimings) addEntry(e *har.Entry, host string, hdr *har.KnownHeaders, cdn *cdndetect.Detector) (viaCDN bool) {
 	if e.Timings.NewConnection() {
 		t.Handshakes++
 		t.HandshakeTime += e.Timings.Handshake()
@@ -282,10 +209,10 @@ func (t *pageTimings) addEntry(e *har.Entry, host string, hdr *entryHeaders, cdn
 	if cdn == nil || e.FromCache != "" || e.Revalidated {
 		return false
 	}
-	if _, ok := cdn.Attribute(host, hdr.server, hdr.via); !ok {
+	if _, ok := cdn.Attribute(host, hdr.Server, hdr.Via); !ok {
 		return false
 	}
-	switch cdndetect.CacheStatus(hdr.xCache) {
+	switch cdndetect.CacheStatus(hdr.XCache) {
 	case 1:
 		t.CDNHits++
 	case -1:
@@ -301,7 +228,7 @@ func measureTimings(log *har.Log, cdn *cdndetect.Detector) pageTimings {
 	t := newPageTimings(log)
 	for i := range log.Entries {
 		e := &log.Entries[i]
-		hdr := scanHeaders(e.Response.Headers)
+		hdr := har.ScanHeaders(e.Response.Headers)
 		t.addEntry(e, urlx.Host(e.Request.URL), &hdr, cdn)
 	}
 	return t
@@ -408,7 +335,7 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 		// Insecure redirects are visible in the HAR: a 301 whose
 		// Location target is plain HTTP.
 		if !m.InsecureRedirect && e.Response.Status/100 == 3 &&
-			strings.HasPrefix(v.hdr.location, "http://") {
+			strings.HasPrefix(v.hdr.Location, "http://") {
 			m.InsecureRedirect = true
 		}
 
@@ -435,10 +362,10 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 		} else if httpsem.Cacheable(httpsem.Response{
 			Method:       e.Request.Method,
 			Status:       e.Response.Status,
-			CacheControl: v.hdr.cacheControl,
-			Pragma:       v.hdr.pragma,
-			Expires:      v.hdr.expires,
-			Date:         v.hdr.date,
+			CacheControl: v.hdr.CacheControl,
+			Pragma:       v.hdr.Pragma,
+			Expires:      v.hdr.Expires,
+			Date:         v.hdr.Date,
 		}) {
 			m.CacheableBytes += e.Response.BodySize
 		} else {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/adblock"
 	"repro/internal/browser"
 	"repro/internal/cdndetect"
-	"repro/internal/detrand"
 	"repro/internal/har"
 	"repro/internal/hb"
 	"repro/internal/mimecat"
@@ -444,54 +442,6 @@ func TestRequestTypeOfNormalisesMIME(t *testing.T) {
 	}}
 	if got := MeasureHAR(log, Analyzers{Adblock: rules}).TrackerRequests; got != 1 {
 		t.Errorf("TrackerRequests = %d, want the stylesheet blocked", got)
-	}
-}
-
-// TestScanHeadersMatchesHeaderValue holds the one-scan header view to
-// har.Response.HeaderValue over random header lists: duplicate names,
-// mixed case, empty values, absent headers and non-ASCII near misses.
-func TestScanHeadersMatchesHeaderValue(t *testing.T) {
-	names := []string{"Location", "Cache-Control", "Pragma", "Expires", "Date", "Server", "Via", "X-Cache"}
-	decoys := []string{"Content-Type", "ETag", "Age", "X-Cache-Status", "Vía", "ſerver", "Dat", "Locations", "", "X_Cache"}
-	get := func(h *entryHeaders, name string) string {
-		return map[string]string{
-			"Location": h.location, "Cache-Control": h.cacheControl, "Pragma": h.pragma,
-			"Expires": h.expires, "Date": h.date, "Server": h.server, "Via": h.via, "X-Cache": h.xCache,
-		}[name]
-	}
-	rng := detrand.New(3)
-	// mixCase flips the case of random ASCII letters.
-	mixCase := func(s string) string {
-		b := []byte(s)
-		for i, c := range b {
-			if ('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z') && rng.Intn(2) == 0 {
-				b[i] = c ^ 0x20
-			}
-		}
-		return string(b)
-	}
-	for iter := 0; iter < 2000; iter++ {
-		var resp har.Response
-		for n := rng.Intn(12); n > 0; n-- {
-			var name string
-			if rng.Intn(4) == 0 {
-				name = decoys[rng.Intn(len(decoys))]
-			} else {
-				name = names[rng.Intn(len(names))]
-			}
-			name = mixCase(name)
-			value := ""
-			if rng.Intn(5) != 0 {
-				value = "v" + strconv.Itoa(rng.Intn(1000))
-			}
-			resp.Headers = append(resp.Headers, har.Header{Name: name, Value: value})
-		}
-		h := scanHeaders(resp.Headers)
-		for _, name := range names {
-			if got, want := get(&h, name), resp.HeaderValue(name); got != want {
-				t.Fatalf("headers %+v: view %s = %q, HeaderValue = %q", resp.Headers, name, got, want)
-			}
-		}
 	}
 }
 

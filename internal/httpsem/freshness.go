@@ -93,8 +93,11 @@ func ComputeFreshness(r Response) Freshness {
 	if f.Lifetime < 0 {
 		f.Lifetime = 0
 	}
-	if secs, err := strconv.Atoi(strings.TrimSpace(r.Age)); err == nil && secs > 0 {
-		f.InitialAge = time.Duration(secs) * time.Second
+	// Atoi("") would allocate its error on every response without Age.
+	if r.Age != "" {
+		if secs, err := strconv.Atoi(strings.TrimSpace(r.Age)); err == nil && secs > 0 {
+			f.InitialAge = time.Duration(secs) * time.Second
+		}
 	}
 	return f
 }

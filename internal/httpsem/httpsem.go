@@ -163,9 +163,122 @@ func pragmaNoCache(r Response) bool {
 // RFC 1123 exclusively (the http.TimeFormat shape), so that is the one
 // layout accepted; anything else is the malformed-date case callers
 // treat as "already expired".
+//
+// The IMF-fixdate FormatDate writes ("Mon, 02 Jan 2006 15:04:05 GMT",
+// 29 bytes) is read field by field, with no layout interpretation and
+// no allocation. Every other input goes to time.ParseInLocation with
+// the RFC 1123 layout in UTC, which is also the oracle for the fast
+// path (FuzzParseHTTPDate): every string the fast path accepts, the
+// layout parser accepts as the same instant. Anchoring to UTC rather
+// than time.Local keeps a zone name the layout cannot resolve, such as
+// "PST", from picking up the process's zone offset.
 func parseHTTPDate(v string) (time.Time, bool) {
-	t, err := time.Parse(time.RFC1123, v)
+	if t, ok := parseIMFFixdate(v); ok {
+		return t, true
+	}
+	t, err := time.ParseInLocation(time.RFC1123, v, time.UTC)
 	return t, err == nil
+}
+
+// parseIMFFixdate reads v if it is exactly "Www, DD Mmm YYYY hh:mm:ss
+// GMT" with in-range fields. Like time.Parse, it matches day and month
+// names ASCII-case-insensitively and does not check the weekday
+// against the date. It reports false for anything else, including
+// strings time.Parse would still accept (a one-digit hour, fractional
+// seconds, another zone), which parseHTTPDate hands to the layout
+// parser.
+func parseIMFFixdate(v string) (time.Time, bool) {
+	if len(v) != 29 || v[3] != ',' || v[4] != ' ' || v[7] != ' ' || v[11] != ' ' ||
+		v[16] != ' ' || v[19] != ':' || v[22] != ':' || v[25:] != " GMT" {
+		return time.Time{}, false
+	}
+	if nameIndex(dayKeys, v[0:3]) < 0 {
+		return time.Time{}, false
+	}
+	month := nameIndex(monthKeys, v[8:11]) + 1
+	day, ok1 := get2(v[5:7])
+	century, ok2 := get2(v[12:14])
+	yy, ok3 := get2(v[14:16])
+	hour, ok4 := get2(v[17:19])
+	minute, ok5 := get2(v[20:22])
+	sec, ok6 := get2(v[23:25])
+	year := century*100 + yy
+	if month == 0 || !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6) ||
+		hour > 23 || minute > 59 || sec > 59 || day < 1 || day > daysIn(month, year) {
+		return time.Time{}, false
+	}
+	secs := unixDays(year, month, day)*86400 + int64(hour*3600+minute*60+sec)
+	return time.Unix(secs, 0).UTC(), true
+}
+
+// unixDays returns the days from 1970-01-01 to year-month-day in the
+// proleptic Gregorian calendar, for years 0 through 9999. It is Howard
+// Hinnant's days_from_civil: years start in March, so the leap day
+// ends one, and are shifted by one 400-year era to stay non-negative.
+func unixDays(year, month, day int) int64 {
+	y := year + 400
+	if month <= 2 {
+		y--
+	}
+	era, yoe := y/400, y%400
+	doy := (153*((month+9)%12)+2)/5 + day - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return int64(era*146097+doe) - 719468 - 146097
+}
+
+const dayNames, monthNames = "SunMonTueWedThuFriSat", "JanFebMarAprMayJunJulAugSepOctNovDec"
+
+// dayKeys and monthKeys are the names' fold3 keys, in order.
+var dayKeys, monthKeys = foldNames(dayNames), foldNames(monthNames)
+
+func foldNames(names string) []uint32 {
+	keys := make([]uint32, len(names)/3)
+	for i := range keys {
+		keys[i] = fold3(names[3*i:])
+	}
+	return keys
+}
+
+// nameIndex returns the index of s's three-letter name in keys, or -1.
+// It matches as time.Parse matches day and month names, ASCII
+// case-insensitively: the names are letters only, and a byte c equals
+// the letter n up to ASCII case exactly when c|0x20 == n|0x20.
+func nameIndex(keys []uint32, s string) int {
+	key := fold3(s)
+	for i, k := range keys {
+		if k == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// fold3 packs the first three bytes of s, each with bit 0x20 set.
+func fold3(s string) uint32 {
+	return uint32(s[0]|0x20)<<16 | uint32(s[1]|0x20)<<8 | uint32(s[2]|0x20)
+}
+
+// get2 reads two decimal digits.
+func get2(s string) (int, bool) {
+	if s[0] < '0' || s[0] > '9' || s[1] < '0' || s[1] > '9' {
+		return 0, false
+	}
+	return int(s[0]-'0')*10 + int(s[1]-'0'), true
+}
+
+// daysIn returns the number of days in month of year (proleptic
+// Gregorian, year 0 a leap year, as time.Date counts).
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
 }
 
 // FormatDate renders t in UTC as an HTTP IMF-fixdate ("Mon, 02 Jan 2006
@@ -181,14 +294,13 @@ func FormatDate(t time.Time) string {
 		return t.Format("Mon, 02 Jan 2006 15:04:05 GMT")
 	}
 	hour, minute, sec := t.Clock()
-	const days, months = "SunMonTueWedThuFriSat", "JanFebMarAprMayJunJulAugSepOctNovDec"
 	var b [29]byte
 	wd, mo := 3*int(t.Weekday()), 3*(int(month)-1)
-	copy(b[0:3], days[wd:wd+3])
+	copy(b[0:3], dayNames[wd:wd+3])
 	b[3], b[4] = ',', ' '
 	put2(b[5:7], day)
 	b[7] = ' '
-	copy(b[8:11], months[mo:mo+3])
+	copy(b[8:11], monthNames[mo:mo+3])
 	b[11] = ' '
 	put2(b[12:14], year/100)
 	put2(b[14:16], year%100)

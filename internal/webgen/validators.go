@@ -38,10 +38,7 @@ func assignValidators(m *PageModel) {
 		}
 		h := fnv64(o.URL)
 		o.MaxAgeSecs = maxAgeFor(o.Role, h)
-		// strconv renders what the old %q-of-%08x-%x pair produced, with
-		// no format-verb boxing; ETags are minted per cacheable object
-		// on every page build.
-		o.ETag = strconv.Quote(hex8(uint32(h)) + "-" + strconv.FormatInt(o.Size, 16))
+		o.ETag = etag(uint32(h), o.Size)
 		// Last modified up to ~90 days before the study window.
 		age := time.Duration(1+h%(90*24*3600)) * time.Second
 		o.LastModified = httpsem.FormatDate(validatorEpoch.Add(-age))
@@ -111,11 +108,19 @@ func (o *Object) CacheControl(idx int) string {
 	}
 }
 
-// hex8 renders v like the %08x verb: zero-padded 8-digit lowercase hex.
-func hex8(v uint32) string {
-	s := strconv.FormatUint(uint64(v), 16)
-	for len(s) < 8 {
-		s = "0" + s
+// etag renders the quoted entity-tag "%08x-%x" of the URL hash's low
+// 32 bits and the object size. ETags are minted per cacheable object on
+// every page build, so it appends into a stack buffer and allocates
+// only the returned string.
+func etag(h uint32, size int64) string {
+	const hexDigits = "0123456789abcdef"
+	// Two quotes, eight digits, a dash and at most 17 bytes of size.
+	var b [28]byte
+	buf := append(b[:0], '"')
+	for shift := 28; shift >= 0; shift -= 4 {
+		buf = append(buf, hexDigits[h>>shift&0xf])
 	}
-	return s
+	buf = append(buf, '-')
+	buf = strconv.AppendInt(buf, size, 16)
+	return string(append(buf, '"'))
 }
