@@ -148,12 +148,14 @@ func BenchmarkPageLoad(b *testing.B) {
 	resolver := dnssim.NewResolver(dnssim.ResolverConfig{
 		Name: "isp", Seed: 7, WarmQueryRate: 0.8,
 	}, web.Authority(), nil)
-	warm := cdn.PopularityWarmth(2.2, 0.97)
+	// One network reset for every load, as the study's worker does.
+	edges := cdn.NewNetwork(1<<14, cdn.PopularityWarmth(2.2, 0.97), 7)
 	br, err := browser.New(browser.Config{
 		Seed:     7,
 		Resolver: resolver,
 		CDNFactory: func() *cdn.Network {
-			return cdn.NewNetwork(1<<14, warm, 7)
+			edges.Reset(7)
+			return edges
 		},
 	})
 	if err != nil {
@@ -187,12 +189,14 @@ func BenchmarkWarmLoad(b *testing.B) {
 	resolver := dnssim.NewResolver(dnssim.ResolverConfig{
 		Name: "isp", Seed: 7, WarmQueryRate: 0.8,
 	}, web.Authority(), nil)
-	warm := cdn.PopularityWarmth(2.2, 0.97)
+	// One network reset for every load, as the study's worker does.
+	edges := cdn.NewNetwork(1<<14, cdn.PopularityWarmth(2.2, 0.97), 7)
 	br, err := browser.New(browser.Config{
 		Seed:     7,
 		Resolver: resolver,
 		CDNFactory: func() *cdn.Network {
-			return cdn.NewNetwork(1<<14, warm, 7)
+			edges.Reset(7)
+			return edges
 		},
 	})
 	if err != nil {

@@ -102,10 +102,17 @@ type Browser struct {
 // here is reset at the top of loadAttempt and nothing in it escapes a
 // load, except the HAR storage: the returned log owns its entry array
 // and header slab until the caller hands it back with Release, and only
-// then do lent and free let a later load reuse them.
+// then do lent and free let a later load reuse them. Reset keeps all of
+// it for the browser's next configuration.
 type loadScratch struct {
-	net       *simnet.Model
+	net *simnet.Model
+	// pools maps the current load's origins to their connection pools;
+	// live lists those pools in creation order and spare holds the pools
+	// of earlier loads, emptied, for the next new origins. The map never
+	// holds an origin past its load.
 	pools     map[string]*pool
+	live      []*pool
+	spare     []*pool
 	dnsDone   map[string]time.Duration
 	dnsCost   map[string]time.Duration
 	origins   map[string]bool
@@ -119,14 +126,6 @@ type loadScratch struct {
 	events    byAt
 	state     loadState
 
-	// originKey caches "scheme://host" per object for the current page
-	// model: the study fetches the same model ~10 times, and the two
-	// per-fetch concatenations were the load path's top conv findings.
-	// Keyed by pointer identity; the strong reference keeps the model
-	// alive so a recycled address cannot alias a stale cache.
-	keyModel  *webgen.PageModel
-	originKey []string
-
 	// originOrder lists originRTT's keys in the order the page first
 	// references them.
 	originOrder []string
@@ -138,6 +137,8 @@ type loadScratch struct {
 	// more than maxLent stores.
 	lent []logStore
 	free []logStore
+	// releasing records that the caller hands logs back.
+	releasing bool
 }
 
 // maxLent is how many unreleased logs Release still recognises, the
@@ -145,43 +146,71 @@ type loadScratch struct {
 // release both. An older log's storage is left to the garbage collector.
 const maxLent = 2
 
+// maxKeptEntries bounds the entry array Reset keeps for the next
+// configuration: room for a typical page. A bigger store serves the
+// loads until Reset and is then left to the garbage collector, so a
+// browser reused for a whole study holds a typical page's storage
+// between sites, not its largest page's.
+const maxKeptEntries = 256
+
 // maxRespHeaders bounds the headers one entry carries: 3 base +
-// Location + Cache-Control + two validators + three CDN headers. A
-// header slab holds maxRespHeaders slots per object.
+// Location + Cache-Control + two validators + three CDN headers.
 const maxRespHeaders = 10
 
+// respHeaderSlots bounds the headers fetch gives o's response, at most
+// maxRespHeaders: Content-Type, Server, Date and Cache-Control, plus
+// Location on a redirect, the two validators on a cacheable object and
+// X-Cache, Via and Age on a CDN-served one. A header slab holds this
+// many slots for each object of the page.
+func respHeaderSlots(o *webgen.Object) int {
+	n := 4
+	if o.Role == webgen.RoleRedirect {
+		n++
+	}
+	if o.Cacheable {
+		n += 2
+	}
+	if o.ViaCDN != "" {
+		n += 3
+	}
+	return n
+}
+
 // logStore is the storage behind one returned log: its entry array and
-// the slab its entries' own headers were cut from (nil when the load
-// had no slab and allocated each header list separately).
+// the slab its entries' own headers were cut from, up to the last header
+// the load used (nil when the load had no slab and allocated each header
+// list separately).
 type logStore struct {
 	log     *har.Log
 	entries []har.Entry
 	slab    []har.Header
 }
 
-// storage returns zeroed entries for an n-object load and the header
-// slab to cut its header lists from. With nothing released it keeps the
-// exact sizing of a log nobody will hand back: a fresh n-entry array and
-// no slab. Released storage is reused, and grown with headroom when a
-// bigger page needs more.
-func (sc *loadScratch) storage(n int) ([]har.Entry, []har.Header) {
-	k := len(sc.free) - 1
-	if k < 0 {
+// storage returns zeroed entries for an n-object load and a zeroed
+// header slab of at least slots headers to cut its header lists from.
+// For a caller that has never released a log it keeps the exact sizing
+// of a log nobody will hand back: a fresh n-entry array and no slab.
+// Released storage, zeroed by Release, is reused, and grown with
+// headroom when a bigger page needs more; with none free, a releasing
+// caller gets new storage sized the same way.
+func (sc *loadScratch) storage(n, slots int) ([]har.Entry, []har.Header) {
+	var st logStore
+	if k := len(sc.free) - 1; k >= 0 {
+		st = sc.free[k]
+		sc.free[k] = logStore{}
+		sc.free = sc.free[:k]
+	} else if !sc.releasing {
 		return make([]har.Entry, n), nil
 	}
-	st := sc.free[k]
-	sc.free[k] = logStore{}
-	sc.free = sc.free[:k]
 	entries := st.entries
 	if cap(entries) < n {
 		entries = make([]har.Entry, n, n+n/4)
 	} else {
 		entries = entries[:n]
-		clear(entries)
 	}
 	slab := st.slab
-	if need := n * maxRespHeaders; cap(slab) < need {
-		slab = make([]har.Header, need+need/4)
+	if cap(slab) < slots {
+		slab = make([]har.Header, slots+slots/4)
 	}
 	return entries, slab[:cap(slab)]
 }
@@ -216,8 +245,15 @@ func (b *Browser) Release(log *har.Log) {
 		sc.lent[last] = logStore{}
 		sc.lent = sc.lent[:last]
 		log.Entries = nil
+		sc.releasing = true
 		st.log = nil
-		st.entries = st.entries[:cap(st.entries)]
+		// Zeroed now, so neither a slot the next load leaves unwritten
+		// nor a store waiting in free keeps this page's strings
+		// reachable.
+		clear(st.entries[:cap(st.entries)])
+		clear(st.slab)
+		st.entries = st.entries[:0]
+		st.slab = st.slab[:cap(st.slab)]
 		sc.free = append(sc.free, st)
 		return
 	}
@@ -247,32 +283,41 @@ func boolSlice(s []bool, n int) []bool {
 	return s
 }
 
-// originKeys returns the per-object "scheme://host" strings for m,
-// rebuilding the cache only when the model changes.
-func (sc *loadScratch) originKeys(m *webgen.PageModel) []string {
-	if sc.keyModel == m {
-		return sc.originKey
-	}
-	if cap(sc.originKey) < len(m.Objects) {
-		sc.originKey = make([]string, len(m.Objects))
-	}
-	sc.originKey = sc.originKey[:len(m.Objects)]
-	for i, o := range m.Objects {
-		sc.originKey[i] = o.Scheme + "://" + o.Host
-	}
-	sc.keyModel = m
-	return sc.originKey
-}
-
 // New creates a Browser.
 func New(cfg Config) (*Browser, error) {
+	b := &Browser{}
+	if err := b.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Reset gives b the configuration New(cfg) would, so a caller that moves
+// on to another site can keep the browser's storage: released log
+// storage, connection pool objects, per-load slices and the load
+// model, which every load re-seeds. Nothing else carries over: the
+// cache, resolver, CDN factory, seed and trace are cfg's. Logs returned
+// before Reset stay valid, and Release no longer recognises them.
+func (b *Browser) Reset(cfg Config) error {
 	if cfg.Resolver == nil {
-		return nil, fmt.Errorf("browser: Config.Resolver is required")
+		return fmt.Errorf("browser: Config.Resolver is required")
 	}
 	if cfg.CDNFactory == nil {
-		return nil, fmt.Errorf("browser: Config.CDNFactory is required")
+		return fmt.Errorf("browser: Config.CDNFactory is required")
 	}
-	return &Browser{cfg: cfg}, nil
+	b.cfg = cfg
+	sc := &b.scratch
+	clear(sc.lent)
+	sc.lent = sc.lent[:0]
+	kept := sc.free[:0]
+	for _, st := range sc.free {
+		if cap(st.entries) <= maxKeptEntries {
+			kept = append(kept, st)
+		}
+	}
+	clear(sc.free[len(kept):])
+	sc.free = kept
+	return nil
 }
 
 // SetCache installs (or, with nil, removes) the private HTTP cache used
@@ -309,10 +354,6 @@ func (p *pool) open(freeAt time.Duration) *conn {
 	p.conns = append(p.conns, c)
 	return c
 }
-
-// maxPools bounds how many per-origin pools a browser keeps across
-// loads for reuse; past it the next load starts from an empty map.
-const maxPools = 512
 
 // fetchTask is an object ready (or about to be ready) to fetch.
 type fetchTask struct {
@@ -448,21 +489,26 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 		sc.origins = make(map[string]bool, 8)
 		sc.originRTT = make(map[string]time.Duration, 8)
 	} else {
-		// Pools outlive the load so their conn objects are reused. An
-		// emptied pool behaves exactly like a missing one.
-		if len(sc.pools) > maxPools {
-			clear(sc.pools)
-		}
-		for _, p := range sc.pools {
+		// Pool objects outlive the load so their conns are reused. An
+		// emptied pool behaves exactly like a new one.
+		for i, p := range sc.live {
 			p.conns = p.conns[:0]
+			sc.spare = append(sc.spare, p)
+			sc.live[i] = nil
 		}
+		sc.live = sc.live[:0]
+		clear(sc.pools)
 		clear(sc.dnsDone)
 		clear(sc.dnsCost)
 		clear(sc.origins)
 		clear(sc.originRTT)
 	}
 	n := len(m.Objects)
-	entries, slab := sc.storage(n)
+	slots := 0
+	for _, o := range m.Objects {
+		slots += respHeaderSlots(o)
+	}
+	entries, slab := sc.storage(n, slots)
 	sc.done = durSlice(sc.done, n)
 	sc.starts = durSlice(sc.starts, n)
 	sc.fetched = boolSlice(sc.fetched, n)
@@ -487,7 +533,6 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 		fetched:   sc.fetched,
 		attempted: sc.attempted,
 		failed:    sc.failed,
-		originKey: sc.originKeys(m),
 		tls13:     site.Profile.TLS13 || b.cfg.Protocol.ForceTLS13,
 		origLoc:   site.Origin,
 		navStart:  navStart,
@@ -495,9 +540,10 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 	}
 	// Pre-compute a representative RTT per origin so hints (preconnect)
 	// pay the true handshake cost of the origin they warm.
+	clear(sc.originOrder)
 	sc.originOrder = sc.originOrder[:0]
-	for i, o := range m.Objects {
-		key := state.originKey[i]
+	for _, o := range m.Objects {
+		key := o.Origin()
 		if _, ok := state.originRTT[key]; !ok {
 			state.originRTT[key] = state.rttFor(o)
 			sc.originOrder = append(sc.originOrder, key)
@@ -517,10 +563,10 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 	// along with the typed error.
 	rootDone, rootOK := state.fetch(0, 0)
 	if !rootOK {
-		log.Entries = state.compactEntries()
-		sc.lend(log, slab)
 		phase := state.entries[0].Aborted
 		b.recordTrace(state, fetchID, attempt, revisit, 0, phase)
+		log.Entries = state.compactEntries()
+		sc.lend(log, slab[:state.slabUsed])
 		return log, &LoadError{URL: m.URL, Phase: phase, Attempt: attempt, Err: sentinelForPhase(phase)}
 	}
 	discovery := rootDone + parseDelay
@@ -598,10 +644,10 @@ func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit
 		state.fetch(i, discovery)
 	}
 
-	log.Entries = state.compactEntries()
-	sc.lend(log, slab)
 	log.Page.Timings = state.pageTimings(rootDone)
 	b.recordTrace(state, fetchID, attempt, revisit, log.Page.Timings.OnLoad, "")
+	log.Entries = state.compactEntries()
+	sc.lend(log, slab[:state.slabUsed])
 	return log, nil
 }
 
@@ -622,9 +668,8 @@ type loadState struct {
 	done      []time.Duration
 	starts    []time.Duration
 	fetched   []bool
-	attempted []bool   // a fetch ran (successfully or not) and has an entry
-	failed    []bool   // the fetch ran and died; children stay undiscovered
-	originKey []string // per-object "scheme://host", cached on the scratch
+	attempted []bool // a fetch ran (successfully or not) and has an entry
+	failed    []bool // the fetch ran and died; children stay undiscovered
 	anyFault  bool
 	tls13     bool
 	origLoc   simnet.Loc
@@ -749,12 +794,7 @@ func (s *loadState) preconnect(origin string, at time.Duration) {
 	if err != nil {
 		return
 	}
-	key := origin
-	p := s.pools[key]
-	if p == nil {
-		p = &pool{}
-		s.pools[key] = p
-	}
+	p := s.pool(origin)
 	if len(p.conns) >= maxConnsPerOrigin || s.nConns >= maxConns {
 		return
 	}
@@ -768,6 +808,26 @@ func (s *loadState) preconnect(origin string, at time.Duration) {
 	}
 	p.open(ready + hs)
 	s.nConns++
+}
+
+// pool returns origin's connection pool, taking a spare pool for an
+// origin the load has not used yet.
+func (s *loadState) pool(origin string) *pool {
+	p := s.pools[origin]
+	if p != nil {
+		return p
+	}
+	sc := &s.b.scratch
+	if k := len(sc.spare) - 1; k >= 0 {
+		p = sc.spare[k]
+		sc.spare[k] = nil
+		sc.spare = sc.spare[:k]
+	} else {
+		p = &pool{}
+	}
+	s.pools[origin] = p
+	sc.live = append(sc.live, p)
+	return p
 }
 
 func hasTLS(origin string) bool { return len(origin) >= 6 && origin[:6] == "https:" }
@@ -792,7 +852,7 @@ func (s *loadState) fetch(idx int, readyAt time.Duration) (time.Duration, bool) 
 		}
 	}
 
-	origin := s.originKey[idx]
+	origin := o.Origin()
 	s.origins[origin] = true
 	rtt := s.rttFor(o)
 
@@ -819,11 +879,7 @@ func (s *loadState) fetch(idx int, readyAt time.Duration) (time.Duration, bool) 
 	fault := s.net.DrawFault(origin)
 
 	// Connection acquisition.
-	p := s.pools[origin]
-	if p == nil {
-		p = &pool{}
-		s.pools[origin] = p
-	}
+	p := s.pool(origin)
 	h2 := s.b.cfg.Protocol.H2Multiplex
 	handshake := func() (connect, tls time.Duration) {
 		if s.b.cfg.Protocol.QUIC {
@@ -1013,7 +1069,7 @@ func (s *loadState) fetch(idx int, readyAt time.Duration) (time.Duration, bool) 
 		status = 204
 	}
 	// Room for the worst case up front, so appends never regrow.
-	headers := s.headers(3, maxRespHeaders)
+	headers := s.headers(3, respHeaderSlots(o))
 	headers[0] = har.Header{Name: "Content-Type", Value: o.MIME}
 	headers[1] = har.Header{Name: "Server", Value: server}
 	headers[2] = har.Header{Name: "Date", Value: s.date(s.navStart.Add(start + timings.Send + timings.Wait))}
@@ -1180,18 +1236,22 @@ func (s *loadState) closeConn(origin string, c *conn) {
 
 // compactEntries returns the recorded entries in object order, skipping
 // objects that were never attempted (children of dead fetches). In a
-// fault-free load this is the full entry set, untouched.
+// fault-free load this is the full entry set, untouched. It compacts in
+// place and zeroes the entries it vacates, so it runs after everything
+// that reads an entry by object index.
 func (s *loadState) compactEntries() []har.Entry {
 	if !s.anyFault {
 		return s.entries
 	}
-	out := make([]har.Entry, 0, len(s.entries))
+	k := 0
 	for i := range s.entries {
 		if s.attempted[i] {
-			out = append(out, s.entries[i])
+			s.entries[k] = s.entries[i]
+			k++
 		}
 	}
-	return out
+	clear(s.entries[k:])
+	return s.entries[:k]
 }
 
 // popFactor maps object popularity to an origin-side processing-time

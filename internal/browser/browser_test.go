@@ -23,16 +23,24 @@ func testBrowser(t *testing.T, warmRate float64) (*Browser, *webgen.Web) {
 		Name: "isp", Seed: 51, WarmQueryRate: 0.8,
 	}, web.Authority(), nil)
 	b, err := New(Config{
-		Seed:     51,
-		Resolver: resolver,
-		CDNFactory: func() *cdn.Network {
-			return cdn.NewNetwork(1<<14, cdn.PopularityWarmth(warmRate, 0.97), 51)
-		},
+		Seed:       51,
+		Resolver:   resolver,
+		CDNFactory: resetNetwork(warmRate),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b, web
+}
+
+// resetNetwork returns a CDN factory that hands every load one network,
+// reset to the state cdn.NewNetwork builds, as the study's factory does.
+func resetNetwork(warmRate float64) func() *cdn.Network {
+	n := cdn.NewNetwork(1<<14, cdn.PopularityWarmth(warmRate, 0.97), 51)
+	return func() *cdn.Network {
+		n.Reset(51)
+		return n
+	}
 }
 
 func TestLoadProducesCompleteHAR(t *testing.T) {

@@ -91,12 +91,10 @@ func faultyBrowser(t *testing.T, web *webgen.Web, faults simnet.FaultConfig, dns
 		Name: "isp", Seed: 51, WarmQueryRate: 0.8, FailProb: dnsFail,
 	}, web.Authority(), nil)
 	b, err := New(Config{
-		Seed:     51,
-		Resolver: resolver,
-		Net:      simnet.Config{Faults: faults},
-		CDNFactory: func() *cdn.Network {
-			return cdn.NewNetwork(1<<14, cdn.PopularityWarmth(2.2, 0.97), 51)
-		},
+		Seed:       51,
+		Resolver:   resolver,
+		Net:        simnet.Config{Faults: faults},
+		CDNFactory: resetNetwork(2.2),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dnssim"
 	"repro/internal/har"
 	"repro/internal/httpsem"
 	"repro/internal/simnet"
@@ -278,9 +279,9 @@ func TestWarmLoadAfterReleaseUsesCacheHeaders(t *testing.T) {
 	}
 }
 
-// TestReleasedReloadAllocations guards the point of Release: a reload
-// of the same page on released storage allocates fewer objects than the
-// log has entries.
+// TestReleasedReloadAllocations guards the point of Release and of a
+// reset CDN network: a reload of the same page on released storage
+// allocates a handful of objects, not a few per entry.
 func TestReleasedReloadAllocations(t *testing.T) {
 	b, web := testBrowser(t, 2.2)
 	m := web.Sites[0].Landing().Build()
@@ -296,8 +297,70 @@ func TestReleasedReloadAllocations(t *testing.T) {
 	reload()
 	reload()
 	allocs := testing.AllocsPerRun(20, reload)
-	if allocs >= float64(len(m.Objects)) {
-		t.Fatalf("released reload allocates %.0f objects for %d entries", allocs, len(m.Objects))
+	if allocs > 6 {
+		t.Fatalf("released reload allocates %.0f objects for %d entries, want at most 6", allocs, len(m.Objects))
 	}
 	t.Logf("%.0f allocations for %d entries", allocs, len(m.Objects))
+}
+
+// TestResetMatchesNew loads several sites' pages on one browser, Reset
+// before each site, and on a new browser per site: every log must
+// marshal to the same bytes, cold and faulted. A log returned before
+// Reset is no longer released, and stays intact.
+func TestResetMatchesNew(t *testing.T) {
+	_, web := testBrowser(t, 2.2)
+	faults := simnet.FaultConfig{Rates: simnet.FaultRates{Timeout: 0.01, Truncate: 0.01, Loss: 0.1}}
+	for _, net := range []simnet.Config{{}, {Faults: faults}} {
+		config := func(site int) Config {
+			resolver := dnssim.NewResolver(dnssim.ResolverConfig{
+				Name: "isp", Seed: int64(site), WarmQueryRate: 0.8,
+			}, web.Authority(), nil)
+			return Config{Seed: int64(51 + site), Resolver: resolver, Net: net, CDNFactory: resetNetwork(2.2)}
+		}
+		reused, err := New(config(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held *har.Log
+		var heldBytes []byte
+		for i, s := range web.Sites[:6] {
+			if i > 0 {
+				if err := reused.Reset(config(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fresh, err := New(config(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if held != nil {
+				reused.Release(held)
+				if held.Entries == nil || !bytes.Equal(harBytes(t, held), heldBytes) {
+					t.Fatal("Release after Reset freed or changed a log of the previous site")
+				}
+				held = nil
+			}
+			for k, p := range []*webgen.Page{s.Landing(), s.PageAt(1), s.PageAt(2)} {
+				m := p.Build()
+				for f := 0; f < 2; f++ {
+					lr, errR := reused.LoadRevisit(m, f, 0, 0)
+					lf, errF := fresh.LoadRevisit(m, f, 0, 0)
+					if (errR == nil) != (errF == nil) {
+						t.Fatalf("site %d %s fetch %d: errors differ: %v vs %v", i, m.URL, f, errR, errF)
+					}
+					if !bytes.Equal(harBytes(t, lr), harBytes(t, lf)) {
+						t.Fatalf("site %d %s fetch %d: reset browser's log differs from a new browser's", i, m.URL, f)
+					}
+					if k == 2 && f == 1 {
+						held, heldBytes = lr, harBytes(t, lr)
+						continue
+					}
+					reused.Release(lr)
+				}
+			}
+		}
+	}
+	if err := (&Browser{}).Reset(Config{}); err == nil {
+		t.Fatal("Reset accepted a config without a resolver")
+	}
 }

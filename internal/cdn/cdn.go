@@ -113,16 +113,21 @@ type Edge struct {
 	rng     *rand.Rand
 	warmth  WarmthFunc
 	cap     int
-	entries map[string]*entry
-	head    *entry // LRU list: head = most recent
-	tail    *entry
+	entries map[string]int32 // key -> index into nodes
+	nodes   []entry          // the LRU list's storage
+	head    int32            // most recent node, or none
+	tail    int32
 	hits    int
 	misses  int
 }
 
+// none marks an absent LRU link.
+const none = -1
+
+// entry is one cached key, linked into the LRU list by node index.
 type entry struct {
 	key        string
-	prev, next *entry
+	prev, next int32
 }
 
 // NewEdge creates an edge for provider with an LRU of capacity objects
@@ -136,8 +141,30 @@ func NewEdge(p Provider, capacity int, warmth WarmthFunc, seed int64) *Edge {
 		rng:      detrand.New(seed ^ int64(len(p.Name))),
 		warmth:   warmth,
 		cap:      capacity,
-		entries:  make(map[string]*entry),
+		entries:  make(map[string]int32),
+		head:     none,
+		tail:     none,
 	}
+}
+
+// reset re-seeds the edge as NewEdge seeds a new one and empties it,
+// keeping its map and node storage.
+func (e *Edge) reset(seed int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.rng.Seed(seed ^ int64(len(e.Provider.Name)))
+	e.empty()
+}
+
+// empty drops every cached key and the hit counts. e.mu must be held.
+func (e *Edge) empty() {
+	if len(e.nodes) > 0 {
+		clear(e.entries)
+		clear(e.nodes)
+		e.nodes = e.nodes[:0]
+	}
+	e.head, e.tail = none, none
+	e.hits, e.misses = 0, 0
 }
 
 // Serve handles a request for the object identified by key with the given
@@ -149,8 +176,8 @@ func (e *Edge) Serve(key string, popularity float64) ServeResult {
 	defer e.mu.Unlock()
 
 	think := time.Duration(3+e.rng.Intn(8)) * time.Millisecond
-	if en, ok := e.entries[key]; ok {
-		e.moveToFront(en)
+	if i, ok := e.entries[key]; ok {
+		e.moveToFront(i)
 		e.hits++
 		return ServeResult{Hit: true, Think: think}
 	}
@@ -184,56 +211,62 @@ func (e *Edge) Len() int {
 	return len(e.entries)
 }
 
-func (e *Edge) moveToFront(en *entry) {
-	if e.head == en {
+func (e *Edge) moveToFront(i int32) {
+	if e.head == i {
 		return
 	}
+	en := &e.nodes[i]
 	// unlink
-	if en.prev != nil {
-		en.prev.next = en.next
+	if en.prev != none {
+		e.nodes[en.prev].next = en.next
 	}
-	if en.next != nil {
-		en.next.prev = en.prev
+	if en.next != none {
+		e.nodes[en.next].prev = en.prev
 	}
-	if e.tail == en {
+	if e.tail == i {
 		e.tail = en.prev
 	}
-	// push front
-	en.prev = nil
+	e.pushFront(i)
+}
+
+// pushFront links unlinked node i in as the most recent.
+func (e *Edge) pushFront(i int32) {
+	en := &e.nodes[i]
+	en.prev = none
 	en.next = e.head
-	if e.head != nil {
-		e.head.prev = en
+	if e.head != none {
+		e.nodes[e.head].prev = i
 	}
-	e.head = en
-	if e.tail == nil {
-		e.tail = en
+	e.head = i
+	if e.tail == none {
+		e.tail = i
 	}
 }
 
+// insert caches key as the most recent entry, evicting the least recent
+// one when the edge is full; the new key takes the victim's node.
 func (e *Edge) insert(key string) {
-	en := &entry{key: key}
-	e.entries[key] = en
-	en.next = e.head
-	if e.head != nil {
-		e.head.prev = en
-	}
-	e.head = en
-	if e.tail == nil {
-		e.tail = en
-	}
-	for len(e.entries) > e.cap {
-		victim := e.tail
-		if victim == nil {
-			break
-		}
+	var i int32
+	if len(e.entries) >= e.cap && e.tail != none {
+		i = e.tail
+		victim := &e.nodes[i]
 		e.tail = victim.prev
-		if e.tail != nil {
-			e.tail.next = nil
+		if e.tail != none {
+			e.nodes[e.tail].next = none
 		} else {
-			e.head = nil
+			e.head = none
 		}
 		delete(e.entries, victim.key)
+	} else {
+		if e.entries == nil {
+			e.entries = make(map[string]int32)
+		}
+		e.nodes = append(e.nodes, entry{})
+		i = int32(len(e.nodes) - 1)
 	}
+	e.nodes[i].key = key
+	e.entries[key] = i
+	e.pushFront(i)
 }
 
 // XCacheHeader returns the X-Cache header value for a result, or "" if
@@ -259,6 +292,9 @@ type Network struct {
 
 	mu    sync.Mutex
 	edges [len(rosterNames)]*Edge
+	// current marks the edges handed out since the last Reset; any other
+	// built edge is empty and is re-seeded on its next use.
+	current [len(rosterNames)]bool
 }
 
 // NewNetwork returns a network over all providers; no edge exists yet.
@@ -274,11 +310,50 @@ func (n *Network) Edge(provider string) (*Edge, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.edges[i] == nil {
-		n.edges[i] = NewEdge(roster[i], n.capacity, n.warmth, n.seed+int64(i)*7919)
+	seed := n.seed + int64(i)*7919
+	switch {
+	case n.edges[i] == nil:
+		n.edges[i] = NewEdge(roster[i], n.capacity, n.warmth, seed)
+	case !n.current[i]:
+		n.edges[i].reset(seed)
 	}
+	n.current[i] = true
 	return n.edges[i], nil
 }
+
+// Reset makes n serve as NewNetwork would build it with seed, keeping
+// the capacity and warmth model and the edges' storage: every edge is
+// emptied at once, and re-seeded exactly as NewEdge seeds a new one on
+// its next Edge call. Edges handed out before Reset are reused, so their
+// callers must be done with them.
+func (n *Network) Reset(seed int64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.seed = seed
+	for i, e := range n.edges {
+		if e == nil {
+			continue
+		}
+		e.mu.Lock()
+		switch {
+		case n.current[i]:
+			e.empty()
+		case cap(e.nodes) > maxKeptKeys:
+			// Idle for a whole load: a big edge's storage goes, so a
+			// network reset for every load of a study holds what its
+			// recent loads used, not what its largest ever did.
+			e.entries, e.nodes = nil, nil
+		}
+		e.mu.Unlock()
+	}
+	n.current = [len(rosterNames)]bool{}
+}
+
+// maxKeptKeys bounds the storage an edge keeps through a load that does
+// not use it: the keys a typical page load sends a third-party CDN's
+// edge. A site's own CDN edge, used by every load of the site, keeps
+// its storage until the loads move on to another site.
+const maxKeptKeys = 32
 
 // Stats aggregates hits and misses across the edges built so far; an
 // untouched provider has served nothing.

@@ -2,6 +2,8 @@ package cdn
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -192,5 +194,83 @@ func TestConcurrentEdgeBuildsOnce(t *testing.T) {
 	}
 	if h, m := n.Stats(); h+m != len(got)*len(ps) {
 		t.Errorf("stats = %d/%d, want %d requests", h, m, len(got)*len(ps))
+	}
+}
+
+// TestNetworkResetMatchesNew drives one network through many Resets and
+// holds every reset state to a NewNetwork with the same seed: the same
+// answers, think times and stats over requests that hit, miss and evict,
+// on edges used before the Reset, left idle by it, and grown past the
+// storage an idle edge keeps.
+func TestNetworkResetMatchesNew(t *testing.T) {
+	ps := Providers()
+	for _, capacity := range []int{6, 1 << 14} {
+		warmth := PopularityWarmth(2.2, 0.97)
+		reused := NewNetwork(capacity, warmth, 0)
+		r := rand.New(rand.NewSource(int64(capacity)))
+		dropped := 0
+		for load := 0; load < 60; load++ {
+			seed := r.Int63()
+			for i, e := range reused.edges {
+				if e != nil && !reused.current[i] && cap(e.nodes) > maxKeptKeys {
+					dropped++
+				}
+			}
+			reused.Reset(seed)
+			fresh := NewNetwork(capacity, warmth, seed)
+			// Each load has a hot provider among four and sends the
+			// rest of its requests to four others: edges are reused,
+			// left idle and reused again, and a hot edge often holds
+			// more keys than an idle one keeps.
+			hot := r.Intn(4)
+			keys := 1 + r.Intn(4*maxKeptKeys)
+			for k := 0; k < keys; k++ {
+				p := ps[hot].Name
+				if r.Intn(4) == 0 {
+					p = ps[4+r.Intn(4)].Name
+				}
+				key := "https://a.example/" + strconv.Itoa(r.Intn(keys))
+				pop := r.Float64()
+				a, _ := reused.Edge(p)
+				b, _ := fresh.Edge(p)
+				if ra, rb := a.Serve(key, pop), b.Serve(key, pop); ra != rb {
+					t.Fatalf("capacity %d load %d request %d: reset network served %+v, new one %+v", capacity, load, k, ra, rb)
+				}
+				if a.Len() != b.Len() {
+					t.Fatalf("capacity %d load %d: reset edge holds %d keys, new one %d", capacity, load, a.Len(), b.Len())
+				}
+			}
+			ha, ma := reused.Stats()
+			hb, mb := fresh.Stats()
+			if ha != hb || ma != mb {
+				t.Fatalf("capacity %d load %d: stats %d/%d, new network %d/%d", capacity, load, ha, ma, hb, mb)
+			}
+		}
+		if capacity > maxKeptKeys && dropped == 0 {
+			t.Fatalf("capacity %d: no idle edge held more than %d keys at a Reset", capacity, maxKeptKeys)
+		}
+	}
+}
+
+// TestResetNetworkAllocations checks a reset network serves a load's
+// requests without building edges or a cache entry per miss.
+func TestResetNetworkAllocations(t *testing.T) {
+	n := NewNetwork(1<<14, PopularityWarmth(2.2, 0.97), 0)
+	keys := make([]string, 40)
+	for i := range keys {
+		keys[i] = "https://a.example/" + strconv.Itoa(i)
+	}
+	seed := int64(0)
+	load := func() {
+		seed++
+		n.Reset(seed)
+		for i, k := range keys {
+			e, _ := n.Edge(rosterNames[i%3])
+			e.Serve(k, 0.3)
+		}
+	}
+	load()
+	if a := testing.AllocsPerRun(50, load); a > 0 {
+		t.Fatalf("a load on a reset network allocates %.1f times", a)
 	}
 }

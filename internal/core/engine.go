@@ -7,6 +7,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/browser"
+	"repro/internal/cdn"
 	"repro/internal/hispar"
 	"repro/internal/runstats"
 	"repro/internal/trace"
@@ -57,6 +59,20 @@ func (c *Collector[R]) ConsumeSite(res *R, out *Outcome) error {
 // Flush does nothing: the sites are already collected.
 func (c *Collector[R]) Flush() error { return nil }
 
+// worker is the storage one engine worker owns and hands to every site
+// it measures: the page-model builder, the browser (Reset for each
+// site) and the CDN network its loads re-seed. Each site still starts
+// from its own seeds, clock, resolver and cache, and every reused buffer
+// is emptied before it is read, so no result depends on which worker
+// measured a site or what it measured before. Owning the storage, rather
+// than drawing it from a sync.Pool, keeps reuse independent of garbage
+// collection timing.
+type worker struct {
+	pages webgen.Builder
+	b     *browser.Browser
+	edges *cdn.Network
+}
+
 // siteDone carries one measured site from a worker to the fold.
 type siteDone[R any] struct {
 	i   int
@@ -86,7 +102,7 @@ type siteRun struct {
 // only whether the aggregate error rides along with the run, which is
 // never nil. measure records its metrics into the run's stats set.
 func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
-	measure func(i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (R, Outcome),
+	measure func(w *worker, i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (R, Outcome),
 	sinks []Sink[R]) (*siteRun, error) {
 	workers := st.cfg.Workers
 	if window <= 0 {
@@ -116,6 +132,7 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 		workerWG.Add(1)
 		go func(w int) {
 			defer workerWG.Done()
+			var own worker
 			var busy time.Duration
 			sites := 0
 			for i := range jobs {
@@ -124,7 +141,7 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 				// never per-worker: worker identity must not leak into the
 				// byte-stable trace.
 				rec := tr.Recorder(int64(i)+1, list.Sets[i].Rank)
-				r, out := measure(i, list.Sets[i], rec, rs)
+				r, out := measure(&own, i, list.Sets[i], rec, rs)
 				busy += vclock.WallSince(t0)
 				sites++
 				completed <- siteDone[R]{i: i, res: r, out: out, rec: rec}
@@ -280,13 +297,13 @@ func (s *siteSpans) record(i int, out *Outcome, rec *trace.Recorder) {
 var errNotInSnapshot = errors.New("not in web snapshot")
 
 // measureSite is the site-open prologue both per-site steps share: it
-// builds site i's isolated context, parents the browser's load spans
-// under the site span the fold will record, looks the site up in the web
-// snapshot, and then runs pages — the step's own page loop — on it,
-// recording the site's metrics into the run's set rs. An error from
-// pages fails the site with its class; Elapsed is the virtual time the
-// page loop consumed, failures included.
-func measureSite[R any](st *Study, i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set,
+// builds site i's isolated context on w's storage, parents the
+// browser's load spans under the site span the fold will record, looks
+// the site up in the web snapshot, and then runs pages — the step's own
+// page loop — on it, recording the site's metrics into the run's set
+// rs. An error from pages fails the site with its class; Elapsed is the
+// virtual time the page loop consumed, failures included.
+func measureSite[R any](st *Study, w *worker, i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set,
 	pages func(sc *siteCtx, site *webgen.Site, out *Outcome) (R, error)) (R, Outcome) {
 	out := Outcome{Domain: set.Domain, Rank: set.Rank}
 	fail := func(err error, class ErrorClass) (R, Outcome) {
@@ -295,7 +312,7 @@ func measureSite[R any](st *Study, i int, set hispar.URLSet, rec *trace.Recorder
 		out.Err = fmt.Errorf("core: site %s: %w", set.Domain, err)
 		return zero, out
 	}
-	sc, err := st.newSiteCtx(i)
+	sc, err := st.newSiteCtx(i, w)
 	if err != nil {
 		return fail(err, ClassConfig)
 	}

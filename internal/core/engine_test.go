@@ -3,9 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/hispar"
+	"repro/internal/search"
+	"repro/internal/toplist"
+	"repro/internal/webgen"
 )
 
 var errSinkBoom = errors.New("sink boom")
@@ -97,4 +101,48 @@ func TestFailingSinkIsDropped(t *testing.T) {
 	wbad, wgood := &countingSink[WarmSiteResult]{failAt: k}, &countingSink[WarmSiteResult]{failAt: -1}
 	wres, err := st.RunWarmStream(list, WarmConfig{Sinks: []Sink[WarmSiteResult]{wbad, wgood}})
 	checkDroppedSink(t, "RunWarmStream", list, wbad, wgood, wres.Outcomes, err)
+}
+
+// studyAllocBudget bounds the bytes a cold study allocates per measured
+// page in TestStudyAllocBudget: 1.5× the 27 KB per page measured when
+// each worker's page builder, browser storage and CDN network were
+// first reused across sites (88 KB before).
+const studyAllocBudget = 3 * (27 << 10) / 2
+
+// TestStudyAllocBudget holds a small cold study's heap allocation per
+// measured page under studyAllocBudget, so a change that brings back
+// per-page garbage fails here and not only in the benchmark gate.
+func TestStudyAllocBudget(t *testing.T) {
+	u := toplist.NewUniverse(toplist.Config{Seed: 7, Size: 500})
+	entries := u.Top(30)
+	seeds := make([]webgen.SiteSeed, len(entries))
+	for i, e := range entries {
+		seeds[i] = webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank}
+	}
+	web := webgen.Generate(webgen.Config{Seed: 7, Sites: seeds})
+	list, _, err := hispar.Build(search.New(web, search.Config{EnglishOnly: true}), entries,
+		hispar.BuildConfig{Sites: 20, URLsPerSite: 20, MinResults: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStudy(web, StudyConfig{Seed: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := st.RunStream(list, StreamConfig{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := res.Stats.Counters["pages.measured"]
+	if pages != int64(list.Pages()) {
+		t.Fatalf("measured %d pages, want %d", pages, list.Pages())
+	}
+	perPage := (after.TotalAlloc - before.TotalAlloc) / uint64(pages)
+	t.Logf("%d pages, %.1f KB allocated per page", pages, float64(perPage)/1024)
+	if perPage > studyAllocBudget {
+		t.Fatalf("a cold study allocates %d bytes per page, over the budget of %d", perPage, studyAllocBudget)
+	}
 }

@@ -404,7 +404,28 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 		m.ThirdParties = append(m.ThirdParties, tp)
 	}
 	sort.Strings(m.ThirdParties)
+	copyStrings(m.ThirdParties)
 	return m
+}
+
+// copyStrings replaces each of ss by a copy, all cut from one new
+// string. A name sliced from a host shares the bytes of the host's URL,
+// which a page builder cuts from storage several pages share, so a kept
+// measurement must not hold the name itself.
+func copyStrings(ss []string) {
+	n := 0
+	for _, s := range ss {
+		n += len(s)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, s := range ss {
+		b.WriteString(s)
+	}
+	all := b.String()
+	for i, s := range ss {
+		ss[i], all = all[:len(s)], all[len(s):]
+	}
 }
 
 func schemeOf(u string) string {

@@ -122,7 +122,7 @@ func simulatedLoads(tb testing.TB) ([]simLoad, *Study) {
 	var loads []simLoad
 	// pair loads page cold and then warm, as loadPair does.
 	pair := func(i int, page *webgen.Page) {
-		sc, err := st.newSiteCtx(i)
+		sc, err := st.newSiteCtx(i, &worker{})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -482,7 +482,7 @@ func TestLandingTimingsMatchMeasurePage(t *testing.T) {
 				}
 			}
 			for i, site := range web.Sites {
-				sc, err := st.newSiteCtx(i)
+				sc, err := st.newSiteCtx(i, &worker{})
 				if err != nil {
 					t.Fatal(err)
 				}

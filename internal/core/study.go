@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/adblock"
@@ -236,11 +235,17 @@ func (st *Study) Analyzers() Analyzers { return st.az }
 
 // siteCtx is one site's isolated measurement context: its own virtual
 // clock pinned to the site's slot in the study window, its own resolver,
-// and its own browser. Nothing here is shared across sites, which is
-// what makes a study's measurements identical at any worker count.
+// and a browser configured for the site alone. The browser, the CDN
+// network and the page builder are the worker's storage, reset for the
+// site; no state that decides a measurement is shared across sites,
+// which is what makes a study's measurements identical at any worker
+// count.
 type siteCtx struct {
 	clock *vclock.Clock
 	b     *browser.Browser
+	// pages builds the site's page models; a model is valid until the
+	// next page's build.
+	pages *webgen.Builder
 	// rec, when non-nil, collects this site's spans (see internal/trace);
 	// the streaming fold merges it in rank order after the site retires.
 	rec *trace.Recorder
@@ -248,8 +253,8 @@ type siteCtx struct {
 	stats *runstats.Set
 }
 
-// newSiteCtx builds the context for site i.
-func (st *Study) newSiteCtx(i int) (*siteCtx, error) {
+// newSiteCtx builds the context for site i on w's storage.
+func (st *Study) newSiteCtx(i int, w *worker) (*siteCtx, error) {
 	clock := vclock.New(st.epoch.Add(time.Duration(i) * st.cfg.SitePacing))
 	resolver := dnssim.NewResolver(dnssim.ResolverConfig{
 		Name:          "isp",
@@ -260,21 +265,34 @@ func (st *Study) newSiteCtx(i int) (*siteCtx, error) {
 		FailProb:      st.cfg.DNSFailProb,
 	}, st.web.Authority(), clock.Now)
 	seed := st.cfg.Seed + int64(i)*6151
-	warmth := cdn.PopularityWarmth(st.cfg.CDNWarmthRate, st.cfg.CDNWarmthCeiling)
-	var ctr int64
-	b, err := browser.New(browser.Config{
+	if w.edges == nil {
+		w.edges = cdn.NewNetwork(1<<14, cdn.PopularityWarmth(st.cfg.CDNWarmthRate, st.cfg.CDNWarmthCeiling), 0)
+	}
+	// Every load gets the network a fresh NewNetwork with its seed would
+	// be: the paper's fetches were spread over days, so no edge state
+	// carries from one load to the next.
+	edges := w.edges
+	var loads int64
+	cfg := browser.Config{
 		Seed:     seed,
 		Resolver: resolver,
 		Net:      simnet.Config{Faults: st.cfg.Faults},
 		CDNFactory: func() *cdn.Network {
-			n := atomic.AddInt64(&ctr, 1)
-			return cdn.NewNetwork(1<<14, warmth, seed+n*104729)
+			loads++
+			edges.Reset(seed + loads*104729)
+			return edges
 		},
-	})
-	if err != nil {
+	}
+	if w.b == nil {
+		b, err := browser.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		w.b = b
+	} else if err := w.b.Reset(cfg); err != nil {
 		return nil, err
 	}
-	return &siteCtx{clock: clock, b: b}, nil
+	return &siteCtx{clock: clock, b: w.b, pages: &w.pages}, nil
 }
 
 // loadRevisitWithRetry attempts one page load up to MaxAttempts times,
@@ -343,14 +361,14 @@ func (st *Study) release(sc *siteCtx, log *har.Log) {
 // from the result and counted in the outcome.
 //
 //detlint:hotpath -- the cold per-site step; the engine calls it through a func value
-func (st *Study) measureSiteResilient(i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (SiteResult, Outcome) {
-	return measureSite(st, i, set, rec, rs, func(sc *siteCtx, site *webgen.Site, out *Outcome) (SiteResult, error) {
+func (st *Study) measureSiteResilient(w *worker, i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (SiteResult, Outcome) {
+	return measureSite(st, w, i, set, rec, rs, func(sc *siteCtx, site *webgen.Site, out *Outcome) (SiteResult, error) {
 		res := SiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category)}
 
 		// Landing page: repeated cold-cache fetches, median timings. The
 		// first fetch is measured in full; every fetch yields a timing
 		// sample, and the re-fetches yield nothing else.
-		model := site.Landing().Build()
+		model := sc.pages.Build(site.Landing())
 		var first PageMeasurement
 		samples := make([]pageTimings, 0, st.cfg.LandingFetches)
 		for f := 0; f < st.cfg.LandingFetches; f++ {
@@ -376,7 +394,7 @@ func (st *Study) measureSiteResilient(i int, set hispar.URLSet, rec *trace.Recor
 			if !ok {
 				return res, fmt.Errorf("URL %s %w", u, errNotInSnapshot)
 			}
-			im := page.Build()
+			im := sc.pages.Build(page)
 			log, err := st.loadRevisitWithRetry(sc, out, im, 0, 0)
 			if err != nil {
 				out.FailedPages++

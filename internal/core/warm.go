@@ -140,13 +140,13 @@ func (st *Study) loadPair(sc *siteCtx, out *Outcome, m *webgen.PageModel, delay 
 // survive, internal pages that exhaust retries are dropped.
 //
 //detlint:hotpath -- the warm per-site step; the engine calls it through a func value
-func (st *Study) measureSiteWarm(i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set, delay time.Duration) (WarmSiteResult, Outcome) {
-	return measureSite(st, i, set, rec, rs, func(sc *siteCtx, site *webgen.Site, out *Outcome) (WarmSiteResult, error) {
+func (st *Study) measureSiteWarm(w *worker, i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set, delay time.Duration) (WarmSiteResult, Outcome) {
+	return measureSite(st, w, i, set, rec, rs, func(sc *siteCtx, site *webgen.Site, out *Outcome) (WarmSiteResult, error) {
 		res := WarmSiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category)}
 
 		// Landing page: one cold/warm pair (the repeat-view study needs the
 		// pair, not the cold study's fetch medianization).
-		model := site.Landing().Build()
+		model := sc.pages.Build(site.Landing())
 		pair, err := st.loadPair(sc, out, model, delay)
 		if err != nil {
 			return res, err
@@ -158,7 +158,7 @@ func (st *Study) measureSiteWarm(i int, set hispar.URLSet, rec *trace.Recorder, 
 			if !ok {
 				return res, fmt.Errorf("URL %s %w", u, errNotInSnapshot)
 			}
-			im := page.Build()
+			im := sc.pages.Build(page)
 			pair, err := st.loadPair(sc, out, im, delay)
 			if err != nil {
 				out.FailedPages++
@@ -179,8 +179,8 @@ func (st *Study) measureSiteWarm(i int, set hispar.URLSet, rec *trace.Recorder, 
 // an aggregate error rides along with the result, which is never nil.
 func (st *Study) RunWarmStream(list *hispar.List, wcfg WarmConfig) (*WarmStudyResult, error) {
 	wcfg = wcfg.withDefaults()
-	measure := func(i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (WarmSiteResult, Outcome) {
-		return st.measureSiteWarm(i, set, rec, rs, wcfg.RevisitDelay)
+	measure := func(w *worker, i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (WarmSiteResult, Outcome) {
+		return st.measureSiteWarm(w, i, set, rec, rs, wcfg.RevisitDelay)
 	}
 	run, err := runSites(st, list, 0, wcfg.Trace, measure, wcfg.Sinks)
 	return &WarmStudyResult{List: list, RevisitDelay: wcfg.RevisitDelay,

@@ -43,10 +43,13 @@ const (
 	cyclic   = -3 // the parent chain ends in a cycle
 )
 
-// depths returns each entry's depth under DepthCounts' rules.
+// depths returns each entry's depth under DepthCounts' rules. Its one
+// allocation holds the parent and depth of every entry and an
+// open-addressing index from URL to first fetch.
 func depths(log *har.Log) ([]int, error) {
 	entries := log.Entries
-	if len(entries) == 0 {
+	n := len(entries)
+	if n == 0 {
 		return nil, errors.New("depgraph: empty HAR log")
 	}
 	root := -1
@@ -59,17 +62,19 @@ func depths(log *har.Log) ([]int, error) {
 	if root < 0 {
 		return nil, errors.New("depgraph: no root entry (every entry has an initiator)")
 	}
-	first := make(map[string]int, len(entries))
-	for i := range entries {
-		if _, dup := first[entries[i].Request.URL]; !dup {
-			first[entries[i].Request.URL] = i
-		}
+	size := 2 // a power of two, at least twice the entries: short probes
+	for size < 2*n {
+		size <<= 1
 	}
-	parent := make([]int, len(entries))
-	depth := make([]int, len(entries))
+	buf := make([]int, 2*n+size)
+	parent, depth := buf[:n:n], buf[n:2*n:2*n]
+	idx := urlIndex{entries: entries, slots: buf[2*n:], mask: uint64(size - 1)}
 	for i := range entries {
-		p, ok := first[entries[i].Initiator]
-		if !ok || p == i {
+		idx.add(i)
+	}
+	for i := range entries {
+		p := idx.first(entries[i].Initiator)
+		if p < 0 || p == i {
 			p = root
 		}
 		parent[i], depth[i] = p, unknown
@@ -104,4 +109,51 @@ func depths(log *har.Log) ([]int, error) {
 		}
 	}
 	return depth, nil
+}
+
+// urlIndex maps a request URL to the first entry that fetched it: an
+// open-addressing hash table whose slots hold entry index + 1, 0 when
+// empty, probed linearly.
+type urlIndex struct {
+	entries []har.Entry
+	slots   []int
+	mask    uint64
+}
+
+// add indexes entry i's URL unless an earlier entry fetched it.
+func (x *urlIndex) add(i int) {
+	u := x.entries[i].Request.URL
+	for k := hashURL(u) & x.mask; ; k = (k + 1) & x.mask {
+		j := x.slots[k]
+		if j == 0 {
+			x.slots[k] = i + 1
+			return
+		}
+		if x.entries[j-1].Request.URL == u {
+			return
+		}
+	}
+}
+
+// first returns the index of the first entry that fetched u, or -1.
+func (x *urlIndex) first(u string) int {
+	for k := hashURL(u) & x.mask; ; k = (k + 1) & x.mask {
+		j := x.slots[k]
+		if j == 0 {
+			return -1
+		}
+		if x.entries[j-1].Request.URL == u {
+			return j - 1
+		}
+	}
+}
+
+// hashURL is FNV-1a over u's bytes.
+func hashURL(u string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(u); i++ {
+		h ^= uint64(u[i])
+		h *= 1099511628211
+	}
+	return h
 }

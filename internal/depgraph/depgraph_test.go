@@ -213,10 +213,9 @@ func FuzzDepthCounts(f *testing.F) {
 	})
 }
 
-// TestAgreesWithSimulatedLoads cross-validates each entry's
-// initiator-based depth against the generator's ground-truth depth
-// carried in the HAR _depth extension.
-func TestAgreesWithSimulatedLoads(t *testing.T) {
+// simWorld returns a small web and a browser that loads its pages.
+func simWorld(t *testing.T) (*webgen.Web, *browser.Browser) {
+	t.Helper()
 	u := toplist.NewUniverse(toplist.Config{Seed: 81, Size: 400})
 	entries := u.Top(8)
 	seeds := make([]webgen.SiteSeed, len(entries))
@@ -235,6 +234,14 @@ func TestAgreesWithSimulatedLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return web, b
+}
+
+// TestAgreesWithSimulatedLoads cross-validates each entry's
+// initiator-based depth against the generator's ground-truth depth
+// carried in the HAR _depth extension.
+func TestAgreesWithSimulatedLoads(t *testing.T) {
+	web, b := simWorld(t)
 	for _, s := range web.Sites {
 		for _, page := range []*webgen.Page{s.Landing(), s.PageAt(1)} {
 			m := page.Build()
@@ -253,5 +260,20 @@ func TestAgreesWithSimulatedLoads(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDepthCountsAllocations bounds DepthCounts to its result and one
+// allocation for the URL index, parents and depths, on a simulated page
+// load's log.
+func TestDepthCountsAllocations(t *testing.T) {
+	web, b := simWorld(t)
+	m := web.Sites[0].Landing().Build()
+	log, err := b.Load(m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(50, func() { DepthCounts(log, 5) }); a > 2 {
+		t.Fatalf("DepthCounts over %d entries allocates %.0f times, want at most 2", len(log.Entries), a)
 	}
 }

@@ -288,30 +288,32 @@ func daysIn(month, year int) int {
 // cacheable one a Last-Modified. A year outside 0–9999 has no
 // four-digit form and is rendered by time.Format.
 func FormatDate(t time.Time) string {
+	var b [29]byte
+	return string(AppendDate(b[:0], t))
+}
+
+// AppendDate appends FormatDate(t) to dst, for callers that cut many
+// dates from one buffer.
+func AppendDate(dst []byte, t time.Time) []byte {
 	t = t.UTC()
 	year, month, day := t.Date()
 	if year < 0 || year > 9999 {
-		return t.Format("Mon, 02 Jan 2006 15:04:05 GMT")
+		return t.AppendFormat(dst, "Mon, 02 Jan 2006 15:04:05 GMT")
 	}
 	hour, minute, sec := t.Clock()
-	var b [29]byte
+	n := len(dst)
+	dst = append(dst, "Mon, 02 Jan 2006 15:04:05 GMT"...)
+	b := dst[n:]
 	wd, mo := 3*int(t.Weekday()), 3*(int(month)-1)
 	copy(b[0:3], dayNames[wd:wd+3])
-	b[3], b[4] = ',', ' '
 	put2(b[5:7], day)
-	b[7] = ' '
 	copy(b[8:11], monthNames[mo:mo+3])
-	b[11] = ' '
 	put2(b[12:14], year/100)
 	put2(b[14:16], year%100)
-	b[16] = ' '
 	put2(b[17:19], hour)
-	b[19] = ':'
 	put2(b[20:22], minute)
-	b[22] = ':'
 	put2(b[23:25], sec)
-	copy(b[25:], " GMT")
-	return string(b[:])
+	return dst
 }
 
 // put2 writes v in [0,99] as two decimal digits.

@@ -91,6 +91,23 @@ func TestFormatDate(t *testing.T) {
 			t.Errorf("FormatDate(%v) = %q, want %q", tt, got, want)
 		}
 	}
+	// AppendDate appends the same bytes after whatever dst holds, in
+	// and out of the fixed-width range, without allocating when dst
+	// has room.
+	for _, c := range cases {
+		dst := AppendDate([]byte("Date: "), c.t)
+		if got := string(dst); got != "Date: "+c.want {
+			t.Errorf("AppendDate(%v) = %q", c.t, got)
+		}
+	}
+	far := time.Date(12345, 5, 5, 0, 0, 0, 0, time.UTC)
+	if got := string(AppendDate([]byte("x"), far)); got != "x"+far.Format(http.TimeFormat) {
+		t.Errorf("AppendDate(%v) = %q", far, got)
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { AppendDate(buf, cases[0].t) }); n != 0 {
+		t.Errorf("AppendDate allocates %v times into a buffer with room", n)
+	}
 }
 
 // FuzzFormatDate holds FormatDate to time.Format with http.TimeFormat

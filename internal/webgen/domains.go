@@ -171,26 +171,39 @@ var slugWords = []string{
 // pathFor returns a category-flavoured internal page path for page index
 // idx, stable across weeks.
 func pathFor(rng *rand.Rand, cat Category, idx int) string {
-	// Built by concatenation rather than Sprintf: pathFor runs once per
-	// page per build and the format-verb boxing showed up on the
-	// streaming hot path. Every branch is byte-for-byte what the old
-	// format string produced, with RNG draws in the same order.
+	var buf [64]byte
+	return string(appendPath(buf[:0], rng, cat, idx))
+}
+
+// appendPath appends pathFor's path to dst. Every branch is
+// byte-for-byte what the old format string produced, with RNG draws in
+// the same order: both slug words first, then the branch's own draws.
+func appendPath(dst []byte, rng *rand.Rand, cat Category, idx int) []byte {
 	w1 := slugWords[rng.Intn(len(slugWords))]
 	w2 := slugWords[rng.Intn(len(slugWords))]
 	switch cat {
 	case CatNews, CatSports:
-		return "/" + strconv.Itoa(2019+rng.Intn(2)) + "/" + pad2(1+rng.Intn(12)) +
-			"/" + w1 + "-" + w2 + "-" + strconv.Itoa(idx)
+		dst = append(dst, '/')
+		dst = strconv.AppendInt(dst, int64(2019+rng.Intn(2)), 10)
+		dst = append(dst, '/')
+		dst = appendPad2(dst, 1+rng.Intn(12))
+		dst = append(append(append(append(append(dst, '/'), w1...), '-'), w2...), '-')
+		return strconv.AppendInt(dst, int64(idx), 10)
 	case CatShopping:
-		return "/product/" + strconv.Itoa(10000+idx) + "/" + w1 + "-" + w2
+		dst = strconv.AppendInt(append(dst, "/product/"...), int64(10000+idx), 10)
+		return append(append(append(append(dst, '/'), w1...), '-'), w2...)
 	case CatReference:
-		return "/wiki/" + w1 + "_" + w2 + "_" + strconv.Itoa(idx)
+		dst = append(append(append(append(append(dst, "/wiki/"...), w1...), '_'), w2...), '_')
+		return strconv.AppendInt(dst, int64(idx), 10)
 	case CatSocial:
-		return "/user" + strconv.Itoa(rng.Intn(5000)) + "/post/" + strconv.Itoa(100000+idx)
+		dst = strconv.AppendInt(append(dst, "/user"...), int64(rng.Intn(5000)), 10)
+		return strconv.AppendInt(append(dst, "/post/"...), int64(100000+idx), 10)
 	case CatEntertainment:
-		return "/watch/" + w1 + "-" + w2 + "-" + strconv.Itoa(idx)
+		dst = append(append(append(append(append(dst, "/watch/"...), w1...), '-'), w2...), '-')
+		return strconv.AppendInt(dst, int64(idx), 10)
 	default:
-		return "/" + w1 + "/" + w2 + "-" + strconv.Itoa(idx)
+		dst = append(append(append(append(append(dst, '/'), w1...), '/'), w2...), '-')
+		return strconv.AppendInt(dst, int64(idx), 10)
 	}
 }
 
@@ -226,10 +239,10 @@ func pageIndexOf(cat Category, path string) (int, bool) {
 	return n - off, true
 }
 
-// pad2 renders n like the %02d verb: zero-padded to two digits.
-func pad2(n int) string {
+// appendPad2 appends n like the %02d verb: zero-padded to two digits.
+func appendPad2(dst []byte, n int) []byte {
 	if n >= 0 && n < 10 {
-		return "0" + strconv.Itoa(n)
+		dst = append(dst, '0')
 	}
-	return strconv.Itoa(n)
+	return strconv.AppendInt(dst, int64(n), 10)
 }

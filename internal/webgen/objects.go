@@ -2,9 +2,8 @@ package webgen
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
-	"strconv"
 
 	"repro/internal/htmlx"
 	"repro/internal/urlx"
@@ -132,6 +131,13 @@ type Object struct {
 	EdgeAgeSecs int
 }
 
+// Origin returns the object's origin, scheme://host. Every model
+// object's URL starts with it, so Origin slices it out without
+// allocating.
+func (o *Object) Origin() string {
+	return o.URL[:len(o.Scheme)+len("://")+len(o.Host)]
+}
+
 // Hint is one resource hint emitted in the page head.
 type Hint struct {
 	Type htmlx.HintType
@@ -144,7 +150,8 @@ type Hint struct {
 }
 
 // PageModel is the fully generated page: the object tree plus the page
-// markup metadata needed by crawler, browser, and analyses.
+// markup metadata needed by crawler, browser, and analyses. A model a
+// Builder returns is rebuilt in place by the builder's next Build.
 type PageModel struct {
 	Page    *Page
 	URL     string
@@ -216,15 +223,41 @@ var roleMixInternal = []roleFrac{
 	{RoleBeacon, 0.13},
 }
 
-// Build generates the page's object tree. Deterministic per page: the
-// same page always yields the same model, regardless of snapshot week.
-func (p *Page) Build() *PageModel {
+// Build generates p's object tree into the builder's storage. The
+// model stays valid until the next Build on b.
+func (b *Builder) Build(p *Page) *PageModel {
 	s := p.Site
 	prof := &s.Profile
-	rng := rngForKeyIdx(s.seed, "page-model", p.Index)
-	m := &PageModel{Page: p, URL: p.URL()}
+	rng := reseed(&b.rng, subSeedKeyIdx(s.seed, "page-model", p.Index))
+	first := b.p == nil
+	newSite := first || b.p.Site != s
+	b.p = p
+	// The last build's objects, and every kept slice that points at
+	// them or their strings, are zeroed, not just cut off: a slot this
+	// build leaves unused must not keep an old slab or an arena chunk
+	// reachable.
+	m := &b.m
+	clear(b.objs)
+	clear(m.Objects)
+	clear(b.hints)
+	clear(b.eligible)
+	clear(b.origins)
+	for k := range b.buckets {
+		clear(b.buckets[k])
+	}
+	b.objs = b.objs[:0]
+	*m = PageModel{Page: p, Objects: m.Objects[:0], links: m.links[:0]}
 
 	landing := p.IsLanding()
+	target, redirected := p.RedirectsToInsecure()
+
+	// The page URL, and with it the site host, in one allocation of its
+	// own: measurements keep the URL, so it is not cut from the arena.
+	base := p.baseScheme()
+	var ub [160]byte
+	m.URL = string(p.appendURL(ub[:0], &b.aux))
+	hostAt := len(base) + len("://")
+	host := m.URL[hostAt : hostAt+len("www.")+len(s.Domain)]
 
 	// --- Page-level targets ---
 	objMedian := prof.ObjInternal
@@ -256,17 +289,32 @@ func (p *Page) Build() *PageModel {
 		trackerCount = n / 2
 	}
 
-	pageScheme := p.Scheme()
-	host := s.Host()
+	pageScheme := base
+	if redirected {
+		pageScheme = "http"
+	}
 
-	// Size the object slice up front: root + regular + ad-tech roughly
-	// tracks n, and the paper-scale pages make append regrowth visible
-	// in the study benchmarks.
-	m.Objects = make([]*Object, 0, n+16)
+	// Size the slab for the page up front: root, regular objects, the
+	// header-bidding wrapper and bids, trackers and a redirect hop.
+	slots := max(n, 6+trackerCount) + 3 + 2*max(prof.AdSlotsLanding, prof.AdSlotsIntern+1)
+	// A slab grown past maxKeptObjects for one site's big pages is not
+	// kept for the next site's.
+	if cap(b.objs) < slots || newSite && cap(b.objs) > max(slots, maxKeptObjects) {
+		b.objs = make([]Object, 0, slots)
+	}
+	// A first build sizes the arena for this page alone (its strings
+	// average under 80 bytes an object, and stay under 96); a builder
+	// that builds again takes chunks that serve several pages.
+	b.strs.chunk = slots*96 + 256
+	if !first {
+		b.strs.chunk = max(b.strs.chunk, arenaChunk)
+	}
 
 	// --- Root document ---
-	root := &Object{
-		URL:          pageScheme + "://" + host + p.Path(),
+	// On a §6.1 redirect page the root's URL is replaced by the target
+	// when the redirect hop is prepended; until then nothing reads it.
+	root := b.object(Object{
+		URL:          m.URL,
 		Host:         host,
 		Scheme:       pageScheme,
 		Role:         RoleDoc,
@@ -275,11 +323,10 @@ func (p *Page) Build() *PageModel {
 		Parent:       -1,
 		Cacheable:    false, // dynamic HTML (CDNs may still micro-cache it)
 		VisualWeight: 15,
-	}
+	})
 	if prof.CDNProvider != "" && prof.DocViaCDN {
 		root.ViaCDN = prof.CDNProvider
 	}
-	m.Objects = append(m.Objects, root)
 
 	// --- Regular objects ---
 	regular := n - 1 - trackerCount
@@ -287,8 +334,7 @@ func (p *Page) Build() *PageModel {
 		regular = 5
 	}
 	for i := 0; i < regular; i++ {
-		role := drawRole(rng, landing)
-		m.Objects = append(m.Objects, &Object{Role: role, Scheme: pageScheme})
+		b.object(Object{Role: drawRole(rng, landing), Scheme: pageScheme})
 	}
 
 	// --- Header bidding & ad slots (§6.3) ---
@@ -301,9 +347,9 @@ func (p *Page) Build() *PageModel {
 			m.AdSlots = maxInt(1, prof.AdSlotsIntern+rng.Intn(3)-1)
 		}
 		// One prebid-style wrapper script plus ~2 bid requests per slot.
-		m.Objects = append(m.Objects, &Object{Role: RoleAdJS, Scheme: pageScheme, Tracker: true})
+		b.object(Object{Role: RoleAdJS, Scheme: pageScheme, Tracker: true})
 		for i := 0; i < m.AdSlots*2; i++ {
-			m.Objects = append(m.Objects, &Object{Role: RoleBid, Scheme: pageScheme, Tracker: true})
+			b.object(Object{Role: RoleBid, Scheme: pageScheme, Tracker: true})
 		}
 	}
 
@@ -316,20 +362,22 @@ func (p *Page) Build() *PageModel {
 		case 2:
 			role = RoleAdImage
 		}
-		m.Objects = append(m.Objects, &Object{Role: role, Scheme: pageScheme, Tracker: true})
+		b.object(Object{Role: role, Scheme: pageScheme, Tracker: true})
 	}
 
-	p.assignHosts(rng, m, domTarget, cdnFrac, landing)
-	p.assignDepths(rng, m, depths)
-	p.assignSizes(rng, m, total, mix)
-	p.assignCacheability(rng, m, landing)
-	p.assignMixedContent(rng, m, landing)
-	p.assignURLs(rng, m) // schemes and hosts are final here
-	p.assignHints(rng, m, landing)
+	b.assignHosts(rng, host, domTarget, cdnFrac, landing)
+	b.assignDepths(rng, depths)
+	b.assignSizes(rng, total, mix)
+	b.assignCacheability(rng, landing)
+	b.assignMixedContent(rng, landing)
+	b.assignURLs(rng) // schemes and hosts are final here
+	b.assignHints(rng, landing)
 	p.assignPopularity(rng, m)
-	p.buildLinks(rng, m, landing)
-	p.wrapInsecureRedirect(m)
-	assignValidators(m) // after wrapInsecureRedirect: URLs are final here
+	b.buildLinks(rng, landing)
+	if redirected {
+		b.wrapInsecureRedirect(target, host)
+	}
+	b.assignValidators() // after wrapInsecureRedirect: URLs are final here
 	return m
 }
 
@@ -337,11 +385,8 @@ func (p *Page) Build() *PageModel {
 // that forward to plain-HTTP content on a foreign domain: the original
 // URL answers 301 and the whole document tree shifts one dependency
 // level deeper, now served over HTTP from the target host.
-func (p *Page) wrapInsecureRedirect(m *PageModel) {
-	target, ok := p.RedirectsToInsecure()
-	if !ok {
-		return
-	}
+func (b *Builder) wrapInsecureRedirect(target, host string) {
+	m := &b.m
 	m.RedirectedFrom = m.URL
 	doc := m.Objects[0]
 	doc.URL = target
@@ -352,9 +397,9 @@ func (p *Page) wrapInsecureRedirect(m *PageModel) {
 		o.Parent++
 	}
 	doc.Parent = 0
-	redirect := &Object{
+	redirect := b.object(Object{
 		URL:        m.RedirectedFrom,
-		Host:       p.Site.Host(),
+		Host:       host,
 		Scheme:     "https",
 		Role:       RoleRedirect,
 		MIME:       "text/html",
@@ -363,8 +408,9 @@ func (p *Page) wrapInsecureRedirect(m *PageModel) {
 		Parent:     -1,
 		Cacheable:  false,
 		Popularity: doc.Popularity,
-	}
-	m.Objects = append([]*Object{redirect}, m.Objects...)
+	})
+	copy(m.Objects[1:], m.Objects[:len(m.Objects)-1])
+	m.Objects[0] = redirect
 	for i := range m.Hints {
 		if m.Hints[i].ObjectIndex >= 0 {
 			m.Hints[i].ObjectIndex++
@@ -372,13 +418,21 @@ func (p *Page) wrapInsecureRedirect(m *PageModel) {
 	}
 }
 
-// assignURLs renders the final URL of every non-root object.
-func (p *Page) assignURLs(rng *rand.Rand, m *PageModel) {
-	for i, o := range m.Objects {
+// assignURLs renders the final URL of every non-root object: the
+// origin, scheme://host, then the role's path, so URL always starts
+// with the object's origin.
+func (b *Builder) assignURLs(rng *rand.Rand) {
+	a := &b.strs
+	for i, o := range b.m.Objects {
 		if i == 0 {
 			continue
 		}
-		o.URL = o.Scheme + "://" + o.Host + objectPath(rng, o, p.Index, i)
+		a.open(len(o.Scheme) + len("://") + len(o.Host) + maxObjectPath)
+		a.add(o.Scheme)
+		a.add("://")
+		a.add(o.Host)
+		b.addObjectPath(rng, o, i)
+		o.URL = a.close()
 	}
 }
 
@@ -400,35 +454,42 @@ func drawRole(rng *rand.Rand, landing bool) Role {
 
 // assignHosts distributes objects over first-party hosts, CDN hosts,
 // third-party domains (drawn from the site's roster), and tracker
-// domains, aiming for the page's unique-origin target (Fig 5).
-func (p *Page) assignHosts(rng *rand.Rand, m *PageModel, domTarget, cdnFrac float64, landing bool) {
-	s := p.Site
+// domains, aiming for the page's unique-origin target (Fig 5). host is
+// the site's web host.
+func (b *Builder) assignHosts(rng *rand.Rand, host string, domTarget, cdnFrac float64, landing bool) {
+	s := b.p.Site
 	prof := &s.Profile
-	staticHost := "static." + s.Domain
-	imgHost := "img." + s.Domain
+	objs := b.m.Objects
+	a := &b.strs
+	staticHost := a.concat("static.", s.Domain)
+	imgHost := a.concat("img.", s.Domain)
+	assetsHost := a.concat("assets.", s.Domain)
 
 	// Tracker hosts first: the site embeds a handful of ad/analytics
-	// vendors; every tracking request goes to one of them.
-	trackerPool := s.trackerPool()
-	trackerDomains := make(map[string]bool)
-	for _, o := range m.Objects {
+	// vendors; every tracking request goes to one of them. The pool
+	// holds at most ten vendors, so one bit per vendor counts the
+	// distinct ones the page contacts.
+	b.trackers = s.appendTrackerPool(b.trackers[:0], &b.aux, &b.pick)
+	trackerPool := b.trackers
+	var used uint64
+	for _, o := range objs {
 		if o.Tracker {
-			d := trackerPool[rng.Intn(len(trackerPool))]
-			o.Host = d
+			k := rng.Intn(len(trackerPool))
+			o.Host = trackerPool[k]
 			o.ThirdParty = true
-			trackerDomains[d] = true
+			used |= 1 << k
 		}
 	}
 
 	// Benign third parties: enough distinct domains to reach the origin
 	// target after the first-party hosts (www/assets/img/static/CDN) and
 	// trackers are counted.
-	tpBudget := int(domTarget*math.Exp(rng.NormFloat64()*0.12)) - 6 - len(trackerDomains)
+	tpBudget := int(domTarget*math.Exp(rng.NormFloat64()*0.12)) - 6 - bits.OnesCount64(used)
 	if tpBudget < 0 {
 		tpBudget = 0
 	}
 	roster, benign := s.tpRoster(), s.web.benign
-	var tpDomains []string
+	tpDomains := b.tpDomains[:0]
 	if landing {
 		// Landing pages use the head of the roster: the site's core,
 		// ubiquitous third parties.
@@ -439,16 +500,17 @@ func (p *Page) assignHosts(rng *rand.Rand, m *PageModel, domTarget, cdnFrac floa
 		// Internal pages mix core and long-tail roster entries; the tail
 		// accumulates into "third parties never seen on the landing
 		// page" (Fig 8b).
-		for _, idx := range sampleDistinct(rng, len(roster), tpBudget, 0.55) {
+		for _, idx := range b.pick.sample(rng, len(roster), tpBudget, 0.55) {
 			tpDomains = append(tpDomains, benign[roster[idx]])
 		}
 	}
+	b.tpDomains = tpDomains
 
 	// Candidate objects for third-party hosting. Third parties may absorb
 	// at most ~60% of the eligible objects so that small pages retain
 	// their first-party (and CDN-served) assets.
-	var tpEligible []*Object
-	for _, o := range m.Objects[1:] {
+	tpEligible := b.eligible[:0]
+	for _, o := range objs[1:] {
 		if o.Tracker {
 			continue
 		}
@@ -457,6 +519,7 @@ func (p *Page) assignHosts(rng *rand.Rand, m *PageModel, domTarget, cdnFrac floa
 			tpEligible = append(tpEligible, o)
 		}
 	}
+	b.eligible = tpEligible
 	rng.Shuffle(len(tpEligible), func(i, j int) { tpEligible[i], tpEligible[j] = tpEligible[j], tpEligible[i] })
 	tpCap := len(tpEligible) * 7 / 10
 	if len(tpDomains) > tpCap {
@@ -487,7 +550,8 @@ func (p *Page) assignHosts(rng *rand.Rand, m *PageModel, domTarget, cdnFrac floa
 	// assets.<domain> and img.<domain> stay on the origin.
 	eligibleByteFrac := 0.85
 	pCDN := clamp01(cdnFrac / eligibleByteFrac)
-	for _, o := range m.Objects[1:] {
+	providerHost := ""
+	for _, o := range objs[1:] {
 		if o.Host != "" {
 			continue
 		}
@@ -498,7 +562,10 @@ func (p *Page) assignHosts(rng *rand.Rand, m *PageModel, domTarget, cdnFrac floa
 			if rng.Float64() < 0.3 {
 				// Served from the provider's own hostname rather than the
 				// CNAMEd first-party subdomain.
-				o.Host = "assets-" + shortLabel(s.Domain) + "." + prof.CDNProvider + ".net"
+				if providerHost == "" {
+					providerHost = a.concat("assets-", shortLabel(s.Domain), ".", prof.CDNProvider, ".net")
+				}
+				o.Host = providerHost
 			} else {
 				o.Host = staticHost
 			}
@@ -506,17 +573,17 @@ func (p *Page) assignHosts(rng *rand.Rand, m *PageModel, domTarget, cdnFrac floa
 		}
 		switch o.Role {
 		case RoleCSS, RoleJS, RoleFont:
-			o.Host = "assets." + s.Domain
+			o.Host = assetsHost
 		case RoleImage, RoleMedia:
 			o.Host = imgHost
 		default:
-			o.Host = s.Host()
+			o.Host = host
 		}
 	}
 
 	// Third-party static infrastructure (fonts, JS libraries, video) is
 	// itself CDN-delivered.
-	for _, o := range m.Objects[1:] {
+	for _, o := range objs[1:] {
 		if o.ThirdParty && !o.Tracker && (o.Role == RoleFont || o.Role == RoleJS || o.Role == RoleMedia) && rng.Float64() < 0.6 {
 			o.ViaCDN = cdnProviderNames[rng.Intn(len(cdnProviderNames))]
 		}
@@ -536,16 +603,16 @@ func shortLabel(domain string) string {
 	return string(out)
 }
 
-// trackerPool returns the site's ad/analytics vendor roster.
-func (s *Site) trackerPool() []string {
-	rng := rngForKey(s.seed, "trackers")
+// appendTrackerPool appends the site's ad/analytics vendor roster to
+// dst, drawing from *g re-seeded with the site's "trackers" stream.
+func (s *Site) appendTrackerPool(dst []string, g **rand.Rand, pick *distinct) []string {
+	rng := reseed(g, subSeedKey(s.seed, "trackers"))
 	trackers := s.web.trackers
 	k := 3 + rng.Intn(8)
-	pool := make([]string, 0, k)
-	for _, idx := range sampleDistinct(rng, len(trackers), k, 1.0) {
-		pool = append(pool, trackers[idx])
+	for _, idx := range pick.sample(rng, len(trackers), k, 1.0) {
+		dst = append(dst, trackers[idx])
 	}
-	return pool
+	return dst
 }
 
 // tpRoster returns the site's benign third-party roster, head = core,
@@ -609,37 +676,12 @@ func (z zipf) draw(rng *rand.Rand) int {
 	return idx
 }
 
-// sampleDistinct draws k distinct zipf-weighted indices from [0,n),
-// falling back to sequential fill if rejection sampling stalls.
-func sampleDistinct(rng *rand.Rand, n, k int, s float64) []int {
-	if k > n {
-		k = n
-	}
-	z := newZipf(n, s)
-	seen := make(map[int]bool, k)
-	out := make([]int, 0, k)
-	for attempts := 0; len(out) < k && attempts < 40*k+100; attempts++ {
-		idx := z.draw(rng)
-		if !seen[idx] {
-			seen[idx] = true
-			out = append(out, idx)
-		}
-	}
-	for i := 0; len(out) < k && i < n; i++ {
-		if !seen[i] {
-			seen[i] = true
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // assignDepths places objects in the dependency tree (§5.4): CSS loads at
 // depth 1; deeper objects hang off stylesheet/script/iframe containers.
-func (p *Page) assignDepths(rng *rand.Rand, m *PageModel, mix DepthMix) {
-	containersAt := map[int][]int{0: {0}} // depth -> object indexes able to trigger fetches
+func (b *Builder) assignDepths(rng *rand.Rand, mix DepthMix) {
+	objs := b.m.Objects
 	// First pass: target depths.
-	for i, o := range m.Objects {
+	for i, o := range objs {
 		if i == 0 {
 			continue
 		}
@@ -671,22 +713,34 @@ func (p *Page) assignDepths(rng *rand.Rand, m *PageModel, mix DepthMix) {
 		}
 		o.Depth = d
 	}
-	// Second pass, in depth order: wire parents; demote when no
+	// Second pass, in depth order (ties in index order, as a stable sort
+	// of the indexes by depth leaves them): wire parents; demote when no
 	// container exists one level up.
-	order := make([]int, len(m.Objects)-1)
-	for i := range order {
-		order[i] = i + 1
+	order := b.order[:0]
+	for d := 1; d <= maxObjectDepth; d++ {
+		for i := 1; i < len(objs); i++ {
+			if objs[i].Depth == d {
+				order = append(order, i)
+			}
+		}
 	}
-	sort.SliceStable(order, func(a, b int) bool { return m.Objects[order[a]].Depth < m.Objects[order[b]].Depth })
-	var buf []int // one candidate buffer for every object and depth
+	b.order = order
+	// containersAt[d] lists the objects at depth d able to trigger
+	// fetches.
+	containersAt := &b.containers
+	for d := range containersAt {
+		containersAt[d] = containersAt[d][:0]
+	}
+	containersAt[0] = append(containersAt[0], 0)
+	buf := b.cands // one candidate buffer for every object and depth
 	for _, i := range order {
-		o := m.Objects[i]
+		o := objs[i]
 		for o.Depth > 1 {
 			parents := containersAt[o.Depth-1]
 			// CSS children can only be images and fonts.
 			ok := buf[:0]
 			for _, pi := range parents {
-				pr := m.Objects[pi].Role
+				pr := objs[pi].Role
 				if pr == RoleCSS && o.Role != RoleImage && o.Role != RoleFont {
 					continue
 				}
@@ -707,18 +761,19 @@ func (p *Page) assignDepths(rng *rand.Rand, m *PageModel, mix DepthMix) {
 			containersAt[o.Depth] = append(containersAt[o.Depth], i)
 		}
 	}
+	b.cands = buf
 	// Render blocking & async flags. Landing pages are hand-optimized
 	// more aggressively (§4: developers polish the landing page): their
 	// critical CSS is inlined (so fewer stylesheets block first paint)
 	// and more of their scripts load async.
-	prof := &p.Site.Profile
+	prof := &b.p.Site.Profile
 	asyncP := prof.AsyncJSInternal
 	blockingCSS := 1.0
-	if p.IsLanding() {
+	if b.p.IsLanding() {
 		asyncP = prof.AsyncJSLanding
 		blockingCSS = prof.BlockingCSSLanding
 	}
-	for i, o := range m.Objects {
+	for i, o := range objs {
 		if i == 0 {
 			continue
 		}
@@ -736,22 +791,26 @@ func (p *Page) assignDepths(rng *rand.Rand, m *PageModel, mix DepthMix) {
 	}
 }
 
+// Byte buckets of assignSizes, in the order their sizes are drawn.
+const (
+	bucketJS = iota
+	bucketImage
+	bucketHTMLCSS
+	bucketOther
+)
+
 // assignSizes draws object sizes to honour the page's total size and
 // byte-level content mix (Fig 4c).
-func (p *Page) assignSizes(rng *rand.Rand, m *PageModel, total float64, mix ContentMix) {
+func (b *Builder) assignSizes(rng *rand.Rand, total float64, mix ContentMix) {
+	objs := b.m.Objects
 	mix = mix.normalize()
-	type bucket struct {
-		objs  []*Object
-		share float64
-	}
-	buckets := map[string]*bucket{
-		"js":      {share: mix.JS},
-		"image":   {share: mix.Image},
-		"htmlcss": {share: mix.HTMLCSS},
-		"other":   {share: mix.Other},
+	shares := [...]float64{bucketJS: mix.JS, bucketImage: mix.Image, bucketHTMLCSS: mix.HTMLCSS, bucketOther: mix.Other}
+	buckets := &b.buckets
+	for k := range buckets {
+		buckets[k] = buckets[k][:0]
 	}
 	fixed := 0.0
-	for i, o := range m.Objects {
+	for _, o := range objs {
 		switch o.Role {
 		case RoleDoc:
 			// Root documents are tens to a few hundreds of KB; they must
@@ -772,29 +831,27 @@ func (p *Page) assignSizes(rng *rand.Rand, m *PageModel, total float64, mix Cont
 			o.Size = int64(2000 + rng.Intn(30000))
 			fixed += float64(o.Size)
 		case RoleJS, RoleAdJS:
-			buckets["js"].objs = append(buckets["js"].objs, o)
+			buckets[bucketJS] = append(buckets[bucketJS], o)
 		case RoleImage:
-			buckets["image"].objs = append(buckets["image"].objs, o)
+			buckets[bucketImage] = append(buckets[bucketImage], o)
 		case RoleCSS, RoleIframe:
-			buckets["htmlcss"].objs = append(buckets["htmlcss"].objs, o)
+			buckets[bucketHTMLCSS] = append(buckets[bucketHTMLCSS], o)
 		default:
-			buckets["other"].objs = append(buckets["other"].objs, o)
+			buckets[bucketOther] = append(buckets[bucketOther], o)
 		}
-		_ = i
 	}
 	budget := total - fixed
 	if budget < 5e4 {
 		budget = 5e4
 	}
 	variant := 0
-	for _, name := range [...]string{"js", "image", "htmlcss", "other"} {
-		b := buckets[name]
-		if len(b.objs) == 0 {
+	for k, bucket := range buckets {
+		if len(bucket) == 0 {
 			continue
 		}
-		weights := make([]float64, len(b.objs))
+		weights := b.weights[:0]
 		sum := 0.0
-		for i, o := range b.objs {
+		for _, o := range bucket {
 			w := math.Exp(rng.NormFloat64() * 0.9)
 			switch o.Role {
 			case RoleMedia:
@@ -802,11 +859,12 @@ func (p *Page) assignSizes(rng *rand.Rand, m *PageModel, total float64, mix Cont
 			case RoleFont:
 				w *= 1.5
 			}
-			weights[i] = w
+			weights = append(weights, w)
 			sum += w
 		}
-		for i, o := range b.objs {
-			size := budget * b.share * weights[i] / sum
+		b.weights = weights
+		for i, o := range bucket {
+			size := budget * shares[k] * weights[i] / sum
 			if size < 250 {
 				size = 250
 			}
@@ -816,13 +874,13 @@ func (p *Page) assignSizes(rng *rand.Rand, m *PageModel, total float64, mix Cont
 		}
 	}
 	// MIME for fixed-size roles.
-	for i, o := range m.Objects {
+	for i, o := range objs {
 		if o.MIME == "" {
 			o.MIME = o.Role.MIME(i)
 		}
 	}
 	// Visual weights: images and media paint; everything else barely.
-	for _, o := range m.Objects {
+	for _, o := range objs {
 		switch o.Role {
 		case RoleImage, RoleAdImage:
 			o.VisualWeight = math.Min(20, float64(o.Size)/20000)
@@ -837,8 +895,9 @@ func (p *Page) assignSizes(rng *rand.Rand, m *PageModel, total float64, mix Cont
 // assignCacheability marks non-cacheable objects to hit the page-type
 // target (Fig 4a), skewing the choice toward small dynamic responses so
 // the cacheable-bytes fraction stays similar between page types.
-func (p *Page) assignCacheability(rng *rand.Rand, m *PageModel, landing bool) {
-	prof := &p.Site.Profile
+func (b *Builder) assignCacheability(rng *rand.Rand, landing bool) {
+	m := &b.m
+	prof := &b.p.Site.Profile
 	frac := prof.NCFracInternal
 	if landing {
 		frac = clamp01(prof.NCFracInternal * prof.NCCountRatio / prof.ObjRatio)
@@ -870,7 +929,12 @@ func (p *Page) assignCacheability(rng *rand.Rand, m *PageModel, landing bool) {
 	// Converge on the target: mark small static objects non-cacheable
 	// when short, or re-mark dynamic-but-cacheable responses (API
 	// results with max-age) when over.
-	idx := rng.Perm(len(m.Objects) - 1)
+	idx := b.perm[:0]
+	for range len(m.Objects) - 1 {
+		idx = append(idx, 0)
+	}
+	permInto(rng, idx)
+	b.perm = idx
 	for _, j := range idx {
 		if count >= target {
 			break
@@ -895,7 +959,8 @@ func (p *Page) assignCacheability(rng *rand.Rand, m *PageModel, landing bool) {
 
 // assignMixedContent downgrades a few image fetches to plain HTTP on
 // pages flagged for passive mixed content (§6.1).
-func (p *Page) assignMixedContent(rng *rand.Rand, m *PageModel, landing bool) {
+func (b *Builder) assignMixedContent(rng *rand.Rand, landing bool) {
+	m, p := &b.m, b.p
 	if m.Objects[0].Scheme != "https" {
 		return
 	}
@@ -924,8 +989,9 @@ func (p *Page) assignMixedContent(rng *rand.Rand, m *PageModel, landing bool) {
 }
 
 // assignHints emits resource hints (§5.5) and marks preloaded objects.
-func (p *Page) assignHints(rng *rand.Rand, m *PageModel, landing bool) {
-	prof := &p.Site.Profile
+func (b *Builder) assignHints(rng *rand.Rand, landing bool) {
+	m := &b.m
+	prof := &b.p.Site.Profile
 	count := prof.HintsInternal
 	if landing {
 		count = prof.HintsLanding
@@ -934,14 +1000,18 @@ func (p *Page) assignHints(rng *rand.Rand, m *PageModel, landing bool) {
 		return
 	}
 	// Collect distinct non-root origins and deep objects worth preloading.
-	originSet := make(map[string]bool)
-	var origins []string
-	var preloadable []int
+	if b.originSet == nil {
+		b.originSet = make(map[string]bool)
+	}
+	originSet := b.originSet
+	clear(originSet)
+	origins := b.origins[:0]
+	preloadable := b.preloadable[:0]
 	for i, o := range m.Objects {
 		if i == 0 {
 			continue
 		}
-		key := o.Scheme + "://" + o.Host
+		key := o.Origin()
 		if !originSet[key] && o.Host != m.Objects[0].Host {
 			originSet[key] = true
 			origins = append(origins, key)
@@ -950,25 +1020,33 @@ func (p *Page) assignHints(rng *rand.Rand, m *PageModel, landing bool) {
 			preloadable = append(preloadable, i)
 		}
 	}
+	b.origins, b.preloadable = origins, preloadable
+	hints := b.hints[:0]
 	for h := 0; h < count; h++ {
 		x := rng.Float64()
 		switch {
 		case x < 0.45 && len(origins) > 0:
-			m.Hints = append(m.Hints, Hint{Type: htmlx.HintDNSPrefetch, Target: origins[rng.Intn(len(origins))], ObjectIndex: -1})
+			hints = append(hints, Hint{Type: htmlx.HintDNSPrefetch, Target: origins[rng.Intn(len(origins))], ObjectIndex: -1})
 		case x < 0.75 && len(origins) > 0:
-			m.Hints = append(m.Hints, Hint{Type: htmlx.HintPreconnect, Target: origins[rng.Intn(len(origins))], ObjectIndex: -1})
+			hints = append(hints, Hint{Type: htmlx.HintPreconnect, Target: origins[rng.Intn(len(origins))], ObjectIndex: -1})
 		case x < 0.95 && len(preloadable) > 0:
 			oi := preloadable[rng.Intn(len(preloadable))]
 			m.Objects[oi].Preloaded = true
-			m.Hints = append(m.Hints, Hint{Type: htmlx.HintPreload, Target: m.Objects[oi].URL, ObjectIndex: oi})
+			hints = append(hints, Hint{Type: htmlx.HintPreload, Target: m.Objects[oi].URL, ObjectIndex: oi})
 		default:
 			if len(preloadable) > 0 {
 				oi := preloadable[rng.Intn(len(preloadable))]
-				m.Hints = append(m.Hints, Hint{Type: htmlx.HintPrefetch, Target: m.Objects[oi].URL, ObjectIndex: oi})
+				hints = append(hints, Hint{Type: htmlx.HintPrefetch, Target: m.Objects[oi].URL, ObjectIndex: oi})
 			} else if len(origins) > 0 {
-				m.Hints = append(m.Hints, Hint{Type: htmlx.HintDNSPrefetch, Target: origins[rng.Intn(len(origins))], ObjectIndex: -1})
+				hints = append(hints, Hint{Type: htmlx.HintDNSPrefetch, Target: origins[rng.Intn(len(origins))], ObjectIndex: -1})
 			}
 		}
+	}
+	// The list becomes the model's only when it holds a hint: a page
+	// without hints has a nil list, as a fresh build leaves it.
+	b.hints = hints
+	if len(hints) > 0 {
+		m.Hints = hints
 	}
 }
 
@@ -1028,17 +1106,16 @@ func (p *Page) assignPopularity(rng *rand.Rand, m *PageModel) {
 // buildLinks fills the page's outgoing links: landing pages link broadly
 // into the site; internal pages link to a handful of related pages and
 // home.
-func (p *Page) buildLinks(rng *rand.Rand, m *PageModel, landing bool) {
-	s := p.Site
-	pool := s.PoolSize()
+func (b *Builder) buildLinks(rng *rand.Rand, landing bool) {
+	m, p := &b.m, b.p
+	pool := p.Site.PoolSize()
 	var linkCount int
 	if landing {
 		linkCount = 30 + rng.Intn(50)
 	} else {
 		linkCount = 8 + rng.Intn(22)
 	}
-	m.links = make([]int, 0, linkCount+1)
-	for _, ix := range sampleDistinct(rng, pool, linkCount+1, 0.6) {
+	for _, ix := range b.pick.sample(rng, pool, linkCount+1, 0.6) {
 		idx := 1 + ix
 		if idx == p.Index || len(m.links) >= linkCount {
 			continue
@@ -1050,42 +1127,50 @@ func (p *Page) buildLinks(rng *rand.Rand, m *PageModel, landing bool) {
 	}
 }
 
-// objectPath renders a role-appropriate URL path.
-func objectPath(rng *rand.Rand, o *Object, pageIdx, i int) string {
-	u := pageIdx*1000 + i // unique-per-page identifier
+// maxObjectPath bounds the length of an object path addObjectPath
+// writes: its longest prefix, a page index below a million times a
+// thousand, and an extension.
+const maxObjectPath = len("/telemetry/collect?v=") + 20 + len(".woff2")
+
+// addObjectPath writes a role-appropriate URL path for object i into
+// the arena.
+func (b *Builder) addObjectPath(rng *rand.Rand, o *Object, i int) {
+	a := &b.strs
+	u := b.p.Index*1000 + i // unique-per-page identifier
+	prefix, suffix := "/static/obj-", ""
 	switch o.Role {
 	case RoleCSS:
-		return "/assets/css/style-" + strconv.Itoa(u) + ".css"
+		prefix, suffix = "/assets/css/style-", ".css"
 	case RoleJS:
-		return "/assets/js/app-" + strconv.Itoa(u) + ".js"
+		prefix, suffix = "/assets/js/app-", ".js"
 	case RoleImage:
-		ext := [...]string{"jpg", "png", "webp", "gif"}[rng.Intn(4)]
-		return "/img/photo-" + strconv.Itoa(u) + "." + ext
+		prefix, suffix = "/img/photo-", [...]string{".jpg", ".png", ".webp", ".gif"}[rng.Intn(4)]
 	case RoleFont:
-		return "/fonts/face-" + strconv.Itoa(u) + ".woff2"
+		prefix, suffix = "/fonts/face-", ".woff2"
 	case RoleJSON:
-		return "/api/data-" + strconv.Itoa(u) + ".json"
+		prefix, suffix = "/api/data-", ".json"
 	case RoleMedia:
-		return "/media/clip-" + strconv.Itoa(u) + ".mp4"
+		prefix, suffix = "/media/clip-", ".mp4"
 	case RoleData:
-		return "/static/blob-" + strconv.Itoa(u) + ".txt"
+		prefix, suffix = "/static/blob-", ".txt"
 	case RoleIframe:
-		return "/embed/frame-" + strconv.Itoa(u)
+		prefix = "/embed/frame-"
 	case RoleBeacon:
-		if o.Tracker {
-			return "/pixel?id=" + strconv.Itoa(u)
+		prefix = "/pixel?id="
+		if !o.Tracker {
+			// First-party or benign telemetry: not on filter lists.
+			prefix = "/telemetry/collect?v="
 		}
-		// First-party or benign telemetry: not on filter lists.
-		return "/telemetry/collect?v=" + strconv.Itoa(u)
 	case RoleAdJS:
-		return "/ads/tag-" + strconv.Itoa(u) + ".js"
+		prefix, suffix = "/ads/tag-", ".js"
 	case RoleAdImage:
-		return "/ads/creative-" + strconv.Itoa(u) + ".jpg"
+		prefix, suffix = "/ads/creative-", ".jpg"
 	case RoleBid:
-		return "/track?bid=" + strconv.Itoa(u)
-	default:
-		return "/static/obj-" + strconv.Itoa(u)
+		prefix = "/track?bid="
 	}
+	a.add(prefix)
+	a.addInt(u)
+	a.add(suffix)
 }
 
 // poisson draws a Poisson variate (Knuth's method; fine for small means).

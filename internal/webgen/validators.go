@@ -31,17 +31,23 @@ func fnv64(s string) uint64 {
 // on every cacheable object. Dynamic (non-cacheable) responses get
 // nothing: they cannot validate, so a revisit refetches them in full —
 // which is exactly the asymmetry the warm study measures.
-func assignValidators(m *PageModel) {
-	for _, o := range m.Objects {
+func (b *Builder) assignValidators() {
+	a := &b.strs
+	var buf [29]byte
+	for _, o := range b.m.Objects {
 		if !o.Cacheable {
 			continue
 		}
 		h := fnv64(o.URL)
 		o.MaxAgeSecs = maxAgeFor(o.Role, h)
-		o.ETag = etag(uint32(h), o.Size)
+		a.open(maxETag)
+		a.addBytes(appendETag(buf[:0], uint32(h), o.Size))
+		o.ETag = a.close()
 		// Last modified up to ~90 days before the study window.
 		age := time.Duration(1+h%(90*24*3600)) * time.Second
-		o.LastModified = httpsem.FormatDate(validatorEpoch.Add(-age))
+		a.open(len(buf))
+		a.addBytes(httpsem.AppendDate(buf[:0], validatorEpoch.Add(-age)))
+		o.LastModified = a.close()
 		if o.ViaCDN != "" && o.MaxAgeSecs > 0 {
 			// The edge copy has already aged: popular assets sit at
 			// edges for a while before our fetch observes them.
@@ -108,19 +114,19 @@ func (o *Object) CacheControl(idx int) string {
 	}
 }
 
-// etag renders the quoted entity-tag "%08x-%x" of the URL hash's low
-// 32 bits and the object size. ETags are minted per cacheable object on
-// every page build, so it appends into a stack buffer and allocates
-// only the returned string.
-func etag(h uint32, size int64) string {
+// maxETag is the longest entity-tag appendETag writes: two quotes,
+// eight digits, a dash and at most 17 bytes of size.
+const maxETag = 28
+
+// appendETag appends the quoted entity-tag "%08x-%x" of the URL hash's
+// low 32 bits and the object size.
+func appendETag(dst []byte, h uint32, size int64) []byte {
 	const hexDigits = "0123456789abcdef"
-	// Two quotes, eight digits, a dash and at most 17 bytes of size.
-	var b [28]byte
-	buf := append(b[:0], '"')
+	dst = append(dst, '"')
 	for shift := 28; shift >= 0; shift -= 4 {
-		buf = append(buf, hexDigits[h>>shift&0xf])
+		dst = append(dst, hexDigits[h>>shift&0xf])
 	}
-	buf = append(buf, '-')
-	buf = strconv.AppendInt(buf, size, 16)
-	return string(append(buf, '"'))
+	dst = append(dst, '-')
+	dst = strconv.AppendInt(dst, size, 16)
+	return append(dst, '"')
 }

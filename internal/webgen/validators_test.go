@@ -8,7 +8,7 @@ import (
 	"repro/internal/detrand"
 )
 
-// TestETagMatchesQuotedHex holds etag to the expression it replaced,
+// TestETagMatchesQuotedHex holds appendETag to the expression it replaced,
 // the quoted "%08x-%x" of the hash's low 32 bits and the size, over
 // random pairs: hashes with leading zero digits, size 0, and sizes up
 // to the int64 bounds.
@@ -34,11 +34,13 @@ func TestETagMatchesQuotedHex(t *testing.T) {
 	}
 	for _, c := range cases {
 		h, size := uint32(c[0]), c[1]
-		if got, w := etag(h, size), want(h, size); got != w {
-			t.Fatalf("etag(%#x, %d) = %s, want %s", h, size, got, w)
+		got := appendETag(nil, h, size)
+		if w := want(h, size); string(got) != w || len(got) > maxETag {
+			t.Fatalf("appendETag(%#x, %d) = %s, want %s (at most %d bytes)", h, size, got, w, maxETag)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = etag(0x1234, 5000) }); n > 1 {
-		t.Errorf("etag: %v allocs/op, want at most 1", n)
+	var buf [maxETag]byte
+	if n := testing.AllocsPerRun(100, func() { _ = appendETag(buf[:0], 0x1234, 5000) }); n > 0 {
+		t.Errorf("appendETag: %v allocs/op into a large enough buffer, want 0", n)
 	}
 }

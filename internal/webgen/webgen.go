@@ -15,6 +15,7 @@ package webgen
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -385,7 +386,20 @@ func (p *Page) Scheme() string {
 // URL returns the page's full normalized URL — the address a search
 // engine or list carries, i.e. before any redirect is followed.
 func (p *Page) URL() string {
-	return p.baseScheme() + "://" + p.Site.Host() + p.Path()
+	var buf [160]byte
+	var g *rand.Rand
+	return string(p.appendURL(buf[:0], &g))
+}
+
+// appendURL appends URL() to dst, drawing an internal page's path from
+// *g re-seeded with the page's "path" stream.
+func (p *Page) appendURL(dst []byte, g **rand.Rand) []byte {
+	s := p.Site
+	dst = append(append(append(dst, p.baseScheme()...), "://www."...), s.Domain...)
+	if p.IsLanding() {
+		return append(dst, '/')
+	}
+	return appendPath(dst, reseed(g, subSeedKeyIdx(s.seed, "path", p.Index)), s.Category, p.Index)
 }
 
 // Title returns a short page title, rendered into the page's HTML.
