@@ -191,8 +191,8 @@ type logStore struct {
 // For a caller that has never released a log it keeps the exact sizing
 // of a log nobody will hand back: a fresh n-entry array and no slab.
 // Released storage, zeroed by Release, is reused, and grown with
-// headroom when a bigger page needs more; with none free, a releasing
-// caller gets new storage sized the same way.
+// headroom (storeCap) when a bigger page needs more; with none free, a
+// releasing caller gets new storage sized the same way.
 func (sc *loadScratch) storage(n, slots int) ([]har.Entry, []har.Header) {
 	var st logStore
 	if k := len(sc.free) - 1; k >= 0 {
@@ -204,7 +204,7 @@ func (sc *loadScratch) storage(n, slots int) ([]har.Entry, []har.Header) {
 	}
 	entries := st.entries
 	if cap(entries) < n {
-		entries = make([]har.Entry, n, n+n/4)
+		entries = make([]har.Entry, n, storeCap(n))
 	} else {
 		entries = entries[:n]
 	}
@@ -213,6 +213,18 @@ func (sc *loadScratch) storage(n, slots int) ([]har.Entry, []har.Header) {
 		slab = make([]har.Header, slots+slots/4)
 	}
 	return entries, slab[:cap(slab)]
+}
+
+// storeCap is the capacity of an entry array grown for an n-object
+// page: a quarter's headroom, so pages a little bigger reuse it, but
+// never past maxKeptEntries for a page that fits, so Reset keeps the
+// array instead of dropping it and regrowing it for the next site.
+func storeCap(n int) int {
+	c := n + n/4
+	if n <= maxKeptEntries && c > maxKeptEntries {
+		c = maxKeptEntries
+	}
+	return c
 }
 
 // lend records log, built on slab, as released-able, forgetting the
@@ -321,12 +333,9 @@ func (b *Browser) Reset(cfg Config) error {
 }
 
 // SetCache installs (or, with nil, removes) the private HTTP cache used
-// by subsequent loads. The study's warm runner gives each cold/warm
-// load pair a fresh cache.
+// by subsequent loads. The study's warm runner installs its worker's
+// cache, emptied by Cache.Reset, for each cold/warm load pair.
 func (b *Browser) SetCache(c *Cache) { b.cfg.Cache = c }
-
-// Cache returns the installed cache (nil = always-cold loads).
-func (b *Browser) Cache() *Cache { return b.cfg.Cache }
 
 // conn is one transport connection in a per-origin pool.
 type conn struct {

@@ -19,13 +19,41 @@ import (
 // Cache is a private HTTP response cache. Like the Browser it serves,
 // it is not safe for concurrent use: one Cache belongs to one
 // measurement context.
+//
+// A cache keeps its storage across Reset: the entry map's buckets, the
+// chunks its entries are cut from and the one header slab their stored
+// headers are windows of. A stored window is never rewritten before the
+// next Reset, so a log whose cache-served entries carry stored headers
+// stays valid until then.
 type Cache struct {
 	entries map[string]*cacheEntry
+	// chunks hold the entries; used counts the slots handed out since
+	// the last Reset. An entry's address never moves.
+	chunks []*[entryChunk]cacheEntry
+	used   int
+	// hdrs holds every stored header list since the last Reset, each a
+	// capped window, so an append to one reallocates instead of
+	// overwriting the next.
+	hdrs []har.Header
 
 	hits          int
 	revalidations int
 	stores        int
 }
+
+// entryChunk is how many entries one chunk of a cache's entry storage
+// holds: a typical page's cacheable objects.
+const entryChunk = 64
+
+// maxKeptChunks bounds the entry chunks Reset keeps, and maxKeptHeaders
+// the header slab: room for a large page. Storage grown past them by
+// a bigger page is left to the garbage collector at the next Reset, so
+// a cache reused for a whole study holds a large page's storage, not
+// its largest page's.
+const (
+	maxKeptChunks  = 8
+	maxKeptHeaders = 4096
+)
 
 // cacheEntry is one stored response.
 type cacheEntry struct {
@@ -40,6 +68,40 @@ type cacheEntry struct {
 // NewCache creates an empty cache.
 func NewCache() *Cache {
 	return &Cache{entries: make(map[string]*cacheEntry)}
+}
+
+// Reset empties c and zeroes its counters, keeping its storage for the
+// responses stored next: after Reset, c behaves exactly like NewCache().
+// Every header list c stored before is zeroed, so no log that carries
+// one may be read after Reset.
+func (c *Cache) Reset() {
+	clear(c.entries)
+	for k := 0; k*entryChunk < c.used; k++ {
+		*c.chunks[k] = [entryChunk]cacheEntry{}
+	}
+	if len(c.chunks) > maxKeptChunks {
+		clear(c.chunks[maxKeptChunks:])
+		c.chunks = c.chunks[:maxKeptChunks]
+	}
+	c.used = 0
+	if cap(c.hdrs) > maxKeptHeaders {
+		c.hdrs = nil
+	} else {
+		clear(c.hdrs)
+		c.hdrs = c.hdrs[:0]
+	}
+	c.hits, c.revalidations, c.stores = 0, 0, 0
+}
+
+// newEntry returns a zeroed entry slot from c's chunks.
+func (c *Cache) newEntry() *cacheEntry {
+	k := c.used / entryChunk
+	if k == len(c.chunks) {
+		c.chunks = append(c.chunks, new([entryChunk]cacheEntry))
+	}
+	e := &c.chunks[k][c.used%entryChunk]
+	c.used++
+	return e
 }
 
 // Len returns the number of stored responses.
@@ -103,16 +165,18 @@ func (c *Cache) store(url, method string, resp *har.Response, at time.Time) {
 	if f.Lifetime <= f.InitialAge && !f.HasValidator() {
 		return
 	}
-	headers := make([]har.Header, len(resp.Headers))
-	copy(headers, resp.Headers)
-	c.entries[url] = &cacheEntry{
+	k := len(c.hdrs)
+	c.hdrs = append(c.hdrs, resp.Headers...)
+	e := c.newEntry()
+	*e = cacheEntry{
 		status:   resp.Status,
 		mime:     resp.MIMEType,
 		size:     resp.BodySize,
-		headers:  headers,
+		headers:  c.hdrs[k:len(c.hdrs):len(c.hdrs)],
 		storedAt: at,
 		fresh:    f,
 	}
+	c.entries[url] = e
 	c.stores++
 }
 

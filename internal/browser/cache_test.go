@@ -1,6 +1,7 @@
 package browser
 
 import (
+	"bytes"
 	"reflect"
 	"sort"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/har"
 	"repro/internal/httpsem"
 	"repro/internal/simnet"
+	"repro/internal/webgen"
 )
 
 // TestWarmLoadServesFromCache primes a cache with a cold load, revisits
@@ -284,5 +286,100 @@ func TestStoreFreshnessMatchesHeaderValue(t *testing.T) {
 	}
 	if stored < 300 {
 		t.Fatalf("only %d of 3000 random responses were stored", stored)
+	}
+}
+
+// TestCacheResetMatchesNew drives two identical browsers through the
+// same cold/warm pairs, clean and faulted: one keeps a single cache and
+// resets it before each pair, the other installs a NewCache per pair.
+// Every log must marshal to the same bytes on both, and the two caches
+// must count the same. A reset after more responses than the cache
+// keeps storage for must leave zeroed storage within the bounds.
+func TestCacheResetMatchesNew(t *testing.T) {
+	_, web := testBrowser(t, 2.2)
+	models := releaseModels(web)
+	models = append(models, models...)
+	faults := simnet.FaultConfig{Rates: simnet.FaultRates{Timeout: 0.01, Truncate: 0.01, Loss: 0.1}}
+	for _, tc := range []struct {
+		name string
+		make func() *Browser
+	}{
+		{"clean", func() *Browser { b, _ := testBrowser(t, 2.2); return b }},
+		{"faulted", func() *Browser { return faultyBrowser(t, web, faults, 0.02) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reset, fresh := tc.make(), tc.make()
+			cache := NewCache()
+			pairs, hits := 0, 0
+			pair := func(i int, m *webgen.PageModel) {
+				cache.Reset()
+				reset.SetCache(cache)
+				fc := NewCache()
+				fresh.SetCache(fc)
+				var logs []*har.Log
+				for _, revisit := range []time.Duration{0, 30 * time.Minute} {
+					lr, errR := reset.LoadRevisit(m, i, 0, revisit)
+					lf, errF := fresh.LoadRevisit(m, i, 0, revisit)
+					if (errR == nil) != (errF == nil) || (errR != nil && errR.Error() != errF.Error()) {
+						t.Fatalf("%s revisit %v: errors differ: %v vs %v", m.URL, revisit, errR, errF)
+					}
+					if !bytes.Equal(harBytes(t, lr), harBytes(t, lf)) {
+						t.Fatalf("%s revisit %v: log through a reset cache differs from one through NewCache", m.URL, revisit)
+					}
+					logs = append(logs, lr)
+				}
+				if cache.Len() != fc.Len() || cache.Hits() != fc.Hits() || cache.Revalidations() != fc.Revalidations() {
+					t.Fatalf("%s: reset cache holds %d, %d hits, %d revalidations; new cache %d, %d, %d", m.URL,
+						cache.Len(), cache.Hits(), cache.Revalidations(), fc.Len(), fc.Hits(), fc.Revalidations())
+				}
+				pairs++
+				hits += cache.Hits()
+				for _, l := range logs {
+					reset.Release(l)
+				}
+			}
+			for i, m := range models {
+				pair(i, m)
+			}
+
+			// Overflow both bounds, then check Reset's storage.
+			at := time.Date(2020, 3, 12, 9, 0, 0, 0, time.UTC)
+			cache.Reset()
+			for k := 0; k < maxKeptChunks*entryChunk+1; k++ {
+				cache.store("https://a.example/"+strconv.Itoa(k), "GET", &har.Response{Status: 200, Headers: []har.Header{
+					{Name: "Cache-Control", Value: "max-age=60"}, {Name: "ETag", Value: `"e"`},
+					{Name: "Date", Value: httpsem.FormatDate(at)}, {Name: "Server", Value: "s"},
+					{Name: "Content-Type", Value: "text/css"}, {Name: "Via", Value: "1.1 v"},
+					{Name: "X-Cache", Value: "HIT"}, {Name: "Age", Value: "1"},
+				}}, at)
+			}
+			if cache.Len() != maxKeptChunks*entryChunk+1 || cap(cache.hdrs) <= maxKeptHeaders {
+				t.Fatalf("overflow stored %d responses in %d header slots; want %d in more than %d",
+					cache.Len(), cap(cache.hdrs), maxKeptChunks*entryChunk+1, maxKeptHeaders)
+			}
+			cache.Reset()
+			if cache.Len() != 0 || cache.Hits() != 0 || cache.Revalidations() != 0 || cache.used != 0 {
+				t.Fatalf("Reset left %d entries, %d hits, %d revalidations, %d used slots", cache.Len(), cache.Hits(), cache.Revalidations(), cache.used)
+			}
+			if len(cache.chunks) > maxKeptChunks || cap(cache.hdrs) > maxKeptHeaders {
+				t.Fatalf("Reset kept %d chunks and %d header slots, bounds %d and %d", len(cache.chunks), cap(cache.hdrs), maxKeptChunks, maxKeptHeaders)
+			}
+			for k, ch := range cache.chunks {
+				if !reflect.ValueOf(*ch).IsZero() {
+					t.Fatalf("chunk %d not zeroed by Reset", k)
+				}
+			}
+			for k, h := range cache.hdrs[:cap(cache.hdrs)] {
+				if h != (har.Header{}) {
+					t.Fatalf("header slot %d not zeroed by Reset: %+v", k, h)
+				}
+			}
+			for i, m := range models[:3] {
+				pair(i, m)
+			}
+			if hits == 0 {
+				t.Fatalf("%d pairs without a cache hit", pairs)
+			}
+		})
 	}
 }

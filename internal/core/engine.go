@@ -61,16 +61,20 @@ func (c *Collector[R]) Flush() error { return nil }
 
 // worker is the storage one engine worker owns and hands to every site
 // it measures: the page-model builder, the browser (Reset for each
-// site) and the CDN network its loads re-seed. Each site still starts
-// from its own seeds, clock, resolver and cache, and every reused buffer
-// is emptied before it is read, so no result depends on which worker
-// measured a site or what it measured before. Owning the storage, rather
-// than drawing it from a sync.Pool, keeps reuse independent of garbage
-// collection timing.
+// site), the CDN network its loads re-seed, the warm study's cache
+// (Reset for each cold/warm pair) and the measurer. Each site still
+// starts from its own seeds, clock and resolver, each pair from an empty
+// cache, every reused buffer is emptied before it is read, and the
+// measurer reuses only what a pure function of its inputs derived, so
+// no result depends on which worker measured a site or what it measured
+// before. Owning the storage, rather than drawing it from a sync.Pool,
+// keeps reuse independent of garbage collection timing.
 type worker struct {
 	pages webgen.Builder
 	b     *browser.Browser
 	edges *cdn.Network
+	cache *browser.Cache
+	ms    measurer
 }
 
 // siteDone carries one measured site from a worker to the fold.

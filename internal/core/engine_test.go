@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/hispar"
+	"repro/internal/runstats"
 	"repro/internal/search"
 	"repro/internal/toplist"
 	"repro/internal/webgen"
@@ -109,10 +110,16 @@ func TestFailingSinkIsDropped(t *testing.T) {
 // first reused across sites (88 KB before).
 const studyAllocBudget = 3 * (27 << 10) / 2
 
-// TestStudyAllocBudget holds a small cold study's heap allocation per
-// measured page under studyAllocBudget, so a change that brings back
-// per-page garbage fails here and not only in the benchmark gate.
-func TestStudyAllocBudget(t *testing.T) {
+// warmStudyAllocBudget bounds the bytes a warm study allocates per
+// measured cold/warm pair in TestWarmStudyAllocBudget: 1.5× the 27 KB
+// per pair measured when each worker first kept one browser cache and
+// one measurer for all its pairs (70 KB before).
+const warmStudyAllocBudget = 3 * (27 << 10) / 2
+
+// allocStudy returns a small study's web, list and a one-worker study
+// over them, for the allocation budgets.
+func allocStudy(t *testing.T) (*Study, *hispar.List) {
+	t.Helper()
 	u := toplist.NewUniverse(toplist.Config{Seed: 7, Size: 500})
 	entries := u.Top(30)
 	seeds := make([]webgen.SiteSeed, len(entries))
@@ -129,20 +136,53 @@ func TestStudyAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st, list
+}
+
+// allocPerPage runs run and returns the bytes it allocated per measured
+// page, failing unless it measured every page of list.
+func allocPerPage(t *testing.T, list *hispar.List, run func() (runstats.Snapshot, error)) uint64 {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := st.RunStream(list, StreamConfig{})
+	snap, err := run()
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages := res.Stats.Counters["pages.measured"]
+	pages := snap.Counters["pages.measured"]
 	if pages != int64(list.Pages()) {
 		t.Fatalf("measured %d pages, want %d", pages, list.Pages())
 	}
 	perPage := (after.TotalAlloc - before.TotalAlloc) / uint64(pages)
 	t.Logf("%d pages, %.1f KB allocated per page", pages, float64(perPage)/1024)
+	return perPage
+}
+
+// TestStudyAllocBudget holds a small cold study's heap allocation per
+// measured page under studyAllocBudget, so a change that brings back
+// per-page garbage fails here and not only in the benchmark gate.
+func TestStudyAllocBudget(t *testing.T) {
+	st, list := allocStudy(t)
+	perPage := allocPerPage(t, list, func() (runstats.Snapshot, error) {
+		res, err := st.RunStream(list, StreamConfig{})
+		return res.Stats, err
+	})
 	if perPage > studyAllocBudget {
 		t.Fatalf("a cold study allocates %d bytes per page, over the budget of %d", perPage, studyAllocBudget)
+	}
+}
+
+// TestWarmStudyAllocBudget is TestStudyAllocBudget for the warm study:
+// each page is a cold/warm pair, loaded through the worker's reset
+// cache and measured through its measurer.
+func TestWarmStudyAllocBudget(t *testing.T) {
+	st, list := allocStudy(t)
+	perPage := allocPerPage(t, list, func() (runstats.Snapshot, error) {
+		res, err := st.RunWarmStream(list, WarmConfig{})
+		return res.Stats, err
+	})
+	if perPage > warmStudyAllocBudget {
+		t.Fatalf("a warm study allocates %d bytes per pair, over the budget of %d", perPage, warmStudyAllocBudget)
 	}
 }

@@ -155,26 +155,118 @@ func requestTypeOf(c mimecat.Category, mime string) adblock.RequestType {
 	}
 }
 
-// entryView is everything the measure pass reads from one HAR entry,
-// each field derived once: the analyzers take these fields instead of
-// re-parsing the entry.
-type entryView struct {
-	host     string           // urlx.Host of the request URL
-	cat      mimecat.Category // the one mimecat.Of of the response MIME
-	reqType  adblock.RequestType
-	urlLower string           // the request URL lowercased, for hb
-	hdr      har.KnownHeaders // one har.ScanHeaders of the response headers
+// entryClass is everything the measure pass derives from one entry's
+// request URL and response MIME type, given the page URL and the
+// analyzers: the part of an entry's reading that cannot change between
+// loads of the same page. A measurer keeps the classes of the last page
+// it measured, so a warm revisit or a landing re-fetch reads them
+// instead of deriving them again.
+type entryClass struct {
+	// url and mime are the inputs the class was derived from; set marks
+	// a derived class.
+	url, mime string
+	set       bool
+
+	host    string           // urlx.Host of the request URL
+	cat     mimecat.Category // the one mimecat.Of of the response MIME
+	bids    hb.Signal        // the URL's header-bidding evidence
+	blocked bool             // the adblock verdict
+	// tp is the host's third-party eTLD+1, "" for a first party. Only a
+	// host's first entry on a page needs it, so it is derived on first
+	// use: tpSet marks it derived.
+	tpSet bool
+	tp    string
 }
 
-func viewOf(e *har.Entry) entryView {
-	cat := mimecat.Of(e.Response.MIMEType)
-	return entryView{
-		host:     urlx.Host(e.Request.URL),
-		cat:      cat,
-		reqType:  requestTypeOf(cat, e.Response.MIMEType),
-		urlLower: strings.ToLower(e.Request.URL),
-		hdr:      har.ScanHeaders(e.Response.Headers),
+// classify derives the class of e on a page whose host is pageHost.
+func classify(e *har.Entry, pageHost string, az Analyzers) entryClass {
+	c := entryClass{
+		set:  true,
+		url:  e.Request.URL,
+		mime: e.Response.MIMEType,
+		host: urlx.Host(e.Request.URL),
+		cat:  mimecat.Of(e.Response.MIMEType),
+		bids: hb.Classify(strings.ToLower(e.Request.URL)),
 	}
+	if az.Adblock != nil {
+		_, c.blocked = az.Adblock.Match(adblock.Request{
+			URL:      e.Request.URL,
+			Host:     c.host,
+			Type:     requestTypeOf(c.cat, e.Response.MIMEType),
+			PageHost: pageHost,
+		})
+	}
+	return c
+}
+
+// measurer runs the HAR→metrics pass. A worker owns one for its whole
+// run, so the pass keeps its per-page sets, its depth counter's storage
+// and the last page's entry classes from one page to the next; MeasurePage and MeasureHAR run the
+// same pass on a zero measurer. A stored class is reused only for the
+// same page under the same analyzers, at the same entry position, with
+// the same request URL and MIME type: it caches a pure function of
+// those, so no measurement depends on what a measurer measured before.
+type measurer struct {
+	// az and pageURL are the page and analyzers classes were derived
+	// for; classes[i] is the class of entry i of that page's last
+	// measured log. Slots past len(classes) are zero.
+	az      Analyzers
+	pageURL string
+	classes []entryClass
+	// domains and thirdParties are the page's sets of hosts and
+	// third-party eTLD+1s, emptied after every page.
+	domains      map[string]bool
+	thirdParties map[string]bool
+	// depths counts dependency depths on index storage it keeps.
+	depths depgraph.Counter
+}
+
+// maxKeptClasses bounds the class storage a measurer carries from one
+// page to another: room for a typical page, as for the browser's log
+// stores. Storage grown for a bigger page serves that page's logs and is
+// dropped at the next page.
+const maxKeptClasses = 256
+
+// classesFor returns n class slots for a log of pageURL measured with
+// az: the stored classes when they were derived for the same page and
+// analyzers, else zeroed slots. Slots a shorter log leaves are zeroed,
+// so no stored class keeps an earlier page's strings reachable.
+func (ms *measurer) classesFor(pageURL string, az Analyzers, n int) []entryClass {
+	if ms.pageURL != pageURL || ms.az != az {
+		if cap(ms.classes) > maxKeptClasses {
+			ms.classes = nil
+		}
+		clear(ms.classes)
+		ms.pageURL, ms.az = pageURL, az
+	}
+	if cap(ms.classes) < n {
+		c := n + n/4
+		if n <= maxKeptClasses && c > maxKeptClasses {
+			c = maxKeptClasses
+		}
+		grown := make([]entryClass, n, c)
+		copy(grown, ms.classes)
+		ms.classes = grown
+	} else {
+		clear(ms.classes[min(n, len(ms.classes)):])
+		ms.classes = ms.classes[:n]
+	}
+	return ms.classes
+}
+
+// derivedFrom reports whether c was derived from e's request URL and
+// MIME type.
+func (c *entryClass) derivedFrom(e *har.Entry) bool {
+	return c.set && c.url == e.Request.URL && c.mime == e.Response.MIMEType
+}
+
+// of returns c when it was derived from e's request URL and MIME type,
+// else e's class derived afresh into c.
+func (c *entryClass) of(e *har.Entry, pageHost string, az Analyzers) *entryClass {
+	if !c.derivedFrom(e) {
+		*c = classify(e, pageHost, az)
+	}
+	return c
 }
 
 // pageTimings is one fetch's timing sample: the seven fields
@@ -221,15 +313,26 @@ func (t *pageTimings) addEntry(e *har.Entry, host string, hdr *har.KnownHeaders,
 	return true
 }
 
-// measureTimings is the timings-only pass over a landing re-fetch: the
-// sample MeasurePage's measurement of the same log carries, without the
-// rest of the measurement.
-func measureTimings(log *har.Log, cdn *cdndetect.Detector) pageTimings {
+// timings is the timings-only pass over a landing re-fetch: the sample
+// the full pass's measurement of the same log carries, without the rest
+// of the measurement. It reads each entry's host from the stored class
+// when the class applies, and stores nothing.
+func (ms *measurer) timings(log *har.Log, az Analyzers) pageTimings {
 	t := newPageTimings(log)
+	var classes []entryClass
+	if ms.pageURL == log.Page.URL && ms.az == az {
+		classes = ms.classes
+	}
 	for i := range log.Entries {
 		e := &log.Entries[i]
+		var host string
+		if i < len(classes) && classes[i].derivedFrom(e) {
+			host = classes[i].host
+		} else {
+			host = urlx.Host(e.Request.URL)
+		}
 		hdr := har.ScanHeaders(e.Response.Headers)
-		t.addEntry(e, urlx.Host(e.Request.URL), &hdr, cdn)
+		t.addEntry(e, host, &hdr, az.CDN)
 	}
 	return t
 }
@@ -254,7 +357,13 @@ func (p *PageMeasurement) setTimings(t pageTimings) {
 // (resource hints, ad slots) and site metadata, mirroring the paper's
 // pipeline.
 func MeasurePage(log *har.Log, model *webgen.PageModel, az Analyzers) PageMeasurement {
-	m := measureLog(log, az)
+	var ms measurer
+	return ms.measurePage(log, model, az)
+}
+
+// measurePage is MeasurePage on ms.
+func (ms *measurer) measurePage(log *har.Log, model *webgen.PageModel, az Analyzers) PageMeasurement {
+	m := ms.measure(log, az)
 	page := model.Page
 	site := page.Site
 	m.Domain = site.Domain
@@ -276,17 +385,23 @@ func MeasurePage(log *har.Log, model *webgen.PageModel, az Analyzers) PageMeasur
 // DOM-only and site fields (Domain, Rank, Category, Hints, AdSlots) stay
 // zero.
 func MeasureHAR(log *har.Log, az Analyzers) PageMeasurement {
-	m := measureLog(log, az)
+	var ms measurer
+	return ms.measureHAR(log, az)
+}
+
+// measureHAR is MeasureHAR on ms.
+func (ms *measurer) measureHAR(log *har.Log, az Analyzers) PageMeasurement {
+	m := ms.measure(log, az)
 	m.IsLanding = urlx.IsLandingPage(log.Page.URL)
 	m.Scheme = schemeOf(log.Page.URL)
 	return m
 }
 
-// measureLog is the one HAR→metrics pass: it fills every PageMeasurement
+// measure is the one HAR→metrics pass: it fills every PageMeasurement
 // field a HAR decides and leaves the DOM and site fields to its callers.
-// Each entry is read once into an entryView, and every analyzer takes
-// its input from the view.
-func measureLog(log *har.Log, az Analyzers) PageMeasurement {
+// Each entry's URL- and MIME-derived facts come from its class, and its
+// headers are scanned once; every analyzer takes its input from those.
+func (ms *measurer) measure(log *har.Log, az Analyzers) PageMeasurement {
 	m := PageMeasurement{
 		URL:          log.Page.URL,
 		Bytes:        log.TotalBytes(),
@@ -301,7 +416,7 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 	// Dependency structure is derived from HAR initiator records, the
 	// paper's §5.4 method; the HAR's _depth extension is only a
 	// cross-check (see tests).
-	if dc, err := depgraph.DepthCounts(log, 5); err == nil {
+	if dc, err := ms.depths.DepthCounts(log, 5); err == nil {
 		m.DepthCounts = dc
 	} else {
 		m.DepthCounts = log.DepthCounts(5)
@@ -312,35 +427,45 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 		pageSite = az.PSL.ETLDPlusOne(pageHost)
 	}
 	pageHTTPS := strings.HasPrefix(log.Page.URL, "https://")
-	domains := make(map[string]bool)
-	thirdParties := make(map[string]bool)
+	if ms.domains == nil {
+		ms.domains = make(map[string]bool)
+		ms.thirdParties = make(map[string]bool)
+	}
+	classes := ms.classesFor(log.Page.URL, az, len(log.Entries))
 
 	for i := range log.Entries {
 		e := &log.Entries[i]
-		v := viewOf(e)
-		if !domains[v.host] {
-			domains[v.host] = true
+		c := classes[i].of(e, pageHost, az)
+		hdr := har.ScanHeaders(e.Response.Headers)
+		if !ms.domains[c.host] {
+			ms.domains[c.host] = true
 			// Third parties by eTLD+1 (§6.2), once per host: a host is
 			// first-party only when it shares the page's non-empty
 			// eTLD+1 (psl.SameSite, with the page side computed
 			// once).
 			if az.PSL != nil {
-				if tp := az.PSL.ETLDPlusOne(v.host); tp != "" && (pageSite == "" || tp != pageSite) {
-					thirdParties[tp] = true
+				if !c.tpSet {
+					if tp := az.PSL.ETLDPlusOne(c.host); tp != "" && (pageSite == "" || tp != pageSite) {
+						c.tp = tp
+					}
+					c.tpSet = true
+				}
+				if c.tp != "" {
+					ms.thirdParties[c.tp] = true
 				}
 			}
 		}
-		bids.Observe(v.urlLower, e)
+		bids.Add(c.bids, e)
 
 		// Insecure redirects are visible in the HAR: a 301 whose
 		// Location target is plain HTTP.
 		if !m.InsecureRedirect && e.Response.Status/100 == 3 &&
-			strings.HasPrefix(v.hdr.Location, "http://") {
+			strings.HasPrefix(hdr.Location, "http://") {
 			m.InsecureRedirect = true
 		}
 
 		// Content mix.
-		m.ContentBytes[v.cat] += e.Response.BodySize
+		m.ContentBytes[c.cat] += e.Response.BodySize
 
 		// Warm-load accounting.
 		m.TransferBytes += e.Transferred()
@@ -362,10 +487,10 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 		} else if httpsem.Cacheable(httpsem.Response{
 			Method:       e.Request.Method,
 			Status:       e.Response.Status,
-			CacheControl: v.hdr.CacheControl,
-			Pragma:       v.hdr.Pragma,
-			Expires:      v.hdr.Expires,
-			Date:         v.hdr.Date,
+			CacheControl: hdr.CacheControl,
+			Pragma:       hdr.Pragma,
+			Expires:      hdr.Expires,
+			Date:         hdr.Date,
 		}) {
 			m.CacheableBytes += e.Response.BodySize
 		} else {
@@ -374,7 +499,7 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 
 		// Handshakes and CDN delivery, through the helper the
 		// timings-only pass shares.
-		if t.addEntry(e, v.host, &v.hdr, az.CDN) {
+		if t.addEntry(e, c.host, &hdr, az.CDN) {
 			m.CDNBytes += e.Response.BodySize
 		}
 		m.WaitTimes = append(m.WaitTimes, e.Timings.Wait)
@@ -386,25 +511,20 @@ func measureLog(log *har.Log, az Analyzers) PageMeasurement {
 		}
 
 		// Trackers (§6.3).
-		if az.Adblock != nil {
-			if _, blocked := az.Adblock.Match(adblock.Request{
-				URL:      e.Request.URL,
-				Host:     v.host,
-				Type:     v.reqType,
-				PageHost: pageHost,
-			}); blocked {
-				m.TrackerRequests++
-			}
+		if c.blocked {
+			m.TrackerRequests++
 		}
 	}
 	m.setTimings(t)
 	m.HasHB = bids.Result().Active
-	m.UniqueDomains = len(domains)
-	for tp := range thirdParties {
+	m.UniqueDomains = len(ms.domains)
+	for tp := range ms.thirdParties {
 		m.ThirdParties = append(m.ThirdParties, tp)
 	}
 	sort.Strings(m.ThirdParties)
 	copyStrings(m.ThirdParties)
+	clear(ms.domains)
+	clear(ms.thirdParties)
 	return m
 }
 

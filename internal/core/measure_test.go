@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/adblock"
 	"repro/internal/browser"
 	"repro/internal/cdndetect"
+	"repro/internal/detrand"
 	"repro/internal/har"
 	"repro/internal/hb"
 	"repro/internal/mimecat"
@@ -277,7 +280,8 @@ func TestSiteResultHelpers(t *testing.T) {
 // analyzer in the pass (header bidding, redirects, cacheability, CDN,
 // third parties, trackers, dependency depth) must survive them. Whatever
 // decodes must measure without panicking, with one object, one wait time
-// and one cache-or-network classification per entry.
+// and one cache-or-network classification per entry, and a measurer
+// primed with the log or a perturbed copy must measure it as a fresh one.
 func FuzzMeasureHAR(f *testing.F) {
 	loads, st := simulatedLoads(f)
 	for _, l := range loads[:2] { // the first page, cold and warm
@@ -309,6 +313,19 @@ func FuzzMeasureHAR(f *testing.F) {
 			return
 		}
 		m := MeasureHAR(log, az)
+		// A measurer primed with a perturbed copy of the log, or with
+		// the log itself, must measure the log exactly as a fresh one
+		// does.
+		var ms measurer
+		for _, prime := range []*har.Log{perturbLog(log), log} {
+			ms.measureHAR(prime, az)
+			if got := ms.measureHAR(log, az); !reflect.DeepEqual(got, m) {
+				t.Fatalf("measurer primed with %d entries gives\n%+v\nfresh MeasureHAR gives\n%+v", len(prime.Entries), got, m)
+			}
+			if got, want := ms.timings(log, az), m.timings(); got != want {
+				t.Fatalf("primed timings pass %+v, MeasureHAR %+v", got, want)
+			}
+		}
 		if m.Objects != log.ObjectCount() {
 			t.Errorf("Objects = %d, log has %d", m.Objects, log.ObjectCount())
 		}
@@ -319,6 +336,29 @@ func FuzzMeasureHAR(f *testing.F) {
 			t.Errorf("%d wait times for %d entries", len(m.WaitTimes), len(log.Entries))
 		}
 	})
+}
+
+// perturbLog returns a copy of log, at the same page and positions,
+// that a measurer primed with it must not reuse blindly: every third
+// entry's MIME type swapped into another category and every fourth
+// entry's request sent to another host.
+func perturbLog(log *har.Log) *har.Log {
+	cp := *log
+	cp.Entries = append([]har.Entry(nil), log.Entries...)
+	for i := range cp.Entries {
+		e := &cp.Entries[i]
+		if i%3 == 0 {
+			if mimecat.Of(e.Response.MIMEType) == mimecat.CatImage {
+				e.Response.MIMEType = "text/css"
+			} else {
+				e.Response.MIMEType = "image/png"
+			}
+		}
+		if i%4 == 1 {
+			e.Request.URL = "https://perturbed.example/" + strconv.Itoa(i) + ".js"
+		}
+	}
+	return &cp
 }
 
 // TestAnalyzersAgreeOnHosts feeds MeasureHAR URLs whose host ends at a
@@ -447,8 +487,9 @@ func TestRequestTypeOfNormalisesMIME(t *testing.T) {
 
 // TestLandingTimingsMatchMeasurePage holds the timings-only pass of the
 // landing re-fetches to the full pass: for cold, faulted and
-// warm-revisit loads over several seeds, measureTimings must equal the
-// seven timing fields MeasurePage fills from the same log.
+// warm-revisit loads over several seeds, the timings pass of a fresh
+// measurer and of one primed with the page's earlier loads must equal
+// the seven timing fields MeasurePage fills from the same log.
 func TestLandingTimingsMatchMeasurePage(t *testing.T) {
 	const delay = 30 * time.Minute
 	var cold, faulted, warm, cached, cdnHits int
@@ -471,11 +512,22 @@ func TestLandingTimingsMatchMeasurePage(t *testing.T) {
 				t.Fatal(err)
 			}
 			az := st.Analyzers()
+			// primed measures every log after its timings pass, so each
+			// timings pass but a page's first runs on the classes of the
+			// page's previous load.
+			var primed measurer
 			check := func(kind string, m *webgen.PageModel, log *har.Log) {
 				full := MeasurePage(log, m, az)
 				want := full.timings()
-				if got := measureTimings(log, az.CDN); got != want {
+				var fresh measurer
+				if got := fresh.timings(log, az); got != want {
 					t.Errorf("seed %d %s %s: timings pass %+v, MeasurePage %+v", seed, kind, m.URL, got, want)
+				}
+				if got := primed.timings(log, az); got != want {
+					t.Errorf("seed %d %s %s: primed timings pass %+v, MeasurePage %+v", seed, kind, m.URL, got, want)
+				}
+				if got := primed.measurePage(log, m, az); !reflect.DeepEqual(got, full) {
+					t.Errorf("seed %d %s %s: primed measurement differs from MeasurePage", seed, kind, m.URL)
 				}
 				if want.CDNHits > 0 {
 					cdnHits++
@@ -523,5 +575,129 @@ func TestLandingTimingsMatchMeasurePage(t *testing.T) {
 	if cold == 0 || faulted == 0 || warm == 0 || cached == 0 || cdnHits == 0 {
 		t.Errorf("loads miss a case: %d cold, %d faulted, %d warm (%d cache-served entries), %d with CDN hits",
 			cold, faulted, warm, cached, cdnHits)
+	}
+}
+
+// TestMeasurerReuseMatchesFresh drives one measurer, as a study worker
+// does, through seeded random sequences of repeated landing fetches,
+// warm pairs, faulted (compacted) logs, perturbed copies and page
+// switches. Every measurement and every timings pass must equal what a
+// fresh MeasurePage makes of the same log: reusing a class may save
+// work, never change a field.
+func TestMeasurerReuseMatchesFresh(t *testing.T) {
+	const delay = 30 * time.Minute
+	u := toplist.NewUniverse(toplist.Config{Seed: 13, Size: 400})
+	entries := u.Top(8)
+	seeds := make([]webgen.SiteSeed, len(entries))
+	for i, e := range entries {
+		seeds[i] = webgen.SiteSeed{Domain: e.Domain, Rank: e.Rank}
+	}
+	web := webgen.Generate(webgen.Config{Seed: 13, Sites: seeds})
+	clean, err := NewStudy(web, StudyConfig{Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := NewStudy(web, StudyConfig{Seed: 13, DNSFailProb: 0.05,
+		Faults: simnet.FaultConfig{Rates: simnet.FaultRates{Timeout: 0.03, Truncate: 0.03, Loss: 0.2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	az := clean.Analyzers()
+	var reused, compacted, perturbed, warm int
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := detrand.New(seed)
+		var ms measurer
+		site := 0
+		page := web.Sites[0].Landing().Build()
+		var last *har.Log
+		check := func(step int, kind string, log *har.Log) {
+			t.Helper()
+			want := MeasurePage(log, page, az)
+			if ms.pageURL == log.Page.URL && len(ms.classes) > 0 {
+				reused++
+			}
+			if got := ms.timings(log, az); got != want.timings() {
+				t.Fatalf("seed %d step %d (%s of %s): timings pass %+v, MeasurePage %+v", seed, step, kind, page.URL, got, want.timings())
+			}
+			if got := ms.measurePage(log, page, az); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d (%s of %s): measurer gives\n%+v\nMeasurePage gives\n%+v", seed, step, kind, page.URL, got, want)
+			}
+			last = log
+		}
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(5); {
+			case op == 0 || last == nil: // switch to another page
+				site = rng.Intn(len(web.Sites))
+				s := web.Sites[site]
+				page = s.PageAt(rng.Intn(min(s.PoolSize(), 4) + 1)).Build()
+				fallthrough
+			case op == 1: // a landing-style re-fetch
+				sc, err := clean.newSiteCtx(site, &worker{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				log, err := sc.b.LoadRevisit(page, rng.Intn(10), 0, 0)
+				if err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+				check(step, "fetch", log)
+			case op == 2: // a warm pair
+				sc, err := clean.newSiteCtx(site, &worker{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc.b.SetCache(browser.NewCache())
+				cold, err := sc.b.LoadRevisit(page, 0, 0, 0)
+				if err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+				check(step, "cold leg", cold)
+				sc.clock.Advance(delay)
+				w, err := sc.b.LoadRevisit(page, 0, 0, delay)
+				if err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+				check(step, "warm leg", w)
+				warm++
+			case op == 3: // a faulted load, compacted or failed
+				sc, err := faulty.newSiteCtx(site, &worker{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				log, _ := sc.b.LoadRevisit(page, rng.Intn(10), rng.Intn(3), 0)
+				if len(log.Entries) < len(page.Objects) {
+					compacted++
+				}
+				check(step, "faulted load", log)
+			default: // a perturbed copy of the last log
+				cp := *last
+				cp.Entries = append([]har.Entry(nil), last.Entries...)
+				for i := range cp.Entries {
+					switch rng.Intn(6) {
+					case 0:
+						cp.Entries[i].Response.MIMEType = strings.ToUpper(cp.Entries[i].Response.MIMEType)
+					case 1:
+						cp.Entries[i].Request.URL += "?v=" + strconv.Itoa(step)
+					case 2:
+						j := rng.Intn(len(cp.Entries))
+						cp.Entries[i], cp.Entries[j] = cp.Entries[j], cp.Entries[i]
+					}
+				}
+				if k := rng.Intn(len(cp.Entries)); k > 0 {
+					cp.Entries = append(cp.Entries[:k], cp.Entries[k+1:]...)
+				}
+				if rng.Intn(2) == 0 {
+					// The same entries on another site's page: first
+					// and third parties trade places.
+					cp.Page.URL = web.Sites[(site+1+rng.Intn(len(web.Sites)-1))%len(web.Sites)].Landing().URL()
+				}
+				perturbed++
+				check(step, "perturbed copy", &cp)
+			}
+		}
+	}
+	if reused == 0 || compacted == 0 || perturbed == 0 || warm == 0 {
+		t.Fatalf("sequences miss a case: %d measurements on stored classes, %d compacted logs, %d perturbed copies, %d warm pairs",
+			reused, compacted, perturbed, warm)
 	}
 }

@@ -236,16 +236,20 @@ func (st *Study) Analyzers() Analyzers { return st.az }
 // siteCtx is one site's isolated measurement context: its own virtual
 // clock pinned to the site's slot in the study window, its own resolver,
 // and a browser configured for the site alone. The browser, the CDN
-// network and the page builder are the worker's storage, reset for the
-// site; no state that decides a measurement is shared across sites,
-// which is what makes a study's measurements identical at any worker
-// count.
+// network, the page builder, the warm cache and the measurer are the
+// worker's storage, reset for the site or the page; no state that
+// decides a measurement is shared across sites, which is what makes a
+// study's measurements identical at any worker count.
 type siteCtx struct {
 	clock *vclock.Clock
 	b     *browser.Browser
 	// pages builds the site's page models; a model is valid until the
 	// next page's build.
 	pages *webgen.Builder
+	// cache is the warm study's browser cache, Reset for every pair.
+	cache *browser.Cache
+	// ms measures every log of the site.
+	ms *measurer
 	// rec, when non-nil, collects this site's spans (see internal/trace);
 	// the streaming fold merges it in rank order after the site retires.
 	rec *trace.Recorder
@@ -292,7 +296,10 @@ func (st *Study) newSiteCtx(i int, w *worker) (*siteCtx, error) {
 	} else if err := w.b.Reset(cfg); err != nil {
 		return nil, err
 	}
-	return &siteCtx{clock: clock, b: w.b, pages: &w.pages}, nil
+	if w.cache == nil {
+		w.cache = browser.NewCache()
+	}
+	return &siteCtx{clock: clock, b: w.b, pages: &w.pages, cache: w.cache, ms: &w.ms}, nil
 }
 
 // loadRevisitWithRetry attempts one page load up to MaxAttempts times,
@@ -363,7 +370,8 @@ func (st *Study) release(sc *siteCtx, log *har.Log) {
 //detlint:hotpath -- the cold per-site step; the engine calls it through a func value
 func (st *Study) measureSiteResilient(w *worker, i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (SiteResult, Outcome) {
 	return measureSite(st, w, i, set, rec, rs, func(sc *siteCtx, site *webgen.Site, out *Outcome) (SiteResult, error) {
-		res := SiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category)}
+		res := SiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category),
+			Internal: make([]PageMeasurement, 0, len(set.Internal))}
 
 		// Landing page: repeated cold-cache fetches, median timings. The
 		// first fetch is measured in full; every fetch yields a timing
@@ -377,10 +385,10 @@ func (st *Study) measureSiteResilient(w *worker, i int, set hispar.URLSet, rec *
 				return res, err
 			}
 			if f == 0 {
-				first = MeasurePage(log, model, st.az)
+				first = sc.ms.measurePage(log, model, st.az)
 				samples = append(samples, first.timings())
 			} else {
-				samples = append(samples, measureTimings(log, st.az.CDN))
+				samples = append(samples, sc.ms.timings(log, st.az))
 			}
 			st.release(sc, log)
 		}
@@ -400,7 +408,7 @@ func (st *Study) measureSiteResilient(w *worker, i int, set hispar.URLSet, rec *
 				out.FailedPages++
 				continue
 			}
-			res.Internal = append(res.Internal, MeasurePage(log, im, st.az))
+			res.Internal = append(res.Internal, sc.ms.measurePage(log, im, st.az))
 			st.release(sc, log)
 		}
 		sc.stats.Inc("pages.measured", int64(1+len(res.Internal)))

@@ -1,7 +1,7 @@
 package core
 
 // Warm (repeat-view) studies: the consequence of the §5.1 cacheability
-// asymmetry. Every page is loaded twice — cold with a fresh browser
+// asymmetry. Every page is loaded twice — cold into an empty browser
 // cache, then again RevisitDelay later against the primed cache — and
 // the pair quantifies what a revisit saves per page type: bytes that
 // never cross the network, requests answered locally or by a 304, and
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/browser"
 	"repro/internal/hispar"
 	"repro/internal/runstats"
 	"repro/internal/trace"
@@ -102,17 +101,19 @@ type WarmStudyResult struct {
 // FailedSites returns how many input sites yielded no measurement.
 func (r *WarmStudyResult) FailedSites() int { return failedSites(r.Outcomes) }
 
-// loadPair performs one page's cold load into a fresh cache, advances
-// the site clock by the revisit delay, and performs the warm load
-// against the primed cache. Both loads retry per the study's fault
-// policy and count their attempts and retries into out; a warm attempt
-// that dies mid-load leaves the cache with whatever the completed
-// fetches stored or freshened — never a corrupted entry — so the retry
-// revalidates from intact state. Both logs go back to the browser once
-// the pair is measured.
+// loadPair performs one page's cold load into the worker's cache,
+// emptied by Reset, advances the site clock by the revisit delay, and
+// performs the warm load against the primed cache. Both loads retry per
+// the study's fault policy and count their attempts and retries into
+// out; a warm attempt that dies mid-load leaves the cache with whatever
+// the completed fetches stored or freshened — never a corrupted entry —
+// so the retry revalidates from intact state. Both logs are measured
+// through the worker's measurer and go back to the browser before the
+// pair returns: the warm log's cache-served entries carry the cache's
+// stored headers, which the next pair's Reset zeroes.
 func (st *Study) loadPair(sc *siteCtx, out *Outcome, m *webgen.PageModel, delay time.Duration) (PagePair, error) {
-	cache := browser.NewCache()
-	sc.b.SetCache(cache)
+	sc.cache.Reset()
+	sc.b.SetCache(sc.cache)
 	defer sc.b.SetCache(nil)
 
 	coldLog, err := st.loadRevisitWithRetry(sc, out, m, 0, 0)
@@ -127,11 +128,11 @@ func (st *Study) loadPair(sc *siteCtx, out *Outcome, m *webgen.PageModel, delay 
 	}
 	defer st.release(sc, warmLog)
 	sc.stats.Inc("warm.pairs", 1)
-	sc.stats.Inc("warm.cache.hits", int64(cache.Hits()))
-	sc.stats.Inc("warm.cache.revalidations", int64(cache.Revalidations()))
+	sc.stats.Inc("warm.cache.hits", int64(sc.cache.Hits()))
+	sc.stats.Inc("warm.cache.revalidations", int64(sc.cache.Revalidations()))
 	return PagePair{
-		Cold: MeasurePage(coldLog, m, st.az),
-		Warm: MeasurePage(warmLog, m, st.az),
+		Cold: sc.ms.measurePage(coldLog, m, st.az),
+		Warm: sc.ms.measurePage(warmLog, m, st.az),
 	}, nil
 }
 
@@ -142,7 +143,8 @@ func (st *Study) loadPair(sc *siteCtx, out *Outcome, m *webgen.PageModel, delay 
 //detlint:hotpath -- the warm per-site step; the engine calls it through a func value
 func (st *Study) measureSiteWarm(w *worker, i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set, delay time.Duration) (WarmSiteResult, Outcome) {
 	return measureSite(st, w, i, set, rec, rs, func(sc *siteCtx, site *webgen.Site, out *Outcome) (WarmSiteResult, error) {
-		res := WarmSiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category)}
+		res := WarmSiteResult{Domain: set.Domain, Rank: set.Rank, Category: string(site.Category),
+			Internal: make([]PagePair, 0, len(set.Internal))}
 
 		// Landing page: one cold/warm pair (the repeat-view study needs the
 		// pair, not the cold study's fetch medianization).

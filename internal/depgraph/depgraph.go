@@ -13,6 +13,19 @@ import (
 	"repro/internal/har"
 )
 
+// Counter counts a log's entries at each dependency depth, on index
+// storage it keeps from one log to the next, so a caller that counts
+// many logs allocates little more than the results. The zero value is
+// ready to use. A Counter is not safe for concurrent use.
+type Counter struct {
+	buf []int
+}
+
+// maxKeptInts bounds the storage a Counter keeps after a count: room for
+// a log of about 500 entries. A bigger log's storage is dropped once it
+// is counted.
+const maxKeptInts = 4096
+
 // DepthCounts returns the number of log entries at each depth, with
 // depths beyond maxDepth collapsed into the final bucket.
 //
@@ -24,14 +37,17 @@ import (
 // measurement tool makes when an initiator is outside the capture. An
 // entry whose chain of parents runs into a cycle instead of the root
 // counts at depth 1.
-func DepthCounts(log *har.Log, maxDepth int) ([]int, error) {
-	d, err := depths(log)
+func (c *Counter) DepthCounts(log *har.Log, maxDepth int) ([]int, error) {
+	d, err := c.depths(log)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]int, maxDepth+1)
 	for _, x := range d {
 		out[min(x, maxDepth)]++
+	}
+	if cap(c.buf) > maxKeptInts {
+		c.buf = nil
 	}
 	return out, nil
 }
@@ -43,10 +59,11 @@ const (
 	cyclic   = -3 // the parent chain ends in a cycle
 )
 
-// depths returns each entry's depth under DepthCounts' rules. Its one
-// allocation holds the parent and depth of every entry and an
-// open-addressing index from URL to first fetch.
-func depths(log *har.Log) ([]int, error) {
+// depths returns each entry's depth under DepthCounts' rules, in c's
+// storage until c's next call. One buffer, grown only for a bigger log,
+// holds the parent and depth of every entry and an open-addressing index
+// from URL to first fetch.
+func (c *Counter) depths(log *har.Log) ([]int, error) {
 	entries := log.Entries
 	n := len(entries)
 	if n == 0 {
@@ -66,7 +83,13 @@ func depths(log *har.Log) ([]int, error) {
 	for size < 2*n {
 		size <<= 1
 	}
-	buf := make([]int, 2*n+size)
+	if need := 2*n + size; cap(c.buf) < need {
+		c.buf = make([]int, need)
+	} else {
+		c.buf = c.buf[:need]
+		clear(c.buf)
+	}
+	buf := c.buf
 	parent, depth := buf[:n:n], buf[n:2*n:2*n]
 	idx := urlIndex{entries: entries, slots: buf[2*n:], mask: uint64(size - 1)}
 	for i := range entries {

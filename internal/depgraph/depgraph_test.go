@@ -42,7 +42,7 @@ func syntheticLog() *har.Log {
 
 func TestDepths(t *testing.T) {
 	log := syntheticLog()
-	d, err := depths(log)
+	d, err := new(Counter).depths(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,27 +52,27 @@ func TestDepths(t *testing.T) {
 			t.Errorf("entry %d (%s): depth %d, want %d", i, log.Entries[i].Request.URL, d[i], want)
 		}
 	}
-	dc, err := DepthCounts(log, 5)
+	dc, err := new(Counter).DepthCounts(log, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{1, 3, 2, 1, 0, 0}; !slices.Equal(dc, want) {
 		t.Errorf("DepthCounts(5) = %v, want %v", dc, want)
 	}
-	if dc, _ := DepthCounts(log, 2); !slices.Equal(dc, []int{1, 3, 3}) {
+	if dc, _ := new(Counter).DepthCounts(log, 2); !slices.Equal(dc, []int{1, 3, 3}) {
 		t.Errorf("DepthCounts(2) = %v, want [1 3 3]", dc)
 	}
 }
 
 func TestErrors(t *testing.T) {
-	if _, err := DepthCounts(&har.Log{}, 5); err == nil {
+	if _, err := new(Counter).DepthCounts(&har.Log{}, 5); err == nil {
 		t.Error("want error for empty log")
 	}
 	l := syntheticLog()
 	for i := range l.Entries {
 		l.Entries[i].Initiator = "https://someone/else"
 	}
-	if _, err := DepthCounts(l, 5); err == nil {
+	if _, err := new(Counter).DepthCounts(l, 5); err == nil {
 		t.Error("want error when no root exists")
 	}
 }
@@ -158,18 +158,22 @@ func fuzzLog(data []byte) *har.Log {
 	return log
 }
 
-// checkAgainstOracle holds depths and DepthCounts to the BFS oracle.
-func checkAgainstOracle(t *testing.T, log *har.Log, maxDepth int) {
+// checkAgainstOracle holds c's depths and DepthCounts, and a new
+// Counter's DepthCounts, to the BFS oracle.
+func checkAgainstOracle(t *testing.T, c *Counter, log *har.Log, maxDepth int) {
 	t.Helper()
 	want, werr := oracleDepths(log)
-	got, err := depths(log)
+	got, err := c.depths(log)
 	if (err != nil) != (werr != nil) {
 		t.Fatalf("error %v, oracle error %v", err, werr)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("depths %v, oracle %v", got, want)
 	}
-	counts, err := DepthCounts(log, maxDepth)
+	counts, err := c.DepthCounts(log, maxDepth)
+	if fresh, ferr := new(Counter).DepthCounts(log, maxDepth); (ferr != nil) != (err != nil) || !slices.Equal(fresh, counts) {
+		t.Fatalf("reused Counter counts %v, %v; a new one %v, %v", counts, err, fresh, ferr)
+	}
 	if werr != nil {
 		if err == nil {
 			t.Fatalf("DepthCounts = %v, want an error", counts)
@@ -186,13 +190,15 @@ func checkAgainstOracle(t *testing.T, log *har.Log, maxDepth int) {
 }
 
 // TestDepthsMatchOracle holds the parent-chain walk to the BFS oracle
-// over random entry lists.
+// over random entry lists, all counted on one Counter, so each log
+// reuses storage an earlier (larger or smaller) log left.
 func TestDepthsMatchOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
+	var c Counter
 	for i := 0; i < 3000; i++ {
 		data := make([]byte, 2*r.Intn(40))
 		r.Read(data)
-		checkAgainstOracle(t, fuzzLog(data), r.Intn(7))
+		checkAgainstOracle(t, &c, fuzzLog(data), r.Intn(7))
 	}
 }
 
@@ -209,7 +215,12 @@ func FuzzDepthCounts(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 0, 2, 6}, uint8(5))             // an empty URL
 	f.Add([]byte{1, 1, 2, 0, 0, 2, 3, 1, 4, 4}, uint8(1)) // root not first, max 1
 	f.Fuzz(func(t *testing.T, data []byte, maxDepth uint8) {
-		checkAgainstOracle(t, fuzzLog(data), int(maxDepth%8))
+		// A Counter that has counted the log's reversal first.
+		var c Counter
+		rev := fuzzLog(data)
+		slices.Reverse(rev.Entries)
+		c.DepthCounts(rev, 5)
+		checkAgainstOracle(t, &c, fuzzLog(data), int(maxDepth%8))
 	})
 }
 
@@ -249,7 +260,7 @@ func TestAgreesWithSimulatedLoads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := depths(log)
+			d, err := new(Counter).depths(log)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,9 +274,10 @@ func TestAgreesWithSimulatedLoads(t *testing.T) {
 	}
 }
 
-// TestDepthCountsAllocations bounds DepthCounts to its result and one
-// allocation for the URL index, parents and depths, on a simulated page
-// load's log.
+// TestDepthCountsAllocations bounds a new Counter's DepthCounts to its
+// result and one allocation for the URL index, parents and depths, on a
+// simulated page load's log, and a Counter that has counted the log
+// before to the result alone.
 func TestDepthCountsAllocations(t *testing.T) {
 	web, b := simWorld(t)
 	m := web.Sites[0].Landing().Build()
@@ -273,7 +285,11 @@ func TestDepthCountsAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a := testing.AllocsPerRun(50, func() { DepthCounts(log, 5) }); a > 2 {
-		t.Fatalf("DepthCounts over %d entries allocates %.0f times, want at most 2", len(log.Entries), a)
+	if a := testing.AllocsPerRun(50, func() { new(Counter).DepthCounts(log, 5) }); a > 2 {
+		t.Fatalf("a new Counter's DepthCounts over %d entries allocates %.0f times, want at most 2", len(log.Entries), a)
+	}
+	var c Counter
+	if a := testing.AllocsPerRun(50, func() { c.DepthCounts(log, 5) }); a > 1 {
+		t.Fatalf("a reused Counter's DepthCounts over %d entries allocates %.0f times, want at most 1", len(log.Entries), a)
 	}
 }

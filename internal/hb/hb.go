@@ -43,9 +43,39 @@ func Detect(log *har.Log) Result {
 	var d Detector
 	for i := range log.Entries {
 		e := &log.Entries[i]
-		d.Observe(strings.ToLower(e.Request.URL), e)
+		d.Add(Classify(strings.ToLower(e.Request.URL)), e)
 	}
 	return d.Result()
+}
+
+// Signal is what one request URL says about header bidding. It depends
+// on the URL alone, so a caller that sees the same URL again may keep it.
+type Signal struct {
+	// Wrapper marks a wrapper script fetch.
+	Wrapper bool
+	// Bid marks an auction call, and Exchange is its lowercase host.
+	Bid      bool
+	Exchange string
+}
+
+// Classify reads the Signal of a request URL; lowerURL must be
+// strings.ToLower of the URL.
+func Classify(lowerURL string) Signal {
+	var s Signal
+	for _, m := range wrapperMarkers {
+		if strings.Contains(lowerURL, m) && strings.HasSuffix(pathOf(lowerURL), ".js") {
+			s.Wrapper = true
+			break
+		}
+	}
+	for _, m := range bidMarkers {
+		if strings.Contains(lowerURL, m) {
+			s.Bid = true
+			s.Exchange = urlx.Host(lowerURL)
+			break
+		}
+	}
+	return s
 }
 
 // Detector accumulates header-bidding evidence one request at a time, so
@@ -58,32 +88,24 @@ type Detector struct {
 	exchanges map[string]bool
 }
 
-// Observe adds one entry; lowerURL must be strings.ToLower of its
-// request URL.
-func (d *Detector) Observe(lowerURL string, e *har.Entry) {
-	if d.r.Wrapper == "" {
-		for _, m := range wrapperMarkers {
-			if strings.Contains(lowerURL, m) && strings.HasSuffix(pathOf(lowerURL), ".js") {
-				d.r.Wrapper = e.Request.URL
-				break
-			}
-		}
+// Add adds one entry, whose request URL has Signal s.
+func (d *Detector) Add(s Signal, e *har.Entry) {
+	if s.Wrapper && d.r.Wrapper == "" {
+		d.r.Wrapper = e.Request.URL
 	}
-	for _, m := range bidMarkers {
-		if strings.Contains(lowerURL, m) {
-			d.r.BidRequests++
-			if d.exchanges == nil {
-				d.exchanges = make(map[string]bool, 4)
-			}
-			d.exchanges[urlx.Host(lowerURL)] = true
-			if d.firstBid.IsZero() || e.StartedAt.Before(d.firstBid) {
-				d.firstBid = e.StartedAt
-			}
-			if e.StartedAt.After(d.lastBid) {
-				d.lastBid = e.StartedAt
-			}
-			break
-		}
+	if !s.Bid {
+		return
+	}
+	d.r.BidRequests++
+	if d.exchanges == nil {
+		d.exchanges = make(map[string]bool, 4)
+	}
+	d.exchanges[s.Exchange] = true
+	if d.firstBid.IsZero() || e.StartedAt.Before(d.firstBid) {
+		d.firstBid = e.StartedAt
+	}
+	if e.StartedAt.After(d.lastBid) {
+		d.lastBid = e.StartedAt
 	}
 }
 

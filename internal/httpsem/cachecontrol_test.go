@@ -91,7 +91,9 @@ func webgenCacheControls(tb testing.TB) []string {
 // FuzzParseCacheControl holds ParseCacheControl to the strings.Split
 // oracle on arbitrary header values: a recorded HAR's Cache-Control is
 // outside input. The seeds, which every plain test run checks, include
-// every value the study's origins serve.
+// every value the study's origins serve, and names and values whose
+// case, quotes or white space only the oracle's Unicode lowercasing and
+// trimming settle.
 func FuzzParseCacheControl(f *testing.F) {
 	ccs := webgenCacheControls(f)
 	if len(ccs) < 8 {
@@ -107,6 +109,12 @@ func FuzzParseCacheControl(f *testing.F) {
 		"Max-Age=30, PUBLIC", "max-age = 7 ", "max-age=banana, no-cache",
 		"stale-while-revalidate=60", "max-age=-1", "max-age=99999999999999999999",
 		"no-store ", "Keep, private", "max-age=\xff, no-store",
+		// Upper-case, quoted and space-padded directives, and white
+		// space and case only Unicode knows.
+		"MAX-AGE=600, NO-CACHE", "No-Store, Must-Revalidate", "S-MAXAGE=\"30\", IMMUTABLE",
+		`  max-age = "60"  , public`, "\tprivate\t,\r\nmax-age=\v5\f", `max-age=""60""`, `max-age="6"0"`,
+		"max-age=+7", "max-age=\u00a09\u00a0", "\u3000no-cache\u2029", "\u0085public",
+		"\u017f-maxage=5", "max-\u212aage=5", "MAX-AGE\u00a0=\u20288", "max-age=\xc2",
 	} {
 		f.Add(v)
 	}

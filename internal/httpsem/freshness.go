@@ -59,11 +59,7 @@ func (f *Freshness) FreshAt(storedAt, now time.Time) bool {
 // ComputeFreshness answers what the simulated browser may do.
 func ComputeFreshness(r Response) Freshness {
 	f := Freshness{ETag: r.ETag, LastModified: r.LastModified}
-	m := strings.ToUpper(r.Method)
-	if m != "" && m != "GET" && m != "HEAD" {
-		return f
-	}
-	if !cacheableStatus[r.Status] {
+	if !cacheableMethod(r.Method) || !cacheableStatus(r.Status) {
 		return f
 	}
 	d := ParseCacheControl(r.CacheControl)

@@ -9,13 +9,17 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
-// cacheableStatus lists response codes cacheable by default (RFC 7231
-// §6.1).
-var cacheableStatus = map[int]bool{
-	200: true, 203: true, 204: true, 206: true, 300: true,
-	301: true, 404: true, 405: true, 410: true, 414: true, 501: true,
+// cacheableStatus reports the response codes cacheable by default
+// (RFC 7231 §6.1).
+func cacheableStatus(code int) bool {
+	switch code {
+	case 200, 203, 204, 206, 300, 301, 404, 405, 410, 414, 501:
+		return true
+	}
+	return false
 }
 
 // Directives is a parsed Cache-Control header.
@@ -34,58 +38,118 @@ type Directives struct {
 }
 
 // ParseCacheControl parses a Cache-Control header value. It walks the
-// comma-separated directives in place: the browser's freshness check and
-// the study's cacheability count both call it once per response. The
-// value is lowercased once up front; a ',' never sits inside a UTF-8
-// sequence, so that equals lowercasing each directive.
+// value once, directive by directive, without copying: each
+// comma-separated directive is split at its first '=', its name and
+// value are trimmed of white space, and the name is matched with ASCII
+// case folded. Directive names are ASCII, so that matches the name
+// lowercased whole; the browser's freshness check and the study's
+// cacheability count both call it once per response.
 func ParseCacheControl(v string) Directives {
 	var d Directives
-	for rest := strings.ToLower(v); rest != ""; {
-		var part string
-		part, rest, _ = strings.Cut(rest, ",")
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+	for len(v) > 0 {
+		end, eq := len(v), -1
+		for i := 0; i < len(v); i++ {
+			if c := v[i]; c == ',' {
+				end = i
+				break
+			} else if c == '=' && eq < 0 {
+				eq = i
+			}
 		}
-		key, val, hasVal := strings.Cut(part, "=")
-		key = strings.TrimSpace(key)
-		val = strings.Trim(strings.TrimSpace(val), `"`)
-		switch key {
-		case "no-store":
+		key, val := v[:end], ""
+		if eq >= 0 {
+			key, val = v[:eq], v[eq+1:end]
+		}
+		if end < len(v) {
+			end++
+		}
+		v = v[end:]
+		switch key = trimSpace(key); {
+		case foldEq(key, "no-store"):
 			d.NoStore = true
-		case "no-cache":
+		case foldEq(key, "no-cache"):
 			d.NoCache = true
-		case "private":
+		case foldEq(key, "private"):
 			d.Private = true
-		case "public":
+		case foldEq(key, "public"):
 			d.Public = true
-		case "must-revalidate":
+		case foldEq(key, "must-revalidate"):
 			d.MustRevalidate = true
-		case "immutable":
+		case foldEq(key, "immutable"):
 			d.Immutable = true
-		case "max-age":
-			if hasVal {
-				if secs, err := strconv.Atoi(val); err == nil {
-					d.MaxAge = time.Duration(secs) * time.Second
-					d.HasMaxAge = true
-				}
+		case foldEq(key, "max-age"):
+			if secs, ok := directiveSeconds(val); ok {
+				d.MaxAge = time.Duration(secs) * time.Second
+				d.HasMaxAge = true
 			}
-		case "s-maxage":
-			if hasVal {
-				if secs, err := strconv.Atoi(val); err == nil {
-					d.SMaxAge = time.Duration(secs) * time.Second
-					d.HasSMaxAge = true
-				}
+		case foldEq(key, "s-maxage"):
+			if secs, ok := directiveSeconds(val); ok {
+				d.SMaxAge = time.Duration(secs) * time.Second
+				d.HasSMaxAge = true
 			}
-		case "stale-while-revalidate":
-			if hasVal {
-				if secs, err := strconv.Atoi(val); err == nil {
-					d.StaleWhileReval = time.Duration(secs) * time.Second
-				}
+		case foldEq(key, "stale-while-revalidate"):
+			if secs, ok := directiveSeconds(val); ok {
+				d.StaleWhileReval = time.Duration(secs) * time.Second
 			}
 		}
 	}
 	return d
+}
+
+// directiveSeconds reads a directive's delta-seconds value: trimmed of
+// white space, then of any double quotes around it, then strconv.Atoi.
+// A directive without a value has val "" and reads as no value.
+func directiveSeconds(val string) (int, bool) {
+	val = trimSpace(val)
+	for len(val) > 0 && val[0] == '"' {
+		val = val[1:]
+	}
+	for len(val) > 0 && val[len(val)-1] == '"' {
+		val = val[:len(val)-1]
+	}
+	if val == "" {
+		return 0, false
+	}
+	secs, err := strconv.Atoi(val)
+	return secs, err == nil
+}
+
+// trimSpace is strings.TrimSpace with the ASCII white space trimmed in
+// place; only a non-ASCII byte left at either edge takes the Unicode
+// path.
+func trimSpace(s string) string {
+	for len(s) > 0 && asciiSpace(s[0]) {
+		s = s[1:]
+	}
+	for len(s) > 0 && asciiSpace(s[len(s)-1]) {
+		s = s[:len(s)-1]
+	}
+	if len(s) > 0 && (s[0] >= utf8.RuneSelf || s[len(s)-1] >= utf8.RuneSelf) {
+		return strings.TrimSpace(s)
+	}
+	return s
+}
+
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+// foldEq reports whether s equals lower, a lowercase ASCII name, with
+// ASCII case folded. A non-ASCII byte never matches.
+func foldEq(s, lower string) bool {
+	if len(s) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Response is the minimal response view the classifier and the browser
@@ -105,11 +169,7 @@ type Response struct {
 // Cacheable reports whether the response may be stored by a shared or
 // private cache, per the study's definition of a cacheable object.
 func Cacheable(r Response) bool {
-	m := strings.ToUpper(r.Method)
-	if m != "" && m != "GET" && m != "HEAD" {
-		return false
-	}
-	if !cacheableStatus[r.Status] {
+	if !cacheableMethod(r.Method) || !cacheableStatus(r.Status) {
 		return false
 	}
 	d := ParseCacheControl(r.CacheControl)
@@ -153,10 +213,16 @@ func Cacheable(r Response) bool {
 	return !d.Private
 }
 
+// cacheableMethod reports a request method whose response may be
+// cached: GET or HEAD in any case, or none recorded.
+func cacheableMethod(m string) bool {
+	return m == "" || strings.EqualFold(m, "GET") || strings.EqualFold(m, "HEAD")
+}
+
 // pragmaNoCache reports the HTTP/1.0 no-cache escape hatch: it only
 // counts when no Cache-Control header overrides it.
 func pragmaNoCache(r Response) bool {
-	return strings.Contains(strings.ToLower(r.Pragma), "no-cache") && r.CacheControl == ""
+	return r.CacheControl == "" && strings.Contains(strings.ToLower(r.Pragma), "no-cache")
 }
 
 // parseHTTPDate parses an HTTP date header. The study's servers emit
