@@ -103,22 +103,34 @@ trace-smoke:
 		-trace trace_pe.json > trace_pe.txt
 	$(GO) run ./cmd/tracecheck trace_pe.json
 
-# HAR round-trip smoke: write one HAR file per page of a 10-site study
-# with webmeasure, analyze the directory with haranalyze, and fail
-# unless it prints one CSV row per file and reports both landing and
-# internal pages — the HAR-only analysis path, end to end through the
-# real CLIs.
+# HAR bundle smoke: one 10-site webmeasure run writes its CSV and, with
+# -har, the logs behind it plus the study's Easylist. haranalyze over
+# the bundle must print one row per HAR file, report both landing and
+# internal pages, and agree with the study CSV, joined by URL, on every
+# column the two share. The HAR-only analysis path, end to end through
+# the real CLIs, reproduces the study's own numbers.
+HAR_SHARED = bytes objects plt_ms onload_ms noncacheable cdn_bytes domains handshakes trackers depth2plus
+
 har-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/webmeasure -sites 10 -persite 5 -fetches 1 -har "$$dir/hars"; \
-	$(GO) run ./cmd/haranalyze -dir "$$dir/hars" > "$$dir/pages.csv"; \
+	$(GO) run ./cmd/webmeasure -sites 10 -persite 5 -fetches 1 -har "$$dir/hars" > "$$dir/study.csv"; \
+	$(GO) run ./cmd/haranalyze -dir "$$dir/hars" -filters "$$dir/hars/easylist.txt" > "$$dir/pages.csv"; \
 	files=$$(ls "$$dir"/hars/*.har.json | wc -l); \
 	rows=$$(awk 'NR > 1' "$$dir/pages.csv" | wc -l); \
+	study=$$(awk 'NR > 1' "$$dir/study.csv" | wc -l); \
 	landing=$$(awk -F, 'NR > 1 && $$2 == "landing"' "$$dir/pages.csv" | wc -l); \
 	internal=$$(awk -F, 'NR > 1 && $$2 == "internal"' "$$dir/pages.csv" | wc -l); \
-	echo "har-smoke: $$files HAR files, $$rows rows ($$landing landing, $$internal internal)"; \
-	if [ "$$rows" -ne "$$files" ] || [ "$$landing" -eq 0 ] || [ "$$internal" -eq 0 ]; then \
-		echo "har-smoke: FAIL"; exit 1; fi
+	echo "har-smoke: $$files HAR files, $$rows rows ($$landing landing, $$internal internal), $$study study rows"; \
+	if [ "$$rows" -ne "$$files" ] || [ "$$rows" -ne "$$study" ] || [ "$$landing" -eq 0 ] || [ "$$internal" -eq 0 ]; then \
+		echo "har-smoke: FAIL"; exit 1; fi; \
+	awk -F, -v cols="$(HAR_SHARED)" ' \
+		BEGIN { n = split(cols, c, " ") } \
+		FNR == 1 { split("", h); for (i = 1; i <= NF; i++) h[$$i] = i; next } \
+		NR == FNR { for (j = 1; j <= n; j++) want[$$h["url"], c[j]] = $$h[c[j]]; next } \
+		{ for (j = 1; j <= n; j++) if (!(($$h["url"], c[j]) in want) || want[$$h["url"], c[j]] != $$h[c[j]]) { \
+			print "har-smoke: " $$h["url"] " " c[j] " = " $$h[c[j]] " from the HAR, " want[$$h["url"], c[j]] " in the study CSV"; bad++ } } \
+		END { exit bad > 0 }' "$$dir/study.csv" "$$dir/pages.csv" || { echo "har-smoke: FAIL"; exit 1; }; \
+	echo "har-smoke: every shared column matches the study CSV"
 
 # Fuzz smoke: run every fuzz target for a bounded 10 s each. The go
 # tool fuzzes one target per package invocation. A crasher lands in that
@@ -138,7 +150,7 @@ fuzz-smoke:
 # Examples smoke: run the two example programs end to end. Each must
 # exit 0 and print exactly the bytes pinned here by SHA-256 (seed 2020).
 QUICKSTART_SHA256 = 444d98056f2fd7e55b7418d8e1980bfa439992cb3b06583c2eabbbf04b61c4f4
-COMPAREPAGES_SHA256 = 03f6bc95bc22c1d81d6db44f06ccfd712ad4fc89af0017dada9de65ce071c490
+COMPAREPAGES_SHA256 = 42b05b321fe4dd0121a35ca023c2f2d8c9a9521da1cd1b3440ec830eb4d35eeb
 
 examples-smoke:
 	@set -e; for ex in quickstart:$(QUICKSTART_SHA256) comparepages:$(COMPAREPAGES_SHA256); do \

@@ -164,7 +164,7 @@ func BenchmarkPageLoad(b *testing.B) {
 	models := make([]*webgen.PageModel, len(web.Sites))
 	for i, s := range web.Sites {
 		models[i] = s.Landing().Build()
-		log, err := br.Load(models[i], -1)
+		log, err := br.LoadRevisit(models[i], -1, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func BenchmarkPageLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		log, err := br.Load(models[i%len(models)], i)
+		log, err := br.LoadRevisit(models[i%len(models)], i, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func BenchmarkWarmLoad(b *testing.B) {
 		models[i] = s.Landing().Build()
 		caches[i] = browser.NewCache()
 		br.SetCache(caches[i])
-		if _, err := br.Load(models[i], i); err != nil {
+		if _, err := br.LoadRevisit(models[i], i, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

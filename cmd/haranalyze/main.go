@@ -4,15 +4,22 @@
 // by URL, per-page metrics are printed as CSV, and the landing-vs-
 // internal aggregate comparison is summarized on stderr.
 //
-// Pair it with webmeasure:
+// Pair it with webmeasure, whose -har bundle holds the logs behind its
+// CSV and the study's Easylist:
 //
-//	webmeasure -sites 20 -har hars/
-//	haranalyze -dir hars/
+//	webmeasure -sites 20 -fetches 1 -har hars/ > study.csv
+//	haranalyze -dir hars/ -filters hars/easylist.txt > pages.csv
+//
+// Every column of pages.csv then equals the same URL's column in
+// study.csv (at -fetches 1; more fetches medianize the study's landing
+// timings).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,43 +34,61 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams passed in.
+// It returns the exit status: 2 for a bad flag, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("haranalyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dir     = flag.String("dir", "", "directory of .har.json files (required)")
-		filters = flag.String("filters", "", "optional Easylist-format filter file for tracker counting")
+		dir     = fs.String("dir", "", "directory of .har.json files (required)")
+		filters = fs.String("filters", "", "optional Easylist-format filter file for tracker counting")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "haranalyze: -dir is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "haranalyze: -dir is required")
+		return 2
 	}
 
 	az := core.Analyzers{PSL: psl.Default(), CDN: cdndetect.New(nil)}
 	if *filters != "" {
 		data, err := os.ReadFile(*filters)
-		fatal(err)
+		if err != nil {
+			return fail(stderr, err)
+		}
 		engine, skipped := adblock.Compile(strings.Split(string(data), "\n"))
-		fmt.Fprintf(os.Stderr, "compiled %d filter rules (%d skipped)\n", engine.Len(), skipped)
+		fmt.Fprintf(stderr, "compiled %d filter rules (%d skipped)\n", engine.Len(), skipped)
 		az.Adblock = engine
 	}
 
 	paths, err := filepath.Glob(filepath.Join(*dir, "*.har.json"))
-	fatal(err)
+	if err != nil {
+		return fail(stderr, err)
+	}
 	if len(paths) == 0 {
-		fmt.Fprintf(os.Stderr, "haranalyze: no .har.json files in %s\n", *dir)
-		os.Exit(1)
+		return fail(stderr, fmt.Errorf("no .har.json files in %s", *dir))
 	}
 	sort.Strings(paths)
 
 	var landing, internal []core.PageMeasurement
-	fmt.Println("url,page_type,bytes,objects,plt_ms,onload_ms,noncacheable,cdn_bytes,domains,handshakes,trackers,depth2plus")
+	fmt.Fprintln(stdout, "url,page_type,bytes,objects,plt_ms,onload_ms,noncacheable,cdn_bytes,domains,handshakes,trackers,depth2plus")
 	for _, p := range paths {
 		f, err := os.Open(p)
-		fatal(err)
+		if err != nil {
+			return fail(stderr, err)
+		}
 		log, err := har.ReadJSON(f)
 		// Read-only close after a full decode: no signal in the error.
 		_ = f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "haranalyze: skipping %s: %v\n", p, err)
+			fmt.Fprintf(stderr, "haranalyze: skipping %s: %v\n", p, err)
 			continue
 		}
 		m := core.MeasureHAR(log, az)
@@ -78,7 +103,7 @@ func main() {
 		for d := 2; d < len(m.DepthCounts); d++ {
 			deep += m.DepthCounts[d]
 		}
-		fmt.Printf("%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+		fmt.Fprintf(stdout, "%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
 			m.URL, kind, m.Bytes, m.Objects, m.PLT.Milliseconds(), m.OnLoad.Milliseconds(),
 			m.NonCacheable, m.CDNBytes, m.UniqueDomains, m.Handshakes, m.TrackerRequests, deep)
 	}
@@ -92,7 +117,7 @@ func main() {
 		return s.Median(), s.Quantile(0.9)
 	}
 	if len(landing) > 0 && len(internal) > 0 {
-		fmt.Fprintf(os.Stderr, "\n%d landing pages, %d internal pages\n", len(landing), len(internal))
+		fmt.Fprintf(stderr, "\n%d landing pages, %d internal pages\n", len(landing), len(internal))
 		for _, row := range []struct {
 			name string
 			f    func(*core.PageMeasurement) float64
@@ -105,15 +130,15 @@ func main() {
 		} {
 			lm, lp90 := summarize(landing, row.f)
 			im, ip90 := summarize(internal, row.f)
-			fmt.Fprintf(os.Stderr, "%-11s landing median %.0f (p90 %.0f)  internal median %.0f (p90 %.0f)\n",
+			fmt.Fprintf(stderr, "%-11s landing median %.0f (p90 %.0f)  internal median %.0f (p90 %.0f)\n",
 				row.name, lm, lp90, im, ip90)
 		}
 	}
+	return 0
 }
 
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "haranalyze: %v\n", err)
-		os.Exit(1)
-	}
+// fail reports err and returns exit status 1.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "haranalyze: %v\n", err)
+	return 1
 }

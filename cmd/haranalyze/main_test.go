@@ -1,0 +1,114 @@
+package main
+
+import (
+	"bytes"
+	"encoding/csv"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/har"
+	"repro/internal/webgen"
+	"repro/internal/world"
+)
+
+// TestFlagErrors checks the exit statuses of bad invocations: a usage
+// error (missing -dir, unknown flag) exits 2 and an input that cannot be
+// analysed (no HAR files, unreadable -filters) exits 1, with nothing on
+// stdout either way.
+func TestFlagErrors(t *testing.T) {
+	empty := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"missing -dir", nil, 2},
+		{"unknown flag", []string{"-dir", empty, "-nosuch"}, 2},
+		{"empty directory", []string{"-dir", empty}, 1},
+		{"unreadable -filters", []string{"-dir", empty, "-filters", filepath.Join(empty, "absent.txt")}, 1},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != tc.code {
+			t.Errorf("%s: exit %d, want %d (stderr %q)", tc.name, code, tc.code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: wrote %q to stdout", tc.name, stdout.String())
+		}
+	}
+}
+
+// TestAnalysisMatchesStudy writes a small study's measured logs and its
+// Easylist into a directory, as webmeasure -har does, and requires
+// haranalyze to print one row per log whose every column equals the
+// study CSV's column of the same name for that URL.
+func TestAnalysisMatchesStudy(t *testing.T) {
+	w, err := world.Build(world.Config{Seed: 9, Sites: 4, URLsPerSite: 3, MinResults: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	rules := strings.Join(webgen.EasylistFor(w.Web.ThirdParties()), "\n")
+	if err := os.WriteFile(filepath.Join(dir, "easylist.txt"), []byte(rules), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	writeLog := func(log *har.Log, _ bool) error {
+		n++ // one worker: calls never overlap
+		f, err := os.Create(filepath.Join(dir, strings.NewReplacer(":", "_", "/", "_").Replace(log.Page.URL)+".har.json"))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		return log.WriteJSON(f)
+	}
+	st, err := core.NewStudy(w.Web, core.StudyConfig{Seed: 9, LandingFetches: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var study bytes.Buffer
+	sink, err := core.NewCSVSink(&study)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.RunStream(w.List, core.StreamConfig{Sinks: []core.SiteSink{sink}, Logs: writeLog}); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-dir", dir, "-filters", filepath.Join(dir, "easylist.txt")}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	want := rowsByURL(t, &study)
+	got := rowsByURL(t, &stdout)
+	if len(got) != n || len(want) != n {
+		t.Fatalf("%d analysed rows and %d study rows for %d logs", len(got), len(want), n)
+	}
+	for url, row := range got {
+		for name, v := range row {
+			if w := want[url][name]; v != w {
+				t.Errorf("%s: %s = %s, study CSV has %s", url, name, v, w)
+			}
+		}
+	}
+}
+
+// rowsByURL reads a CSV into one column-name → value map per URL.
+func rowsByURL(t *testing.T, r *bytes.Buffer) map[string]map[string]string {
+	t.Helper()
+	rows, err := csv.NewReader(r).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]map[string]string, len(rows))
+	for _, row := range rows[1:] {
+		m := make(map[string]string, len(row))
+		for i, name := range rows[0] {
+			m[name] = row[i]
+		}
+		out[m["url"]] = m
+	}
+	return out
+}

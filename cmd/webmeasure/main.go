@@ -1,15 +1,21 @@
 // Command webmeasure fetches the pages of a Hispar list with the
 // simulated browser — cold cache, landing pages fetched repeatedly,
 // internal pages once, exactly the paper's §3.1 methodology — and writes
-// per-page measurements as CSV (or full HAR logs with -har). CSV rows —
-// cold measurements, or cold→warm pairs with -warm — are written as
-// sites complete, in rank order, so memory stays bounded by the
-// engine's reorder window rather than by the list size.
+// per-page measurements as CSV. CSV rows — cold measurements, or
+// cold→warm pairs with -warm — are written as sites complete, in rank
+// order, so memory stays bounded by the engine's reorder window rather
+// than by the list size.
 //
 // Usage:
 //
 //	webmeasure -sites 100 -persite 20 -fetches 10 > measurements.csv
-//	webmeasure -sites 5 -har hars/   # one HAR JSON per page
+//	webmeasure -sites 5 -har hars/ > measurements.csv   # plus one HAR JSON per page
+//
+// -har writes, alongside the CSV of the same run, the HAR log each row
+// was measured from (fetch 0 of a landing page; both legs of a pair
+// with -warm) and the study's Easylist, so `haranalyze -dir hars/
+// -filters hars/easylist.txt` reproduces the CSV's HAR-derived columns.
+// -warm and the -fault-* flags apply to the HARs as to the CSV.
 //
 // The -fault-* flags inject network and resolver faults; the runner
 // retries transient failures with exponential backoff in virtual time,
@@ -20,7 +26,7 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -31,11 +37,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/browser"
-	"repro/internal/cdn"
 	"repro/internal/core"
-	"repro/internal/dnssim"
-	"repro/internal/hispar"
+	"repro/internal/har"
 	"repro/internal/profiling"
 	"repro/internal/runstats"
 	"repro/internal/simnet"
@@ -59,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		perSite = fs.Int("persite", 20, "URLs per site, landing page included (at least 1)")
 		fetches = fs.Int("fetches", 10, "fetches per landing page")
 		workers = fs.Int("workers", 0, "parallel site workers (0 = GOMAXPROCS)")
-		harDir  = fs.String("har", "", "write HAR JSON files into this directory instead of CSV")
+		harDir  = fs.String("har", "", "also write each measured page load's HAR JSON, and the study's Easylist, into this directory")
 		warm    = fs.Bool("warm", false, "run the cold→warm revisit study (pairs CSV) instead of the cold study")
 		revisit = fs.Duration("revisit", 30*time.Minute, "cold→warm revisit delay (with -warm)")
 
@@ -113,15 +116,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	web, list := w.Web, w.List
-
+	var logs core.LogHook
 	if *harDir != "" {
-		if err := writeHARs(web, list, *seed, *harDir, stderr); err != nil {
+		if logs, err = harHook(*harDir, web); err != nil {
 			return fail(stderr, err)
 		}
-		if err := finishProfiles(stopCPU, *memProfile); err != nil {
-			return fail(stderr, err)
-		}
-		return 0
 	}
 
 	st, err := core.NewStudy(web, core.StudyConfig{
@@ -153,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, err)
 		}
 		res, err := st.RunWarmStream(list, core.WarmConfig{
-			RevisitDelay: *revisit, Trace: tracer, Sinks: []core.Sink[core.WarmSiteResult]{sink},
+			RevisitDelay: *revisit, Trace: tracer, Sinks: []core.Sink[core.WarmSiteResult]{sink}, Logs: logs,
 		})
 		n, failed, snap, runErr = len(res.Outcomes), res.FailedSites(), res.Stats, err
 	} else {
@@ -161,7 +160,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		res, err := st.RunStream(list, core.StreamConfig{Sinks: []core.SiteSink{sink}, Trace: tracer})
+		res, err := st.RunStream(list, core.StreamConfig{Sinks: []core.SiteSink{sink}, Trace: tracer, Logs: logs})
 		n, failed, snap, runErr = len(res.Outcomes), res.FailedSites(), res.Stats, err
 	}
 	if *stats || failed > 0 {
@@ -227,60 +226,32 @@ func printMemReport(w io.Writer) {
 	}
 }
 
-// writeHARs fetches each page once and dumps full HAR documents.
-func writeHARs(web *webgen.Web, list *hispar.List, seed int64, dir string, stderr io.Writer) error {
+// harHook prepares dir as a self-contained HAR bundle and returns the
+// study's log hook that fills it. The bundle holds the study's Easylist
+// as easylist.txt (haranalyze -filters reads it) and one <url>.har.json
+// per measured page load: fetch 0 of each landing page and each
+// internal page, or with -warm each pair's cold leg, beside its warm
+// leg as <url>.warm.har.json. These are the logs the CSV rows were
+// measured from.
+func harHook(dir string, web *webgen.Web) (core.LogHook, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return nil, err
 	}
-	resolver := dnssim.NewResolver(dnssim.ResolverConfig{
-		Name: "isp", Seed: seed, WarmQueryRate: 0.8,
-	}, web.Authority(), nil)
-	warm := cdn.PopularityWarmth(2.2, 0.97)
-	b, err := browser.New(browser.Config{
-		Seed:     seed,
-		Resolver: resolver,
-		CDNFactory: func() *cdn.Network {
-			return cdn.NewNetwork(1<<14, warm, seed)
-		},
-	})
-	if err != nil {
-		return err
+	rules := strings.Join(webgen.EasylistFor(web.ThirdParties()), "\n") + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "easylist.txt"), []byte(rules), 0o644); err != nil {
+		return nil, err
 	}
-	n := 0
-	start := time.Now() //detlint:allow walltime,taint -- operator progress banner on stderr; the HAR bytes carry only virtual-clock timings
-	for _, set := range list.Sets {
-		urls := append([]string{set.Landing}, set.Internal...)
-		for _, u := range urls {
-			page, ok := web.PageByURL(u)
-			if !ok {
-				continue
-			}
-			model := page.Build()
-			log, err := b.Load(model, 0)
-			if err != nil {
-				return err
-			}
-			f, err := os.Create(filepath.Join(dir, sanitize(u)+".har.json"))
-			if err != nil {
-				return err
-			}
-			bw := bufio.NewWriterSize(f, 1<<16)
-			err = log.WriteJSON(bw)
-			if err == nil {
-				err = bw.Flush()
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-			n++
+	return func(log *har.Log, warm bool) error {
+		name := sanitize(log.Page.URL)
+		if warm {
+			name += ".warm"
 		}
-	}
-	//detlint:allow walltime -- operator progress banner, not a measurement
-	fmt.Fprintf(stderr, "wrote %d HAR files to %s in %v\n", n, dir, time.Since(start).Round(time.Millisecond))
-	return nil
+		var buf bytes.Buffer
+		if err := log.WriteJSON(&buf); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, name+".har.json"), buf.Bytes(), 0o644)
+	}, nil
 }
 
 func sanitize(u string) string {

@@ -13,7 +13,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/golden"
+	"repro/internal/har"
+	"repro/internal/world"
 )
 
 var update = flag.Bool("update", false, "rewrite this command's digests in testdata/golden.json from this build's output")
@@ -144,5 +147,130 @@ func TestBadPerSite(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("-persite %s: wrote %d bytes to stdout", v, stdout.Len())
 		}
+	}
+}
+
+// TestHARsAreTheCSVsLogs runs one study with -har and requires the
+// bundle to hold the logs behind its CSV: exactly one .har.json per CSV
+// row, and MeasureHAR of each file, with the study's analyzers, equal
+// to that row on every column a HAR decides. Only the site columns and
+// the DOM-only hints and ad_slots come from elsewhere.
+func TestHARsAreTheCSVsLogs(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	args := []string{"-seed", "42", "-sites", "5", "-persite", "3", "-fetches", "1", "-har", dir}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	rows, err := csv.NewReader(&stdout).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 {
+		t.Fatal("-har run wrote no CSV")
+	}
+	header, rows := rows[0], rows[1:]
+	col := make(map[string]int, len(header))
+	for i, name := range header {
+		col[name] = i
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.har.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(rows) || len(rows) != 15 {
+		t.Fatalf("%d HAR files for %d CSV rows, want 15 each", len(files), len(rows))
+	}
+
+	w, err := world.Build(world.Config{Seed: 42, Sites: 5, URLsPerSite: 3, MinResults: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.NewStudy(w.Web, core.StudyConfig{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byURL := make(map[string][]string, len(rows))
+	for _, row := range rows {
+		byURL[row[col["url"]]] = row
+	}
+	notFromHAR := map[string]bool{"domain": true, "rank": true, "category": true, "hints": true, "ad_slots": true}
+	for _, path := range files {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := har.ReadJSON(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ok := byURL[log.Page.URL]
+		if !ok {
+			t.Errorf("%s: page %s has no CSV row", filepath.Base(path), log.Page.URL)
+			continue
+		}
+		got := harRow(t, core.MeasureHAR(log, st.Analyzers()))
+		for i, name := range header {
+			if !notFromHAR[name] && got[i] != want[i] {
+				t.Errorf("%s: %s = %s from the HAR, %s in the CSV", log.Page.URL, name, got[i], want[i])
+			}
+		}
+	}
+}
+
+// harRow renders one measurement as the CSV row the study writes for it.
+func harRow(t *testing.T, m core.PageMeasurement) []string {
+	t.Helper()
+	site := core.SiteResult{Landing: m}
+	if !m.IsLanding {
+		site.Internal = []core.PageMeasurement{m}
+	}
+	var buf bytes.Buffer
+	if err := core.WriteMeasurementsCSV(&buf, &core.StudyResult{Sites: []core.SiteResult{site}}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows[len(rows)-1]
+}
+
+// TestHARWriteFailureFailsTheRun checks that a bundle that cannot be
+// written fails the run with exit 1: a -har path that is a regular
+// file, and a HAR file that cannot be created mid-run, even with an
+// unlimited failure budget, since a hook error is not a site failure.
+func TestHARWriteFailureFailsTheRun(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "plain")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-sites", "2", "-persite", "2", "-fetches", "1", "-budget", "-1"}
+	var stdout, stderr bytes.Buffer
+	if code := run(append(args, "-har", file), &stdout, &stderr); code != 1 {
+		t.Errorf("-har on a regular file: exit %d, want 1", code)
+	}
+
+	// A directory squatting on one HAR file's name makes its create fail.
+	ok := filepath.Join(dir, "ok")
+	if code := run(append(args, "-har", ok), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	names, err := filepath.Glob(filepath.Join(ok, "*.har.json"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no HAR files written (%v)", err)
+	}
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, filepath.Base(names[len(names)-1])), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stderr.Reset()
+	if code := run(append(args, "-har", blocked), &stdout, &stderr); code != 1 {
+		t.Errorf("unwritable HAR file: exit %d, want 1", code)
+	}
+	if !strings.Contains(stderr.String(), "log hook") {
+		t.Errorf("stderr %q does not report the hook error", stderr.String())
 	}
 }

@@ -13,12 +13,9 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/browser"
-	"repro/internal/cdn"
 	"repro/internal/core"
-	"repro/internal/dnssim"
+	"repro/internal/hispar"
 	"repro/internal/mimecat"
-	"repro/internal/webgen"
 	"repro/internal/world"
 )
 
@@ -47,30 +44,25 @@ func main() {
 		site = s
 	}
 
+	fmt.Printf("site %s  (rank %d, %s, origin %s, CDN %q)\n\n",
+		site.Domain, site.Rank, site.Category, site.Origin, site.Profile.CDNProvider)
+
+	// The two pages are a one-site list, measured by the study engine
+	// exactly as a study measures them: the landing page's timings are
+	// medians over its repeated fetches, the internal page is loaded
+	// once.
 	study, err := core.NewStudy(web, core.StudyConfig{Seed: *seed})
 	if err != nil {
 		log.Fatal(err)
 	}
-	resolver := dnssim.NewResolver(dnssim.ResolverConfig{
-		Name: "isp", Seed: *seed, WarmQueryRate: 0.8,
-	}, web.Authority(), nil)
-	warm := cdn.PopularityWarmth(2.2, 0.97)
-	b, err := browser.New(browser.Config{
-		Seed:     *seed,
-		Resolver: resolver,
-		CDNFactory: func() *cdn.Network {
-			return cdn.NewNetwork(1<<14, warm, *seed)
-		},
-	})
+	res, err := study.Run(&hispar.List{Name: "compare", Sets: []hispar.URLSet{{
+		Domain: site.Domain, Rank: site.Rank,
+		Landing: site.Landing().URL(), Internal: []string{site.TopInternal(1)[0].URL()},
+	}}})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Printf("site %s  (rank %d, %s, origin %s, CDN %q)\n\n",
-		site.Domain, site.Rank, site.Category, site.Origin, site.Profile.CDNProvider)
-
-	landing := measure(b, study, site.Landing())
-	internal := measure(b, study, site.TopInternal(1)[0])
+	landing, internal := &res.Sites[0].Landing, &res.Sites[0].Internal[0]
 
 	row := func(name string, f func(m *core.PageMeasurement) string) {
 		fmt.Printf("%-28s %-24s %s\n", name, f(landing), f(internal))
@@ -113,16 +105,6 @@ func main() {
 		}
 		fmt.Printf("  %-12s %10d  %10d\n", cat, l, i)
 	}
-}
-
-func measure(b *browser.Browser, st *core.Study, page *webgen.Page) *core.PageMeasurement {
-	model := page.Build()
-	log_, err := b.Load(model, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := core.MeasurePage(log_, model, st.Analyzers())
-	return &m
 }
 
 func shorten(u string) string {

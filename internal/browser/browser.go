@@ -99,7 +99,7 @@ type Browser struct {
 // ~5 KB RNG states inside the simnet model, the task heap) dominated the
 // load path's allocation churn. Browser is documented not safe for
 // concurrent use, so one scratch set per Browser is safe. Everything
-// here is reset at the top of loadAttempt and nothing in it escapes a
+// here is reset at the top of LoadRevisit and nothing in it escapes a
 // load, except the HAR storage: the returned log owns its entry array
 // and header slab until the caller hands it back with Release, and only
 // then do lent and free let a later load reuse them. Reset keeps all of
@@ -422,28 +422,16 @@ func (h *taskHeap) pop() fetchTask {
 	return t
 }
 
-// Load performs one cold-cache page load of the model. fetchID
+// LoadRevisit performs one page load of the model. fetchID
 // differentiates repeated fetches of the same page (the paper loads each
 // landing page ten times and uses medians); it seeds the per-load jitter.
-//
-// The returned log stays valid until it is passed to Release, which lets
-// the browser reuse its storage for a later load; a log that is never
-// released stays valid for good.
-//
-//detlint:hotpath -- the per-site load loop; every study iteration funnels through here
-func (b *Browser) Load(m *webgen.PageModel, fetchID int) (*har.Log, error) {
-	return b.loadAttempt(m, fetchID, 0, 0)
-}
-
-// LoadRevisit is Load with an explicit retry attempt number and revisit
-// delay. Higher attempts reseed the per-load network conditions (jitter
-// and fault draws), so a retry of a transiently failed load can succeed
-// — the study runner's retry loop depends on this. For a warm
+// Higher attempts reseed the per-load network conditions (jitter and
+// fault draws), so a retry of a transiently failed load can succeed —
+// the study runner's retry loop depends on this. For a warm
 // (repeat-view) load, navigation starts revisit after the fetchID's base
 // slot, so responses stored by the matching cold load have aged exactly
 // revisit (minus their in-load completion offsets) when the cache checks
-// freshness. With revisit 0 — or with no cache installed — attempt 0 is
-// byte-identical to Load.
+// freshness. Attempt 0 with revisit 0 is the cold load of fetchID.
 //
 // On failure the returned error is a *LoadError wrapping ErrTimeout,
 // ErrDNS, or ErrTruncated, and the returned log is non-nil: it holds the
@@ -451,15 +439,12 @@ func (b *Browser) Load(m *webgen.PageModel, fetchID int) (*har.Log, error) {
 // entry records the phase reached), for forensics. Its page timings are
 // zero and it must not be measured as a successful load.
 //
-// Like Load's, the returned log (failed or not) stays valid until it is
-// passed to Release; releasing it is optional.
+// The returned log (failed or not) stays valid until it is passed to
+// Release, which lets the browser reuse its storage for a later load; a
+// log that is never released stays valid for good.
 //
-//detlint:hotpath -- retrying and warm-load entry to the per-site load loop
+//detlint:hotpath -- the per-site load loop; every study load, cold, warm or retried, funnels through here
 func (b *Browser) LoadRevisit(m *webgen.PageModel, fetchID, attempt int, revisit time.Duration) (*har.Log, error) {
-	return b.loadAttempt(m, fetchID, attempt, revisit)
-}
-
-func (b *Browser) loadAttempt(m *webgen.PageModel, fetchID, attempt int, revisit time.Duration) (*har.Log, error) {
 	if len(m.Objects) == 0 {
 		return nil, fmt.Errorf("browser: page model %s has no objects", m.URL)
 	}

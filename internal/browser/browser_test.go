@@ -46,7 +46,7 @@ func resetNetwork(warmRate float64) func() *cdn.Network {
 func TestLoadProducesCompleteHAR(t *testing.T) {
 	b, web := testBrowser(t, 2.2)
 	m := web.Sites[0].Landing().Build()
-	log, err := b.Load(m, 0)
+	log, err := b.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPageTimingOrdering(t *testing.T) {
 	b, web := testBrowser(t, 2.2)
 	for _, s := range web.Sites[:4] {
 		m := s.PageAt(1).Build()
-		log, err := b.Load(m, 0)
+		log, err := b.LoadRevisit(m, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestPageTimingOrdering(t *testing.T) {
 func TestDependencyOrdering(t *testing.T) {
 	b, web := testBrowser(t, 2.2)
 	m := web.Sites[1].Landing().Build()
-	log, err := b.Load(m, 0)
+	log, err := b.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDependencyOrdering(t *testing.T) {
 func TestConnectionReuse(t *testing.T) {
 	b, web := testBrowser(t, 2.2)
 	m := web.Sites[0].Landing().Build()
-	log, err := b.Load(m, 0)
+	log, err := b.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestConnectionReuse(t *testing.T) {
 func TestRepeatedFetchesJitterButSameStructure(t *testing.T) {
 	b, web := testBrowser(t, 2.2)
 	m := web.Sites[2].Landing().Build()
-	l0, err := b.Load(m, 0)
+	l0, err := b.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1, err := b.Load(m, 1)
+	l1, err := b.LoadRevisit(m, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +189,11 @@ func TestCDNWarmthSpeedsUpLoads(t *testing.T) {
 	var coldPLT, hotPLT time.Duration
 	for _, s := range web.Sites[:6] {
 		m := s.Landing().Build()
-		lc, err := cold.Load(m, 0)
+		lc, err := cold.LoadRevisit(m, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lh, err := hot.Load(m, 0)
+		lh, err := hot.LoadRevisit(m, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestEmptyModelRejected(t *testing.T) {
 	b, _ := testBrowser(t, 1)
-	if _, err := b.Load(&webgen.PageModel{URL: "https://x/"}, 0); err == nil {
+	if _, err := b.LoadRevisit(&webgen.PageModel{URL: "https://x/"}, 0, 0, 0); err == nil {
 		t.Error("want error for empty model")
 	}
 }

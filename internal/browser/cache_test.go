@@ -27,7 +27,7 @@ func TestWarmLoadServesFromCache(t *testing.T) {
 	b.SetCache(cache)
 	defer b.SetCache(nil)
 
-	cold, err := b.Load(m, 0)
+	cold, err := b.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,26 +101,6 @@ func TestWarmLoadServesFromCache(t *testing.T) {
 	}
 }
 
-// TestLoadRevisitZeroMatchesLoad pins the PR's compatibility invariant:
-// with no cache installed, LoadRevisit(m, id, 0, 0) is byte-identical
-// to the historical Load(m, id).
-func TestLoadRevisitZeroMatchesLoad(t *testing.T) {
-	b1, web := testBrowser(t, 2.2)
-	b2, _ := testBrowser(t, 2.2)
-	m := web.Sites[2].Landing().Build()
-	l1, err := b1.Load(m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := b2.LoadRevisit(m, 3, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(l1, l2) {
-		t.Fatal("LoadRevisit with zero delay and nil cache diverged from Load")
-	}
-}
-
 // TestColdLoadUnchangedByIdleCache checks that merely installing a cache
 // does not perturb a cold load's timings: stores happen after the
 // response is recorded and draw no RNG.
@@ -128,12 +108,12 @@ func TestColdLoadUnchangedByIdleCache(t *testing.T) {
 	b1, web := testBrowser(t, 2.2)
 	b2, _ := testBrowser(t, 2.2)
 	m := web.Sites[1].Landing().Build()
-	l1, err := b1.Load(m, 0)
+	l1, err := b1.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b2.SetCache(NewCache())
-	l2, err := b2.Load(m, 0)
+	l2, err := b2.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +136,7 @@ func TestFaultedRevalidationDoesNotPoisonCache(t *testing.T) {
 	m := web.Sites[0].Landing().Build()
 	cache := NewCache()
 	clean.SetCache(cache)
-	if _, err := clean.Load(m, 0); err != nil {
+	if _, err := clean.LoadRevisit(m, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	stored := cache.Len()

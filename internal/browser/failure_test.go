@@ -39,7 +39,7 @@ func TestLoadSurvivesNXDOMAIN(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := site.Landing().Build()
-	log, err := b.Load(m, 0)
+	log, err := b.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatalf("load must survive third-party NXDOMAINs: %v", err)
 	}
@@ -65,11 +65,11 @@ func TestLoadDeterministicPerFetchID(t *testing.T) {
 	b1, web := mkB()
 	b2, _ := mkB()
 	m := web.Sites[3].Landing().Build()
-	l1, err := b1.Load(m, 4)
+	l1, err := b1.LoadRevisit(m, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := b2.Load(m, 4)
+	l2, err := b2.LoadRevisit(m, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTypedLoadErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := faultyBrowser(t, web, tc.faults, tc.dnsFail)
 			m := web.Sites[1].Landing().Build()
-			log, err := b.Load(m, 0)
+			log, err := b.LoadRevisit(m, 0, 0, 0)
 			if err == nil {
 				t.Fatal("load must fail with the fault rate pinned to 1")
 			}
@@ -186,7 +186,7 @@ func TestSubresourceFaultsTolerated(t *testing.T) {
 		t.Skip("landing model has no third parties")
 	}
 	b := faultyBrowser(t, web, simnet.FaultConfig{PerOrigin: perOrigin, Timeout: 10 * time.Second}, 0)
-	log, err := b.Load(m, 0)
+	log, err := b.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatalf("load must survive third-party faults: %v", err)
 	}

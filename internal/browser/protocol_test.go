@@ -35,7 +35,7 @@ func protoBrowser(t *testing.T, p Protocol) (*Browser, *webgen.Web) {
 func TestH2OneConnectionPerOrigin(t *testing.T) {
 	b, web := protoBrowser(t, Protocol{H2Multiplex: true})
 	m := web.Sites[0].Landing().Build()
-	log, err := b.Load(m, 0)
+	log, err := b.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestQUICHandshakeCheaperThanTLS12(t *testing.T) {
 	base, web := protoBrowser(t, Protocol{})
 	quic, _ := protoBrowser(t, Protocol{QUIC: true})
 	m := web.Sites[0].Landing().Build()
-	lb, err := base.Load(m, 0)
+	lb, err := base.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lq, err := quic.Load(m, 0)
+	lq, err := quic.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func TestServerPushChildrenStartEarly(t *testing.T) {
 		if deep < 0 {
 			continue
 		}
-		lb, err := base.Load(m, 0)
+		lb, err := base.LoadRevisit(m, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp, err := push.Load(m, 0)
+		lp, err := push.LoadRevisit(m, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestServerPushChildrenStartEarly(t *testing.T) {
 func TestPreconnectAllRemovesRootDNSFromCriticalPath(t *testing.T) {
 	b, web := protoBrowser(t, Protocol{PreconnectAll: true})
 	m := web.Sites[1].Landing().Build()
-	log, err := b.Load(m, 0)
+	log, err := b.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +148,8 @@ func TestPreconnectAllRepeatable(t *testing.T) {
 		for _, page := range []*webgen.Page{s.Landing(), s.PageAt(1)} {
 			m := page.Build()
 			for fetch := 0; fetch < 2; fetch++ {
-				l1, err1 := b1.Load(m, fetch)
-				l2, err2 := b2.Load(m, fetch)
+				l1, err1 := b1.LoadRevisit(m, fetch, 0, 0)
+				l2, err2 := b2.LoadRevisit(m, fetch, 0, 0)
 				if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(l1, l2) {
 					t.Fatalf("%s fetch %d: two PreconnectAll loads differ (onLoad %v vs %v)",
 						m.URL, fetch, l1.Page.Timings.OnLoad, l2.Page.Timings.OnLoad)
@@ -171,7 +171,7 @@ func TestRedirectPageLoad(t *testing.T) {
 				continue
 			}
 			m := page.Build()
-			log, err := b.Load(m, 0)
+			log, err := b.LoadRevisit(m, 0, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -108,12 +108,12 @@ func TestReleasedLoadMatchesFreshLoad(t *testing.T) {
 func TestUnreleasedLogSurvivesLaterLoads(t *testing.T) {
 	b, web := testBrowser(t, 2.2)
 	m := web.Sites[0].Landing().Build()
-	first, err := b.Load(m, 0)
+	first, err := b.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.Release(first)
-	held, err := b.Load(m, 1)
+	held, err := b.LoadRevisit(m, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestUnreleasedLogSurvivesLaterLoads(t *testing.T) {
 	}
 	want := harBytes(t, held)
 	for f := 2; f < 5; f++ {
-		log, err := b.Load(m, f)
+		log, err := b.LoadRevisit(m, f, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestDateHeaderMarksResponseStart(t *testing.T) {
 	checked := 0
 	for _, s := range web.Sites[:4] {
 		m := s.Landing().Build()
-		log, err := b.Load(m, 0)
+		log, err := b.LoadRevisit(m, 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestReleaseNoOps(t *testing.T) {
 	m := web.Sites[1].Landing().Build()
 	load := func(br *Browser, f int) *har.Log {
 		t.Helper()
-		log, err := br.Load(m, f)
+		log, err := br.LoadRevisit(m, f, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestWarmLoadAfterReleaseUsesCacheHeaders(t *testing.T) {
 	m := web.Sites[0].Landing().Build()
 	cache := NewCache()
 	b.SetCache(cache)
-	cold, err := b.Load(m, 0)
+	cold, err := b.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestReleasedReloadAllocations(t *testing.T) {
 	m := web.Sites[0].Landing().Build()
 	f := 0
 	reload := func() {
-		log, err := b.Load(m, f)
+		log, err := b.LoadRevisit(m, f, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func loadWithTrace(t *testing.T, detail trace.Detail) []trace.Span {
 	rec.SetBase(time.Date(2020, 3, 12, 0, 0, 0, 0, time.UTC))
 	b.SetTrace(rec)
 	m := web.Sites[0].Landing().Build()
-	if _, err := b.Load(m, 0); err != nil {
+	if _, err := b.LoadRevisit(m, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	tr.Merge(rec)

@@ -2,17 +2,18 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/browser"
-	"repro/internal/cdn"
-	"repro/internal/dnssim"
+	"repro/internal/har"
 )
 
 // studyArtifacts runs the full seeded pipeline — cold study, warm
-// revisit study, and per-page HAR dumps — at a given worker count and
+// revisit study, and the HAR logs both measured — at a given worker count and
 // GOMAXPROCS, and returns every byte the run would publish. This is the
 // end-to-end witness behind detlint's static contract: if any code path
 // consults the wall clock, the global RNG, or map iteration order, some
@@ -43,7 +44,10 @@ func studyArtifacts(t *testing.T, workers, procs int) (csv, streamCSV, warmCSV, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stStream.RunStream(list, StreamConfig{Sinks: []SiteSink{sink}}); err != nil {
+	// HAR artifacts, the way cmd/webmeasure -har produces them: the
+	// logs the streaming runs measured, through their log hooks.
+	var coldHARs, warmHARs harCollector
+	if _, err := stStream.RunStream(list, StreamConfig{Sinks: []SiteSink{sink}, Logs: coldHARs.hook}); err != nil {
 		t.Fatalf("streaming study: %v", err)
 	}
 
@@ -71,42 +75,54 @@ func studyArtifacts(t *testing.T, workers, procs int) (csv, streamCSV, warmCSV, 
 		t.Fatal(err)
 	}
 	if _, err := stWarm.RunWarmStream(list, WarmConfig{RevisitDelay: 30 * time.Minute,
-		Sinks: []Sink[WarmSiteResult]{warmSink}}); err != nil {
+		Sinks: []Sink[WarmSiteResult]{warmSink}, Logs: warmHARs.hook}); err != nil {
 		t.Fatalf("streaming warm study: %v", err)
 	}
 
-	// HAR artifacts, the way cmd/webmeasure -har produces them.
-	resolver := dnssim.NewResolver(dnssim.ResolverConfig{
-		Name: "isp", Seed: 7, WarmQueryRate: 0.8,
-	}, web.Authority(), nil)
-	warmth := cdn.PopularityWarmth(2.2, 0.97)
-	b, err := browser.New(browser.Config{
-		Seed:     7,
-		Resolver: resolver,
-		CDNFactory: func() *cdn.Network {
-			return cdn.NewNetwork(1<<14, warmth, 7)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	return csvBuf.Bytes(), streamBuf.Bytes(), warmBuf.Bytes(), warmStreamBuf.Bytes(), append(coldHARs.bytes(), warmHARs.bytes()...)
+}
+
+// harCollector is a LogHook target that keeps every log it receives as
+// HAR JSON, keyed by page URL and leg, since the hook runs on the
+// workers in no fixed order.
+type harCollector struct {
+	mu   sync.Mutex
+	logs map[string][]byte
+}
+
+func (c *harCollector) hook(log *har.Log, warm bool) error {
+	var buf bytes.Buffer
+	if err := log.WriteJSON(&buf); err != nil {
+		return err
 	}
-	var harBuf bytes.Buffer
-	for _, set := range list.Sets {
-		for _, u := range append([]string{set.Landing}, set.Internal...) {
-			page, ok := web.PageByURL(u)
-			if !ok {
-				continue
-			}
-			log, err := b.Load(page.Build(), 0)
-			if err != nil {
-				t.Fatalf("load %s: %v", u, err)
-			}
-			if err := log.WriteJSON(&harBuf); err != nil {
-				t.Fatalf("write har: %v", err)
-			}
-		}
+	key := log.Page.URL + " cold"
+	if warm {
+		key = log.Page.URL + " warm"
 	}
-	return csvBuf.Bytes(), streamBuf.Bytes(), warmBuf.Bytes(), warmStreamBuf.Bytes(), harBuf.Bytes()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.logs == nil {
+		c.logs = make(map[string][]byte)
+	}
+	if _, dup := c.logs[key]; dup {
+		return fmt.Errorf("%s logged twice", key)
+	}
+	c.logs[key] = buf.Bytes()
+	return nil
+}
+
+// bytes concatenates the kept logs in key order.
+func (c *harCollector) bytes() []byte {
+	keys := make([]string, 0, len(c.logs))
+	for k := range c.logs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var out []byte
+	for _, k := range keys {
+		out = append(out, c.logs[k]...)
+	}
+	return out
 }
 
 // TestArtifactsInvariantAcrossParallelism is the determinism regression

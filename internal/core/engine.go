@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/browser"
 	"repro/internal/cdn"
+	"repro/internal/har"
 	"repro/internal/hispar"
 	"repro/internal/runstats"
 	"repro/internal/trace"
@@ -59,6 +61,37 @@ func (c *Collector[R]) ConsumeSite(res *R, out *Outcome) error {
 // Flush does nothing: the sites are already collected.
 func (c *Collector[R]) Flush() error { return nil }
 
+// LogHook receives the HAR log of each page load the study measures:
+// fetch 0 of every landing page, every internal page, and both legs of
+// every warm pair (warm reports the second leg). It is called on the
+// worker goroutine that measured the page, so calls may run
+// concurrently, and the log is valid only until the call returns: the
+// engine then hands its storage to the next load. The first error is
+// joined into the run's error, as a sink's is, and the hook is not
+// called again.
+type LogHook func(log *har.Log, warm bool) error
+
+// logTap calls one run's LogHook and keeps its first error.
+type logTap struct {
+	hook LogHook
+	err  atomic.Pointer[error]
+}
+
+// emit hands log to the hook unless it has already failed. It inlines,
+// so a nil tap (a run without a hook) costs one pointer check.
+func (t *logTap) emit(log *har.Log, warm bool) {
+	if t != nil && t.err.Load() == nil {
+		t.call(log, warm)
+	}
+}
+
+func (t *logTap) call(log *har.Log, warm bool) {
+	if err := t.hook(log, warm); err != nil {
+		err = fmt.Errorf("core: log hook: %w", err)
+		t.err.CompareAndSwap(nil, &err)
+	}
+}
+
 // worker is the storage one engine worker owns and hands to every site
 // it measures: the page-model builder, the browser (Reset for each
 // site), the CDN network its loads re-seed, the warm study's cache
@@ -75,6 +108,8 @@ type worker struct {
 	edges *cdn.Network
 	cache *browser.Cache
 	ms    measurer
+	// logs is the run's log tap (nil without a LogHook).
+	logs *logTap
 }
 
 // siteDone carries one measured site from a worker to the fold.
@@ -104,8 +139,9 @@ type siteRun struct {
 // (default 4×Workers, never below Workers+1) are dispatched but not yet
 // retired. Every site is always attempted; the failure budget decides
 // only whether the aggregate error rides along with the run, which is
-// never nil. measure records its metrics into the run's stats set.
-func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
+// never nil. measure records its metrics into the run's stats set and
+// hands its measured logs to logs.
+func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer, logs LogHook,
 	measure func(w *worker, i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (R, Outcome),
 	sinks []Sink[R]) (*siteRun, error) {
 	workers := st.cfg.Workers
@@ -126,6 +162,10 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 	// sized to the same bound, so a worker's send never waits on the fold.
 	completed := make(chan siteDone[R], window)
 	tokens := make(chan struct{}, window)
+	var tap *logTap
+	if logs != nil {
+		tap = &logTap{hook: logs}
+	}
 
 	var workerWG sync.WaitGroup
 	// Operational telemetry only: worker utilization is real elapsed
@@ -136,7 +176,7 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 		workerWG.Add(1)
 		go func(w int) {
 			defer workerWG.Done()
-			var own worker
+			own := worker{logs: tap}
 			var busy time.Duration
 			sites := 0
 			for i := range jobs {
@@ -220,6 +260,9 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 		if err := s.Flush(); err != nil {
 			sinkErrs = append(sinkErrs, fmt.Errorf("core: sink flush: %w", err))
 		}
+	}
+	if tap != nil && tap.err.Load() != nil {
+		sinkErrs = append(sinkErrs, *tap.err.Load())
 	}
 	// Zero counts stay unset, so a fault-free run reports neither.
 	if retries > 0 {

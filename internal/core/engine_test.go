@@ -3,9 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/har"
 	"repro/internal/hispar"
 	"repro/internal/runstats"
 	"repro/internal/search"
@@ -184,5 +188,92 @@ func TestWarmStudyAllocBudget(t *testing.T) {
 	})
 	if perPage > warmStudyAllocBudget {
 		t.Fatalf("a warm study allocates %d bytes per pair, over the budget of %d", perPage, warmStudyAllocBudget)
+	}
+}
+
+var errHookBoom = errors.New("hook boom")
+
+// TestLogHook pins the log hook's contract on both engines: it sees
+// exactly the measured logs (one per cold page, the landing page's
+// fetch 0 among them; both legs of every warm pair, cold first) and
+// changes no sink byte, and its first error reaches the run's error
+// even under an unlimited failure budget, after which it is not called
+// again.
+func TestLogHook(t *testing.T) {
+	web, list := faultWeb(t)
+	var mu sync.Mutex
+	got := make(map[string]int)
+	count := func(log *har.Log, warm bool) error {
+		mu.Lock()
+		defer mu.Unlock()
+		got[fmt.Sprintf("%s %v", log.Page.URL, warm)]++
+		return nil
+	}
+
+	var withHook, without bytes.Buffer
+	if _, err := streamStudy(t, web, list, nil, StreamConfig{Sinks: []SiteSink{csvSinkTo(t, &withHook)}, Logs: count}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := streamStudy(t, web, list, nil, StreamConfig{Sinks: []SiteSink{csvSinkTo(t, &without)}}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(withHook.Bytes(), without.Bytes()) {
+		t.Error("RunStream: a log hook changed the CSV")
+	}
+	st, err := NewStudy(web, StudyConfig{Seed: 7, LandingFetches: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wres, err := st.RunWarm(list, WarmConfig{Logs: count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]int)
+	for _, set := range list.Sets {
+		for _, u := range append([]string{set.Landing}, set.Internal...) {
+			want[u+" false"]++ // the cold study's log
+		}
+	}
+	for _, s := range wres.Sites {
+		for _, p := range append([]PagePair{s.Landing}, s.Internal...) {
+			want[p.Cold.URL+" false"]++
+			want[p.Cold.URL+" true"]++
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("hook saw %d distinct logs, want %d:\n got %v\nwant %v", len(got), len(want), got, want)
+	}
+
+	for _, warm := range []bool{false, true} {
+		calls := 0
+		failing := func(*har.Log, bool) error {
+			calls++
+			if calls == 3 {
+				return errHookBoom
+			}
+			return nil
+		}
+		one := func(c *StudyConfig) { c.Workers, c.FailureBudget = 1, -1 }
+		var outs []Outcome
+		if warm {
+			st, err := NewStudy(web, StudyConfig{Seed: 7, Workers: 1, FailureBudget: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, rerr := st.RunWarmStream(list, WarmConfig{Logs: failing})
+			outs, err = res.Outcomes, rerr
+		} else {
+			res, rerr := streamStudy(t, web, list, one, StreamConfig{Logs: failing})
+			outs, err = res.Outcomes, rerr
+		}
+		if !errors.Is(err, errHookBoom) {
+			t.Errorf("warm=%v: run error %v does not wrap the hook's error", warm, err)
+		}
+		if calls != 3 {
+			t.Errorf("warm=%v: hook called %d times, want 3 (none after its failure)", warm, calls)
+		}
+		if n := failedSites(outs); n != 0 {
+			t.Errorf("warm=%v: a hook error failed %d sites", warm, n)
+		}
 	}
 }

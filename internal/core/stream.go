@@ -216,6 +216,9 @@ type StreamConfig struct {
 	// per-site recorders in rank order, so the exported trace is
 	// byte-identical at any worker count.
 	Trace *trace.Tracer
+	// Logs, when non-nil, receives fetch 0 of every landing page and
+	// every internal page (see LogHook).
+	Logs LogHook
 
 	// window bounds how many sites may be dispatched but not yet
 	// retired — the reorder buffer, and therefore the peak number of
@@ -249,7 +252,7 @@ func (r *StreamResult) FailedSites() int { return failedSites(r.Outcomes) }
 //
 //detlint:hotpath -- the streaming study engine; H1M-scale runs live here
 func (st *Study) RunStream(list *hispar.List, cfg StreamConfig) (*StreamResult, error) {
-	run, err := runSites(st, list, cfg.window, cfg.Trace, st.measureSiteResilient, cfg.Sinks)
+	run, err := runSites(st, list, cfg.window, cfg.Trace, cfg.Logs, st.measureSiteResilient, cfg.Sinks)
 	return &StreamResult{List: list, Outcomes: run.outcomes, Stats: run.stats.Snapshot(),
 		MaxInFlight: run.maxInFlight}, err
 }

@@ -36,6 +36,10 @@ type StudyConfig struct {
 	// study lands near the paper's hit-rate asymmetry.
 	CDNWarmthRate    float64
 	CDNWarmthCeiling float64
+	// Protocol selects the browser's transport and delivery
+	// optimizations (see browser.Protocol); the zero value is the
+	// paper-era baseline the study measures. The what-if scenarios set it.
+	Protocol browser.Protocol
 
 	// Faults injects network faults (timeouts, truncations, loss) into
 	// every page load; the zero value injects nothing and reproduces the
@@ -250,6 +254,9 @@ type siteCtx struct {
 	cache *browser.Cache
 	// ms measures every log of the site.
 	ms *measurer
+	// logs hands every measured log to the run's LogHook; nil when the
+	// run has none.
+	logs *logTap
 	// rec, when non-nil, collects this site's spans (see internal/trace);
 	// the streaming fold merges it in rank order after the site retires.
 	rec *trace.Recorder
@@ -281,6 +288,7 @@ func (st *Study) newSiteCtx(i int, w *worker) (*siteCtx, error) {
 		Seed:     seed,
 		Resolver: resolver,
 		Net:      simnet.Config{Faults: st.cfg.Faults},
+		Protocol: st.cfg.Protocol,
 		CDNFactory: func() *cdn.Network {
 			loads++
 			edges.Reset(seed + loads*104729)
@@ -299,7 +307,7 @@ func (st *Study) newSiteCtx(i int, w *worker) (*siteCtx, error) {
 	if w.cache == nil {
 		w.cache = browser.NewCache()
 	}
-	return &siteCtx{clock: clock, b: w.b, pages: &w.pages, cache: w.cache, ms: &w.ms}, nil
+	return &siteCtx{clock: clock, b: w.b, pages: &w.pages, cache: w.cache, ms: &w.ms, logs: w.logs}, nil
 }
 
 // loadRevisitWithRetry attempts one page load up to MaxAttempts times,
@@ -387,6 +395,7 @@ func (st *Study) measureSiteResilient(w *worker, i int, set hispar.URLSet, rec *
 			if f == 0 {
 				first = sc.ms.measurePage(log, model, st.az)
 				samples = append(samples, first.timings())
+				sc.logs.emit(log, false)
 			} else {
 				samples = append(samples, sc.ms.timings(log, st.az))
 			}
@@ -409,6 +418,7 @@ func (st *Study) measureSiteResilient(w *worker, i int, set hispar.URLSet, rec *
 				continue
 			}
 			res.Internal = append(res.Internal, sc.ms.measurePage(log, im, st.az))
+			sc.logs.emit(log, false)
 			st.release(sc, log)
 		}
 		sc.stats.Inc("pages.measured", int64(1+len(res.Internal)))

@@ -32,6 +32,9 @@ type WarmConfig struct {
 	Trace *trace.Tracer
 	// Sinks receive every site in rank order (e.g. NewWarmCSVSink).
 	Sinks []Sink[WarmSiteResult]
+	// Logs, when non-nil, receives both legs of every measured pair,
+	// cold then warm (see LogHook).
+	Logs LogHook
 }
 
 func (c WarmConfig) withDefaults() WarmConfig {
@@ -130,10 +133,13 @@ func (st *Study) loadPair(sc *siteCtx, out *Outcome, m *webgen.PageModel, delay 
 	sc.stats.Inc("warm.pairs", 1)
 	sc.stats.Inc("warm.cache.hits", int64(sc.cache.Hits()))
 	sc.stats.Inc("warm.cache.revalidations", int64(sc.cache.Revalidations()))
-	return PagePair{
+	pair := PagePair{
 		Cold: sc.ms.measurePage(coldLog, m, st.az),
 		Warm: sc.ms.measurePage(warmLog, m, st.az),
-	}, nil
+	}
+	sc.logs.emit(coldLog, false)
+	sc.logs.emit(warmLog, true)
+	return pair, nil
 }
 
 // measureSiteWarm measures one site's cold/warm pairs with the same
@@ -184,7 +190,7 @@ func (st *Study) RunWarmStream(list *hispar.List, wcfg WarmConfig) (*WarmStudyRe
 	measure := func(w *worker, i int, set hispar.URLSet, rec *trace.Recorder, rs *runstats.Set) (WarmSiteResult, Outcome) {
 		return st.measureSiteWarm(w, i, set, rec, rs, wcfg.RevisitDelay)
 	}
-	run, err := runSites(st, list, 0, wcfg.Trace, measure, wcfg.Sinks)
+	run, err := runSites(st, list, 0, wcfg.Trace, wcfg.Logs, measure, wcfg.Sinks)
 	return &WarmStudyResult{List: list, RevisitDelay: wcfg.RevisitDelay,
 		Outcomes: run.outcomes, Stats: run.stats.Snapshot()}, err
 }

@@ -256,7 +256,7 @@ func TestAgreesWithSimulatedLoads(t *testing.T) {
 	for _, s := range web.Sites {
 		for _, page := range []*webgen.Page{s.Landing(), s.PageAt(1)} {
 			m := page.Build()
-			log, err := b.Load(m, 0)
+			log, err := b.LoadRevisit(m, 0, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +281,7 @@ func TestAgreesWithSimulatedLoads(t *testing.T) {
 func TestDepthCountsAllocations(t *testing.T) {
 	web, b := simWorld(t)
 	m := web.Sites[0].Landing().Build()
-	log, err := b.Load(m, 0)
+	log, err := b.LoadRevisit(m, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

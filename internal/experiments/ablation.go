@@ -28,7 +28,7 @@ func RunAblation(ctx *Context) (*Report, error) {
 		return nil, err
 	}
 	// Evaluate on the Ht50 ∪ Hb50 slice: both ends of the list, bounded
-	// cost (every page is loaded Fetches times per scenario and baseline).
+	// cost (the baseline and every scenario run the study over it).
 	list := study.List
 	k := 50
 	if k > len(list.Sets)/2 {
@@ -38,7 +38,7 @@ func RunAblation(ctx *Context) (*Report, error) {
 	sub.Sets = append(sub.Sets, list.Top(k).Sets...)
 	sub.Sets = append(sub.Sets, list.Bottom(k).Sets...)
 
-	ev := whatif.New(ctx.World().Web, whatif.Config{Seed: ctx.Cfg.Seed, Fetches: 3})
+	ev := whatif.New(ctx.World().Web, ctx.StudyConfig())
 	results, err := ev.EvaluateAll(sub)
 	if err != nil {
 		return nil, err

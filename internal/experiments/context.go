@@ -172,14 +172,14 @@ func (c *Context) List() (*hispar.List, error) {
 	return c.listLocked()
 }
 
-// newStudyLocked builds a study over the week-0 web with the context's
-// seed, landing fetches and workers; callers hold c.mu.
-func (c *Context) newStudyLocked() (*core.Study, error) {
-	return core.NewStudy(c.worldLocked().Web, core.StudyConfig{
+// StudyConfig is the configuration of every study the context's
+// experiments run: the context's seed, landing fetches and workers.
+func (c *Context) StudyConfig() core.StudyConfig {
+	return core.StudyConfig{
 		Seed:           c.Cfg.Seed,
 		LandingFetches: c.Cfg.LandingFetches,
 		Workers:        c.Cfg.Workers,
-	})
+	}
 }
 
 // Study returns the full H1K study result, running it on first use. It
@@ -196,7 +196,7 @@ func (c *Context) Study() (*core.StudyResult, error) {
 		c.studyErr = err
 		return nil, err
 	}
-	st, err := c.newStudyLocked()
+	st, err := core.NewStudy(c.worldLocked().Web, c.StudyConfig())
 	if err != nil {
 		c.studyErr = err
 		return nil, err
@@ -221,7 +221,7 @@ func (c *Context) WarmStudy() (*core.WarmStudyResult, error) {
 		c.warmErr = err
 		return nil, err
 	}
-	st, err := c.newStudyLocked()
+	st, err := core.NewStudy(c.worldLocked().Web, c.StudyConfig())
 	if err != nil {
 		c.warmErr = err
 		return nil, err

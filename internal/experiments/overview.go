@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/browser"
-	"repro/internal/cdn"
 	"repro/internal/core"
 	"repro/internal/crawler"
 	"repro/internal/detrand"
-	"repro/internal/dnssim"
+	"repro/internal/hispar"
 	"repro/internal/stats"
 )
 
@@ -127,26 +125,12 @@ func RunFig3a(ctx *Context) (*Report, error) {
 func RunFig3bc(ctx *Context) (*Report, error) {
 	web := ctx.World().Web
 	r := &Report{ID: "fig3bc", Title: "Limited exhaustive crawl (Figs 3b/3c)"}
-	st, err := core.NewStudy(web, core.StudyConfig{Seed: ctx.Cfg.Seed, LandingFetches: ctx.Cfg.LandingFetches})
-	if err != nil {
-		return nil, err
-	}
-	warm := cdn.PopularityWarmth(4.5, 0.97)
-	resolver := dnssim.NewResolver(dnssim.ResolverConfig{
-		Name: "isp", Seed: ctx.Cfg.Seed, WarmQueryRate: 0.8,
-	}, web.Authority(), nil)
-	b, err := browser.New(browser.Config{
-		Seed:     ctx.Cfg.Seed,
-		Resolver: resolver,
-		CDNFactory: func() *cdn.Network {
-			return cdn.NewNetwork(1<<14, warm, ctx.Cfg.Seed)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	labels := []string{"WP", "TW", "NY", "HS", "AC"}
-	for i, domain := range CrawlDomains() {
+	// One URL set per crawl site: its landing page and the sampled
+	// internal pages, measured by the study engine like any list.
+	domains := CrawlDomains()
+	crawled := make([]int, len(domains))
+	list := &hispar.List{Name: "crawl"}
+	for i, domain := range domains {
 		site, ok := web.SiteByDomain(domain)
 		if !ok {
 			return nil, fmt.Errorf("experiments: crawl site %s missing", domain)
@@ -155,6 +139,7 @@ func RunFig3bc(ctx *Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		crawled[i] = len(cres.Pages)
 		internal := cres.InternalPages()
 		rng := detrand.New(ctx.Cfg.Seed + int64(i))
 		rng.Shuffle(len(internal), func(a, b int) { internal[a], internal[b] = internal[b], internal[a] })
@@ -162,31 +147,37 @@ func RunFig3bc(ctx *Context) (*Report, error) {
 		if len(sample) > ctx.Cfg.CrawlSample {
 			sample = sample[:ctx.Cfg.CrawlSample]
 		}
-		var objs, sizes []float64
+		set := hispar.URLSet{Domain: domain, Rank: site.Rank, Landing: site.Landing().URL()}
 		for _, p := range sample {
-			model := p.Build()
-			log, err := b.Load(model, 0)
-			if err != nil {
-				return nil, err
-			}
-			m := core.MeasurePage(log, model, st.Analyzers())
-			objs = append(objs, float64(m.Objects))
-			sizes = append(sizes, float64(m.Bytes)/1e6)
+			set.Internal = append(set.Internal, p.URL())
 		}
-		// Landing reference (median of repeated fetches is structural
-		// here; a single measure suffices for counts/bytes).
-		lm := site.Landing().Build()
-		llog, err := b.Load(lm, 0)
-		if err != nil {
-			return nil, err
-		}
-		lMeas := core.MeasurePage(llog, lm, st.Analyzers())
+		list.Sets = append(list.Sets, set)
+	}
+	st, err := core.NewStudy(web, ctx.StudyConfig())
+	if err != nil {
+		return nil, err
+	}
+	res, err := st.Run(list)
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Sites) != len(domains) {
+		return nil, fmt.Errorf("experiments: crawl study measured %d of %d sites", len(res.Sites), len(domains))
+	}
 
+	labels := []string{"WP", "TW", "NY", "HS", "AC"}
+	for i := range res.Sites {
+		s := &res.Sites[i]
+		var objs, sizes []float64
+		for j := range s.Internal {
+			objs = append(objs, float64(s.Internal[j].Objects))
+			sizes = append(sizes, float64(s.Internal[j].Bytes)/1e6)
+		}
 		label := labels[i]
-		r.addRow(label+" pages crawled", ">=5000 URLs", float64(len(cres.Pages)), "%.0f")
+		r.addRow(label+" pages crawled", ">=5000 URLs", float64(crawled[i]), "%.0f")
 		r.addRow(label+" internal #objects p25/p50/p75", "wide spread (fig)", stats.Median(objs), "%.0f (median)")
 		r.addRow(label+" internal size p50 (MB)", "wide spread (fig)", stats.Median(sizes), "%.2f")
-		r.addRow(label+" landing #objects", "differs from internal", float64(lMeas.Objects), "%.0f")
+		r.addRow(label+" landing #objects", "differs from internal", float64(s.Landing.Objects), "%.0f")
 		r.addSeries(label+" #objects quartiles", quartileSeries(objs))
 		r.addSeries(label+" size quartiles (MB)", quartileSeries(sizes))
 	}

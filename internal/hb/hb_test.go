@@ -92,7 +92,7 @@ func TestAgreesWithGenerator(t *testing.T) {
 	for _, s := range web.Sites {
 		for _, page := range []*webgen.Page{s.Landing(), s.PageAt(1)} {
 			m := page.Build()
-			log, err := b.Load(m, 0)
+			log, err := b.LoadRevisit(m, 0, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

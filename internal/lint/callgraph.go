@@ -420,7 +420,7 @@ func chain(n *FuncNode, dist map[*FuncNode]int, next map[*FuncNode]CallSite) []s
 const hotpathDirective = "detlint:hotpath"
 
 // hotState is forward reachability from the //detlint:hotpath entry
-// points (browser.Load, core.Study.RunStream, the hisparserve handlers):
+// points (browser.LoadRevisit, core.Study.RunStream, the hisparserve handlers):
 // every function reachable from an entry gets its shortest call distance
 // and a deterministic predecessor toward the nearest entry, from which
 // hotChain renders the path.

@@ -1,5 +1,5 @@
 // Package whatif evaluates the paper's implications (§5.1–§5.6) as
-// counterfactuals: re-run the same page loads under a proposed
+// counterfactuals: re-run the same study under a proposed
 // optimization — TLS 1.3, QUIC, HTTP/2 multiplexing, server push,
 // perfect preconnect hints, a perfect CDN hit ratio, or no CDN at all —
 // and compare how much landing pages and internal pages each improve.
@@ -15,12 +15,10 @@ package whatif
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/browser"
-	"repro/internal/cdn"
-	"repro/internal/dnssim"
+	"repro/internal/core"
 	"repro/internal/hispar"
 	"repro/internal/stats"
 	"repro/internal/webgen"
@@ -33,7 +31,7 @@ type Scenario struct {
 	// Protocol toggles browser-level optimizations.
 	Protocol browser.Protocol
 	// WarmthRate/WarmthCeiling override the CDN warmth curve; zero means
-	// the baseline values.
+	// the baseline study's values.
 	WarmthRate    float64
 	WarmthCeiling float64
 }
@@ -80,24 +78,6 @@ func Scenarios() []Scenario {
 	}
 }
 
-// Config parameterizes an evaluation.
-type Config struct {
-	Seed int64
-	// Fetches per page per configuration (median taken). Default 3.
-	Fetches int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Fetches <= 0 {
-		c.Fetches = 3
-	}
-	return c
-}
-
-// baselineWarmthRate and baselineWarmthCeiling are the baseline CDN
-// warmth curve, core.StudyConfig's defaults.
-const baselineWarmthRate, baselineWarmthCeiling = 2.2, 0.97
-
 // PageDelta is one page's baseline-vs-scenario timing pairs.
 type PageDelta struct {
 	URL       string
@@ -138,22 +118,21 @@ type Result struct {
 // MedianImprovement returns the median relative PLT reduction for one
 // page type.
 func (r *Result) MedianImprovement(landing bool) float64 {
-	var xs []float64
-	for _, p := range r.Pages {
-		if p.IsLanding == landing {
-			xs = append(xs, p.Improvement())
-		}
-	}
-	return stats.Median(xs)
+	return r.median(landing, PageDelta.Improvement)
 }
 
 // MedianLoadImprovement returns the median relative onLoad reduction for
 // one page type.
 func (r *Result) MedianLoadImprovement(landing bool) float64 {
+	return r.median(landing, PageDelta.LoadImprovement)
+}
+
+// median returns the median of f over one page type's deltas.
+func (r *Result) median(landing bool, f func(PageDelta) float64) float64 {
 	var xs []float64
 	for _, p := range r.Pages {
 		if p.IsLanding == landing {
-			xs = append(xs, p.LoadImprovement())
+			xs = append(xs, f(p))
 		}
 	}
 	return stats.Median(xs)
@@ -170,56 +149,35 @@ func (r *Result) Asymmetry() float64 {
 	return r.MedianImprovement(true) - r.MedianImprovement(false)
 }
 
-// Evaluator re-runs page loads under scenarios.
+// Evaluator re-runs a study under scenarios.
 type Evaluator struct {
-	cfg Config
-	web *webgen.Web
+	web  *webgen.Web
+	base core.StudyConfig
 }
 
-// New creates an evaluator over a web snapshot.
-func New(web *webgen.Web, cfg Config) *Evaluator {
-	return &Evaluator{cfg: cfg.withDefaults(), web: web}
+// New creates an evaluator over a web snapshot. base is the baseline
+// study configuration; each scenario runs it with its Protocol and
+// warmth overrides.
+func New(web *webgen.Web, base core.StudyConfig) *Evaluator {
+	return &Evaluator{web: web, base: base}
 }
 
-// browserFor builds a browser for a scenario ("" warmth = baseline).
-func (e *Evaluator) browserFor(p browser.Protocol, rate, ceiling float64) (*browser.Browser, error) {
-	if rate == 0 {
-		rate = baselineWarmthRate
+// run measures the list through the study engine under sc; the zero
+// Scenario is the baseline.
+func (e *Evaluator) run(list *hispar.List, sc Scenario) (*core.StudyResult, error) {
+	cfg := e.base
+	cfg.Protocol = sc.Protocol
+	if sc.WarmthRate != 0 {
+		cfg.CDNWarmthRate = sc.WarmthRate
 	}
-	if ceiling == 0 {
-		ceiling = baselineWarmthCeiling
+	if sc.WarmthCeiling != 0 {
+		cfg.CDNWarmthCeiling = sc.WarmthCeiling
 	}
-	resolver := dnssim.NewResolver(dnssim.ResolverConfig{
-		Name: "isp", Seed: e.cfg.Seed, WarmQueryRate: 0.8,
-	}, e.web.Authority(), nil)
-	warm := cdn.PopularityWarmth(rate, ceiling)
-	seed := e.cfg.Seed
-	return browser.New(browser.Config{
-		Seed:     seed,
-		Resolver: resolver,
-		Protocol: p,
-		CDNFactory: func() *cdn.Network {
-			return cdn.NewNetwork(1<<14, warm, seed)
-		},
-	})
-}
-
-// medianTimings loads the model cfg.Fetches times and returns the median
-// first paint and onLoad.
-func medianTimings(b *browser.Browser, m *webgen.PageModel, fetches int) (fp, onload time.Duration, err error) {
-	fps := make([]time.Duration, 0, fetches)
-	loads := make([]time.Duration, 0, fetches)
-	for f := 0; f < fetches; f++ {
-		log, err := b.Load(m, f)
-		if err != nil {
-			return 0, 0, err
-		}
-		fps = append(fps, log.Page.Timings.FirstPaint)
-		loads = append(loads, log.Page.Timings.OnLoad)
+	st, err := core.NewStudy(e.web, cfg)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-	sort.Slice(loads, func(i, j int) bool { return loads[i] < loads[j] })
-	return fps[len(fps)/2], loads[len(loads)/2], nil
+	return st.Run(list)
 }
 
 // Evaluate runs one scenario over the list's pages (landing + internal)
@@ -237,50 +195,59 @@ func (e *Evaluator) EvaluateAll(list *hispar.List) ([]*Result, error) {
 	return e.evaluate(list, Scenarios())
 }
 
-// evaluate runs each scenario over the list's pages against one shared
-// baseline. Every browser, the baseline's included, loads the pages in
-// list order, so a scenario's result does not depend on which others
-// run beside it.
+// evaluate runs the baseline study once and each scenario's study
+// beside it. Every study measures each site in its own slot of the
+// window, so a scenario's result does not depend on which others run
+// beside it.
 func (e *Evaluator) evaluate(list *hispar.List, scs []Scenario) ([]*Result, error) {
-	base, err := e.browserFor(browser.Protocol{}, 0, 0)
+	base, err := e.run(list, Scenario{})
 	if err != nil {
 		return nil, err
 	}
-	variants := make([]*browser.Browser, len(scs))
 	out := make([]*Result, len(scs))
 	for i, sc := range scs {
-		if variants[i], err = e.browserFor(sc.Protocol, sc.WarmthRate, sc.WarmthCeiling); err != nil {
-			return nil, err
+		res, err := e.run(list, sc)
+		if err != nil {
+			return nil, fmt.Errorf("whatif: %s: %w", sc.Name, err)
 		}
-		out[i] = &Result{Scenario: sc}
-	}
-	for _, set := range list.Sets {
-		urls := append([]string{set.Landing}, set.Internal...)
-		for j, u := range urls {
-			page, ok := e.web.PageByURL(u)
-			if !ok {
-				return nil, fmt.Errorf("whatif: %s not in web snapshot", u)
-			}
-			m := page.Build()
-			fp0, ol0, err := medianTimings(base, m, e.cfg.Fetches)
-			if err != nil {
-				return nil, err
-			}
-			for i, variant := range variants {
-				fp1, ol1, err := medianTimings(variant, m, e.cfg.Fetches)
-				if err != nil {
-					return nil, err
-				}
-				out[i].Pages = append(out[i].Pages, PageDelta{
-					URL:          u,
-					IsLanding:    j == 0,
-					Baseline:     fp0,
-					Scenario:     fp1,
-					BaselineLoad: ol0,
-					ScenarioLoad: ol1,
-				})
-			}
+		pages, err := pairPages(base.Sites, res.Sites)
+		if err != nil {
+			return nil, fmt.Errorf("whatif: %s: %w", sc.Name, err)
 		}
+		out[i] = &Result{Scenario: sc, Pages: pages}
 	}
 	return out, nil
+}
+
+// pairPages pairs each baseline page with the scenario's measurement of
+// the same page, by site and position. A page set that differs — a site
+// or page measured on one side only — is an error, never a misaligned
+// pair.
+func pairPages(base, scen []core.SiteResult) ([]PageDelta, error) {
+	b, s := measured(base), measured(scen)
+	if len(b) != len(s) {
+		return nil, fmt.Errorf("%d pages measured, baseline %d", len(s), len(b))
+	}
+	pages := make([]PageDelta, len(b))
+	for i := range b {
+		if b[i].URL != s[i].URL {
+			return nil, fmt.Errorf("page %s measured where the baseline has %s", s[i].URL, b[i].URL)
+		}
+		pages[i] = PageDelta{URL: b[i].URL, IsLanding: b[i].IsLanding,
+			Baseline: b[i].PLT, Scenario: s[i].PLT, BaselineLoad: b[i].OnLoad, ScenarioLoad: s[i].OnLoad}
+	}
+	return pages, nil
+}
+
+// measured lists the sites' measured pages in order, each landing page
+// before its internal pages.
+func measured(sites []core.SiteResult) []*core.PageMeasurement {
+	var out []*core.PageMeasurement
+	for i := range sites {
+		out = append(out, &sites[i].Landing)
+		for j := range sites[i].Internal {
+			out = append(out, &sites[i].Internal[j])
+		}
+	}
+	return out
 }

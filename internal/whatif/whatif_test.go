@@ -5,11 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hispar"
 	"repro/internal/search"
 	"repro/internal/toplist"
 	"repro/internal/webgen"
 )
+
+// fixtureConfig is the fixture's baseline study configuration.
+var fixtureConfig = core.StudyConfig{Seed: 71, LandingFetches: 2}
 
 func fixture(t *testing.T) (*Evaluator, *hispar.List) {
 	t.Helper()
@@ -27,7 +31,7 @@ func fixture(t *testing.T) (*Evaluator, *hispar.List) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(web, Config{Seed: 71, Fetches: 2}), list
+	return New(web, fixtureConfig), list
 }
 
 // scenario returns the registered scenario with the given name.
@@ -166,6 +170,84 @@ func TestScenariosRepeatable(t *testing.T) {
 		}
 		if !reflect.DeepEqual(all[i], one) {
 			t.Errorf("%s: EvaluateAll's result differs from Evaluate's", sc.Name)
+		}
+	}
+}
+
+// TestBaselineIsTheStudy requires every PageDelta's baseline timings
+// to be the study engine's measurement of that page: Study.Run on the
+// same list and base config, paired by site and position.
+func TestBaselineIsTheStudy(t *testing.T) {
+	ev, list := fixture(t)
+	res, err := ev.Evaluate(list, scenario(t, "h2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.NewStudy(ev.web, fixtureConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	study, err := st.Run(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []*core.PageMeasurement
+	for i := range study.Sites {
+		s := &study.Sites[i]
+		want = append(want, &s.Landing)
+		for j := range s.Internal {
+			want = append(want, &s.Internal[j])
+		}
+	}
+	pages := 0
+	for i := range list.Sets {
+		pages += list.Sets[i].PageCount()
+	}
+	if len(res.Pages) != len(want) || len(want) != pages {
+		t.Fatalf("%d page deltas for %d measured pages, want %d", len(res.Pages), len(want), pages)
+	}
+	for i, p := range res.Pages {
+		m := want[i]
+		if p.URL != m.URL || p.IsLanding != m.IsLanding || p.Baseline != m.PLT || p.BaselineLoad != m.OnLoad {
+			t.Errorf("page %d: delta %s landing=%v PLT %v onLoad %v; study %s landing=%v PLT %v onLoad %v",
+				i, p.URL, p.IsLanding, p.Baseline, p.BaselineLoad, m.URL, m.IsLanding, m.PLT, m.OnLoad)
+		}
+	}
+}
+
+// TestPageSetMismatchIsAnError pairs a baseline with scenario results
+// whose page sets differ — a dropped internal page, a missing site, a
+// different page in one position — and requires an error each time,
+// never misaligned pairs.
+func TestPageSetMismatchIsAnError(t *testing.T) {
+	ev, list := fixture(t)
+	st, err := core.NewStudy(ev.web, fixtureConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := st.Run(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pairPages(base.Sites, base.Sites); err != nil {
+		t.Fatalf("a baseline paired with itself: %v", err)
+	}
+	clone := func() []core.SiteResult {
+		out := make([]core.SiteResult, len(base.Sites))
+		for i, s := range base.Sites {
+			s.Internal = append([]core.PageMeasurement(nil), s.Internal...)
+			out[i] = s
+		}
+		return out
+	}
+	dropped := clone()
+	dropped[2].Internal = dropped[2].Internal[1:]
+	missing := clone()[1:]
+	swapped := clone()
+	swapped[4].Internal[0], swapped[4].Internal[1] = swapped[4].Internal[1], swapped[4].Internal[0]
+	for name, scen := range map[string][]core.SiteResult{"dropped page": dropped, "missing site": missing, "swapped pages": swapped} {
+		if pages, err := pairPages(base.Sites, scen); err == nil {
+			t.Errorf("%s: paired %d pages without an error", name, len(pages))
 		}
 	}
 }
