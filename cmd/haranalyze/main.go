@@ -2,7 +2,10 @@
 // HAR files — the released-analysis-scripts side of the paper's
 // artifact. Landing pages (root documents) and internal pages are split
 // by URL, per-page metrics are printed as CSV, and the landing-vs-
-// internal aggregate comparison is summarized on stderr.
+// internal aggregate comparison is summarized on stderr. The warm legs
+// of a -warm bundle (<url>.warm.har.json) are a leg of their own: their
+// rows follow the cold leg's, marked warm in the leg column, and they
+// get their own summary.
 //
 // Pair it with webmeasure, whose -har bundle holds the logs behind its
 // CSV and the study's Easylist:
@@ -10,9 +13,9 @@
 //	webmeasure -sites 20 -fetches 1 -har hars/ > study.csv
 //	haranalyze -dir hars/ -filters hars/easylist.txt > pages.csv
 //
-// Every column of pages.csv then equals the same URL's column in
-// study.csv (at -fetches 1; more fetches medianize the study's landing
-// timings).
+// Every column of pages.csv but leg then equals the same URL's column
+// in study.csv (at -fetches 1; more fetches medianize the study's
+// landing timings).
 package main
 
 import (
@@ -77,38 +80,60 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sort.Strings(paths)
 
-	var landing, internal []core.PageMeasurement
-	fmt.Fprintln(stdout, "url,page_type,bytes,objects,plt_ms,onload_ms,noncacheable,cdn_bytes,domains,handshakes,trackers,depth2plus")
+	// A -warm bundle holds each page's cold leg as <url>.har.json and its
+	// warm revisit as <url>.warm.har.json. The legs are analysed apart:
+	// a warm load is a different measurement of the same URL.
+	var legs [2][]string
 	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		log, err := har.ReadJSON(f)
-		// Read-only close after a full decode: no signal in the error.
-		_ = f.Close()
-		if err != nil {
-			fmt.Fprintf(stderr, "haranalyze: skipping %s: %v\n", p, err)
-			continue
-		}
-		m := core.MeasureHAR(log, az)
-		kind := "internal"
-		if m.IsLanding {
-			kind = "landing"
-			landing = append(landing, m)
+		if strings.HasSuffix(p, ".warm.har.json") {
+			legs[1] = append(legs[1], p)
 		} else {
-			internal = append(internal, m)
+			legs[0] = append(legs[0], p)
 		}
-		deep := 0
-		for d := 2; d < len(m.DepthCounts); d++ {
-			deep += m.DepthCounts[d]
-		}
-		fmt.Fprintf(stdout, "%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			m.URL, kind, m.Bytes, m.Objects, m.PLT.Milliseconds(), m.OnLoad.Milliseconds(),
-			m.NonCacheable, m.CDNBytes, m.UniqueDomains, m.Handshakes, m.TrackerRequests, deep)
 	}
+	fmt.Fprintln(stdout, "url,page_type,bytes,objects,plt_ms,onload_ms,noncacheable,cdn_bytes,domains,handshakes,trackers,depth2plus,leg")
+	for i, leg := range []string{"cold", "warm"} {
+		var landing, internal []core.PageMeasurement
+		for _, p := range legs[i] {
+			f, err := os.Open(p)
+			if err != nil {
+				return fail(stderr, err)
+			}
+			log, err := har.ReadJSON(f)
+			// Read-only close after a full decode: no signal in the error.
+			_ = f.Close()
+			if err != nil {
+				fmt.Fprintf(stderr, "haranalyze: skipping %s: %v\n", p, err)
+				continue
+			}
+			m := core.MeasureHAR(log, az)
+			kind := "internal"
+			if m.IsLanding {
+				kind = "landing"
+				landing = append(landing, m)
+			} else {
+				internal = append(internal, m)
+			}
+			deep := 0
+			for d := 2; d < len(m.DepthCounts); d++ {
+				deep += m.DepthCounts[d]
+			}
+			fmt.Fprintf(stdout, "%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s\n",
+				m.URL, kind, m.Bytes, m.Objects, m.PLT.Milliseconds(), m.OnLoad.Milliseconds(),
+				m.NonCacheable, m.CDNBytes, m.UniqueDomains, m.Handshakes, m.TrackerRequests, deep, leg)
+		}
+		summarize(stderr, leg, landing, internal)
+	}
+	return 0
+}
 
-	summarize := func(ms []core.PageMeasurement, f func(*core.PageMeasurement) float64) (float64, float64) {
+// summarize prints one leg's landing-vs-internal medians and 90th
+// percentiles, when the leg has pages of both kinds.
+func summarize(w io.Writer, leg string, landing, internal []core.PageMeasurement) {
+	if len(landing) == 0 || len(internal) == 0 {
+		return
+	}
+	quantiles := func(ms []core.PageMeasurement, f func(*core.PageMeasurement) float64) (float64, float64) {
 		var xs []float64
 		for i := range ms {
 			xs = append(xs, f(&ms[i]))
@@ -116,25 +141,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		s := stats.SortedInPlace(xs)
 		return s.Median(), s.Quantile(0.9)
 	}
-	if len(landing) > 0 && len(internal) > 0 {
-		fmt.Fprintf(stderr, "\n%d landing pages, %d internal pages\n", len(landing), len(internal))
-		for _, row := range []struct {
-			name string
-			f    func(*core.PageMeasurement) float64
-		}{
-			{"bytes", func(m *core.PageMeasurement) float64 { return float64(m.Bytes) }},
-			{"objects", func(m *core.PageMeasurement) float64 { return float64(m.Objects) }},
-			{"plt_ms", func(m *core.PageMeasurement) float64 { return float64(m.PLT.Milliseconds()) }},
-			{"domains", func(m *core.PageMeasurement) float64 { return float64(m.UniqueDomains) }},
-			{"handshakes", func(m *core.PageMeasurement) float64 { return float64(m.Handshakes) }},
-		} {
-			lm, lp90 := summarize(landing, row.f)
-			im, ip90 := summarize(internal, row.f)
-			fmt.Fprintf(stderr, "%-11s landing median %.0f (p90 %.0f)  internal median %.0f (p90 %.0f)\n",
-				row.name, lm, lp90, im, ip90)
-		}
+	fmt.Fprintf(w, "\n%s leg: %d landing pages, %d internal pages\n", leg, len(landing), len(internal))
+	for _, row := range []struct {
+		name string
+		f    func(*core.PageMeasurement) float64
+	}{
+		{"bytes", func(m *core.PageMeasurement) float64 { return float64(m.Bytes) }},
+		{"objects", func(m *core.PageMeasurement) float64 { return float64(m.Objects) }},
+		{"plt_ms", func(m *core.PageMeasurement) float64 { return float64(m.PLT.Milliseconds()) }},
+		{"domains", func(m *core.PageMeasurement) float64 { return float64(m.UniqueDomains) }},
+		{"handshakes", func(m *core.PageMeasurement) float64 { return float64(m.Handshakes) }},
+	} {
+		lm, lp90 := quantiles(landing, row.f)
+		im, ip90 := quantiles(internal, row.f)
+		fmt.Fprintf(w, "%-11s landing median %.0f (p90 %.0f)  internal median %.0f (p90 %.0f)\n",
+			row.name, lm, lp90, im, ip90)
 	}
-	return 0
 }
 
 // fail reports err and returns exit status 1.

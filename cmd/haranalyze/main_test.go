@@ -88,9 +88,88 @@ func TestAnalysisMatchesStudy(t *testing.T) {
 	}
 	for url, row := range got {
 		for name, v := range row {
+			if name == "leg" {
+				if v != "cold" {
+					t.Errorf("%s: leg = %s, want cold", url, v)
+				}
+				continue
+			}
 			if w := want[url][name]; v != w {
 				t.Errorf("%s: %s = %s, study CSV has %s", url, name, v, w)
 			}
+		}
+	}
+}
+
+// TestWarmBundleSplitsLegs analyses a -warm bundle, whose every URL has
+// a cold log and a warm one: each leg must list each URL once, the cold
+// rows first, and each leg gets its own summary.
+func TestWarmBundleSplitsLegs(t *testing.T) {
+	w, err := world.Build(world.Config{Seed: 4, Sites: 3, URLsPerSite: 3, MinResults: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	logs := 0
+	writeLog := func(log *har.Log, warm bool) error {
+		logs++ // one worker: calls never overlap
+		name := strings.NewReplacer(":", "_", "/", "_").Replace(log.Page.URL)
+		if warm {
+			name += ".warm"
+		}
+		f, err := os.Create(filepath.Join(dir, name+".har.json"))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		return log.WriteJSON(f)
+	}
+	st, err := core.NewStudy(w.Web, core.StudyConfig{Seed: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.RunWarmStream(w.List, core.WarmConfig{Logs: writeLog}); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-dir", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	rows, err := csv.NewReader(&stdout).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows)-1 != logs || logs%2 != 0 {
+		t.Fatalf("%d rows for %d logs", len(rows)-1, logs)
+	}
+	col := map[string]int{}
+	for i, name := range rows[0] {
+		col[name] = i
+	}
+	seen := map[string]map[string]bool{"cold": {}, "warm": {}}
+	for i, row := range rows[1:] {
+		leg, url := row[col["leg"]], row[col["url"]]
+		wantLeg := "warm"
+		if i < logs/2 {
+			wantLeg = "cold"
+		}
+		if leg != wantLeg {
+			t.Fatalf("row %d (%s) is in leg %q, want %q", i+1, url, leg, wantLeg)
+		}
+		if seen[leg][url] {
+			t.Errorf("%s appears twice in the %s leg", url, leg)
+		}
+		seen[leg][url] = true
+	}
+	for url := range seen["cold"] {
+		if !seen["warm"][url] {
+			t.Errorf("%s has a cold row but no warm one", url)
+		}
+	}
+	for _, leg := range []string{"cold", "warm"} {
+		if !strings.Contains(stderr.String(), leg+" leg: ") {
+			t.Errorf("no %s leg summary on stderr:\n%s", leg, stderr.String())
 		}
 	}
 }

@@ -126,6 +126,10 @@ type loadScratch struct {
 	events    byAt
 	state     loadState
 
+	// kidFirst and kids hold the load's children index (childIndex).
+	kidFirst []int32
+	kids     []int32
+
 	// originOrder lists originRTT's keys in the order the page first
 	// references them.
 	originOrder []string
@@ -271,28 +275,43 @@ func (b *Browser) Release(log *har.Log) {
 	}
 }
 
-// durSlice returns s re-zeroed to length n, growing only when needed.
-func durSlice(s []time.Duration, n int) []time.Duration {
+// zeroed returns s re-zeroed to length n, growing only when needed.
+func zeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]time.Duration, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
-// boolSlice returns s re-zeroed to length n, growing only when needed.
-func boolSlice(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+// childIndex indexes objs by parent on the scratch storage: the
+// children of object p are kids[first[p]:first[p+1]], in ascending
+// index order, the order a scan of objs finds them in. A parent outside
+// objs has no entry.
+func (sc *loadScratch) childIndex(objs []*webgen.Object) (first, kids []int32) {
+	n := len(objs)
+	// Count p's children at first[p+2]; the running sum then leaves
+	// p's start at first[p+1], which the fill advances to p's end, that
+	// is p+1's start.
+	first = zeroed(sc.kidFirst, n+2)
+	kids = zeroed(sc.kids, n)
+	for _, o := range objs {
+		if p := o.Parent; p >= 0 && p < n {
+			first[p+2]++
+		}
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
+	for i := 2; i < len(first); i++ {
+		first[i] += first[i-1]
 	}
-	return s
+	for ci, o := range objs {
+		if p := o.Parent; p >= 0 && p < n {
+			kids[first[p+1]] = int32(ci)
+			first[p+1]++
+		}
+	}
+	sc.kidFirst, sc.kids = first, kids
+	return first, kids
 }
 
 // New creates a Browser.
@@ -503,11 +522,11 @@ func (b *Browser) LoadRevisit(m *webgen.PageModel, fetchID, attempt int, revisit
 		slots += respHeaderSlots(o)
 	}
 	entries, slab := sc.storage(n, slots)
-	sc.done = durSlice(sc.done, n)
-	sc.starts = durSlice(sc.starts, n)
-	sc.fetched = boolSlice(sc.fetched, n)
-	sc.attempted = boolSlice(sc.attempted, n)
-	sc.failed = boolSlice(sc.failed, n)
+	sc.done = zeroed(sc.done, n)
+	sc.starts = zeroed(sc.starts, n)
+	sc.fetched = zeroed(sc.fetched, n)
+	sc.attempted = zeroed(sc.attempted, n)
+	sc.failed = zeroed(sc.failed, n)
 
 	state := &sc.state
 	*state = loadState{
@@ -592,11 +611,9 @@ func (b *Browser) LoadRevisit(m *webgen.PageModel, fetchID, attempt int, revisit
 	// The root's direct children are discovered as the document parses
 	// (for §6.1 redirect pages the root's only child is the real
 	// document, which then reveals everything else).
-	for i, o := range m.Objects {
-		if i == 0 || state.fetched[i] {
-			continue
-		}
-		if o.Parent == 0 {
+	first, kids := sc.childIndex(m.Objects)
+	for _, ci := range kids[first[0]:first[1]] {
+		if i := int(ci); i != 0 && !state.fetched[i] {
 			state.fetched[i] = true
 			push(i, discovery+time.Duration(i)*200*time.Microsecond)
 		}
@@ -616,10 +633,10 @@ func (b *Browser) LoadRevisit(m *webgen.PageModel, fetchID, attempt int, revisit
 		if b.cfg.Protocol.ServerPush {
 			childAt = state.starts[t.idx] + 2*time.Millisecond
 		}
-		for ci, o := range m.Objects {
-			if o.Parent == t.idx && !state.fetched[ci] {
+		for _, ci := range kids[first[t.idx]:first[t.idx+1]] {
+			if !state.fetched[ci] {
 				state.fetched[ci] = true
-				push(ci, childAt)
+				push(int(ci), childAt)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package browser
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -219,5 +221,36 @@ func TestEmptyModelRejected(t *testing.T) {
 	b, _ := testBrowser(t, 1)
 	if _, err := b.LoadRevisit(&webgen.PageModel{URL: "https://x/"}, 0, 0, 0); err == nil {
 		t.Error("want error for empty model")
+	}
+}
+
+// TestChildIndexMatchesScan holds childIndex to the scan LoadRevisit
+// made before it: every object whose Parent is p, in ascending index
+// order, on random trees with the root's -1 and out-of-range parents,
+// and on one scratch reused across sizes.
+func TestChildIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var sc loadScratch
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(40)
+		objs := make([]*webgen.Object, n)
+		for i := range objs {
+			objs[i] = &webgen.Object{Parent: rng.Intn(n+3) - 2}
+		}
+		if n > 0 {
+			objs[0].Parent = -1
+		}
+		first, kids := sc.childIndex(objs)
+		for p := 0; p < n; p++ {
+			var want []int32
+			for ci, o := range objs {
+				if o.Parent == p {
+					want = append(want, int32(ci))
+				}
+			}
+			if got := kids[first[p]:first[p+1]]; !slices.Equal(got, want) {
+				t.Fatalf("trial %d: children of %d = %v, scan %v", trial, p, got, want)
+			}
+		}
 	}
 }

@@ -23,13 +23,12 @@ import (
 //   - §5.5: resource hints already favour landing pages; perfect hints
 //     help internal pages too, but the asymmetry persists.
 func RunAblation(ctx *Context) (*Report, error) {
-	study, err := ctx.Study()
+	list, err := ctx.List()
 	if err != nil {
 		return nil, err
 	}
 	// Evaluate on the Ht50 ∪ Hb50 slice: both ends of the list, bounded
 	// cost (the baseline and every scenario run the study over it).
-	list := study.List
 	k := 50
 	if k > len(list.Sets)/2 {
 		k = len(list.Sets) / 2

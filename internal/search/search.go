@@ -110,8 +110,8 @@ func (e *Engine) Site(domain string, maxResults int) ([]Result, error) {
 
 	out := make([]Result, 0, want)
 	out = append(out, Result{URL: s.Landing().URL(), Rank: 1})
-	for _, p := range s.TopIndexable(want - 1) {
-		out = append(out, Result{URL: p.URL(), Rank: len(out) + 1})
+	for _, u := range webgen.URLs(s.TopIndexable(want - 1)) {
+		out = append(out, Result{URL: u, Rank: len(out) + 1})
 	}
 	return out, nil
 }

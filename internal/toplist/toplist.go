@@ -13,10 +13,11 @@ package toplist
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/detrand"
+	"repro/internal/stats"
 )
 
 // Entry is one row of a ranked top list.
@@ -122,28 +123,35 @@ func (u *Universe) Step(days int) {
 	}
 }
 
-// Top returns the current top-k list, rank 1 first.
+// Top returns the current top-k list, rank 1 first: by descending
+// log-popularity, ties by ascending domain name. Each domain's
+// log-popularity is read once into a flat key, and only the top k keys
+// are sorted.
 func (u *Universe) Top(k int) []Entry {
-	if k > len(u.domains) {
-		k = len(u.domains)
+	keys := make([]rankKey, len(u.domains))
+	for i := range u.domains {
+		keys[i] = rankKey{u.domains[i].logpop(), i}
 	}
-	idx := make([]int, len(u.domains))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		da, db := &u.domains[idx[a]], &u.domains[idx[b]]
-		pa, pb := da.logpop(), db.logpop()
-		if pa != pb {
-			return pa > pb
+	top := stats.TopK(keys, k, func(a, b rankKey) int {
+		if a.logpop != b.logpop {
+			if a.logpop > b.logpop {
+				return -1
+			}
+			return 1
 		}
-		return da.name < db.name
+		return strings.Compare(u.domains[a.idx].name, u.domains[b.idx].name)
 	})
-	out := make([]Entry, k)
-	for r := 0; r < k; r++ {
-		out[r] = Entry{Rank: r + 1, Domain: u.domains[idx[r]].name}
+	out := make([]Entry, len(top))
+	for r, key := range top {
+		out[r] = Entry{Rank: r + 1, Domain: u.domains[key.idx].name}
 	}
 	return out
+}
+
+// rankKey is one domain's ranking key in Top.
+type rankKey struct {
+	logpop float64
+	idx    int
 }
 
 // Churn computes the fraction of domains present in prev but absent from

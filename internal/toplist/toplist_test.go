@@ -1,8 +1,62 @@
 package toplist
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 )
+
+// topBySort is the full comparator sort Top replaced, kept as its
+// oracle: every domain ranked by descending logpop, ties by ascending
+// name, then the first k kept.
+func topBySort(u *Universe, k int) []Entry {
+	k = min(k, len(u.domains))
+	idx := make([]int, len(u.domains))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		da, db := &u.domains[idx[a]], &u.domains[idx[b]]
+		pa, pb := da.logpop(), db.logpop()
+		if pa != pb {
+			return pa > pb
+		}
+		return da.name < db.name
+	})
+	out := make([]Entry, k)
+	for r := 0; r < k; r++ {
+		out[r] = Entry{Rank: r + 1, Domain: u.domains[idx[r]].name}
+	}
+	return out
+}
+
+// TestTopMatchesComparatorSort holds Top to the full sort after several
+// Steps, and on a universe whose popularities are hand-set to a few
+// equal values, so that the name tie-break orders most of the list.
+func TestTopMatchesComparatorSort(t *testing.T) {
+	check := func(what string, u *Universe) {
+		t.Helper()
+		n := len(u.domains)
+		for _, k := range []int{0, 1, 7, n / 3, n - 1, n, n + 10} {
+			if got, want := u.Top(k), topBySort(u, k); !slices.Equal(got, want) {
+				t.Fatalf("%s: Top(%d) differs from the comparator sort", what, k)
+			}
+		}
+	}
+	u := NewUniverse(Config{Seed: 5, Size: 3000})
+	for day := 0; day < 10; day += 1 + day {
+		check(fmt.Sprintf("day %d", day), u)
+		u.Step(1 + day)
+	}
+
+	tied := NewUniverse(Config{Seed: 6, Size: 1200})
+	for i := range tied.domains {
+		d := &tied.domains[i]
+		d.anchor, d.dev = float64(i%4), 0
+	}
+	check("four popularity levels", tied)
+}
 
 func TestTopRanksOrdered(t *testing.T) {
 	u := NewUniverse(Config{Seed: 1, Size: 2000})

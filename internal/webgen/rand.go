@@ -46,14 +46,27 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// fnv64aU64 folds v's 8 little-endian bytes into h, matching subSeed's
-// put().
-func fnv64aU64(h, v uint64) uint64 {
-	for i := 0; i < 64; i += 8 {
-		h ^= (v >> i) & 0xff
-		h *= fnvPrime64
+// fnvPrimePow[k] is fnvPrime64 to the k-th power, mod 2^64.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
 	}
-	return h
+	return p
+}()
+
+// fnv64aU64 folds v's 8 little-endian bytes into h, matching subSeed's
+// put(). A zero byte's XOR is a no-op, so once only zero bytes remain —
+// the high bytes of a small index or week — their multiplies collapse
+// into one by a power of the prime.
+func fnv64aU64(h, v uint64) uint64 {
+	n := 0
+	for ; v != 0; v >>= 8 {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		n++
+	}
+	return h * fnvPrimePow[8-n]
 }
 
 // fnv64aString folds s and subSeed's {0} terminator into h.
@@ -67,15 +80,21 @@ func fnv64aString(h uint64, s string) uint64 {
 	return h
 }
 
+// keyPrefix is the FNV state subSeed reaches after its base and key
+// parts; the parts after them fold on from there.
+func keyPrefix(base int64, key string) uint64 {
+	return fnv64aString(fnv64aU64(fnvOffset64, uint64(base)), key)
+}
+
 // subSeedKey is subSeed(base, key) without the variadic boxing —
 // bit-identical result, zero allocations.
 func subSeedKey(base int64, key string) int64 {
-	return int64(fnv64aString(fnv64aU64(fnvOffset64, uint64(base)), key))
+	return int64(keyPrefix(base, key))
 }
 
 // subSeedKeyIdx is subSeed(base, key, idx) without the variadic boxing.
 func subSeedKeyIdx(base int64, key string, idx int) int64 {
-	return int64(fnv64aU64(fnv64aString(fnv64aU64(fnvOffset64, uint64(base)), key), uint64(idx)))
+	return int64(fnv64aU64(keyPrefix(base, key), uint64(idx)))
 }
 
 // rngForKey is rngFor(base, key) on the typed fast path.
@@ -155,14 +174,25 @@ func finalize01(s uint64) float64 {
 	return float64(s>>11) / float64(1<<53)
 }
 
-// normNoiseKeyIdxWeek returns a deterministic standard-normal-ish value
-// keyed by (key, idx, week): the sum of four uniforms (Irwin–Hall),
-// each hashed from a shifted base on the typed fast path.
+// normPrefixes holds the FNV states the four uniforms of normNoise(base,
+// key, idx, week) start from: uniform i hashes base + i·1,000,003, then
+// key. Folding them once serves every (idx, week) of that key.
+type normPrefixes [4]uint64
+
+func newNormPrefixes(base int64, key string) normPrefixes {
+	var p normPrefixes
+	for i := range p {
+		p[i] = keyPrefix(base+int64(i)*1_000_003, key)
+	}
+	return p
+}
+
+// at returns a deterministic standard-normal-ish value keyed by (idx,
+// week): the sum of four uniforms (Irwin–Hall), standardized.
 // TestSubSeedFastPaths pins it bit-identical to the variadic normNoise.
-func normNoiseKeyIdxWeek(base int64, key string, idx, week int) float64 {
+func (p *normPrefixes) at(idx, week int) float64 {
 	u := 0.0
-	for i := 0; i < 4; i++ {
-		h := fnv64aString(fnv64aU64(fnvOffset64, uint64(base+int64(i)*1_000_003)), key)
+	for _, h := range p {
 		u += finalize01(fnv64aU64(fnv64aU64(h, uint64(idx)), uint64(week)))
 	}
 	// Irwin–Hall(4): mean 2, var 1/3 → standardize.

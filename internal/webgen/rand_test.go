@@ -34,13 +34,44 @@ func normNoise(base int64, parts ...interface{}) float64 {
 	return (u - 2) / math.Sqrt(1.0/3.0)
 }
 
+// visitWeightOracle is Page.VisitWeight's formula on the variadic draws.
+func visitWeightOracle(s *Site, idx int) float64 {
+	week := s.web.Week
+	base := math.Pow(1+noise01(s.seed, "basepop", idx)*float64(s.PoolSize()), -0.9)
+	sigma := 0.5
+	switch s.Category {
+	case CatNews, CatSports:
+		sigma = 1.3
+	case CatSocial:
+		sigma = 1.1
+	case CatEntertainment:
+		sigma = 0.8
+	}
+	drift := math.Exp(normNoise(s.seed, "drift", idx, week) * sigma)
+	recency := 1.0
+	if f := s.freshPerWeek(); f > 3 {
+		born := 0
+		if idx > s.poolSize {
+			born = 1 + (idx-s.poolSize-1)/f
+		}
+		age := float64(week - born)
+		if age < 0 {
+			age = 0
+		}
+		recency = math.Exp(-0.5*age) + 0.05
+	}
+	return base * drift * recency
+}
+
 // TestSubSeedFastPaths pins the typed sub-seed fast paths bit-identical
 // to the variadic originals: every generated corpus depends on these
 // streams, so a divergence here silently rewrites the whole web.
 func TestSubSeedFastPaths(t *testing.T) {
 	bases := []int64{0, 1, -1, 42, 1 << 40, -(1 << 52)}
 	keys := []string{"", "page-model", "trackers", "mixed", "a:b/c"}
-	idxs := []int{0, 1, 7, 1000, -3}
+	// Indexes of every byte width, and ones with zero bytes below a
+	// nonzero one: fnv64aU64 collapses only the trailing zero bytes.
+	idxs := []int{0, 1, 7, 255, 256, 1000, 1 << 24, 1<<40 + 5, 1<<56 - 1, -3}
 	for _, base := range bases {
 		for _, key := range keys {
 			if got, want := subSeedKey(base, key), subSeed(base, key); got != want {
@@ -53,13 +84,45 @@ func TestSubSeedFastPaths(t *testing.T) {
 				if got, want := noise01KeyIdx(base, key, idx), noise01(base, key, idx); got != want {
 					t.Errorf("noise01KeyIdx(%d, %q, %d) = %v, want %v", base, key, idx, got, want)
 				}
+				prefixes := newNormPrefixes(base, key)
 				for _, week := range []int{0, 1, 3, 52, -2} {
-					if got, want := normNoiseKeyIdxWeek(base, key, idx, week), normNoise(base, key, idx, week); got != want {
-						t.Errorf("normNoiseKeyIdxWeek(%d, %q, %d, %d) = %v, want %v", base, key, idx, week, got, want)
+					if got, want := prefixes.at(idx, week), normNoise(base, key, idx, week); got != want {
+						t.Errorf("normPrefixes(%d, %q).at(%d, %d) = %v, normNoise %v", base, key, idx, week, got, want)
 					}
 				}
 			}
 		}
+	}
+
+	// The visit weigher folds the "basepop" and "drift" prefixes once per
+	// site and memoizes the recency boost by page age. Every pool page of
+	// every category, fresh pages of news-like sites included, must get
+	// the weight the variadic draws give, whichever order pages are
+	// weighed in.
+	fresh := 0
+	for week := 0; week <= 3; week++ {
+		for _, s := range categoryWebAt(week).Sites {
+			asc, desc := s.visitWeigher(), s.visitWeigher()
+			n := s.PoolSize()
+			for idx := 1; idx <= n; idx++ {
+				want := visitWeightOracle(s, idx)
+				if got := asc.weight(idx); got != want {
+					t.Fatalf("week %d %s: weigher(%d) = %v, oracle %v", week, s.Category, idx, got, want)
+				}
+				if got := desc.weight(n + 1 - idx); got != visitWeightOracle(s, n+1-idx) {
+					t.Fatalf("week %d %s: weigher(%d) in descending order = %v, oracle %v", week, s.Category, n+1-idx, got, visitWeightOracle(s, n+1-idx))
+				}
+				if got := s.PageAt(idx).VisitWeight(); got != want {
+					t.Fatalf("week %d %s: VisitWeight(%d) = %v, oracle %v", week, s.Category, idx, got, want)
+				}
+				if s.freshPerWeek() > 3 && s.bornWeek(idx) > 0 {
+					fresh++
+				}
+			}
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("no fresh page of a news-like site was weighed")
 	}
 
 	// The RNG constructors wrap the same seeds: first draws must agree.

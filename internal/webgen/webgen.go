@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -24,6 +23,7 @@ import (
 	"repro/internal/detrand"
 	"repro/internal/dnssim"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 )
 
 // SiteSeed names one site to generate.
@@ -260,44 +260,45 @@ func (s *Site) InternalPages() []*Page {
 // snapshot week, most popular first — what a search engine surfaces for
 // a "site:" query.
 func (s *Site) TopInternal(n int) []*Page {
-	order := s.byVisitWeight()
-	if n < len(order) {
-		order = order[:n]
+	top := s.topByVisitWeight(n)
+	pages := make([]Page, len(top))
+	out := make([]*Page, len(top))
+	for i, r := range top {
+		pages[i] = Page{Site: s, Index: r.idx}
+		out[i] = &pages[i]
 	}
-	pages := make([]*Page, len(order))
-	for i, idx := range order {
-		pages[i] = s.PageAt(idx)
-	}
-	return pages
+	return out
 }
 
-// byVisitWeight returns the indices of the site's internal pages, most
-// visited first: by descending VisitWeight, ties by ascending index.
-// That order is total, so it is unique. Each weight is computed once,
-// not on every comparison.
-func (s *Site) byVisitWeight() []int {
-	type ranked struct {
-		w   float64
-		idx int
-	}
-	r := make([]ranked, s.PoolSize())
-	for i := range r {
-		r[i] = ranked{s.PageAt(i + 1).VisitWeight(), i + 1}
-	}
-	slices.SortFunc(r, func(a, b ranked) int {
-		if a.w != b.w {
-			if a.w > b.w {
-				return -1
-			}
-			return 1
+// rankedPage is an internal page's ranking key: its visit weight and
+// its index.
+type rankedPage struct {
+	w   float64
+	idx int
+}
+
+// byVisitWeight orders pages most visited first: by descending weight,
+// ties by ascending index. That order is total, so a ranking is unique.
+func byVisitWeight(a, b rankedPage) int {
+	if a.w != b.w {
+		if a.w > b.w {
+			return -1
 		}
-		return a.idx - b.idx
-	})
-	order := make([]int, len(r))
-	for i := range r {
-		order[i] = r[i].idx
+		return 1
 	}
-	return order
+	return a.idx - b.idx
+}
+
+// topByVisitWeight returns the keys of the site's k most visited
+// internal pages in byVisitWeight order. Each page's weight is computed
+// once, and only the k best keys are sorted.
+func (s *Site) topByVisitWeight(k int) []rankedPage {
+	w := s.visitWeigher()
+	keys := make([]rankedPage, s.PoolSize())
+	for i := range keys {
+		keys[i] = rankedPage{w.weight(i + 1), i + 1}
+	}
+	return stats.TopK(keys, k, byVisitWeight)
 }
 
 // TopIndexable returns the site's n most-visited internal pages that a
@@ -305,7 +306,7 @@ func (s *Site) byVisitWeight() []int {
 func (s *Site) TopIndexable(n int) []*Page {
 	// Over-fetch, then filter: disallowed pages are a small fraction.
 	candidates := s.TopInternal(n + n/2 + 8)
-	out := make([]*Page, 0, n)
+	out := candidates[:0]
 	for _, p := range candidates {
 		if len(out) >= n {
 			break
@@ -326,13 +327,13 @@ type Page struct {
 // IsLanding reports whether p is the site's landing page.
 func (p *Page) IsLanding() bool { return p.Index == 0 }
 
-// BornWeek returns the week the page was published (0 for the base pool).
-func (p *Page) BornWeek() int {
-	base := p.Site.poolSize
-	if p.Index <= base {
+// bornWeek returns the week internal page idx was published (0 for the
+// base pool).
+func (s *Site) bornWeek(idx int) int {
+	if idx <= s.poolSize {
 		return 0
 	}
-	return 1 + (p.Index-base-1)/maxInt(1, p.Site.freshPerWeek())
+	return 1 + (idx-s.poolSize-1)/maxInt(1, s.freshPerWeek())
 }
 
 func maxInt(a, b int) int {
@@ -391,6 +392,18 @@ func (p *Page) URL() string {
 	return string(p.appendURL(buf[:0], &g))
 }
 
+// URLs returns the URL of each page, drawing every internal page's path
+// from one re-seeded generator rather than a new one per page.
+func URLs(pages []*Page) []string {
+	var buf [160]byte
+	var g *rand.Rand
+	out := make([]string, len(pages))
+	for i, p := range pages {
+		out[i] = string(p.appendURL(buf[:0], &g))
+	}
+	return out
+}
+
 // appendURL appends URL() to dst, drawing an internal page's path from
 // *g re-seeded with the page's "path" stream.
 func (p *Page) appendURL(dst []byte, g **rand.Rand) []byte {
@@ -423,11 +436,29 @@ func (p *Page) VisitWeight() float64 {
 	if p.IsLanding() {
 		return 1e9 // the landing page is always the most visited
 	}
-	s := p.Site
-	week := s.web.Week
-	// Base Zipf over the page pool, keyed to a stable per-page draw so
-	// the "intrinsically popular" pages persist.
-	base := math.Pow(1+noise01KeyIdx(s.seed, "basepop", p.Index)*float64(s.PoolSize()), -0.9)
+	w := p.Site.visitWeigher()
+	return w.weight(p.Index)
+}
+
+// visitWeigher computes the visit weights of one site's internal pages
+// with the per-site work done once: the FNV prefixes of the "basepop"
+// and "drift" draws, the pool size and the category's drift spread. It
+// also keeps the recency boost of the last page age it computed: pages
+// are weighed in index order, and the age only changes from one week's
+// fresh pages to the next.
+type visitWeigher struct {
+	site    *Site
+	week    int
+	pool    float64
+	sigma   float64
+	basepop uint64
+	drift   normPrefixes
+	fresh   bool // news-like: recent pages get a recency boost
+	recAge  int  // the age rec belongs to; -1 before the first
+	rec     float64
+}
+
+func (s *Site) visitWeigher() visitWeigher {
 	sigma := 0.5
 	switch s.Category {
 	case CatNews, CatSports:
@@ -437,14 +468,31 @@ func (p *Page) VisitWeight() float64 {
 	case CatEntertainment:
 		sigma = 0.8
 	}
-	drift := math.Exp(normNoiseKeyIdxWeek(s.seed, "drift", p.Index, week) * sigma)
+	return visitWeigher{
+		site:    s,
+		week:    s.web.Week,
+		pool:    float64(s.PoolSize()),
+		sigma:   sigma,
+		basepop: keyPrefix(s.seed, "basepop"),
+		drift:   newNormPrefixes(s.seed, "drift"),
+		fresh:   s.freshPerWeek() > 3,
+		recAge:  -1,
+	}
+}
+
+// weight returns the visit weight of internal page idx.
+func (w *visitWeigher) weight(idx int) float64 {
+	// Base Zipf over the page pool, keyed to a stable per-page draw so
+	// the "intrinsically popular" pages persist.
+	base := math.Pow(1+finalize01(fnv64aU64(w.basepop, uint64(idx)))*w.pool, -0.9)
+	drift := math.Exp(w.drift.at(idx, w.week) * w.sigma)
 	recency := 1.0
-	if f := s.freshPerWeek(); f > 3 {
-		age := float64(week - p.BornWeek())
-		if age < 0 {
-			age = 0
+	if w.fresh {
+		age := max(0, w.week-w.site.bornWeek(idx))
+		if age != w.recAge {
+			w.recAge, w.rec = age, math.Exp(-0.5*float64(age))+0.05
 		}
-		recency = math.Exp(-0.5*age) + 0.05
+		recency = w.rec
 	}
 	return base * drift * recency
 }

@@ -10,7 +10,7 @@ func (s *Site) PublisherSample(n int) []*Page {
 	if n <= 0 || s.PoolSize() == 0 {
 		return nil
 	}
-	order := s.byVisitWeight()
+	order := s.topByVisitWeight(s.PoolSize())
 	if n > len(order) {
 		n = len(order)
 	}
@@ -18,7 +18,7 @@ func (s *Site) PublisherSample(n int) []*Page {
 	// covers head, torso, and tail content rather than only hits.
 	out := make([]*Page, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, s.PageAt(order[i*(len(order)-1)/maxInt(1, n-1)]))
+		out = append(out, s.PageAt(order[i*(len(order)-1)/maxInt(1, n-1)].idx))
 	}
 	return dedupePages(out)
 }
