@@ -145,6 +145,7 @@ fuzz-smoke:
 	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzFormatDate$$' -fuzztime 10s
 	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzParseCacheControl$$' -fuzztime 10s
 	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzParseHTTPDate$$' -fuzztime 10s
+	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzAcceptEncoding$$' -fuzztime 10s
 	$(GO) test ./internal/depgraph -run '^$$' -fuzz '^FuzzDepthCounts$$' -fuzztime 10s
 
 # Examples smoke: run the two example programs end to end. Each must

@@ -13,9 +13,12 @@
 //	webmeasure -sites 20 -fetches 1 -har hars/ > study.csv
 //	haranalyze -dir hars/ -filters hars/easylist.txt > pages.csv
 //
-// Every column of pages.csv but leg then equals the same URL's column
-// in study.csv (at -fetches 1; more fetches medianize the study's
-// landing timings).
+// Every column of pages.csv but leg and transfer_bytes then equals the
+// same URL's column in study.csv (at -fetches 1; more fetches medianize
+// the study's landing timings). transfer_bytes is what the load fetched
+// over the network: bytes on a cold load, and on a warm leg the
+// warm_transfer_bytes of webmeasure -warm's CSV, which leaves out what
+// the cache served.
 package main
 
 import (
@@ -91,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			legs[0] = append(legs[0], p)
 		}
 	}
-	fmt.Fprintln(stdout, "url,page_type,bytes,objects,plt_ms,onload_ms,noncacheable,cdn_bytes,domains,handshakes,trackers,depth2plus,leg")
+	fmt.Fprintln(stdout, "url,page_type,bytes,objects,plt_ms,onload_ms,noncacheable,cdn_bytes,domains,handshakes,trackers,depth2plus,transfer_bytes,leg")
 	for i, leg := range []string{"cold", "warm"} {
 		var landing, internal []core.PageMeasurement
 		for _, p := range legs[i] {
@@ -118,9 +121,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for d := 2; d < len(m.DepthCounts); d++ {
 				deep += m.DepthCounts[d]
 			}
-			fmt.Fprintf(stdout, "%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s\n",
+			fmt.Fprintf(stdout, "%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s\n",
 				m.URL, kind, m.Bytes, m.Objects, m.PLT.Milliseconds(), m.OnLoad.Milliseconds(),
-				m.NonCacheable, m.CDNBytes, m.UniqueDomains, m.Handshakes, m.TrackerRequests, deep, leg)
+				m.NonCacheable, m.CDNBytes, m.UniqueDomains, m.Handshakes, m.TrackerRequests, deep,
+				m.TransferBytes, leg)
 		}
 		summarize(stderr, leg, landing, internal)
 	}
@@ -151,10 +155,11 @@ func summarize(w io.Writer, leg string, landing, internal []core.PageMeasurement
 		{"plt_ms", func(m *core.PageMeasurement) float64 { return float64(m.PLT.Milliseconds()) }},
 		{"domains", func(m *core.PageMeasurement) float64 { return float64(m.UniqueDomains) }},
 		{"handshakes", func(m *core.PageMeasurement) float64 { return float64(m.Handshakes) }},
+		{"transfer_bytes", func(m *core.PageMeasurement) float64 { return float64(m.TransferBytes) }},
 	} {
 		lm, lp90 := quantiles(landing, row.f)
 		im, ip90 := quantiles(internal, row.f)
-		fmt.Fprintf(w, "%-11s landing median %.0f (p90 %.0f)  internal median %.0f (p90 %.0f)\n",
+		fmt.Fprintf(w, "%-14s landing median %.0f (p90 %.0f)  internal median %.0f (p90 %.0f)\n",
 			row.name, lm, lp90, im, ip90)
 	}
 }

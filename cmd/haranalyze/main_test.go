@@ -43,7 +43,8 @@ func TestFlagErrors(t *testing.T) {
 // TestAnalysisMatchesStudy writes a small study's measured logs and its
 // Easylist into a directory, as webmeasure -har does, and requires
 // haranalyze to print one row per log whose every column equals the
-// study CSV's column of the same name for that URL.
+// study CSV's column of the same name for that URL. The cold study CSV
+// has no transfer_bytes: a cold load transfers its bytes.
 func TestAnalysisMatchesStudy(t *testing.T) {
 	w, err := world.Build(world.Config{Seed: 9, Sites: 4, URLsPerSite: 3, MinResults: 3})
 	if err != nil {
@@ -94,7 +95,11 @@ func TestAnalysisMatchesStudy(t *testing.T) {
 				}
 				continue
 			}
-			if w := want[url][name]; v != w {
+			study := name
+			if name == "transfer_bytes" {
+				study = "bytes"
+			}
+			if w := want[url][study]; v != w {
 				t.Errorf("%s: %s = %s, study CSV has %s", url, name, v, w)
 			}
 		}
@@ -103,7 +108,9 @@ func TestAnalysisMatchesStudy(t *testing.T) {
 
 // TestWarmBundleSplitsLegs analyses a -warm bundle, whose every URL has
 // a cold log and a warm one: each leg must list each URL once, the cold
-// rows first, and each leg gets its own summary.
+// rows first, and each leg gets its own summary. Each row's
+// transfer_bytes must equal the warm study CSV's cold_transfer_bytes or
+// warm_transfer_bytes for its URL and leg.
 func TestWarmBundleSplitsLegs(t *testing.T) {
 	w, err := world.Build(world.Config{Seed: 4, Sites: 3, URLsPerSite: 3, MinResults: 3})
 	if err != nil {
@@ -128,9 +135,15 @@ func TestWarmBundleSplitsLegs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.RunWarmStream(w.List, core.WarmConfig{Logs: writeLog}); err != nil {
+	var study bytes.Buffer
+	sink, err := core.NewWarmCSVSink(&study)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := st.RunWarmStream(w.List, core.WarmConfig{Sinks: []core.Sink[core.WarmSiteResult]{sink}, Logs: writeLog}); err != nil {
+		t.Fatal(err)
+	}
+	pairs := rowsByURL(t, &study)
 
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-dir", dir}, &stdout, &stderr); code != 0 {
@@ -160,6 +173,9 @@ func TestWarmBundleSplitsLegs(t *testing.T) {
 		if seen[leg][url] {
 			t.Errorf("%s appears twice in the %s leg", url, leg)
 		}
+		if got, want := row[col["transfer_bytes"]], pairs[url][leg+"_transfer_bytes"]; got != want {
+			t.Errorf("%s, %s leg: transfer_bytes = %s, study CSV has %s", url, leg, got, want)
+		}
 		seen[leg][url] = true
 	}
 	for url := range seen["cold"] {
@@ -171,6 +187,9 @@ func TestWarmBundleSplitsLegs(t *testing.T) {
 		if !strings.Contains(stderr.String(), leg+" leg: ") {
 			t.Errorf("no %s leg summary on stderr:\n%s", leg, stderr.String())
 		}
+	}
+	if !strings.Contains(stderr.String(), "\ntransfer_bytes ") {
+		t.Errorf("no transfer_bytes medians on stderr:\n%s", stderr.String())
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/cdn"
@@ -125,6 +126,9 @@ type loadScratch struct {
 	tasks     taskHeap
 	events    byAt
 	state     loadState
+
+	// dates holds the Date header values of this browser's loads.
+	dates dateArena
 
 	// kidFirst and kids hold the load's children index (childIndex).
 	kidFirst []int32
@@ -712,9 +716,34 @@ func (s *loadState) headers(n, limit int) []har.Header {
 // of a page's responses share a handful of seconds.
 func (s *loadState) date(t time.Time) string {
 	if sec := t.Unix(); sec != s.dateSec || s.dateVal == "" {
-		s.dateSec, s.dateVal = sec, httpsem.FormatDate(t)
+		s.dateSec, s.dateVal = sec, s.b.scratch.dates.format(t)
 	}
 	return s.dateVal
+}
+
+// dateArena cuts HTTP dates from one strings.Builder's buffer, so the
+// dates of many loads share one allocation. Bytes once written are never
+// rewritten: a full chunk is replaced, not reused, so a released log's
+// headers and the headers a cache keeps never change underneath them. A
+// kept date keeps its whole chunk alive, so chunks stay small.
+type dateArena struct {
+	sb strings.Builder
+}
+
+// dateChunk is the size of an arena chunk: about 140 dates.
+const dateChunk = 4 << 10
+
+// format returns httpsem.FormatDate(t), cut from the arena.
+func (a *dateArena) format(t time.Time) string {
+	var buf [29]byte // an IMF-fixdate
+	d := httpsem.AppendDate(buf[:0], t)
+	if a.sb.Cap()-a.sb.Len() < len(d) {
+		a.sb = strings.Builder{}
+		a.sb.Grow(max(len(d), dateChunk))
+	}
+	start := a.sb.Len()
+	a.sb.Write(d)
+	return a.sb.String()[start:]
 }
 
 // rttFor returns the connection RTT for an object's serving host.

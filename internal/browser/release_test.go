@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/dnssim"
 	"repro/internal/har"
@@ -362,5 +363,63 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 	if err := (&Browser{}).Reset(Config{}); err == nil {
 		t.Fatal("Reset accepted a config without a resolver")
+	}
+}
+
+// TestDatesOutliveArenaChunks holds Date headers cut from the browser's
+// date arena, in an unreleased log and in a cache's stored headers,
+// while enough released loads follow to fill several arena chunks: no
+// held date may change. The arena itself must return FormatDate's bytes,
+// also for a date longer than an IMF-fixdate.
+func TestDatesOutliveArenaChunks(t *testing.T) {
+	var a dateArena
+	base := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
+	var kept []string
+	for i := 0; i < 3*dateChunk/29; i++ {
+		kept = append(kept, a.format(base.Add(time.Duration(i)*time.Second)))
+	}
+	far := time.Date(12345, 6, 7, 8, 9, 10, 0, time.UTC)
+	if got, want := a.format(far), httpsem.FormatDate(far); got != want {
+		t.Fatalf("arena formats %v as %q, want %q", far, got, want)
+	}
+	for i, d := range kept {
+		if want := httpsem.FormatDate(base.Add(time.Duration(i) * time.Second)); d != want {
+			t.Fatalf("date %d reads %q after later dates, want %q", i, d, want)
+		}
+	}
+
+	b, web := testBrowser(t, 2.2)
+	m := web.Sites[0].Landing().Build()
+	cache := NewCache()
+	b.SetCache(cache)
+	held, err := b.LoadRevisit(m, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetCache(nil)
+	want := harBytes(t, held)
+	stored := make(map[string][]har.Header, len(cache.entries))
+	for url, ent := range cache.entries {
+		stored[url] = append([]har.Header(nil), ent.headers...)
+	}
+	chunk := func() *byte { return unsafe.StringData(b.scratch.dates.sb.String()) }
+	first, chunks := chunk(), 0
+	for f := 1; chunks < 3; f++ {
+		log, err := b.LoadRevisit(m, f, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Release(log)
+		if c := chunk(); c != first {
+			first, chunks = c, chunks+1
+		}
+	}
+	if !bytes.Equal(harBytes(t, held), want) {
+		t.Fatal("an unreleased log changed as the date arena filled")
+	}
+	for url, ent := range cache.entries {
+		if !reflect.DeepEqual(ent.headers, stored[url]) {
+			t.Fatalf("cached headers of %s changed as the date arena filled", url)
+		}
 	}
 }

@@ -159,7 +159,8 @@ func allocPerPage(t *testing.T, list *hispar.List, run func() (runstats.Snapshot
 		t.Fatalf("measured %d pages, want %d", pages, list.Pages())
 	}
 	perPage := (after.TotalAlloc - before.TotalAlloc) / uint64(pages)
-	t.Logf("%d pages, %.1f KB allocated per page", pages, float64(perPage)/1024)
+	t.Logf("%d pages, %.1f KB and %.1f objects allocated per page", pages,
+		float64(perPage)/1024, float64(after.Mallocs-before.Mallocs)/float64(pages))
 	return perPage
 }
 

@@ -88,9 +88,11 @@ func (c Config) withDefaults() Config {
 type Context struct {
 	Cfg Config
 
+	worldOnce sync.Once
+	world     *world.World
+	listErr   error
+
 	mu       sync.Mutex
-	world    *world.World
-	listErr  error
 	study    *core.StudyResult
 	studyErr error
 	warm     *core.WarmStudyResult
@@ -126,12 +128,13 @@ func CrawlDomains() []string {
 	return out
 }
 
-// worldLocked builds the week-0 world once: the H1K-style list over a
-// web that also holds the five exhaustive-crawl sites. A list that
-// could not be filled leaves the rest of the world usable and its error
-// in listErr. Callers hold c.mu.
-func (c *Context) worldLocked() *world.World {
-	if c.world == nil {
+// World returns the week-0 world, built once: the top-list universe
+// (the stability experiment builds its own), the web with the five
+// crawl sites, the search engine and the H1K-style list. A list that
+// could not be filled leaves the rest of the world usable, and List
+// reports why.
+func (c *Context) World() *world.World {
+	c.worldOnce.Do(func() {
 		// Cfg's defaults keep every field in range, so a world is
 		// always built.
 		c.world, c.listErr = world.Build(world.Config{
@@ -142,34 +145,17 @@ func (c *Context) worldLocked() *world.World {
 			Name:        fmt.Sprintf("H%d", c.Cfg.Sites),
 			Extra:       crawlSiteSeeds(c.Cfg.CrawlPages * 6 / 5),
 		})
-	}
+	})
 	return c.world
-}
-
-// World returns the week-0 world: the top-list universe (the stability
-// experiment builds its own), the web with the five crawl sites, the
-// search engine and the H1K-style list. When the list could not be
-// filled, List reports why.
-func (c *Context) World() *world.World {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.worldLocked()
-}
-
-// listLocked returns the H1K-style list; callers hold c.mu.
-func (c *Context) listLocked() (*hispar.List, error) {
-	w := c.worldLocked()
-	if c.listErr != nil {
-		return nil, c.listErr
-	}
-	return w.List, nil
 }
 
 // List returns the H1K-style Hispar list, built once.
 func (c *Context) List() (*hispar.List, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.listLocked()
+	w := c.World()
+	if c.listErr != nil {
+		return nil, c.listErr
+	}
+	return w.List, nil
 }
 
 // StudyConfig is the configuration of every study the context's
@@ -186,17 +172,18 @@ func (c *Context) StudyConfig() core.StudyConfig {
 // is the one cold study of a context: a streaming run with a collecting
 // sink, traced into Cfg.Trace.
 func (c *Context) Study() (*core.StudyResult, error) {
+	list, err := c.List()
+	web := c.World().Web
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.study != nil || c.studyErr != nil {
 		return c.study, c.studyErr
 	}
-	list, err := c.listLocked()
 	if err != nil {
 		c.studyErr = err
 		return nil, err
 	}
-	st, err := core.NewStudy(c.worldLocked().Web, c.StudyConfig())
+	st, err := core.NewStudy(web, c.StudyConfig())
 	if err != nil {
 		c.studyErr = err
 		return nil, err
@@ -211,17 +198,18 @@ func (c *Context) Study() (*core.StudyResult, error) {
 // WarmStudy returns the cold→warm repeat-view study, running it on
 // first use.
 func (c *Context) WarmStudy() (*core.WarmStudyResult, error) {
+	list, err := c.List()
+	web := c.World().Web
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.warm != nil || c.warmErr != nil {
 		return c.warm, c.warmErr
 	}
-	list, err := c.listLocked()
 	if err != nil {
 		c.warmErr = err
 		return nil, err
 	}
-	st, err := core.NewStudy(c.worldLocked().Web, c.StudyConfig())
+	st, err := core.NewStudy(web, c.StudyConfig())
 	if err != nil {
 		c.warmErr = err
 		return nil, err

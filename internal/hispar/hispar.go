@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/fanout"
 	"repro/internal/search"
 	"repro/internal/toplist"
 )
@@ -117,25 +118,28 @@ type BuildStats struct {
 // Build assembles a Hispar list: walk the bootstrap top list from the
 // most popular site down, fetch each site's URL set from the search
 // engine, and stop once cfg.Sites sets are collected.
+//
+// The sites are queried in parallel, one batch at a time. A batch is the
+// next cfg.Sites − len(list.Sets) entries: each adds at most one set, so
+// the walk could not have stopped inside it, and the build examines and
+// meters exactly the entries a one-by-one walk would. Sets are appended
+// in rank order.
 func Build(engine *search.Engine, bootstrap []toplist.Entry, cfg BuildConfig) (*List, BuildStats, error) {
 	var stats BuildStats
 	startQueries := engine.Queries()
 	list := &List{Name: cfg.name(), Week: cfg.Week}
-	for _, entry := range bootstrap {
-		if len(list.Sets) >= cfg.Sites {
-			break
+	for next := 0; len(list.Sets) < cfg.Sites && next < len(bootstrap); {
+		batch := bootstrap[next:min(len(bootstrap), next+cfg.Sites-len(list.Sets))]
+		next += len(batch)
+		stats.SitesExamined += len(batch)
+		sets := fanout.Map(len(batch), func(i int) URLSet { return siteSet(engine, batch[i], cfg) })
+		for _, set := range sets {
+			if set.Landing == "" {
+				stats.SitesDropped++
+				continue
+			}
+			list.Sets = append(list.Sets, set)
 		}
-		stats.SitesExamined++
-		results, err := engine.Site(entry.Domain, cfg.URLsPerSite)
-		if err != nil || len(results) == 0 || len(results) < cfg.MinResults {
-			stats.SitesDropped++
-			continue
-		}
-		set := URLSet{Domain: entry.Domain, Rank: entry.Rank, Landing: results[0].URL}
-		for _, r := range results[1:] {
-			set.Internal = append(set.Internal, r.URL)
-		}
-		list.Sets = append(list.Sets, set)
 	}
 	stats.Queries = engine.Queries() - startQueries
 	stats.CostUSD = float64(stats.Queries) / 1000 * 5
@@ -143,6 +147,20 @@ func Build(engine *search.Engine, bootstrap []toplist.Entry, cfg BuildConfig) (*
 		return list, stats, fmt.Errorf("hispar: bootstrap exhausted with %d/%d sites", len(list.Sets), cfg.Sites)
 	}
 	return list, stats, nil
+}
+
+// siteSet queries the search engine for entry's URL set. A site dropped
+// for too few results gets the zero URLSet, whose Landing is empty.
+func siteSet(engine *search.Engine, entry toplist.Entry, cfg BuildConfig) URLSet {
+	results, err := engine.Site(entry.Domain, cfg.URLsPerSite)
+	if err != nil || len(results) == 0 || len(results) < cfg.MinResults {
+		return URLSet{}
+	}
+	set := URLSet{Domain: entry.Domain, Rank: entry.Rank, Landing: results[0].URL}
+	for _, r := range results[1:] {
+		set.Internal = append(set.Internal, r.URL)
+	}
+	return set
 }
 
 // SiteChurn returns the top-level weekly churn: the fraction of sites in

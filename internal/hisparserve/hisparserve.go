@@ -16,7 +16,8 @@
 // to the snapshot week (never the wall clock, so identical seeds serve
 // byte- and validator-identical responses forever), Cache-Control
 // freshness, and a precompressed gzip representation with its own
-// entity-tag (Vary: Accept-Encoding). Conditional requests are answered
+// entity-tag (Vary: Accept-Encoding), served when the request's
+// Accept-Encoding weights favour gzip (httpsem.PreferGzip). Conditional requests are answered
 // 304 through the same RFC 7232 evaluation (internal/httpsem) the rest
 // of the tree uses, and internal/browser.CachingClient — the browser
 // cache over a real transport — is the reference consumer.
@@ -377,7 +378,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 func (s *Server) writePayload(w http.ResponseWriter, r *http.Request, p *payload) {
 	body, etag := p.body, p.etag
 	encoding := ""
-	if p.gz != nil && acceptsGzip(r) {
+	if p.gz != nil && httpsem.PreferGzip(r.Header.Get("Accept-Encoding")) {
 		body, encoding = p.gz, "gzip"
 		etag = p.etag[:len(p.etag)-1] + `-gzip"`
 	}

@@ -151,8 +151,3 @@ func routeLabel(path string) string {
 	}
 	return "/v1/" + rest
 }
-
-// acceptsGzip reports whether the client advertises gzip support.
-func acceptsGzip(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
-}

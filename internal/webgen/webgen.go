@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/detrand"
 	"repro/internal/dnssim"
+	"repro/internal/fanout"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 )
@@ -91,9 +92,10 @@ func Generate(cfg Config) *Web {
 			w.benign = append(w.benign, tp.Domain)
 		}
 	}
-	for _, seed := range cfg.Sites {
-		s := newSite(w, seed)
-		w.Sites = append(w.Sites, s)
+	// Sites are drawn from their own seeds, so they build in parallel;
+	// a domain listed twice resolves to its last site, as in input order.
+	w.Sites = fanout.Map(len(cfg.Sites), func(i int) *Site { return newSite(w, cfg.Sites[i]) })
+	for _, s := range w.Sites {
 		w.siteByDomain[s.Domain] = s
 	}
 	return w
