@@ -405,9 +405,13 @@ func BenchmarkInMemoryStudyH1K(b *testing.B)  { benchInMemoryStudy(b, 1000) }
 func BenchmarkInMemoryStudyH10K(b *testing.B) { benchInMemoryStudy(b, 10000) }
 
 // BenchmarkToplistWeek measures one week of top-list drift plus a
-// 5K-snapshot.
+// 5K-snapshot. The collection before the timer keeps the universe's
+// construction garbage out of the op: a GC cycle it would start inside a
+// 1x op adds 2–3 runtime allocations to allocs/op (3, 5 or 6 from run
+// to run without it; 3 in 20 of 20 runs with it).
 func BenchmarkToplistWeek(b *testing.B) {
 	u := toplist.NewUniverse(toplist.Config{Seed: 7, Size: 50000})
+	runtime.GC()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u.Step(7)

@@ -67,10 +67,8 @@ var benchStart = regexp.MustCompile(`^Benchmark\w+(?:-\d+)?\s`)
 // by benchmark name. It is strict where it matters: malformed metric
 // fields on a benchmark line and inputs with no benchmark lines at all
 // are errors. A name that appears more than once (go test -count=N)
-// keeps the sample with the lowest ns/op — the least
-// scheduler-disturbed run — so gating on a best-of-N is the default
-// rather than a flag. Deterministic metrics (allocs/op) are identical
-// across counts, so min-selection cannot mask an allocation regression.
+// keeps the best of its samples (see bestOf), so gating on a best-of-N
+// is the default rather than a flag.
 func parseBench(in io.Reader) (map[string]Result, error) {
 	results := make(map[string]Result)
 	sc := bufio.NewScanner(in)
@@ -86,8 +84,8 @@ func parseBench(in io.Reader) (map[string]Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %v: %q", lineNo, err, strings.TrimSpace(line))
 		}
-		if prev, dup := results[name]; dup && prev.NsPerOp <= r.NsPerOp {
-			continue
+		if prev, dup := results[name]; dup {
+			r = bestOf(prev, r)
 		}
 		results[name] = r
 	}
@@ -98,6 +96,33 @@ func parseBench(in io.Reader) (map[string]Result, error) {
 		return nil, fmt.Errorf("no benchmark result lines found in input")
 	}
 	return results, nil
+}
+
+// bestOf merges two samples of one benchmark. It keeps the sample with
+// the lower ns/op — the less scheduler-disturbed run — and, each on its
+// own, the lower allocs/op and the lower B/op of the two. Allocation
+// counts are not identical across samples: at -benchtime 1x a sample
+// also counts what the runtime allocates while it runs, such as a GC
+// cycle that starts inside the op (BenchmarkToplistWeek read 3, 5 or 6
+// allocs/op until it collected before its timer). The minimum is the
+// benchmark's own count, and a real allocation regression raises every
+// sample's.
+func bestOf(a, b Result) Result {
+	best := a
+	if b.NsPerOp < a.NsPerOp {
+		best = b
+	}
+	best.AllocsPerOp = minOf(a.AllocsPerOp, b.AllocsPerOp)
+	best.BytesPerOp = minOf(a.BytesPerOp, b.BytesPerOp)
+	return best
+}
+
+// minOf returns the lower of two optional counts, or the one present.
+func minOf(a, b *int64) *int64 {
+	if a == nil || (b != nil && *b < *a) {
+		return b
+	}
+	return a
 }
 
 // parseBenchFields parses one benchmark result line as whitespace-split

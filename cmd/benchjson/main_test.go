@@ -196,6 +196,31 @@ func TestParseBenchBestOfN(t *testing.T) {
 	}
 }
 
+// TestParseBenchMinAllocs: allocs/op and B/op vary between samples of
+// one benchmark (the runtime's own allocations land in a 1x sample), so
+// each keeps its minimum over the samples, whichever sample has the
+// lowest ns/op, in either order.
+func TestParseBenchMinAllocs(t *testing.T) {
+	fast := "BenchmarkW-2 \t 1\t 30 ns/op\t 1007712 B/op\t 5 allocs/op\n"
+	slow := "BenchmarkW-2 \t 1\t 40 ns/op\t 1007640 B/op\t 3 allocs/op\n"
+	for _, input := range []string{fast + slow, slow + fast} {
+		res, err := parseBench(strings.NewReader(input))
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		w := res["BenchmarkW"]
+		if w.NsPerOp != 30 {
+			t.Errorf("ns/op = %v, want the lower 30", w.NsPerOp)
+		}
+		if w.AllocsPerOp == nil || *w.AllocsPerOp != 3 {
+			t.Errorf("allocs/op = %v, want the lower 3", w.AllocsPerOp)
+		}
+		if w.BytesPerOp == nil || *w.BytesPerOp != 1007640 {
+			t.Errorf("B/op = %v, want the lower 1007640", w.BytesPerOp)
+		}
+	}
+}
+
 // TestParseBenchCustomMetrics: b.ReportMetric units appear between
 // ns/op and the -benchmem columns; they must land in Extra without
 // corrupting B/op or allocs/op parsing.

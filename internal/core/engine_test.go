@@ -120,6 +120,19 @@ const studyAllocBudget = 3 * (27 << 10) / 2
 // one measurer for all its pairs (70 KB before).
 const warmStudyAllocBudget = 3 * (27 << 10) / 2
 
+// studyObjectBudget and warmStudyObjectBudget bound the heap objects a
+// cold study allocates per page and a warm study per pair: about 10%
+// over the 34.2 and 52.0 measured when measurements first kept their
+// content mix inline and shared interned third-party names (40.8 and
+// 66.3 before).
+const studyObjectBudget, warmStudyObjectBudget = 38, 58
+
+// warmRetainedBudget bounds the live heap a kept warm study result holds
+// per cold/warm pair in TestWarmResultRetainedBudget: about 10% over the
+// 2,780–2,890 bytes measured when measurements first kept their content
+// mix inline and shared interned third-party names (3,730–3,830 before).
+const warmRetainedBudget = 3200
+
 // allocStudy returns a small study's web, list and a one-worker study
 // over them, for the allocation budgets.
 func allocStudy(t *testing.T) (*Study, *hispar.List) {
@@ -143,9 +156,10 @@ func allocStudy(t *testing.T) (*Study, *hispar.List) {
 	return st, list
 }
 
-// allocPerPage runs run and returns the bytes it allocated per measured
-// page, failing unless it measured every page of list.
-func allocPerPage(t *testing.T, list *hispar.List, run func() (runstats.Snapshot, error)) uint64 {
+// allocPerPage runs run and returns the bytes and the heap objects it
+// allocated per measured page, failing unless it measured every page of
+// list.
+func allocPerPage(t *testing.T, list *hispar.List, run func() (runstats.Snapshot, error)) (uint64, float64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -159,9 +173,9 @@ func allocPerPage(t *testing.T, list *hispar.List, run func() (runstats.Snapshot
 		t.Fatalf("measured %d pages, want %d", pages, list.Pages())
 	}
 	perPage := (after.TotalAlloc - before.TotalAlloc) / uint64(pages)
-	t.Logf("%d pages, %.1f KB and %.1f objects allocated per page", pages,
-		float64(perPage)/1024, float64(after.Mallocs-before.Mallocs)/float64(pages))
-	return perPage
+	objects := float64(after.Mallocs-before.Mallocs) / float64(pages)
+	t.Logf("%d pages, %.1f KB and %.1f objects allocated per page", pages, float64(perPage)/1024, objects)
+	return perPage, objects
 }
 
 // TestStudyAllocBudget holds a small cold study's heap allocation per
@@ -169,12 +183,15 @@ func allocPerPage(t *testing.T, list *hispar.List, run func() (runstats.Snapshot
 // per-page garbage fails here and not only in the benchmark gate.
 func TestStudyAllocBudget(t *testing.T) {
 	st, list := allocStudy(t)
-	perPage := allocPerPage(t, list, func() (runstats.Snapshot, error) {
+	perPage, objects := allocPerPage(t, list, func() (runstats.Snapshot, error) {
 		res, err := st.RunStream(list, StreamConfig{})
 		return res.Stats, err
 	})
 	if perPage > studyAllocBudget {
-		t.Fatalf("a cold study allocates %d bytes per page, over the budget of %d", perPage, studyAllocBudget)
+		t.Errorf("a cold study allocates %d bytes per page, over the budget of %d", perPage, studyAllocBudget)
+	}
+	if objects > studyObjectBudget {
+		t.Errorf("a cold study allocates %.1f objects per page, over the budget of %d", objects, studyObjectBudget)
 	}
 }
 
@@ -183,12 +200,45 @@ func TestStudyAllocBudget(t *testing.T) {
 // cache and measured through its measurer.
 func TestWarmStudyAllocBudget(t *testing.T) {
 	st, list := allocStudy(t)
-	perPage := allocPerPage(t, list, func() (runstats.Snapshot, error) {
+	perPage, objects := allocPerPage(t, list, func() (runstats.Snapshot, error) {
 		res, err := st.RunWarmStream(list, WarmConfig{})
 		return res.Stats, err
 	})
 	if perPage > warmStudyAllocBudget {
-		t.Fatalf("a warm study allocates %d bytes per pair, over the budget of %d", perPage, warmStudyAllocBudget)
+		t.Errorf("a warm study allocates %d bytes per pair, over the budget of %d", perPage, warmStudyAllocBudget)
+	}
+	if objects > warmStudyObjectBudget {
+		t.Errorf("a warm study allocates %.1f objects per pair, over the budget of %d", objects, warmStudyObjectBudget)
+	}
+}
+
+// TestWarmResultRetainedBudget holds the live heap a kept warm study
+// result holds per cold/warm pair under warmRetainedBudget: the size of
+// one kept measurement multiplies across every pair of a study, and
+// across every study a seed sweep keeps.
+func TestWarmResultRetainedBudget(t *testing.T) {
+	st, list := allocStudy(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := st.RunWarm(list, WarmConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	pairs := 0
+	for i := range res.Sites {
+		pairs += 1 + len(res.Sites[i].Internal)
+	}
+	if pairs != list.Pages() {
+		t.Fatalf("kept %d pairs, want %d", pairs, list.Pages())
+	}
+	perPair := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(pairs)
+	runtime.KeepAlive(res)
+	t.Logf("%d pairs, %d bytes retained per pair", pairs, perPair)
+	if perPair > warmRetainedBudget {
+		t.Errorf("a kept warm study retains %d bytes per pair, over the budget of %d", perPair, warmRetainedBudget)
 	}
 }
 

@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/adblock"
 	"repro/internal/browser"
@@ -229,6 +232,9 @@ func TestMeasurePageExact(t *testing.T) {
 	if m.ContentBytes[mimecat.CatJS] != 120_000 {
 		t.Errorf("js bytes = %d", m.ContentBytes[mimecat.CatJS])
 	}
+	if got := contentTotal(&m); got != m.Bytes {
+		t.Errorf("content mix sums to %d bytes, page has %d", got, m.Bytes)
+	}
 	if m.JSFraction() <= 0 || m.ImageFraction() <= 0 || m.HTMLCSSFraction() <= 0 {
 		t.Error("fractions should be positive")
 	}
@@ -335,7 +341,20 @@ func FuzzMeasureHAR(f *testing.F) {
 		if len(m.WaitTimes) != len(log.Entries) {
 			t.Errorf("%d wait times for %d entries", len(m.WaitTimes), len(log.Entries))
 		}
+		if got := contentTotal(&m); got != m.Bytes {
+			t.Errorf("content mix sums to %d bytes, page has %d", got, m.Bytes)
+		}
 	})
+}
+
+// contentTotal sums a measurement's content mix, which must come to its
+// Bytes: every entry's body lands in exactly one category.
+func contentTotal(m *PageMeasurement) int64 {
+	var n int64
+	for _, b := range m.ContentBytes {
+		n += b
+	}
+	return n
 }
 
 // perturbLog returns a copy of log, at the same page and positions,
@@ -582,8 +601,10 @@ func TestLandingTimingsMatchMeasurePage(t *testing.T) {
 // does, through seeded random sequences of repeated landing fetches,
 // warm pairs, faulted (compacted) logs, perturbed copies and page
 // switches. Every measurement and every timings pass must equal what a
-// fresh MeasurePage makes of the same log: reusing a class may save
-// work, never change a field.
+// fresh MeasurePage makes of the same log: reusing a class or an
+// interned name may save work, never change a field. The one measurer
+// serves every sequence, as a worker's serves every site it measures,
+// so names it interned on one site's pages come back on another's.
 func TestMeasurerReuseMatchesFresh(t *testing.T) {
 	const delay = 30 * time.Minute
 	u := toplist.NewUniverse(toplist.Config{Seed: 13, Size: 400})
@@ -603,10 +624,12 @@ func TestMeasurerReuseMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	az := clean.Analyzers()
-	var reused, compacted, perturbed, warm int
+	var reused, compacted, perturbed, warm, crossSite int
+	var ms measurer
+	// firstSite is the site on whose page each name was first kept.
+	firstSite := make(map[string]int)
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := detrand.New(seed)
-		var ms measurer
 		site := 0
 		page := web.Sites[0].Landing().Build()
 		var last *har.Log
@@ -619,8 +642,16 @@ func TestMeasurerReuseMatchesFresh(t *testing.T) {
 			if got := ms.timings(log, az); got != want.timings() {
 				t.Fatalf("seed %d step %d (%s of %s): timings pass %+v, MeasurePage %+v", seed, step, kind, page.URL, got, want.timings())
 			}
-			if got := ms.measurePage(log, page, az); !reflect.DeepEqual(got, want) {
+			got := ms.measurePage(log, page, az)
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d (%s of %s): measurer gives\n%+v\nMeasurePage gives\n%+v", seed, step, kind, page.URL, got, want)
+			}
+			for _, tp := range got.ThirdParties {
+				if first, ok := firstSite[tp]; !ok {
+					firstSite[tp] = site
+				} else if first != site {
+					crossSite++
+				}
 			}
 			last = log
 		}
@@ -696,8 +727,108 @@ func TestMeasurerReuseMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	if reused == 0 || compacted == 0 || perturbed == 0 || warm == 0 {
-		t.Fatalf("sequences miss a case: %d measurements on stored classes, %d compacted logs, %d perturbed copies, %d warm pairs",
-			reused, compacted, perturbed, warm)
+	if reused == 0 || compacted == 0 || perturbed == 0 || warm == 0 || crossSite == 0 {
+		t.Fatalf("sequences miss a case: %d measurements on stored classes, %d compacted logs, %d perturbed copies, %d warm pairs, %d names kept again on another site",
+			reused, compacted, perturbed, warm, crossSite)
 	}
+}
+
+// TestKeptNamesOwnTheirBytes holds the third-party names of kept
+// measurements to owning their bytes. One measurer measures the pages of
+// several sites: no name may lie inside any string of the log it came
+// from (a kept name must not pin a log, or the page-builder storage its
+// URLs are cut from), and equal names on different pages share one
+// copy. Past maxInternedNames the table stops growing, and the names it
+// no longer takes are still right and still owned.
+func TestKeptNamesOwnTheirBytes(t *testing.T) {
+	loads, st := simulatedLoads(t)
+	az := st.Analyzers()
+	var ms measurer
+	copyOf := make(map[string]*byte)
+	shared := 0
+	for _, l := range loads {
+		m := ms.measurePage(l.log, l.model, az)
+		checkNamesOwned(t, l.name, &m, l.log)
+		for _, tp := range m.ThirdParties {
+			p, ok := copyOf[tp]
+			switch {
+			case !ok:
+				copyOf[tp] = unsafe.StringData(tp)
+			case p != unsafe.StringData(tp):
+				t.Errorf("%s: third party %q has a copy of its own, not the one an earlier page kept", l.name, tp)
+			default:
+				shared++
+			}
+		}
+	}
+	if shared == 0 || len(copyOf) == 0 {
+		t.Fatalf("%d names, none kept by two pages: the loads test no sharing", len(copyOf))
+	}
+
+	// Synthetic pages, each contacting perPage third parties no earlier
+	// page did, drive the table past its bound.
+	const perPage = 200
+	for first := 0; first < maxInternedNames+2*perPage; first += perPage {
+		log := &har.Log{Page: har.Page{URL: "https://www.example.com/"}}
+		var want []string
+		for k := first; k < first+perPage; k++ {
+			name := fmt.Sprintf("tp%05d.com", k)
+			want = append(want, name)
+			log.Entries = append(log.Entries, har.Entry{
+				Request:  har.Request{Method: "GET", URL: "https://cdn." + name + "/lib.js"},
+				Response: har.Response{Status: 200, MIMEType: "application/javascript", BodySize: 100},
+			})
+		}
+		m := ms.measureHAR(log, az)
+		if !slices.Equal(m.ThirdParties, want) {
+			t.Fatalf("page of names %d..%d: third parties %v, want %v", first, first+perPage-1, m.ThirdParties, want)
+		}
+		checkNamesOwned(t, log.Page.URL, &m, log)
+		if len(ms.names) > maxInternedNames {
+			t.Fatalf("the table holds %d names, over its bound of %d", len(ms.names), maxInternedNames)
+		}
+	}
+	if len(ms.names) != maxInternedNames {
+		t.Errorf("the table holds %d names after more than %d distinct ones, want it full", len(ms.names), maxInternedNames)
+	}
+}
+
+// checkNamesOwned fails unless every third-party name of m lies outside
+// every string log holds.
+func checkNamesOwned(t *testing.T, page string, m *PageMeasurement, log *har.Log) {
+	t.Helper()
+	strs := stringsOf(reflect.ValueOf(log).Elem(), nil)
+	for _, tp := range m.ThirdParties {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(tp)))
+		for _, s := range strs {
+			lo := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+			if lo <= p && p < lo+uintptr(len(s)) {
+				t.Errorf("%s: third party %q lies inside the log string %q", page, tp, s)
+			}
+		}
+	}
+}
+
+// stringsOf appends every non-empty string v holds, through structs,
+// slices and pointers, to out.
+func stringsOf(v reflect.Value, out []string) []string {
+	switch v.Kind() {
+	case reflect.String:
+		if v.Len() > 0 {
+			out = append(out, v.String())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			out = stringsOf(v.Field(i), out)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			out = stringsOf(v.Index(i), out)
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			out = stringsOf(v.Elem(), out)
+		}
+	}
+	return out
 }

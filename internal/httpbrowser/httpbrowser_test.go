@@ -116,8 +116,15 @@ func TestMeasureHAROverRealFetch(t *testing.T) {
 	if meas.Bytes <= 0 || meas.UniqueDomains < 2 {
 		t.Errorf("bytes=%d domains=%d", meas.Bytes, meas.UniqueDomains)
 	}
-	if meas.ContentBytes == nil || len(meas.DepthCounts) == 0 {
+	if len(meas.DepthCounts) == 0 {
 		t.Error("analysis fields missing")
+	}
+	var content int64
+	for _, b := range meas.ContentBytes {
+		content += b
+	}
+	if content != meas.Bytes {
+		t.Errorf("content mix sums to %d bytes, page has %d", content, meas.Bytes)
 	}
 }
 

@@ -20,7 +20,9 @@ const (
 	CatAudio
 	CatVideo
 	CatData
-	numCategories
+	// NumCategories is the number of categories: every category below
+	// it indexes an array of per-category counts.
+	NumCategories
 )
 
 var catNames = [...]string{
@@ -45,8 +47,8 @@ func (c Category) String() string {
 
 // All returns every category in a stable order.
 func All() []Category {
-	out := make([]Category, 0, numCategories)
-	for c := Category(0); c < numCategories; c++ {
+	out := make([]Category, 0, NumCategories)
+	for c := Category(0); c < NumCategories; c++ {
 		out = append(out, c)
 	}
 	return out

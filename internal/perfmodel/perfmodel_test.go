@@ -30,7 +30,7 @@ func synth(rng *rand.Rand, noise float64) *core.PageMeasurement {
 		PLT:           time.Duration(plt) * time.Millisecond,
 		Scheme:        "https",
 		DepthCounts:   []int{1, objects / 2, objects / 3, 0, 0, 0},
-		ContentBytes: map[mimecat.Category]int64{
+		ContentBytes: [mimecat.NumCategories]int64{
 			mimecat.CatJS:    bytes / 3,
 			mimecat.CatImage: bytes / 3,
 		},
@@ -78,7 +78,7 @@ func TestPredictNonNegative(t *testing.T) {
 	}
 	// An absurd out-of-range page must not yield a negative prediction.
 	weird := &core.PageMeasurement{Bytes: 10, Objects: 1, Scheme: "http",
-		DepthCounts: []int{1}, ContentBytes: map[mimecat.Category]int64{}}
+		DepthCounts: []int{1}}
 	if got := m.PredictMS(weird); got < 0 {
 		t.Errorf("negative prediction %v", got)
 	}
