@@ -122,16 +122,17 @@ const warmStudyAllocBudget = 3 * (27 << 10) / 2
 
 // studyObjectBudget and warmStudyObjectBudget bound the heap objects a
 // cold study allocates per page and a warm study per pair: about 10%
-// over the 34.2 and 52.0 measured when measurements first kept their
-// content mix inline and shared interned third-party names (40.8 and
-// 66.3 before).
-const studyObjectBudget, warmStudyObjectBudget = 38, 58
+// over the 34.2 measured when measurements first kept their content mix
+// inline and shared interned third-party names (40.8 before), and over
+// the 45.0 measured when warm legs first left their per-page lists nil
+// (52.0 before).
+const studyObjectBudget, warmStudyObjectBudget = 38, 50
 
 // warmRetainedBudget bounds the live heap a kept warm study result holds
 // per cold/warm pair in TestWarmResultRetainedBudget: about 10% over the
-// 2,780–2,890 bytes measured when measurements first kept their content
-// mix inline and shared interned third-party names (3,730–3,830 before).
-const warmRetainedBudget = 3200
+// 610–720 bytes measured when warm legs first left their per-page lists
+// nil (2,780–2,890 before).
+const warmRetainedBudget = 780
 
 // allocStudy returns a small study's web, list and a one-worker study
 // over them, for the allocation budgets.

@@ -72,7 +72,9 @@ type PageMeasurement struct {
 	UniqueDomains int
 
 	// Dependency structure (§5.4): object count per depth, index =
-	// depth, last bucket = 5+.
+	// depth, last bucket = 5+. Filled for cold-study pages (the cold
+	// CSV, Fig 5, perfmodel read it) and by MeasurePage and MeasureHAR;
+	// nil in both legs of a warm pair.
 	DepthCounts []int
 
 	// Resource hints (§5.5).
@@ -81,7 +83,10 @@ type PageMeasurement struct {
 	// Handshakes & wait (§5.6).
 	Handshakes    int
 	HandshakeTime time.Duration
-	WaitTimes     []time.Duration // per object
+	// WaitTimes holds each object's server wait, in entry order.
+	// Filled for cold-study pages (Fig 7 reads it) and by MeasurePage
+	// and MeasureHAR; nil in both legs of a warm pair.
+	WaitTimes []time.Duration
 
 	// Security (§6.1).
 	MixedContent bool
@@ -91,7 +96,8 @@ type PageMeasurement struct {
 
 	// Third parties (§6.2): unique third-party eTLD+1s contacted, in
 	// order. Each name owns its bytes, and a measurer hands equal names
-	// one shared copy.
+	// one shared copy. Filled for cold-study pages (§6.2 reads it) and
+	// by MeasurePage and MeasureHAR; nil in both legs of a warm pair.
 	ThirdParties []string
 
 	// Ads & trackers (§6.3).
@@ -175,7 +181,8 @@ type entryClass struct {
 	blocked bool             // the adblock verdict
 	// tp is the host's third-party eTLD+1, interned by the measurer, ""
 	// for a first party. Only a host's first entry on a page needs it,
-	// so it is derived on first use: tpSet marks it derived.
+	// and only a pass that keeps lists, so it is derived on first use:
+	// tpSet marks it derived.
 	tpSet bool
 	tp    string
 }
@@ -390,12 +397,13 @@ func (p *PageMeasurement) setTimings(t pageTimings) {
 // pipeline.
 func MeasurePage(log *har.Log, model *webgen.PageModel, az Analyzers) PageMeasurement {
 	var ms measurer
-	return ms.measurePage(log, model, az)
+	return ms.measurePage(log, model, az, keepLists)
 }
 
-// measurePage is MeasurePage on ms.
-func (ms *measurer) measurePage(log *har.Log, model *webgen.PageModel, az Analyzers) PageMeasurement {
-	m := ms.measure(log, az)
+// measurePage is MeasurePage on ms, with the per-page lists when l says
+// so.
+func (ms *measurer) measurePage(log *har.Log, model *webgen.PageModel, az Analyzers, l lists) PageMeasurement {
+	m := ms.measure(log, az, l)
 	page := model.Page
 	site := page.Site
 	m.Domain = site.Domain
@@ -423,39 +431,54 @@ func MeasureHAR(log *har.Log, az Analyzers) PageMeasurement {
 
 // measureHAR is MeasureHAR on ms.
 func (ms *measurer) measureHAR(log *har.Log, az Analyzers) PageMeasurement {
-	m := ms.measure(log, az)
+	m := ms.measure(log, az, keepLists)
 	m.IsLanding = urlx.IsLandingPage(log.Page.URL)
 	m.Scheme = schemeOf(log.Page.URL)
 	return m
 }
 
+// lists says whether a measure pass fills a measurement's per-page lists:
+// DepthCounts, WaitTimes and ThirdParties. Only cold-study figures read
+// them, so the warm study measures both legs of a pair without them and
+// skips the work that fills them: the depth walk, the wait slice and the
+// per-host eTLD+1 derivation behind the third parties.
+type lists bool
+
+const (
+	keepLists lists = true  // every field: the cold study, MeasurePage, MeasureHAR
+	dropLists lists = false // every scalar, the lists nil: both legs of a warm pair
+)
+
 // measure is the one HAR→metrics pass: it fills every PageMeasurement
-// field a HAR decides and leaves the DOM and site fields to its callers.
-// Each entry's URL- and MIME-derived facts come from its class, and its
-// headers are scanned once; every analyzer takes its input from those.
-func (ms *measurer) measure(log *har.Log, az Analyzers) PageMeasurement {
+// field a HAR decides, the per-page lists only when l keeps them, and
+// leaves the DOM and site fields to its callers. Each entry's URL- and
+// MIME-derived facts come from its class, and its headers are scanned
+// once; every analyzer takes its input from those.
+func (ms *measurer) measure(log *har.Log, az Analyzers, l lists) PageMeasurement {
 	m := PageMeasurement{
-		URL:       log.Page.URL,
-		Bytes:     log.TotalBytes(),
-		Objects:   log.ObjectCount(),
-		WaitTimes: make([]time.Duration, 0, len(log.Entries)),
+		URL:     log.Page.URL,
+		Bytes:   log.TotalBytes(),
+		Objects: log.ObjectCount(),
 	}
 	t := newPageTimings(log)
 	// Header bidding is detected from the wire (wrapper script + bid
 	// burst), not taken from generator ground truth.
 	var bids hb.Detector
-	// Dependency structure is derived from HAR initiator records, the
-	// paper's §5.4 method; the HAR's _depth extension is only a
-	// cross-check (see tests).
-	if dc, err := ms.depths.DepthCounts(log, 5); err == nil {
-		m.DepthCounts = dc
-	} else {
-		m.DepthCounts = log.DepthCounts(5)
-	}
 	pageHost := urlx.Host(log.Page.URL)
 	pageSite := ""
-	if az.PSL != nil {
-		pageSite = az.PSL.ETLDPlusOne(pageHost)
+	if l {
+		// Dependency structure is derived from HAR initiator records,
+		// the paper's §5.4 method; the HAR's _depth extension is only a
+		// cross-check (see tests).
+		if dc, err := ms.depths.DepthCounts(log, 5); err == nil {
+			m.DepthCounts = dc
+		} else {
+			m.DepthCounts = log.DepthCounts(5)
+		}
+		m.WaitTimes = make([]time.Duration, 0, len(log.Entries))
+		if az.PSL != nil {
+			pageSite = az.PSL.ETLDPlusOne(pageHost)
+		}
 	}
 	pageHTTPS := strings.HasPrefix(log.Page.URL, "https://")
 	if ms.domains == nil {
@@ -474,7 +497,7 @@ func (ms *measurer) measure(log *har.Log, az Analyzers) PageMeasurement {
 			// first-party only when it shares the page's non-empty
 			// eTLD+1 (psl.SameSite, with the page side computed
 			// once).
-			if az.PSL != nil {
+			if l && az.PSL != nil {
 				if !c.tpSet {
 					if tp := az.PSL.ETLDPlusOne(c.host); tp != "" && (pageSite == "" || tp != pageSite) {
 						c.tp = ms.intern(tp)
@@ -533,7 +556,9 @@ func (ms *measurer) measure(log *har.Log, az Analyzers) PageMeasurement {
 		if t.addEntry(e, c.host, &hdr, az.CDN) {
 			m.CDNBytes += e.Response.BodySize
 		}
-		m.WaitTimes = append(m.WaitTimes, e.Timings.Wait)
+		if l {
+			m.WaitTimes = append(m.WaitTimes, e.Timings.Wait)
+		}
 
 		// Mixed content: an HTTPS page pulling any object over plain
 		// HTTP (§6.1; passive mixed content in this simulation).
@@ -549,13 +574,15 @@ func (ms *measurer) measure(log *har.Log, az Analyzers) PageMeasurement {
 	m.setTimings(t)
 	m.HasHB = bids.Result().Active
 	m.UniqueDomains = len(ms.domains)
-	m.ThirdParties = make([]string, 0, len(ms.thirdParties))
-	for tp := range ms.thirdParties {
-		m.ThirdParties = append(m.ThirdParties, tp)
-	}
-	sort.Strings(m.ThirdParties)
 	clear(ms.domains)
-	clear(ms.thirdParties)
+	if l {
+		m.ThirdParties = make([]string, 0, len(ms.thirdParties))
+		for tp := range ms.thirdParties {
+			m.ThirdParties = append(m.ThirdParties, tp)
+		}
+		sort.Strings(m.ThirdParties)
+		clear(ms.thirdParties)
+	}
 	return m
 }
 

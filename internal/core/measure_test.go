@@ -545,7 +545,7 @@ func TestLandingTimingsMatchMeasurePage(t *testing.T) {
 				if got := primed.timings(log, az); got != want {
 					t.Errorf("seed %d %s %s: primed timings pass %+v, MeasurePage %+v", seed, kind, m.URL, got, want)
 				}
-				if got := primed.measurePage(log, m, az); !reflect.DeepEqual(got, full) {
+				if got := primed.measurePage(log, m, az, keepLists); !reflect.DeepEqual(got, full) {
 					t.Errorf("seed %d %s %s: primed measurement differs from MeasurePage", seed, kind, m.URL)
 				}
 				if want.CDNHits > 0 {
@@ -599,12 +599,14 @@ func TestLandingTimingsMatchMeasurePage(t *testing.T) {
 
 // TestMeasurerReuseMatchesFresh drives one measurer, as a study worker
 // does, through seeded random sequences of repeated landing fetches,
-// warm pairs, faulted (compacted) logs, perturbed copies and page
-// switches. Every measurement and every timings pass must equal what a
-// fresh MeasurePage makes of the same log: reusing a class or an
-// interned name may save work, never change a field. The one measurer
-// serves every sequence, as a worker's serves every site it measures,
-// so names it interned on one site's pages come back on another's.
+// warm pairs, faulted (compacted) logs, perturbed copies, page switches
+// and pair legs measured without lists between full measurements. Every
+// measurement and every timings pass must equal what a fresh
+// MeasurePage makes of the same log, less the lists where the pass
+// drops them: reusing a class or an interned name may save work, never
+// change a field. The one measurer serves every sequence, as a worker's
+// serves every site it measures, so names it interned on one site's
+// pages come back on another's.
 func TestMeasurerReuseMatchesFresh(t *testing.T) {
 	const delay = 30 * time.Minute
 	u := toplist.NewUniverse(toplist.Config{Seed: 13, Size: 400})
@@ -624,7 +626,7 @@ func TestMeasurerReuseMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	az := clean.Analyzers()
-	var reused, compacted, perturbed, warm, crossSite int
+	var reused, compacted, perturbed, warm, interleaved, crossSite int
 	var ms measurer
 	// firstSite is the site on whose page each name was first kept.
 	firstSite := make(map[string]int)
@@ -642,7 +644,7 @@ func TestMeasurerReuseMatchesFresh(t *testing.T) {
 			if got := ms.timings(log, az); got != want.timings() {
 				t.Fatalf("seed %d step %d (%s of %s): timings pass %+v, MeasurePage %+v", seed, step, kind, page.URL, got, want.timings())
 			}
-			got := ms.measurePage(log, page, az)
+			got := ms.measurePage(log, page, az, keepLists)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d (%s of %s): measurer gives\n%+v\nMeasurePage gives\n%+v", seed, step, kind, page.URL, got, want)
 			}
@@ -655,12 +657,34 @@ func TestMeasurerReuseMatchesFresh(t *testing.T) {
 			}
 			last = log
 		}
+		// legs measures log as a warm pair's leg, then in full, then as
+		// a leg again: a pass that drops the lists must leave nothing a
+		// later full pass reads as derived.
+		legs := func(step int, kind string, log *har.Log) {
+			t.Helper()
+			full := MeasurePage(log, page, az)
+			scalars := full
+			scalars.DepthCounts, scalars.WaitTimes, scalars.ThirdParties = nil, nil, nil
+			for k, l := range []lists{dropLists, keepLists, dropLists} {
+				want := scalars
+				if l == keepLists {
+					want = full
+				}
+				if got := ms.measurePage(log, page, az, l); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d (%s of %s, pass %d, lists %v): measurer gives\n%+v\nwant\n%+v", seed, step, kind, page.URL, k, l, got, want)
+				}
+			}
+			last = log
+		}
+		switchPage := func() {
+			site = rng.Intn(len(web.Sites))
+			s := web.Sites[site]
+			page = s.PageAt(rng.Intn(min(s.PoolSize(), 4) + 1)).Build()
+		}
 		for step := 0; step < 60; step++ {
-			switch op := rng.Intn(5); {
+			switch op := rng.Intn(6); {
 			case op == 0 || last == nil: // switch to another page
-				site = rng.Intn(len(web.Sites))
-				s := web.Sites[site]
-				page = s.PageAt(rng.Intn(min(s.PoolSize(), 4) + 1)).Build()
+				switchPage()
 				fallthrough
 			case op == 1: // a landing-style re-fetch
 				sc, err := clean.newSiteCtx(site, &worker{})
@@ -672,7 +696,12 @@ func TestMeasurerReuseMatchesFresh(t *testing.T) {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 				check(step, "fetch", log)
-			case op == 2: // a warm pair
+			case op == 2 || op == 4: // a warm pair; at 4 another page's, its legs measured around full measurements
+				measure := check
+				if op == 4 {
+					switchPage()
+					measure = legs
+				}
 				sc, err := clean.newSiteCtx(site, &worker{})
 				if err != nil {
 					t.Fatal(err)
@@ -682,14 +711,18 @@ func TestMeasurerReuseMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
-				check(step, "cold leg", cold)
+				measure(step, "cold leg", cold)
 				sc.clock.Advance(delay)
 				w, err := sc.b.LoadRevisit(page, 0, 0, delay)
 				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
-				check(step, "warm leg", w)
-				warm++
+				measure(step, "warm leg", w)
+				if op == 4 {
+					interleaved++
+				} else {
+					warm++
+				}
 			case op == 3: // a faulted load, compacted or failed
 				sc, err := faulty.newSiteCtx(site, &worker{})
 				if err != nil {
@@ -727,9 +760,9 @@ func TestMeasurerReuseMatchesFresh(t *testing.T) {
 			}
 		}
 	}
-	if reused == 0 || compacted == 0 || perturbed == 0 || warm == 0 || crossSite == 0 {
-		t.Fatalf("sequences miss a case: %d measurements on stored classes, %d compacted logs, %d perturbed copies, %d warm pairs, %d names kept again on another site",
-			reused, compacted, perturbed, warm, crossSite)
+	if reused == 0 || compacted == 0 || perturbed == 0 || warm == 0 || interleaved == 0 || crossSite == 0 {
+		t.Fatalf("sequences miss a case: %d measurements on stored classes, %d compacted logs, %d perturbed copies, %d warm pairs, %d pairs measured without lists, %d names kept again on another site",
+			reused, compacted, perturbed, warm, interleaved, crossSite)
 	}
 }
 
@@ -747,7 +780,7 @@ func TestKeptNamesOwnTheirBytes(t *testing.T) {
 	copyOf := make(map[string]*byte)
 	shared := 0
 	for _, l := range loads {
-		m := ms.measurePage(l.log, l.model, az)
+		m := ms.measurePage(l.log, l.model, az, keepLists)
 		checkNamesOwned(t, l.name, &m, l.log)
 		for _, tp := range m.ThirdParties {
 			p, ok := copyOf[tp]

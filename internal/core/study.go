@@ -393,7 +393,7 @@ func (st *Study) measureSiteResilient(w *worker, i int, set hispar.URLSet, rec *
 				return res, err
 			}
 			if f == 0 {
-				first = sc.ms.measurePage(log, model, st.az)
+				first = sc.ms.measurePage(log, model, st.az, keepLists)
 				samples = append(samples, first.timings())
 				sc.logs.emit(log, false)
 			} else {
@@ -417,7 +417,7 @@ func (st *Study) measureSiteResilient(w *worker, i int, set hispar.URLSet, rec *
 				out.FailedPages++
 				continue
 			}
-			res.Internal = append(res.Internal, sc.ms.measurePage(log, im, st.az))
+			res.Internal = append(res.Internal, sc.ms.measurePage(log, im, st.az, keepLists))
 			sc.logs.emit(log, false)
 			st.release(sc, log)
 		}

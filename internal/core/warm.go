@@ -44,7 +44,10 @@ func (c WarmConfig) withDefaults() WarmConfig {
 	return c
 }
 
-// PagePair is one page's cold/warm measurement pair.
+// PagePair is one page's cold/warm measurement pair. The study's legs
+// carry every scalar of a PageMeasurement and leave its three per-page
+// lists (DepthCounts, WaitTimes, ThirdParties) nil: no reader of a pair
+// reads them, and a kept study holds one pair per page.
 type PagePair struct {
 	Cold PageMeasurement
 	Warm PageMeasurement
@@ -134,8 +137,8 @@ func (st *Study) loadPair(sc *siteCtx, out *Outcome, m *webgen.PageModel, delay 
 	sc.stats.Inc("warm.cache.hits", int64(sc.cache.Hits()))
 	sc.stats.Inc("warm.cache.revalidations", int64(sc.cache.Revalidations()))
 	pair := PagePair{
-		Cold: sc.ms.measurePage(coldLog, m, st.az),
-		Warm: sc.ms.measurePage(warmLog, m, st.az),
+		Cold: sc.ms.measurePage(coldLog, m, st.az, dropLists),
+		Warm: sc.ms.measurePage(warmLog, m, st.az, dropLists),
 	}
 	sc.logs.emit(coldLog, false)
 	sc.logs.emit(warmLog, true)

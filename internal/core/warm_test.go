@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/har"
+	"repro/internal/hispar"
 	"repro/internal/simnet"
 )
 
@@ -165,4 +168,87 @@ func TestWarmStudyUnderFaults(t *testing.T) {
 	if !reflect.DeepEqual(res.Sites, again.Sites) {
 		t.Fatal("faulted warm study differs across identical runs")
 	}
+}
+
+// siteFields are the PageMeasurement fields MeasureHAR leaves zero: the
+// DOM and site facts a HAR does not hold.
+var siteFields = map[string]bool{"Domain": true, "Rank": true, "Category": true, "Hints": true, "AdSlots": true}
+
+// TestWarmLegsKeepScalarsOnly pins what both legs of a kept warm pair
+// carry, on a clean and on a faulted study: every field MeasureHAR
+// derives from the leg's log, except the slices, which are nil. It walks
+// the struct's fields by reflection, so a slice field added to
+// PageMeasurement fails here until its warm behaviour is decided.
+func TestWarmLegsKeepScalarsOnly(t *testing.T) {
+	clean, list := allocStudy(t)
+	web, flist := faultWeb(t)
+	faulted, err := NewStudy(web, StudyConfig{Seed: 7, DNSFailProb: 0.03, FailureBudget: -1,
+		Faults: simnet.FaultConfig{Rates: simnet.FaultRates{Timeout: 0.03, Truncate: 0.03}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		name string
+		st   *Study
+		list *hispar.List
+	}{{"clean", clean, list}, {"faulted", faulted, flist}} {
+		az := run.st.Analyzers()
+		var mu sync.Mutex
+		twins := make(map[string]PageMeasurement) // by leg, then URL
+		hook := func(log *har.Log, warm bool) error {
+			m := MeasureHAR(log, az)
+			mu.Lock()
+			defer mu.Unlock()
+			twins[legName(warm)+" "+log.Page.URL] = m
+			return nil
+		}
+		res, err := run.st.RunWarm(run.list, WarmConfig{Logs: hook})
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		retries, legs := 0, 0
+		for _, o := range res.Outcomes {
+			retries += o.Retries
+		}
+		check := func(leg *PageMeasurement, warm bool) {
+			t.Helper()
+			key := legName(warm) + " " + leg.URL
+			twin, ok := twins[key]
+			if !ok {
+				t.Fatalf("%s: no log reached the hook for the kept %s", run.name, key)
+			}
+			v, w := reflect.ValueOf(*leg), reflect.ValueOf(twin)
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Type().Field(i)
+				switch {
+				case f.Type.Kind() == reflect.Slice:
+					if !v.Field(i).IsNil() {
+						t.Errorf("%s: %s keeps %s %v, want nil", run.name, key, f.Name, v.Field(i))
+					}
+				case siteFields[f.Name]:
+				case !reflect.DeepEqual(v.Field(i).Interface(), w.Field(i).Interface()):
+					t.Errorf("%s: %s has %s %v, its log's MeasureHAR %v", run.name, key, f.Name, v.Field(i), w.Field(i))
+				}
+			}
+			legs++
+		}
+		for i := range res.Sites {
+			s := &res.Sites[i]
+			for _, p := range append([]PagePair{s.Landing}, s.Internal...) {
+				check(&p.Cold, false)
+				check(&p.Warm, true)
+			}
+		}
+		if legs == 0 || (run.name == "faulted" && retries == 0) {
+			t.Errorf("%s: %d legs checked, %d retries: the study tests no kept leg", run.name, legs, retries)
+		}
+	}
+}
+
+// legName names a pair's leg.
+func legName(warm bool) string {
+	if warm {
+		return "warm"
+	}
+	return "cold"
 }
