@@ -22,10 +22,13 @@ test: build
 # Tier-2: static checks plus the race detector. Short mode skips the
 # slow experiment-context tests and benchmark warmups but keeps every
 # unit and determinism test — including the Workers=1 vs Workers=8
-# study-invariance test in internal/core.
+# study-invariance test in internal/core. The serving path and the
+# metrics registry run ten times more: their lock-free lookups and
+# one-lock commits race only under an unlucky schedule.
 test-race:
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=10 ./internal/hisparserve ./internal/runstats
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

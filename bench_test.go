@@ -10,7 +10,10 @@ package repro
 // cmd/papereval for full-scale (1000-site) numbers.
 
 import (
+	"bytes"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -22,6 +25,7 @@ import (
 	"repro/internal/dnssim"
 	"repro/internal/experiments"
 	"repro/internal/hispar"
+	"repro/internal/hisparserve"
 	"repro/internal/search"
 	"repro/internal/stats"
 	"repro/internal/toplist"
@@ -258,24 +262,34 @@ func BenchmarkHisparBuild(b *testing.B) {
 
 // --- Streaming engine and sketch benchmarks ---
 
-// BenchmarkSketchInsert measures one quantile-sketch insertion (the
-// per-sample cost of the streaming fold).
+// BenchmarkSketchInsert measures quantile-sketch insertion (the
+// per-sample cost of the streaming fold). One op is a fixed batch: 4096
+// samples inserted 16 times into a sketch that already holds them, so
+// its bins exist; a single insert is too short for the gate's 1x run to
+// time apart from timer noise.
 func BenchmarkSketchInsert(b *testing.B) {
 	s := stats.NewDefaultSketch()
 	rng := rand.New(rand.NewSource(7))
 	vals := make([]float64, 1<<12)
 	for i := range vals {
 		vals[i] = rng.NormFloat64() * 1e6
+		s.Insert(vals[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Insert(vals[i&(len(vals)-1)])
+		for pass := 0; pass < 16; pass++ {
+			for _, v := range vals {
+				s.Insert(v)
+			}
+		}
 	}
 }
 
 // BenchmarkSketchMerge measures folding 16 shard sketches (4096 samples
-// each) into a fresh accumulator — the end-of-run merge path.
+// each) into a fresh accumulator — the end-of-run merge path. One op is
+// a fixed batch of 16 such folds, since one fold (~0.2 ms) is too short
+// for the gate's 1x run to time apart from timer noise.
 func BenchmarkSketchMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	shards := make([]*stats.Sketch, 16)
@@ -288,10 +302,12 @@ func BenchmarkSketchMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		acc := stats.NewDefaultSketch()
-		for _, s := range shards {
-			if err := acc.Merge(s); err != nil {
-				b.Fatal(err)
+		for fold := 0; fold < 16; fold++ {
+			acc := stats.NewDefaultSketch()
+			for _, s := range shards {
+				if err := acc.Merge(s); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}
@@ -429,5 +445,87 @@ func BenchmarkToplistWeek(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		u.Step(7)
 		_ = u.Top(5000)
+	}
+}
+
+// --- Serving benchmark ---
+
+// discardResponse is the benchmark's http.ResponseWriter: it keeps the
+// headers and status and drops the body, so an op times the server.
+type discardResponse struct {
+	header http.Header
+	status int
+	body   []byte
+	keep   bool
+}
+
+func (d *discardResponse) Header() http.Header { return d.header }
+
+func (d *discardResponse) WriteHeader(code int) {
+	if d.status == 0 {
+		d.status = code
+	}
+}
+
+func (d *discardResponse) Write(p []byte) (int, error) {
+	if d.status == 0 {
+		d.status = http.StatusOK
+	}
+	if d.keep {
+		d.body = append(d.body, p...)
+	}
+	return len(p), nil
+}
+
+func (d *discardResponse) reset() {
+	clear(d.header)
+	d.status = 0
+	d.body = d.body[:0]
+}
+
+// BenchmarkServeRevalidate measures hisparserve's dominant request, a
+// 304 revalidation of a /v1/site payload, through the full
+// middleware-wrapped Handler(). One op is a fixed batch: every site of a
+// 1,000-site week revalidated once, every other request advertising
+// gzip, each carrying the entity-tag an untimed first fetch returned.
+// The requests are built once, so allocs/op counts the server's own.
+func BenchmarkServeRevalidate(b *testing.B) {
+	srv := hisparserve.New(hisparserve.Config{
+		Seed: 42, Weeks: 1, Sites: 1000, URLsPerSite: 20, Universe: 4000,
+	})
+	defer srv.Close()
+	h := srv.Handler()
+	w := &discardResponse{header: make(http.Header), keep: true}
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/list/0?wait=1", nil))
+	list, err := hispar.ReadCSV(bytes.NewReader(w.body))
+	if w.status != http.StatusOK || err != nil || len(list.Sets) != 1000 {
+		b.Fatalf("list: status %d, %v", w.status, err)
+	}
+	w.keep = false
+	reqs := make([]*http.Request, len(list.Sets))
+	for i, set := range list.Sets {
+		r := httptest.NewRequest(http.MethodGet, "/v1/site/0/"+set.Domain, nil)
+		if i%2 == 0 {
+			r.Header.Set("Accept-Encoding", "gzip")
+		}
+		w.reset()
+		h.ServeHTTP(w, r)
+		if w.status != http.StatusOK {
+			b.Fatalf("%s: status %d", r.URL.Path, w.status)
+		}
+		r.Header.Set("If-None-Match", w.header.Get("ETag"))
+		reqs[i] = r
+	}
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range reqs {
+			w.reset()
+			h.ServeHTTP(w, r)
+			if w.status != http.StatusNotModified {
+				b.Fatalf("%s: status %d, want 304", r.URL.Path, w.status)
+			}
+		}
 	}
 }

@@ -68,16 +68,6 @@ func (l *List) Bottom(k int) *List {
 	return &List{Name: fmt.Sprintf("%s-bottom%d", l.Name, k), Week: l.Week, Sets: l.Sets[len(l.Sets)-k:]}
 }
 
-// Set returns the URL set for domain.
-func (l *List) Set(domain string) (URLSet, bool) {
-	for _, s := range l.Sets {
-		if s.Domain == domain {
-			return s, true
-		}
-	}
-	return URLSet{}, false
-}
-
 // BuildConfig parameterizes one list build.
 type BuildConfig struct {
 	// Sites is the number of web sites to include (1000 for H1K, 2000

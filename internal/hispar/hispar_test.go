@@ -2,6 +2,7 @@ package hispar
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,8 +107,8 @@ func TestTopBottomSlices(t *testing.T) {
 	if bottom.Sets[9].Domain != list.Sets[39].Domain {
 		t.Error("Bottom should end at the last site")
 	}
-	if _, ok := list.Set(top.Sets[0].Domain); !ok {
-		t.Error("Set lookup failed")
+	if !slices.ContainsFunc(list.Sets, func(s URLSet) bool { return s.Domain == top.Sets[0].Domain }) {
+		t.Error("top site missing from Sets")
 	}
 }
 

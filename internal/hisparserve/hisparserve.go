@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"sync"
 	"time"
@@ -127,36 +126,55 @@ func (c Config) withDefaults() Config {
 
 // snapshot is one week's built list plus the web it was discovered on
 // (the web is retained so dataset builds measure the same synthetic
-// internet the list was crawled from).
+// internet the list was crawled from), and the position of each domain
+// in the list.
 type snapshot struct {
-	list *hispar.List
-	web  *webgen.Web
+	list  *hispar.List
+	web   *webgen.Web
+	index map[string]int // domain → index into list.Sets (its first set)
 }
 
-// payload is one immutable cached response: the identity body, its
-// lazily precomputed gzip representation (nil below GzipMin), and the
-// validators both share a prefix of.
+// payload is one immutable cached response: its identity and gzip
+// representations and the values of its headers. Header values are
+// built once and shared by every response that serves them: each is a
+// one-element slice, so a later Header.Add reallocates instead of
+// writing into it.
 type payload struct {
-	body        []byte
-	gz          []byte // nil when below the compression threshold
-	contentType string
-	etag        string // identity entity-tag, quoted
-	lastMod     string // http.TimeFormat
+	identity    representation
+	gzip        *representation // nil below the compression threshold
+	contentType []string        // one of the content types below
+	lastMod     []string        // the week's Last-Modified (Server.lastMod)
 }
+
+// representation is one encoding of a payload's body.
+type representation struct {
+	body []byte
+	etag [1]string // quoted entity-tag; the gzip one ends -gzip"
+}
+
+// Header values payload responses share.
+var (
+	jsonType     = []string{"application/json"}
+	csvType      = []string{"text/csv; charset=utf-8"}
+	varyEncoding = []string{"Accept-Encoding"}
+	gzipEncoding = []string{"gzip"}
+)
 
 // Server is the control plane. Create with New; Handler serves the
 // API, Start/Shutdown manage a real listener around it.
 type Server struct {
-	cfg     Config
-	stats   *runstats.Set
-	handler http.Handler
-	limiter *tokenBucket
-	spans   *trace.Ring
-	reqSeq  uint64 // atomic; orders spans in the ring
+	cfg          Config
+	stats        *runstats.Set
+	handler      http.Handler
+	limiter      *tokenBucket
+	routes       []*route               // the route table New registered, in match order
+	requests     *trace.Ring[reqRecord] // recent requests, served as spans at /debug/tracez
+	cacheControl []string               // Cache-Control of every payload response
+	lastMod      [][]string             // Last-Modified of week w's payloads: epoch + w weeks
 
-	snapshots *flight[*snapshot]
-	studies   *flight[*core.StudyResult]
-	payloads  *flight[*payload]
+	snapshots *flight[snapshotKey, *snapshot]
+	studies   *flight[studyKey, *core.StudyResult]
+	payloads  *flight[payloadKey, *payload]
 
 	builds sync.WaitGroup
 	httpd  *http.Server
@@ -168,10 +186,15 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		stats:   runstats.NewSet(),
-		limiter: newTokenBucket(cfg.RatePerSec, cfg.Burst, cfg.Now),
-		spans:   trace.NewRing(cfg.TraceSpans),
+		cfg:          cfg,
+		stats:        runstats.NewSet(),
+		limiter:      newTokenBucket(cfg.RatePerSec, cfg.Burst, cfg.Now),
+		requests:     trace.NewRing[reqRecord](cfg.TraceSpans),
+		cacheControl: []string{"max-age=" + strconv.Itoa(int(cfg.MaxAge.Seconds()))},
+		lastMod:      make([][]string, cfg.Weeks),
+	}
+	for w := range s.lastMod {
+		s.lastMod[w] = []string{httpsem.FormatDate(epoch.Add(time.Duration(w) * 7 * 24 * time.Hour))}
 	}
 	track := func(fn func()) {
 		s.builds.Add(1)
@@ -180,27 +203,21 @@ func New(cfg Config) *Server {
 			fn()
 		}()
 	}
-	s.snapshots = newFlight[*snapshot](track)
-	s.studies = newFlight[*core.StudyResult](track)
-	s.payloads = newFlight[*payload](track)
+	s.snapshots = newFlight(track, s.buildSnapshot)
+	s.studies = newFlight(track, s.buildStudy)
+	s.payloads = newFlight(track, s.buildPayload)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metricz", s.handleMetrics)
-	mux.HandleFunc("GET /debug/tracez", s.handleTrace)
-	if cfg.EnablePprof {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	for _, rt := range routeTable {
+		if rt.pprof && !cfg.EnablePprof {
+			continue
+		}
+		s.routes = append(s.routes, rt)
+		mux.HandleFunc("GET "+rt.pattern, func(w http.ResponseWriter, r *http.Request) {
+			recordOf(w).route = rt.series
+			rt.handle(s, w, r)
+		})
 	}
-	mux.HandleFunc("GET /v1/lists", s.handleIndex)
-	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	mux.HandleFunc("GET /v1/list/{week}", s.handleList)
-	mux.HandleFunc("GET /v1/site/{week}/{domain}", s.handleSite)
-	mux.HandleFunc("GET /v1/churn/{a}/{b}", s.handleChurn)
-	mux.HandleFunc("GET /v1/dataset/{week}", s.handleDataset)
 	s.handler = s.withMiddleware(mux)
 	return s
 }
@@ -277,76 +294,101 @@ func (s *Server) week(raw string) (int, bool) {
 // snapshot builds only ever run inside payload builds, which are
 // themselves async when the client did not opt into waiting.
 func (s *Server) getSnapshot(w int) (*snapshot, error) {
-	snap, _, err := s.snapshots.do("snapshot/"+strconv.Itoa(w), true, func() (*snapshot, error) {
-		s.stats.Inc("build.snapshot", 1)
-		return buildSnapshot(s.cfg, w)
-	})
+	snap, _, err := s.snapshots.do(snapshotKey(w), true)
 	return snap, err
 }
 
-// buildSnapshot regenerates week w from first principles: the world at
-// the server's seed and week w, built as cmd/hisparctl build builds it.
-func buildSnapshot(cfg Config, week int) (*snapshot, error) {
+// buildSnapshot regenerates week k from first principles: the world at
+// the server's seed and week k, built as cmd/hisparctl build builds it.
+func (s *Server) buildSnapshot(k snapshotKey) (*snapshot, error) {
+	s.stats.Inc("build.snapshot", 1)
+	week := int(k)
 	w, err := world.Build(world.Config{
-		Seed:        cfg.Seed,
+		Seed:        s.cfg.Seed,
 		Week:        week,
-		Sites:       cfg.Sites,
-		URLsPerSite: cfg.URLsPerSite,
-		MinResults:  cfg.MinResults,
-		Universe:    cfg.Universe,
+		Sites:       s.cfg.Sites,
+		URLsPerSite: s.cfg.URLsPerSite,
+		MinResults:  s.cfg.MinResults,
+		Universe:    s.cfg.Universe,
 	})
 	if err != nil && (w == nil || len(w.List.Sets) == 0) {
 		return nil, fmt.Errorf("hisparserve: week %d: %w", week, err)
 	}
 	// A partially filled list (bootstrap exhausted) is still a valid,
 	// deterministic snapshot; serve what was discovered.
-	return &snapshot{list: w.List, web: w.Web}, nil
+	snap := &snapshot{list: w.List, web: w.Web, index: make(map[string]int, len(w.List.Sets))}
+	for i, set := range w.List.Sets {
+		if _, dup := snap.index[set.Domain]; !dup {
+			snap.index[set.Domain] = i
+		}
+	}
+	return snap, nil
 }
 
 // getStudy builds (once) and returns the measurement study for week w
 // over the top `sites` sites of its snapshot.
 func (s *Server) getStudy(w, sites int) (*core.StudyResult, error) {
-	key := fmt.Sprintf("study/%d?sites=%d", w, sites)
-	res, _, err := s.studies.do(key, true, func() (*core.StudyResult, error) {
-		snap, err := s.getSnapshot(w)
-		if err != nil {
-			return nil, err
-		}
-		s.stats.Inc("build.study", 1)
-		study, err := core.NewStudy(snap.web, core.StudyConfig{
-			Seed:           s.cfg.Seed,
-			LandingFetches: s.cfg.LandingFetches,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := study.Run(snap.list.Top(sites))
-		if err != nil && len(res.Sites) == 0 {
-			return nil, err
-		}
-		return res, nil
-	})
+	res, _, err := s.studies.do(studyKey{week: w, sites: sites}, true)
 	return res, err
 }
 
-// buildPayload finalizes a built body into an immutable payload:
-// content hash entity-tag, week-pinned Last-Modified, and (over the
-// threshold) a precomputed gzip representation.
-func (s *Server) buildPayload(body []byte, contentType string, week int) *payload {
+func (s *Server) buildStudy(k studyKey) (*core.StudyResult, error) {
+	snap, err := s.getSnapshot(k.week)
+	if err != nil {
+		return nil, err
+	}
+	s.stats.Inc("build.study", 1)
+	study, err := core.NewStudy(snap.web, core.StudyConfig{
+		Seed:           s.cfg.Seed,
+		LandingFetches: s.cfg.LandingFetches,
+	})
+	if err != nil {
+		return nil, err
+	}
+	res, err := study.Run(snap.list.Top(k.sites))
+	if err != nil && len(res.Sites) == 0 {
+		return nil, err
+	}
+	return res, nil
+}
+
+// buildPayload builds the response a payload key names.
+func (s *Server) buildPayload(k payloadKey) (*payload, error) {
+	switch k.kind {
+	case kindIndex:
+		return s.buildIndex()
+	case kindList:
+		return s.buildList(k.week, k.n)
+	case kindSite:
+		return s.buildSite(k.week, k.name)
+	case kindChurn:
+		return s.buildChurn(k.week, k.n)
+	default:
+		return s.buildDataset(k.week, k.n, k.name)
+	}
+}
+
+// newPayload finalizes a built body into an immutable payload: content
+// hash entity-tag, week-pinned Last-Modified, and (over the threshold) a
+// precomputed gzip representation. The payload keeps copies of exactly
+// the bodies' bytes, not the growth slack of the buffers they were
+// built in: it lives as long as the server.
+func (s *Server) newPayload(body []byte, contentType []string, week int) *payload {
 	s.stats.Inc("build.payload", 1)
+	body = bytes.Clone(body)
 	sum := sha256.Sum256(body)
+	etag := `"h` + hex.EncodeToString(sum[:8])
 	p := &payload{
-		body:        body,
+		identity:    representation{body: body, etag: [1]string{etag + `"`}},
 		contentType: contentType,
-		etag:        `"h` + hex.EncodeToString(sum[:8]) + `"`,
-		lastMod:     httpsem.FormatDate(epoch.Add(time.Duration(week) * 7 * 24 * time.Hour)),
+		lastMod:     s.lastMod[week],
 	}
 	if len(body) >= s.cfg.GzipMin {
 		var buf bytes.Buffer
 		zw := gzip.NewWriter(&buf) // zero ModTime: compressed bytes are deterministic
 		_, _ = zw.Write(body)
 		_ = zw.Close()
-		p.gz = buf.Bytes()
+		p.gzip = &representation{body: bytes.Clone(buf.Bytes()), etag: [1]string{etag + `-gzip"`}}
 	}
 	return p
 }
@@ -356,14 +398,14 @@ func (s *Server) buildPayload(body []byte, contentType string, week int) *payloa
 // serveCached answers a route through the payload cache. sync routes
 // (cheap builds) always block; async routes return 425 Too Early with
 // Retry-After while the build runs, unless the request carries ?wait=1.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, alwaysWait bool, build func() (*payload, error)) {
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key payloadKey, alwaysWait bool) {
 	wait := alwaysWait || r.URL.Query().Get("wait") == "1"
-	p, state, err := s.payloads.do(key, wait, build)
+	p, state, err := s.payloads.do(key, wait)
 	switch state {
 	case stateBuilding:
 		s.stats.Inc("cache.notready", 1)
 		w.Header().Set("Retry-After", "1")
-		http.Error(w, "425 too early: "+key+" is building; retry or request with ?wait=1", http.StatusTooEarly)
+		http.Error(w, "425 too early: "+key.String()+" is building; retry or request with ?wait=1", http.StatusTooEarly)
 	case stateFailed:
 		http.Error(w, "build failed: "+err.Error(), http.StatusInternalServerError)
 	case stateReady:
@@ -374,38 +416,40 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 // writePayload serves an immutable payload with full caching semantics:
 // representation selection (identity vs precompressed gzip, each with
 // its own entity-tag), Cache-Control freshness, Vary, and RFC 7232
-// conditional evaluation.
+// conditional evaluation. A 304 or a gzip response is marked on the
+// request's record, which the middleware commits.
 func (s *Server) writePayload(w http.ResponseWriter, r *http.Request, p *payload) {
-	body, etag := p.body, p.etag
-	encoding := ""
-	if p.gz != nil && httpsem.PreferGzip(r.Header.Get("Accept-Encoding")) {
-		body, encoding = p.gz, "gzip"
-		etag = p.etag[:len(p.etag)-1] + `-gzip"`
+	rep, gzipped := &p.identity, false
+	if p.gzip != nil && httpsem.PreferGzip(r.Header.Get("Accept-Encoding")) {
+		rep, gzipped = p.gzip, true
 	}
 
+	// Canonical header keys, assigned directly: the values are the
+	// payload's own, so serving one builds nothing.
 	h := w.Header()
-	h.Set("Content-Type", p.contentType)
-	h.Set("Cache-Control", fmt.Sprintf("max-age=%d", int(s.cfg.MaxAge.Seconds())))
-	h.Set("ETag", etag)
-	h.Set("Last-Modified", p.lastMod)
-	h.Set("Vary", "Accept-Encoding")
+	h["Content-Type"] = p.contentType
+	h["Cache-Control"] = s.cacheControl
+	h["Etag"] = rep.etag[:]
+	h["Last-Modified"] = p.lastMod
+	h["Vary"] = varyEncoding
 
+	rec := recordOf(w)
 	if httpsem.CheckNotModified(
 		r.Header.Get("If-None-Match"), r.Header.Get("If-Modified-Since"),
-		etag, p.lastMod) {
-		s.stats.Inc("http.revalidated", 1)
+		rep.etag[0], p.lastMod[0]) {
+		rec.revalidated = true
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	if encoding != "" {
-		h.Set("Content-Encoding", encoding)
-		s.stats.Inc("http.gzip", 1)
+	if gzipped {
+		h["Content-Encoding"] = gzipEncoding
+		rec.gzip = true
 	}
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h.Set("Content-Length", strconv.Itoa(len(rep.body)))
 	if r.Method == http.MethodHead {
 		return
 	}
-	_, _ = w.Write(body)
+	_, _ = w.Write(rep.body)
 }
 
 // ---- handlers ----
@@ -430,12 +474,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.stats.Snapshot().WritePrometheus(w)
 }
 
-// handleTrace dumps the ring of recent request spans as Chrome
+// handleTrace serves the ring of recent requests as spans, in Chrome
 // trace-event JSON (loadable in Perfetto / chrome://tracing).
 func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Cache-Control", "no-store")
-	_ = trace.WriteChromeJSON(w, s.spans.Snapshot())
+	_ = trace.WriteChromeJSON(w, s.requestSpans())
 }
 
 // indexDoc is the /v1/lists body: what is served and how to ask for it.
@@ -449,26 +493,28 @@ type indexDoc struct {
 
 //detlint:hotpath -- request-serving /v1 handler
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, "lists", true, func() (*payload, error) {
-		doc := indexDoc{
-			Weeks:       make([]int, s.cfg.Weeks),
-			Sites:       s.cfg.Sites,
-			URLsPerSite: s.cfg.URLsPerSite,
-			StudySites:  s.cfg.StudySites,
-			Endpoints: []string{
-				"/v1/list/{week}", "/v1/site/{week}/{domain}",
-				"/v1/churn/{a}/{b}", "/v1/dataset/{week}", "/v1/jobs",
-			},
-		}
-		for i := range doc.Weeks {
-			doc.Weeks[i] = i
-		}
-		body, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		return s.buildPayload(append(body, '\n'), "application/json", 0), nil
-	})
+	s.serveCached(w, r, payloadKey{kind: kindIndex}, true)
+}
+
+func (s *Server) buildIndex() (*payload, error) {
+	doc := indexDoc{
+		Weeks:       make([]int, s.cfg.Weeks),
+		Sites:       s.cfg.Sites,
+		URLsPerSite: s.cfg.URLsPerSite,
+		StudySites:  s.cfg.StudySites,
+		Endpoints: []string{
+			"/v1/list/{week}", "/v1/site/{week}/{domain}",
+			"/v1/churn/{a}/{b}", "/v1/dataset/{week}", "/v1/jobs",
+		},
+	}
+	for i := range doc.Weeks {
+		doc.Weeks[i] = i
+	}
+	body, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return s.newPayload(append(body, '\n'), jsonType, 0), nil
 }
 
 // handleJobs reports every keyed build's state — the observability view
@@ -512,25 +558,23 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		top = k
 	}
-	key := "list/" + strconv.Itoa(week)
-	if top > 0 {
-		key += "?top=" + strconv.Itoa(top)
+	s.serveCached(w, r, payloadKey{kind: kindList, week: week, n: top}, false)
+}
+
+func (s *Server) buildList(week, top int) (*payload, error) {
+	snap, err := s.getSnapshot(week)
+	if err != nil {
+		return nil, err
 	}
-	s.serveCached(w, r, key, false, func() (*payload, error) {
-		snap, err := s.getSnapshot(week)
-		if err != nil {
-			return nil, err
-		}
-		list := snap.list
-		if top > 0 {
-			list = list.Top(top)
-		}
-		var buf bytes.Buffer
-		if err := list.WriteCSV(&buf); err != nil {
-			return nil, err
-		}
-		return s.buildPayload(buf.Bytes(), "text/csv; charset=utf-8", week), nil
-	})
+	list := snap.list
+	if top > 0 {
+		list = list.Top(top)
+	}
+	var buf bytes.Buffer
+	if err := list.WriteCSV(&buf); err != nil {
+		return nil, err
+	}
+	return s.newPayload(buf.Bytes(), csvType, week), nil
 }
 
 // siteDoc is one site's URL set as served by /v1/site.
@@ -558,21 +602,27 @@ func (s *Server) handleSite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "build failed: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	set, ok := snap.list.Set(domain)
-	if !ok {
+	if _, ok := snap.index[domain]; !ok {
 		http.NotFound(w, r)
 		return
 	}
-	s.serveCached(w, r, "site/"+strconv.Itoa(week)+"/"+domain, true, func() (*payload, error) {
-		body, err := json.MarshalIndent(siteDoc{
-			Week: week, Domain: set.Domain, Rank: set.Rank,
-			Landing: set.Landing, Internal: set.Internal,
-		}, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		return s.buildPayload(append(body, '\n'), "application/json", week), nil
-	})
+	s.serveCached(w, r, payloadKey{kind: kindSite, week: week, name: domain}, true)
+}
+
+func (s *Server) buildSite(week int, domain string) (*payload, error) {
+	snap, err := s.getSnapshot(week)
+	if err != nil {
+		return nil, err
+	}
+	set := &snap.list.Sets[snap.index[domain]]
+	body, err := json.MarshalIndent(siteDoc{
+		Week: week, Domain: set.Domain, Rank: set.Rank,
+		Landing: set.Landing, Internal: set.Internal,
+	}, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return s.newPayload(append(body, '\n'), jsonType, week), nil
 }
 
 // churnDoc is the /v1/churn body: the paper's two-level churn between
@@ -594,32 +644,29 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	week := a
-	if b > week {
-		week = b
+	s.serveCached(w, r, payloadKey{kind: kindChurn, week: a, n: b}, false)
+}
+
+func (s *Server) buildChurn(a, b int) (*payload, error) {
+	snapA, err := s.getSnapshot(a)
+	if err != nil {
+		return nil, err
 	}
-	key := fmt.Sprintf("churn/%d/%d", a, b)
-	s.serveCached(w, r, key, false, func() (*payload, error) {
-		snapA, err := s.getSnapshot(a)
-		if err != nil {
-			return nil, err
-		}
-		snapB, err := s.getSnapshot(b)
-		if err != nil {
-			return nil, err
-		}
-		body, err := json.MarshalIndent(churnDoc{
-			WeekA: a, WeekB: b,
-			SitesA:        len(snapA.list.Sets),
-			SitesB:        len(snapB.list.Sets),
-			SiteChurn:     hispar.SiteChurn(snapA.list, snapB.list),
-			InternalChurn: hispar.InternalChurn(snapA.list, snapB.list),
-		}, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		return s.buildPayload(append(body, '\n'), "application/json", week), nil
-	})
+	snapB, err := s.getSnapshot(b)
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.MarshalIndent(churnDoc{
+		WeekA: a, WeekB: b,
+		SitesA:        len(snapA.list.Sets),
+		SitesB:        len(snapB.list.Sets),
+		SiteChurn:     hispar.SiteChurn(snapA.list, snapB.list),
+		InternalChurn: hispar.InternalChurn(snapA.list, snapB.list),
+	}, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return s.newPayload(append(body, '\n'), jsonType, max(a, b)), nil
 }
 
 //detlint:hotpath -- request-serving /v1 handler
@@ -638,32 +685,30 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 		}
 		sites = k
 	}
-	site := r.URL.Query().Get("site")
-	key := fmt.Sprintf("dataset/%d?sites=%d", week, sites)
-	if site != "" {
-		key += "&site=" + site
+	key := payloadKey{kind: kindDataset, week: week, n: sites, name: r.URL.Query().Get("site")}
+	s.serveCached(w, r, key, false)
+}
+
+func (s *Server) buildDataset(week, sites int, site string) (*payload, error) {
+	res, err := s.getStudy(week, sites)
+	if err != nil {
+		return nil, err
 	}
-	s.serveCached(w, r, key, false, func() (*payload, error) {
-		res, err := s.getStudy(week, sites)
-		if err != nil {
-			return nil, err
-		}
-		if site != "" {
-			filtered := &core.StudyResult{List: res.List}
-			for i := range res.Sites {
-				if res.Sites[i].Domain == site {
-					filtered.Sites = append(filtered.Sites, res.Sites[i])
-				}
+	if site != "" {
+		filtered := &core.StudyResult{List: res.List}
+		for i := range res.Sites {
+			if res.Sites[i].Domain == site {
+				filtered.Sites = append(filtered.Sites, res.Sites[i])
 			}
-			if len(filtered.Sites) == 0 {
-				return nil, fmt.Errorf("site %q not in week %d dataset", site, week)
-			}
-			res = filtered
 		}
-		var buf bytes.Buffer
-		if err := core.WriteMeasurementsCSV(&buf, res); err != nil {
-			return nil, err
+		if len(filtered.Sites) == 0 {
+			return nil, fmt.Errorf("site %q not in week %d dataset", site, week)
 		}
-		return s.buildPayload(buf.Bytes(), "text/csv; charset=utf-8", week), nil
-	})
+		res = filtered
+	}
+	var buf bytes.Buffer
+	if err := core.WriteMeasurementsCSV(&buf, res); err != nil {
+		return nil, err
+	}
+	return s.newPayload(buf.Bytes(), csvType, week), nil
 }

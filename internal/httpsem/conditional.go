@@ -20,7 +20,9 @@ func ETagMatch(ifNoneMatch, etag string) bool {
 		return false
 	}
 	want := weakTrim(etag)
-	for _, part := range strings.Split(ifNoneMatch, ",") {
+	for rest, more := ifNoneMatch, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		part = strings.TrimSpace(part)
 		if part == "*" {
 			return true

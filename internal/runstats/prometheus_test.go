@@ -18,8 +18,8 @@ func promPage(t *testing.T, s *Set) string {
 func TestPrometheusCountersAndGauges(t *testing.T) {
 	s := NewSet()
 	s.Inc("loads.err.timeout", 3)
-	s.IncL("http.requests", 2, Label{"code", "200"})
-	s.IncL("http.requests", 1, Label{"code", "404"})
+	incL(s, "http.requests", 2, Label{"code", "200"})
+	incL(s, "http.requests", 1, Label{"code", "404"})
 	s.SetGauge("worker.0.utilization", 0.75)
 
 	out := promPage(t, s)
@@ -84,8 +84,8 @@ func TestPrometheusHistogram(t *testing.T) {
 func TestPrometheusDeterministic(t *testing.T) {
 	build := func() string {
 		s := NewSet()
-		s.IncL("http.requests", 1, Label{"code", "200"})
-		s.IncL("http.requests", 4, Label{"code", "304"})
+		incL(s, "http.requests", 1, Label{"code", "200"})
+		incL(s, "http.requests", 4, Label{"code", "304"})
 		s.Inc("cache.notready", 2)
 		s.SetGauge("g.one", 1.5)
 		s.Observe("h.ms", 7)
@@ -117,7 +117,7 @@ func TestPrometheusDeterministic(t *testing.T) {
 func TestPrometheusNameSanitization(t *testing.T) {
 	s := NewSet()
 	s.Inc("weird-name.1", 1)
-	s.IncL("m", 1, Label{"bad-key.x", "v"})
+	incL(s, "m", 1, Label{"bad-key.x", "v"})
 	out := promPage(t, s)
 	if !strings.Contains(out, "weird_name_1_total 1\n") {
 		t.Errorf("metric name not sanitized:\n%s", out)

@@ -100,17 +100,6 @@ func (s *Set) Inc(name string, delta int64) {
 	s.mu.Unlock()
 }
 
-// IncL adds delta to the labeled counter series.
-func (s *Set) IncL(name string, delta int64, labels ...Label) {
-	key, id := seriesKey(name, labels)
-	s.mu.Lock()
-	if _, ok := s.meta[key]; !ok && len(labels) > 0 {
-		s.meta[key] = id
-	}
-	s.counters[key] += delta
-	s.mu.Unlock()
-}
-
 // SetGauge records the current value of the named gauge.
 func (s *Set) SetGauge(name string, v float64) {
 	s.mu.Lock()
@@ -122,30 +111,82 @@ func (s *Set) SetGauge(name string, v float64) {
 // dropped; negative ones clamp to zero (durations and counts are the
 // only things observed here).
 func (s *Set) Observe(name string, v float64) {
-	s.ObserveL(name, v)
+	s.mu.Lock()
+	s.observe(name, v)
+	s.mu.Unlock()
 }
 
-// ObserveL adds one sample to the labeled histogram series, with the
-// same clamping rules as Observe.
-func (s *Set) ObserveL(name string, v float64, labels ...Label) {
+// Series is one counter or histogram series resolved once: its
+// canonical key and identity. A hot path that updates labeled series
+// keeps its Series values and passes them to Commit, so no update
+// rebuilds a key. A Series is not bound to a Set; the series appears in
+// a Set on its first update.
+type Series struct {
+	key  string
+	id   seriesID
+	hist bool // a histogram; a counter otherwise
+}
+
+// NewCounter resolves (name, labels) into a counter series.
+func NewCounter(name string, labels ...Label) *Series {
+	key, id := seriesKey(name, labels)
+	return &Series{key: key, id: id}
+}
+
+// NewHistogram resolves (name, labels) into a histogram series.
+func NewHistogram(name string, labels ...Label) *Series {
+	sr := NewCounter(name, labels...)
+	sr.hist = true
+	return sr
+}
+
+// Update is one change Commit applies: Delta added to a counter
+// series, or one Sample observed into a histogram series (with the
+// clamping rules of Observe).
+type Update struct {
+	Series *Series
+	Delta  int64
+	Sample float64
+}
+
+// Commit applies updates under one lock, so they land together: no
+// Snapshot sees part of them.
+func (s *Set) Commit(updates ...Update) {
+	s.mu.Lock()
+	for _, u := range updates {
+		sr := u.Series
+		if sr.hist {
+			if !s.observe(sr.key, u.Sample) {
+				continue
+			}
+		} else {
+			s.counters[sr.key] += u.Delta
+		}
+		if len(sr.id.labels) > 0 {
+			if _, ok := s.meta[sr.key]; !ok {
+				s.meta[sr.key] = sr.id
+			}
+		}
+	}
+	s.mu.Unlock()
+}
+
+// observe adds v to the histogram under key, with s.mu held. It
+// reports whether the sample was kept.
+func (s *Set) observe(key string, v float64) bool {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
+		return false
 	}
 	if v < 0 {
 		v = 0
 	}
-	key, id := seriesKey(name, labels)
-	s.mu.Lock()
 	h := s.hists[key]
 	if h == nil {
 		h = &histogram{min: math.Inf(1), buckets: make(map[int]int64)}
 		s.hists[key] = h
-		if len(labels) > 0 {
-			s.meta[key] = id
-		}
 	}
 	h.observe(v)
-	s.mu.Unlock()
+	return true
 }
 
 // histogram holds log-scale buckets plus exact count/sum/min/max.

@@ -120,12 +120,23 @@ func TestRenderLargeGauges(t *testing.T) {
 	}
 }
 
+// incL adds delta to a labeled counter through a one-off Series.
+func incL(s *Set, name string, delta int64, labels ...Label) {
+	s.Commit(Update{Series: NewCounter(name, labels...), Delta: delta})
+}
+
+// observeL adds one sample to a labeled histogram through a one-off
+// Series.
+func observeL(s *Set, name string, v float64, labels ...Label) {
+	s.Commit(Update{Series: NewHistogram(name, labels...), Sample: v})
+}
+
 func TestLabeledSeries(t *testing.T) {
 	s := NewSet()
-	s.IncL("http.requests", 1, Label{"code", "200"}, Label{"method", "GET"})
+	incL(s, "http.requests", 1, Label{"code", "200"}, Label{"method", "GET"})
 	// Same labels in the other order must hit the same series.
-	s.IncL("http.requests", 2, Label{"method", "GET"}, Label{"code", "200"})
-	s.IncL("http.requests", 5, Label{"code", "404"}, Label{"method", "GET"})
+	incL(s, "http.requests", 2, Label{"method", "GET"}, Label{"code", "200"})
+	incL(s, "http.requests", 5, Label{"code", "404"}, Label{"method", "GET"})
 	s.Inc("http.requests", 7) // unlabeled series is distinct
 
 	if got := s.CounterL("http.requests", Label{"method", "GET"}, Label{"code", "200"}); got != 3 {
@@ -144,7 +155,7 @@ func TestLabeledSeries(t *testing.T) {
 		t.Errorf("series identity = %+v", id)
 	}
 
-	s.ObserveL("latency.ms", 12, Label{"route", "/v1/list"})
+	observeL(s, "latency.ms", 12, Label{"route", "/v1/list"})
 	snap = s.Snapshot()
 	if snap.Histograms[`latency.ms{route="/v1/list"}`].Count != 1 {
 		t.Errorf("labeled histogram missing: %v", snap.Histograms)

@@ -5,8 +5,8 @@
 // exported trace is byte-identical at any worker count, matching the
 // pipeline's determinism invariant. Wall-clock time never enters a span
 // on the study path; the only wall-clocked spans are hisparserve's
-// request spans, which are operational telemetry recorded through the
-// bounded Ring and never part of a study artifact.
+// request spans, which are operational telemetry built from the bounded
+// Ring and never part of a study artifact.
 //
 // The model is deliberately small: complete spans only (Chrome "X"
 // phase events), string-valued attributes, and a three-level object
@@ -17,8 +17,10 @@ package trace
 import (
 	"fmt"
 	"hash/fnv"
+	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -262,63 +264,80 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Ring is a bounded, concurrency-safe span buffer for long-running
-// servers: the newest n spans win. hisparserve records request spans
-// here and serves them at /debug/tracez.
-type Ring struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	total uint64
+// Ring is a bounded, concurrency-safe buffer of the newest n records
+// a long-running server keeps for live diagnostics. Records are kept in
+// whatever compact form the server chooses, and spans are built from
+// them only when the ring is read: hisparserve keeps one record per
+// request and serves them as spans at /debug/tracez.
+//
+// Each record takes the next sequence number from an atomic counter and
+// lands in its own slot, under that slot's lock, so concurrent writers
+// contend only when they lap the whole ring.
+type Ring[T any] struct {
+	slots []ringSlot[T]
+	total atomic.Uint64
 }
 
-// NewRing returns a ring holding at most n spans (n < 1 is clamped
+type ringSlot[T any] struct {
+	mu  sync.Mutex
+	seq uint64 // 0 while empty
+	val T
+}
+
+// Entry is one retained record and its sequence number.
+type Entry[T any] struct {
+	Seq uint64
+	Val T
+}
+
+// NewRing returns a ring holding at most n records (n < 1 is clamped
 // to 1).
-func NewRing(n int) *Ring {
+func NewRing[T any](n int) *Ring[T] {
 	if n < 1 {
 		n = 1
 	}
-	return &Ring{buf: make([]Span, 0, n)}
+	return &Ring[T]{slots: make([]ringSlot[T], n)}
 }
 
-// Record appends a span, evicting the oldest when full, and returns the
-// span's sequence number (total spans ever recorded, 1-based). Safe for
-// a nil ring, which reports 0.
-func (r *Ring) Record(s Span) uint64 {
+// Record stores v, evicting the oldest record when full, and returns
+// its sequence number (records ever taken, 1-based). Safe for a nil
+// ring, which reports 0.
+func (r *Ring[T]) Record(v T) uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.total++
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, s)
-	} else {
-		r.buf[r.next] = s
-		r.next = (r.next + 1) % cap(r.buf)
+	seq := r.total.Add(1)
+	sl := &r.slots[(seq-1)%uint64(len(r.slots))]
+	sl.mu.Lock()
+	if seq > sl.seq { // a writer that lapped this one already stored a newer record
+		sl.seq, sl.val = seq, v
 	}
-	return r.total
+	sl.mu.Unlock()
+	return seq
 }
 
-// Total reports how many spans were ever recorded (including evicted).
-func (r *Ring) Total() uint64 {
+// Total reports how many records were ever taken (including evicted).
+func (r *Ring[T]) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+	return r.total.Load()
 }
 
-// Snapshot returns the retained spans, oldest first.
-func (r *Ring) Snapshot() []Span {
+// Snapshot returns the retained records, oldest first.
+func (r *Ring[T]) Snapshot() []Entry[T] {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+	out := make([]Entry[T], 0, len(r.slots))
+	for i := range r.slots {
+		sl := &r.slots[i]
+		sl.mu.Lock()
+		if sl.seq != 0 {
+			out = append(out, Entry[T]{Seq: sl.seq, Val: sl.val})
+		}
+		sl.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }

@@ -56,7 +56,7 @@ func TestNilSafety(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("nil tracer Len = %d", tr.Len())
 	}
-	var ring *Ring
+	var ring *Ring[Span]
 	if seq := ring.Record(Span{}); seq != 0 {
 		t.Fatalf("nil ring Record = %d", seq)
 	}
@@ -176,7 +176,7 @@ func TestSummary(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	r := NewRing(3)
+	r := NewRing[Span](3)
 	for i := 0; i < 5; i++ {
 		seq := r.Record(Span{Name: string(rune('a' + i))})
 		if seq != uint64(i+1) {
@@ -187,7 +187,7 @@ func TestRingEviction(t *testing.T) {
 		t.Fatalf("total = %d", r.Total())
 	}
 	got := r.Snapshot()
-	if len(got) != 3 || got[0].Name != "c" || got[2].Name != "e" {
+	if len(got) != 3 || got[0].Val.Name != "c" || got[2].Val.Name != "e" || got[0].Seq != 3 || got[2].Seq != 5 {
 		t.Fatalf("snapshot = %+v", got)
 	}
 }
