@@ -150,6 +150,7 @@ fuzz-smoke:
 	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzParseHTTPDate$$' -fuzztime 10s
 	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzAcceptEncoding$$' -fuzztime 10s
 	$(GO) test ./internal/depgraph -run '^$$' -fuzz '^FuzzDepthCounts$$' -fuzztime 10s
+	$(GO) test ./internal/hisparserve -run '^$$' -fuzz '^FuzzRoute$$' -fuzztime 10s
 
 # Examples smoke: run the two example programs end to end. Each must
 # exit 0 and print exactly the bytes pinned here by SHA-256 (seed 2020).

@@ -18,9 +18,12 @@
 // It prints per-benchmark ns/op, allocs/op, and custom-metric deltas
 // and exits 1 when any benchmark regresses beyond its fractional
 // tolerance (default +10%; -tol-allocs and -tol-extra override the
-// allocs/op and b.ReportMetric tolerances separately). Benchmarks
-// present on only one side are reported but are not regressions —
-// renames must not mask or fabricate a slowdown.
+// allocs/op and b.ReportMetric tolerances separately). A metric that
+// beats its baseline by more than its tolerance is listed as STALE: the
+// baseline no longer bounds it, so a regression back to the old value
+// would pass. Staleness does not fail the comparison; re-record the
+// baseline. Benchmarks present on only one side are reported but are
+// not regressions — renames must not mask or fabricate a slowdown.
 package main
 
 import (
@@ -203,6 +206,15 @@ type Delta struct {
 	AllocsChange *float64
 	Extra        []ExtraDelta
 	Regressed    bool
+	Stale        []Stale
+}
+
+// Stale is one metric of a benchmark that beats its baseline by more
+// than its tolerance: ns/op, allocs/op, or a custom unit.
+type Stale struct {
+	Metric   string
+	Old, New float64
+	Change   float64
 }
 
 // ExtraDelta is one custom metric's old→new comparison. A unit present
@@ -232,7 +244,8 @@ func fracChange(old, new float64) float64 {
 // sorted by name; added and removed list benchmarks present on only one
 // side. regressed is true when any delta exceeds tolNs on ns/op,
 // tolAllocs on allocs/op, or tolExtra on a custom metric reported by
-// both sides. The tolerances are separate because the metrics have very
+// both sides; a metric that falls by more than its tolerance is listed
+// in its delta's Stale, and is not a regression. The tolerances are separate because the metrics have very
 // different noise floors: ns/op varies with machine and load, allocs/op
 // is deterministic for the same code, and custom metrics (e.g.
 // retained-B/op) sit in between — deterministic counts but sensitive to
@@ -283,9 +296,18 @@ func compare(old, new map[string]Result, tolNs, tolAllocs, tolExtra float64) (de
 			d.Extra = append(d.Extra, e)
 		}
 		d.Regressed = d.NsChange > tolNs || (d.AllocsChange != nil && *d.AllocsChange > tolAllocs)
+		if d.NsChange < -tolNs {
+			d.Stale = append(d.Stale, Stale{"ns/op", o.NsPerOp, n.NsPerOp, d.NsChange})
+		}
+		if d.AllocsChange != nil && *d.AllocsChange < -tolAllocs {
+			d.Stale = append(d.Stale, Stale{"allocs/op", float64(*o.AllocsPerOp), float64(*n.AllocsPerOp), *d.AllocsChange})
+		}
 		for _, e := range d.Extra {
 			if e.Regressed {
 				d.Regressed = true
+			}
+			if e.Change < -tolExtra {
+				d.Stale = append(d.Stale, Stale{e.Unit, e.Old, e.New, e.Change})
 			}
 		}
 		if d.Regressed {
@@ -324,6 +346,8 @@ func renderDeltas(w io.Writer, deltas []Delta, added, removed []string) error {
 		mark := ""
 		if d.Regressed {
 			mark = "  REGRESSION"
+		} else if len(d.Stale) > 0 {
+			mark = "  STALE"
 		}
 		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%+.1f%%\t%s\t%s\n",
 			d.Name, d.OldNs, d.NewNs, d.NsChange*100, allocs, mark)
@@ -339,6 +363,12 @@ func renderDeltas(w io.Writer, deltas []Delta, added, removed []string) error {
 			}
 			fmt.Fprintf(w, "extra: %s %s %.0f -> %.0f (%+.1f%%)%s\n",
 				d.Name, e.Unit, e.Old, e.New, e.Change*100, mark)
+		}
+	}
+	for _, d := range deltas {
+		for _, st := range d.Stale {
+			fmt.Fprintf(w, "stale: %s %s %.6g -> %.6g (%+.1f%%)  STALE: beats its baseline beyond tolerance; re-record it\n",
+				d.Name, st.Metric, st.Old, st.New, st.Change*100)
 		}
 	}
 	for _, name := range added {
@@ -385,6 +415,13 @@ func main() {
 		fatal(renderDeltas(w, deltas, added, removed))
 		fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks compared, tolerance %+.1f%% ns/op, %+.1f%% allocs/op, %+.1f%% extra\n",
 			len(deltas), *tol*100, *tolAllocs*100, *tolExtra*100)
+		stale := 0
+		for _, d := range deltas {
+			stale += len(d.Stale)
+		}
+		if stale > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %d metrics beat their baseline beyond tolerance (STALE): re-record it\n", stale)
+		}
 		if regressed {
 			fmt.Fprintln(os.Stderr, "benchjson: regression beyond tolerance")
 			os.Exit(1)

@@ -308,3 +308,53 @@ func TestParseBenchIgnoresProse(t *testing.T) {
 		t.Errorf("got %+v", r)
 	}
 }
+
+// TestCompareStale: a metric that beats its baseline by more than its
+// tolerance is listed STALE, each of ns/op, allocs/op and a custom unit
+// under its own tolerance, and staleness does not fail the comparison.
+func TestCompareStale(t *testing.T) {
+	old := map[string]Result{
+		"BenchmarkFaster": {Iterations: 1, NsPerOp: 100, AllocsPerOp: i64(10),
+			Extra: map[string]float64{"retained-B/op": 1000}},
+		"BenchmarkSame": {Iterations: 1, NsPerOp: 100, AllocsPerOp: i64(10)},
+	}
+	new := map[string]Result{
+		"BenchmarkFaster": {Iterations: 1, NsPerOp: 50, AllocsPerOp: i64(9),
+			Extra: map[string]float64{"retained-B/op": 700}},
+		"BenchmarkSame": {Iterations: 1, NsPerOp: 80, AllocsPerOp: i64(10)},
+	}
+	deltas, _, _, regressed := compare(old, new, 0.25, 0.05, 0.20)
+	if regressed {
+		t.Error("a stale baseline must not fail the comparison")
+	}
+	var metrics []string
+	for _, st := range deltas[0].Stale {
+		metrics = append(metrics, st.Metric)
+	}
+	if got, want := strings.Join(metrics, ","), "ns/op,allocs/op,retained-B/op"; got != want {
+		t.Errorf("BenchmarkFaster stale metrics %q, want %q", got, want)
+	}
+	if st := deltas[0].Stale[1]; st.Old != 10 || st.New != 9 || math.Abs(st.Change+0.10) > 1e-12 {
+		t.Errorf("allocs/op staleness %+v", st)
+	}
+	if len(deltas[1].Stale) != 0 {
+		t.Errorf("-20%% ns/op under a 25%% tolerance is not stale: %+v", deltas[1].Stale)
+	}
+	var b strings.Builder
+	if err := renderDeltas(&b, deltas, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"stale: BenchmarkFaster ns/op 100 -> 50 (-50.0%)  STALE",
+		"stale: BenchmarkFaster allocs/op 10 -> 9 (-10.0%)  STALE",
+		"stale: BenchmarkFaster retained-B/op 1000 -> 700 (-30.0%)  STALE",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "stale: BenchmarkSame") {
+		t.Errorf("report lists BenchmarkSame as stale:\n%s", out)
+	}
+}

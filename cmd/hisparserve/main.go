@@ -19,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -30,24 +32,47 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run runs one subcommand and returns the process's exit code: 2 for a
+// usage error, 1 for a failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		return usage(stderr)
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "serve":
-		cmdServe(os.Args[2:])
+		return cmdServe(args[1:], stderr)
 	case "loadgen":
-		cmdLoadgen(os.Args[2:])
+		return cmdLoadgen(args[1:], stdout, stderr)
 	case "smoke":
-		cmdSmoke(os.Args[2:])
+		return cmdSmoke(args[1:], stdout, stderr)
 	default:
-		usage()
+		return usage(stderr)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: hisparserve {serve|loadgen|smoke} [flags]")
-	os.Exit(2)
+func usage(stderr io.Writer) int {
+	fmt.Fprintln(stderr, "usage: hisparserve {serve|loadgen|smoke} [flags]")
+	return 2
+}
+
+// newFlagSet returns a subcommand's flag set: parse errors are returned,
+// not fatal, and are reported on stderr.
+func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// parseExit is the exit code of a failed flag parse, as
+// flag.ExitOnError would exit: 0 after -h, 2 for a usage error.
+func parseExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
 }
 
 // serverFlags registers the Config knobs shared by serve and smoke.
@@ -67,35 +92,38 @@ func serverFlags(fs *flag.FlagSet) *hisparserve.Config {
 	return cfg
 }
 
-func cmdServe(args []string) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+func cmdServe(args []string, stderr io.Writer) int {
+	fs := newFlagSet("serve", stderr)
 	cfg := serverFlags(fs)
 	var (
 		addr  = fs.String("addr", "127.0.0.1:8420", "listen address")
 		drain = fs.Duration("drain", 10*time.Second, "graceful shutdown drain deadline")
 	)
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
 
 	s := hisparserve.New(*cfg)
 	bound, err := s.Start(*addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hisparserve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "hisparserve: %v\n", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "hisparserve: serving on http://%s (ctrl-c to drain and stop)\n", bound)
+	fmt.Fprintf(stderr, "hisparserve: serving on http://%s (ctrl-c to drain and stop)\n", bound)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 
-	fmt.Fprintln(os.Stderr, "hisparserve: draining...")
+	fmt.Fprintln(stderr, "hisparserve: draining...")
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "hisparserve: shutdown: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "hisparserve: shutdown: %v\n", err)
+		return 1
 	}
-	s.Stats().Render(os.Stderr)
+	s.Stats().Render(stderr)
+	return 0
 }
 
 // loadFlags registers the LoadConfig knobs shared by loadgen and smoke.
@@ -111,56 +139,67 @@ func loadFlags(fs *flag.FlagSet) *hisparserve.LoadConfig {
 	return lc
 }
 
-func cmdLoadgen(args []string) {
-	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+func cmdLoadgen(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("loadgen", stderr)
 	lc := loadFlags(fs)
 	url := fs.String("url", "http://127.0.0.1:8420", "base URL of a running server")
-	_ = fs.Parse(args)
-	runLoad(*url, *lc, nil)
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
+	return runLoad(*url, *lc, stdout, stderr, nil)
 }
 
-func cmdSmoke(args []string) {
-	fs := flag.NewFlagSet("smoke", flag.ExitOnError)
+func cmdSmoke(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("smoke", stderr)
 	cfg := serverFlags(fs)
 	lc := loadFlags(fs)
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
 
 	s := hisparserve.New(*cfg)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hisparserve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "hisparserve: %v\n", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "smoke: ephemeral server on http://%s\n", addr)
-	runLoad("http://"+addr, *lc, func() {
+	fmt.Fprintf(stderr, "smoke: ephemeral server on http://%s\n", addr)
+	return runLoad("http://"+addr, *lc, stdout, stderr, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "smoke: shutdown: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("smoke: shutdown: %w", err)
 		}
-		fmt.Fprintln(os.Stderr, "smoke: server metrics:")
-		s.Stats().Render(os.Stderr)
+		fmt.Fprintln(stderr, "smoke: server metrics:")
+		s.Stats().Render(stderr)
+		return nil
 	})
 }
 
 // runLoad drives the generator, renders both reports, runs cleanup, and
-// exits non-zero when the run saw failures.
-func runLoad(baseURL string, lc hisparserve.LoadConfig, cleanup func()) {
+// returns 1 when the run, or the cleanup, failed.
+func runLoad(baseURL string, lc hisparserve.LoadConfig, stdout, stderr io.Writer, cleanup func() error) int {
 	rep, set, err := hisparserve.RunLoad(baseURL, lc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hisparserve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "hisparserve: %v\n", err)
+		if cleanup != nil {
+			_ = cleanup()
+		}
+		return 1
 	}
-	rep.Render(os.Stdout)
-	fmt.Println("loadgen metrics:")
-	set.Render(os.Stdout)
+	rep.Render(stdout)
+	fmt.Fprintln(stdout, "loadgen metrics:")
+	set.Render(stdout)
 	if cleanup != nil {
-		cleanup()
+		if err := cleanup(); err != nil {
+			fmt.Fprintf(stderr, "%v\n", err)
+			return 1
+		}
 	}
 	if err := rep.Failures(); err != nil {
-		fmt.Fprintf(os.Stderr, "hisparserve: FAIL: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "hisparserve: FAIL: %v\n", err)
+		return 1
 	}
-	fmt.Fprintln(os.Stderr, "hisparserve: PASS")
+	fmt.Fprintln(stderr, "hisparserve: PASS")
+	return 0
 }

@@ -148,8 +148,13 @@ type payload struct {
 
 // representation is one encoding of a payload's body.
 type representation struct {
-	body []byte
-	etag [1]string // quoted entity-tag; the gzip one ends -gzip"
+	body   []byte
+	etag   [1]string // quoted entity-tag; the gzip one ends -gzip"
+	length [1]string // Content-Length: len(body) in decimal
+}
+
+func newRepresentation(body []byte, etag string) representation {
+	return representation{body: body, etag: [1]string{etag}, length: [1]string{strconv.Itoa(len(body))}}
 }
 
 // Header values payload responses share.
@@ -167,8 +172,9 @@ type Server struct {
 	stats        *runstats.Set
 	handler      http.Handler
 	limiter      *tokenBucket
-	routes       []*route               // the route table New registered, in match order
+	routes       []*route               // the route table's entries the config enables, in match order
 	requests     *trace.Ring[reqRecord] // recent requests, served as spans at /debug/tracez
+	recorders    sync.Pool              // *recorder: each request's response writer
 	cacheControl []string               // Cache-Control of every payload response
 	lastMod      [][]string             // Last-Modified of week w's payloads: epoch + w weeks
 
@@ -207,23 +213,19 @@ func New(cfg Config) *Server {
 	s.studies = newFlight(track, s.buildStudy)
 	s.payloads = newFlight(track, s.buildPayload)
 
-	mux := http.NewServeMux()
 	for _, rt := range routeTable {
-		if rt.pprof && !cfg.EnablePprof {
-			continue
+		if !rt.pprof || cfg.EnablePprof {
+			s.routes = append(s.routes, rt)
 		}
-		s.routes = append(s.routes, rt)
-		mux.HandleFunc("GET "+rt.pattern, func(w http.ResponseWriter, r *http.Request) {
-			recordOf(w).route = rt.series
-			rt.handle(s, w, r)
-		})
 	}
-	s.handler = s.withMiddleware(mux)
+	s.recorders.New = func() any { return new(recorder) }
+	s.handler = http.HandlerFunc(s.serveHTTP)
 	return s
 }
 
-// Handler returns the full middleware-wrapped API handler (what
-// httptest servers and the black-box suite mount).
+// Handler returns the server's handler: the request record, the rate
+// limiter and the router in front of the routes (what httptest servers
+// and the black-box suite mount).
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Stats exposes the server's live metrics.
@@ -379,7 +381,7 @@ func (s *Server) newPayload(body []byte, contentType []string, week int) *payloa
 	sum := sha256.Sum256(body)
 	etag := `"h` + hex.EncodeToString(sum[:8])
 	p := &payload{
-		identity:    representation{body: body, etag: [1]string{etag + `"`}},
+		identity:    newRepresentation(body, etag+`"`),
 		contentType: contentType,
 		lastMod:     s.lastMod[week],
 	}
@@ -388,7 +390,8 @@ func (s *Server) newPayload(body []byte, contentType []string, week int) *payloa
 		zw := gzip.NewWriter(&buf) // zero ModTime: compressed bytes are deterministic
 		_, _ = zw.Write(body)
 		_ = zw.Close()
-		p.gzip = &representation{body: bytes.Clone(buf.Bytes()), etag: [1]string{etag + `-gzip"`}}
+		gz := newRepresentation(bytes.Clone(buf.Bytes()), etag+`-gzip"`)
+		p.gzip = &gz
 	}
 	return p
 }
@@ -403,7 +406,6 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key payload
 	p, state, err := s.payloads.do(key, wait)
 	switch state {
 	case stateBuilding:
-		s.stats.Inc("cache.notready", 1)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "425 too early: "+key.String()+" is building; retry or request with ?wait=1", http.StatusTooEarly)
 	case stateFailed:
@@ -418,14 +420,16 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key payload
 // its own entity-tag), Cache-Control freshness, Vary, and RFC 7232
 // conditional evaluation. A 304 or a gzip response is marked on the
 // request's record, which the middleware commits.
+//
+// Headers are read and written by canonical key, directly: request
+// headers are canonical as net/http parses them, and the response
+// values are the payload's own, so serving one builds nothing.
 func (s *Server) writePayload(w http.ResponseWriter, r *http.Request, p *payload) {
 	rep, gzipped := &p.identity, false
-	if p.gzip != nil && httpsem.PreferGzip(r.Header.Get("Accept-Encoding")) {
+	if p.gzip != nil && httpsem.PreferGzip(first(r.Header["Accept-Encoding"])) {
 		rep, gzipped = p.gzip, true
 	}
 
-	// Canonical header keys, assigned directly: the values are the
-	// payload's own, so serving one builds nothing.
 	h := w.Header()
 	h["Content-Type"] = p.contentType
 	h["Cache-Control"] = s.cacheControl
@@ -435,7 +439,7 @@ func (s *Server) writePayload(w http.ResponseWriter, r *http.Request, p *payload
 
 	rec := recordOf(w)
 	if httpsem.CheckNotModified(
-		r.Header.Get("If-None-Match"), r.Header.Get("If-Modified-Since"),
+		first(r.Header["If-None-Match"]), first(r.Header["If-Modified-Since"]),
 		rep.etag[0], p.lastMod[0]) {
 		rec.revalidated = true
 		w.WriteHeader(http.StatusNotModified)
@@ -445,16 +449,24 @@ func (s *Server) writePayload(w http.ResponseWriter, r *http.Request, p *payload
 		h["Content-Encoding"] = gzipEncoding
 		rec.gzip = true
 	}
-	h.Set("Content-Length", strconv.Itoa(len(rep.body)))
+	h["Content-Length"] = rep.length[:]
 	if r.Method == http.MethodHead {
 		return
 	}
 	_, _ = w.Write(rep.body)
 }
 
+// first is a header's first value, as Header.Get reads it.
+func first(values []string) string {
+	if len(values) == 0 {
+		return ""
+	}
+	return values[0]
+}
+
 // ---- handlers ----
 
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request, _ pathValues) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("Cache-Control", "no-store")
 	_, _ = w.Write([]byte("ok\n"))
@@ -463,7 +475,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics serves the live metrics registry. The default body is
 // Prometheus text exposition format v0.0.4 (scrapeable); ?format=text
 // keeps the human-oriented runstats rendering.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ pathValues) {
 	w.Header().Set("Cache-Control", "no-store")
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -476,7 +488,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace serves the ring of recent requests as spans, in Chrome
 // trace-event JSON (loadable in Perfetto / chrome://tracing).
-func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request, _ pathValues) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Cache-Control", "no-store")
 	_ = trace.WriteChromeJSON(w, s.requestSpans())
@@ -492,7 +504,7 @@ type indexDoc struct {
 }
 
 //detlint:hotpath -- request-serving /v1 handler
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request, _ pathValues) {
 	s.serveCached(w, r, payloadKey{kind: kindIndex}, true)
 }
 
@@ -522,7 +534,7 @@ func (s *Server) buildIndex() (*payload, error) {
 // dashboard.
 //
 //detlint:hotpath -- request-serving /v1 handler
-func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request, _ pathValues) {
 	type jobs struct {
 		Payloads  []buildInfo `json:"payloads"`
 		Studies   []buildInfo `json:"studies"`
@@ -543,8 +555,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 }
 
 //detlint:hotpath -- request-serving /v1 handler
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	week, ok := s.week(r.PathValue("week"))
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request, v pathValues) {
+	week, ok := s.week(v[0])
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -587,13 +599,13 @@ type siteDoc struct {
 }
 
 //detlint:hotpath -- request-serving /v1 handler
-func (s *Server) handleSite(w http.ResponseWriter, r *http.Request) {
-	week, ok := s.week(r.PathValue("week"))
+func (s *Server) handleSite(w http.ResponseWriter, r *http.Request, v pathValues) {
+	week, ok := s.week(v[0])
 	if !ok {
 		http.NotFound(w, r)
 		return
 	}
-	domain := r.PathValue("domain")
+	domain := v[1]
 	// The snapshot must exist before per-site lookups can 404 correctly;
 	// site queries block on it (it is shared across all of the week's
 	// routes, so steady-state requests never build).
@@ -637,9 +649,9 @@ type churnDoc struct {
 }
 
 //detlint:hotpath -- request-serving /v1 handler
-func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
-	a, okA := s.week(r.PathValue("a"))
-	b, okB := s.week(r.PathValue("b"))
+func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request, v pathValues) {
+	a, okA := s.week(v[0])
+	b, okB := s.week(v[1])
 	if !okA || !okB {
 		http.NotFound(w, r)
 		return
@@ -670,8 +682,8 @@ func (s *Server) buildChurn(a, b int) (*payload, error) {
 }
 
 //detlint:hotpath -- request-serving /v1 handler
-func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
-	week, ok := s.week(r.PathValue("week"))
+func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request, v pathValues) {
+	week, ok := s.week(v[0])
 	if !ok {
 		http.NotFound(w, r)
 		return

@@ -1,16 +1,17 @@
 package hisparserve
 
-// The middleware stack in front of the route handlers: one record per
-// request, committed into runstats and kept in the trace ring, and a
-// token-bucket rate limiter for the /v1/ API surface. Gzip is not a
-// wrapping middleware here — payloads are built once and compressed once
-// at build time (see payload), so the serving path only selects a
+// What stands in front of the route handlers: serveHTTP, the server's
+// one handler. It keeps one record per request, committed into runstats
+// and kept in the trace ring; applies a token-bucket rate limiter to
+// the /v1/ API surface; and dispatches through the router (routes.go),
+// whose match also names the route that labels the record. Gzip is not
+// a wrapping middleware here — payloads are built once and compressed
+// once at build time (see payload), so the serving path only selects a
 // representation.
 
 import (
 	"math"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,7 +75,7 @@ type reqRecord struct {
 	start        time.Time
 	dur          time.Duration
 	method, path string
-	route        *routeSeries // set by the mux's dispatch, or in commit
+	route        *routeSeries // the route the router matched, or unmatchedRoute's
 	status       int
 	bytes        int64 // body bytes written
 	revalidated  bool  // answered 304 from a payload's validators
@@ -82,8 +83,10 @@ type reqRecord struct {
 	limited      bool  // refused by the rate limiter
 }
 
-// recorder is the middleware's response writer: it passes the response
-// through and notes its status and body bytes on the request's record.
+// recorder is the server handler's response writer: it passes the
+// response through and notes its status and body bytes on the
+// request's record. Recorders are pooled per server: a handler's use of
+// one ends when it returns, and the record is committed by value.
 type recorder struct {
 	http.ResponseWriter
 	rec reqRecord
@@ -106,33 +109,49 @@ func (rw *recorder) Write(p []byte) (int, error) {
 }
 
 // recordOf returns the record of the request w answers. Every handler
-// is reached through the middleware, so w is its recorder.
+// is reached through serveHTTP, so w is its recorder.
 func recordOf(w http.ResponseWriter) *reqRecord {
 	return &w.(*recorder).rec
 }
 
-// withMiddleware wraps the route mux with rate limiting (API routes
-// only; health and metrics stay reachable when the bucket is dry) and
-// the request record.
-func (s *Server) withMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rw := &recorder{ResponseWriter: w, rec: reqRecord{
-			start:  vclock.Wall(), // sanctioned telemetry clock: serving-side latency, not a measurement artifact
-			method: r.Method,
-			path:   r.URL.Path,
-		}}
-		if strings.HasPrefix(r.URL.Path, "/v1/") {
-			if ok, wait := s.limiter.allow(); !ok {
-				rw.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(wait.Seconds()))))
-				http.Error(rw, "rate limited", http.StatusTooManyRequests)
-				rw.rec.limited = true
-				s.commit(&rw.rec, r.URL)
-				return
-			}
-		}
-		next.ServeHTTP(rw, r)
-		s.commit(&rw.rec, r.URL)
-	})
+// serveHTTP is the server's handler: it opens the request's record,
+// matches the request against the route table, applies the rate
+// limiter to /v1/ paths (health and metrics stay reachable when the
+// bucket is dry), dispatches the request or refuses it, and commits
+// the record.
+func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
+	start := vclock.Wall() // sanctioned telemetry clock: serving-side latency, not a measurement artifact
+	m := s.match(r)
+	rw := s.recorders.Get().(*recorder)
+	*rw = recorder{ResponseWriter: w, rec: reqRecord{
+		start:  start,
+		method: r.Method,
+		path:   r.URL.Path,
+		route:  m.route.series,
+	}}
+	switch {
+	case strings.HasPrefix(r.URL.Path, "/v1/") && !s.allow(rw):
+		// refused: 429
+	case m.status == 0:
+		m.route.handle(s, rw, r, m.values)
+	default:
+		m.refuse(rw, r)
+	}
+	s.commit(&rw.rec)
+	*rw = recorder{} // drop the request's references before reuse
+	s.recorders.Put(rw)
+}
+
+// allow takes a rate-limit token for a request, or refuses it 429 with
+// a Retry-After hint and reports that it did not.
+func (s *Server) allow(rw *recorder) bool {
+	ok, wait := s.limiter.allow()
+	if !ok {
+		rw.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(wait.Seconds()))))
+		http.Error(rw, "rate limited", http.StatusTooManyRequests)
+		rw.rec.limited = true
+	}
+	return ok
 }
 
 // Unlabeled series the commit updates.
@@ -146,12 +165,9 @@ var (
 // Commit, then the record into the trace ring. Serving spans carry
 // wall-clock timestamps (vclock.Wall) — they are a live diagnostic view
 // of this server, not a deterministic artifact.
-func (s *Server) commit(rec *reqRecord, u *url.URL) {
+func (s *Server) commit(rec *reqRecord) {
 	if rec.status == 0 {
 		rec.status = http.StatusOK
-	}
-	if rec.route == nil { // not dispatched by the mux: refused, or not found
-		rec.route = s.routeOf(u).series
 	}
 	rec.dur = vclock.WallSince(rec.start)
 	ups := append(make([]runstats.Update, 0, 6),

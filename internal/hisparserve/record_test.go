@@ -301,34 +301,3 @@ func TestRouteLabelsBounded(t *testing.T) {
 		t.Errorf("4,000 requests to new paths added %d series, want at most 1", grew)
 	}
 }
-
-// TestRouteOfAgreesWithMux: for each path, the route label's matcher
-// finds the route whose pattern the mux itself dispatches a GET to.
-func TestRouteOfAgreesWithMux(t *testing.T) {
-	cfg := testConfig()
-	cfg.EnablePprof = true
-	s := New(cfg)
-	mux := http.NewServeMux()
-	for _, rt := range s.routes {
-		mux.HandleFunc("GET "+rt.pattern, func(http.ResponseWriter, *http.Request) {})
-	}
-	for _, path := range []string{
-		"/", "/healthz", "/healthz/", "/metricz", "/debug/tracez", "/debug/pprof/",
-		"/debug/pprof/heap", "/debug/pprof/cmdline", "/debug/pprof/a/b", "/debug/pprof",
-		"/v1/lists", "/v1/lists/", "/v1/jobs", "/v1/list/0", "/v1/list/0/", "/v1/list/",
-		"/v1/list", "/v1/site/0/a.example", "/v1/site/0/a%2Fb", "/v1/site/0", "/v1/site/0/a/b",
-		"/v1/churn/0/1", "/v1/churn/0", "/v1/dataset/3", "/v1/nope", "/nope/1",
-	} {
-		r := httptest.NewRequest("GET", path, nil)
-		_, pattern := mux.Handler(r)
-		want := unmatchedRoute
-		for _, rt := range s.routes {
-			if pattern == "GET "+rt.pattern {
-				want = rt
-			}
-		}
-		if got := s.routeOf(r.URL); got != want {
-			t.Errorf("%s: route %q, the mux dispatches to %q", path, got.pattern, want.pattern)
-		}
-	}
-}

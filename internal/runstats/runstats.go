@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // bucketsPerDecade sets histogram resolution: values are bucketed by
@@ -38,18 +39,30 @@ type seriesID struct {
 
 // Set is a collection of named metrics. The zero value is NOT usable;
 // call NewSet.
+//
+// Counters and histograms are stored once, in cells the key index
+// (counters, hists) maps canonical keys to. A resolved Series reaches
+// its cell by its slot in cells instead, so a Commit hashes no key.
 type Set struct {
 	mu       sync.Mutex
-	counters map[string]int64
+	counters map[string]*int64 // canonical key → counter cell
 	gauges   map[string]float64
-	hists    map[string]*histogram
-	meta     map[string]seriesID // canonical key → identity, labeled series only
+	hists    map[string]*histogram // canonical key → histogram cell
+	meta     map[string]seriesID   // canonical key → identity, labeled series only
+	cells    []cell                // Series slot → its cell, once a Commit has reached it
+}
+
+// cell is a Series' storage in one Set: the counter or the histogram
+// the key index holds under the series' key.
+type cell struct {
+	counter *int64
+	hist    *histogram
 }
 
 // NewSet returns an empty metric set.
 func NewSet() *Set {
 	return &Set{
-		counters: make(map[string]int64),
+		counters: make(map[string]*int64),
 		gauges:   make(map[string]float64),
 		hists:    make(map[string]*histogram),
 		meta:     make(map[string]seriesID),
@@ -96,7 +109,7 @@ func escapeLabelValue(v string) string {
 // Inc adds delta to the named counter, creating it at zero first.
 func (s *Set) Inc(name string, delta int64) {
 	s.mu.Lock()
-	s.counters[name] += delta
+	*s.counter(name) += delta
 	s.mu.Unlock()
 }
 
@@ -111,26 +124,34 @@ func (s *Set) SetGauge(name string, v float64) {
 // dropped; negative ones clamp to zero (durations and counts are the
 // only things observed here).
 func (s *Set) Observe(name string, v float64) {
-	s.mu.Lock()
-	s.observe(name, v)
-	s.mu.Unlock()
+	if v, ok := sample(v); ok {
+		s.mu.Lock()
+		s.histogram(name).observe(v)
+		s.mu.Unlock()
+	}
 }
 
 // Series is one counter or histogram series resolved once: its
-// canonical key and identity. A hot path that updates labeled series
-// keeps its Series values and passes them to Commit, so no update
-// rebuilds a key. A Series is not bound to a Set; the series appears in
-// a Set on its first update.
+// canonical key, identity and slot. A hot path keeps its Series values
+// and passes them to Commit, so no update builds or hashes a key. A
+// Series is not bound to a Set; the series appears in a Set on its
+// first update. Slots are dense and never reused, and every Set that a
+// Series reaches keeps a cell for each slot up to its own: resolve a
+// series once and keep it, not once per update.
 type Series struct {
 	key  string
 	id   seriesID
 	hist bool // a histogram; a counter otherwise
+	slot int  // index into every Set's cells
 }
+
+// nextSlot is the slot the next resolved Series gets.
+var nextSlot atomic.Int64
 
 // NewCounter resolves (name, labels) into a counter series.
 func NewCounter(name string, labels ...Label) *Series {
 	key, id := seriesKey(name, labels)
-	return &Series{key: key, id: id}
+	return &Series{key: key, id: id, slot: int(nextSlot.Add(1) - 1)}
 }
 
 // NewHistogram resolves (name, labels) into a histogram series.
@@ -155,38 +176,73 @@ func (s *Set) Commit(updates ...Update) {
 	s.mu.Lock()
 	for _, u := range updates {
 		sr := u.Series
-		if sr.hist {
-			if !s.observe(sr.key, u.Sample) {
-				continue
-			}
-		} else {
-			s.counters[sr.key] += u.Delta
-		}
-		if len(sr.id.labels) > 0 {
-			if _, ok := s.meta[sr.key]; !ok {
-				s.meta[sr.key] = sr.id
-			}
+		if !sr.hist {
+			*s.cell(sr).counter += u.Delta
+		} else if v, ok := sample(u.Sample); ok {
+			s.cell(sr).hist.observe(v)
 		}
 	}
 	s.mu.Unlock()
 }
 
-// observe adds v to the histogram under key, with s.mu held. It
-// reports whether the sample was kept.
-func (s *Set) observe(key string, v float64) bool {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return false
+// cell returns sr's cell in s, with s.mu held. The first update of sr
+// here finds or creates the cell through the key index and keeps it at
+// sr's slot; every later one reads the slot.
+func (s *Set) cell(sr *Series) cell {
+	if sr.slot < len(s.cells) {
+		if c := s.cells[sr.slot]; c != (cell{}) {
+			return c
+		}
+	} else {
+		s.cells = append(s.cells, make([]cell, sr.slot+1-len(s.cells))...)
 	}
-	if v < 0 {
-		v = 0
+	var c cell
+	if sr.hist {
+		c.hist = s.histogram(sr.key)
+	} else {
+		c.counter = s.counter(sr.key)
 	}
+	if len(sr.id.labels) > 0 {
+		if _, ok := s.meta[sr.key]; !ok {
+			s.meta[sr.key] = sr.id
+		}
+	}
+	s.cells[sr.slot] = c
+	return c
+}
+
+// counter returns the counter cell under key, creating it at zero, with
+// s.mu held.
+func (s *Set) counter(key string) *int64 {
+	p := s.counters[key]
+	if p == nil {
+		p = new(int64)
+		s.counters[key] = p
+	}
+	return p
+}
+
+// histogram returns the histogram cell under key, creating it empty,
+// with s.mu held.
+func (s *Set) histogram(key string) *histogram {
 	h := s.hists[key]
 	if h == nil {
 		h = &histogram{min: math.Inf(1), buckets: make(map[int]int64)}
 		s.hists[key] = h
 	}
-	h.observe(v)
-	return true
+	return h
+}
+
+// sample applies the rules of Observe to one sample: non-finite ones
+// are dropped, negative ones clamp to zero.
+func sample(v float64) (float64, bool) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, false
+	}
+	if v < 0 {
+		v = 0
+	}
+	return v, true
 }
 
 // histogram holds log-scale buckets plus exact count/sum/min/max.
@@ -311,8 +367,8 @@ func (s *Set) Snapshot() Snapshot {
 		Histograms: make(map[string]HistSnapshot, len(s.hists)),
 		meta:       make(map[string]seriesID, len(s.meta)),
 	}
-	for k, v := range s.counters {
-		snap.Counters[k] = v
+	for k, p := range s.counters {
+		snap.Counters[k] = *p
 	}
 	for k, v := range s.gauges {
 		snap.Gauges[k] = v
@@ -340,7 +396,7 @@ func (s *Set) Snapshot() Snapshot {
 func (s *Set) Counter(name string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.counters[name]
+	return value(s.counters[name])
 }
 
 // CounterL returns the labeled counter series' current value (0 if
@@ -349,7 +405,15 @@ func (s *Set) CounterL(name string, labels ...Label) int64 {
 	key, _ := seriesKey(name, labels)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.counters[key]
+	return value(s.counters[key])
+}
+
+// value reads a counter cell; an absent one reads 0.
+func value(p *int64) int64 {
+	if p == nil {
+		return 0
+	}
+	return *p
 }
 
 // Render writes the snapshot as an aligned, name-sorted report — the
