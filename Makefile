@@ -177,7 +177,7 @@ lint:
 	$(GO) run ./cmd/detlint -format json -o detlint.json
 
 # Resource-lifecycle report: every tracked acquisition (files, sockets,
-# response bodies, cancel funcs, tickers, profile stops) with how each
+# response bodies, tickers, profile stops) with how each
 # path disposes of it, leaks first, hot functions ranked on top. The JSON
 # is the CI artifact; the text rendering is for humans.
 leak-report:

@@ -19,10 +19,11 @@
 //
 // -leaks switches to report mode for the resource-lifecycle analysis:
 // instead of running checks, emit every tracked acquisition (files,
-// connections, response bodies, cancel funcs, tickers, trace recorders)
-// with its resolved fate — released, deferred, transferred, or leaked —
-// hot functions first. The report honors -format text|json|sarif and
-// -o, and always exits 0 — it is an inventory, not a gate.
+// connections, response bodies, profile stop funcs, tickers, trace
+// recorders) with its resolved fate — released, deferred, transferred,
+// or leaked — hot functions first. The report honors -format
+// text|json|sarif and -o, and always exits 0 — it is an inventory, not a
+// gate.
 package main
 
 import (

@@ -12,11 +12,11 @@ import (
 // one defect per lifecycle check.
 const fixtureMod = "testdata/mod"
 
-// lifeChecks are the five lifecycle checks; lifeTags their diagnostic
+// lifeChecks are the four lifecycle checks; lifeTags their diagnostic
 // tags.
-const lifeChecks = "closeleak,bodyclose,cancelleak,tickleak,deferhot"
+const lifeChecks = "closeleak,bodyclose,tickleak,deferhot"
 
-var lifeTags = []string{"[closeleak]", "[bodyclose]", "[cancelleak]", "[tickleak]", "[deferhot]"}
+var lifeTags = []string{"[closeleak]", "[bodyclose]", "[tickleak]", "[deferhot]"}
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
@@ -67,7 +67,7 @@ func TestUnknownCheck(t *testing.T) {
 	}
 }
 
-// TestLifecycleChecks runs the five lifecycle checks over the fixture
+// TestLifecycleChecks runs the four lifecycle checks over the fixture
 // module: each finds its planted defect, the subset stays isolated from
 // the other analyzers, and the rendering is byte-identical across runs
 // and GOMAXPROCS values.

@@ -4,7 +4,6 @@
 package fetch
 
 import (
-	"context"
 	"net/http"
 	"os"
 	"time"
@@ -27,12 +26,6 @@ func Probe(u string) (int, error) {
 		return 0, err
 	}
 	return resp.StatusCode, nil
-}
-
-// Deadline discards the cancel func at the binding.
-func Deadline(ctx context.Context) context.Context {
-	ctx2, _ := context.WithTimeout(ctx, time.Second)
-	return ctx2
 }
 
 // Beat abandons its ticker after one tick.

@@ -17,34 +17,44 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
 func main() {
-	if len(os.Args) < 2 || len(os.Args) > 3 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck trace.json [other.json]")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run checks one or two trace files and returns the exit code: 0 when
+// every file is valid (and two files are byte-identical), 1 when a file
+// is unreadable, invalid, or differs from the other, 2 on bad usage.
+// Every message is a diagnostic, so nothing goes to stdout.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 || len(args) > 2 {
+		fmt.Fprintln(stderr, "usage: tracecheck trace.json [other.json]")
+		return 2
 	}
 	var blobs [][]byte
-	for _, path := range os.Args[1:] {
+	for _, path := range args {
 		b, err := os.ReadFile(path)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
 		n, err := validate(b)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
+			return fail(stderr, fmt.Errorf("%s: %w", path, err))
 		}
-		fmt.Fprintf(os.Stderr, "tracecheck: %s: %d events ok\n", path, n)
+		fmt.Fprintf(stderr, "tracecheck: %s: %d events ok\n", path, n)
 		blobs = append(blobs, b)
 	}
 	if len(blobs) == 2 {
 		if !bytes.Equal(blobs[0], blobs[1]) {
-			fatal(fmt.Errorf("%s and %s are not byte-identical (%d vs %d bytes): the trace is not deterministic",
-				os.Args[1], os.Args[2], len(blobs[0]), len(blobs[1])))
+			return fail(stderr, fmt.Errorf("%s and %s are not byte-identical (%d vs %d bytes): the trace is not deterministic",
+				args[0], args[1], len(blobs[0]), len(blobs[1])))
 		}
-		fmt.Fprintln(os.Stderr, "tracecheck: files are byte-identical")
+		fmt.Fprintln(stderr, "tracecheck: files are byte-identical")
 	}
+	return 0
 }
 
 // event mirrors the subset of the trace-event format the tracer emits.
@@ -119,7 +129,7 @@ func validate(b []byte) (int, error) {
 	return len(doc.TraceEvents), nil
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "tracecheck: %v\n", err)
-	os.Exit(1)
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "tracecheck: %v\n", err)
+	return 1
 }

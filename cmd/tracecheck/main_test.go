@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +64,52 @@ func TestValidateRejects(t *testing.T) {
 			_, err := validate([]byte(c.doc))
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("err = %v, want substring %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
+// TestRunExitCodes drives the CLI in-process: bad usage exits 2, valid
+// traces exit 0 (one file, or two identical ones), and two valid traces
+// that differ, or a missing file, exit 1.
+func TestRunExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, b []byte) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	good := goodTrace(t)
+	a := write("a.json", good)
+	same := write("same.json", good)
+	otherTrace := bytes.ReplaceAll(good, []byte("example.org"), []byte("example.net"))
+	if _, err := validate(otherTrace); err != nil {
+		t.Fatalf("the differing trace must itself be valid: %v", err)
+	}
+	other := write("other.json", otherTrace)
+	cases := []struct {
+		name    string
+		args    []string
+		code    int
+		wantErr string
+	}{
+		{"no argument", nil, 2, "usage"},
+		{"three arguments", []string{a, a, a}, 2, "usage"},
+		{"one valid trace", []string{a}, 0, "events ok"},
+		{"two identical traces", []string{a, same}, 0, "byte-identical"},
+		{"two valid traces that differ", []string{a, other}, 1, "not byte-identical"},
+		{"missing file", []string{filepath.Join(dir, "missing.json")}, 1, "missing.json"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(c.args, &stdout, &stderr); code != c.code {
+				t.Fatalf("exit = %d, want %d\n%s", code, c.code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), c.wantErr) {
+				t.Errorf("stderr %q lacks %q", stderr.String(), c.wantErr)
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/importer"
 	"go/token"
 	"path/filepath"
 	"runtime"
@@ -41,9 +40,9 @@ func calleesOf(t *testing.T, g *Graph, name string) []string {
 // signature-compatible address-taken method.
 func TestMethodValueResolution(t *testing.T) {
 	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
+	imp := newTestImporter(fset)
 	dir := filepath.Join("testdata", "src", "methodvalue")
-	pkg := loadTestPkg(t, fset, std, dir, "repro/internal/methodvalue")
+	pkg := loadTestPkg(t, fset, imp, dir, "repro/internal/methodvalue")
 	g := BuildGraph([]*Package{pkg})
 
 	assertEdges := func(fn string, want []string) {
@@ -81,9 +80,9 @@ func TestMethodValueResolution(t *testing.T) {
 func loadDeferhotGraph(t *testing.T) *Graph {
 	t.Helper()
 	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
+	imp := newTestImporter(fset)
 	dir := filepath.Join("testdata", "src", "deferhot")
-	return BuildGraph([]*Package{loadTestPkg(t, fset, std, dir, "repro/internal/deferhot")})
+	return BuildGraph([]*Package{loadTestPkg(t, fset, imp, dir, "repro/internal/deferhot")})
 }
 
 func nodeNamed(t *testing.T, g *Graph, name string) *FuncNode {

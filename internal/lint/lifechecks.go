@@ -4,20 +4,23 @@ import (
 	"go/ast"
 )
 
-// The five lifecycle checks ride the shared lifeState (lifeflow.go):
-// closeleak, bodyclose, cancelleak, and tickleak report resources the
-// must-release dataflow proves can reach function exit unreleased;
-// deferhot flags defers inside loops on //detlint:hotpath-reachable
-// functions. Both read hot-path reachability from the call graph
-// (hotState in callgraph.go).
+// The four lifecycle checks ride the shared lifeState (lifeflow.go):
+// closeleak, bodyclose, and tickleak report resources the must-release
+// dataflow proves can reach function exit unreleased; deferhot flags
+// defers inside loops on //detlint:hotpath-reachable functions. Both
+// read hot-path reachability from the call graph (hotState in
+// callgraph.go). Context cancel funcs are go vet's: its lostcancel
+// analyzer reports the same uncalled and discarded cancels.
 
-// CloseleakCheck reports files, connections, listeners, and trace
-// recorders that may escape their function unreleased.
+// CloseleakCheck reports files, connections, listeners, trace
+// recorders, and profiling stop functions that may escape their function
+// unreleased.
 var CloseleakCheck = &Check{
 	Name: "closeleak",
 	Doc: "closeleak reports os.Open/os.Create files, net.Dial/net.Listen " +
-		"connections, and trace recorders that are not closed (or handed off) " +
-		"on every path; a long-running service bleeds descriptors otherwise.",
+		"connections, trace recorders, and profiling.StartCPU stop functions " +
+		"that are not closed, called, or handed off on every path; a " +
+		"long-running service bleeds descriptors otherwise.",
 	Run: runLifecycle("closeleak"),
 }
 
@@ -28,17 +31,6 @@ var BodycloseCheck = &Check{
 		"every path; an unclosed body pins its connection and defeats " +
 		"keep-alive reuse, which is fatal for a measurement loop at scale.",
 	Run: runLifecycle("bodyclose"),
-}
-
-// CancelleakCheck reports context cancel functions and profiling stop
-// functions that may never be called.
-var CancelleakCheck = &Check{
-	Name: "cancelleak",
-	Doc: "cancelleak reports context.WithCancel/WithTimeout/WithDeadline " +
-		"cancel functions and profiling stop functions that are not called " +
-		"on every path; each leaks a goroutine or an open profile until " +
-		"process exit.",
-	Run: runLifecycle("cancelleak"),
 }
 
 // TickleakCheck reports tickers and timers that may never be stopped.

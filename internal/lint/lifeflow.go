@@ -12,8 +12,9 @@ import (
 )
 
 // This file is the lifeflow layer: a must-release dataflow over the
-// per-function CFGs (cfg.go), shared by the closeleak/bodyclose/
-// cancelleak/tickleak checks and the lifecycle report. The pipeline:
+// per-function CFGs (cfg.go), shared by the closeleak/bodyclose/tickleak
+// checks and the lifecycle report. Context cancel funcs are not in the
+// acquire table: go vet's lostcancel owns them. The pipeline:
 //
 //  1. A no-return fixpoint over the module: a function whose CFG cannot
 //     reach its Exit block (every path panics or exits the process) is
@@ -29,7 +30,7 @@ import (
 //     resource is flagged exactly when some path leaks it.
 //
 // Release events kill a resource: a Close/Stop call (direct or
-// deferred), calling a cancel/stop function value, Body.Close on an
+// deferred), calling a stop function value, Body.Close on an
 // http response, a receive from a timer's C, returning or storing the
 // value, passing it to a consuming callee, or handing it to a
 // goroutine or escaping closure (ownership moved — the intraprocedural
@@ -46,13 +47,13 @@ import (
 // acquireSpec is one row of the acquire table: how a call produces a
 // resource and what counts as releasing it.
 type acquireSpec struct {
-	check   string // reporting check: closeleak, bodyclose, cancelleak, tickleak
+	check   string // reporting check: closeleak, bodyclose, tickleak
 	kind    string // human kind: "file", "ticker", "response body", ...
 	result  int    // index of the result value carrying the resource
 	release string // human description of the expected release
 
 	closeMethods []string // methods on the value that release it
-	callValue    bool     // calling the value itself releases (cancel/stop funcs)
+	callValue    bool     // calling the value itself releases (stop funcs)
 	bodyClose    bool     // v.Body.Close() releases (http responses)
 	recvC        bool     // a receive from v.C releases (timers)
 	consumers    []string // callee names that consume v passed as an argument
@@ -77,12 +78,6 @@ func matchAcquire(info *types.Info, call *ast.CallExpr) (acquireSpec, bool) {
 				return acquireSpec{check: "closeleak", kind: "listener", result: 0,
 					closeMethods: []string{"Close"}, release: "Close"}, true
 			}
-		case "context":
-			switch name {
-			case "WithCancel", "WithTimeout", "WithDeadline", "WithCancelCause":
-				return acquireSpec{check: "cancelleak", kind: "cancel function", result: 1,
-					callValue: true, release: "a call to the cancel function"}, true
-			}
 		case "time":
 			switch name {
 			case "NewTicker":
@@ -96,7 +91,7 @@ func matchAcquire(info *types.Info, call *ast.CallExpr) (acquireSpec, bool) {
 		case "repro/internal/profiling":
 			switch name {
 			case "StartCPU":
-				return acquireSpec{check: "cancelleak", kind: "profile stop function", result: 0,
+				return acquireSpec{check: "closeleak", kind: "profile stop function", result: 0,
 					callValue: true, release: "a call to the stop function"}, true
 			}
 		}
@@ -380,7 +375,7 @@ func (la *lifeAnalysis) calleeReleases(call *ast.CallExpr, opIdx int, spec acqui
 
 // classify decides how one identifier use treats a tracked resource:
 //
-//	"release"   — Close/Stop/cancel-call/Body.Close on the value
+//	"release"   — Close/Stop/stop-call/Body.Close on the value
 //	"received"  — a receive (or range) over the value's C channel
 //	"consumed"  — passed to a callee that takes ownership
 //	"returned"  — the value (or its Body) is returned

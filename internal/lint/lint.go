@@ -14,14 +14,14 @@
 //   - taint:      no call path from a nondeterminism source to an artifact sink
 //   - gorleak:    no goroutine without a join or cancel path
 //   - lockheld:   no mutex held across blocking operations or re-acquiring calls
-//   - closeleak, bodyclose, cancelleak, tickleak: every acquired file,
-//     connection, response body, cancel/stop func, and ticker is released
-//     on every path
+//   - closeleak, bodyclose, tickleak: every acquired file, connection,
+//     profile stop func, response body, and ticker is released on every
+//     path
 //   - deferhot:   no defer inside a loop on a //detlint:hotpath-reachable function
 //   - staleallow: no allow directive that suppresses nothing
 //
 // Rules the compiler or go vet already enforce (escape decisions, lock
-// copies) are left to them.
+// copies, uncalled context cancel funcs) are left to them.
 //
 // Deliberate exceptions are annotated in-source with
 //
@@ -119,7 +119,6 @@ func Checks() []*Check {
 		LockheldCheck,
 		CloseleakCheck,
 		BodycloseCheck,
-		CancelleakCheck,
 		TickleakCheck,
 		DeferhotCheck,
 		StaleallowCheck,

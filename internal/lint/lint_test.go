@@ -1,15 +1,18 @@
 package lint
 
 import (
+	"errors"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -37,7 +40,6 @@ var goldenCases = []struct {
 	{"lockheld", []*Check{LockheldCheck}, "repro/internal/lockheld"},
 	{"closeleak", []*Check{CloseleakCheck}, "repro/internal/closeleak"},
 	{"bodyclose", []*Check{BodycloseCheck}, "repro/internal/bodyclose"},
-	{"cancelleak", []*Check{CancelleakCheck}, "repro/internal/cancelleak"},
 	{"tickleak", []*Check{TickleakCheck}, "repro/internal/tickleak"},
 	{"deferhot", []*Check{DeferhotCheck}, "repro/internal/deferhot"},
 	{"staleallow", []*Check{WalltimeCheck, StaleallowCheck}, "repro/internal/staleallowtest"},
@@ -47,9 +49,44 @@ var goldenCases = []struct {
 // // want "regexp".
 var wantRe = regexp.MustCompile("// want [`\"](.+)[`\"]")
 
+// testImporter resolves the standard library from the compiler's export
+// data, as LoadModule does, and the module paths a fixture imports
+// (repro/internal/detrand, repro/internal/profiling) from source under
+// the module root, type-checking each once per importer.
+type testImporter struct {
+	fset *token.FileSet
+	std  types.Importer
+	mod  map[string]*types.Package
+}
+
+func newTestImporter(fset *token.FileSet) *testImporter {
+	return &testImporter{fset: fset, std: importer.ForCompiler(fset, "gc", nil), mod: make(map[string]*types.Package)}
+}
+
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, "repro/")
+	if !ok {
+		return ti.std.Import(path)
+	}
+	if p, ok := ti.mod[path]; ok {
+		return p, nil
+	}
+	files, err := parseDir(ti.fset, filepath.Join("..", "..", filepath.FromSlash(rel)))
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: ti}
+	p, err := conf.Check(path, ti.fset, files, nil)
+	if err != nil {
+		return nil, err
+	}
+	ti.mod[path] = p
+	return p, nil
+}
+
 // loadTestPkg parses and type-checks one testdata package under a
 // synthetic import path, reusing the production allow-directive parsing.
-func loadTestPkg(t *testing.T, fset *token.FileSet, std types.Importer, dir, path string) *Package {
+func loadTestPkg(t *testing.T, fset *token.FileSet, imp types.Importer, dir, path string) *Package {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -72,7 +109,7 @@ func loadTestPkg(t *testing.T, fset *token.FileSet, std types.Importer, dir, pat
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: std}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		t.Fatalf("type-check %s: %v", dir, err)
@@ -138,41 +175,76 @@ func itoa(n int) string {
 
 func TestGolden(t *testing.T) {
 	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
+	imp := newTestImporter(fset)
 	for _, tc := range goldenCases {
 		t.Run(tc.dir, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", tc.dir)
-			pkg := loadTestPkg(t, fset, std, dir, tc.path)
-			diags := Run([]*Package{pkg}, tc.checks)
-			wants := wantsIn(t, dir)
-
-			matched := make(map[string]int)
-			for _, d := range diags {
-				key := keyAt(d.File, d.Line)
-				res := wants[key]
-				if len(res) == 0 {
-					t.Errorf("unexpected diagnostic %s", d)
-					continue
-				}
-				ok := false
-				for _, re := range res {
-					if re.MatchString(d.Message) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Errorf("diagnostic %s does not match any want at %s", d, key)
-				}
-				matched[key]++
-			}
-			for key, res := range wants {
-				if matched[key] < len(res) {
-					t.Errorf("want at %s: expected %d diagnostics, got %d", key, len(res), matched[key])
-				}
-			}
+			pkg := loadTestPkg(t, fset, imp, dir, tc.path)
+			matchWants(t, Run([]*Package{pkg}, tc.checks), wantsIn(t, dir))
 		})
 	}
+}
+
+// matchWants requires every diagnostic to match a want on its line and
+// every want to be matched.
+func matchWants(t *testing.T, diags []Diagnostic, wants map[string][]*regexp.Regexp) {
+	t.Helper()
+	matched := make(map[string]int)
+	for _, d := range diags {
+		key := keyAt(d.File, d.Line)
+		res := wants[key]
+		if len(res) == 0 {
+			t.Errorf("unexpected diagnostic %s", d)
+			continue
+		}
+		ok := false
+		for _, re := range res {
+			if re.MatchString(d.Message) {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			t.Errorf("diagnostic %s does not match any want at %s", d, key)
+		}
+		matched[key]++
+	}
+	for key, res := range wants {
+		if matched[key] < len(res) {
+			t.Errorf("want at %s: expected %d diagnostics, got %d", key, len(res), matched[key])
+		}
+	}
+}
+
+// vetLine matches one go vet diagnostic: "./file.go:line:col: message".
+var vetLine = regexp.MustCompile(`^\./(\S+\.go):(\d+):\d+: (.+)$`)
+
+// TestVetOwnsContextCancels holds go vet, which make test-race and make
+// ci run over the module, to the context-cancel leaks detlint leaves to
+// it: lostcancel must report exactly the leaks planted in the
+// testdata/lostcancel module — the cancel one path never calls and the
+// one discarded with `ctx, _ :=` — each matching its want comment.
+func TestVetOwnsContextCancels(t *testing.T) {
+	dir := filepath.Join("testdata", "lostcancel")
+	wants := wantsIn(t, dir)
+	if len(wants) < 2 {
+		t.Fatalf("fixture plants %d leaks, want at least 2", len(wants))
+	}
+	cmd := exec.Command("go", "vet", "-lostcancel", ".")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("go vet must exit non-zero on the planted leaks, got err %v\n%s", err, out)
+	}
+	var diags []Diagnostic
+	for _, line := range strings.Split(string(out), "\n") {
+		if m := vetLine.FindStringSubmatch(line); m != nil {
+			n, _ := strconv.Atoi(m[2])
+			diags = append(diags, Diagnostic{Check: "lostcancel", File: filepath.Join(dir, m[1]), Line: n, Message: m[3]})
+		}
+	}
+	matchWants(t, diags, wants)
 }
 
 // TestWalltimeVclockExempt reloads the walltime fixture — full of
@@ -180,9 +252,9 @@ func TestGolden(t *testing.T) {
 // package allowed to touch the wall clock must produce zero findings.
 func TestWalltimeVclockExempt(t *testing.T) {
 	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
+	imp := newTestImporter(fset)
 	dir := filepath.Join("testdata", "src", "walltime")
-	pkg := loadTestPkg(t, fset, std, dir, "repro/internal/vclock")
+	pkg := loadTestPkg(t, fset, imp, dir, "repro/internal/vclock")
 	if diags := Run([]*Package{pkg}, []*Check{WalltimeCheck}); len(diags) != 0 {
 		t.Errorf("vclock package must be exempt from walltime, got %v", diags)
 	}
@@ -192,9 +264,9 @@ func TestWalltimeVclockExempt(t *testing.T) {
 // binaries may read the environment, so the check must stay silent.
 func TestEnvreadScope(t *testing.T) {
 	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
+	imp := newTestImporter(fset)
 	dir := filepath.Join("testdata", "src", "envread")
-	pkg := loadTestPkg(t, fset, std, dir, "repro/cmd/envreadtool")
+	pkg := loadTestPkg(t, fset, imp, dir, "repro/cmd/envreadtool")
 	if diags := Run([]*Package{pkg}, []*Check{EnvreadCheck}); len(diags) != 0 {
 		t.Errorf("cmd/ packages may read the environment, got %v", diags)
 	}
@@ -204,9 +276,9 @@ func TestEnvreadScope(t *testing.T) {
 // doc block silences a check for the entire file.
 func TestFileLevelAllow(t *testing.T) {
 	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
+	imp := newTestImporter(fset)
 	dir := filepath.Join("testdata", "src", "allowfile")
-	pkg := loadTestPkg(t, fset, std, dir, "repro/internal/allowfiletest")
+	pkg := loadTestPkg(t, fset, imp, dir, "repro/internal/allowfiletest")
 	if diags := Run([]*Package{pkg}, []*Check{WalltimeCheck}); len(diags) != 0 {
 		t.Errorf("file-level allow must suppress every walltime finding, got %v", diags)
 	}
@@ -219,13 +291,8 @@ func TestFileLevelAllow(t *testing.T) {
 
 // TestModuleIsClean runs the full suite over the real module: the
 // determinism contract must hold on every commit, with zero findings: a
-// finding is fixed or carries a justified //detlint:allow. Skipped in
-// -short mode because type-checking the module plus its
-// stdlib imports from source takes a few seconds.
+// finding is fixed or carries a justified //detlint:allow.
 func TestModuleIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("module-wide lint is not a -short test")
-	}
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatalf("abs: %v", err)
@@ -253,11 +320,11 @@ func TestModuleIsClean(t *testing.T) {
 func renderFixtureSuite(t *testing.T) string {
 	t.Helper()
 	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
+	imp := newTestImporter(fset)
 	var pkgs []*Package
 	for _, tc := range goldenCases {
 		dir := filepath.Join("testdata", "src", tc.dir)
-		pkgs = append(pkgs, loadTestPkg(t, fset, std, dir, tc.path))
+		pkgs = append(pkgs, loadTestPkg(t, fset, imp, dir, tc.path))
 	}
 	var sb strings.Builder
 	for _, d := range Run(pkgs, Checks()) {

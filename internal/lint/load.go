@@ -110,7 +110,7 @@ func LoadModule(root string) ([]*Package, error) {
 	imp := &moduleImporter{
 		modPath: modPath,
 		checked: checked,
-		std:     importer.ForCompiler(fset, "source", nil),
+		std:     importer.ForCompiler(fset, "gc", nil),
 	}
 	var pkgs []*Package
 	for _, path := range order {
@@ -146,7 +146,12 @@ func LoadModule(root string) ([]*Package, error) {
 
 // moduleImporter resolves module-internal import paths from the packages
 // already type-checked this load (topological order guarantees they
-// exist) and everything else — the standard library — from source.
+// exist) and everything else — the standard library — from the
+// compiler's export data. The module is stdlib-only, so std is only ever
+// asked for GOROOT packages; the gc importer finds their export data
+// through `go list -export`, whose answers it caches once per process,
+// so only the first load in a process pays for the lookup and every
+// load skips type-checking net/http and the rest of std from source.
 type moduleImporter struct {
 	modPath string
 	checked map[string]*types.Package
