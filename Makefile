@@ -149,6 +149,7 @@ fuzz-smoke:
 	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzParseCacheControl$$' -fuzztime 10s
 	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzParseHTTPDate$$' -fuzztime 10s
 	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzAcceptEncoding$$' -fuzztime 10s
+	$(GO) test ./internal/httpsem -run '^$$' -fuzz '^FuzzETagMatch$$' -fuzztime 10s
 	$(GO) test ./internal/depgraph -run '^$$' -fuzz '^FuzzDepthCounts$$' -fuzztime 10s
 	$(GO) test ./internal/hisparserve -run '^$$' -fuzz '^FuzzRoute$$' -fuzztime 10s
 

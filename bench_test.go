@@ -483,21 +483,22 @@ func (d *discardResponse) reset() {
 	d.body = d.body[:0]
 }
 
-// BenchmarkServeRevalidate measures hisparserve's dominant request, a
-// 304 revalidation of a /v1/site payload, through the full Handler()
-// (record, router and payload cache). One op is a fixed batch: every
-// site of a 1,000-site week revalidated once, every other request
-// advertising gzip, each carrying the entity-tag an untimed first
-// fetch returned. The requests are built once, and one untimed batch
-// after the last collection resolves the 304 series and refills the
-// server's pooled response writers, so allocs/op counts what a
-// steady-state batch allocates, and nothing the first 304 or a
-// collection before the op leaves to do.
-func BenchmarkServeRevalidate(b *testing.B) {
+// revalidationPass sets up hisparserve's dominant request, a 304
+// revalidation of a /v1/site payload, through the full Handler()
+// (record, router and payload cache). It returns one pass: every site
+// of a 1,000-site week revalidated once, every other request
+// advertising gzip, each carrying the entity-tag an untimed first fetch
+// returned. pass(w, k, n) serves the k-th of n interleaved parts of the
+// pass (requests k, k+n, k+2n, …), so pass(w, 0, 1) is the whole pass.
+// The requests are built once and only read by a pass, so parts may run
+// concurrently, each with its own response writer. The server is
+// closed when the benchmark ends.
+func revalidationPass(b *testing.B) func(w *discardResponse, k, n int) {
+	b.Helper()
 	srv := hisparserve.New(hisparserve.Config{
 		Seed: 42, Weeks: 1, Sites: 1000, URLsPerSite: 20, Universe: 4000,
 	})
-	defer srv.Close()
+	b.Cleanup(func() { srv.Close() })
 	h := srv.Handler()
 	w := &discardResponse{header: make(http.Header), keep: true}
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/list/0?wait=1", nil))
@@ -520,20 +521,83 @@ func BenchmarkServeRevalidate(b *testing.B) {
 		r.Header.Set("If-None-Match", w.header.Get("ETag"))
 		reqs[i] = r
 	}
-	revalidate := func() {
-		for _, r := range reqs {
+	return func(w *discardResponse, k, n int) {
+		for i := k; i < len(reqs); i += n {
+			r := reqs[i]
 			w.reset()
 			h.ServeHTTP(w, r)
 			if w.status != http.StatusNotModified {
-				b.Fatalf("%s: status %d, want 304", r.URL.Path, w.status)
+				b.Errorf("%s: status %d, want 304", r.URL.Path, w.status)
+				return
 			}
 		}
 	}
+}
+
+// BenchmarkServeRevalidate times one revalidation pass per op. One
+// untimed pass after the last collection resolves the 304 series and
+// refills the server's pooled response writers, so allocs/op counts
+// what a steady-state pass allocates, and nothing the first 304 or a
+// collection before the op leaves to do.
+func BenchmarkServeRevalidate(b *testing.B) {
+	pass := revalidationPass(b)
+	w := &discardResponse{header: make(http.Header)}
 	runtime.GC()
-	revalidate()
+	pass(w, 0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		revalidate()
+		pass(w, 0, 1)
+	}
+}
+
+// BenchmarkServeParallel times the revalidation pass split across
+// GOMAXPROCS goroutines per op, so that -cpu 1,2 shows how the serving
+// path scales: an op serves the same 1,000 requests at any -cpu, and
+// half the -cpu 1 ns/op at -cpu 2 would be perfect scaling. Whatever
+// every request writes in common shows up here, and in -mutexprofile,
+// as contention. The goroutines, each with its own response writer,
+// are started once and signalled per op, so an op allocates nothing of
+// its own at any core count.
+func BenchmarkServeParallel(b *testing.B) {
+	pass := revalidationPass(b)
+	procs := runtime.GOMAXPROCS(0)
+	starts, done := make([]chan struct{}, procs), make(chan struct{})
+	for k := range starts {
+		start := make(chan struct{})
+		starts[k] = start
+		w := &discardResponse{header: make(http.Header)}
+		go func() {
+			for range start {
+				pass(w, k, procs)
+				done <- struct{}{}
+			}
+		}()
+	}
+	b.Cleanup(func() {
+		for _, start := range starts {
+			close(start)
+		}
+	})
+	parallel := func() {
+		for _, start := range starts {
+			start <- struct{}{}
+		}
+		for range starts {
+			<-done
+		}
+	}
+	// Untimed ops first: a sync.Pool Put grows the local queue of the P
+	// it runs on, and the goroutines move between Ps, so a single
+	// warm-up op can leave a timed op to grow a queue (4 to 10 allocs
+	// in most 1x ops at -cpu 4 on 2 cores; none after 20 warm-up ops).
+	runtime.GC()
+	for range 20 {
+		parallel()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parallel()
 	}
 }

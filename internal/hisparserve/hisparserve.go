@@ -177,6 +177,7 @@ type Server struct {
 	recorders    sync.Pool              // *recorder: each request's response writer
 	cacheControl []string               // Cache-Control of every payload response
 	lastMod      [][]string             // Last-Modified of week w's payloads: epoch + w weeks
+	started      time.Time              // what request records' start offsets count from
 
 	snapshots *flight[snapshotKey, *snapshot]
 	studies   *flight[studyKey, *core.StudyResult]
@@ -198,6 +199,7 @@ func New(cfg Config) *Server {
 		requests:     trace.NewRing[reqRecord](cfg.TraceSpans),
 		cacheControl: []string{"max-age=" + strconv.Itoa(int(cfg.MaxAge.Seconds()))},
 		lastMod:      make([][]string, cfg.Weeks),
+		started:      vclock.Wall(), // sanctioned telemetry clock: request spans only
 	}
 	for w := range s.lastMod {
 		s.lastMod[w] = []string{httpsem.FormatDate(epoch.Add(time.Duration(w) * 7 * 24 * time.Hour))}

@@ -72,7 +72,7 @@ func (tb *tokenBucket) allow() (bool, time.Duration) {
 // trace ring, from which /debug/tracez builds the request's span. So
 // /metricz and /debug/tracez cannot disagree.
 type reqRecord struct {
-	start        time.Time
+	at           time.Duration // start, as an offset from Server.started
 	dur          time.Duration
 	method, path string
 	route        *routeSeries // the route the router matched, or unmatchedRoute's
@@ -120,11 +120,11 @@ func recordOf(w http.ResponseWriter) *reqRecord {
 // bucket is dry), dispatches the request or refuses it, and commits
 // the record.
 func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
-	start := vclock.Wall() // sanctioned telemetry clock: serving-side latency, not a measurement artifact
+	at := vclock.WallSince(s.started) // sanctioned telemetry clock: serving-side latency, not a measurement artifact
 	m := s.match(r)
 	rw := s.recorders.Get().(*recorder)
 	*rw = recorder{ResponseWriter: w, rec: reqRecord{
-		start:  start,
+		at:     at,
 		method: r.Method,
 		path:   r.URL.Path,
 		route:  m.route.series,
@@ -163,13 +163,17 @@ var (
 
 // commit records a finished request: its metrics in one runstats
 // Commit, then the record into the trace ring. Serving spans carry
-// wall-clock timestamps (vclock.Wall) — they are a live diagnostic view
-// of this server, not a deterministic artifact.
+// wall-clock timestamps — they are a live diagnostic view of this
+// server, not a deterministic artifact. A request reads the clock once
+// at each end, as a monotonic offset from the server's start, so a
+// span's start is the wall time taken in New plus that offset, not a
+// wall reading of its own: a system clock stepped while the server runs
+// moves span starts off the wall clock by the step.
 func (s *Server) commit(rec *reqRecord) {
 	if rec.status == 0 {
 		rec.status = http.StatusOK
 	}
-	rec.dur = vclock.WallSince(rec.start)
+	rec.dur = vclock.WallSince(s.started) - rec.at
 	ups := append(make([]runstats.Update, 0, 6),
 		runstats.Update{Series: requestSeries(rec.status), Delta: 1},
 		runstats.Update{Series: bytesOutSeries, Delta: rec.bytes},
@@ -217,7 +221,7 @@ func (s *Server) requestSpans() []trace.Span {
 			ID:    trace.DeriveID("req", strconv.FormatUint(e.Seq, 10)),
 			Name:  rec.method + " " + rec.path,
 			Cat:   "http",
-			Start: rec.start,
+			Start: s.started.Add(rec.at),
 			Dur:   rec.dur,
 			Attrs: []trace.Attr{
 				{Key: "code", Val: strconv.Itoa(rec.status)},

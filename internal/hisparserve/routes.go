@@ -134,15 +134,19 @@ type match struct {
 //     route is a 405, and anything else a 404.
 //
 // The route that serves a request or refuses its method labels it;
-// every other request is unmatchedRoute.
+// every other request is unmatchedRoute. A plain path (see plainPath)
+// is its own escaped and cleaned form, so it skips computing either.
 func (s *Server) match(r *http.Request) match {
 	if r.RequestURI == "*" {
 		return match{route: unmatchedRoute, status: http.StatusBadRequest}
 	}
-	escaped := r.URL.EscapedPath()
-	p := escaped
-	if r.Method != http.MethodConnect {
-		p = cleanPath(p)
+	escaped, p := r.URL.Path, r.URL.Path
+	if r.URL.RawPath != "" || !plainPath(p) {
+		escaped = r.URL.EscapedPath()
+		p = escaped
+		if r.Method != http.MethodConnect {
+			p = cleanPath(p)
+		}
 	}
 	segs := splitPath(p)
 	rt, v := s.lookup(&segs)
@@ -257,6 +261,38 @@ func splitPath(p string) (segs segments) {
 		segs.s[segs.n], segs.n = seg, segs.n+1
 	}
 	return segs
+}
+
+// plainBytes marks the bytes of a plain path: RFC 3986's unreserved
+// characters, which a URL path never escapes, and the slash.
+var plainBytes = func() (t [256]bool) {
+	for _, c := range []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._~-/") {
+		t[c] = true
+	}
+	return t
+}()
+
+// plainPath reports whether p is plain: a leading slash, only
+// plainBytes, no empty segment but a trailing one, and no "." or ".."
+// segment. With no RawPath, a plain path escapes to itself, and
+// cleanPath leaves it as it is.
+func plainPath(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	seg := 1 // where the current segment starts
+	for i := 1; i < len(p); i++ {
+		if c := p[i]; !plainBytes[c] {
+			return false
+		} else if c == '/' {
+			if s := p[seg:i]; s == "" || s == "." || s == ".." {
+				return false
+			}
+			seg = i + 1
+		}
+	}
+	last := p[seg:] // "" after a trailing slash
+	return last != "." && last != ".."
 }
 
 // cleanPath is the form the net/http mux redirects a path to:

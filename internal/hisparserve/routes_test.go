@@ -23,6 +23,8 @@ var (
 		"//v1/list/0?wait=1", "/debug/pprof?debug=1", "/debug//pprof", "/debug/%70prof",
 		"/v1/%6Cists", "/v1/site/0/%2F", "/v1/site/%30/a%20b", "/v1/list/0%2F",
 		"/v1/site/0/x/../y", "http://example.com/v1/lists",
+		"/v1/site/0/a/../b", "//v1/lists", "/v1/lists/.", "/V1/lists", "/v1/site/0/~a",
+		"/v1/site/0/a;b", "/v1/site/0/...", "/v1/lists/..", "/v1/site/0/a-b_c.d",
 	}
 )
 

@@ -15,23 +15,57 @@ import "strings"
 // `"abc"` matches `W/"abc"` but not `"abc-gzip"` — a content-coded
 // variant (Vary: Accept-Encoding) carries a different entity-tag and must
 // never validate against the identity representation's tag.
+//
+// The list is scanned tag by tag, so a comma inside a tag's quotes is
+// part of the tag (§2.3 allows it). A header that is not "*" or a list
+// of entity-tags matches nothing: the request is answered in full.
 func ETagMatch(ifNoneMatch, etag string) bool {
 	if etag == "" {
 		return false
 	}
-	want := weakTrim(etag)
-	for rest, more := ifNoneMatch, true; more; {
-		var part string
-		part, rest, more = strings.Cut(rest, ",")
-		part = strings.TrimSpace(part)
-		if part == "*" {
-			return true
+	v := strings.Trim(ifNoneMatch, " \t")
+	if v == "*" {
+		return true
+	}
+	want, matched := weakTrim(etag), false
+	for i := 0; i < len(v); {
+		if c := v[i]; c == ',' || c == ' ' || c == '\t' {
+			i++
+			continue
 		}
-		if weakTrim(part) == want {
-			return true
+		// An entity-tag: [W/] DQUOTE *etagc DQUOTE.
+		open := i
+		if strings.HasPrefix(v[open:], "W/") {
+			open += 2
+		}
+		if open == len(v) || v[open] != '"' {
+			return false
+		}
+		end := open + 1
+		for end < len(v) && isETagc(v[end]) {
+			end++
+		}
+		if end == len(v) || v[end] != '"' {
+			return false
+		}
+		end++
+		matched = matched || v[open:end] == want
+		// Then OWS, and a comma or the end.
+		i = end
+		for i < len(v) && (v[i] == ' ' || v[i] == '\t') {
+			i++
+		}
+		if i < len(v) && v[i] != ',' {
+			return false
 		}
 	}
-	return false
+	return matched
+}
+
+// isETagc reports whether c may appear inside an entity-tag's quotes:
+// etagc = %x21 / %x23-7E / obs-text.
+func isETagc(c byte) bool {
+	return c == 0x21 || (c >= 0x23 && c != 0x7F)
 }
 
 // weakTrim strips the weakness prefix from an entity-tag.

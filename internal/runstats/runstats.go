@@ -6,22 +6,35 @@
 // keeps the same discipline. Everything is concurrency-safe, allocation
 // is bounded by the number of distinct metric names, and there are no
 // dependencies beyond the standard library.
+//
+// Name-based updates (Inc, SetGauge, Observe) take the Set's lock. A
+// Commit, the serving path's one update per request, takes the lock of
+// one of the Set's per-core shards instead, so concurrent Commits
+// neither contend on a lock nor write the same cache lines. Reads
+// (Snapshot, Counter, CounterL) hold every lock at once and add the
+// shards up.
 package runstats
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // bucketsPerDecade sets histogram resolution: values are bucketed by
 // log10 with this many sub-divisions per decade, giving ~26% wide
 // buckets — coarse, but plenty for run diagnostics.
 const bucketsPerDecade = 4
+
+// cacheLine is the span of memory a core writes back as one unit. Data
+// that different shards write is kept at least this far apart.
+const cacheLine = 64
 
 // Label is one dimension on a labeled series (the L suffix methods).
 // Keys follow Prometheus label-name rules after sanitization; values
@@ -40,32 +53,54 @@ type seriesID struct {
 // Set is a collection of named metrics. The zero value is NOT usable;
 // call NewSet.
 //
-// Counters and histograms are stored once, in cells the key index
-// (counters, hists) maps canonical keys to. A resolved Series reaches
-// its cell by its slot in cells instead, so a Commit hashes no key.
+// Name-based updates land in the key index (counters, hists), under mu.
+// Commits land in shards: each shard keeps a cell per resolved Series,
+// by its slot, so a Commit hashes no key. A series' value is its key
+// index entry plus its cells in every shard, and only Series carry
+// labels.
 type Set struct {
 	mu       sync.Mutex
-	counters map[string]*int64 // canonical key → counter cell
+	counters map[string]int64 // canonical key → counter
 	gauges   map[string]float64
-	hists    map[string]*histogram // canonical key → histogram cell
-	meta     map[string]seriesID   // canonical key → identity, labeled series only
-	cells    []cell                // Series slot → its cell, once a Commit has reached it
+	hists    map[string]*histogram // canonical key → histogram
+
+	// shards are created on the first Commit, one per P then; a Set that
+	// is never committed to keeps none. pick hands a Commit its shard.
+	shards    atomic.Pointer[[]shard]
+	pick      sync.Pool     // *shard
+	nextShard atomic.Uint64 // the shard pick.New hands out next
 }
 
-// cell is a Series' storage in one Set: the counter or the histogram
-// the key index holds under the series' key.
-type cell struct {
-	counter *int64
-	hist    *histogram
+// shard is one lock and the cells of the Commits that took it. The
+// padding keeps the lock and cells header of neighbouring shards off
+// each other's cache lines; the cells array keeps spare cells past its
+// end for the same reason (see grow).
+type shard struct {
+	mu    sync.Mutex
+	cells []shardCell // Series slot → its cell in this shard
+	_     [cacheLine]byte
 }
+
+// shardCell is a Series' storage in one shard: its counter or its
+// histogram, whichever the series is. series is nil until a Commit
+// reaches the cell.
+type shardCell struct {
+	series  *Series
+	counter int64
+	hist    histogram
+}
+
+// spareCells is the fewest cells that span a cache line: the spare
+// capacity past a shard's last cell that keeps other data off the lines
+// the shard writes.
+const spareCells = (cacheLine + unsafe.Sizeof(shardCell{}) - 1) / unsafe.Sizeof(shardCell{})
 
 // NewSet returns an empty metric set.
 func NewSet() *Set {
 	return &Set{
-		counters: make(map[string]*int64),
+		counters: make(map[string]int64),
 		gauges:   make(map[string]float64),
 		hists:    make(map[string]*histogram),
-		meta:     make(map[string]seriesID),
 	}
 }
 
@@ -109,7 +144,7 @@ func escapeLabelValue(v string) string {
 // Inc adds delta to the named counter, creating it at zero first.
 func (s *Set) Inc(name string, delta int64) {
 	s.mu.Lock()
-	*s.counter(name) += delta
+	s.counters[name] += delta
 	s.mu.Unlock()
 }
 
@@ -135,14 +170,14 @@ func (s *Set) Observe(name string, v float64) {
 // canonical key, identity and slot. A hot path keeps its Series values
 // and passes them to Commit, so no update builds or hashes a key. A
 // Series is not bound to a Set; the series appears in a Set on its
-// first update. Slots are dense and never reused, and every Set that a
-// Series reaches keeps a cell for each slot up to its own: resolve a
+// first update. Slots are dense and never reused, and every shard that
+// a Series reaches keeps a cell for each slot up to its own: resolve a
 // series once and keep it, not once per update.
 type Series struct {
 	key  string
 	id   seriesID
 	hist bool // a histogram; a counter otherwise
-	slot int  // index into every Set's cells
+	slot int  // index into every shard's cells
 }
 
 // nextSlot is the slot the next resolved Series gets.
@@ -171,63 +206,97 @@ type Update struct {
 }
 
 // Commit applies updates under one lock, so they land together: no
-// Snapshot sees part of them.
+// Snapshot sees part of them. The lock is one shard's, not the Set's:
+// Commits from different cores take different shards and contend with
+// neither each other nor name-based updates.
 func (s *Set) Commit(updates ...Update) {
-	s.mu.Lock()
+	sh := s.lockShard()
 	for _, u := range updates {
 		sr := u.Series
 		if !sr.hist {
-			*s.cell(sr).counter += u.Delta
+			sh.cell(sr).counter += u.Delta
 		} else if v, ok := sample(u.Sample); ok {
-			s.cell(sr).hist.observe(v)
+			sh.cell(sr).hist.observe(v)
 		}
 	}
-	s.mu.Unlock()
+	sh.mu.Unlock()
+	s.pick.Put(sh)
 }
 
-// cell returns sr's cell in s, with s.mu held. The first update of sr
-// here finds or creates the cell through the key index and keeps it at
-// sr's slot; every later one reads the slot.
-func (s *Set) cell(sr *Series) cell {
-	if sr.slot < len(s.cells) {
-		if c := s.cells[sr.slot]; c != (cell{}) {
-			return c
+// lockShard takes a shard from the pool and locks it, creating the
+// Set's shards on its first Commit. A P that puts its shard back gets
+// the same one on its next Get; which shard a Commit takes only matters
+// for speed. New cannot tell which shards are taken, so the pool may
+// hand one shard to two Ps, which then contend.
+func (s *Set) lockShard() *shard {
+	p := s.shards.Load()
+	if p == nil {
+		s.mu.Lock()
+		if p = s.shards.Load(); p == nil {
+			shards := make([]shard, runtime.GOMAXPROCS(0))
+			s.pick.New = func() any {
+				return &shards[(s.nextShard.Add(1)-1)%uint64(len(shards))]
+			}
+			p = &shards
+			s.shards.Store(p)
 		}
-	} else {
-		s.cells = append(s.cells, make([]cell, sr.slot+1-len(s.cells))...)
+		s.mu.Unlock()
 	}
-	var c cell
-	if sr.hist {
-		c.hist = s.histogram(sr.key)
-	} else {
-		c.counter = s.counter(sr.key)
+	sh := s.pick.Get().(*shard)
+	sh.mu.Lock()
+	return sh
+}
+
+// cell returns sr's cell in sh, with sh.mu held, marking it reached.
+func (sh *shard) cell(sr *Series) *shardCell {
+	if sr.slot >= len(sh.cells) {
+		sh.grow(sr.slot + 1)
 	}
-	if len(sr.id.labels) > 0 {
-		if _, ok := s.meta[sr.key]; !ok {
-			s.meta[sr.key] = sr.id
+	c := &sh.cells[sr.slot]
+	if c.series == nil {
+		c.series = sr
+		if sr.hist {
+			c.hist = newHistogram()
 		}
 	}
-	s.cells[sr.slot] = c
 	return c
 }
 
-// counter returns the counter cell under key, creating it at zero, with
-// s.mu held.
-func (s *Set) counter(key string) *int64 {
-	p := s.counters[key]
-	if p == nil {
-		p = new(int64)
-		s.counters[key] = p
-	}
-	return p
+// grow makes room for at least n cells: a cell for every Series
+// resolved so far, so that a shard grows about once, plus the spares.
+func (sh *shard) grow(n int) {
+	n = max(n, int(nextSlot.Load()))
+	cells := make([]shardCell, n, n+int(spareCells))
+	copy(cells, sh.cells)
+	sh.cells = cells
 }
 
-// histogram returns the histogram cell under key, creating it empty,
-// with s.mu held.
+// lockShards takes every shard's lock, in index order, and returns the
+// shards (none before the first Commit). Called with s.mu held.
+func (s *Set) lockShards() []shard {
+	p := s.shards.Load()
+	if p == nil {
+		return nil
+	}
+	for i := range *p {
+		(*p)[i].mu.Lock()
+	}
+	return *p
+}
+
+func unlockShards(shards []shard) {
+	for i := range shards {
+		shards[i].mu.Unlock()
+	}
+}
+
+// histogram returns the histogram under key, creating it empty, with
+// s.mu held.
 func (s *Set) histogram(key string) *histogram {
 	h := s.hists[key]
 	if h == nil {
-		h = &histogram{min: math.Inf(1), buckets: make(map[int]int64)}
+		h = new(histogram)
+		*h = newHistogram()
 		s.hists[key] = h
 	}
 	return h
@@ -251,6 +320,10 @@ type histogram struct {
 	sum      float64
 	min, max float64
 	buckets  map[int]int64 // bucket index → sample count
+}
+
+func newHistogram() histogram {
+	return histogram{min: math.Inf(1), buckets: make(map[int]int64)}
 }
 
 // bucketOf maps a sample to its log-scale bucket index. Zero (and
@@ -281,6 +354,17 @@ func (h *histogram) observe(v float64) {
 		h.max = v
 	}
 	h.buckets[bucketOf(v)]++
+}
+
+// merge adds o's samples into h.
+func (h *histogram) merge(o *histogram) {
+	h.count += o.count
+	h.sum += o.sum
+	h.min = math.Min(h.min, o.min)
+	h.max = math.Max(h.max, o.max)
+	for b, n := range o.buckets {
+		h.buckets[b] += n
+	}
 }
 
 // bucketsSorted flattens the bucket map into ascending upper-edge
@@ -357,26 +441,57 @@ type Snapshot struct {
 	meta map[string]seriesID
 }
 
-// Snapshot copies the current state of every metric.
+// Snapshot copies the current state of every metric. It holds the
+// Set's lock and every shard's at once, so it sees each Commit whole or
+// not at all.
 func (s *Set) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	shards := s.lockShards()
+	defer unlockShards(shards)
 	snap := Snapshot{
 		Counters:   make(map[string]int64, len(s.counters)),
 		Gauges:     make(map[string]float64, len(s.gauges)),
 		Histograms: make(map[string]HistSnapshot, len(s.hists)),
-		meta:       make(map[string]seriesID, len(s.meta)),
+		meta:       make(map[string]seriesID),
 	}
-	for k, p := range s.counters {
-		snap.Counters[k] = *p
+	for k, v := range s.counters {
+		snap.Counters[k] = v
 	}
 	for k, v := range s.gauges {
 		snap.Gauges[k] = v
 	}
-	for k, id := range s.meta {
-		snap.meta[k] = id
+	hists := make(map[string]*histogram, len(s.hists))
+	merge := func(k string, h *histogram) {
+		m := hists[k]
+		if m == nil {
+			m = new(histogram)
+			*m = newHistogram()
+			hists[k] = m
+		}
+		m.merge(h)
 	}
 	for k, h := range s.hists {
+		merge(k, h)
+	}
+	for i := range shards {
+		for j := range shards[i].cells {
+			c := &shards[i].cells[j]
+			sr := c.series
+			if sr == nil {
+				continue
+			}
+			if _, ok := snap.meta[sr.key]; !ok && len(sr.id.labels) > 0 {
+				snap.meta[sr.key] = sr.id
+			}
+			if sr.hist {
+				merge(sr.key, &c.hist)
+			} else {
+				snap.Counters[sr.key] += c.counter
+			}
+		}
+	}
+	for k, h := range hists {
 		bs := h.bucketsSorted()
 		hs := HistSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Buckets: bs}
 		if h.count > 0 {
@@ -392,28 +507,17 @@ func (s *Set) Snapshot() Snapshot {
 	return snap
 }
 
-// Counter returns the named counter's current value (0 if absent).
+// Counter returns the named counter's current value (0 if absent), as
+// Snapshot sums it.
 func (s *Set) Counter(name string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return value(s.counters[name])
+	return s.Snapshot().Counters[name]
 }
 
 // CounterL returns the labeled counter series' current value (0 if
 // absent).
 func (s *Set) CounterL(name string, labels ...Label) int64 {
 	key, _ := seriesKey(name, labels)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return value(s.counters[key])
-}
-
-// value reads a counter cell; an absent one reads 0.
-func value(p *int64) int64 {
-	if p == nil {
-		return 0
-	}
-	return *p
+	return s.Counter(key)
 }
 
 // Render writes the snapshot as an aligned, name-sorted report — the

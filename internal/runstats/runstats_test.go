@@ -1,9 +1,12 @@
 package runstats
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -218,26 +221,96 @@ func BenchmarkHistSnapshot(b *testing.B) {
 	}
 }
 
+// TestConcurrentAccess runs name-based updates and Commits against
+// concurrent snapshots. Every snapshot must see each Commit whole: a
+// Commit of a counter pair and a histogram sample shows the pair equal
+// and the histogram count equal to it. And it must be one moment
+// across shards: a counter y that only follows counter x, committed by
+// another goroutine, must never be seen ahead of x.
 func TestConcurrentAccess(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // more shards than a small box has cores
+	const writers, each, chase = 8, 500, 50000
 	s := NewSet()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
+	a, b, h := NewCounter("a"), NewCounter("b"), NewHistogram("h")
+	x, y := NewCounter("x"), NewCounter("y")
+
+	var writing, snapping sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
+			defer writing.Done()
+			for i := 0; i < each; i++ {
 				s.Inc("n", 1)
 				s.Observe("v", float64(i))
 				s.SetGauge("g", float64(i))
-				_ = s.Snapshot()
+				s.Commit(Update{Series: a, Delta: 1}, Update{Series: b, Delta: 1}, Update{Series: h, Sample: float64(i)})
 			}
 		}()
 	}
-	wg.Wait()
-	if got := s.Counter("n"); got != 8*500 {
-		t.Errorf("n = %d, want %d", got, 8*500)
+	// y chases x: it commits what it has seen x commit. However their
+	// Commits fall into shards, no moment has y ahead of x.
+	var xs atomic.Int64
+	writing.Add(2)
+	go func() {
+		defer writing.Done()
+		for i := 1; i <= chase; i++ {
+			s.Commit(Update{Series: x, Delta: 1})
+			xs.Store(int64(i))
+		}
+	}()
+	go func() {
+		defer writing.Done()
+		for seen := int64(0); seen < chase; {
+			if n := xs.Load(); n > seen {
+				s.Commit(Update{Series: y, Delta: n - seen})
+				seen = n
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}()
+	done := make(chan struct{})
+	var bad atomic.Value // the first inconsistent snapshot, described
+	for r := 0; r < 2; r++ {
+		snapping.Add(1)
+		go func() {
+			defer snapping.Done()
+			for {
+				snap := s.Snapshot()
+				c := snap.Counters
+				if c["a"] != c["b"] || snap.Histograms["h"].Count != c["a"] {
+					bad.CompareAndSwap(nil, fmt.Sprintf("a=%d b=%d h.count=%d", c["a"], c["b"], snap.Histograms["h"].Count))
+				}
+				if c["y"] > c["x"] {
+					bad.CompareAndSwap(nil, fmt.Sprintf("x=%d y=%d", c["x"], c["y"]))
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
 	}
-	if h := s.Snapshot().Histograms["v"]; h.Count != 8*500 {
-		t.Errorf("histogram count = %d, want %d", h.Count, 8*500)
+	writing.Wait()
+	close(done)
+	snapping.Wait()
+	if v := bad.Load(); v != nil {
+		t.Errorf("a snapshot saw part of the Commits: %s", v)
+	}
+
+	snap := s.Snapshot()
+	for key, want := range map[string]int64{"n": writers * each, "a": writers * each, "b": writers * each, "x": chase, "y": chase} {
+		if got := snap.Counters[key]; got != want {
+			t.Errorf("%s = %d, want %d", key, got, want)
+		}
+		if got := s.Counter(key); got != want {
+			t.Errorf("Counter(%s) = %d, want %d", key, got, want)
+		}
+	}
+	for key, want := range map[string]int64{"v": writers * each, "h": writers * each} {
+		if got := snap.Histograms[key].Count; got != want {
+			t.Errorf("histogram %s count = %d, want %d", key, got, want)
+		}
 	}
 }

@@ -272,7 +272,9 @@ func (t *Tracer) Spans() []Span {
 //
 // Each record takes the next sequence number from an atomic counter and
 // lands in its own slot, under that slot's lock, so concurrent writers
-// contend only when they lap the whole ring.
+// contend only when they lap the whole ring. Concurrent writers take
+// neighbouring sequence numbers, so each slot is padded: the bytes two
+// neighbouring slots write never share a cache line.
 type Ring[T any] struct {
 	slots []ringSlot[T]
 	total atomic.Uint64
@@ -282,7 +284,11 @@ type ringSlot[T any] struct {
 	mu  sync.Mutex
 	seq uint64 // 0 while empty
 	val T
+	_   [cacheLine]byte
 }
+
+// cacheLine is the span of memory a core writes back as one unit.
+const cacheLine = 64
 
 // Entry is one retained record and its sequence number.
 type Entry[T any] struct {
