@@ -176,10 +176,10 @@ func cmdSmoke(args []string, stdout, stderr io.Writer) int {
 	})
 }
 
-// runLoad drives the generator, renders both reports, runs cleanup, and
+// runLoad drives the generator, renders its report, runs cleanup, and
 // returns 1 when the run, or the cleanup, failed.
 func runLoad(baseURL string, lc hisparserve.LoadConfig, stdout, stderr io.Writer, cleanup func() error) int {
-	rep, set, err := hisparserve.RunLoad(baseURL, lc)
+	rep, err := hisparserve.RunLoad(baseURL, lc)
 	if err != nil {
 		fmt.Fprintf(stderr, "hisparserve: %v\n", err)
 		if cleanup != nil {
@@ -188,8 +188,6 @@ func runLoad(baseURL string, lc hisparserve.LoadConfig, stdout, stderr io.Writer
 		return 1
 	}
 	rep.Render(stdout)
-	fmt.Fprintln(stdout, "loadgen metrics:")
-	set.Render(stdout)
 	if cleanup != nil {
 		if err := cleanup(); err != nil {
 			fmt.Fprintf(stderr, "%v\n", err)

@@ -41,7 +41,7 @@ func TestRunSmoke(t *testing.T) {
 	if code := run([]string{"smoke", "-n", "200", "-clients", "2"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("smoke: exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	for _, want := range []string{"loadgen: 200 requests in", "conditional hit ratio:", "loadgen metrics:"} {
+	for _, want := range []string{"loadgen: 200 requests in", "conditional hit ratio:", "  status 200:"} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
 		}

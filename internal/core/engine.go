@@ -193,17 +193,17 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 			if wall := vclock.WallSince(wallStart); wall > 0 {
 				rs.SetGauge(fmt.Sprintf("worker.%d.utilization", w), busy.Seconds()/wall.Seconds())
 			}
-			rs.Inc(fmt.Sprintf("worker.%d.sites", w), int64(sites))
+			rs.SetGauge(fmt.Sprintf("worker.%d.sites", w), float64(sites))
 		}(w)
 	}
 
 	// The fold: a single goroutine retiring sites in rank order through
 	// a reorder buffer keyed by site index.
 	var siteErrs, sinkErrs []error
-	// retries and dropped sum the retired outcomes' Retries and
-	// FailedPages: the outcomes are the record, the counters derive
-	// from them.
-	var retries, dropped int64
+	// retries, dropped and measured sum the retired outcomes' Retries,
+	// FailedPages and surviving pages: the outcomes are the record, the
+	// counters derive from them.
+	var retries, dropped, measured int64
 	// live holds the sinks still consuming; a failing sink's slot is nil.
 	live := append([]Sink[R](nil), sinks...)
 	var foldWG sync.WaitGroup
@@ -226,9 +226,12 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 				delete(pending, next)
 				out := &run.outcomes[next]
 				*out = cur.out
-				rs.Observe("site.attempts", float64(out.Attempts))
+				rs.Commit(runstats.Update{Series: siteAttempts, Sample: float64(out.Attempts)})
 				retries += int64(out.Retries)
 				dropped += int64(out.FailedPages)
+				if out.OK {
+					measured += int64(1 + len(list.Sets[next].Internal) - out.FailedPages)
+				}
 				spans.record(next, out, cur.rec)
 				if !out.OK {
 					siteErrs = append(siteErrs, out.Err)
@@ -264,17 +267,24 @@ func runSites[R any](st *Study, list *hispar.List, window int, tr *trace.Tracer,
 	if tap != nil && tap.err.Load() != nil {
 		sinkErrs = append(sinkErrs, *tap.err.Load())
 	}
-	// Zero counts stay unset, so a fault-free run reports neither.
-	if retries > 0 {
-		rs.Inc("retries.total", retries)
-	}
-	if dropped > 0 {
-		rs.Inc("pages.dropped", dropped)
-	}
 	run.failed = len(siteErrs)
-	rs.Inc("sites.total", int64(n))
-	rs.Inc("sites.ok", int64(n-run.failed))
-	rs.Inc("sites.failed", int64(run.failed))
+	totals := []runstats.Update{
+		{Series: sitesTotal, Delta: int64(n)},
+		{Series: sitesOK, Delta: int64(n - run.failed)},
+		{Series: sitesFailed, Delta: int64(run.failed)},
+	}
+	// Zero counts stay unset: a fault-free run reports no retries and no
+	// dropped pages, and a run that measured nothing no pages.
+	for _, u := range []runstats.Update{
+		{Series: retriesTotal, Delta: retries},
+		{Series: pagesDropped, Delta: dropped},
+		{Series: pagesMeasured, Delta: measured},
+	} {
+		if u.Delta > 0 {
+			totals = append(totals, u)
+		}
+	}
+	rs.Commit(totals...)
 	if n > 0 {
 		rs.SetGauge("failure.budget.used", float64(run.failed)/float64(n))
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/browser"
+	"repro/internal/runstats"
 )
 
 // ErrorClass buckets a site's terminal failure for run metrics and retry
@@ -29,14 +30,34 @@ const (
 	ClassOther ErrorClass = "other"
 )
 
-// loadErrKeys holds the loads.err.<class> counter key of every class
-// Classify returns for an error, so a failed load builds no key.
-var loadErrKeys = map[ErrorClass]string{
-	ClassDNS:       "loads.err." + string(ClassDNS),
-	ClassTimeout:   "loads.err." + string(ClassTimeout),
-	ClassTruncated: "loads.err." + string(ClassTruncated),
-	ClassConfig:    "loads.err." + string(ClassConfig),
-	ClassOther:     "loads.err." + string(ClassOther),
+// The study's counter and histogram series, resolved once; every
+// update of a run's stats is a Commit of them.
+var (
+	loadsOK        = runstats.NewCounter("loads.ok")
+	loadOnLoadMS   = runstats.NewHistogram("load.onload.ms")
+	retryBackoffMS = runstats.NewHistogram("retry.backoff.ms")
+
+	warmPairs         = runstats.NewCounter("warm.pairs")
+	warmCacheHits     = runstats.NewCounter("warm.cache.hits")
+	warmRevalidations = runstats.NewCounter("warm.cache.revalidations")
+
+	siteAttempts  = runstats.NewHistogram("site.attempts")
+	sitesTotal    = runstats.NewCounter("sites.total")
+	sitesOK       = runstats.NewCounter("sites.ok")
+	sitesFailed   = runstats.NewCounter("sites.failed")
+	retriesTotal  = runstats.NewCounter("retries.total")
+	pagesDropped  = runstats.NewCounter("pages.dropped")
+	pagesMeasured = runstats.NewCounter("pages.measured")
+)
+
+// loadErrSeries holds the loads.err.<class> counter of every class
+// Classify returns for an error.
+var loadErrSeries = map[ErrorClass]*runstats.Series{
+	ClassDNS:       runstats.NewCounter("loads.err." + string(ClassDNS)),
+	ClassTimeout:   runstats.NewCounter("loads.err." + string(ClassTimeout)),
+	ClassTruncated: runstats.NewCounter("loads.err." + string(ClassTruncated)),
+	ClassConfig:    runstats.NewCounter("loads.err." + string(ClassConfig)),
+	ClassOther:     runstats.NewCounter("loads.err." + string(ClassOther)),
 }
 
 // Classify maps a load error to its class via the browser's sentinels.

@@ -329,13 +329,13 @@ func (st *Study) loadRevisitWithRetry(sc *siteCtx, out *Outcome, m *webgen.PageM
 		log, err := sc.b.LoadRevisit(m, fetchID, attempt, revisit) //detlint:allow taint -- the chain bottoms out in dnssim's vclock.Wall telemetry read; every span field is stamped from sc.clock virtual time, and TestStreamTraceInvariantAcrossWorkers pins the byte-identity
 		if err == nil {
 			sc.clock.Advance(log.Page.Timings.OnLoad)
-			sc.stats.Inc("loads.ok", 1)
-			sc.stats.Observe("load.onload.ms", float64(log.Page.Timings.OnLoad.Milliseconds()))
+			sc.stats.Commit(runstats.Update{Series: loadsOK, Delta: 1},
+				runstats.Update{Series: loadOnLoadMS, Sample: float64(log.Page.Timings.OnLoad.Milliseconds())})
 			return log, nil
 		}
 		st.release(sc, log)
 		class := Classify(err)
-		sc.stats.Inc(loadErrKeys[class], 1)
+		sc.stats.Commit(runstats.Update{Series: loadErrSeries[class], Delta: 1})
 		if !class.Retryable() || attempt+1 >= st.cfg.MaxAttempts {
 			return nil, err
 		}
@@ -354,7 +354,7 @@ func (st *Study) loadRevisitWithRetry(sc *siteCtx, out *Outcome, m *webgen.PageM
 		}
 		sc.clock.Advance(backoff)
 		out.Retries++
-		sc.stats.Observe("retry.backoff.ms", float64(backoff.Milliseconds()))
+		sc.stats.Commit(runstats.Update{Series: retryBackoffMS, Sample: float64(backoff.Milliseconds())})
 		backoff *= 2
 		if backoff > st.cfg.RetryBackoffCap {
 			backoff = st.cfg.RetryBackoffCap
@@ -421,7 +421,6 @@ func (st *Study) measureSiteResilient(w *worker, i int, set hispar.URLSet, rec *
 			sc.logs.emit(log, false)
 			st.release(sc, log)
 		}
-		sc.stats.Inc("pages.measured", int64(1+len(res.Internal)))
 		return res, nil
 	})
 }

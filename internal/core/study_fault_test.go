@@ -65,27 +65,104 @@ type outcomeKey struct {
 	Elapsed     time.Duration
 }
 
-// checkLoadAccounting requires the per-site outcomes to account for
-// exactly the loads the run's counters saw: ΣRetries == retries.total
-// and ΣAttempts == loads.ok + Σloads.err.*. Both engines' step functions
-// must hold it, faults or not.
-func checkLoadAccounting(t *testing.T, outs []Outcome, snap runstats.Snapshot) {
+// checkLoadAccounting requires the per-site outcomes of a run over list
+// to account for exactly the loads and pages the run's metrics saw, so
+// that a dropped or doubled Commit shows: ΣRetries == retries.total ==
+// the retry.backoff.ms count, ΣAttempts == loads.ok + Σloads.err.* ==
+// the site.attempts sum, loads.ok == the load.onload.ms count, one
+// site.attempts sample per outcome, ΣFailedPages == pages.dropped, and
+// pages.measured == Σ(1 + len(Internal) − FailedPages) over the sites
+// with OK set. Zero counts stay unset: no retries.total, pages.dropped
+// or loads.err.* key holds 0. Both engines' step functions must hold
+// it, faults or not.
+func checkLoadAccounting(t *testing.T, list *hispar.List, outs []Outcome, snap runstats.Snapshot) {
 	t.Helper()
-	var attempts, retries, loads int64
-	for _, o := range outs {
+	var attempts, retries, dropped, measured, loads int64
+	for i, o := range outs {
 		attempts += int64(o.Attempts)
 		retries += int64(o.Retries)
+		dropped += int64(o.FailedPages)
+		if o.OK {
+			measured += int64(1 + len(list.Sets[i].Internal) - o.FailedPages)
+		}
 	}
 	for k, v := range snap.Counters {
 		if k == "loads.ok" || strings.HasPrefix(k, "loads.err.") {
 			loads += v
 		}
+		if (k == "retries.total" || k == "pages.dropped" || strings.HasPrefix(k, "loads.err.")) && v == 0 {
+			t.Errorf("%s is set to 0; zero counts stay unset", k)
+		}
 	}
-	if got := snap.Counters["retries.total"]; retries != got {
-		t.Errorf("outcomes sum to %d retries, retries.total = %d", retries, got)
+	c, h := snap.Counters, snap.Histograms
+	for _, eq := range []struct {
+		what      string
+		got, want int64
+	}{
+		{"retries.total against the outcomes' retries", c["retries.total"], retries},
+		{"retry.backoff.ms count against retries.total", h["retry.backoff.ms"].Count, c["retries.total"]},
+		{"load counters against the outcomes' attempts", loads, attempts},
+		{"load.onload.ms count against loads.ok", h["load.onload.ms"].Count, c["loads.ok"]},
+		{"site.attempts count against the outcomes", h["site.attempts"].Count, int64(len(outs))},
+		{"site.attempts sum against the outcomes' attempts", int64(h["site.attempts"].Sum), attempts},
+		{"pages.dropped against the outcomes' failed pages", c["pages.dropped"], dropped},
+		{"pages.measured against the outcomes' surviving pages", c["pages.measured"], measured},
+	} {
+		if eq.got != eq.want {
+			t.Errorf("%s: %d, want %d", eq.what, eq.got, eq.want)
+		}
 	}
-	if attempts != loads {
-		t.Errorf("outcomes sum to %d attempts, load counters to %d", attempts, loads)
+}
+
+// TestZeroCountsStayUnset: a fault-free run, cold or warm, reports no
+// retries, dropped pages or load errors at all, not a 0 under their
+// keys. A faulted run that retried, dropped internal pages and lost
+// loads to timeouts reports each of them (and checkLoadAccounting holds
+// every count to the outcomes).
+func TestZeroCountsStayUnset(t *testing.T) {
+	web, list := faultWeb(t)
+	cold, err := runStudy(t, web, list, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := runWarmStudy(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted, err := runStudy(t, web, list, func(c *StudyConfig) {
+		c.Faults = simnet.FaultConfig{Rates: simnet.FaultRates{Timeout: 0.2}}
+		c.MaxAttempts = 2
+		c.FailureBudget = -1
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		name string
+		list *hispar.List
+		outs []Outcome
+		snap runstats.Snapshot
+	}{
+		{"cold", cold.List, cold.Outcomes, cold.Stats},
+		{"warm", warm.List, warm.Outcomes, warm.Stats},
+		{"faulted", faulted.List, faulted.Outcomes, faulted.Stats},
+	} {
+		checkLoadAccounting(t, run.list, run.outs, run.snap)
+		if run.snap.Counters["pages.measured"] == 0 {
+			t.Errorf("%s: run measured no pages", run.name)
+		}
+		for _, k := range []string{"retries.total", "pages.dropped", "loads.err." + string(ClassTimeout)} {
+			if _, set := run.snap.Counters[k]; set != (run.name == "faulted") {
+				t.Errorf("%s run: %s set = %v", run.name, k, set)
+			}
+		}
+		if run.name != "faulted" {
+			for k := range run.snap.Counters {
+				if strings.HasPrefix(k, "loads.err.") {
+					t.Errorf("%s: fault-free run reports %s", run.name, k)
+				}
+			}
+		}
 	}
 }
 
@@ -132,7 +209,7 @@ func TestStudyRetriesUntilSuccess(t *testing.T) {
 	if res.Stats.Counters["loads.ok"] == 0 || res.Stats.Counters["sites.total"] != int64(len(list.Sets)) {
 		t.Errorf("load accounting off: %+v", res.Stats.Counters)
 	}
-	checkLoadAccounting(t, res.Outcomes, res.Stats)
+	checkLoadAccounting(t, list, res.Outcomes, res.Stats)
 }
 
 // TestFailureBudgetExhaustion pins the resolver failure rate to 1 so
@@ -181,6 +258,7 @@ func TestFailureBudgetExhaustion(t *testing.T) {
 	if res2.FailedSites() != len(list.Sets) {
 		t.Errorf("failed sites = %d, want %d", res2.FailedSites(), len(list.Sets))
 	}
+	checkLoadAccounting(t, list, res.Outcomes, res.Stats)
 
 	// The warm study runs on the same engine and budget: the landing
 	// pair's cold leg dies after MaxAttempts tries on every site.
@@ -203,7 +281,7 @@ func TestFailureBudgetExhaustion(t *testing.T) {
 			t.Errorf("warm %s: class=%q attempts=%d retries=%d, want dns/2/1", o.Domain, o.Class, o.Attempts, o.Retries)
 		}
 	}
-	checkLoadAccounting(t, warm.Outcomes, warm.Stats)
+	checkLoadAccounting(t, warm.List, warm.Outcomes, warm.Stats)
 }
 
 // TestFaultedStudyDeterministic runs the same faulted study twice and
@@ -229,6 +307,7 @@ func TestFaultedStudyDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Sites, b.Sites) {
 		t.Fatal("site measurements differ across identical faulted runs")
 	}
+	checkLoadAccounting(t, list, a.Outcomes, a.Stats)
 }
 
 // TestWorkerCountInvariance locks the tentpole guarantee: the study's

@@ -133,9 +133,9 @@ func (st *Study) loadPair(sc *siteCtx, out *Outcome, m *webgen.PageModel, delay 
 		return PagePair{}, err
 	}
 	defer st.release(sc, warmLog)
-	sc.stats.Inc("warm.pairs", 1)
-	sc.stats.Inc("warm.cache.hits", int64(sc.cache.Hits()))
-	sc.stats.Inc("warm.cache.revalidations", int64(sc.cache.Revalidations()))
+	sc.stats.Commit(runstats.Update{Series: warmPairs, Delta: 1},
+		runstats.Update{Series: warmCacheHits, Delta: int64(sc.cache.Hits())},
+		runstats.Update{Series: warmRevalidations, Delta: int64(sc.cache.Revalidations())})
 	pair := PagePair{
 		Cold: sc.ms.measurePage(coldLog, m, st.az, dropLists),
 		Warm: sc.ms.measurePage(warmLog, m, st.az, dropLists),
@@ -177,7 +177,6 @@ func (st *Study) measureSiteWarm(w *worker, i int, set hispar.URLSet, rec *trace
 			}
 			res.Internal = append(res.Internal, pair)
 		}
-		sc.stats.Inc("pages.measured", int64(1+len(res.Internal)))
 		return res, nil
 	})
 }

@@ -142,7 +142,7 @@ func TestWarmStudyUnderFaults(t *testing.T) {
 	if retries == 0 {
 		t.Error("no retries at a 3% fault rate — injection is not reaching the warm runner")
 	}
-	checkLoadAccounting(t, res.Outcomes, res.Stats)
+	checkLoadAccounting(t, res.List, res.Outcomes, res.Stats)
 	for i := range res.Sites {
 		s := &res.Sites[i]
 		pairs := append([]PagePair{s.Landing}, s.Internal...)

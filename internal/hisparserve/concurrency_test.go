@@ -10,8 +10,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-
-	"repro/internal/runstats"
 )
 
 func TestSingleFlightUnderContention(t *testing.T) {
@@ -77,7 +75,7 @@ func TestSingleFlightUnderContention(t *testing.T) {
 			t.Errorf("%s ran %d times, want 1", c, got)
 		}
 	}
-	if got := s.Stats().CounterL("http.requests", runstats.Label{Key: "code", Value: "200"}); got != n {
+	if got := s.Stats().Snapshot().Counters[`http.requests{code="200"}`]; got != n {
 		t.Errorf("served %d × 200, want %d", got, n)
 	}
 }

@@ -305,7 +305,7 @@ func (s *Server) getSnapshot(w int) (*snapshot, error) {
 // buildSnapshot regenerates week k from first principles: the world at
 // the server's seed and week k, built as cmd/hisparctl build builds it.
 func (s *Server) buildSnapshot(k snapshotKey) (*snapshot, error) {
-	s.stats.Inc("build.snapshot", 1)
+	s.stats.Commit(runstats.Update{Series: buildSnapshotSeries, Delta: 1})
 	week := int(k)
 	w, err := world.Build(world.Config{
 		Seed:        s.cfg.Seed,
@@ -341,7 +341,7 @@ func (s *Server) buildStudy(k studyKey) (*core.StudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.stats.Inc("build.study", 1)
+	s.stats.Commit(runstats.Update{Series: buildStudySeries, Delta: 1})
 	study, err := core.NewStudy(snap.web, core.StudyConfig{
 		Seed:           s.cfg.Seed,
 		LandingFetches: s.cfg.LandingFetches,
@@ -378,7 +378,7 @@ func (s *Server) buildPayload(k payloadKey) (*payload, error) {
 // the bodies' bytes, not the growth slack of the buffers they were
 // built in: it lives as long as the server.
 func (s *Server) newPayload(body []byte, contentType []string, week int) *payload {
-	s.stats.Inc("build.payload", 1)
+	s.stats.Commit(runstats.Update{Series: buildPayloadSeries, Delta: 1})
 	body = bytes.Clone(body)
 	sum := sha256.Sum256(body)
 	etag := `"h` + hex.EncodeToString(sum[:8])

@@ -528,7 +528,7 @@ func TestResponseBytesDeterministic(t *testing.T) {
 // aggregates.
 func TestLoadGenerator(t *testing.T) {
 	_, ts := startTestServer(t, testConfig())
-	rep, set, err := RunLoad(ts.URL, LoadConfig{
+	rep, err := RunLoad(ts.URL, LoadConfig{
 		Seed: 1, Requests: 400, Clients: 4, Week: 0,
 		ListEvery: 50, DatasetEvery: 100,
 	})
@@ -550,8 +550,12 @@ func TestLoadGenerator(t *testing.T) {
 	if rep.P50ms <= 0 || rep.P99ms < rep.P50ms {
 		t.Errorf("latency percentiles implausible: p50=%v p99=%v", rep.P50ms, rep.P99ms)
 	}
-	if set.Counter("loadgen.requests") != 400 {
-		t.Errorf("runstats requests = %d", set.Counter("loadgen.requests"))
+	var byStatus int
+	for _, sc := range rep.ByStatus {
+		byStatus += sc.Count
+	}
+	if byStatus != rep.Requests {
+		t.Errorf("status tally sums to %d, want the %d requests", byStatus, rep.Requests)
 	}
 	// The report renders without panicking and mentions the hit ratio.
 	var sb strings.Builder

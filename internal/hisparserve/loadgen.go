@@ -6,8 +6,8 @@ package hisparserve
 // produces, since real top-list traffic is itself zipf-shaped. Each user
 // remembers the validators it has seen and revalidates on revisit, so
 // popular sites quickly converge to header-only 304 traffic, exactly the
-// steady state the control plane is built to serve. Latency percentiles
-// and the conditional-hit ratio are reported through runstats plus exact
+// steady state the control plane is built to serve. The report carries
+// the status tally, the conditional-hit ratio and exact latency
 // quantiles from internal/stats.
 
 import (
@@ -16,13 +16,11 @@ import (
 	"math/rand"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/detrand"
 	"repro/internal/hispar"
-	"repro/internal/runstats"
 	"repro/internal/stats"
 	"repro/internal/vclock"
 )
@@ -85,11 +83,9 @@ type LoadReport struct {
 	P50ms, P90ms, P99ms float64
 }
 
-// RunLoad drives baseURL with cfg and returns the aggregated report plus
-// the runstats set the run recorded into.
-func RunLoad(baseURL string, cfg LoadConfig) (*LoadReport, *runstats.Set, error) {
+// RunLoad drives baseURL with cfg and returns the aggregated report.
+func RunLoad(baseURL string, cfg LoadConfig) (*LoadReport, error) {
 	cfg = cfg.withDefaults()
-	set := runstats.NewSet()
 
 	// Fetch the week's list once to learn the rank→domain mapping every
 	// simulated user browses by. The client gets its own transport so the
@@ -102,12 +98,12 @@ func RunLoad(baseURL string, cfg LoadConfig) (*LoadReport, *runstats.Set, error)
 	listURL := fmt.Sprintf("%s/v1/list/%d?wait=1", baseURL, cfg.Week)
 	resp, err := client.Get(listURL)
 	if err != nil {
-		return nil, set, fmt.Errorf("loadgen: bootstrap %s: %w", listURL, err)
+		return nil, fmt.Errorf("loadgen: bootstrap %s: %w", listURL, err)
 	}
 	list, err := hispar.ReadCSV(resp.Body)
 	_ = resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK || len(list.Sets) == 0 {
-		return nil, set, fmt.Errorf("loadgen: bootstrap %s: status %d, parse err %v, %d sites",
+		return nil, fmt.Errorf("loadgen: bootstrap %s: status %d, parse err %v, %d sites",
 			listURL, resp.StatusCode, err, len(list.Sets))
 	}
 	domains := make([]string, len(list.Sets))
@@ -220,13 +216,6 @@ func RunLoad(baseURL string, cfg LoadConfig) (*LoadReport, *runstats.Set, error)
 	sort.Ints(codes)
 	for _, code := range codes {
 		rep.ByStatus = append(rep.ByStatus, StatusCount{Status: code, Count: statuses[code]})
-		set.Inc("loadgen.status."+strconv.Itoa(code), int64(statuses[code]))
-	}
-	set.Inc("loadgen.requests", int64(rep.Requests))
-	set.Inc("loadgen.errors", int64(rep.Errors))
-	set.Inc("loadgen.bytes_in", rep.BytesReceived)
-	for _, l := range lats {
-		set.Observe("loadgen.latency_ms", l)
 	}
 	if rep.Requests > 0 {
 		rep.HitRatio = float64(rep.Hits304) / float64(rep.Requests)
@@ -238,9 +227,7 @@ func RunLoad(baseURL string, cfg LoadConfig) (*LoadReport, *runstats.Set, error)
 	if secs := elapsed.Seconds(); secs > 0 {
 		rep.Throughput = float64(rep.Requests) / secs
 	}
-	set.SetGauge("loadgen.throughput_rps", rep.Throughput)
-	set.SetGauge("loadgen.hit_ratio", rep.HitRatio)
-	return rep, set, nil
+	return rep, nil
 }
 
 // Render writes the human-readable load report.

@@ -161,6 +161,14 @@ var (
 	gzipSeries        = runstats.NewCounter("http.gzip")
 )
 
+// The build counters: how many snapshots, studies and payloads the
+// server has built.
+var (
+	buildSnapshotSeries = runstats.NewCounter("build.snapshot")
+	buildStudySeries    = runstats.NewCounter("build.study")
+	buildPayloadSeries  = runstats.NewCounter("build.payload")
+)
+
 // commit records a finished request: its metrics in one runstats
 // Commit, then the record into the trace ring. Serving spans carry
 // wall-clock timestamps — they are a live diagnostic view of this

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/browser"
 	"repro/internal/httpsem"
-	"repro/internal/runstats"
 )
 
 func TestBrowserCacheRoundTrip(t *testing.T) {
@@ -122,7 +121,7 @@ func TestBrowserCacheRoundTrip(t *testing.T) {
 	}
 
 	// The server side observed exactly one conditional hit.
-	if got := s.Stats().CounterL("http.requests", runstats.Label{Key: "code", Value: "304"}); got != 1 {
+	if got := s.Stats().Snapshot().Counters[`http.requests{code="304"}`]; got != 1 {
 		t.Errorf("server served %d × 304, want 1", got)
 	}
 	if got := s.Stats().Counter("http.revalidated"); got != 1 {

@@ -17,9 +17,9 @@ func promPage(t *testing.T, s *Set) string {
 
 func TestPrometheusCountersAndGauges(t *testing.T) {
 	s := NewSet()
-	s.Inc("loads.err.timeout", 3)
-	incL(s, "http.requests", 2, Label{"code", "200"})
-	incL(s, "http.requests", 1, Label{"code", "404"})
+	inc(s, "loads.err.timeout", 3)
+	inc(s, "http.requests", 2, Label{"code", "200"})
+	inc(s, "http.requests", 1, Label{"code", "404"})
 	s.SetGauge("worker.0.utilization", 0.75)
 
 	out := promPage(t, s)
@@ -41,8 +41,9 @@ func TestPrometheusCountersAndGauges(t *testing.T) {
 
 func TestPrometheusHistogram(t *testing.T) {
 	s := NewSet()
+	h := NewHistogram("latency.ms")
 	for _, v := range []float64{1, 1, 10, 100} {
-		s.Observe("latency.ms", v)
+		s.Commit(Update{Series: h, Sample: v})
 	}
 	out := promPage(t, s)
 	if !strings.Contains(out, "# TYPE latency_ms histogram\n") {
@@ -84,12 +85,12 @@ func TestPrometheusHistogram(t *testing.T) {
 func TestPrometheusDeterministic(t *testing.T) {
 	build := func() string {
 		s := NewSet()
-		incL(s, "http.requests", 1, Label{"code", "200"})
-		incL(s, "http.requests", 4, Label{"code", "304"})
-		s.Inc("cache.notready", 2)
+		inc(s, "http.requests", 1, Label{"code", "200"})
+		inc(s, "http.requests", 4, Label{"code", "304"})
+		inc(s, "cache.notready", 2)
 		s.SetGauge("g.one", 1.5)
-		s.Observe("h.ms", 7)
-		s.Observe("h.ms", 900)
+		h := NewHistogram("h.ms")
+		s.Commit(Update{Series: h, Sample: 7}, Update{Series: h, Sample: 900})
 		var b strings.Builder
 		if err := s.Snapshot().WritePrometheus(&b); err != nil {
 			t.Fatal(err)
@@ -116,8 +117,8 @@ func TestPrometheusDeterministic(t *testing.T) {
 
 func TestPrometheusNameSanitization(t *testing.T) {
 	s := NewSet()
-	s.Inc("weird-name.1", 1)
-	incL(s, "m", 1, Label{"bad-key.x", "v"})
+	inc(s, "weird-name.1", 1)
+	inc(s, "m", 1, Label{"bad-key.x", "v"})
 	out := promPage(t, s)
 	if !strings.Contains(out, "weird_name_1_total 1\n") {
 		t.Errorf("metric name not sanitized:\n%s", out)

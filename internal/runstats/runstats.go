@@ -1,18 +1,19 @@
 // Package runstats is a lightweight in-process metrics layer for the
-// study runner: named counters, gauges, and log-bucketed histograms. The
+// study runner: counters, gauges, and log-bucketed histograms. The
 // paper's harness ran for weeks against tens of thousands of pages and
 // survived on exactly this kind of bookkeeping — how many loads ran, how
 // many died and why, how long retries stalled each worker — so the repro
 // keeps the same discipline. Everything is concurrency-safe, allocation
-// is bounded by the number of distinct metric names, and there are no
+// is bounded by the number of distinct series, and there are no
 // dependencies beyond the standard library.
 //
-// Name-based updates (Inc, SetGauge, Observe) take the Set's lock. A
-// Commit, the serving path's one update per request, takes the lock of
-// one of the Set's per-core shards instead, so concurrent Commits
-// neither contend on a lock nor write the same cache lines. Reads
-// (Snapshot, Counter, CounterL) hold every lock at once and add the
-// shards up.
+// Counters and histograms have one way in: a caller resolves each
+// series once (NewCounter, NewHistogram) and applies its updates with
+// Commit, which lands them together in one of the Set's per-core
+// shards, so concurrent Commits neither contend on a lock nor write the
+// same cache lines. Gauges hold a last value, not a sum, and SetGauge
+// writes them under the Set's lock. Reads (Snapshot, Counter) hold
+// every lock at once and add the shards up.
 package runstats
 
 import (
@@ -36,7 +37,7 @@ const bucketsPerDecade = 4
 // that different shards write is kept at least this far apart.
 const cacheLine = 64
 
-// Label is one dimension on a labeled series (the L suffix methods).
+// Label is one dimension on a labeled series (see NewCounter).
 // Keys follow Prometheus label-name rules after sanitization; values
 // are free-form strings.
 type Label struct {
@@ -50,19 +51,16 @@ type seriesID struct {
 	labels []Label
 }
 
-// Set is a collection of named metrics. The zero value is NOT usable;
-// call NewSet.
+// Set is a collection of metrics. The zero value is NOT usable; call
+// NewSet.
 //
-// Name-based updates land in the key index (counters, hists), under mu.
-// Commits land in shards: each shard keeps a cell per resolved Series,
-// by its slot, so a Commit hashes no key. A series' value is its key
-// index entry plus its cells in every shard, and only Series carry
-// labels.
+// Gauges live in a map under mu. Counters and histograms live in
+// shards: each shard keeps a cell per resolved Series, by its slot, so
+// a Commit hashes no key. A series' value is the sum of its cells in
+// every shard.
 type Set struct {
-	mu       sync.Mutex
-	counters map[string]int64 // canonical key → counter
-	gauges   map[string]float64
-	hists    map[string]*histogram // canonical key → histogram
+	mu     sync.Mutex
+	gauges map[string]float64
 
 	// shards are created on the first Commit, one per P then; a Set that
 	// is never committed to keeps none. pick hands a Commit its shard.
@@ -97,11 +95,7 @@ const spareCells = (cacheLine + unsafe.Sizeof(shardCell{}) - 1) / unsafe.Sizeof(
 
 // NewSet returns an empty metric set.
 func NewSet() *Set {
-	return &Set{
-		counters: make(map[string]int64),
-		gauges:   make(map[string]float64),
-		hists:    make(map[string]*histogram),
-	}
+	return &Set{gauges: make(map[string]float64)}
 }
 
 // seriesKey canonicalizes (name, labels) into the map key the series
@@ -141,29 +135,11 @@ func escapeLabelValue(v string) string {
 	return r.Replace(v)
 }
 
-// Inc adds delta to the named counter, creating it at zero first.
-func (s *Set) Inc(name string, delta int64) {
-	s.mu.Lock()
-	s.counters[name] += delta
-	s.mu.Unlock()
-}
-
 // SetGauge records the current value of the named gauge.
 func (s *Set) SetGauge(name string, v float64) {
 	s.mu.Lock()
 	s.gauges[name] = v
 	s.mu.Unlock()
-}
-
-// Observe adds one sample to the named histogram. Non-finite samples are
-// dropped; negative ones clamp to zero (durations and counts are the
-// only things observed here).
-func (s *Set) Observe(name string, v float64) {
-	if v, ok := sample(v); ok {
-		s.mu.Lock()
-		s.histogram(name).observe(v)
-		s.mu.Unlock()
-	}
 }
 
 // Series is one counter or histogram series resolved once: its
@@ -197,8 +173,9 @@ func NewHistogram(name string, labels ...Label) *Series {
 }
 
 // Update is one change Commit applies: Delta added to a counter
-// series, or one Sample observed into a histogram series (with the
-// clamping rules of Observe).
+// series, or one Sample observed into a histogram series. Non-finite
+// samples are dropped; negative ones clamp to zero (durations and
+// counts are the only things observed here).
 type Update struct {
 	Series *Series
 	Delta  int64
@@ -208,7 +185,8 @@ type Update struct {
 // Commit applies updates under one lock, so they land together: no
 // Snapshot sees part of them. The lock is one shard's, not the Set's:
 // Commits from different cores take different shards and contend with
-// neither each other nor name-based updates.
+// neither each other nor SetGauge. A Commit creates every series it
+// names, a zero Delta included.
 func (s *Set) Commit(updates ...Update) {
 	sh := s.lockShard()
 	for _, u := range updates {
@@ -290,20 +268,8 @@ func unlockShards(shards []shard) {
 	}
 }
 
-// histogram returns the histogram under key, creating it empty, with
-// s.mu held.
-func (s *Set) histogram(key string) *histogram {
-	h := s.hists[key]
-	if h == nil {
-		h = new(histogram)
-		*h = newHistogram()
-		s.hists[key] = h
-	}
-	return h
-}
-
-// sample applies the rules of Observe to one sample: non-finite ones
-// are dropped, negative ones clamp to zero.
+// sample applies Update's rules to one sample: non-finite ones are
+// dropped, negative ones clamp to zero.
 func sample(v float64) (float64, bool) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, false
@@ -450,30 +416,15 @@ func (s *Set) Snapshot() Snapshot {
 	shards := s.lockShards()
 	defer unlockShards(shards)
 	snap := Snapshot{
-		Counters:   make(map[string]int64, len(s.counters)),
+		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]float64, len(s.gauges)),
-		Histograms: make(map[string]HistSnapshot, len(s.hists)),
+		Histograms: make(map[string]HistSnapshot),
 		meta:       make(map[string]seriesID),
-	}
-	for k, v := range s.counters {
-		snap.Counters[k] = v
 	}
 	for k, v := range s.gauges {
 		snap.Gauges[k] = v
 	}
-	hists := make(map[string]*histogram, len(s.hists))
-	merge := func(k string, h *histogram) {
-		m := hists[k]
-		if m == nil {
-			m = new(histogram)
-			*m = newHistogram()
-			hists[k] = m
-		}
-		m.merge(h)
-	}
-	for k, h := range s.hists {
-		merge(k, h)
-	}
+	hists := make(map[string]*histogram)
 	for i := range shards {
 		for j := range shards[i].cells {
 			c := &shards[i].cells[j]
@@ -485,7 +436,13 @@ func (s *Set) Snapshot() Snapshot {
 				snap.meta[sr.key] = sr.id
 			}
 			if sr.hist {
-				merge(sr.key, &c.hist)
+				m := hists[sr.key]
+				if m == nil {
+					m = new(histogram)
+					*m = newHistogram()
+					hists[sr.key] = m
+				}
+				m.merge(&c.hist)
 			} else {
 				snap.Counters[sr.key] += c.counter
 			}
@@ -507,17 +464,10 @@ func (s *Set) Snapshot() Snapshot {
 	return snap
 }
 
-// Counter returns the named counter's current value (0 if absent), as
-// Snapshot sums it.
-func (s *Set) Counter(name string) int64 {
-	return s.Snapshot().Counters[name]
-}
-
-// CounterL returns the labeled counter series' current value (0 if
-// absent).
-func (s *Set) CounterL(name string, labels ...Label) int64 {
-	key, _ := seriesKey(name, labels)
-	return s.Counter(key)
+// Counter returns the current value of the counter under its canonical
+// series key (0 if absent), as Snapshot sums it.
+func (s *Set) Counter(key string) int64 {
+	return s.Snapshot().Counters[key]
 }
 
 // Render writes the snapshot as an aligned, name-sorted report — the

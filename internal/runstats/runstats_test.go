@@ -12,57 +12,65 @@ import (
 
 func TestCountersAndGauges(t *testing.T) {
 	s := NewSet()
-	s.Inc("loads.ok", 1)
-	s.Inc("loads.ok", 2)
-	s.Inc("loads.err.timeout", 1)
+	ok := NewCounter("loads.ok")
+	s.Commit(Update{Series: ok, Delta: 1})
+	s.Commit(Update{Series: ok, Delta: 2}, Update{Series: NewCounter("loads.err.timeout"), Delta: 1})
 	s.SetGauge("worker.0.utilization", 0.75)
 	s.SetGauge("worker.0.utilization", 0.5) // gauges overwrite
 
-	if got := s.Counter("loads.ok"); got != 3 {
+	snap := s.Snapshot()
+	if got := snap.Counters["loads.ok"]; got != 3 {
 		t.Errorf("loads.ok = %d, want 3", got)
 	}
-	if got := s.Counter("never.touched"); got != 0 {
-		t.Errorf("absent counter = %d, want 0", got)
+	if got := s.Counter("loads.ok"); got != 3 {
+		t.Errorf("Counter(loads.ok) = %d, want 3", got)
 	}
-	if got := s.Snapshot().Gauges["worker.0.utilization"]; got != 0.5 {
+	if got, ok := snap.Counters["never.touched"]; ok || got != 0 {
+		t.Errorf("absent counter = %d (present %v), want 0 and unset", got, ok)
+	}
+	if got := snap.Gauges["worker.0.utilization"]; got != 0.5 {
 		t.Errorf("gauge = %v, want 0.5", got)
 	}
 }
 
 func TestHistogramStats(t *testing.T) {
 	s := NewSet()
+	h := NewHistogram("retry.backoff")
 	for i := 1; i <= 100; i++ {
-		s.Observe("retry.backoff", float64(i))
+		s.Commit(Update{Series: h, Sample: float64(i)})
 	}
-	h := s.Snapshot().Histograms["retry.backoff"]
-	if h.Count != 100 {
-		t.Fatalf("count = %d", h.Count)
+	hs := s.Snapshot().Histograms["retry.backoff"]
+	if hs.Count != 100 {
+		t.Fatalf("count = %d", hs.Count)
 	}
-	if h.Min != 1 || h.Max != 100 {
-		t.Errorf("min/max = %v/%v, want 1/100", h.Min, h.Max)
+	if hs.Min != 1 || hs.Max != 100 {
+		t.Errorf("min/max = %v/%v, want 1/100", hs.Min, hs.Max)
 	}
-	if h.Mean != 50.5 {
-		t.Errorf("mean = %v, want 50.5", h.Mean)
+	if hs.Mean != 50.5 {
+		t.Errorf("mean = %v, want 50.5", hs.Mean)
 	}
 	// Log buckets are ~26% wide; quantiles must land in the right decade.
-	if h.P50 < 30 || h.P50 > 80 {
-		t.Errorf("p50 = %v, want within a bucket of 50", h.P50)
+	if hs.P50 < 30 || hs.P50 > 80 {
+		t.Errorf("p50 = %v, want within a bucket of 50", hs.P50)
 	}
-	if h.P99 < 80 || h.P99 > 100 {
-		t.Errorf("p99 = %v, want within a bucket of 99", h.P99)
+	if hs.P99 < 80 || hs.P99 > 100 {
+		t.Errorf("p99 = %v, want within a bucket of 99", hs.P99)
 	}
-	if h.P50 > h.P90 || h.P90 > h.P99 {
-		t.Errorf("quantiles not monotone: p50=%v p90=%v p99=%v", h.P50, h.P90, h.P99)
+	if hs.P50 > hs.P90 || hs.P90 > hs.P99 {
+		t.Errorf("quantiles not monotone: p50=%v p90=%v p99=%v", hs.P50, hs.P90, hs.P99)
 	}
 }
 
 func TestHistogramEdgeCases(t *testing.T) {
 	s := NewSet()
-	s.Observe("x", 0)            // underflow bucket
-	s.Observe("x", -5)           // clamps to 0
-	s.Observe("x", math.NaN())   // dropped
-	s.Observe("x", math.Inf(1))  // dropped
-	s.Observe("x", math.Inf(-1)) // dropped
+	x := NewHistogram("x")
+	s.Commit(
+		Update{Series: x, Sample: 0},            // underflow bucket
+		Update{Series: x, Sample: -5},           // clamps to 0
+		Update{Series: x, Sample: math.NaN()},   // dropped
+		Update{Series: x, Sample: math.Inf(1)},  // dropped
+		Update{Series: x, Sample: math.Inf(-1)}, // dropped
+	)
 	h := s.Snapshot().Histograms["x"]
 	if h.Count != 2 {
 		t.Fatalf("count = %d, want 2 (zero + clamped)", h.Count)
@@ -74,24 +82,22 @@ func TestHistogramEdgeCases(t *testing.T) {
 
 func TestSnapshotIsDetached(t *testing.T) {
 	s := NewSet()
-	s.Inc("a", 1)
-	s.Observe("h", 2)
+	a, h := NewCounter("a"), NewHistogram("h")
+	s.Commit(Update{Series: a, Delta: 1}, Update{Series: h, Sample: 2})
 	snap := s.Snapshot()
-	s.Inc("a", 10)
-	s.Observe("h", 200)
+	s.Commit(Update{Series: a, Delta: 10}, Update{Series: h, Sample: 200})
 	if snap.Counters["a"] != 1 {
-		t.Error("snapshot counter mutated by later Inc")
+		t.Error("snapshot counter mutated by a later Commit")
 	}
 	if snap.Histograms["h"].Count != 1 {
-		t.Error("snapshot histogram mutated by later Observe")
+		t.Error("snapshot histogram mutated by a later Commit")
 	}
 }
 
 func TestRender(t *testing.T) {
 	s := NewSet()
-	s.Inc("loads.total", 42)
+	s.Commit(Update{Series: NewCounter("loads.total"), Delta: 42}, Update{Series: NewHistogram("load.ms"), Sample: 1500})
 	s.SetGauge("budget.used", 0.1)
-	s.Observe("load.ms", 1500)
 	var b strings.Builder
 	s.Render(&b)
 	out := b.String()
@@ -123,33 +129,27 @@ func TestRenderLargeGauges(t *testing.T) {
 	}
 }
 
-// incL adds delta to a labeled counter through a one-off Series.
-func incL(s *Set, name string, delta int64, labels ...Label) {
+// inc adds delta to a counter through a one-off Series.
+func inc(s *Set, name string, delta int64, labels ...Label) {
 	s.Commit(Update{Series: NewCounter(name, labels...), Delta: delta})
-}
-
-// observeL adds one sample to a labeled histogram through a one-off
-// Series.
-func observeL(s *Set, name string, v float64, labels ...Label) {
-	s.Commit(Update{Series: NewHistogram(name, labels...), Sample: v})
 }
 
 func TestLabeledSeries(t *testing.T) {
 	s := NewSet()
-	incL(s, "http.requests", 1, Label{"code", "200"}, Label{"method", "GET"})
+	inc(s, "http.requests", 1, Label{"code", "200"}, Label{"method", "GET"})
 	// Same labels in the other order must hit the same series.
-	incL(s, "http.requests", 2, Label{"method", "GET"}, Label{"code", "200"})
-	incL(s, "http.requests", 5, Label{"code", "404"}, Label{"method", "GET"})
-	s.Inc("http.requests", 7) // unlabeled series is distinct
+	inc(s, "http.requests", 2, Label{"method", "GET"}, Label{"code", "200"})
+	inc(s, "http.requests", 5, Label{"code", "404"}, Label{"method", "GET"})
+	inc(s, "http.requests", 7) // unlabeled series is distinct
 
-	if got := s.CounterL("http.requests", Label{"method", "GET"}, Label{"code", "200"}); got != 3 {
-		t.Errorf("labeled counter = %d, want 3", got)
-	}
-	if got := s.Counter("http.requests"); got != 7 {
-		t.Errorf("unlabeled counter = %d, want 7", got)
-	}
 	snap := s.Snapshot()
 	key := `http.requests{code="200",method="GET"}`
+	if got := s.Counter(key); got != 3 {
+		t.Errorf("labeled counter = %d, want 3", got)
+	}
+	if got := snap.Counters["http.requests"]; got != 7 {
+		t.Errorf("unlabeled counter = %d, want 7", got)
+	}
 	if snap.Counters[key] != 3 {
 		t.Errorf("canonical key %q = %d, want 3; keys: %v", key, snap.Counters[key], snap.Counters)
 	}
@@ -158,7 +158,7 @@ func TestLabeledSeries(t *testing.T) {
 		t.Errorf("series identity = %+v", id)
 	}
 
-	observeL(s, "latency.ms", 12, Label{"route", "/v1/list"})
+	s.Commit(Update{Series: NewHistogram("latency.ms", Label{"route", "/v1/list"}), Sample: 12})
 	snap = s.Snapshot()
 	if snap.Histograms[`latency.ms{route="/v1/list"}`].Count != 1 {
 		t.Errorf("labeled histogram missing: %v", snap.Histograms)
@@ -176,8 +176,9 @@ func TestSeriesKeyEscaping(t *testing.T) {
 // sorted, non-cumulative, and consistent with the quantiles.
 func TestSnapshotBuckets(t *testing.T) {
 	s := NewSet()
+	x := NewHistogram("x")
 	for _, v := range []float64{0, 0.5, 3, 3, 700, 12000} {
-		s.Observe("x", v)
+		s.Commit(Update{Series: x, Sample: v})
 	}
 	h := s.Snapshot().Histograms["x"]
 	if len(h.Buckets) == 0 {
@@ -203,9 +204,10 @@ func TestSnapshotBuckets(t *testing.T) {
 // bucket map per quantile call.
 func BenchmarkHistSnapshot(b *testing.B) {
 	s := NewSet()
+	wide := NewHistogram("wide")
 	v := 1e-3
 	for i := 0; i < 10000; i++ {
-		s.Observe("wide", v)
+		s.Commit(Update{Series: wide, Sample: v})
 		v *= 1.01 // ~43 decades → ~170 distinct buckets
 		if v > 1e40 {
 			v = 1e-3
@@ -221,7 +223,7 @@ func BenchmarkHistSnapshot(b *testing.B) {
 	}
 }
 
-// TestConcurrentAccess runs name-based updates and Commits against
+// TestConcurrentAccess runs Commits and gauge updates against
 // concurrent snapshots. Every snapshot must see each Commit whole: a
 // Commit of a counter pair and a histogram sample shows the pair equal
 // and the histogram count equal to it. And it must be one moment
@@ -233,6 +235,7 @@ func TestConcurrentAccess(t *testing.T) {
 	s := NewSet()
 	a, b, h := NewCounter("a"), NewCounter("b"), NewHistogram("h")
 	x, y := NewCounter("x"), NewCounter("y")
+	n, v := NewCounter("n"), NewHistogram("v")
 
 	var writing, snapping sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -240,8 +243,8 @@ func TestConcurrentAccess(t *testing.T) {
 		go func() {
 			defer writing.Done()
 			for i := 0; i < each; i++ {
-				s.Inc("n", 1)
-				s.Observe("v", float64(i))
+				s.Commit(Update{Series: n, Delta: 1})
+				s.Commit(Update{Series: v, Sample: float64(i)})
 				s.SetGauge("g", float64(i))
 				s.Commit(Update{Series: a, Delta: 1}, Update{Series: b, Delta: 1}, Update{Series: h, Sample: float64(i)})
 			}
