@@ -164,11 +164,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		n, failed, snap, runErr = len(res.Outcomes), res.FailedSites(), res.Stats, err
 	}
 	if *stats || failed > 0 {
-		fmt.Fprintf(stderr, "webmeasure: %d/%d sites measured, %d failed (streamed: peak %d in flight)\n",
-			n-failed, n, failed, int(snap.Gauges["stream.inflight.max"]))
+		fmt.Fprintf(stderr, "webmeasure: %d/%d sites measured, %d failed\n", n-failed, n, failed)
 		if *stats {
-			snap.Render(stderr)
-			printMemReport(stderr)
+			printStats(stderr, snap)
 		}
 	}
 	if err := writeTrace(tracer, *traceOut, *stats, stderr); err != nil {
@@ -205,6 +203,31 @@ func writeTrace(tr *trace.Tracer, path string, summary bool, stderr io.Writer) e
 func finishProfiles(stopCPU func(), memPath string) error {
 	stopCPU()
 	return profiling.WriteHeap(memPath)
+}
+
+// scheduledLine heads the part of the -stats report that depends on
+// how sites were scheduled onto workers and on memory. What -stats
+// prints before it is a function of the seed and the study flags alone:
+// the same bytes at any -workers.
+const scheduledLine = "webmeasure: depends on scheduling and memory:"
+
+// printStats writes the -stats report: snap without its worker.* and
+// stream.* gauges, then scheduledLine, then those gauges, the peak of
+// sites in flight and the memory report. It takes those gauges out of
+// snap.
+func printStats(w io.Writer, snap runstats.Snapshot) {
+	scheduled := runstats.Snapshot{Gauges: make(map[string]float64)}
+	for k, v := range snap.Gauges {
+		if strings.HasPrefix(k, "worker.") || strings.HasPrefix(k, "stream.") {
+			scheduled.Gauges[k] = v
+			delete(snap.Gauges, k)
+		}
+	}
+	snap.Render(w)
+	fmt.Fprintln(w, scheduledLine)
+	scheduled.Render(w)
+	fmt.Fprintf(w, "webmeasure: streamed: peak %d sites in flight\n", int(scheduled.Gauges["stream.inflight.max"]))
+	printMemReport(w)
 }
 
 // printMemReport writes post-run memory numbers: live and cumulative

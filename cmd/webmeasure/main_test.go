@@ -107,6 +107,36 @@ func TestGoldenDetectsOneByteChange(t *testing.T) {
 // TestSmallURLSets runs a study whose URL sets are smaller than H1K's
 // 5-result minimum: every site must still make the list, with -persite
 // rows each.
+// TestStatsBeforeScheduledLineIgnoreWorkers holds -stats to its split:
+// the report above scheduledLine is byte-identical at -workers 1 and 3,
+// and the per-worker gauges are below it.
+func TestStatsBeforeScheduledLineIgnoreWorkers(t *testing.T) {
+	fixed := make([]string, 0, 2)
+	for _, workers := range []string{"1", "3"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-seed", "42", "-sites", "12", "-persite", "3", "-fetches", "1", "-fault-timeout", "0.2", "-workers", workers, "-stats"}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("-workers %s: exit %d: %s", workers, code, stderr.String())
+		}
+		before, after, ok := strings.Cut(stderr.String(), scheduledLine+"\n")
+		if !ok {
+			t.Fatalf("-workers %s: no %q line in:\n%s", workers, scheduledLine, stderr.String())
+		}
+		if !strings.Contains(before, "counters:") || !strings.Contains(before, "histograms:") {
+			t.Errorf("-workers %s: report before the split holds no counters or histograms:\n%s", workers, before)
+		}
+		for _, moved := range []string{"worker.0.sites", "stream.inflight.max", "sites in flight", "MB live"} {
+			if strings.Contains(before, moved) || !strings.Contains(after, moved) {
+				t.Errorf("-workers %s: %q is not (only) after the split", workers, moved)
+			}
+		}
+		fixed = append(fixed, before)
+	}
+	if fixed[0] != fixed[1] {
+		t.Errorf("-stats before %q differs between -workers 1 and 3:\n--- 1\n%s--- 3\n%s", scheduledLine, fixed[0], fixed[1])
+	}
+}
+
 func TestSmallURLSets(t *testing.T) {
 	for _, perSite := range []int{1, 3} {
 		args := []string{"-sites", "20", "-persite", strconv.Itoa(perSite), "-fetches", "1"}

@@ -35,6 +35,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -126,12 +127,15 @@ func (c Config) withDefaults() Config {
 
 // snapshot is one week's built list plus the web it was discovered on
 // (the web is retained so dataset builds measure the same synthetic
-// internet the list was crawled from), and the position of each domain
-// in the list.
+// internet the list was crawled from), the position of each domain in
+// the list, and the site payloads built so far.
 type snapshot struct {
 	list  *hispar.List
 	web   *webgen.Web
 	index map[string]int // domain → index into list.Sets (its first set)
+	// sites[i] is the /v1/site payload of list.Sets[i] once the payload
+	// flight has built it; nil before. It parallels list.Sets.
+	sites []atomic.Pointer[payload]
 }
 
 // payload is one immutable cached response: its identity and gzip
@@ -172,20 +176,24 @@ type Server struct {
 	stats        *runstats.Set
 	handler      http.Handler
 	limiter      *tokenBucket
-	routes       []*route               // the route table's entries the config enables, in match order
 	requests     *trace.Ring[reqRecord] // recent requests, served as spans at /debug/tracez
 	recorders    sync.Pool              // *recorder: each request's response writer
 	cacheControl []string               // Cache-Control of every payload response
 	lastMod      [][]string             // Last-Modified of week w's payloads: epoch + w weeks
 	started      time.Time              // what request records' start offsets count from
+	// routes[n] holds the enabled routes a path of n segments can match,
+	// in match order.
+	routes [maxSegments + 2][]*route
 
 	snapshots *flight[snapshotKey, *snapshot]
 	studies   *flight[studyKey, *core.StudyResult]
 	payloads  *flight[payloadKey, *payload]
+	// ready[w] is week w's snapshot once its flight has built it; nil
+	// before, and after a failed build.
+	ready []atomic.Pointer[snapshot]
 
 	builds sync.WaitGroup
 	httpd  *http.Server
-	ln     net.Listener
 }
 
 // New creates a server; no listener is opened and no build is started
@@ -199,6 +207,7 @@ func New(cfg Config) *Server {
 		requests:     trace.NewRing[reqRecord](cfg.TraceSpans),
 		cacheControl: []string{"max-age=" + strconv.Itoa(int(cfg.MaxAge.Seconds()))},
 		lastMod:      make([][]string, cfg.Weeks),
+		ready:        make([]atomic.Pointer[snapshot], cfg.Weeks),
 		started:      vclock.Wall(), // sanctioned telemetry clock: request spans only
 	}
 	for w := range s.lastMod {
@@ -216,8 +225,13 @@ func New(cfg Config) *Server {
 	s.payloads = newFlight(track, s.buildPayload)
 
 	for _, rt := range routeTable {
-		if !rt.pprof || cfg.EnablePprof {
-			s.routes = append(s.routes, rt)
+		if rt.pprof && !cfg.EnablePprof {
+			continue
+		}
+		for n := range s.routes {
+			if rt.fits(n) {
+				s.routes[n] = append(s.routes[n], rt)
+			}
 		}
 	}
 	s.recorders.New = func() any { return new(recorder) }
@@ -243,18 +257,9 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("hisparserve: listen: %w", err)
 	}
-	s.ln = ln
 	s.httpd = &http.Server{Handler: s.handler}
 	go func() { _ = s.httpd.Serve(ln) }() //detlint:allow gorleak -- accept-loop daemon: Serve returns when Shutdown/Close closes the listener
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the bound address ("" before Start).
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Shutdown drains gracefully: the listener closes immediately, in-flight
@@ -294,12 +299,22 @@ func (s *Server) week(raw string) (int, bool) {
 	return w, true
 }
 
-// getSnapshot builds (once) and returns week w's snapshot. It blocks;
-// snapshot builds only ever run inside payload builds, which are
-// themselves async when the client did not opt into waiting.
+// getSnapshot builds (once) and returns week w's snapshot. A built
+// snapshot is found at ready[w] without hashing; until then the request
+// goes through the snapshot flight, which runs the one build, and a
+// successful result is stored in ready[w]. It blocks: apart from
+// /v1/site, snapshot builds only ever run inside payload builds, which
+// are themselves async when the client did not opt into waiting.
 func (s *Server) getSnapshot(w int) (*snapshot, error) {
+	if snap := s.ready[w].Load(); snap != nil {
+		return snap, nil
+	}
 	snap, _, err := s.snapshots.do(snapshotKey(w), true)
-	return snap, err
+	if err != nil {
+		return nil, err
+	}
+	s.ready[w].Store(snap)
+	return snap, nil
 }
 
 // buildSnapshot regenerates week k from first principles: the world at
@@ -320,7 +335,12 @@ func (s *Server) buildSnapshot(k snapshotKey) (*snapshot, error) {
 	}
 	// A partially filled list (bootstrap exhausted) is still a valid,
 	// deterministic snapshot; serve what was discovered.
-	snap := &snapshot{list: w.List, web: w.Web, index: make(map[string]int, len(w.List.Sets))}
+	snap := &snapshot{
+		list:  w.List,
+		web:   w.Web,
+		index: make(map[string]int, len(w.List.Sets)),
+		sites: make([]atomic.Pointer[payload], len(w.List.Sets)),
+	}
 	for i, set := range w.List.Sets {
 		if _, dup := snap.index[set.Domain]; !dup {
 			snap.index[set.Domain] = i
@@ -403,7 +423,8 @@ func (s *Server) newPayload(body []byte, contentType []string, week int) *payloa
 // serveCached answers a route through the payload cache. sync routes
 // (cheap builds) always block; async routes return 425 Too Early with
 // Retry-After while the build runs, unless the request carries ?wait=1.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key payloadKey, alwaysWait bool) {
+// It returns the payload it served, or nil if it answered 425 or 500.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key payloadKey, alwaysWait bool) *payload {
 	wait := alwaysWait || r.URL.Query().Get("wait") == "1"
 	p, state, err := s.payloads.do(key, wait)
 	switch state {
@@ -414,7 +435,9 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key payload
 		http.Error(w, "build failed: "+err.Error(), http.StatusInternalServerError)
 	case stateReady:
 		s.writePayload(w, r, p)
+		return p
 	}
+	return nil
 }
 
 // writePayload serves an immutable payload with full caching semantics:
@@ -600,6 +623,12 @@ type siteDoc struct {
 	Internal []string `json:"internal"`
 }
 
+// handleSite serves a site's URL set. The domain is hashed once, into
+// the snapshot's index; the site's payload is then found at
+// snap.sites[i]. Only a site whose slot is still empty goes through the
+// payload flight, which runs the one build; the payload it serves is
+// stored in the slot for the requests after it.
+//
 //detlint:hotpath -- request-serving /v1 handler
 func (s *Server) handleSite(w http.ResponseWriter, r *http.Request, v pathValues) {
 	week, ok := s.week(v[0])
@@ -616,11 +645,18 @@ func (s *Server) handleSite(w http.ResponseWriter, r *http.Request, v pathValues
 		http.Error(w, "build failed: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if _, ok := snap.index[domain]; !ok {
+	i, ok := snap.index[domain]
+	if !ok {
 		http.NotFound(w, r)
 		return
 	}
-	s.serveCached(w, r, payloadKey{kind: kindSite, week: week, name: domain}, true)
+	if p := snap.sites[i].Load(); p != nil {
+		s.writePayload(w, r, p)
+		return
+	}
+	if p := s.serveCached(w, r, payloadKey{kind: kindSite, week: week, name: domain}, true); p != nil {
+		snap.sites[i].Store(p)
+	}
 }
 
 func (s *Server) buildSite(week int, domain string) (*payload, error) {

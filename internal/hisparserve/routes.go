@@ -134,21 +134,29 @@ type match struct {
 //     route is a 405, and anything else a 404.
 //
 // The route that serves a request or refuses its method labels it;
-// every other request is unmatchedRoute. A plain path (see plainPath)
-// is its own escaped and cleaned form, so it skips computing either.
+// every other request is unmatchedRoute. A plain path (see splitPlain)
+// is its own escaped and cleaned form, so it skips computing either,
+// and is split in the pass that finds it plain.
 func (s *Server) match(r *http.Request) match {
 	if r.RequestURI == "*" {
 		return match{route: unmatchedRoute, status: http.StatusBadRequest}
 	}
 	escaped, p := r.URL.Path, r.URL.Path
-	if r.URL.RawPath != "" || !plainPath(p) {
+	var (
+		segs  segments
+		plain bool
+	)
+	if r.URL.RawPath == "" {
+		segs, plain = splitPlain(p)
+	}
+	if !plain {
 		escaped = r.URL.EscapedPath()
 		p = escaped
 		if r.Method != http.MethodConnect {
 			p = cleanPath(p)
 		}
+		segs = splitPath(p)
 	}
-	segs := splitPath(p)
 	rt, v := s.lookup(&segs)
 	var slashed *route // the route p+"/" matches, when p matches none
 	if rt == nil && !strings.HasSuffix(p, "/") && segs.n < len(segs.s) {
@@ -195,9 +203,10 @@ func (m *match) refuse(w http.ResponseWriter, r *http.Request) {
 }
 
 // lookup returns the first route of the server's table that matches
-// segs, whatever the method, and its wildcard values; or nil.
+// segs, whatever the method, and its wildcard values; or nil. It tries
+// only the routes that fit segs' count.
 func (s *Server) lookup(segs *segments) (*route, pathValues) {
-	for _, rt := range s.routes {
+	for _, rt := range s.routes[segs.n] {
 		if v, ok := rt.match(segs); ok {
 			return rt, v
 		}
@@ -210,7 +219,7 @@ func (s *Server) lookup(segs *segments) (*route, pathValues) {
 // any segment but the trailing slash; a subtree pattern takes any
 // non-empty rest, a trailing slash included.
 func (rt *route) match(segs *segments) (v pathValues, ok bool) {
-	if segs.n < len(rt.segs) || rt.subtree != (segs.n > len(rt.segs)) {
+	if !rt.fits(segs.n) {
 		return v, false
 	}
 	w := 0
@@ -230,12 +239,25 @@ func (rt *route) match(segs *segments) (v pathValues, ok bool) {
 	return v, true
 }
 
+// fits reports whether a path of n segments can match the pattern: n
+// is its segment count, or more for a subtree pattern.
+func (rt *route) fits(n int) bool {
+	return n >= len(rt.segs) && rt.subtree == (n > len(rt.segs))
+}
+
 // segments is a path split as the net/http mux splits it: each segment
 // unescaped, and a trailing slash its own segment "/". Only the first
 // len(s) are kept; n counts them up to that.
 type segments struct {
 	n int
 	s [maxSegments + 1]string
+}
+
+// add appends a segment if there is room for it.
+func (segs *segments) add(seg string) {
+	if segs.n < len(segs.s) {
+		segs.s[segs.n], segs.n = seg, segs.n+1
+	}
 }
 
 // splitPath splits a path, which starts with a slash, into segments.
@@ -272,27 +294,37 @@ var plainBytes = func() (t [256]bool) {
 	return t
 }()
 
-// plainPath reports whether p is plain: a leading slash, only
+// splitPlain reports whether p is plain: a leading slash, only
 // plainBytes, no empty segment but a trailing one, and no "." or ".."
 // segment. With no RawPath, a plain path escapes to itself, and
-// cleanPath leaves it as it is.
-func plainPath(p string) bool {
+// cleanPath leaves it as it is. A plain path has nothing to unescape,
+// so splitPlain splits it as it checks it: segs is splitPath(p) when ok.
+func splitPlain(p string) (segs segments, ok bool) {
 	if p == "" || p[0] != '/' {
-		return false
+		return segs, false
 	}
-	seg := 1 // where the current segment starts
+	start := 1 // where the current segment starts
 	for i := 1; i < len(p); i++ {
 		if c := p[i]; !plainBytes[c] {
-			return false
+			return segs, false
 		} else if c == '/' {
-			if s := p[seg:i]; s == "" || s == "." || s == ".." {
-				return false
+			seg := p[start:i]
+			if seg == "" || seg == "." || seg == ".." {
+				return segs, false
 			}
-			seg = i + 1
+			segs.add(seg)
+			start = i + 1
 		}
 	}
-	last := p[seg:] // "" after a trailing slash
-	return last != "." && last != ".."
+	switch last := p[start:]; last {
+	case ".", "..":
+		return segs, false
+	case "":
+		segs.add("/") // after a trailing slash
+	default:
+		segs.add(last)
+	}
+	return segs, true
 }
 
 // cleanPath is the form the net/http mux redirects a path to:

@@ -60,7 +60,7 @@ type testImporter struct {
 }
 
 func newTestImporter(fset *token.FileSet) *testImporter {
-	return &testImporter{fset: fset, std: importer.ForCompiler(fset, "gc", nil), mod: make(map[string]*types.Package)}
+	return &testImporter{fset: fset, std: importer.ForCompiler(fset, "gc", lookupStd), mod: make(map[string]*types.Package)}
 }
 
 func (ti *testImporter) Import(path string) (*types.Package, error) {

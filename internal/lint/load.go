@@ -1,17 +1,23 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, parsed, and type-checked package of the module
@@ -63,6 +69,7 @@ func LoadModule(root string) ([]*Package, error) {
 		imports []string // module-internal imports only
 	}
 	raw := make(map[string]*rawPkg)
+	var std []string // the standard-library imports, with repeats
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
@@ -84,16 +91,22 @@ func LoadModule(root string) ([]*Package, error) {
 		for _, f := range files {
 			for _, imp := range f.Imports {
 				p, err := strconv.Unquote(imp.Path.Value)
-				if err != nil {
+				if err != nil || seen[p] {
 					continue
 				}
-				if (p == modPath || strings.HasPrefix(p, modPath+"/")) && !seen[p] {
-					seen[p] = true
+				seen[p] = true
+				if p == modPath || strings.HasPrefix(p, modPath+"/") {
 					rp.imports = append(rp.imports, p)
+				} else if p != "unsafe" {
+					std = append(std, p)
 				}
 			}
 		}
 		raw[path] = rp
+	}
+	sort.Strings(std)
+	if err := listStd(slices.Compact(std)); err != nil {
+		return nil, &LoadError{err}
 	}
 
 	paths := make([]string, 0, len(raw))
@@ -110,7 +123,7 @@ func LoadModule(root string) ([]*Package, error) {
 	imp := &moduleImporter{
 		modPath: modPath,
 		checked: checked,
-		std:     importer.ForCompiler(fset, "gc", nil),
+		std:     importer.ForCompiler(fset, "gc", lookupStd),
 	}
 	var pkgs []*Package
 	for _, path := range order {
@@ -148,10 +161,9 @@ func LoadModule(root string) ([]*Package, error) {
 // already type-checked this load (topological order guarantees they
 // exist) and everything else — the standard library — from the
 // compiler's export data. The module is stdlib-only, so std is only ever
-// asked for GOROOT packages; the gc importer finds their export data
-// through `go list -export`, whose answers it caches once per process,
-// so only the first load in a process pays for the lookup and every
-// load skips type-checking net/http and the rest of std from source.
+// asked for GOROOT packages; the gc importer opens their export data
+// through lookupStd, so every load skips type-checking net/http and the
+// rest of std from source.
 type moduleImporter struct {
 	modPath string
 	checked map[string]*types.Package
@@ -292,4 +304,68 @@ func topoSort(paths []string, deps func(string) []string) ([]string, error) {
 		}
 	}
 	return order, nil
+}
+
+// stdExports maps a standard-library import path to its export data
+// file, as `go list -export` reports it ("" if it reported none). It is
+// filled by listStd and kept for the life of the process, so only the
+// first load in a process runs `go list`.
+var stdExports struct {
+	sync.Mutex
+	files map[string]string
+}
+
+// listStd records the export data of paths and of every package they
+// depend on, in one `go list -export -deps` call over the paths no
+// earlier call listed. It runs GOROOT's go command from GOROOT, as the
+// gc importer does when it is given no lookup.
+func listStd(paths []string) error {
+	stdExports.Lock()
+	defer stdExports.Unlock()
+	var missing []string
+	for _, p := range paths {
+		if _, ok := stdExports.files[p]; !ok {
+			missing = append(missing, p)
+		}
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	goroot := build.Default.GOROOT
+	args := append([]string{"list", "-e", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}"}, missing...)
+	cmd := exec.Command(filepath.Join(goroot, "bin", "go"), args...)
+	cmd.Dir = goroot
+	out, err := cmd.Output()
+	if err != nil {
+		var ee *exec.ExitError
+		if errors.As(err, &ee) && len(ee.Stderr) > 0 {
+			err = errors.New(strings.TrimSpace(string(ee.Stderr)))
+		}
+		return fmt.Errorf("go list -export: %w", err)
+	}
+	if stdExports.files == nil {
+		stdExports.files = make(map[string]string)
+	}
+	// With -e, a path go list cannot resolve is still listed, with no
+	// export file.
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "\t")
+		stdExports.files[path] = file
+	}
+	return nil
+}
+
+// lookupStd is the gc importer's lookup: it opens path's export data,
+// listing path first if no earlier call did.
+func lookupStd(path string) (io.ReadCloser, error) {
+	if err := listStd([]string{path}); err != nil {
+		return nil, err
+	}
+	stdExports.Lock()
+	file := stdExports.files[path]
+	stdExports.Unlock()
+	if file == "" {
+		return nil, fmt.Errorf("no export data for %q", path)
+	}
+	return os.Open(file)
 }
